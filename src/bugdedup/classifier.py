@@ -9,9 +9,10 @@ interface the cascade expects:
 * ``OracleClassifier`` - ground-truth cluster lookup, used only to
   verify pipeline plumbing, never for reported metrics.
 
-Every classification decision increments the ledger's pair counter; the
-per-report vectors a backend caches internally are its own business and
-are deliberately not ledgered as embedding calls.
+Every classification decision increments the ledger's pair counter. The
+pair featurizer embeds each report's whole text, title and description
+once and keeps the vectors for every later pair; those embeddings are
+its own business and are deliberately not ledgered as embedding calls.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import BugReport, clean
+from .corpus import BugReport
 from .dup_graph import ClusterSet
 from .embedder import TrainingError
 from .ledger import CostLedger
@@ -76,76 +77,111 @@ class PairFeatures:
 FEATURE_COUNT = 5
 
 
-def _safe_cosine(u: np.ndarray, v: np.ndarray) -> float:
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu < _ZERO_NORM or nv < _ZERO_NORM:
-        return 0.0
-    return float(u @ v / (nu * nv))
+def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``u[i] @ v[i]`` for every row i, each summed as that 1-D product is."""
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
 
 
-@dataclass
-class _CacheEntry:
-    vec_all: np.ndarray
-    vec_title: np.ndarray
-    vec_description: np.ndarray
-    tokens: frozenset[str]
+def _cosines(u: np.ndarray, v: np.ndarray, nu: np.ndarray, nv: np.ndarray) -> np.ndarray:
+    """Row-wise cosine given row norms; 0 where either norm is below 1e-12."""
+    valid = ~((nu < _ZERO_NORM) | (nv < _ZERO_NORM))
+    return np.where(valid, _row_dots(u, v) / np.where(valid, nu * nv, 1.0), 0.0)
+
+
+def _jaccard(a: frozenset[str], b: frozenset[str]) -> float:
+    shared = len(a & b)
+    union = len(a) + len(b) - shared
+    return shared / union if union else 0.0
+
+
+# Rows of the featurizer's vector store, one per embedded field.
+_FIELDS = ("clean_text", "clean_title", "clean_description")
 
 
 class PairFeaturizer:
-    """Builds PairFeatures, caching per-report vectors and token sets.
+    """Builds pair features from per-report vectors, each embedded once.
 
-    The cache makes repeated pairings of the same bugs cheap (the
-    scenario runner pairs each query with many candidates).
+    ``warm`` embeds the whole text, title and description of every report
+    not seen before, in three batched calls, and stores them as rows of
+    one array with their norms and token sets. ``feature_matrix`` gathers
+    the rows of a batch of pairs by index. Norms and dot products are
+    summed exactly as ``np.linalg.norm`` and ``u @ v`` sum a single pair,
+    so a feature does not depend on the batch it was computed in.
     """
 
     def __init__(self, embedder):
         self.embedder = embedder
-        self._cache: dict[str, _CacheEntry] = {}
+        self._row: dict[str, int] = {}
+        self._tokens: list[frozenset[str]] = []
+        self._vectors = np.zeros((len(_FIELDS), 0, 0))  # field, row, dim
+        self._norms = np.zeros((len(_FIELDS), 0))
 
     def warm(self, reports: Sequence[BugReport]) -> None:
-        """Embed all missing reports in three batched calls."""
-        missing = [r for r in reports if r.bug_id not in self._cache]
+        """Embed the reports not seen before, each once, in three batched calls."""
+        missing = list({r.bug_id: r for r in reports if r.bug_id not in self._row}.values())
         if not missing:
             return
-        all_vecs = self.embedder.embed_texts([r.clean_text for r in missing])
-        title_vecs = self.embedder.embed_texts([clean(r.title) for r in missing])
-        desc_vecs = self.embedder.embed_texts([clean(r.description) for r in missing])
+        vectors = np.stack(
+            [
+                np.asarray(
+                    self.embedder.embed_texts([getattr(r, name) for r in missing]),
+                    dtype=np.float64,
+                )
+                for name in _FIELDS
+            ]
+        )
+        used, added = len(self._tokens), len(missing)
+        if used + added > self._vectors.shape[1]:
+            size = max(used + added, 2 * used)  # doubling keeps appends amortised O(1)
+            grown = np.zeros((len(_FIELDS), size, vectors.shape[2]))
+            norms = np.zeros((len(_FIELDS), size))
+            if used:
+                grown[:, :used] = self._vectors[:, :used]
+                norms[:, :used] = self._norms[:, :used]
+            self._vectors, self._norms = grown, norms
+        self._vectors[:, used : used + added] = vectors
+        for f in range(len(_FIELDS)):
+            self._norms[f, used : used + added] = np.sqrt(_row_dots(vectors[f], vectors[f]))
         for i, r in enumerate(missing):
-            self._cache[r.bug_id] = _CacheEntry(
-                vec_all=all_vecs[i],
-                vec_title=title_vecs[i],
-                vec_description=desc_vecs[i],
-                tokens=frozenset(r.clean_text.split()),
-            )
+            self._row[r.bug_id] = used + i
+            self._tokens.append(frozenset(r.clean_text.split()))
 
-    def _entry(self, report: BugReport) -> _CacheEntry:
-        if report.bug_id not in self._cache:
-            self.warm([report])
-        return self._cache[report.bug_id]
+    def _rows(self, pairs: Sequence[tuple[BugReport, BugReport]]) -> tuple[np.ndarray, np.ndarray]:
+        self.warm([r for pair in pairs for r in pair])
+        left = np.array([self._row[a.bug_id] for a, _ in pairs], dtype=np.intp)
+        right = np.array([self._row[b.bug_id] for _, b in pairs], dtype=np.intp)
+        return left, right
+
+    def feature_matrix(self, pairs: Sequence[tuple[BugReport, BugReport]]) -> np.ndarray:
+        """One row of PairFeatures values per pair, shape (len(pairs), 5)."""
+        for a, b in pairs:
+            if not a.clean_text and not b.clean_text:
+                raise FeatureError(f"both reports empty after cleaning: {a.bug_id}, {b.bug_id}")
+        left, right = self._rows(pairs)
+        u, v = self._vectors[:, left], self._vectors[:, right]
+        nu, nv = self._norms[:, left], self._norms[:, right]
+        x = np.empty((len(pairs), FEATURE_COUNT))
+        for f in range(len(_FIELDS)):
+            x[:, f] = _cosines(u[f], v[f], nu[f], nv[f])
+        diff = u[0] - v[0]
+        x[:, 3] = np.sqrt(_row_dots(diff, diff))
+        tokens = self._tokens
+        x[:, 4] = [_jaccard(tokens[i], tokens[j]) for i, j in zip(left.tolist(), right.tolist())]
+        if not np.isfinite(x).all():
+            bad = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
+            raise FeatureError(f"non-finite pair features: {tuple(x[bad].tolist())}")
+        if not ((x[:, 4] >= 0.0) & (x[:, 4] <= 1.0)).all():
+            raise FeatureError(f"jaccard out of range: {x[:, 4].min()}, {x[:, 4].max()}")
+        return x
 
     def features(self, a: BugReport, b: BugReport) -> PairFeatures:
-        if not a.clean_text and not b.clean_text:
-            raise FeatureError(f"both reports empty after cleaning: {a.bug_id}, {b.bug_id}")
-        ea, eb = self._entry(a), self._entry(b)
-        union = len(ea.tokens | eb.tokens)
-        return PairFeatures(
-            cosine_all=_safe_cosine(ea.vec_all, eb.vec_all),
-            cosine_title=_safe_cosine(ea.vec_title, eb.vec_title),
-            cosine_description=_safe_cosine(ea.vec_description, eb.vec_description),
-            euclidean=float(np.linalg.norm(ea.vec_all - eb.vec_all)),
-            token_jaccard=len(ea.tokens & eb.tokens) / union if union else 0.0,
-        )
+        return PairFeatures(*self.feature_matrix([(a, b)])[0].tolist())
 
     def cosine_all_batch(self, pairs: Sequence[tuple[BugReport, BugReport]]) -> np.ndarray:
-        """Whole-text cosine for many pairs at once (cached vectors)."""
-        self.warm([r for pair in pairs for r in pair])
-        left = np.stack([self._cache[a.bug_id].vec_all for a, _ in pairs])
-        right = np.stack([self._cache[b.bug_id].vec_all for _, b in pairs])
-        ln = np.linalg.norm(left, axis=1)
-        rn = np.linalg.norm(right, axis=1)
-        denom = ln * rn
-        valid = denom > _ZERO_NORM
-        return np.where(valid, np.einsum("ij,ij->i", left, right) / np.where(valid, denom, 1.0), 0.0)
+        """Whole-text cosine for many pairs at once, as ``feature_matrix`` computes it."""
+        left, right = self._rows(pairs)
+        vectors, norms = self._vectors[0], self._norms[0]
+        return _cosines(vectors[left], vectors[right], norms[left], norms[right])
 
 
 def ce_loss(y: int, p: float) -> float:
@@ -209,8 +245,7 @@ class LogisticPairModel:
 
 
 def _feature_matrix(featurizer: PairFeaturizer, pairs) -> tuple[np.ndarray, np.ndarray]:
-    featurizer.warm([r for a, b, _ in pairs for r in (a, b)])
-    x = np.stack([featurizer.features(a, b).as_array() for a, b, _ in pairs])
+    x = featurizer.feature_matrix([(a, b) for a, b, _ in pairs])
     y = np.array([1.0 if dup else 0.0 for _, _, dup in pairs])
     return x, y
 
@@ -303,11 +338,7 @@ class LogisticClassifier:
     ) -> list[tuple[float, bool]]:
         if not pairs:
             return []
-        self.featurizer.warm([r for pair in pairs for r in pair])
-        # Each pair is featurized jointly; this loop is the honest cost
-        # of a cross-encoder-style scorer.
-        x = np.stack([self.featurizer.features(a, b).as_array() for a, b in pairs])
-        probs = self.model.predict_proba(x)
+        probs = self.model.predict_proba(self.featurizer.feature_matrix(pairs))
         if ledger is not None:
             ledger.count_classifications(len(pairs))
         return [(float(p), bool(p >= self.model.threshold)) for p in probs]

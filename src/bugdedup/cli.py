@@ -129,7 +129,9 @@ def _make_embedder(args, corpus, clusters, manifest):
     return remote_mod.RemoteEmbedder(remote_mod.RemoteConfig(endpoint=endpoint))
 
 
-def _make_classifier(args, corpus, clusters, manifest):
+def _make_classifier(args, corpus, clusters, manifest, tfidf=None):
+    """The pair classifier; ``tfidf`` is an already fitted train-split
+    embedder at ``args.dim`` for the featurizer to share."""
     if args.classifier_backend == "oracle":
         return classifier_mod.OracleClassifier(clusters)
     if args.classifier_backend == "service":
@@ -139,7 +141,9 @@ def _make_classifier(args, corpus, clusters, manifest):
                 f"--classify-endpoint (or {CLASSIFY_ENDPOINT_ENV}) is required for the service backend"
             )
         return remote_mod.RemoteClassifier(remote_mod.RemoteConfig(endpoint=endpoint))
-    base = _fit_train_embedder(corpus, clusters, manifest, args.dim)
+    base = tfidf
+    if base is None:
+        base = _fit_train_embedder(corpus, clusters, manifest, args.dim)
     featurizer = classifier_mod.PairFeaturizer(base)
     if args.classifier_backend == "similarity":
         return classifier_mod.SimilarityClassifier(featurizer, args.sim_threshold)
@@ -366,7 +370,8 @@ def cmd_run_cascade(args) -> int:
         dedup_pairs=args.dedup_pairs,
     )
     emb = _make_embedder(args, corpus, clusters, manifest)
-    clf = _make_classifier(args, corpus, clusters, manifest)
+    tfidf = emb if args.embed_backend == "tfidf" else None
+    clf = _make_classifier(args, corpus, clusters, manifest, tfidf)
     runner = (
         cascade_mod.run_one_vs_all if config.mode == "one_vs_all" else cascade_mod.run_all_vs_all
     )

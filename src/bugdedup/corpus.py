@@ -67,12 +67,19 @@ def clean(text: str) -> str:
 
 @dataclass(frozen=True)
 class BugReport:
-    """One bug report. ``clean_text`` is derived, never taken from input."""
+    """One bug report. The ``clean_*`` fields are derived, never taken from input.
+
+    Each field is cleaned once, here. ``clean_text`` joins the cleaned
+    title and description; that equals ``clean(f"{title} {description}")``
+    because no token spans the space between the two.
+    """
 
     bug_id: str
     title: str
     description: str
     dup_of: str | None = None
+    clean_title: str = field(init=False)
+    clean_description: str = field(init=False)
     clean_text: str = field(init=False)
 
     def __post_init__(self) -> None:
@@ -80,7 +87,10 @@ class BugReport:
             raise ValueError("bug_id must be a non-empty string")
         if self.dup_of == self.bug_id:
             raise ValueError(f"bug {self.bug_id!r} declares itself as its duplicate")
-        object.__setattr__(self, "clean_text", clean(f"{self.title} {self.description}"))
+        title, description = clean(self.title), clean(self.description)
+        object.__setattr__(self, "clean_title", title)
+        object.__setattr__(self, "clean_description", description)
+        object.__setattr__(self, "clean_text", " ".join(x for x in (title, description) if x))
 
 
 @dataclass(frozen=True)

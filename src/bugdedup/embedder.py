@@ -103,12 +103,17 @@ class TfidfHashEmbedder:
     64-bit hash mod ``dim``; each contributes tf * idf to its bucket and
     the vector is L2-normalized. IDF uses the smoothed form
     ln((1+N)/(1+df)) + 1 so unseen tokens still carry weight. Fitted
-    instances are immutable and safe to share across threads.
+    instances are immutable and safe to share across threads; each token's
+    bucket and IDF are memoised on first sight (a pure function of the
+    fitted fields, so the memo takes no part in equality or ``to_json``).
     """
 
     dim: int
     doc_count: int
     df: Mapping[str, int]
+    _memo: dict[str, tuple[int, float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def fit(cls, train_texts: Sequence[str], dim: int = DEFAULT_DIM) -> "TfidfHashEmbedder":
@@ -123,14 +128,25 @@ class TfidfHashEmbedder:
     def idf(self, token: str) -> float:
         return math.log((1 + self.doc_count) / (1 + self.df.get(token, 0))) + 1.0
 
+    def _token(self, token: str) -> tuple[int, float]:
+        hit = self._memo.get(token)
+        if hit is None:
+            hit = self._memo[token] = (fnv1a64(token) % self.dim, self.idf(token))
+        return hit
+
     def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
         out = np.zeros((len(texts), self.dim))
         for i, text in enumerate(texts):
             tf: dict[str, int] = {}
             for token in text.split():
                 tf[token] = tf.get(token, 0) + 1
+            # Buckets accumulate in first-occurrence order, as float64 sums
+            # starting from 0.0, so a row's bits do not depend on the memo.
+            row: dict[int, float] = {}
             for token, count in tf.items():
-                out[i, fnv1a64(token) % self.dim] += count * self.idf(token)
+                bucket, idf = self._token(token)
+                row[bucket] = row.get(bucket, 0.0) + count * idf
+            out[i, list(row)] = list(row.values())
         return l2_normalize_rows(out)
 
     def embed(self, text: str) -> EmbeddingVector:

@@ -1,16 +1,18 @@
 """Exact top-k cosine search over embedded reports, plus recall@k and
 precision@k.
 
-The search is a brute-force scan feeding a bounded heap: databases stay
-small enough (tens of thousands) that exactness is cheap, and exact
-results keep every retrieval metric oracle-checkable. Ranking is fully
-deterministic: ties break by ascending bug id, and candidates whose
-embedding is the zero vector (cosine undefined) sort below everything.
+The search is a brute-force scan, one matrix-vector product per query,
+followed by a k-selection (``np.partition``) and a sort of only the rows
+that can make the top k: databases stay small enough (tens of thousands)
+that exactness is cheap, and exact results keep every retrieval metric
+oracle-checkable. Ranking is fully deterministic: ties break by
+ascending bug id, and candidates whose embedding is the zero vector
+(cosine undefined) sort below everything.
 """
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -20,6 +22,16 @@ from .corpus import BugReport
 from .ledger import CostLedger
 
 _ZERO_NORM = 1e-12
+# The scan's row blocks hold at most this many matrix elements, in a
+# multiple of _BLOCK_ALIGN rows. OpenBLAS computes a matrix-vector product
+# this small on the calling thread. A larger one it splits across threads
+# at a row that need not be aligned, which changes the last bits of the
+# rows around the split with the thread count, and in a tight per-query
+# loop on a small machine each call can wait milliseconds for a worker
+# that shares the caller's CPU. Aligned blocks keep every row in the same
+# kernel group as one single-threaded product, so the scores are its bits.
+_BLOCK_ELEMENTS = 1 << 16
+_BLOCK_ALIGN = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,6 +91,16 @@ class RankedCandidates:
         return tuple(bug_id for bug_id, _ in self.ranked)
 
 
+def _matvec(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``matrix @ q``, computed in aligned row blocks (see _BLOCK_ELEMENTS)."""
+    per_row = max(1, matrix.shape[1])
+    rows = max(_BLOCK_ALIGN, _BLOCK_ELEMENTS // per_row // _BLOCK_ALIGN * _BLOCK_ALIGN)
+    out = np.empty(len(matrix))
+    for start in range(0, len(matrix), rows):
+        np.matmul(matrix[start : start + rows], q, out=out[start : start + rows])
+    return out
+
+
 def top_k(
     index: VectorIndex,
     query_vector: np.ndarray,
@@ -102,23 +124,35 @@ def top_k(
         raise ValueError(f"query dim {q.shape} does not match index dim {index.dim}")
 
     qn = float(np.linalg.norm(q))
-    dots = index.matrix @ q
+    dots = _matvec(index.matrix, q)
     denom = index.norms * qn
     valid = denom > _ZERO_NORM
     scores = np.where(valid, dots / np.where(valid, denom, 1.0), -np.inf)
 
-    candidates = [
-        (bug_id, float(scores[i]))
-        for i, bug_id in enumerate(index.ids)
-        if bug_id != exclude
-    ]
+    m = len(index)
+    pos = bisect_left(index.ids, exclude) if exclude is not None else m
+    excluded = pos < m and index.ids[pos] == exclude
+    candidates = m - excluded
     if ledger is not None:
-        ledger.count_similarity(len(candidates))
+        ledger.count_similarity(candidates)
 
-    best = heapq.nsmallest(k, candidates, key=lambda c: (-c[1], c[0]))
-    return RankedCandidates(
-        query=query, ranked=tuple(best), k=k, fewer_than_k=k > len(candidates)
-    )
+    # The excluded row scores -inf. ``rows`` keeps every row scoring at
+    # least the k-th best, so if that includes the excluded row, the k-th
+    # best is -inf and ``rows`` is the whole index: dropping it below
+    # still leaves the k best of the rest.
+    if excluded:
+        scores[pos] = -np.inf
+    rows = np.arange(m)
+    if k < m:
+        kth = np.partition(scores, m - k)[m - k]
+        rows = np.flatnonzero(scores >= kth)
+    # Index rows are sorted by id, so ascending row is ascending id.
+    order = rows[np.lexsort((rows, -scores[rows]))]
+    if excluded:
+        order = order[order != pos]
+    order = order[:k]
+    ranked = tuple(zip((index.ids[i] for i in order.tolist()), scores[order].tolist()))
+    return RankedCandidates(query=query, ranked=ranked, k=k, fewer_than_k=k > candidates)
 
 
 def _ranked_ids(ranked) -> list[str]:

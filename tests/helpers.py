@@ -7,7 +7,9 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from bugdedup.corpus import Corpus
+import numpy as np
+
+from bugdedup.corpus import Corpus, clean
 from bugdedup.dup_graph import ClusterSet, build_clusters
 from bugdedup.embedder import TfidfHashEmbedder
 from bugdedup.splitter import SplitManifest, build_manifest
@@ -42,6 +44,35 @@ def reports_of(corpus, bug_ids):
 
 def resolve_pairs(corpus, labeled_pairs):
     return [(corpus.by_id[p.bug_a], corpus.by_id[p.bug_b], p.duplicate) for p in labeled_pairs]
+
+
+def reference_pair_features(embedder, a, b) -> list[float]:
+    """PairFeatures values of one pair by the per-pair formulas: each
+    field cleaned from the raw text, embedded, and compared with 1-D
+    ``np.linalg.norm`` and ``@``. The batched featurizer must equal this
+    bit for bit."""
+
+    def vectors(report):
+        texts = [clean(f"{report.title} {report.description}"), clean(report.title),
+                 clean(report.description)]
+        return [embedder.embed_texts([t])[0] for t in texts]
+
+    def cosine(u, v):
+        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+        if nu < 1e-12 or nv < 1e-12:
+            return 0.0
+        return float(u @ v / (nu * nv))
+
+    va, vb = vectors(a), vectors(b)
+    ta, tb = set(a.clean_text.split()), set(b.clean_text.split())
+    union = len(ta | tb)
+    return [
+        cosine(va[0], vb[0]),
+        cosine(va[1], vb[1]),
+        cosine(va[2], vb[2]),
+        float(np.linalg.norm(va[0] - vb[0])),
+        len(ta & tb) / union if union else 0.0,
+    ]
 
 
 # ------------------------------------------------------------- HTTP stub

@@ -30,6 +30,8 @@ from bugdedup.dup_graph import build_clusters
 from bugdedup.embedder import TfidfHashEmbedder
 from bugdedup.ledger import CostLedger
 
+from helpers import reference_pair_features
+
 
 def _report(bug_id, title, description, dup_of=None):
     return BugReport(bug_id=bug_id, title=title, description=description, dup_of=dup_of)
@@ -105,7 +107,70 @@ def test_cosine_all_batch_matches_loop():
     pairs = [(reports[i], reports[(i + 2) % 6]) for i in range(6)]
     batch = featurizer.cosine_all_batch(pairs)
     single = [featurizer.features(a, b).cosine_all for a, b in pairs]
-    np.testing.assert_allclose(batch, single, atol=1e-12)
+    assert batch.tolist() == single
+
+
+class _CountingEmbedder:
+    """Records every text each ``embed_texts`` call receives."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls: list[list[str]] = []
+
+    def embed_texts(self, texts):
+        self.calls.append(list(texts))
+        return self.inner.embed_texts(texts)
+
+
+def test_warm_embeds_each_report_once_per_field():
+    reports = [_report(f"b{i}", f"title{i} crash", f"body{i} heap") for i in range(4)]
+    counting = _CountingEmbedder(_embedder(*reports))
+    featurizer = PairFeaturizer(counting)
+    featurizer.warm([reports[0], reports[1], reports[0], reports[2], reports[1]])
+    assert counting.calls == [
+        [r.clean_text for r in reports[:3]],
+        [r.clean_title for r in reports[:3]],
+        [r.clean_description for r in reports[:3]],
+    ]
+    # A query paired with every candidate, as the cascade batches it.
+    featurizer.feature_matrix([(reports[3], r) for r in reports] + [(reports[2], reports[3])])
+    assert counting.calls[3:] == [
+        [reports[3].clean_text],
+        [reports[3].clean_title],
+        [reports[3].clean_description],
+    ]
+    featurizer.warm(reports)
+    featurizer.features(reports[1], reports[3])
+    assert len(counting.calls) == 6
+
+
+def test_feature_matrix_rows_equal_per_pair_formulas(corpus):
+    planted = list(corpus.reports[:40])
+    edge = [
+        _report("e1", "", "overflow stack trace"),
+        _report("e2", "crash heap", ""),
+        _report("e3", "the is", "crash heap overflow"),  # stopword-only title
+        _report("e4", "crash heap", "the"),  # stopword-only description
+        _report("e5", "", ""),
+    ]
+    reports = planted + edge
+    embedder = TfidfHashEmbedder.fit([r.clean_text for r in planted], dim=128)
+    pairs = [(a, b) for a in reports for b in reports[::3] if a.clean_text or b.clean_text]
+    x = PairFeaturizer(embedder).feature_matrix(pairs)
+    assert x.shape == (len(pairs), FEATURE_COUNT)
+    assert x.tolist() == [reference_pair_features(embedder, a, b) for a, b in pairs]
+
+
+def test_both_empty_pair_inside_a_batch_is_rejected():
+    a, b = _report("b1", "crash heap", "overflow"), _report("b2", "render", "shader")
+    empty1, empty2 = _report("e1", "", "the"), _report("e2", "", "")
+    featurizer = PairFeaturizer(_embedder(a, b))
+    pairs = [(a, b), (empty1, empty2), (a, empty1)]
+    with pytest.raises(FeatureError, match="e1, e2"):
+        featurizer.feature_matrix(pairs)
+    model = LogisticPairModel(weights=np.zeros(FEATURE_COUNT + 1))
+    with pytest.raises(FeatureError, match="empty after cleaning"):
+        LogisticClassifier(model, featurizer).classify_batch(pairs)
 
 
 def test_ce_loss_values():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from bugdedup import cli
+from bugdedup import embedder as embedder_mod
 
 from helpers import classify_reply, embed_reply
 
@@ -182,6 +183,29 @@ def test_cascade_scenarios_and_report(workdir, tmp_path, capsys):
     assert set(by_method) == {"retrieval_only", "classification_only", "cascade"}
     assert int(by_method["retrieval_only"]["pair_classifications"]) == 0
     assert by_method["cascade"]["k"] == "10"
+
+
+@pytest.mark.parametrize("embed_backend, fits", [("tfidf", 1), ("projection", 2)])
+def test_run_cascade_shares_the_tfidf_embedder(
+    workdir, tmp_path, capsys, monkeypatch, embed_backend, fits
+):
+    fit = embedder_mod.TfidfHashEmbedder.fit.__func__
+    calls = []
+
+    def counting_fit(cls, *args, **kwargs):
+        calls.append(args)
+        return fit(cls, *args, **kwargs)
+
+    monkeypatch.setattr(embedder_mod.TfidfHashEmbedder, "fit", classmethod(counting_fit))
+    _run(
+        capsys, "run-cascade", *_pipeline_flags(workdir),
+        "--mode", "one-vs-all", "--method", "cascade", "--k", "5", "--seed", "1",
+        "--dim", "128", "--embed-backend", embed_backend,
+        "--projection", str(workdir / "projection.json"),
+        "--classifier-backend", "logistic", "--model", str(workdir / "classifier.json"),
+        "--out", str(tmp_path / "scenario.json"),
+    )
+    assert len(calls) == fits
 
 
 def test_report_rejects_conflicting_scenarios(workdir, tmp_path, capsys):

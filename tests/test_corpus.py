@@ -62,6 +62,23 @@ def test_report_derives_clean_text():
     assert r.clean_text == "crash heap"
 
 
+# Title/description text that stresses the join: empty strings, pure
+# punctuation, stopwords, and characters whose lowercase form depends on
+# context or expands (final sigma, dotted capital I).
+_FIELD_TEXT = st.lists(
+    st.sampled_from([*"aZ9 .,!-\t\nΣςσİıé", "the", "is", "ΑΣ", "crash"]), max_size=12
+).map("".join) | st.text(max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(title=_FIELD_TEXT, description=_FIELD_TEXT)
+def test_report_clean_fields_join_to_clean_text(title, description):
+    r = BugReport(bug_id="b1", title=title, description=description)
+    assert r.clean_title == clean(title)
+    assert r.clean_description == clean(description)
+    assert r.clean_text == clean(f"{title} {description}")
+
+
 def test_report_rejects_self_duplicate():
     with pytest.raises(ValueError, match="declares itself"):
         BugReport(bug_id="b1", title="t", description="d", dup_of="b1")

@@ -100,12 +100,57 @@ def test_tfidf_fit_rejects_bad_dim():
 
 def test_tfidf_json_roundtrip():
     embedder = TfidfHashEmbedder.fit(["a b", "b c"], dim=32)
-    again = TfidfHashEmbedder.from_json(embedder.to_json())
+    embedder.embed_texts(["a b c unseen"])  # fills the token memo
+    payload = embedder.to_json()
+    assert set(payload) == {"dim", "doc_count", "df"}
+    again = TfidfHashEmbedder.from_json(payload)
+    assert again == embedder
     assert again.dim == embedder.dim
     assert dict(again.df) == dict(embedder.df)
     np.testing.assert_array_equal(
         again.embed_texts(["a b c"]), embedder.embed_texts(["a b c"])
     )
+
+
+def _unmemoised_embed(embedder: TfidfHashEmbedder, texts: list[str]) -> np.ndarray:
+    """The hashing loop without a memo: hash and IDF per token and text."""
+    out = np.zeros((len(texts), embedder.dim))
+    for i, text in enumerate(texts):
+        tf: dict[str, int] = {}
+        for token in text.split():
+            tf[token] = tf.get(token, 0) + 1
+        for token, count in tf.items():
+            out[i, fnv1a64(token) % embedder.dim] += count * embedder.idf(token)
+    return l2_normalize_rows(out)
+
+
+def test_tfidf_memo_does_not_change_bits():
+    words = [f"w{i}" for i in range(40)]
+    # Document frequencies 0-3 and term counts 1-4, so tokens that share
+    # a bucket carry different weights and their sum depends on its order.
+    train = [" ".join(words[:n]) for n in (10, 20, 30)]
+    texts = [
+        "beta alpha beta unseen",
+        "",
+        " ".join(w for i, w in enumerate(words) for _ in range(1 + i % 4)),
+        " ".join(reversed(words[5:])) + " unseen other",
+    ]
+
+    def fit():
+        return TfidfHashEmbedder.fit(train, dim=4)  # several tokens share each bucket
+
+    def warmed():
+        embedder = fit()
+        embedder.embed_texts(list(reversed(texts)) + ["more unseen tokens alpha"])
+        return embedder
+
+    want = _unmemoised_embed(fit(), texts).tobytes()
+    for fresh_first in (True, False):
+        fresh, warm = fit(), warmed()
+        first, second = (fresh, warm) if fresh_first else (warm, fresh)
+        assert first.embed_texts(texts).tobytes() == want
+        assert second.embed_texts(texts).tobytes() == want
+        assert fresh == warm
 
 
 def test_cosine_known_values():

@@ -154,6 +154,29 @@ def test_top_k_matches_full_sort_on_random_indexes():
         got = top_k(index, q, k, exclude=exclude)
         assert got.ranked == _oracle_rank(index, q, k, exclude), f"trial {trial}"
 
+    zero_run = np.vstack([rng.normal(size=(3, 4)), np.zeros((4, 4)), rng.normal(size=(2, 4))])
+    edge_cases = [
+        # excluded id inside a run of zero-vector (-inf) rows, k inside and past the run
+        (zero_run, "r0004", 4),
+        (zero_run, "r0005", 6),
+        # k >= m with exclusion
+        (zero_run, "r0000", 9),
+        (zero_run, "r0008", 40),
+        # an index of all zero vectors, with and without exclusion
+        (np.zeros((5, 3)), "r0002", 2),
+        (np.zeros((5, 3)), None, 7),
+        # an index with one row, excluded or not
+        (rng.normal(size=(1, 3)), "r0000", 1),
+        (rng.normal(size=(1, 3)), None, 3),
+        # an index scanned in several row blocks, every score compared
+        (rng.normal(size=(300, 700)), "r0150", 300),
+    ]
+    for case, (matrix, exclude, k) in enumerate(edge_cases):
+        index = VectorIndex.from_vectors([f"r{i:04d}" for i in range(len(matrix))], matrix)
+        q = rng.normal(size=matrix.shape[1])
+        got = top_k(index, q, k, exclude=exclude)
+        assert got.ranked == _oracle_rank(index, q, k, exclude), f"edge case {case}"
+
 
 def test_recall_at_k_hand_values():
     ranked = ["a", "b", "c", "d"]

@@ -94,7 +94,7 @@ def _jaccard(a: frozenset[str], b: frozenset[str]) -> float:
     return shared / union if union else 0.0
 
 
-# Rows of the featurizer's vector store, one per embedded field.
+# Report fields the featurizer embeds, in the order of its vector store's first axis.
 _FIELDS = ("clean_text", "clean_title", "clean_description")
 
 

@@ -36,7 +36,7 @@ from .embedder import (
 )
 from .ledger import CostLedger
 from .metrics import ConfusionMatrix, MetricRow, aggregate_curves, classification_metrics
-from .retrieval import VectorIndex, build_index, precision_at_k, recall_at_k, top_k
+from .retrieval import VectorIndex, build_index, precision_at_k, recall_at_k, search, top_k
 from .splitter import SplitManifest, build_manifest, count_dup_pairs, split_clusters
 from .synth import SynthConfig, synth_corpus
 
@@ -82,6 +82,7 @@ __all__ = [
     "run_all_vs_all",
     "run_one_vs_all",
     "run_partition",
+    "search",
     "split_clusters",
     "synth_corpus",
     "top_k",

@@ -28,7 +28,7 @@ from .corpus import BugReport, Corpus
 from .dup_graph import ClusterSet
 from .ledger import CostLedger
 from .metrics import MetricRow, QueryOutcome, aggregate_curves, classification_metrics
-from .retrieval import VectorIndex, top_k
+from .retrieval import VectorIndex, search
 from .seeding import substream_rng
 from .splitter import SplitManifest
 
@@ -219,18 +219,17 @@ def run_partition(
         vec_of = {r.bug_id: vectors[i] for i, r in enumerate(ordered)}
         index = VectorIndex.from_vectors(db_ids, np.stack([vec_of[b] for b in db_ids]))
 
-    ranked_of = {}
     with ledger.phase("search"):
-        for q in queries:
-            ranked = top_k(
-                index,
-                vec_of[q.bug_id],
-                k,
-                exclude=q.bug_id if exclude_self else None,
-                ledger=ledger,
-                query=q.bug_id,
-            )
-            ranked_of[q.bug_id] = ranked.ranked
+        query_ids = [q.bug_id for q in queries]
+        found = search(
+            index,
+            np.stack([vec_of[b] for b in query_ids]),
+            k,
+            excludes=query_ids if exclude_self else None,
+            ledger=ledger,
+            queries=query_ids,
+        )
+        ranked_of = {r.query: r.ranked for r in found}
 
     records: list[QueryRecord] = []
     if method == "retrieval_only":

@@ -11,6 +11,7 @@ failures exit 1.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -116,7 +117,8 @@ def _fit_train_embedder(corpus, clusters, manifest, dim: int):
     return embedder_mod.TfidfHashEmbedder.fit(train_texts, dim=dim)
 
 
-def _make_embedder(args, corpus, clusters, manifest):
+def _make_embedder(args, corpus, clusters, manifest, backends: contextlib.ExitStack):
+    """The embedding backend; a service client is closed when ``backends`` exits."""
     if args.embed_backend == "tfidf":
         return _fit_train_embedder(corpus, clusters, manifest, args.dim)
     if args.embed_backend == "projection":
@@ -126,12 +128,15 @@ def _make_embedder(args, corpus, clusters, manifest):
     endpoint = args.endpoint or os.environ.get(EMBED_ENDPOINT_ENV)
     if not endpoint:
         raise UsageError(f"--endpoint (or {EMBED_ENDPOINT_ENV}) is required for the service backend")
-    return remote_mod.RemoteEmbedder(remote_mod.RemoteConfig(endpoint=endpoint))
+    client = remote_mod.RemoteEmbedder(remote_mod.RemoteConfig(endpoint=endpoint))
+    backends.callback(client.close)
+    return client
 
 
-def _make_classifier(args, corpus, clusters, manifest, tfidf=None):
+def _make_classifier(args, corpus, clusters, manifest, backends: contextlib.ExitStack, tfidf=None):
     """The pair classifier; ``tfidf`` is an already fitted train-split
-    embedder at ``args.dim`` for the featurizer to share."""
+    embedder at ``args.dim`` for the featurizer to share. A service
+    client is closed when ``backends`` exits."""
     if args.classifier_backend == "oracle":
         return classifier_mod.OracleClassifier(clusters)
     if args.classifier_backend == "service":
@@ -140,7 +145,9 @@ def _make_classifier(args, corpus, clusters, manifest, tfidf=None):
             raise UsageError(
                 f"--classify-endpoint (or {CLASSIFY_ENDPOINT_ENV}) is required for the service backend"
             )
-        return remote_mod.RemoteClassifier(remote_mod.RemoteConfig(endpoint=endpoint))
+        client = remote_mod.RemoteClassifier(remote_mod.RemoteConfig(endpoint=endpoint))
+        backends.callback(client.close)
+        return client
     base = tfidf
     if base is None:
         base = _fit_train_embedder(corpus, clusters, manifest, args.dim)
@@ -283,28 +290,33 @@ def cmd_eval_retrieval(args) -> int:
     )
     if not groups:
         raise UsageError(f"split {args.split!r} has no retrieval groups")
-    emb = _make_embedder(args, corpus, clusters, manifest)
-    split_reports = [corpus.by_id[b] for b in manifest.bugs_in(clusters, args.split)]
+    with contextlib.ExitStack() as backends:
+        emb = _make_embedder(args, corpus, clusters, manifest, backends)
+        split_reports = [corpus.by_id[b] for b in manifest.bugs_in(clusters, args.split)]
 
-    ledger = CostLedger()
-    start = time.monotonic()
-    index = retrieval_mod.build_index(emb, split_reports, ledger)
-    vec_of = {bug_id: index.matrix[i] for i, bug_id in enumerate(index.ids)}
-    outcomes = []
-    kmax = max(k_list)
-    for group in groups:
-        ranked = retrieval_mod.top_k(
-            index, vec_of[group.query], kmax, exclude=group.query, ledger=ledger, query=group.query
+        ledger = CostLedger()
+        start = time.monotonic()
+        index = retrieval_mod.build_index(emb, split_reports, ledger)
+    row_of = {bug_id: i for i, bug_id in enumerate(index.ids)}
+    query_ids = [group.query for group in groups]
+    found = retrieval_mod.search(
+        index,
+        index.matrix[[row_of[q] for q in query_ids]],
+        max(k_list),
+        excludes=query_ids,
+        ledger=ledger,
+        queries=query_ids,
+    )
+    outcomes = [
+        metrics_mod.QueryOutcome(
+            query=group.query,
+            candidates=ranked.ids(),
+            kept=tuple(True for _ in ranked.ranked),
+            relevant=frozenset(group.relevant),
+            db_size=len(index) - 1,
         )
-        outcomes.append(
-            metrics_mod.QueryOutcome(
-                query=group.query,
-                candidates=ranked.ids(),
-                kept=tuple(True for _ in ranked.ranked),
-                relevant=frozenset(group.relevant),
-                db_size=len(index) - 1,
-            )
-        )
+        for group, ranked in zip(groups, found)
+    ]
     rows = metrics_mod.aggregate_curves(outcomes, k_list)
     elapsed_ms = (time.monotonic() - start) * 1000.0
 
@@ -331,12 +343,13 @@ def cmd_eval_classification(args) -> int:
     pairs = manifest.pairs.get(args.split, [])
     if not pairs:
         raise UsageError(f"split {args.split!r} holds no labeled pairs")
-    backend = _make_classifier(args, corpus, clusters, manifest)
-    ledger = CostLedger()
-    start = time.monotonic()
-    verdicts = backend.classify_batch(
-        [(corpus.by_id[p.bug_a], corpus.by_id[p.bug_b]) for p in pairs], ledger
-    )
+    with contextlib.ExitStack() as backends:
+        backend = _make_classifier(args, corpus, clusters, manifest, backends)
+        ledger = CostLedger()
+        start = time.monotonic()
+        verdicts = backend.classify_batch(
+            [(corpus.by_id[p.bug_a], corpus.by_id[p.bug_b]) for p in pairs], ledger
+        )
     cm = metrics_mod.ConfusionMatrix.from_decisions(
         (label, p.duplicate) for (_, label), p in zip(verdicts, pairs)
     )
@@ -369,13 +382,14 @@ def cmd_run_cascade(args) -> int:
         include_independents=not args.exclude_independents,
         dedup_pairs=args.dedup_pairs,
     )
-    emb = _make_embedder(args, corpus, clusters, manifest)
-    tfidf = emb if args.embed_backend == "tfidf" else None
-    clf = _make_classifier(args, corpus, clusters, manifest, tfidf)
     runner = (
         cascade_mod.run_one_vs_all if config.mode == "one_vs_all" else cascade_mod.run_all_vs_all
     )
-    result = runner(config, manifest, clusters, corpus, emb, clf)
+    with contextlib.ExitStack() as backends:
+        emb = _make_embedder(args, corpus, clusters, manifest, backends)
+        tfidf = emb if args.embed_backend == "tfidf" else None
+        clf = _make_classifier(args, corpus, clusters, manifest, backends, tfidf)
+        result = runner(config, manifest, clusters, corpus, emb, clf)
     cascade_mod.save_scenario(result, args.out, extra=_config_echo(args))
     _emit(
         {

@@ -205,7 +205,8 @@ def ingest(
 
 def _read_jsonl(path: Path) -> list[BugReport]:
     reports = []
-    with path.open(encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, as tracker exports often carry one.
+    with path.open(encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -223,7 +224,7 @@ def _read_jsonl(path: Path) -> list[BugReport]:
 def _read_csv(path: Path, columns: tuple[str, str, str, str]) -> list[BugReport]:
     id_col, title_col, desc_col, dup_col = columns
     reports = []
-    with path.open(encoding="utf-8", newline="") as fh:
+    with path.open(encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or id_col not in reader.fieldnames:
             raise IngestError(f"{path}: missing required column {id_col!r}")

@@ -12,7 +12,7 @@ since either aggregation is defensible for ranked retrieval.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -163,33 +163,49 @@ def aggregate_curves(outcomes: Sequence[QueryOutcome], k_list: Sequence[int]) ->
     items (queries without peers cannot score recall); macro precision
     averages hits/k over all queries. Permutation of query order cannot
     change any output.
+
+    Each outcome's candidates are walked once, recording how many
+    distinct kept ids (positives) and relevant ones among them (true
+    positives) each prefix holds; every k then reads those counts, which
+    equal ``confusion_at(k)``'s.
     """
     if not outcomes:
         raise ValueError("cannot aggregate an empty result set")
+    prefixes = []
+    for outcome in outcomes:
+        positives: set[str] = set()
+        tp = 0
+        counts = [(0, 0)]
+        for candidate, keep in zip(outcome.candidates, outcome.kept):
+            if keep and candidate not in positives:
+                positives.add(candidate)
+                tp += candidate in outcome.relevant
+            counts.append((len(positives), tp))
+        prefixes.append(counts)
     rows = []
     for k in sorted(set(k_list)):
-        total = ConfusionMatrix()
+        total_tp = total_pos = total_fn = total_tn = 0
         recalls: list[float] = []
         precisions: list[float] = []
-        for outcome in outcomes:
-            cm = outcome.confusion_at(k)
-            total = total + cm
+        for outcome, counts in zip(outcomes, prefixes):
+            n_pos, tp = counts[min(k, len(counts) - 1)]
+            fn = len(outcome.relevant) - tp
+            tn = outcome.db_size - n_pos - fn
+            # tp, fp and fn cannot be negative; tn can, if db_size is too small.
+            if tn < 0:
+                raise ValueError("confusion counts must be nonnegative")
+            total_tp += tp
+            total_pos += n_pos
+            total_fn += fn
+            total_tn += tn
             if outcome.relevant:
-                recalls.append(cm.tp / len(outcome.relevant))
-            precisions.append(cm.tp / k)
+                recalls.append(tp / len(outcome.relevant))
+            precisions.append(tp / k)
+        total = ConfusionMatrix(total_tp, total_pos - total_tp, total_fn, total_tn)
         row = classification_metrics(total, k=k)
         rows.append(
-            MetricRow(
-                precision=row.precision,
-                recall=row.recall,
-                f1=row.f1,
-                accuracy=row.accuracy,
-                k=k,
-                tp=row.tp,
-                fp=row.fp,
-                fn=row.fn,
-                tn=row.tn,
-                zero_denominator=row.zero_denominator,
+            replace(
+                row,
                 macro_precision=sum(precisions) / len(precisions) if precisions else 0.0,
                 macro_recall=sum(recalls) / len(recalls) if recalls else None,
             )

@@ -6,13 +6,15 @@ Wire protocols (JSON over POST):
 * classify: {"pairs": [["a", "b"], ...]}   -> {"probabilities": [...]}
 
 Requests are batched per config and results re-assembled in order.
-Every contract violation maps to a typed error so callers can tell a
-flaky network from a broken service.
+Each client sends its batches over one keep-alive HTTP session; close
+the client to release its connection. Every contract violation maps to
+a typed error so callers can tell a flaky network from a broken service.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -64,11 +66,11 @@ class RemoteConfig:
             raise ValueError("retries must be >= 0")
 
 
-def _post_json(config: RemoteConfig, payload: dict) -> dict:
+def _post_json(session: requests.Session, config: RemoteConfig, payload: dict) -> dict:
     last: Exception | None = None
     for _ in range(config.retries + 1):
         try:
-            response = requests.post(
+            response = session.post(
                 config.endpoint, json=payload, timeout=config.timeout_ms / 1000.0
             )
         except (requests.Timeout, requests.ConnectionError) as exc:
@@ -100,6 +102,10 @@ class RemoteEmbedder:
     def __init__(self, config: RemoteConfig):
         self.config = config
         self._dim: int | None = None
+        self._session = requests.Session()
+
+    def close(self) -> None:
+        self._session.close()
 
     @property
     def dim(self) -> int | None:
@@ -108,14 +114,14 @@ class RemoteEmbedder:
     def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
         if not texts:
             return np.zeros((0, self._dim or 0))
-        rows: list[list[float]] = []
+        batches = []
         for start in range(0, len(texts), self.config.batch_size):
             batch = list(texts[start : start + self.config.batch_size])
-            rows.extend(self._embed_batch(batch))
-        return np.array(rows, dtype=np.float64)
+            batches.append(self._embed_batch(batch))
+        return np.concatenate(batches)
 
-    def _embed_batch(self, batch: list[str]) -> list[list[float]]:
-        body = _post_json(self.config, {"texts": batch})
+    def _embed_batch(self, batch: list[str]) -> np.ndarray:
+        body = _post_json(self._session, self.config, {"texts": batch})
         if "dim" not in body or "vectors" not in body:
             raise MalformedResponseError("embed response missing 'dim' or 'vectors'")
         dim, vectors = body["dim"], body["vectors"]
@@ -134,9 +140,30 @@ class RemoteEmbedder:
                 raise DimMismatchError(
                     f"vector {i} has length {len(vec) if isinstance(vec, list) else '?'}, expected {dim}"
                 )
-            if not all(isinstance(x, (int, float)) and np.isfinite(x) for x in vec):
-                raise MalformedResponseError(f"vector {i} contains non-finite or non-numeric values")
-        return vectors
+        array = _finite_array(vectors)
+        if array is None:
+            i = next(i for i, vec in enumerate(vectors) if _finite_array([vec]) is None)
+            raise MalformedResponseError(f"vector {i} contains non-finite or non-numeric values")
+        return array
+
+
+# The element types a JSON number decodes to; bool counts, as an int subclass.
+_NUMBER_TYPES = frozenset({int, float, bool})
+
+
+def _finite_array(rows: list[list]) -> np.ndarray | None:
+    """``rows`` as a float array if every element is a finite number, else None.
+
+    The element types are checked once for the whole batch, and
+    finiteness once on the array.
+    """
+    if not set(map(type, chain.from_iterable(rows))) <= _NUMBER_TYPES:
+        return None
+    try:
+        array = np.array(rows, dtype=np.float64)
+    except OverflowError:  # an int beyond the float range
+        return None
+    return array if np.isfinite(array).all() else None
 
 
 class RemoteClassifier:
@@ -148,6 +175,10 @@ class RemoteClassifier:
             raise ValueError("threshold must lie in (0,1)")
         self.config = config
         self.threshold = threshold
+        self._session = requests.Session()
+
+    def close(self) -> None:
+        self._session.close()
 
     def classify_texts(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
         if not pairs:
@@ -159,7 +190,7 @@ class RemoteClassifier:
         return probs
 
     def _classify_batch(self, batch: list[list[str]]) -> list[float]:
-        body = _post_json(self.config, {"pairs": batch})
+        body = _post_json(self._session, self.config, {"pairs": batch})
         if "probabilities" not in body or not isinstance(body["probabilities"], list):
             raise MalformedResponseError("classify response missing 'probabilities'")
         probs = body["probabilities"]

@@ -1,13 +1,29 @@
 """Exact top-k cosine search over embedded reports, plus recall@k and
 precision@k.
 
-The search is a brute-force scan, one matrix-vector product per query,
-followed by a k-selection (``np.partition``) and a sort of only the rows
-that can make the top k: databases stay small enough (tens of thousands)
-that exactness is cheap, and exact results keep every retrieval metric
-oracle-checkable. Ranking is fully deterministic: ties break by
-ascending bug id, and candidates whose embedding is the zero vector
-(cosine undefined) sort below everything.
+``search`` scores a batch of queries against the whole index by brute
+force, then selects each query's top k with ``np.partition`` and sorts
+only the rows that can make it: databases stay small enough (tens of
+thousands) that exactness is cheap, and exact results keep every
+retrieval metric oracle-checkable. Ranking is fully deterministic: ties
+break by ascending bug id, and candidates whose embedding is the zero
+vector (cosine undefined) sort below everything. ``top_k`` is the
+one-query case.
+
+The loops run over query chunks, then over aligned row blocks of the
+index, then over the queries of the chunk, and each step is one
+matrix-vector product of a row block with one query. A block (at most
+``_BLOCK_ELEMENTS`` values) stays in cache while every query of the
+chunk reads it, instead of each query streaming the whole index. Every
+score is still the result of the same product on the same block as a
+one-query scan, so its bits do not depend on which other queries share
+the call. A matrix-matrix product would be about four times faster
+here, but it sums in an order that depends on the query block: its
+scores differ in the last bits from a one-query scan, and between
+block sizes and orders of the same queries. Query norms are taken one
+vector at a time with ``np.linalg.norm`` for the same reason;
+``norm(axis=1)`` sums in a different order. A chunk holds at most
+``_CHUNK_SCORES`` scores, which bounds the memory of a search.
 """
 
 from __future__ import annotations
@@ -32,6 +48,8 @@ _ZERO_NORM = 1e-12
 # kernel group as one single-threaded product, so the scores are its bits.
 _BLOCK_ELEMENTS = 1 << 16
 _BLOCK_ALIGN = 64
+# A search scores at most this many (query, row) pairs at a time.
+_CHUNK_SCORES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,16 +109,6 @@ class RankedCandidates:
         return tuple(bug_id for bug_id, _ in self.ranked)
 
 
-def _matvec(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``matrix @ q``, computed in aligned row blocks (see _BLOCK_ELEMENTS)."""
-    per_row = max(1, matrix.shape[1])
-    rows = max(_BLOCK_ALIGN, _BLOCK_ELEMENTS // per_row // _BLOCK_ALIGN * _BLOCK_ALIGN)
-    out = np.empty(len(matrix))
-    for start in range(0, len(matrix), rows):
-        np.matmul(matrix[start : start + rows], q, out=out[start : start + rows])
-    return out
-
-
 def top_k(
     index: VectorIndex,
     query_vector: np.ndarray,
@@ -111,48 +119,86 @@ def top_k(
 ) -> RankedCandidates:
     """The k most cosine-similar entries, excluding self-matches.
 
-    One similarity op per scanned candidate is ledgered. Zero-vector
-    candidates (or a zero query) score -inf instead of erroring, so they
-    rank last but deterministically.
+    A one-query ``search``: one similarity op per scanned candidate is
+    ledgered, and zero-vector candidates (or a zero query) score -inf
+    instead of erroring, so they rank last but deterministically.
+    """
+    q = np.asarray(getattr(query_vector, "values", query_vector), dtype=np.float64)
+    if q.shape != (index.dim,):
+        raise ValueError(f"query dim {q.shape} does not match index dim {index.dim}")
+    return search(index, q[None, :], k, [exclude], ledger, [query])[0]
+
+
+def search(
+    index: VectorIndex,
+    query_vectors: np.ndarray,
+    k: int,
+    excludes: Sequence[str | None] | None = None,
+    ledger: CostLedger | None = None,
+    queries: Sequence[str] | None = None,
+) -> list[RankedCandidates]:
+    """``top_k`` for each row of ``query_vectors``, in one pass over the index.
+
+    ``excludes[i]`` (an id or None) is left out of query i's ranking and
+    ``queries[i]`` names it; both default to None/"" for every query.
+    Each result equals the one-query ``top_k`` bit for bit.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if len(index) == 0:
         raise ValueError("cannot query an empty index")
-    q = np.asarray(getattr(query_vector, "values", query_vector), dtype=np.float64)
-    if q.shape != (index.dim,):
-        raise ValueError(f"query dim {q.shape} does not match index dim {index.dim}")
+    vectors = np.ascontiguousarray(query_vectors, dtype=np.float64)
+    if vectors.ndim != 2 or vectors.shape[1] != index.dim:
+        raise ValueError(f"query dim {vectors.shape} does not match index dim {index.dim}")
+    n, m = len(vectors), len(index)
+    excludes = [None] * n if excludes is None else list(excludes)
+    queries = [""] * n if queries is None else list(queries)
+    if len(excludes) != n or len(queries) != n:
+        raise ValueError(f"{n} query vectors but {len(excludes)} excludes and {len(queries)} names")
+    skips: list[int | None] = []
+    for exclude in excludes:
+        pos = bisect_left(index.ids, exclude) if exclude is not None else m
+        skips.append(pos if pos < m and index.ids[pos] == exclude else None)
+        if ledger is not None:
+            ledger.count_similarity(m - (skips[-1] is not None))
 
-    qn = float(np.linalg.norm(q))
-    dots = _matvec(index.matrix, q)
-    denom = index.norms * qn
-    valid = denom > _ZERO_NORM
-    scores = np.where(valid, dots / np.where(valid, denom, 1.0), -np.inf)
-
-    m = len(index)
-    pos = bisect_left(index.ids, exclude) if exclude is not None else m
-    excluded = pos < m and index.ids[pos] == exclude
-    candidates = m - excluded
-    if ledger is not None:
-        ledger.count_similarity(candidates)
-
-    # The excluded row scores -inf. ``rows`` keeps every row scoring at
-    # least the k-th best, so if that includes the excluded row, the k-th
-    # best is -inf and ``rows`` is the whole index: dropping it below
-    # still leaves the k best of the rest.
-    if excluded:
-        scores[pos] = -np.inf
-    rows = np.arange(m)
-    if k < m:
-        kth = np.partition(scores, m - k)[m - k]
-        rows = np.flatnonzero(scores >= kth)
-    # Index rows are sorted by id, so ascending row is ascending id.
-    order = rows[np.lexsort((rows, -scores[rows]))]
-    if excluded:
-        order = order[order != pos]
-    order = order[:k]
-    ranked = tuple(zip((index.ids[i] for i in order.tolist()), scores[order].tolist()))
-    return RankedCandidates(query=query, ranked=ranked, k=k, fewer_than_k=k > candidates)
+    block = max(_BLOCK_ALIGN, _BLOCK_ELEMENTS // max(1, index.dim) // _BLOCK_ALIGN * _BLOCK_ALIGN)
+    chunk = max(1, _CHUNK_SCORES // m)
+    results: list[RankedCandidates] = []
+    for first in range(0, n, chunk):
+        part = vectors[first : first + chunk]
+        scores = np.empty((len(part), m))
+        for start in range(0, m, block):
+            rows = index.matrix[start : start + block]
+            for i, q in enumerate(part):
+                np.matmul(rows, q, out=scores[i, start : start + block])
+        denom = index.norms[None, :] * np.array([np.linalg.norm(q) for q in part])[:, None]
+        invalid = ~(denom > _ZERO_NORM)
+        denom[invalid] = 1.0
+        np.divide(scores, denom, out=scores)
+        scores[invalid] = -np.inf
+        # An excluded row scores -inf. A query's ``rows`` keeps every row
+        # scoring at least its k-th best, so if that includes the excluded
+        # row, the k-th best is -inf and ``rows`` is the whole index:
+        # dropping it below still leaves the k best of the rest.
+        chunk_skips = skips[first : first + len(part)]
+        for i, skip in enumerate(chunk_skips):
+            if skip is not None:
+                scores[i, skip] = -np.inf
+        kth = np.partition(scores, m - k, axis=1)[:, m - k] if k < m else None
+        for i, (row_scores, skip) in enumerate(zip(scores, chunk_skips)):
+            rows = np.arange(m) if kth is None else np.flatnonzero(row_scores >= kth[i])
+            # Index rows are sorted by id, so ascending row is ascending id.
+            order = rows[np.lexsort((rows, -row_scores[rows]))]
+            if skip is not None:
+                order = order[order != skip]
+            order = order[:k]
+            ranked = tuple(zip((index.ids[j] for j in order.tolist()), row_scores[order].tolist()))
+            fewer = k > m - (skip is not None)
+            results.append(
+                RankedCandidates(query=queries[first + i], ranked=ranked, k=k, fewer_than_k=fewer)
+            )
+    return results
 
 
 def _ranked_ids(ranked) -> list[str]:

@@ -12,6 +12,7 @@ import numpy as np
 from bugdedup.corpus import Corpus, clean
 from bugdedup.dup_graph import ClusterSet, build_clusters
 from bugdedup.embedder import TfidfHashEmbedder
+from bugdedup.metrics import ConfusionMatrix, MetricRow, classification_metrics
 from bugdedup.splitter import SplitManifest, build_manifest
 from bugdedup.synth import SynthConfig, synth_corpus
 
@@ -73,6 +74,40 @@ def reference_pair_features(embedder, a, b) -> list[float]:
         float(np.linalg.norm(va[0] - vb[0])),
         len(ta & tb) / union if union else 0.0,
     ]
+
+
+def reference_curves(outcomes, k_list) -> list[MetricRow]:
+    """``aggregate_curves`` as one ``confusion_at`` per (query, k): the
+    one-pass version must equal this exactly."""
+    rows = []
+    for k in sorted(set(k_list)):
+        total = ConfusionMatrix()
+        recalls: list[float] = []
+        precisions: list[float] = []
+        for outcome in outcomes:
+            cm = outcome.confusion_at(k)
+            total = total + cm
+            if outcome.relevant:
+                recalls.append(cm.tp / len(outcome.relevant))
+            precisions.append(cm.tp / k)
+        row = classification_metrics(total, k=k)
+        rows.append(
+            MetricRow(
+                precision=row.precision,
+                recall=row.recall,
+                f1=row.f1,
+                accuracy=row.accuracy,
+                k=k,
+                tp=row.tp,
+                fp=row.fp,
+                fn=row.fn,
+                tn=row.tn,
+                zero_denominator=row.zero_denominator,
+                macro_precision=sum(precisions) / len(precisions) if precisions else 0.0,
+                macro_recall=sum(recalls) / len(recalls) if recalls else None,
+            )
+        )
+    return rows
 
 
 # ------------------------------------------------------------- HTTP stub
@@ -144,20 +179,24 @@ def _text_vector(text: str, dim: int) -> list[float]:
 
 
 class StubService:
-    """In-process HTTP endpoint whose responses are scripted per request.
+    """In-process HTTP/1.1 endpoint whose responses are scripted per request.
 
     ``script`` entries are handler callables consumed in order; once the
     script is exhausted the ``default`` handler answers. Every request
-    body is recorded for assertions.
+    body is recorded for assertions, and so is the client port it came
+    from: requests sent over one keep-alive connection share a port.
     """
 
     def __init__(self, default=None):
         self.requests: list[tuple[str, dict]] = []
+        self.ports: list[int] = []
         self.script: list = []
         self.default = default or embed_reply(4)
         stub = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
                 raw = self.rfile.read(length) if length else b""
@@ -166,6 +205,7 @@ class StubService:
                 except json.JSONDecodeError:
                     body = {}
                 stub.requests.append((self.path, body))
+                stub.ports.append(self.client_address[1])
                 fn = stub.script.pop(0) if stub.script else stub.default
                 status, payload, ctype = fn(self.path, body)
                 self.send_response(status)

@@ -10,6 +10,7 @@ import pytest
 
 from bugdedup import cli
 from bugdedup import embedder as embedder_mod
+from bugdedup import remote as remote_mod
 
 from helpers import classify_reply, embed_reply
 
@@ -228,6 +229,11 @@ def test_service_backends_drive_scenario(workdir, tmp_path, capsys, stub_service
     classify_stub = type(stub_service)(default=classify_reply(0.8))
     monkeypatch.setenv(cli.EMBED_ENDPOINT_ENV, stub_service.url)
     monkeypatch.setenv(cli.CLASSIFY_ENDPOINT_ENV, classify_stub.url)
+    closed = []
+    for client in (remote_mod.RemoteEmbedder, remote_mod.RemoteClassifier):
+        monkeypatch.setattr(
+            client, "close", lambda self, close=client.close: closed.append(self) or close(self)
+        )
     try:
         out = tmp_path / "svc.json"
         _run(
@@ -241,6 +247,9 @@ def test_service_backends_drive_scenario(workdir, tmp_path, capsys, stub_service
         classified = sum(len(b["pairs"]) for _, b in classify_stub.requests)
         assert embeds == payload["ledger"]["embed_calls"]
         assert classified == payload["ledger"]["pair_classifications"]
+        # each client kept one connection, and the command closed both
+        assert len(set(stub_service.ports)) == len(set(classify_stub.ports)) == 1
+        assert sorted(type(c).__name__ for c in closed) == ["RemoteClassifier", "RemoteEmbedder"]
     finally:
         classify_stub.close()
 

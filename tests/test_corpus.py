@@ -190,6 +190,28 @@ def test_ingest_csv_missing_id_column(tmp_path):
         ingest(path, format="csv")
 
 
+@pytest.mark.parametrize(
+    "format,text",
+    [
+        ("csv", "bug_id,title,description,dup_of\nb1,Crash,heap bad,\nb2,Crash two,heap bad,b1\n"),
+        (
+            "jsonl",
+            '{"bug_id": "b1", "title": "Crash", "description": "heap bad"}\n'
+            '{"bug_id": "b2", "title": "Crash two", "description": "heap bad", "dup_of": "b1"}\n',
+        ),
+    ],
+    ids=["csv", "jsonl"],
+)
+def test_ingest_skips_a_utf8_byte_order_mark(tmp_path, format, text):
+    plain, marked = tmp_path / f"plain.{format}", tmp_path / f"bom.{format}"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    expected = ingest(plain, format=format)
+    assert ingest(marked, format=format) == expected
+    assert expected.bug_ids == ("b1", "b2")
+
+
 def test_corpus_stats_counts():
     corpus = build_corpus(
         _reports(

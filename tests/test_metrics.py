@@ -18,6 +18,8 @@ from bugdedup.metrics import (
     write_metrics_csv,
 )
 
+from helpers import reference_curves
+
 
 def test_confusion_rejects_negative_counts():
     with pytest.raises(ValueError):
@@ -180,6 +182,45 @@ def test_aggregate_sorts_and_dedupes_k():
     outcome = _outcome("q", ["a", "b", "c"], ["a"])
     rows = aggregate_curves([outcome], [3, 1, 3, 2])
     assert [r.k for r in rows] == [1, 2, 3]
+
+
+_IDS = st.sampled_from([f"b{i}" for i in range(8)])
+
+
+@st.composite
+def _outcomes(draw):
+    """Outcomes with repeated candidate ids, mixed kept flags, short lists
+    and empty relevant sets; db_size leaves room for every id."""
+    out = []
+    for i in range(draw(st.integers(1, 6))):
+        candidates = draw(st.lists(_IDS, max_size=10))
+        kept = draw(st.lists(st.booleans(), min_size=len(candidates), max_size=len(candidates)))
+        relevant = draw(st.frozensets(_IDS, max_size=4))
+        db_size = len(set(candidates) | relevant) + draw(st.integers(0, 5))
+        out.append(QueryOutcome(f"q{i}", tuple(candidates), tuple(kept), relevant, db_size))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(outcomes=_outcomes(), k_list=st.lists(st.integers(1, 14), min_size=1, max_size=6))
+def test_aggregate_equals_the_per_k_confusion_loop(outcomes, k_list):
+    try:
+        expected = reference_curves(outcomes, k_list)
+    except ValueError as exc:  # an all-zero pooled matrix
+        with pytest.raises(ValueError, match=str(exc)):
+            aggregate_curves(outcomes, k_list)
+        return
+    assert aggregate_curves(outcomes, k_list) == expected
+
+
+def test_aggregate_rejects_a_db_size_too_small_for_its_counts():
+    # at k=3 the first query has tn = 3 - 3 - 1 < 0, which the second's
+    # tn would hide in the pooled matrix
+    small = QueryOutcome("q1", ("a", "b", "c"), (True, True, True), frozenset({"z"}), 3)
+    large = _outcome("q2", ["a"], ["a"], db_size=50)
+    assert aggregate_curves([small, large], [2])[0].tn == 49
+    with pytest.raises(ValueError, match="nonnegative"):
+        aggregate_curves([small, large], [1, 3])
 
 
 def test_metric_row_to_json_merges_extra():

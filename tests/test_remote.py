@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from bugdedup.corpus import BugReport
@@ -55,6 +56,9 @@ def test_embedder_preserves_order_across_batches(stub_service):
     sent = [t for _, body in stub_service.requests for t in body["texts"]]
     assert sent == texts
     assert max(len(body["texts"]) for _, body in stub_service.requests) == 2
+    # all three batches travel over one keep-alive connection
+    assert len(set(stub_service.ports)) == 1
+    embedder.close()
 
 
 def test_embedder_dim_property(stub_service):
@@ -113,6 +117,26 @@ def test_embedder_malformed_responses(stub_service, body, match):
         embedder.embed_texts(["a"])
 
 
+@pytest.mark.parametrize(
+    "bad", ['"1.5"', "null", "[2.0]", "Infinity", "-Infinity", "{}"],
+    ids=["string", "null", "nested-list", "inf", "-inf", "object"],
+)
+def test_embedder_rejects_a_bad_element_inside_a_batch(stub_service, bad):
+    body = f'{{"dim": 2, "vectors": [[1.0, 2.0], [3.0, {bad}], [5.0, 6.0]]}}'
+    stub_service.script = [raw_reply(body.encode())]
+    embedder = RemoteEmbedder(RemoteConfig(endpoint=stub_service.url))
+    with pytest.raises(MalformedResponseError, match="vector 1 contains non-finite or non-numeric"):
+        embedder.embed_texts(["a", "b", "c"])
+
+
+def test_embedder_accepts_ints_and_bools(stub_service):
+    stub_service.script = [raw_reply(b'{"dim": 2, "vectors": [[1, true], [2.5, false]]}')]
+    embedder = RemoteEmbedder(RemoteConfig(endpoint=stub_service.url))
+    vectors = embedder.embed_texts(["a", "b"])
+    assert vectors.dtype == np.float64
+    assert vectors.tolist() == [[1.0, 1.0], [2.5, 0.0]]
+
+
 def test_non_200_raises_without_retry(stub_service):
     stub_service.script = [status_reply(503, "overloaded")]
     embedder = RemoteEmbedder(RemoteConfig(endpoint=stub_service.url, retries=3))
@@ -164,6 +188,8 @@ def test_classifier_batching_and_order(stub_service):
     expected = [round((len(a) + len(b)) % 10 / 10.0, 6) for a, b in pairs]
     assert probs == expected
     assert len(stub_service.requests) == 3
+    assert len(set(stub_service.ports)) == 1
+    clf.close()
 
 
 def test_classifier_empty_input_sends_nothing(stub_service):

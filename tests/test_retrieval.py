@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bugdedup import retrieval
 from bugdedup.corpus import BugReport
 from bugdedup.embedder import TfidfHashEmbedder
 from bugdedup.ledger import CostLedger
@@ -15,6 +16,7 @@ from bugdedup.retrieval import (
     build_index,
     precision_at_k,
     recall_at_k,
+    search,
     top_k,
 )
 
@@ -176,6 +178,73 @@ def test_top_k_matches_full_sort_on_random_indexes():
         q = rng.normal(size=matrix.shape[1])
         got = top_k(index, q, k, exclude=exclude)
         assert got.ranked == _oracle_rank(index, q, k, exclude), f"edge case {case}"
+
+
+def _search_case(rng, m, dim, n):
+    """An index with zero rows and exact ties, and n queries (some zero) with mixed excludes."""
+    matrix = rng.normal(size=(m, dim))
+    matrix[rng.random(m) < 0.1] = 0.0
+    for row in range(1, m, 5):
+        matrix[row] = matrix[row - 1]
+    ids = [f"r{i:04d}" for i in range(m)]
+    queries = rng.normal(size=(n, dim))
+    queries[rng.random(n) < 0.1] = 0.0
+    # copies of index rows tie with them, and with each other
+    queries[::3] = matrix[rng.integers(m, size=len(queries[::3]))]
+    excludes = [ids[int(rng.integers(m))] if rng.random() < 0.6 else None for _ in range(n)]
+    excludes[::7] = ["absent"] * len(excludes[::7])
+    return VectorIndex.from_vectors(ids, matrix), queries, excludes
+
+
+@pytest.mark.parametrize(
+    "m,dim,n,k,chunk_scores",
+    [
+        (40, 8, 30, 5, None),  # one chunk, one row block
+        (40, 8, 30, 40, None),  # k = m
+        (40, 8, 30, 45, None),  # k > m
+        (300, 700, 25, 20, None),  # several row blocks
+        (300, 700, 25, 300, None),  # several row blocks, every score compared
+        (50, 6, 23, 7, 200),  # several query chunks of 4, the last one short
+        (50, 6, 23, 7, 1),  # a chunk smaller than one query
+    ],
+)
+def test_search_equals_the_full_sort_oracle_for_every_query(monkeypatch, m, dim, n, k, chunk_scores):
+    if chunk_scores is not None:
+        monkeypatch.setattr(retrieval, "_CHUNK_SCORES", chunk_scores)
+    rng = np.random.default_rng(m * 1000 + n)
+    index, queries, excludes = _search_case(rng, m, dim, n)
+    names = [f"q{i}" for i in range(n)]
+    ledger = CostLedger()
+    got = search(index, queries, k, excludes, ledger, names)
+    assert len(got) == n
+    for i, ranked in enumerate(got):
+        assert ranked.query == names[i]
+        assert ranked.ranked == _oracle_rank(index, queries[i], k, excludes[i]), f"query {i}"
+        assert ranked == top_k(index, queries[i], k, exclude=excludes[i], query=names[i])
+    skipped = sum(1 for e in excludes if e in index.ids)
+    assert ledger.similarity_ops == n * m - skipped
+
+
+def test_search_edge_inputs():
+    index = _index({"a": [1, 0], "b": [0, 1]})
+    assert search(index, np.zeros((0, 2)), 3) == []
+    ledger = CostLedger()
+    search(index, np.zeros((0, 2)), 3, ledger=ledger)
+    assert ledger.similarity_ops == 0
+    got = search(index, np.array([[1.0, 0.0], [0.0, 1.0]]), 1)
+    assert [r.ids() for r in got] == [("a",), ("b",)]
+    assert [r.query for r in got] == ["", ""]
+    empty = VectorIndex.from_vectors([], np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="empty index"):
+        search(empty, np.zeros((1, 2)), 1)
+    with pytest.raises(ValueError, match="k must be"):
+        search(index, np.zeros((1, 2)), 0)
+    with pytest.raises(ValueError, match="query dim"):
+        search(index, np.zeros((1, 3)), 1)
+    with pytest.raises(ValueError, match="query dim"):
+        search(index, np.zeros(2), 1)
+    with pytest.raises(ValueError, match="excludes"):
+        search(index, np.zeros((2, 2)), 1, excludes=["a"])
 
 
 def test_recall_at_k_hand_values():

@@ -17,7 +17,9 @@ matrix-vector product of a row block with one query. A block (at most
 chunk reads it, instead of each query streaming the whole index. Every
 score is still the result of the same product on the same block as a
 one-query scan, so its bits do not depend on which other queries share
-the call. A matrix-matrix product would be about four times faster
+the call; the block's size and alignment also keep the product on the
+calling thread (see ``_BLOCK_ELEMENTS``), so they do not depend on the
+BLAS thread count either. A matrix-matrix product would be about four times faster
 here, but it sums in an order that depends on the query block: its
 scores differ in the last bits from a one-query scan, and between
 block sizes and orders of the same queries. Query norms are taken one

@@ -30,13 +30,12 @@ from .embedder import (
     ProjectionModel,
     TfidfHashEmbedder,
     TrainConfig,
-    cosine,
     train_projection,
     triplet_loss,
 )
 from .ledger import CostLedger
 from .metrics import ConfusionMatrix, MetricRow, aggregate_curves, classification_metrics
-from .retrieval import VectorIndex, build_index, precision_at_k, recall_at_k, search, top_k
+from .retrieval import VectorIndex, build_index, search, top_k
 from .splitter import SplitManifest, build_manifest, count_dup_pairs, split_clusters
 from .synth import SynthConfig, synth_corpus
 
@@ -72,13 +71,10 @@ __all__ = [
     "classification_metrics",
     "clean",
     "corpus_stats",
-    "cosine",
     "count_dup_pairs",
     "ingest",
-    "precision_at_k",
     "predict_cost",
     "predict_cost_all_vs_all",
-    "recall_at_k",
     "run_all_vs_all",
     "run_one_vs_all",
     "run_partition",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -162,7 +162,6 @@ class ScenarioResult:
     db_size: int
     queries_without_peers: int
     avg_query_ms: float = 0.0
-    extra: dict = field(default_factory=dict)
 
 
 def run_partition(
@@ -245,11 +244,11 @@ def run_partition(
             )
         return records, ledger
 
-    pair_cache: dict[tuple[str, str], tuple[float, bool]] = {}
+    pair_cache = {} if dedup_pairs else None
     with ledger.phase("classify"):
         for q in queries:
             pairs = [(q, db_by_id[b]) for b, _ in ranked_of[q.bug_id]]
-            verdicts = _classify_pairs(pair_classifier, pairs, ledger, dedup_pairs, pair_cache)
+            verdicts = classify_pairs(pair_classifier, pairs, ledger, pair_cache)
             db_size = len(database) - (1 if exclude_self and q.bug_id in db_by_id else 0)
             records.append(
                 QueryRecord(
@@ -264,34 +263,50 @@ def run_partition(
     return records, ledger
 
 
-def _classify_pairs(pair_classifier, pairs, ledger, dedup_pairs, pair_cache):
-    if not dedup_pairs:
-        return pair_classifier.classify_batch(pairs, ledger)
-    missing = []
-    for a, b in pairs:
-        key = (a.bug_id, b.bug_id) if a.bug_id < b.bug_id else (b.bug_id, a.bug_id)
-        if key not in pair_cache:
-            missing.append((key, (a, b)))
-    fresh = pair_classifier.classify_batch([p for _, p in missing], ledger)
-    for (key, _), verdict in zip(missing, fresh):
-        pair_cache[key] = verdict
-    out = []
-    for a, b in pairs:
-        key = (a.bug_id, b.bug_id) if a.bug_id < b.bug_id else (b.bug_id, a.bug_id)
-        out.append(pair_cache[key])
-    return out
+def classify_pairs(
+    pair_classifier,
+    pairs: Sequence[tuple[BugReport, BugReport]],
+    ledger: CostLedger,
+    pair_cache: dict[tuple[str, str], tuple[float, bool]] | None = None,
+) -> list[tuple[float, bool]]:
+    """(probability, duplicate) for each pair, from one ``classify_batch`` call.
+
+    A pair is a duplicate iff its probability is at least the backend's
+    ``threshold``. This is the one place where pair classifications are
+    decided and counted, so the ledger holds exactly the pairs the
+    backend scored. With a ``pair_cache``, an unordered pair already in
+    it is neither scored nor counted again.
+    """
+    if pair_cache is None:
+        fresh = pairs
+    else:
+        keys = [tuple(sorted((a.bug_id, b.bug_id))) for a, b in pairs]
+        missing: dict[tuple[str, str], tuple[BugReport, BugReport]] = {}
+        for key, pair in zip(keys, pairs):
+            if key not in pair_cache:
+                missing.setdefault(key, pair)
+        fresh = list(missing.values())
+    probs = pair_classifier.classify_batch(fresh)
+    if probs.shape != (len(fresh),):
+        raise ScenarioError(f"pair classifier returned shape {probs.shape} for {len(fresh)} pairs")
+    ledger.count_classifications(len(fresh))
+    verdicts = list(zip(probs.tolist(), (probs >= pair_classifier.threshold).tolist()))
+    if pair_cache is None:
+        return verdicts
+    pair_cache.update(zip(missing, verdicts))
+    return [pair_cache[key] for key in keys]
 
 
 def _run_classification_only(
     queries, database, pair_classifier, ledger, exclude_self, dedup_pairs, relevant_of
 ) -> list[QueryRecord]:
-    pair_cache: dict[tuple[str, str], tuple[float, bool]] = {}
+    pair_cache = {} if dedup_pairs else None
     records = []
     with ledger.phase("classify"):
         for q in queries:
             others = [d for d in database if not (exclude_self and d.bug_id == q.bug_id)]
             pairs = [(q, d) for d in others]
-            verdicts = _classify_pairs(pair_classifier, pairs, ledger, dedup_pairs, pair_cache)
+            verdicts = classify_pairs(pair_classifier, pairs, ledger, pair_cache)
             scored = sorted(
                 (
                     (d.bug_id, verdicts[i][0], verdicts[i][1])
@@ -435,19 +450,9 @@ def _classification_rows(outcomes: Sequence[QueryOutcome], k: int) -> list[Metri
             recalls.append(cm.tp / len(o.relevant))
         denom = cm.tp + cm.fp
         precisions.append(cm.tp / denom if denom else 0.0)
-    row = classification_metrics(total, k=k)
     return [
-        MetricRow(
-            precision=row.precision,
-            recall=row.recall,
-            f1=row.f1,
-            accuracy=row.accuracy,
-            k=k,
-            tp=row.tp,
-            fp=row.fp,
-            fn=row.fn,
-            tn=row.tn,
-            zero_denominator=row.zero_denominator,
+        replace(
+            classification_metrics(total, k=k),
             macro_precision=sum(precisions) / len(precisions) if precisions else 0.0,
             macro_recall=sum(recalls) / len(recalls) if recalls else None,
         )
@@ -486,7 +491,6 @@ def scenario_to_json(result: ScenarioResult) -> dict:
             }
             for r in result.records
         ],
-        **result.extra,
     }
 
 

@@ -1,7 +1,11 @@
-"""Pair classification: decide duplicate / non-duplicate for two reports.
+"""Pair classification: score how likely two reports are duplicates.
 
-Three interchangeable backends share the ``classify`` / ``classify_batch``
-interface the cascade expects:
+Every backend is a pair scorer with one method and one attribute:
+``classify_batch(pairs)`` returns one probability per pair (float64,
+shape ``(len(pairs),)``), and ``threshold`` is the probability at or
+above which a pair is a duplicate. The cascade runner
+(``cascade.classify_pairs``) applies the threshold and counts the
+classifications, so no backend decides or counts on its own.
 
 * ``LogisticClassifier`` - logistic regression over hand-built pair
   features, trained with binary cross-entropy; the shipped default.
@@ -9,10 +13,10 @@ interface the cascade expects:
 * ``OracleClassifier`` - ground-truth cluster lookup, used only to
   verify pipeline plumbing, never for reported metrics.
 
-Every classification decision increments the ledger's pair counter. The
-pair featurizer embeds each report's whole text, title and description
-once and keeps the vectors for every later pair; those embeddings are
-its own business and are deliberately not ledgered as embedding calls.
+The remote service backend lives in ``remote``. The pair featurizer
+embeds each report's whole text, title and description once and keeps
+the vectors for every later pair; those embeddings are its own business
+and are deliberately not ledgered as embedding calls.
 """
 
 from __future__ import annotations
@@ -27,51 +31,14 @@ import numpy as np
 
 from .corpus import BugReport
 from .dup_graph import ClusterSet
-from .embedder import TrainingError
-from .ledger import CostLedger
+from .embedder import ZERO_NORM, TrainingError
 from .seeding import substream_rng
 
 _CLAMP = 1e-12
-_ZERO_NORM = 1e-12
 
 
 class FeatureError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class PairFeatures:
-    """Symmetric similarity features of one report pair."""
-
-    cosine_all: float
-    cosine_title: float
-    cosine_description: float
-    euclidean: float
-    token_jaccard: float
-
-    def __post_init__(self):
-        values = (
-            self.cosine_all,
-            self.cosine_title,
-            self.cosine_description,
-            self.euclidean,
-            self.token_jaccard,
-        )
-        if not all(math.isfinite(v) for v in values):
-            raise FeatureError(f"non-finite pair features: {values}")
-        if not 0.0 <= self.token_jaccard <= 1.0:
-            raise FeatureError(f"jaccard out of range: {self.token_jaccard}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.cosine_all,
-                self.cosine_title,
-                self.cosine_description,
-                self.euclidean,
-                self.token_jaccard,
-            ]
-        )
 
 
 FEATURE_COUNT = 5
@@ -84,7 +51,7 @@ def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _cosines(u: np.ndarray, v: np.ndarray, nu: np.ndarray, nv: np.ndarray) -> np.ndarray:
     """Row-wise cosine given row norms; 0 where either norm is below 1e-12."""
-    valid = ~((nu < _ZERO_NORM) | (nv < _ZERO_NORM))
+    valid = ~((nu < ZERO_NORM) | (nv < ZERO_NORM))
     return np.where(valid, _row_dots(u, v) / np.where(valid, nu * nv, 1.0), 0.0)
 
 
@@ -153,7 +120,8 @@ class PairFeaturizer:
         return left, right
 
     def feature_matrix(self, pairs: Sequence[tuple[BugReport, BugReport]]) -> np.ndarray:
-        """One row of PairFeatures values per pair, shape (len(pairs), 5)."""
+        """Features of each pair, shape (len(pairs), 5): whole-text, title and
+        description cosine, whole-text Euclidean distance, token Jaccard."""
         for a, b in pairs:
             if not a.clean_text and not b.clean_text:
                 raise FeatureError(f"both reports empty after cleaning: {a.bug_id}, {b.bug_id}")
@@ -173,9 +141,6 @@ class PairFeaturizer:
         if not ((x[:, 4] >= 0.0) & (x[:, 4] <= 1.0)).all():
             raise FeatureError(f"jaccard out of range: {x[:, 4].min()}, {x[:, 4].max()}")
         return x
-
-    def features(self, a: BugReport, b: BugReport) -> PairFeatures:
-        return PairFeatures(*self.feature_matrix([(a, b)])[0].tolist())
 
     def cosine_all_batch(self, pairs: Sequence[tuple[BugReport, BugReport]]) -> np.ndarray:
         """Whole-text cosine for many pairs at once, as ``feature_matrix`` computes it."""
@@ -223,7 +188,7 @@ class ClassifierTrainConfig:
 
 @dataclass(frozen=True, eq=False)
 class LogisticPairModel:
-    """Logistic regression over PairFeatures; weights[-1] is the bias."""
+    """Logistic regression over the pair features; weights[-1] is the bias."""
 
     weights: np.ndarray
     threshold: float = 0.5
@@ -319,33 +284,26 @@ def tune_threshold(probabilities: np.ndarray, labels: np.ndarray, step: float = 
 
 
 class LogisticClassifier:
-    """Trained-model backend; duplicate iff probability >= threshold."""
+    """Trained-model backend: the model's probability and threshold."""
 
     def __init__(self, model: LogisticPairModel, featurizer: PairFeaturizer):
         self.model = model
         self.featurizer = featurizer
 
-    def classify(
-        self, a: BugReport, b: BugReport, ledger: CostLedger | None = None
-    ) -> tuple[float, bool]:
-        p = float(self.model.predict_proba(self.featurizer.features(a, b).as_array())[0])
-        if ledger is not None:
-            ledger.count_classifications(1)
-        return p, p >= self.model.threshold
+    @property
+    def threshold(self) -> float:
+        return self.model.threshold
 
-    def classify_batch(
-        self, pairs: Sequence[tuple[BugReport, BugReport]], ledger: CostLedger | None = None
-    ) -> list[tuple[float, bool]]:
-        if not pairs:
-            return []
-        probs = self.model.predict_proba(self.featurizer.feature_matrix(pairs))
-        if ledger is not None:
-            ledger.count_classifications(len(pairs))
-        return [(float(p), bool(p >= self.model.threshold)) for p in probs]
+    def classify_batch(self, pairs: Sequence[tuple[BugReport, BugReport]]) -> np.ndarray:
+        return self.model.predict_proba(self.featurizer.feature_matrix(pairs))
 
 
 class SimilarityClassifier:
-    """Fixed-threshold rule on whole-text cosine; no training."""
+    """Fixed-threshold rule on whole-text cosine; no training.
+
+    A cosine s in [-1, 1] scores (s + 1) / 2, and the cosine threshold t
+    becomes the probability threshold (t + 1) / 2.
+    """
 
     def __init__(self, featurizer: PairFeaturizer, similarity_threshold: float = 0.5):
         self.featurizer = featurizer
@@ -353,26 +311,10 @@ class SimilarityClassifier:
 
     @property
     def threshold(self) -> float:
-        # Probability-scale equivalent of the cosine threshold.
         return (self.similarity_threshold + 1.0) / 2.0
 
-    def classify(
-        self, a: BugReport, b: BugReport, ledger: CostLedger | None = None
-    ) -> tuple[float, bool]:
-        sim = self.featurizer.features(a, b).cosine_all
-        if ledger is not None:
-            ledger.count_classifications(1)
-        return (sim + 1.0) / 2.0, sim >= self.similarity_threshold
-
-    def classify_batch(
-        self, pairs: Sequence[tuple[BugReport, BugReport]], ledger: CostLedger | None = None
-    ) -> list[tuple[float, bool]]:
-        if not pairs:
-            return []
-        sims = self.featurizer.cosine_all_batch(pairs)
-        if ledger is not None:
-            ledger.count_classifications(len(pairs))
-        return [(float((s + 1.0) / 2.0), bool(s >= self.similarity_threshold)) for s in sims]
+    def classify_batch(self, pairs: Sequence[tuple[BugReport, BugReport]]) -> np.ndarray:
+        return (self.featurizer.cosine_all_batch(pairs) + 1.0) / 2.0
 
 
 class OracleClassifier:
@@ -382,25 +324,9 @@ class OracleClassifier:
         self.cluster_set = cluster_set
         self.threshold = 0.5
 
-    def classify(
-        self, a: BugReport, b: BugReport, ledger: CostLedger | None = None
-    ) -> tuple[float, bool]:
-        dup = self.cluster_set.same_cluster(a.bug_id, b.bug_id)
-        if ledger is not None:
-            ledger.count_classifications(1)
-        return (1.0 if dup else 0.0), dup
-
-    def classify_batch(
-        self, pairs: Sequence[tuple[BugReport, BugReport]], ledger: CostLedger | None = None
-    ) -> list[tuple[float, bool]]:
-        out = [
-            ((1.0 if self.cluster_set.same_cluster(a.bug_id, b.bug_id) else 0.0),
-             self.cluster_set.same_cluster(a.bug_id, b.bug_id))
-            for a, b in pairs
-        ]
-        if ledger is not None:
-            ledger.count_classifications(len(pairs))
-        return out
+    def classify_batch(self, pairs: Sequence[tuple[BugReport, BugReport]]) -> np.ndarray:
+        same = self.cluster_set.same_cluster
+        return np.array([1.0 if same(a.bug_id, b.bug_id) else 0.0 for a, b in pairs])
 
 
 def save_classifier(model: LogisticPairModel, path: str | Path, extra: dict | None = None) -> None:

@@ -347,8 +347,8 @@ def cmd_eval_classification(args) -> int:
         backend = _make_classifier(args, corpus, clusters, manifest, backends)
         ledger = CostLedger()
         start = time.monotonic()
-        verdicts = backend.classify_batch(
-            [(corpus.by_id[p.bug_a], corpus.by_id[p.bug_b]) for p in pairs], ledger
+        verdicts = cascade_mod.classify_pairs(
+            backend, [(corpus.by_id[p.bug_a], corpus.by_id[p.bug_b]) for p in pairs], ledger
         )
     cm = metrics_mod.ConfusionMatrix.from_decisions(
         (label, p.duplicate) for (_, label), p in zip(verdicts, pairs)

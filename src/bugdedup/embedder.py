@@ -27,11 +27,10 @@ DEFAULT_MARGIN = 0.2
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
-_ZERO_NORM = 1e-12
-
-
-class ZeroVectorError(ValueError):
-    """Cosine similarity is undefined for a zero vector."""
+# Vectors with a norm below this count as zero: retrieval and the pair
+# features treat their cosine as undefined, and normalisation leaves them
+# as they are.
+ZERO_NORM = 1e-12
 
 
 class NotFittedError(ValueError):
@@ -51,38 +50,9 @@ def fnv1a64(token: str) -> int:
     return h
 
 
-@dataclass(frozen=True, eq=False)
-class EmbeddingVector:
-    values: np.ndarray
-    normalized: bool
-
-    @property
-    def dim(self) -> int:
-        return int(self.values.shape[0])
-
-
-def _as_array(v) -> np.ndarray:
-    return np.asarray(getattr(v, "values", v), dtype=np.float64)
-
-
-def cosine(u, v) -> float:
-    """Cosine similarity of two vectors; raises on a zero vector.
-
-    Callers that rank candidates catch the zero case up front and score
-    it as negative infinity instead of calling in.
-    """
-    a, b = _as_array(u), _as_array(v)
-    if a.shape != b.shape:
-        raise ValueError(f"dim mismatch: {a.shape} vs {b.shape}")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na < _ZERO_NORM or nb < _ZERO_NORM:
-        raise ZeroVectorError("cosine similarity is undefined for a zero vector")
-    return float(a @ b / (na * nb))
-
-
 def triplet_loss(e_a, e_p, e_n, margin: float = DEFAULT_MARGIN) -> float:
     """max(d(a,p) - d(a,n) + margin, 0) with Euclidean d."""
-    a, p, n = _as_array(e_a), _as_array(e_p), _as_array(e_n)
+    a, p, n = (np.asarray(v, dtype=np.float64) for v in (e_a, e_p, e_n))
     d_ap = float(np.linalg.norm(a - p))
     d_an = float(np.linalg.norm(a - n))
     return max(d_ap - d_an + margin, 0.0)
@@ -91,7 +61,7 @@ def triplet_loss(e_a, e_p, e_n, margin: float = DEFAULT_MARGIN) -> float:
 def l2_normalize_rows(matrix: np.ndarray) -> np.ndarray:
     """Row-normalize; all-zero rows are left as zeros."""
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    safe = np.where(norms < _ZERO_NORM, 1.0, norms)
+    safe = np.where(norms < ZERO_NORM, 1.0, norms)
     return matrix / safe
 
 
@@ -148,10 +118,6 @@ class TfidfHashEmbedder:
                 row[bucket] = row.get(bucket, 0.0) + count * idf
             out[i, list(row)] = list(row.values())
         return l2_normalize_rows(out)
-
-    def embed(self, text: str) -> EmbeddingVector:
-        row = self.embed_texts([text])[0]
-        return EmbeddingVector(values=row, normalized=bool(np.linalg.norm(row) > 0.5))
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "doc_count": self.doc_count, "df": dict(self.df)}
@@ -226,10 +192,6 @@ class ProjectedEmbedder:
 
     def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
         return self.model.project(self.base.embed_texts(texts))
-
-    def embed(self, text: str) -> EmbeddingVector:
-        row = self.embed_texts([text])[0]
-        return EmbeddingVector(values=row, normalized=bool(np.linalg.norm(row) > 0.5))
 
 
 def initial_weights(dim_in: int, dim_out: int, seed: int) -> np.ndarray:
@@ -316,8 +278,8 @@ def _batch_gradient(
     active = ((d_ap - d_an + margin) > 0).astype(np.float64)
 
     # Unit direction of each distance term; zero-distance pairs contribute nothing.
-    u_ap = np.where(d_ap < _ZERO_NORM, 0.0, diff_ap / np.where(d_ap < _ZERO_NORM, 1.0, d_ap))
-    u_an = np.where(d_an < _ZERO_NORM, 0.0, diff_an / np.where(d_an < _ZERO_NORM, 1.0, d_an))
+    u_ap = np.where(d_ap < ZERO_NORM, 0.0, diff_ap / np.where(d_ap < ZERO_NORM, 1.0, d_ap))
+    u_an = np.where(d_an < ZERO_NORM, 0.0, diff_an / np.where(d_an < ZERO_NORM, 1.0, d_an))
 
     g_ea = active * (u_ap - u_an)
     g_ep = active * (-u_ap)
@@ -333,9 +295,9 @@ def _batch_gradient(
 
 def _through_normalization(g: np.ndarray, z: np.ndarray, e: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(z, axis=1, keepdims=True)
-    safe = np.where(norms < _ZERO_NORM, 1.0, norms)
+    safe = np.where(norms < ZERO_NORM, 1.0, norms)
     out = (g - np.sum(g * e, axis=1, keepdims=True) * e) / safe
-    return np.where(norms < _ZERO_NORM, 0.0, out)
+    return np.where(norms < ZERO_NORM, 0.0, out)
 
 
 def save_projection(model: ProjectionModel, path: str | Path, extra: dict | None = None) -> None:

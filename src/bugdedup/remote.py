@@ -6,9 +6,12 @@ Wire protocols (JSON over POST):
 * classify: {"pairs": [["a", "b"], ...]}   -> {"probabilities": [...]}
 
 Requests are batched per config and results re-assembled in order.
-Each client sends its batches over one keep-alive HTTP session; close
-the client to release its connection. Every contract violation maps to
-a typed error so callers can tell a flaky network from a broken service.
+``RemoteClassifier`` is a pair backend like those in ``classifier``: it
+returns the service's probabilities and carries a ``threshold``, and the
+cascade runner decides and counts. Each client sends its batches over
+one keep-alive HTTP session; close the client to release its
+connection. Every contract violation maps to a typed error so callers
+can tell a flaky network from a broken service.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import numpy as np
 import requests
 
 from .corpus import BugReport
-from .ledger import CostLedger
 
 
 class RemoteError(RuntimeError):
@@ -167,8 +169,8 @@ def _finite_array(rows: list[list]) -> np.ndarray | None:
 
 
 class RemoteClassifier:
-    """Batched client for a pair-probability service; also usable as a
-    cascade backend (duplicate iff probability >= threshold)."""
+    """Batched client for a pair-probability service; also a cascade
+    backend, which scores each pair by its reports' cleaned texts."""
 
     def __init__(self, config: RemoteConfig, threshold: float = 0.5):
         if not 0.0 < threshold < 1.0:
@@ -205,15 +207,6 @@ class RemoteClassifier:
                 raise ProbabilityRangeError(f"probability {i} out of [0,1]: {p}")
         return [float(p) for p in probs]
 
-    def classify(
-        self, a: BugReport, b: BugReport, ledger: CostLedger | None = None
-    ) -> tuple[float, bool]:
-        return self.classify_batch([(a, b)], ledger)[0]
-
-    def classify_batch(
-        self, pairs: Sequence[tuple[BugReport, BugReport]], ledger: CostLedger | None = None
-    ) -> list[tuple[float, bool]]:
+    def classify_batch(self, pairs: Sequence[tuple[BugReport, BugReport]]) -> np.ndarray:
         probs = self.classify_texts([(a.clean_text, b.clean_text) for a, b in pairs])
-        if ledger is not None and pairs:
-            ledger.count_classifications(len(pairs))
-        return [(p, p >= self.threshold) for p in probs]
+        return np.array(probs, dtype=np.float64)

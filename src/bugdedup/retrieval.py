@@ -1,5 +1,4 @@
-"""Exact top-k cosine search over embedded reports, plus recall@k and
-precision@k.
+"""Exact top-k cosine search over embedded reports.
 
 ``search`` scores a batch of queries against the whole index by brute
 force, then selects each query's top k with ``np.partition`` and sorts
@@ -8,7 +7,8 @@ thousands) that exactness is cheap, and exact results keep every
 retrieval metric oracle-checkable. Ranking is fully deterministic: ties
 break by ascending bug id, and candidates whose embedding is the zero
 vector (cosine undefined) sort below everything. ``top_k`` is the
-one-query case.
+one-query case. Recall and precision at k are computed from the
+rankings in ``metrics``.
 
 The loops run over query chunks, then over aligned row blocks of the
 index, then over the queries of the chunk, and each step is one
@@ -37,9 +37,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import BugReport
+from .embedder import ZERO_NORM
 from .ledger import CostLedger
 
-_ZERO_NORM = 1e-12
 # The scan's row blocks hold at most this many matrix elements, in a
 # multiple of _BLOCK_ALIGN rows. OpenBLAS computes a matrix-vector product
 # this small on the calling thread. A larger one it splits across threads
@@ -125,7 +125,7 @@ def top_k(
     ledgered, and zero-vector candidates (or a zero query) score -inf
     instead of erroring, so they rank last but deterministically.
     """
-    q = np.asarray(getattr(query_vector, "values", query_vector), dtype=np.float64)
+    q = np.asarray(query_vector, dtype=np.float64)
     if q.shape != (index.dim,):
         raise ValueError(f"query dim {q.shape} does not match index dim {index.dim}")
     return search(index, q[None, :], k, [exclude], ledger, [query])[0]
@@ -175,7 +175,7 @@ def search(
             for i, q in enumerate(part):
                 np.matmul(rows, q, out=scores[i, start : start + block])
         denom = index.norms[None, :] * np.array([np.linalg.norm(q) for q in part])[:, None]
-        invalid = ~(denom > _ZERO_NORM)
+        invalid = ~(denom > ZERO_NORM)
         denom[invalid] = 1.0
         np.divide(scores, denom, out=scores)
         scores[invalid] = -np.inf
@@ -201,26 +201,3 @@ def search(
                 RankedCandidates(query=queries[first + i], ranked=ranked, k=k, fewer_than_k=fewer)
             )
     return results
-
-
-def _ranked_ids(ranked) -> list[str]:
-    if isinstance(ranked, RankedCandidates):
-        return list(ranked.ids())
-    return [item[0] if isinstance(item, tuple) else item for item in ranked]
-
-
-def recall_at_k(ranked, relevant: set[str], k: int | None = None) -> float:
-    """Fraction of the relevant set appearing in the top k of the ranking."""
-    if not relevant:
-        raise ValueError("recall is undefined for an empty relevant set")
-    ids = _ranked_ids(ranked)
-    cut = len(ids) if k is None else min(k, len(ids))
-    return len(set(ids[:cut]) & relevant) / len(relevant)
-
-
-def precision_at_k(ranked, relevant: set[str], k: int) -> float:
-    """Relevant hits in the top k, divided by k (not by list length)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    ids = _ranked_ids(ranked)
-    return len(set(ids[:k]) & relevant) / k

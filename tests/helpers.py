@@ -48,7 +48,7 @@ def resolve_pairs(corpus, labeled_pairs):
 
 
 def reference_pair_features(embedder, a, b) -> list[float]:
-    """PairFeatures values of one pair by the per-pair formulas: each
+    """The five pair features of one pair by the per-pair formulas: each
     field cleaned from the raw text, embedded, and compared with 1-D
     ``np.linalg.norm`` and ``@``. The batched featurizer must equal this
     bit for bit."""
@@ -208,11 +208,15 @@ class StubService:
                 stub.ports.append(self.client_address[1])
                 fn = stub.script.pop(0) if stub.script else stub.default
                 status, payload, ctype = fn(self.path, body)
-                self.send_response(status)
-                self.send_header("Content-Type", ctype)
-                self.send_header("Content-Length", str(len(payload)))
-                self.end_headers()
-                self.wfile.write(payload)
+                try:
+                    self.send_response(status)
+                    self.send_header("Content-Type", ctype)
+                    self.send_header("Content-Length", str(len(payload)))
+                    self.end_headers()
+                    self.wfile.write(payload)
+                except (BrokenPipeError, ConnectionResetError):
+                    # The client gave up waiting (a timeout test) and hung up.
+                    self.close_connection = True
 
             def log_message(self, *args):
                 pass

@@ -16,6 +16,7 @@ import pytest
 from bugdedup.cascade import (
     ScenarioConfig,
     canonical_scenario_bytes,
+    classify_pairs,
     predict_cost,
     predict_cost_all_vs_all,
     run_all_vs_all,
@@ -45,7 +46,8 @@ from bugdedup.embedder import (
     train_projection,
 )
 from bugdedup.metrics import ConfusionMatrix, QueryOutcome, aggregate_curves, classification_metrics
-from bugdedup.retrieval import VectorIndex, precision_at_k, recall_at_k, top_k
+from bugdedup.ledger import CostLedger
+from bugdedup.retrieval import VectorIndex, search, top_k
 from bugdedup.splitter import SPLITS, build_manifest, count_dup_pairs, split_clusters
 from bugdedup.synth import SynthConfig, synth_corpus
 from bugdedup import cli
@@ -287,12 +289,15 @@ def test_5_metrics_match_brute_force_on_1000_instances():
 
         ids, candidates, kept, relevant = raw[0]
         if relevant:
-            ranked = [(c, 1.0 - i / 100.0) for i, c in enumerate(candidates)]
-            for k in ks:
-                top = [c for c, _ in ranked[:k]]
-                hits = len(set(top) & relevant)
-                assert abs(recall_at_k(ranked, set(relevant), k) - hits / len(relevant)) <= 1e-12
-                assert abs(precision_at_k(ranked, set(relevant), k) - hits / k) <= 1e-12
+            # the same list ranked and kept in full: recall@k and precision@k
+            outcome = QueryOutcome(
+                "q", tuple(candidates), (True,) * len(candidates), relevant, len(ids)
+            )
+            for k, row in zip(ks, aggregate_curves([outcome], ks)):
+                hits = len(set(candidates[:k]) & relevant)
+                assert outcome.confusion_at(k).tp == hits
+                assert abs(row.macro_recall - hits / len(relevant)) <= 1e-12
+                assert abs(row.macro_precision - hits / k) <= 1e-12
     print(f"[5] {instances} instances agreed with brute force within 1e-12")
 
 
@@ -332,7 +337,12 @@ def test_6_retrieval_recall_properties_and_full_sort_oracle(pipeline, train_embe
         relevant = set(
             str(x) for x in rng.choice(population, size=n_rel, replace=False)
         )
-        curve = [recall_at_k(ranked, relevant, k) for k in range(1, len(population) + 1)]
+        outcome = QueryOutcome(
+            "q", ranked.ids(), (True,) * len(ranked.ranked), frozenset(relevant), len(population)
+        )
+        rows = aggregate_curves([outcome], range(1, len(population) + 1))
+        curve = [row.macro_recall for row in rows]
+        assert curve == [row.recall for row in rows]
         assert curve == sorted(curve)
         assert curve[-1] == 1.0
 
@@ -469,14 +479,22 @@ def test_8_gradients_projection_gain_and_separable_convergence():
             reports = [corpus.by_id[b] for b in manifest.bugs_in(clusters, "test")]
             vectors = embedder.embed_texts([r.clean_text for r in reports])
             index = VectorIndex.from_vectors([r.bug_id for r in reports], vectors)
-            vec_of = {bug_id: index.matrix[j] for j, bug_id in enumerate(index.ids)}
-            values = [
-                recall_at_k(
-                    top_k(index, vec_of[g.query], 10, exclude=g.query), set(g.relevant), 10
+            row_of = {bug_id: j for j, bug_id in enumerate(index.ids)}
+            groups = manifest.groups["test"]
+            queries = [g.query for g in groups]
+            found = search(index, index.matrix[[row_of[q] for q in queries]], 10, excludes=queries)
+            outcomes = [
+                QueryOutcome(
+                    g.query,
+                    ranked.ids(),
+                    (True,) * len(ranked.ranked),
+                    frozenset(g.relevant),
+                    len(index) - 1,
                 )
-                for g in manifest.groups["test"]
+                for g, ranked in zip(groups, found)
             ]
-            return float(np.mean(values))
+            assert all(o.relevant for o in outcomes)
+            return aggregate_curves(outcomes, [10])[0].macro_recall
 
         wins += mean_recall_10(projected) > mean_recall_10(base)
     assert wins >= 4
@@ -505,7 +523,7 @@ def test_8_gradients_projection_gain_and_separable_convergence():
         pairs, separable_base, ClassifierTrainConfig(epochs=200, batch_size=16, seed=5)
     )
     backend = LogisticClassifier(separable, PairFeaturizer(separable_base))
-    verdicts = backend.classify_batch([(a, b) for a, b, _ in pairs])
+    verdicts = classify_pairs(backend, [(a, b) for a, b, _ in pairs], CostLedger())
     accuracy = sum(
         verdict == label for (_, verdict), (_, _, label) in zip(verdicts, pairs)
     ) / len(pairs)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from bugdedup.cascade import (
@@ -11,6 +13,7 @@ from bugdedup.cascade import (
     ScenarioConfig,
     ScenarioError,
     canonical_scenario_bytes,
+    classify_pairs,
     predict_cost,
     predict_cost_all_vs_all,
     run_all_vs_all,
@@ -19,10 +22,17 @@ from bugdedup.cascade import (
     save_scenario,
     scenario_to_json,
 )
-from bugdedup.classifier import OracleClassifier, PairFeaturizer, SimilarityClassifier
-from bugdedup.embedder import TfidfHashEmbedder
+from bugdedup.classifier import (
+    LogisticClassifier,
+    LogisticPairModel,
+    OracleClassifier,
+    PairFeaturizer,
+    SimilarityClassifier,
+)
+from bugdedup.ledger import CostLedger
+from bugdedup.remote import RemoteClassifier, RemoteConfig
 
-from helpers import fit_train_embedder, planted_pipeline, reports_of
+from helpers import classify_reply, fit_train_embedder, planted_pipeline, reports_of
 
 
 def _partition_setup(corpus, clusters, manifest, n, m):
@@ -188,6 +198,109 @@ def test_cascade_with_oracle_keeps_only_true_peers(setup):
     for record in records:
         for candidate, _, kept in record.candidates:
             assert kept == clusters.same_cluster(record.query, candidate)
+
+
+BACKENDS = ("logistic", "similarity", "oracle", "remote")
+
+
+def _backend(name, setup, stub_service):
+    _, clusters, _, embedder, _, _ = setup
+    if name == "logistic":
+        model = LogisticPairModel(np.array([2.0, 1.0, 0.5, -1.0, 3.0, -1.5]))
+        return LogisticClassifier(model, PairFeaturizer(embedder))
+    if name == "similarity":
+        return SimilarityClassifier(PairFeaturizer(embedder), similarity_threshold=0.3)
+    if name == "oracle":
+        return OracleClassifier(clusters)
+    stub_service.default = classify_reply()
+    return RemoteClassifier(RemoteConfig(endpoint=stub_service.url))
+
+
+def _set_threshold(backend, threshold):
+    if isinstance(backend, LogisticClassifier):
+        backend.model = dataclasses.replace(backend.model, threshold=threshold)
+    elif isinstance(backend, SimilarityClassifier):
+        # exact for thresholds in [0.5, 1]: 2t - 1 and back lose no bits
+        backend.similarity_threshold = 2.0 * threshold - 1.0
+    else:
+        backend.threshold = threshold
+    assert backend.threshold == threshold
+
+
+def _peer_pairs(setup, n_others=6):
+    """A query paired with one cluster peer and ``n_others`` other reports."""
+    corpus, clusters, manifest, _, _, _ = setup
+    cluster = next(c for c in manifest.clusters_in(clusters, "test") if c.size >= 2)
+    query, peer = reports_of(corpus, cluster.members[:2])
+    others = [
+        r for r in reports_of(corpus, manifest.bugs_in(clusters, "dev"))
+        if not clusters.same_cluster(query.bug_id, r.bug_id)
+    ]
+    return [(query, peer)] + [(query, r) for r in others[:n_others]]
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+def test_runner_keeps_a_probability_at_the_threshold(setup, stub_service, name):
+    backend = _backend(name, setup, stub_service)
+    pairs = _peer_pairs(setup)
+    probs = backend.classify_batch(pairs)
+    assert probs.dtype == np.float64 and probs.shape == (len(pairs),)
+    top = float(probs.max())
+    assert 0.5 <= top <= 1.0
+    ledger = CostLedger()
+    _set_threshold(backend, top)
+    verdicts = classify_pairs(backend, pairs, ledger)
+    assert [p for p, _ in verdicts] == probs.tolist()
+    assert [dup for _, dup in verdicts] == [p >= top for p in probs.tolist()]
+    assert any(dup for _, dup in verdicts)
+    # the same probabilities one float below the threshold are not kept
+    _set_threshold(backend, float(np.nextafter(top, 2.0)))
+    assert classify_pairs(backend, pairs, ledger) == [(p, False) for p in probs.tolist()]
+    assert ledger.pair_classifications == 2 * len(pairs)
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+def test_runner_counts_every_pair_sent(setup, stub_service, name):
+    backend = _backend(name, setup, stub_service)
+    ledger = CostLedger()
+    pairs = _peer_pairs(setup, n_others=3)
+    classify_pairs(backend, pairs, ledger)
+    classify_pairs(backend, pairs[:2], ledger)
+    assert ledger.pair_classifications == len(pairs) + 2
+    # empty in, empty out, nothing counted
+    empty = backend.classify_batch([])
+    assert empty.dtype == np.float64 and empty.shape == (0,)
+    assert classify_pairs(backend, [], ledger) == []
+    assert classify_pairs(backend, [], ledger, {}) == []
+    assert ledger.pair_classifications == len(pairs) + 2
+    assert ledger.embed_calls == 0 and ledger.similarity_ops == 0
+
+
+class _WrongShape:
+    threshold = 0.5
+
+    def classify_batch(self, pairs):
+        return np.zeros(len(pairs) + 1)
+
+
+def test_runner_rejects_scores_of_the_wrong_shape(setup):
+    with pytest.raises(ScenarioError, match="shape"):
+        classify_pairs(_WrongShape(), _peer_pairs(setup, n_others=2), CostLedger())
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+def test_runner_dedup_counts_each_unordered_pair_once(setup, stub_service, name):
+    backend = _backend(name, setup, stub_service)
+    pairs = _peer_pairs(setup, n_others=4)
+    swapped = [(b, a) for a, b in pairs]
+    ledger, cache = CostLedger(), {}
+    first = classify_pairs(backend, pairs[:3], ledger, cache)
+    # a batch of pairs seen before in either order, one new pair twice over
+    again = classify_pairs(backend, swapped + [pairs[-1]], ledger, cache)
+    assert ledger.pair_classifications == len(pairs)
+    assert again[:3] == first
+    assert again[-1] == again[len(pairs) - 1]
+    assert again[: len(pairs)] == classify_pairs(backend, pairs, CostLedger())
 
 
 def test_all_vs_all_dedup_halves_classifications(setup):

@@ -17,7 +17,6 @@ from bugdedup.classifier import (
     LogisticPairModel,
     OracleClassifier,
     PairFeaturizer,
-    PairFeatures,
     SimilarityClassifier,
     ce_loss,
     load_classifier,
@@ -25,6 +24,8 @@ from bugdedup.classifier import (
     train_classifier,
     tune_threshold,
 )
+from bugdedup import classifier
+from bugdedup.cascade import classify_pairs
 from bugdedup.corpus import BugReport
 from bugdedup.dup_graph import build_clusters
 from bugdedup.embedder import TfidfHashEmbedder
@@ -41,45 +42,64 @@ def _embedder(*reports, dim=64):
     return TfidfHashEmbedder.fit([r.clean_text for r in reports], dim=dim)
 
 
-def test_pair_features_validation():
+class _NanEmbedder:
+    def embed_texts(self, texts):
+        return np.full((len(texts), 4), np.nan)
+
+
+def test_pair_features_validation(monkeypatch):
+    a, b = _report("b1", "crash heap", "overflow"), _report("b2", "render", "shader")
     with pytest.raises(FeatureError, match="non-finite"):
-        PairFeatures(float("nan"), 0, 0, 0, 0)
+        PairFeaturizer(_NanEmbedder()).feature_matrix([(a, b)])
+    monkeypatch.setattr(classifier, "_jaccard", lambda x, y: 1.5)
     with pytest.raises(FeatureError, match="jaccard"):
-        PairFeatures(0, 0, 0, 0, 1.5)
+        PairFeaturizer(_embedder(a, b)).feature_matrix([(a, b)])
 
 
 def test_pair_features_array_order():
-    f = PairFeatures(0.1, 0.2, 0.3, 0.4, 0.5)
-    np.testing.assert_array_equal(f.as_array(), [0.1, 0.2, 0.3, 0.4, 0.5])
-    assert FEATURE_COUNT == 5
+    # same title, half the tokens shared, nothing shared in the descriptions
+    a = _report("b1", "crash heap", "overflow stack")
+    b = _report("b2", "crash heap", "render shader")
+    f = PairFeaturizer(_embedder(a, b, dim=512)).feature_matrix([(a, b)])
+    assert f.shape == (1, FEATURE_COUNT) and FEATURE_COUNT == 5
+    cos_all, cos_title, cos_description, euclidean, jaccard = f[0].tolist()
+    assert cos_title == pytest.approx(1.0)
+    assert cos_description == pytest.approx(0.0)
+    assert 0.0 < cos_all < 1.0
+    assert euclidean == pytest.approx(math.sqrt(2.0 - 2.0 * cos_all))
+    assert jaccard == pytest.approx(2 / 6)
 
 
 def test_identical_reports_max_out_features():
     a = _report("b1", "crash heap", "overflow stack")
     b = _report("b2", "crash heap", "overflow stack")
     featurizer = PairFeaturizer(_embedder(a, b))
-    f = featurizer.features(a, b)
-    assert f.cosine_all == pytest.approx(1.0)
-    assert f.cosine_title == pytest.approx(1.0)
-    assert f.cosine_description == pytest.approx(1.0)
-    assert f.euclidean == pytest.approx(0.0, abs=1e-9)
-    assert f.token_jaccard == 1.0
+    cos_all, cos_title, cos_description, euclidean, jaccard = featurizer.feature_matrix(
+        [(a, b)]
+    )[0].tolist()
+    assert cos_all == pytest.approx(1.0)
+    assert cos_title == pytest.approx(1.0)
+    assert cos_description == pytest.approx(1.0)
+    assert euclidean == pytest.approx(0.0, abs=1e-9)
+    assert jaccard == 1.0
 
 
 def test_disjoint_reports_zero_out_features():
     a = _report("b1", "crash heap", "overflow stack")
     b = _report("b2", "render glitch", "shader artifact")
     featurizer = PairFeaturizer(_embedder(a, b, dim=512))
-    f = featurizer.features(a, b)
-    assert f.cosine_all == pytest.approx(0.0)
-    assert f.token_jaccard == 0.0
+    f = featurizer.feature_matrix([(a, b)])[0]
+    assert f[0] == pytest.approx(0.0)  # whole-text cosine
+    assert f[4] == 0.0  # token Jaccard
 
 
 def test_features_symmetric():
     a = _report("b1", "crash heap alpha", "overflow")
     b = _report("b2", "crash heap", "underflow beta")
     featurizer = PairFeaturizer(_embedder(a, b))
-    assert featurizer.features(a, b) == featurizer.features(b, a)
+    assert (
+        featurizer.feature_matrix([(a, b)]).tolist() == featurizer.feature_matrix([(b, a)]).tolist()
+    )
 
 
 def test_both_empty_reports_rejected():
@@ -87,16 +107,16 @@ def test_both_empty_reports_rejected():
     b = _report("b2", "", "")
     featurizer = PairFeaturizer(_embedder(a, b))
     with pytest.raises(FeatureError, match="empty after cleaning"):
-        featurizer.features(a, b)
+        featurizer.feature_matrix([(a, b)])
 
 
 def test_one_empty_report_is_fine():
     a = _report("b1", "", "")
     b = _report("b2", "crash", "heap")
     featurizer = PairFeaturizer(_embedder(a, b))
-    f = featurizer.features(a, b)
-    assert f.cosine_all == 0.0
-    assert f.token_jaccard == 0.0
+    f = featurizer.feature_matrix([(a, b)])[0]
+    assert f[0] == 0.0  # whole-text cosine
+    assert f[4] == 0.0  # token Jaccard
 
 
 def test_cosine_all_batch_matches_loop():
@@ -106,7 +126,7 @@ def test_cosine_all_batch_matches_loop():
     featurizer = PairFeaturizer(_embedder(*reports))
     pairs = [(reports[i], reports[(i + 2) % 6]) for i in range(6)]
     batch = featurizer.cosine_all_batch(pairs)
-    single = [featurizer.features(a, b).cosine_all for a, b in pairs]
+    single = [featurizer.feature_matrix([(a, b)])[0, 0] for a, b in pairs]
     assert batch.tolist() == single
 
 
@@ -140,7 +160,7 @@ def test_warm_embeds_each_report_once_per_field():
         [reports[3].clean_description],
     ]
     featurizer.warm(reports)
-    featurizer.features(reports[1], reports[3])
+    featurizer.feature_matrix([(reports[1], reports[3])])
     assert len(counting.calls) == 6
 
 
@@ -222,7 +242,7 @@ def test_training_reaches_perfect_accuracy_on_separable_pairs():
     cfg = ClassifierTrainConfig(epochs=60, seed=0)
     model = train_classifier(pairs, embedder, cfg)
     featurizer = PairFeaturizer(embedder)
-    x = np.stack([featurizer.features(a, b).as_array() for a, b, _ in pairs])
+    x = featurizer.feature_matrix([(a, b) for a, b, _ in pairs])
     y = np.array([dup for _, _, dup in pairs])
     pred = model.predict_proba(x) >= model.threshold
     assert np.array_equal(pred, y)
@@ -283,8 +303,9 @@ def test_logistic_classifier_batch_matches_single():
     clf = LogisticClassifier(model, PairFeaturizer(embedder))
     report_pairs = [(a, b) for a, b, _ in pairs]
     batch = clf.classify_batch(report_pairs)
-    singles = [clf.classify(a, b) for a, b in report_pairs]
-    assert batch == singles
+    singles = [clf.classify_batch([pair])[0] for pair in report_pairs]
+    assert batch.tolist() == singles
+    assert clf.threshold == model.threshold
 
 
 def test_classifiers_count_ledger():
@@ -292,8 +313,8 @@ def test_classifiers_count_ledger():
     model = train_classifier(pairs, embedder, ClassifierTrainConfig(epochs=5))
     clf = LogisticClassifier(model, PairFeaturizer(embedder))
     ledger = CostLedger()
-    clf.classify(pairs[0][0], pairs[0][1], ledger)
-    clf.classify_batch([(a, b) for a, b, _ in pairs], ledger)
+    classify_pairs(clf, [pairs[0][:2]], ledger)
+    classify_pairs(clf, [(a, b) for a, b, _ in pairs], ledger)
     assert ledger.pair_classifications == 1 + len(pairs)
     assert ledger.embed_calls == 0
 
@@ -304,12 +325,39 @@ def test_similarity_classifier_threshold_rule():
     c = _report("b3", "render glitch", "shader artifact")
     featurizer = PairFeaturizer(_embedder(a, b, c, dim=512))
     clf = SimilarityClassifier(featurizer, similarity_threshold=0.5)
-    prob_dup, label_dup = clf.classify(a, b)
-    prob_neg, label_neg = clf.classify(a, c)
+    (prob_dup, label_dup), (prob_neg, label_neg) = classify_pairs(
+        clf, [(a, b), (a, c)], CostLedger()
+    )
     assert label_dup and not label_neg
     assert prob_dup == pytest.approx(1.0)
     assert prob_neg == pytest.approx(0.5)  # cosine 0 maps to probability 0.5
     assert clf.threshold == pytest.approx(0.75)
+
+
+class _FixedCosines:
+    """Stands in for the featurizer: pair i has whole-text cosine ``cosines[i]``."""
+
+    def __init__(self, cosines):
+        self.cosines = np.array(cosines)
+
+    def cosine_all_batch(self, pairs):
+        return self.cosines[: len(pairs)]
+
+
+def test_similarity_verdict_just_below_the_cosine_threshold():
+    # The runner compares the probability (s + 1) / 2 with (t + 1) / 2, so
+    # the cosine one float below t = 0.5 rounds up to the threshold and is
+    # a duplicate; one float below 0.5 at the scale of s + 1 is not.
+    below = float(np.nextafter(0.5, -1.0))
+    assert below == 0.49999999999999994
+    cosines = [0.5, below, 0.5 - 2.0**-52, 0.3]
+    clf = SimilarityClassifier(_FixedCosines(cosines), similarity_threshold=0.5)
+    pairs = [(_report(f"a{i}", "x", ""), _report(f"b{i}", "y", "")) for i in range(4)]
+    verdicts = classify_pairs(clf, pairs, CostLedger())
+    assert [dup for _, dup in verdicts] == [True, True, False, False]
+    # at t = 0.3 the float just below stays below
+    low = SimilarityClassifier(_FixedCosines([0.3, float(np.nextafter(0.3, -1.0))]), 0.3)
+    assert [dup for _, dup in classify_pairs(low, pairs[:2], CostLedger())] == [True, False]
 
 
 def test_similarity_batch_matches_single():
@@ -318,10 +366,8 @@ def test_similarity_batch_matches_single():
     clf = SimilarityClassifier(featurizer, similarity_threshold=0.3)
     pairs = [(reports[i], reports[(i + 1) % 5]) for i in range(5)]
     batch = clf.classify_batch(pairs)
-    singles = [clf.classify(a, b) for a, b in pairs]
-    for (pb, lb), (ps, ls) in zip(batch, singles):
-        assert pb == pytest.approx(ps, abs=1e-12)
-        assert lb == ls
+    singles = [clf.classify_batch([pair])[0] for pair in pairs]
+    assert batch.tolist() == singles
 
 
 def test_oracle_classifier_uses_ground_truth():
@@ -334,11 +380,10 @@ def test_oracle_classifier_uses_ground_truth():
 
     clusters = build_clusters(build_corpus(reports))
     clf = OracleClassifier(clusters)
-    assert clf.classify(reports[0], reports[1]) == (1.0, True)
-    assert clf.classify(reports[0], reports[2]) == (0.0, False)
+    pairs = [(reports[0], reports[1]), (reports[1], reports[2])]
+    assert clf.classify_batch(pairs).tolist() == [1.0, 0.0]
     ledger = CostLedger()
-    batch = clf.classify_batch([(reports[0], reports[1]), (reports[1], reports[2])], ledger)
-    assert batch == [(1.0, True), (0.0, False)]
+    assert classify_pairs(clf, pairs, ledger) == [(1.0, True), (0.0, False)]
     assert ledger.pair_classifications == 2
 
 
@@ -347,9 +392,10 @@ def test_classify_symmetry():
     model = train_classifier(pairs, embedder, ClassifierTrainConfig(epochs=10))
     clf = LogisticClassifier(model, PairFeaturizer(embedder))
     sim = SimilarityClassifier(PairFeaturizer(embedder))
-    for a, b, _ in pairs:
-        assert clf.classify(a, b) == clf.classify(b, a)
-        assert sim.classify(a, b) == sim.classify(b, a)
+    forward = [(a, b) for a, b, _ in pairs]
+    backward = [(b, a) for a, b, _ in pairs]
+    assert clf.classify_batch(forward).tolist() == clf.classify_batch(backward).tolist()
+    assert sim.classify_batch(forward).tolist() == sim.classify_batch(backward).tolist()
 
 
 def test_classifier_save_load_roundtrip(tmp_path):

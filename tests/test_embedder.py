@@ -1,4 +1,4 @@
-"""Hashed TF-IDF embedding, cosine, triplet loss, projection training."""
+"""Hashed TF-IDF embedding, cosine between embeddings, triplet loss, projection training."""
 
 from __future__ import annotations
 
@@ -13,13 +13,10 @@ from hypothesis.extra.numpy import arrays
 
 from bugdedup.embedder import (
     DEFAULT_MARGIN,
-    EmbeddingVector,
     ProjectedEmbedder,
     ProjectionModel,
     TfidfHashEmbedder,
     TrainConfig,
-    ZeroVectorError,
-    cosine,
     fnv1a64,
     initial_weights,
     l2_normalize_rows,
@@ -28,6 +25,7 @@ from bugdedup.embedder import (
     train_projection,
     triplet_loss,
 )
+from bugdedup.retrieval import VectorIndex, top_k
 
 _FINITE = {"allow_nan": False, "allow_infinity": False, "min_value": -1e6, "max_value": 1e6}
 
@@ -84,13 +82,6 @@ def test_embed_rows_unit_norm_or_zero():
     assert norms[0] == pytest.approx(1.0)
     assert norms[1] == 0.0
     assert norms[2] == pytest.approx(1.0)
-
-
-def test_embed_single_reports_normalization_flag():
-    embedder = TfidfHashEmbedder.fit(["a b"], dim=16)
-    assert embedder.embed("a").normalized
-    assert not embedder.embed("").normalized
-    assert isinstance(embedder.embed("a"), EmbeddingVector)
 
 
 def test_tfidf_fit_rejects_bad_dim():
@@ -153,25 +144,21 @@ def test_tfidf_memo_does_not_change_bits():
         assert fresh == warm
 
 
+def _retrieval_cosine(u, v) -> float:
+    """Cosine of two vectors as retrieval scores it: ``u`` queries ``v`` as a one-row index."""
+    index = VectorIndex.from_vectors(["v"], np.array([v], dtype=np.float64))
+    return top_k(index, np.asarray(u, dtype=np.float64), 1).ranked[0][1]
+
+
 def test_cosine_known_values():
-    assert cosine([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
-    assert cosine([1.0, 0.0], [1.0, 0.0]) == pytest.approx(1.0)
-    assert cosine([1.0, 0.0], [-1.0, 0.0]) == pytest.approx(-1.0)
-
-
-def test_cosine_rejects_zero_vector():
-    with pytest.raises(ZeroVectorError):
-        cosine([0.0, 0.0], [1.0, 0.0])
+    assert _retrieval_cosine([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
+    assert _retrieval_cosine([1.0, 0.0], [1.0, 0.0]) == pytest.approx(1.0)
+    assert _retrieval_cosine([1.0, 0.0], [-1.0, 0.0]) == pytest.approx(-1.0)
 
 
 def test_cosine_rejects_dim_mismatch():
-    with pytest.raises(ValueError, match="dim mismatch"):
-        cosine([1.0, 0.0], [1.0, 0.0, 0.0])
-
-
-def test_cosine_accepts_embedding_vectors():
-    u = EmbeddingVector(values=np.array([1.0, 1.0]), normalized=False)
-    assert cosine(u, [1.0, 1.0]) == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="does not match"):
+        _retrieval_cosine([1.0, 0.0], [1.0, 0.0, 0.0])
 
 
 _vec = arrays(np.float64, 4, elements=st.floats(**_FINITE))
@@ -182,9 +169,9 @@ _vec = arrays(np.float64, 4, elements=st.floats(**_FINITE))
 def test_cosine_bounds_and_symmetry(u, v):
     if np.linalg.norm(u) < 1e-6 or np.linalg.norm(v) < 1e-6:
         return
-    c = cosine(u, v)
+    c = _retrieval_cosine(u, v)
     assert -1.0 - 1e-9 <= c <= 1.0 + 1e-9
-    assert cosine(v, u) == pytest.approx(c, abs=1e-12)
+    assert _retrieval_cosine(v, u) == pytest.approx(c, abs=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -192,7 +179,7 @@ def test_cosine_bounds_and_symmetry(u, v):
 def test_cosine_scale_invariance(u, v, scale):
     if np.linalg.norm(u) < 1e-6 or np.linalg.norm(v) < 1e-6:
         return
-    assert cosine(u, scale * v) == pytest.approx(cosine(u, v), abs=1e-9)
+    assert _retrieval_cosine(u, scale * v) == pytest.approx(_retrieval_cosine(u, v), abs=1e-9)
 
 
 def test_triplet_loss_hand_value():

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from bugdedup.cascade import classify_pairs
 from bugdedup.corpus import BugReport
 from bugdedup.ledger import CostLedger
 from bugdedup.remote import (
@@ -228,12 +229,12 @@ def test_classifier_missing_key(stub_service):
 
 def test_classifier_threshold_and_reports(stub_service):
     stub_service.default = classify_reply(0.6)
+    pair = (_report("b1", "Crash heap"), _report("b2", "render glitch"))
     clf = RemoteClassifier(RemoteConfig(endpoint=stub_service.url), threshold=0.7)
-    prob, verdict = clf.classify(_report("b1", "one"), _report("b2", "two"))
-    assert prob == 0.6 and verdict is False
+    assert classify_pairs(clf, [pair], CostLedger()) == [(0.6, False)]
     lenient = RemoteClassifier(RemoteConfig(endpoint=stub_service.url), threshold=0.5)
-    _, verdict = lenient.classify(_report("b1", "one"), _report("b2", "two"))
-    assert verdict is True
+    assert classify_pairs(lenient, [pair], CostLedger()) == [(0.6, True)]
+    assert stub_service.requests[-1][1] == {"pairs": [["crash heap", "render glitch"]]}
     with pytest.raises(ValueError, match="threshold"):
         RemoteClassifier(RemoteConfig(endpoint=stub_service.url), threshold=1.0)
 
@@ -243,8 +244,11 @@ def test_classifier_counts_into_ledger(stub_service):
     clf = RemoteClassifier(RemoteConfig(endpoint=stub_service.url))
     ledger = CostLedger()
     reports = [_report(f"b{i}", f"text {i}") for i in range(4)]
-    clf.classify_batch([(reports[0], reports[1]), (reports[2], reports[3])], ledger)
+    probs = clf.classify_batch([(reports[0], reports[1]), (reports[2], reports[3])])
+    assert probs.dtype == np.float64 and probs.tolist() == [0.4, 0.4]
+    classify_pairs(clf, [(reports[0], reports[1]), (reports[2], reports[3])], ledger)
     assert ledger.pair_classifications == 2
     assert ledger.embed_calls == 0
-    clf.classify_batch([], ledger)
+    classify_pairs(clf, [], ledger)
     assert ledger.pair_classifications == 2
+    assert len(stub_service.requests) == 2  # an empty batch sends nothing

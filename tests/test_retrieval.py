@@ -11,14 +11,8 @@ from bugdedup import retrieval
 from bugdedup.corpus import BugReport
 from bugdedup.embedder import TfidfHashEmbedder
 from bugdedup.ledger import CostLedger
-from bugdedup.retrieval import (
-    VectorIndex,
-    build_index,
-    precision_at_k,
-    recall_at_k,
-    search,
-    top_k,
-)
+from bugdedup.metrics import QueryOutcome, aggregate_curves
+from bugdedup.retrieval import VectorIndex, build_index, search, top_k
 
 _ZERO_NORM = 1e-12
 
@@ -247,27 +241,38 @@ def test_search_edge_inputs():
         search(index, np.zeros((2, 2)), 1, excludes=["a"])
 
 
+def _at_k(ranked, relevant, k_list, db_size=50):
+    """Metric rows at each k for one query that retrieved ``ranked``."""
+    outcome = QueryOutcome(
+        query="q",
+        candidates=tuple(ranked),
+        kept=(True,) * len(ranked),
+        relevant=frozenset(relevant),
+        db_size=db_size,
+    )
+    return aggregate_curves([outcome], k_list)
+
+
 def test_recall_at_k_hand_values():
     ranked = ["a", "b", "c", "d"]
-    assert recall_at_k(ranked, {"a", "c"}, k=1) == 0.5
-    assert recall_at_k(ranked, {"a", "c"}, k=3) == 1.0
-    assert recall_at_k(ranked, {"zz"}, k=4) == 0.0
-    assert recall_at_k(ranked, {"a", "c"}) == 1.0  # no cutoff: whole list
+    assert [r.macro_recall for r in _at_k(ranked, {"a", "c"}, [1, 3, 4])] == [0.5, 1.0, 1.0]
+    assert _at_k(ranked, {"zz"}, [4])[0].macro_recall == 0.0
+    assert _at_k(ranked, {"a", "c"}, [100])[0].macro_recall == 1.0  # k past the list end
 
 
 def test_recall_requires_relevant():
-    with pytest.raises(ValueError, match="empty relevant"):
-        recall_at_k(["a"], set(), k=1)
+    # a query without relevant items has no recall and is left out of the mean
+    assert _at_k(["a"], set(), [1])[0].macro_recall is None
+    with_peers = QueryOutcome("p", ("a",), (True,), frozenset({"a", "b"}), 50)
+    without = QueryOutcome("q", ("a",), (True,), frozenset(), 50)
+    assert aggregate_curves([with_peers, without], [1])[0].macro_recall == 0.5
 
 
 def test_precision_at_k_divides_by_k():
     ranked = ["a", "b"]
-    assert precision_at_k(ranked, {"a"}, k=1) == 1.0
-    assert precision_at_k(ranked, {"a"}, k=2) == 0.5
+    assert [r.macro_precision for r in _at_k(ranked, {"a"}, [1, 2])] == [1.0, 0.5]
     # list shorter than k still divides by k
-    assert precision_at_k(ranked, {"a", "b"}, k=4) == 0.5
-    with pytest.raises(ValueError):
-        precision_at_k(ranked, {"a"}, k=0)
+    assert _at_k(ranked, {"a", "b"}, [4])[0].macro_precision == 0.5
 
 
 @settings(max_examples=100, deadline=None)
@@ -279,13 +284,13 @@ def test_precision_at_k_divides_by_k():
 def test_recall_monotone_in_k(ranked, relevant, k):
     ids = [str(x) for x in ranked]
     rel = {str(x) for x in relevant}
-    smaller = recall_at_k(ids, rel, k=k)
-    larger = recall_at_k(ids, rel, k=k + 1)
-    assert larger >= smaller
+    smaller, larger = _at_k(ids, rel, [k, k + 1])
+    assert larger.macro_recall >= smaller.macro_recall
 
 
 def test_works_with_ranked_candidates_object():
     idx = _index({"a": [1, 0], "b": [0, 1]})
     ranked = top_k(idx, np.array([1.0, 0.0]), k=2)
-    assert recall_at_k(ranked, {"a"}, k=1) == 1.0
-    assert precision_at_k(ranked, {"a"}, k=2) == 0.5
+    at_1, at_2 = _at_k(ranked.ids(), {"a"}, [1, 2], db_size=len(idx))
+    assert at_1.macro_recall == 1.0
+    assert at_2.macro_precision == 0.5

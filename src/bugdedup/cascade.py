@@ -11,11 +11,13 @@ incoming queries and a fixed database; all-vs-all queries every bug
 against all the others. The point of the cascade is the cost shape:
 classification alone needs n*m pair inferences, the cascade needs n+m
 embeddings plus n*k classifications, and the ledger proves it run by
-run against the closed forms in ``predict_cost``.
+run against the closed forms in ``predict_cost``. The cascade sends its
+n*k pairs to the classifier as one batch per partition.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
 from dataclasses import dataclass, replace
@@ -180,6 +182,14 @@ def run_partition(
     This is the engine under both scenarios; the ledger it returns holds
     the exact counter values for the run. Texts are embedded at most
     once each, which is what makes the n+m accounting true.
+
+    The cascade scores all n*k candidate pairs of the partition in one
+    ``classify_pairs`` batch, in query-id order and then rank order, and
+    splits the verdicts back per query. No built-in scorer's score for a
+    pair depends on its batch, so this equals one batch per query. If
+    the pair scorer's featurizer embeds with ``embedder`` itself, it
+    reuses the whole-text vectors of the embed phase. Classification
+    alone keeps one batch per query: its partition holds n*m pairs.
     """
     if method not in METHODS:
         raise ScenarioError(f"unknown method {method!r}")
@@ -244,23 +254,31 @@ def run_partition(
             )
         return records, ledger
 
-    pair_cache = {} if dedup_pairs else None
-    with ledger.phase("classify"):
+    with ledger.phase("classify"), _reusing(pair_classifier, embedder, vec_of):
+        pairs = [(q, db_by_id[b]) for q in queries for b, _ in ranked_of[q.bug_id]]
+        verdicts = iter(
+            classify_pairs(pair_classifier, pairs, ledger, {} if dedup_pairs else None)
+        )
         for q in queries:
-            pairs = [(q, db_by_id[b]) for b, _ in ranked_of[q.bug_id]]
-            verdicts = classify_pairs(pair_classifier, pairs, ledger, pair_cache)
             db_size = len(database) - (1 if exclude_self and q.bug_id in db_by_id else 0)
             records.append(
                 QueryRecord(
                     query=q.bug_id,
-                    candidates=tuple(
-                        (b, s, verdicts[i][1]) for i, (b, s) in enumerate(ranked_of[q.bug_id])
-                    ),
+                    candidates=tuple((b, s, next(verdicts)[1]) for b, s in ranked_of[q.bug_id]),
                     relevant=relevant_of[q.bug_id],
                     db_size=db_size,
                 )
             )
     return records, ledger
+
+
+def _reusing(pair_classifier, embedder, text_vectors: dict[str, np.ndarray]):
+    """Hand the embed phase's vectors to the pair scorer's featurizer, if it
+    embeds with the very same embedder object; an equal copy does not count."""
+    featurizer = getattr(pair_classifier, "featurizer", None)
+    if featurizer is None or featurizer.embedder is not embedder:
+        return contextlib.nullcontext()
+    return featurizer.reusing(text_vectors)
 
 
 def classify_pairs(

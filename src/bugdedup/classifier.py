@@ -16,16 +16,20 @@ classifications, so no backend decides or counts on its own.
 The remote service backend lives in ``remote``. The pair featurizer
 embeds each report's whole text, title and description once and keeps
 the vectors for every later pair; those embeddings are its own business
-and are deliberately not ledgered as embedding calls.
+and are deliberately not ledgered as embedding calls. When the cascade
+runner embedded the whole texts with the featurizer's own embedder (the
+same object), it hands those vectors over (``PairFeaturizer.reusing``),
+and the featurizer embeds only titles and descriptions.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -42,6 +46,14 @@ class FeatureError(ValueError):
 
 
 FEATURE_COUNT = 5
+
+# ``feature_matrix`` and ``cosine_all_batch`` gather the vectors of at most
+# this many pairs at a time, which bounds their memory for any batch size.
+_CHUNK_PAIRS = 256
+
+
+def _chunks(n: int) -> Iterator[slice]:
+    return (slice(i, i + _CHUNK_PAIRS) for i in range(0, n, _CHUNK_PAIRS))
 
 
 def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -69,11 +81,12 @@ class PairFeaturizer:
     """Builds pair features from per-report vectors, each embedded once.
 
     ``warm`` embeds the whole text, title and description of every report
-    not seen before, in three batched calls, and stores them as rows of
-    one array with their norms and token sets. ``feature_matrix`` gathers
-    the rows of a batch of pairs by index. Norms and dot products are
-    summed exactly as ``np.linalg.norm`` and ``u @ v`` sum a single pair,
-    so a feature does not depend on the batch it was computed in.
+    not seen before, in one batched call per field, and stores them as
+    rows of one array with their norms and token sets. ``feature_matrix``
+    gathers the rows of a batch of pairs by index, one field and
+    ``_CHUNK_PAIRS`` pairs at a time. Norms and dot products are summed
+    exactly as ``np.linalg.norm`` and ``u @ v`` sum a single pair, so a
+    feature does not depend on the batch it was computed in.
     """
 
     def __init__(self, embedder):
@@ -82,36 +95,63 @@ class PairFeaturizer:
         self._tokens: list[frozenset[str]] = []
         self._vectors = np.zeros((len(_FIELDS), 0, 0))  # field, row, dim
         self._norms = np.zeros((len(_FIELDS), 0))
+        self._given: Mapping[str, np.ndarray] = {}
+
+    @contextmanager
+    def reusing(self, text_vectors: Mapping[str, np.ndarray]) -> Iterator[None]:
+        """Inside the block, ``warm`` takes a report's whole-text vector from
+        ``text_vectors`` (by bug id) instead of embedding the text again.
+
+        The vectors must come from ``self.embedder``. A ``TfidfHashEmbedder``
+        builds and normalises each row on its own, so a reused row equals
+        the one ``warm`` would embed, bit for bit.
+        """
+        self._given = text_vectors
+        try:
+            yield
+        finally:
+            self._given = {}
 
     def warm(self, reports: Sequence[BugReport]) -> None:
-        """Embed the reports not seen before, each once, in three batched calls."""
+        """Embed the reports not seen before, each once, one batched call per field."""
         missing = list({r.bug_id: r for r in reports if r.bug_id not in self._row}.values())
         if not missing:
             return
-        vectors = np.stack(
-            [
-                np.asarray(
-                    self.embedder.embed_texts([getattr(r, name) for r in missing]),
-                    dtype=np.float64,
-                )
-                for name in _FIELDS
-            ]
-        )
-        used, added = len(self._tokens), len(missing)
-        if used + added > self._vectors.shape[1]:
-            size = max(used + added, 2 * used)  # doubling keeps appends amortised O(1)
-            grown = np.zeros((len(_FIELDS), size, vectors.shape[2]))
-            norms = np.zeros((len(_FIELDS), size))
-            if used:
-                grown[:, :used] = self._vectors[:, :used]
-                norms[:, :used] = self._norms[:, :used]
-            self._vectors, self._norms = grown, norms
-        self._vectors[:, used : used + added] = vectors
-        for f in range(len(_FIELDS)):
-            self._norms[f, used : used + added] = np.sqrt(_row_dots(vectors[f], vectors[f]))
+        used, end = len(self._tokens), len(self._tokens) + len(missing)
+        for f, name in enumerate(_FIELDS):
+            if f == 0:
+                vectors = self._text_vectors(missing)
+                self._reserve(end, vectors.shape[1])
+            else:
+                texts = [getattr(r, name) for r in missing]
+                vectors = np.asarray(self.embedder.embed_texts(texts), dtype=np.float64)
+            self._vectors[f, used:end] = vectors
+            self._norms[f, used:end] = np.sqrt(_row_dots(vectors, vectors))
         for i, r in enumerate(missing):
             self._row[r.bug_id] = used + i
             self._tokens.append(frozenset(r.clean_text.split()))
+
+    def _text_vectors(self, reports: Sequence[BugReport]) -> np.ndarray:
+        """Whole-text vectors: those handed over by ``reusing``, the rest embedded."""
+        vectors = [self._given.get(r.bug_id) for r in reports]
+        todo = [r.clean_text for r, v in zip(reports, vectors) if v is None]
+        if todo:
+            fresh = iter(self.embedder.embed_texts(todo))
+            vectors = [next(fresh) if v is None else v for v in vectors]
+        return np.asarray(vectors, dtype=np.float64)
+
+    def _reserve(self, rows: int, dim: int) -> None:
+        """Room for ``rows`` rows in the vector store, kept rows copied over."""
+        used = len(self._tokens)
+        if rows <= self._vectors.shape[1]:
+            return
+        size = max(rows, 2 * used)  # doubling keeps appends amortised O(1)
+        grown = np.zeros((len(_FIELDS), size, dim))
+        norms = np.zeros((len(_FIELDS), size))
+        if used:
+            grown[:, :used] = self._vectors[:, :used]
+            norms[:, :used] = self._norms[:, :used]
+        self._vectors, self._norms = grown, norms
 
     def _rows(self, pairs: Sequence[tuple[BugReport, BugReport]]) -> tuple[np.ndarray, np.ndarray]:
         self.warm([r for pair in pairs for r in pair])
@@ -126,13 +166,15 @@ class PairFeaturizer:
             if not a.clean_text and not b.clean_text:
                 raise FeatureError(f"both reports empty after cleaning: {a.bug_id}, {b.bug_id}")
         left, right = self._rows(pairs)
-        u, v = self._vectors[:, left], self._vectors[:, right]
-        nu, nv = self._norms[:, left], self._norms[:, right]
         x = np.empty((len(pairs), FEATURE_COUNT))
-        for f in range(len(_FIELDS)):
-            x[:, f] = _cosines(u[f], v[f], nu[f], nv[f])
-        diff = u[0] - v[0]
-        x[:, 3] = np.sqrt(_row_dots(diff, diff))
+        for chunk in _chunks(len(pairs)):
+            l, r = left[chunk], right[chunk]
+            for f in range(len(_FIELDS)):
+                u, v = self._vectors[f, l], self._vectors[f, r]
+                x[chunk, f] = _cosines(u, v, self._norms[f, l], self._norms[f, r])
+                if f == 0:
+                    diff = u - v
+                    x[chunk, 3] = np.sqrt(_row_dots(diff, diff))
         tokens = self._tokens
         x[:, 4] = [_jaccard(tokens[i], tokens[j]) for i, j in zip(left.tolist(), right.tolist())]
         if not np.isfinite(x).all():
@@ -146,7 +188,11 @@ class PairFeaturizer:
         """Whole-text cosine for many pairs at once, as ``feature_matrix`` computes it."""
         left, right = self._rows(pairs)
         vectors, norms = self._vectors[0], self._norms[0]
-        return _cosines(vectors[left], vectors[right], norms[left], norms[right])
+        out = np.empty(len(pairs))
+        for chunk in _chunks(len(pairs)):
+            l, r = left[chunk], right[chunk]
+            out[chunk] = _cosines(vectors[l], vectors[r], norms[l], norms[r])
+        return out
 
 
 def ce_loss(y: int, p: float) -> float:
@@ -204,8 +250,17 @@ class LogisticPairModel:
             raise ValueError(f"threshold must lie in (0,1), got {self.threshold}")
 
     def predict_proba(self, feature_matrix: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(feature_matrix)
-        z = x @ self.weights[:-1] + self.weights[-1]
+        """One probability per row; a row's bits do not depend on its batch.
+
+        numpy computes ``x @ w`` for two or more contiguous rows with a
+        matrix-vector product, whose rows do not depend on each other, but
+        for one row with a dot product, and for strided rows with its own
+        loop, both of which sum in another order. Rows are therefore made
+        contiguous, and a lone row is scored as a two-row product.
+        """
+        x = np.ascontiguousarray(np.atleast_2d(feature_matrix), dtype=np.float64)
+        rows = np.repeat(x, 2, axis=0) if len(x) == 1 else x
+        z = (rows @ self.weights[:-1])[: len(x)] + self.weights[-1]
         return _sigmoid(z)
 
 

@@ -154,7 +154,14 @@ def _make_classifier(args, corpus, clusters, manifest, backends: contextlib.Exit
     featurizer = classifier_mod.PairFeaturizer(base)
     if args.classifier_backend == "similarity":
         return classifier_mod.SimilarityClassifier(featurizer, args.sim_threshold)
-    model = classifier_mod.load_classifier(_require_file(args.model, "--model"))
+    model_path = _require_file(args.model, "--model")
+    trained_dim = json.loads(model_path.read_text(encoding="utf-8")).get("cli", {}).get("dim")
+    if trained_dim is not None and trained_dim != args.dim:
+        raise UsageError(
+            f"--model was trained on features at --dim {trained_dim}, "
+            f"but this run embeds them at --dim {args.dim}"
+        )
+    model = classifier_mod.load_classifier(model_path)
     return classifier_mod.LogisticClassifier(model, featurizer)
 
 

@@ -23,8 +23,9 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_CSV_COLUMNS = ("bug_id", "title", "description", "dup_of")
 
-_ASCII_TOKEN = re.compile(r"[a-z0-9]+")
-_PUNCT_TOKENS = frozenset({".", ","})
+# A run of letters and digits (the characters where ``str.isalnum`` is
+# true), or one kept punctuation mark.
+_TOKEN = re.compile(r"[^\W_]+|[.,]")
 
 
 class IngestError(ValueError):
@@ -47,22 +48,10 @@ def clean(text: str) -> str:
     Total and idempotent: the output alphabet is a-z, 0-9, space, '.'
     and ',', and cleaning an already-clean string is a no-op.
     """
-    buf: list[str] = []
-    for ch in text.lower():
-        if ch in _PUNCT_TOKENS:
-            buf.append(f" {ch} ")
-        elif ch.isalnum():
-            buf.append(ch)
-        else:
-            # whitespace stays a separator; disallowed chars become one
-            buf.append(" ")
-    kept = []
-    for tok in "".join(buf).split():
-        if tok in _PUNCT_TOKENS:
-            kept.append(tok)
-        elif _ASCII_TOKEN.fullmatch(tok) and tok not in STOP_WORDS:
-            kept.append(tok)
-    return " ".join(kept)
+    # '.' and ',' are ASCII and no stopword, so they pass the word test too.
+    return " ".join(
+        [tok for tok in _TOKEN.findall(text.lower()) if tok.isascii() and tok not in STOP_WORDS]
+    )
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ vector at a time with ``np.linalg.norm`` for the same reason;
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -52,6 +53,23 @@ _BLOCK_ELEMENTS = 1 << 16
 _BLOCK_ALIGN = 64
 # A search scores at most this many (query, row) pairs at a time.
 _CHUNK_SCORES = 1 << 20
+# The index matrix starts on a boundary of this many bytes. Where an array
+# starts is otherwise up to the allocator's history: with the matrix 16
+# bytes off a 32-byte boundary, a 638-row scan took about 113 ms against
+# 95 ms aligned (OpenBLAS 0.3.31, AVX-512, one thread). The product's bits
+# do not depend on the alignment.
+_MATRIX_ALIGN_BYTES = 64
+
+
+def _aligned_rows(matrix: np.ndarray, order: Sequence[int]) -> np.ndarray:
+    """``matrix[order]`` as a C-contiguous float64 array whose data starts
+    on a ``_MATRIX_ALIGN_BYTES`` boundary."""
+    shape = (len(order), *matrix.shape[1:])
+    size = math.prod(shape)
+    flat = np.empty(size + _MATRIX_ALIGN_BYTES // 8)
+    skip = (-flat.ctypes.data % _MATRIX_ALIGN_BYTES) // 8
+    out = flat[skip : skip + size].reshape(shape)
+    return np.take(np.asarray(matrix, dtype=np.float64), order, axis=0, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,7 +87,7 @@ class VectorIndex:
         if matrix.shape[0] != len(ids):
             raise ValueError(f"{len(ids)} ids but {matrix.shape[0]} vectors")
         order = sorted(range(len(ids)), key=lambda i: ids[i])
-        ordered = np.ascontiguousarray(matrix[order], dtype=np.float64)
+        ordered = _aligned_rows(matrix, order)
         return cls(
             ids=tuple(ids[i] for i in order),
             matrix=ordered,

@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import re
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
+from bugdedup.cascade import classify_pairs, run_partition
 from bugdedup.corpus import Corpus, clean
 from bugdedup.dup_graph import ClusterSet, build_clusters
 from bugdedup.embedder import TfidfHashEmbedder
 from bugdedup.metrics import ConfusionMatrix, MetricRow, classification_metrics
 from bugdedup.splitter import SplitManifest, build_manifest
+from bugdedup.stopwords import STOP_WORDS
 from bugdedup.synth import SynthConfig, synth_corpus
 
 
@@ -47,6 +51,44 @@ def resolve_pairs(corpus, labeled_pairs):
     return [(corpus.by_id[p.bug_a], corpus.by_id[p.bug_b], p.duplicate) for p in labeled_pairs]
 
 
+class CountingEmbedder:
+    """Records every text each ``embed_texts`` call receives. Two of them
+    around the same embedder compare equal but are distinct objects."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls: list[list[str]] = []
+
+    def __eq__(self, other):
+        return isinstance(other, CountingEmbedder) and other.inner == self.inner
+
+    def embed_texts(self, texts):
+        self.calls.append(list(texts))
+        return self.inner.embed_texts(texts)
+
+
+def reference_clean(text: str) -> str:
+    """``corpus.clean`` as a loop over characters: lowercase, split off '.'
+    and ',', turn every other character that is not alphanumeric into a
+    space, then keep punctuation and the ASCII word tokens that are not
+    stopwords. The regex version must equal this for every string."""
+    buf: list[str] = []
+    for ch in text.lower():
+        if ch in ".,":
+            buf.append(f" {ch} ")
+        elif ch.isalnum():
+            buf.append(ch)
+        else:
+            buf.append(" ")
+    kept = []
+    for tok in "".join(buf).split():
+        if tok in ".,":
+            kept.append(tok)
+        elif re.fullmatch(r"[a-z0-9]+", tok) and tok not in STOP_WORDS:
+            kept.append(tok)
+    return " ".join(kept)
+
+
 def reference_pair_features(embedder, a, b) -> list[float]:
     """The five pair features of one pair by the per-pair formulas: each
     field cleaned from the raw text, embedded, and compared with 1-D
@@ -74,6 +116,32 @@ def reference_pair_features(embedder, a, b) -> list[float]:
         float(np.linalg.norm(va[0] - vb[0])),
         len(ta & tb) / union if union else 0.0,
     ]
+
+
+def reference_cascade(
+    queries, database, cluster_set, embedder, pair_classifier, k,
+    exclude_self=False, dedup_pairs=False,
+):
+    """The cascade with one ``classify_pairs`` batch per query, in query-id
+    order, and one pair cache shared by the queries. Retrieval is the
+    library's; the featurizer embeds every text itself. ``run_partition``
+    scores the whole partition in one batch and must equal this exactly,
+    records and ledger."""
+    records, ledger = run_partition(
+        queries, database, cluster_set, embedder, None, "retrieval_only", k,
+        exclude_self=exclude_self,
+    )
+    by_id = {r.bug_id: r for r in [*queries, *database]}
+    cache = {} if dedup_pairs else None
+    out = []
+    for record in records:
+        pairs = [(by_id[record.query], by_id[b]) for b, _, _ in record.candidates]
+        verdicts = classify_pairs(pair_classifier, pairs, ledger, cache)
+        candidates = tuple(
+            (b, s, dup) for (b, s, _), (_, dup) in zip(record.candidates, verdicts)
+        )
+        out.append(dataclasses.replace(record, candidates=candidates))
+    return out, ledger
 
 
 def reference_curves(outcomes, k_list) -> list[MetricRow]:

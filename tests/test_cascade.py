@@ -32,7 +32,14 @@ from bugdedup.classifier import (
 from bugdedup.ledger import CostLedger
 from bugdedup.remote import RemoteClassifier, RemoteConfig
 
-from helpers import classify_reply, fit_train_embedder, planted_pipeline, reports_of
+from helpers import (
+    CountingEmbedder,
+    classify_reply,
+    fit_train_embedder,
+    planted_pipeline,
+    reference_cascade,
+    reports_of,
+)
 
 
 def _partition_setup(corpus, clusters, manifest, n, m):
@@ -316,6 +323,127 @@ def test_all_vs_all_dedup_halves_classifications(setup):
         k=1, exclude_self=True, dedup_pairs=False,
     )
     assert full.pair_classifications == 12 * 11
+
+
+_WEIGHTS = np.array([2.0, 1.0, 0.5, -1.0, 3.0, -1.5])
+
+
+class _Recording:
+    """A pair scorer that records its batches and each pair's probability;
+    every other attribute (``threshold``, ``featurizer``) is the inner one's."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.batches: list[int] = []
+        self.scores: dict[tuple[str, str], float] = {}
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def classify_batch(self, pairs):
+        probs = self.inner.classify_batch(pairs)
+        self.batches.append(len(pairs))
+        self.scores.update(((a.bug_id, b.bug_id), p) for (a, b), p in zip(pairs, probs.tolist()))
+        return probs
+
+
+def _mode_partition(setup, mode):
+    corpus, clusters, manifest, _, _, _ = setup
+    if mode == "one_vs_all":
+        queries, database = _partition_setup(corpus, clusters, manifest, n=10, m=40)
+        return queries, database, False
+    pool = reports_of(corpus, manifest.bugs_in(clusters, "test"))[:30]
+    return pool, pool, True
+
+
+def _fresh_scorer(name, setup, stub_service, embedder):
+    """A new backend with a threshold inside its range of probabilities."""
+    if name == "logistic":
+        model = LogisticPairModel(_WEIGHTS, threshold=0.3)
+        return _Recording(LogisticClassifier(model, PairFeaturizer(embedder)))
+    backend = _backend(name, setup, stub_service)
+    _set_threshold(backend, 0.75)
+    return _Recording(backend)
+
+
+@pytest.mark.parametrize("name", ["logistic", "remote"])
+@pytest.mark.parametrize("dedup", [False, True])
+@pytest.mark.parametrize("mode", ["one_vs_all", "all_vs_all"])
+@pytest.mark.parametrize("k", [1, 7])
+def test_cascade_equals_one_batch_per_query(setup, stub_service, name, dedup, mode, k):
+    _, clusters, _, embedder, _, _ = setup
+    queries, database, exclude_self = _mode_partition(setup, mode)
+    want_scorer = _fresh_scorer(name, setup, stub_service, embedder)
+    want, want_ledger = reference_cascade(
+        queries, database, clusters, embedder, want_scorer, k, exclude_self, dedup
+    )
+    got_scorer = _fresh_scorer(name, setup, stub_service, embedder)
+    got, got_ledger = run_partition(
+        queries, database, clusters, embedder, got_scorer, "cascade", k,
+        exclude_self=exclude_self, dedup_pairs=dedup,
+    )
+    assert got == want
+    counters = ("embed_calls", "pair_classifications", "similarity_ops")
+    assert [getattr(got_ledger, c) for c in counters] == [getattr(want_ledger, c) for c in counters]
+    assert got_scorer.scores == want_scorer.scores
+    assert len(got_scorer.batches) == 1
+    kept = [kept for r in got for _, _, kept in r.candidates]
+    assert any(kept) and not all(kept)
+
+
+@pytest.mark.parametrize("method", ["cascade", "classification_only"])
+def test_cascade_scores_a_partition_in_one_batch(setup, method):
+    corpus, clusters, manifest, embedder, _, oracle = setup
+    one = ScenarioConfig(mode="one_vs_all", method=method, k=5, seed=3)
+    every = ScenarioConfig(mode="all_vs_all", method=method, k=5, seed=3)
+    for config, runner in ((one, run_one_vs_all), (every, run_all_vs_all)):
+        scorer = _Recording(oracle)
+        result = runner(config, manifest, clusters, corpus, embedder, scorer)
+        if method == "cascade":
+            assert scorer.batches == [result.ledger["pair_classifications"]]
+        else:  # classification alone keeps one batch per query
+            assert len(scorer.batches) == result.n_queries
+            assert sum(scorer.batches) == result.ledger["pair_classifications"]
+
+
+def _embedded_by_featurizer(records, reports):
+    """The reports of a run's pairs, in the order the featurizer first sees them."""
+    by_id = {r.bug_id: r for r in reports}
+    ids = (
+        bug_id
+        for record in records
+        for candidate, _, _ in record.candidates
+        for bug_id in (record.query, candidate)
+    )
+    return [by_id[bug_id] for bug_id in dict.fromkeys(ids)]
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_runner_hands_its_text_vectors_to_the_same_embedder(setup, shared):
+    _, clusters, _, embedder, _, _ = setup
+    queries, database, _ = _mode_partition(setup, "one_vs_all")
+    runner_side = CountingEmbedder(embedder)
+    # an equal but distinct embedder gets nothing: identity is the test
+    featurizer_side = runner_side if shared else CountingEmbedder(embedder)
+    assert featurizer_side == runner_side
+    model = LogisticPairModel(_WEIGHTS, threshold=0.3)
+    scorer = LogisticClassifier(model, PairFeaturizer(featurizer_side))
+    records, _ = run_partition(queries, database, clusters, runner_side, scorer, "cascade", k=6)
+    everyone = sorted([*queries, *database], key=lambda r: r.bug_id)
+    paired = _embedded_by_featurizer(records, everyone)
+    titles = [r.clean_title for r in paired]
+    descriptions = [r.clean_description for r in paired]
+    if shared:
+        # each whole text embedded once, by the runner; then titles and descriptions
+        assert runner_side.calls == [[r.clean_text for r in everyone], titles, descriptions]
+    else:
+        assert runner_side.calls == [[r.clean_text for r in everyone]]
+        assert featurizer_side.calls == [[r.clean_text for r in paired], titles, descriptions]
+    want, _ = reference_cascade(
+        queries, database, clusters, embedder,
+        LogisticClassifier(model, PairFeaturizer(embedder)), k=6,
+    )
+    assert records == want
 
 
 def test_one_vs_all_partition_shape(setup):

@@ -31,7 +31,7 @@ from bugdedup.dup_graph import build_clusters
 from bugdedup.embedder import TfidfHashEmbedder
 from bugdedup.ledger import CostLedger
 
-from helpers import reference_pair_features
+from helpers import CountingEmbedder, reference_pair_features
 
 
 def _report(bug_id, title, description, dup_of=None):
@@ -130,21 +130,9 @@ def test_cosine_all_batch_matches_loop():
     assert batch.tolist() == single
 
 
-class _CountingEmbedder:
-    """Records every text each ``embed_texts`` call receives."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.calls: list[list[str]] = []
-
-    def embed_texts(self, texts):
-        self.calls.append(list(texts))
-        return self.inner.embed_texts(texts)
-
-
 def test_warm_embeds_each_report_once_per_field():
     reports = [_report(f"b{i}", f"title{i} crash", f"body{i} heap") for i in range(4)]
-    counting = _CountingEmbedder(_embedder(*reports))
+    counting = CountingEmbedder(_embedder(*reports))
     featurizer = PairFeaturizer(counting)
     featurizer.warm([reports[0], reports[1], reports[0], reports[2], reports[1]])
     assert counting.calls == [
@@ -162,6 +150,32 @@ def test_warm_embeds_each_report_once_per_field():
     featurizer.warm(reports)
     featurizer.feature_matrix([(reports[1], reports[3])])
     assert len(counting.calls) == 6
+
+
+def test_reused_text_vectors_give_the_same_features(corpus):
+    reports, extra = list(corpus.reports[:60]), corpus.reports[60]
+    embedder = TfidfHashEmbedder.fit([r.clean_text for r in reports[20:]], dim=128)
+    # more pairs than one gather chunk holds, so the chunked path runs too
+    pairs = [(a, b) for a in reports[:30] for b in reports[::4] if a is not b]
+    assert len(pairs) > classifier._CHUNK_PAIRS
+    counting = CountingEmbedder(embedder)
+    reusing = PairFeaturizer(counting)
+    handed = [*reports, extra]
+    vectors = embedder.embed_texts([r.clean_text for r in handed])
+    with reusing.reusing({r.bug_id: v for r, v in zip(handed, vectors)}):
+        x = reusing.feature_matrix(pairs)
+    # only titles and descriptions were embedded, each report once
+    seen = list({r.bug_id: r for pair in pairs for r in pair}.values())
+    assert counting.calls == [
+        [r.clean_title for r in seen],
+        [r.clean_description for r in seen],
+    ]
+    fresh = PairFeaturizer(embedder)
+    assert x.tobytes() == fresh.feature_matrix(pairs).tobytes()
+    assert reusing.cosine_all_batch(pairs).tobytes() == fresh.cosine_all_batch(pairs).tobytes()
+    # after the block nothing handed over is used: extra embeds its whole text
+    reusing.feature_matrix([(extra, reports[0])])
+    assert counting.calls[2:] == [[extra.clean_text], [extra.clean_title], [extra.clean_description]]
 
 
 def test_feature_matrix_rows_equal_per_pair_formulas(corpus):
@@ -306,6 +320,20 @@ def test_logistic_classifier_batch_matches_single():
     singles = [clf.classify_batch([pair])[0] for pair in report_pairs]
     assert batch.tolist() == singles
     assert clf.threshold == model.threshold
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=2, max_value=600), st.integers(min_value=0, max_value=2**32 - 1))
+def test_logistic_probability_does_not_depend_on_its_batch(n, seed):
+    rng = np.random.default_rng(seed)
+    model = LogisticPairModel(weights=rng.normal(size=FEATURE_COUNT + 1))
+    x = rng.normal(size=(n, FEATURE_COUNT)) * rng.uniform(0.1, 10.0)
+    batch = model.predict_proba(x)
+    # alone, in batches of two, and at the mirrored position of a strided view
+    assert [model.predict_proba(x[i : i + 1])[0] for i in range(n)] == batch.tolist()
+    pairs = np.concatenate([model.predict_proba(x[i : i + 2]) for i in range(0, n, 2)])
+    assert pairs.tobytes() == batch.tobytes()
+    assert model.predict_proba(x[::-1])[::-1].tobytes() == batch.tobytes()
 
 
 def test_classifiers_count_ledger():

@@ -209,6 +209,25 @@ def test_run_cascade_shares_the_tfidf_embedder(
     assert len(calls) == fits
 
 
+def test_run_cascade_refuses_a_model_trained_at_another_dim(workdir, tmp_path, capsys):
+    # classifier.json was trained with --dim 128; this run embeds at the default 1024
+    run = [
+        "run-cascade", *_pipeline_flags(workdir),
+        "--mode", "one-vs-all", "--method", "cascade", "--k", "5", "--seed", "1",
+        "--classifier-backend", "logistic", "--out", str(tmp_path / "scenario.json"),
+    ]
+    err = _run_fail(capsys, 2, *run, "--model", str(workdir / "classifier.json"))
+    assert err["error"] == "UsageError"
+    assert "--dim 128" in err["message"] and f"--dim {embedder_mod.DEFAULT_DIM}" in err["message"]
+    assert not (tmp_path / "scenario.json").exists()
+    # a model file without the echo carries no dim to check, and loads as before
+    payload = json.loads((workdir / "classifier.json").read_text())
+    del payload["cli"]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(payload))
+    _run(capsys, *run, "--model", str(bare))
+
+
 def test_report_rejects_conflicting_scenarios(workdir, tmp_path, capsys):
     paths = []
     for seed in ("1", "2"):

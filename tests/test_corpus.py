@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bugdedup.corpus import (
@@ -18,6 +18,8 @@ from bugdedup.corpus import (
     ingest,
     write_jsonl,
 )
+
+from helpers import reference_clean
 
 _ALLOWED_CHARS = set("abcdefghijklmnopqrstuvwxyz0123456789 .,")
 
@@ -55,6 +57,16 @@ def test_clean_idempotent(text):
 @given(st.text(max_size=200))
 def test_clean_output_alphabet(text):
     assert set(clean(text)) <= _ALLOWED_CHARS
+
+
+# The example holds a letter that lowers to two code points, a titlecase
+# digraph, a ligature, Roman and superscript numerals, the underscore,
+# fullwidth letters and Arabic-Indic digits.
+@settings(max_examples=500, deadline=None)
+@given(st.text(max_size=300))
+@example("İstanbul ǅ ﬁle Ⅻ x² snake_case ＡＢＣ ١٢٣ a.b,c")
+def test_clean_equals_the_character_loop(text):
+    assert clean(text) == reference_clean(text)
 
 
 def test_report_derives_clean_text():

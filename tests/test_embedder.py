@@ -144,6 +144,30 @@ def test_tfidf_memo_does_not_change_bits():
         assert fresh == warm
 
 
+_BATCH_WORDS = [f"w{i}" for i in range(12)] + ["unseen", "other"]
+# At dim 4 tokens with different weights share buckets; 1024 is the default.
+_BATCH_EMBEDDERS = {
+    dim: TfidfHashEmbedder.fit([" ".join(_BATCH_WORDS[:n]) for n in (3, 6, 9)], dim=dim)
+    for dim in (4, 1024)
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(sorted(_BATCH_EMBEDDERS)),
+    st.lists(
+        st.lists(st.sampled_from(_BATCH_WORDS), max_size=15).map(" ".join),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_tfidf_row_does_not_depend_on_its_batch(dim, texts):
+    embedder = _BATCH_EMBEDDERS[dim]
+    batch = embedder.embed_texts(texts)
+    for i, text in enumerate(texts):
+        assert embedder.embed_texts([text])[0].tobytes() == batch[i].tobytes()
+
+
 def _retrieval_cosine(u, v) -> float:
     """Cosine of two vectors as retrieval scores it: ``u`` queries ``v`` as a one-row index."""
     index = VectorIndex.from_vectors(["v"], np.array([v], dtype=np.float64))

@@ -31,6 +31,33 @@ def test_index_sorts_ids():
     assert len(idx) == 3
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_index_matrix_starts_on_a_cache_line(dtype):
+    rng = np.random.default_rng(4)
+    ids = [f"b{i}" for i in rng.permutation(300)]
+    matrix = rng.normal(size=(300, 48)).astype(dtype)
+    idx = VectorIndex.from_vectors(ids, matrix)
+    assert idx.matrix.ctypes.data % retrieval._MATRIX_ALIGN_BYTES == 0
+    assert idx.matrix.dtype == np.float64 and idx.matrix.flags.c_contiguous
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    assert idx.matrix.tobytes() == matrix[order].astype(np.float64).tobytes()
+
+
+def test_search_scores_do_not_depend_on_the_matrix_address():
+    rng = np.random.default_rng(5)
+    idx = VectorIndex.from_vectors([f"b{i:03d}" for i in range(200)], rng.normal(size=(200, 100)))
+    queries = rng.normal(size=(30, 100))
+    want = search(idx, queries, 200)
+    for offset in range(8, 64, 8):
+        flat = np.empty(idx.matrix.size + 16)
+        start = (offset - flat.ctypes.data % 64) % 64 // 8
+        moved = flat[start : start + idx.matrix.size].reshape(idx.matrix.shape)
+        moved[...] = idx.matrix
+        assert moved.ctypes.data % 64 == offset
+        shifted = VectorIndex(ids=idx.ids, matrix=moved, norms=idx.norms)
+        assert search(shifted, queries, 200) == want
+
+
 def test_index_rejects_duplicate_ids():
     with pytest.raises(ValueError, match="duplicate bug ids"):
         VectorIndex.from_vectors(["a", "a"], np.zeros((2, 2)))

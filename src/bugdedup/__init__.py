@@ -20,7 +20,6 @@ from .classifier import (
     OracleClassifier,
     PairFeaturizer,
     SimilarityClassifier,
-    ce_loss,
     train_classifier,
 )
 from .corpus import BugReport, Corpus, build_corpus, clean, corpus_stats, ingest
@@ -31,11 +30,10 @@ from .embedder import (
     TfidfHashEmbedder,
     TrainConfig,
     train_projection,
-    triplet_loss,
 )
 from .ledger import CostLedger
 from .metrics import ConfusionMatrix, MetricRow, aggregate_curves, classification_metrics
-from .retrieval import VectorIndex, build_index, search, top_k
+from .retrieval import VectorIndex, search, top_k
 from .splitter import SplitManifest, build_manifest, count_dup_pairs, split_clusters
 from .synth import SynthConfig, synth_corpus
 
@@ -65,9 +63,7 @@ __all__ = [
     "aggregate_curves",
     "build_clusters",
     "build_corpus",
-    "build_index",
     "build_manifest",
-    "ce_loss",
     "classification_metrics",
     "clean",
     "corpus_stats",
@@ -84,5 +80,4 @@ __all__ = [
     "top_k",
     "train_classifier",
     "train_projection",
-    "triplet_loss",
 ]

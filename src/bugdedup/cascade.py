@@ -18,9 +18,9 @@ n*k pairs to the classifier as one batch per partition.
 from __future__ import annotations
 
 import contextlib
-import copy
+import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -29,7 +29,7 @@ import numpy as np
 from .corpus import BugReport, Corpus
 from .dup_graph import ClusterSet
 from .ledger import CostLedger
-from .metrics import MetricRow, QueryOutcome, aggregate_curves, classification_metrics
+from .metrics import MetricRow, QueryOutcome, aggregate_curves, exhaustive_row, report_row
 from .retrieval import VectorIndex, search
 from .seeding import substream_rng
 from .splitter import SplitManifest
@@ -68,16 +68,7 @@ class ScenarioConfig:
             raise ScenarioError("query_fraction must lie in (0,1) for one_vs_all")
 
     def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "method": self.method,
-            "k": self.k,
-            "query_fraction": self.query_fraction,
-            "seed": self.seed,
-            "include_independents": self.include_independents,
-            "dedup_pairs": self.dedup_pairs,
-            "max_k": self.max_k,
-        }
+        return asdict(self)
 
 
 def predict_cost(method: str, n: int, m: int, k: int | None = None) -> dict[str, int]:
@@ -240,35 +231,23 @@ def run_partition(
         )
         ranked_of = {r.query: r.ranked for r in found}
 
-    records: list[QueryRecord] = []
     if method == "retrieval_only":
-        for q in queries:
-            db_size = len(database) - (1 if exclude_self and q.bug_id in db_by_id else 0)
-            records.append(
-                QueryRecord(
-                    query=q.bug_id,
-                    candidates=tuple((b, s, True) for b, s in ranked_of[q.bug_id]),
-                    relevant=relevant_of[q.bug_id],
-                    db_size=db_size,
-                )
+        verdicts = itertools.repeat((None, True))
+    else:
+        with ledger.phase("classify"), _reusing(pair_classifier, embedder, vec_of):
+            pairs = [(q, db_by_id[b]) for q in queries for b, _ in ranked_of[q.bug_id]]
+            verdicts = iter(
+                classify_pairs(pair_classifier, pairs, ledger, {} if dedup_pairs else None)
             )
-        return records, ledger
-
-    with ledger.phase("classify"), _reusing(pair_classifier, embedder, vec_of):
-        pairs = [(q, db_by_id[b]) for q in queries for b, _ in ranked_of[q.bug_id]]
-        verdicts = iter(
-            classify_pairs(pair_classifier, pairs, ledger, {} if dedup_pairs else None)
+    records = [
+        QueryRecord(
+            query=q.bug_id,
+            candidates=tuple((b, s, next(verdicts)[1]) for b, s in ranked_of[q.bug_id]),
+            relevant=relevant_of[q.bug_id],
+            db_size=len(database) - (1 if exclude_self and q.bug_id in db_by_id else 0),
         )
-        for q in queries:
-            db_size = len(database) - (1 if exclude_self and q.bug_id in db_by_id else 0)
-            records.append(
-                QueryRecord(
-                    query=q.bug_id,
-                    candidates=tuple((b, s, next(verdicts)[1]) for b, s in ranked_of[q.bug_id]),
-                    relevant=relevant_of[q.bug_id],
-                    db_size=db_size,
-                )
-            )
+        for q in queries
+    ]
     return records, ledger
 
 
@@ -344,8 +323,15 @@ def _run_classification_only(
 
 
 def _scenario_pool(
-    config: ScenarioConfig, manifest: SplitManifest, cluster_set: ClusterSet, corpus: Corpus
+    config: ScenarioConfig,
+    mode: str,
+    manifest: SplitManifest,
+    cluster_set: ClusterSet,
+    corpus: Corpus,
 ) -> list[BugReport]:
+    """The test bugs a ``mode`` scenario runs on; at least 2 of them."""
+    if config.mode != mode:
+        raise ScenarioError(f"config.mode is {config.mode!r}")
     clustered = {
         m
         for c in manifest.clusters_in(cluster_set, "test")
@@ -354,6 +340,8 @@ def _scenario_pool(
     pool = set(clustered)
     if config.include_independents:
         pool.update(b for b, s in manifest.independent_assignment.items() if s == "test")
+    if len(pool) < 2:
+        raise ScenarioError(f"test split holds {len(pool)} bugs; need at least 2")
     return [corpus.by_id[b] for b in sorted(pool)]
 
 
@@ -371,11 +359,7 @@ def run_one_vs_all(
     bugs. Queries without any in-database peer stay in the run (they can
     only contribute false positives) and are counted separately.
     """
-    if config.mode != "one_vs_all":
-        raise ScenarioError(f"config.mode is {config.mode!r}")
-    pool = _scenario_pool(config, manifest, cluster_set, corpus)
-    if len(pool) < 2:
-        raise ScenarioError(f"test split holds {len(pool)} bugs; need at least 2")
+    pool = _scenario_pool(config, "one_vs_all", manifest, cluster_set, corpus)
     rng = substream_rng(config.seed, "scenario.partition")
     order = rng.permutation(len(pool))
     n_queries = round(config.query_fraction * len(pool))
@@ -410,11 +394,7 @@ def run_all_vs_all(
     pair_classifier,
 ) -> ScenarioResult:
     """Every test bug queries all the others (self excluded)."""
-    if config.mode != "all_vs_all":
-        raise ScenarioError(f"config.mode is {config.mode!r}")
-    pool = _scenario_pool(config, manifest, cluster_set, corpus)
-    if len(pool) < 2:
-        raise ScenarioError(f"test split holds {len(pool)} bugs; need at least 2")
+    pool = _scenario_pool(config, "all_vs_all", manifest, cluster_set, corpus)
     records, ledger = run_partition(
         pool,
         pool,
@@ -438,7 +418,7 @@ def _build_result(
 ) -> ScenarioResult:
     outcomes = [r.outcome() for r in records]
     if config.method == "classification_only":
-        rows = _classification_rows(outcomes, config.k)
+        rows = [exhaustive_row(outcomes, config.k)]
     else:
         rows = aggregate_curves(outcomes, list(range(1, config.k + 1)))
     snapshot = ledger.snapshot()
@@ -456,41 +436,12 @@ def _build_result(
     )
 
 
-def _classification_rows(outcomes: Sequence[QueryOutcome], k: int) -> list[MetricRow]:
-    """Exhaustive classification ignores k: one row, every decision counted."""
-    total = None
-    recalls: list[float] = []
-    precisions: list[float] = []
-    for o in outcomes:
-        cm = o.confusion_at(len(o.candidates))
-        total = cm if total is None else total + cm
-        if o.relevant:
-            recalls.append(cm.tp / len(o.relevant))
-        denom = cm.tp + cm.fp
-        precisions.append(cm.tp / denom if denom else 0.0)
-    return [
-        replace(
-            classification_metrics(total, k=k),
-            macro_precision=sum(precisions) / len(precisions) if precisions else 0.0,
-            macro_recall=sum(recalls) / len(recalls) if recalls else None,
-        )
-    ]
-
-
 def scenario_to_json(result: ScenarioResult) -> dict:
     """Full scenario artifact: config echo, ledger, metric rows, timings."""
-    rows = []
-    for row in result.metric_rows:
-        payload = row.to_json()
-        payload.update(
-            {
-                "method": result.config.method,
-                "wall_clock_ms": result.timing_ms.get("total", 0.0),
-                "embed_calls": result.ledger["embed_calls"],
-                "pair_classifications": result.ledger["pair_classifications"],
-            }
-        )
-        rows.append(payload)
+    rows = [
+        report_row(row, result.config.method, result.timing_ms.get("total", 0.0), result.ledger)
+        for row in result.metric_rows
+    ]
     return {
         "config": result.config.to_json(),
         "n_queries": result.n_queries,
@@ -515,23 +466,18 @@ def scenario_to_json(result: ScenarioResult) -> dict:
 _TIMING_KEYS = {"wall_clock_ms", "timing_ms", "avg_query_ms", "total", "total_ms"}
 
 
-def _scrub_timings(node):
+def _scrub_timings(node, zero: bool = False):
+    """``node`` in new containers, with every number under a timing key (at
+    any depth of dicts) set to 0.0. Lists are walked outside timing keys only."""
     if isinstance(node, dict):
         return {
-            key: (_zeroed(value) if key in _TIMING_KEYS else _scrub_timings(value))
-            for key, value in node.items()
+            key: _scrub_timings(value, zero or key in _TIMING_KEYS) for key, value in node.items()
         }
-    if isinstance(node, list):
+    if isinstance(node, list) and not zero:
         return [_scrub_timings(item) for item in node]
-    return node
-
-
-def _zeroed(value):
-    if isinstance(value, dict):
-        return {k: _zeroed(v) for k, v in value.items()}
-    if isinstance(value, (int, float)):
+    if zero and isinstance(node, (int, float)):
         return 0.0
-    return value
+    return node
 
 
 def canonical_scenario_bytes(payload: dict) -> bytes:
@@ -541,7 +487,7 @@ def canonical_scenario_bytes(payload: dict) -> bytes:
     between runs, so they are zeroed before comparison; everything else
     must match bit for bit for runs with equal seeds and configs.
     """
-    scrubbed = _scrub_timings(copy.deepcopy(payload))
+    scrubbed = _scrub_timings(payload)
     return (json.dumps(scrubbed, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
 
 

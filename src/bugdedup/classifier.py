@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -195,12 +195,6 @@ class PairFeaturizer:
         return out
 
 
-def ce_loss(y: int, p: float) -> float:
-    """Binary cross-entropy with probability clamped to [1e-12, 1-1e-12]."""
-    p = min(max(p, _CLAMP), 1.0 - _CLAMP)
-    return -(y * math.log(p) + (1 - y) * math.log(1.0 - p))
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     pos = z >= 0
@@ -217,19 +211,6 @@ class ClassifierTrainConfig:
     batch_size: int = 32
     seed: int = 0
     threshold_step: float = 0.01
-
-    def to_json(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "threshold_step": self.threshold_step,
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "ClassifierTrainConfig":
-        return cls(**payload)
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,7 +369,7 @@ def save_classifier(model: LogisticPairModel, path: str | Path, extra: dict | No
     payload = {
         "weights": list(map(float, model.weights)),
         "threshold": model.threshold,
-        "train_config": model.train_config.to_json(),
+        "train_config": asdict(model.train_config),
         "loss_curve": list(model.loss_curve),
     }
     if extra:
@@ -401,6 +382,6 @@ def load_classifier(path: str | Path) -> LogisticPairModel:
     return LogisticPairModel(
         weights=np.array(payload["weights"]),
         threshold=payload["threshold"],
-        train_config=ClassifierTrainConfig.from_json(payload["train_config"]),
+        train_config=ClassifierTrainConfig(**payload["train_config"]),
         loss_curve=tuple(payload["loss_curve"]),
     )

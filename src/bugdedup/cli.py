@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import cascade as cascade_mod
@@ -24,7 +25,6 @@ from . import classifier as classifier_mod
 from . import corpus as corpus_mod
 from . import dup_graph, embedder as embedder_mod, metrics as metrics_mod
 from . import remote as remote_mod
-from . import retrieval as retrieval_mod
 from . import splitter as splitter_mod
 from . import synth as synth_mod
 from .ledger import CostLedger
@@ -72,11 +72,17 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, default=str))
 
 
-def _parse_ratios(text: str) -> tuple[float, float, float]:
-    parts = [float(x) for x in text.split(",")]
-    if len(parts) != 3:
-        raise UsageError(f"--ratios needs three comma-separated fractions, got {text!r}")
-    return (parts[0], parts[1], parts[2])
+def _split_flag(text: str, flag: str, convert=str, count: int | None = None) -> list:
+    """The comma-separated values of ``flag``, each passed through ``convert``.
+    A value that ``convert`` rejects, or a count other than ``count``, is a
+    usage error."""
+    try:
+        values = [convert(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from exc
+    if count is not None and len(values) != count:
+        raise UsageError(f"{flag} needs {count} comma-separated values, got {text!r}")
+    return values
 
 
 def _parse_k_list(text: str) -> list[int]:
@@ -89,18 +95,13 @@ def _parse_k_list(text: str) -> list[int]:
     return ks
 
 
-def _parse_caps(text: str | None) -> dict[str, int | None]:
-    caps: dict[str, int | None] = {s: None for s in splitter_mod.SPLITS}
-    if not text:
-        return caps
-    for part in text.split(","):
-        if "=" not in part:
-            raise UsageError(f"--caps entries look like train=100, got {part!r}")
-        split, value = part.split("=", 1)
-        if split not in splitter_mod.SPLITS:
-            raise UsageError(f"--caps split must be one of {splitter_mod.SPLITS}, got {split!r}")
-        caps[split] = int(value)
-    return caps
+def _cap(entry: str) -> tuple[str, int]:
+    split, sep, value = entry.partition("=")
+    if not sep:
+        raise ValueError(f"entries look like train=100, got {entry!r}")
+    if split not in splitter_mod.SPLITS:
+        raise ValueError(f"split must be one of {splitter_mod.SPLITS}, got {split!r}")
+    return split, int(value)
 
 
 def _load_pipeline(args) -> tuple:
@@ -188,7 +189,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    columns = tuple(args.csv_columns.split(",")) if args.csv_columns else corpus_mod.DEFAULT_CSV_COLUMNS
+    columns = corpus_mod.DEFAULT_CSV_COLUMNS
+    if args.csv_columns:
+        columns = tuple(_split_flag(args.csv_columns, "--csv-columns", count=4))
     corpus = corpus_mod.ingest(
         _require_file(args.infile, "--in"), format=args.format, csv_columns=columns
     )
@@ -214,12 +217,13 @@ def cmd_split(args) -> int:
     clusters = dup_graph.clusters_from_json(
         json.loads(_require_file(args.clusters, "--clusters").read_text(encoding="utf-8"))
     )
+    caps = dict(_split_flag(args.caps, "--caps", _cap)) if args.caps else {}
     manifest = splitter_mod.build_manifest(
         clusters,
-        ratios=_parse_ratios(args.ratios),
+        ratios=tuple(_split_flag(args.ratios, "--ratios", float, count=3)),
         seed=args.seed,
         target_dup_ratio=args.dup_ratio,
-        caps=_parse_caps(args.caps),
+        caps=dict.fromkeys(splitter_mod.SPLITS) | caps,
     )
     splitter_mod.save_manifest(manifest, args.out, extra=_config_echo(args))
     _emit({"out": args.out, "stats": splitter_mod.split_stats(manifest)})
@@ -299,47 +303,29 @@ def cmd_eval_retrieval(args) -> int:
         raise UsageError(f"split {args.split!r} has no retrieval groups")
     with contextlib.ExitStack() as backends:
         emb = _make_embedder(args, corpus, clusters, manifest, backends)
-        split_reports = [corpus.by_id[b] for b in manifest.bugs_in(clusters, args.split)]
-
-        ledger = CostLedger()
         start = time.monotonic()
-        index = retrieval_mod.build_index(emb, split_reports, ledger)
-    row_of = {bug_id: i for i, bug_id in enumerate(index.ids)}
-    query_ids = [group.query for group in groups]
-    found = retrieval_mod.search(
-        index,
-        index.matrix[[row_of[q] for q in query_ids]],
-        max(k_list),
-        excludes=query_ids,
-        ledger=ledger,
-        queries=query_ids,
-    )
-    outcomes = [
-        metrics_mod.QueryOutcome(
-            query=group.query,
-            candidates=ranked.ids(),
-            kept=tuple(True for _ in ranked.ranked),
-            relevant=frozenset(group.relevant),
-            db_size=len(index) - 1,
+        records, ledger = cascade_mod.run_partition(
+            [corpus.by_id[g.query] for g in groups],
+            [corpus.by_id[b] for b in manifest.bugs_in(clusters, args.split)],
+            clusters,
+            emb,
+            None,
+            "retrieval_only",
+            max(k_list),
+            exclude_self=True,
         )
-        for group, ranked in zip(groups, found)
+    # Macro means are summed in query order, so keep the manifest's group order.
+    record_of = {r.query: r for r in records}
+    outcomes = [
+        replace(record_of[g.query].outcome(), relevant=frozenset(g.relevant)) for g in groups
     ]
     rows = metrics_mod.aggregate_curves(outcomes, k_list)
     elapsed_ms = (time.monotonic() - start) * 1000.0
-
-    csv_rows = []
-    for row in rows:
-        payload = row.to_json()
-        payload.update(
-            {
-                "method": f"retrieval_{args.embed_backend}",
-                "wall_clock_ms": elapsed_ms,
-                "embed_calls": ledger.embed_calls,
-                "pair_classifications": ledger.pair_classifications,
-            }
-        )
-        csv_rows.append(payload)
-    metrics_mod.write_metrics_csv(args.out, csv_rows)
+    method = f"retrieval_{args.embed_backend}"
+    snapshot = ledger.snapshot()
+    metrics_mod.write_metrics_csv(
+        args.out, [metrics_mod.report_row(row, method, elapsed_ms, snapshot) for row in rows]
+    )
     _write_sidecar(args.out, _config_echo(args))
     _emit({"out": args.out, "queries": len(outcomes), "k_list": k_list})
     return 0
@@ -362,17 +348,10 @@ def cmd_eval_classification(args) -> int:
     )
     row = metrics_mod.classification_metrics(cm)
     elapsed_ms = (time.monotonic() - start) * 1000.0
-    payload = row.to_json()
-    payload.update(
-        {
-            "method": f"classification_{args.classifier_backend}",
-            "k": "",
-            "wall_clock_ms": elapsed_ms,
-            "embed_calls": ledger.embed_calls,
-            "pair_classifications": ledger.pair_classifications,
-        }
+    method = f"classification_{args.classifier_backend}"
+    metrics_mod.write_metrics_csv(
+        args.out, [metrics_mod.report_row(row, method, elapsed_ms, ledger.snapshot())]
     )
-    metrics_mod.write_metrics_csv(args.out, [payload])
     _write_sidecar(args.out, _config_echo(args))
     _emit({"out": args.out, "pairs": len(pairs), "f1": row.f1, "accuracy": row.accuracy})
     return 0
@@ -437,6 +416,11 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+def _add_data_flags(p: argparse.ArgumentParser) -> None:
+    for flag in ("--corpus", "--clusters", "--manifest"):
+        p.add_argument(flag, required=True)
+
+
 def _add_embed_flags(p: argparse.ArgumentParser, flag: str) -> None:
     p.add_argument(
         flag, dest="embed_backend", choices=("tfidf", "projection", "service"), default="tfidf"
@@ -495,9 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("train-projection", help="fit the triplet-loss projection")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--clusters", required=True)
-    p.add_argument("--manifest", required=True)
+    _add_data_flags(p)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--dim", type=int, default=embedder_mod.DEFAULT_DIM)
     p.add_argument("--dim-out", type=int, default=embedder_mod.DEFAULT_PROJECTION_DIM)
@@ -509,9 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train_projection)
 
     p = sub.add_parser("train-classifier", help="fit the logistic pair classifier")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--clusters", required=True)
-    p.add_argument("--manifest", required=True)
+    _add_data_flags(p)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--dim", type=int, default=embedder_mod.DEFAULT_DIM)
     p.add_argument("--epochs", type=int, default=100)
@@ -522,9 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train_classifier)
 
     p = sub.add_parser("eval-retrieval", help="per-k recall/precision over a split")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--clusters", required=True)
-    p.add_argument("--manifest", required=True)
+    _add_data_flags(p)
     p.add_argument("--split", choices=splitter_mod.SPLITS, default="test")
     p.add_argument("--k-list", default="1,5,10,20,60,100")
     p.add_argument("--dim", type=int, default=embedder_mod.DEFAULT_DIM)
@@ -533,9 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval_retrieval)
 
     p = sub.add_parser("eval-classification", help="pairwise metrics over a split")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--clusters", required=True)
-    p.add_argument("--manifest", required=True)
+    _add_data_flags(p)
     p.add_argument("--split", choices=splitter_mod.SPLITS, default="test")
     p.add_argument("--dim", type=int, default=embedder_mod.DEFAULT_DIM)
     _add_classifier_flags(p, "--backend", with_oracle=False)
@@ -543,9 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval_classification)
 
     p = sub.add_parser("run-cascade", help="run a scenario end to end")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--clusters", required=True)
-    p.add_argument("--manifest", required=True)
+    _add_data_flags(p)
     p.add_argument("--mode", choices=tuple(_MODE_NAMES), required=True)
     p.add_argument("--method", choices=tuple(_METHOD_NAMES), required=True)
     p.add_argument("--k", type=int, default=20)
@@ -572,22 +546,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, FileNotFoundError) as exc:
         _fail_json(exc)
         return 2
-    except FileNotFoundError as exc:
-        _fail_json(exc)
-        return 2
-    except (
-        corpus_mod.IngestError,
-        splitter_mod.SplitError,
-        cascade_mod.ScenarioError,
-        remote_mod.RemoteError,
-        embedder_mod.TrainingError,
-        ValueError,
-        json.JSONDecodeError,
-        KeyError,
-    ) as exc:
+    except (remote_mod.RemoteError, embedder_mod.TrainingError, ValueError, KeyError) as exc:
         _fail_json(exc)
         return 1
 

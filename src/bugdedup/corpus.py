@@ -215,8 +215,10 @@ def _read_csv(path: Path, columns: tuple[str, str, str, str]) -> list[BugReport]
     reports = []
     with path.open(encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or id_col not in reader.fieldnames:
-            raise IngestError(f"{path}: missing required column {id_col!r}")
+        # dup_of may be absent: exports of unlabeled reports have no such column.
+        missing = [c for c in (id_col, title_col, desc_col) if c not in (reader.fieldnames or ())]
+        if missing:
+            raise IngestError(f"{path}: missing required column {', '.join(map(repr, missing))}")
         for lineno, row in enumerate(reader, start=2):
             record = {
                 "bug_id": row.get(id_col),

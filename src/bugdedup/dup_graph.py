@@ -8,6 +8,7 @@ counts as a duplicate pair. Bugs touching no relation are independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .corpus import Corpus
 
@@ -85,13 +86,9 @@ class ClusterSet:
         """Cluster id for a bug, or None for independents/unknown ids."""
         return self._membership.get(bug_id)
 
-    @property
+    @cached_property
     def _membership(self) -> dict[str, int]:
-        cached = self.__dict__.get("_membership_cache")
-        if cached is None:
-            cached = {m: c.cluster_id for c in self.clusters for m in c.members}
-            object.__setattr__(self, "_membership_cache", cached)
-        return cached
+        return {m: c.cluster_id for c in self.clusters for m in c.members}
 
     def same_cluster(self, a: str, b: str) -> bool:
         ca = self.cluster_of(a)

@@ -12,7 +12,7 @@ import base64
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -33,10 +33,6 @@ _FNV_PRIME = 0x100000001B3
 ZERO_NORM = 1e-12
 
 
-class NotFittedError(ValueError):
-    pass
-
-
 class TrainingError(RuntimeError):
     """Raised when projection training produces a non-finite loss."""
 
@@ -48,14 +44,6 @@ def fnv1a64(token: str) -> int:
         h ^= byte
         h = (h * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
     return h
-
-
-def triplet_loss(e_a, e_p, e_n, margin: float = DEFAULT_MARGIN) -> float:
-    """max(d(a,p) - d(a,n) + margin, 0) with Euclidean d."""
-    a, p, n = (np.asarray(v, dtype=np.float64) for v in (e_a, e_p, e_n))
-    d_ap = float(np.linalg.norm(a - p))
-    d_an = float(np.linalg.norm(a - n))
-    return max(d_ap - d_an + margin, 0.0)
 
 
 def l2_normalize_rows(matrix: np.ndarray) -> np.ndarray:
@@ -139,20 +127,6 @@ class TrainConfig:
     seed: int = 0
     dim_out: int = DEFAULT_PROJECTION_DIM
     margin: float = DEFAULT_MARGIN
-
-    def to_json(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "dim_out": self.dim_out,
-            "margin": self.margin,
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "TrainConfig":
-        return cls(**payload)
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,7 +281,7 @@ def save_projection(model: ProjectionModel, path: str | Path, extra: dict | None
         "dim_in": model.dim_in,
         "dim_out": model.dim_out,
         "margin": model.margin,
-        "train_config": model.train_config.to_json(),
+        "train_config": asdict(model.train_config),
         "loss_curve": list(model.loss_curve),
         "weights_b64": base64.b64encode(raw).decode("ascii"),
         "weights_sha256": hashlib.sha256(raw).hexdigest(),
@@ -328,6 +302,6 @@ def load_projection(path: str | Path) -> ProjectionModel:
     return ProjectionModel(
         weights=weights.copy(),
         margin=payload["margin"],
-        train_config=TrainConfig.from_json(payload["train_config"]),
+        train_config=TrainConfig(**payload["train_config"]),
         loss_curve=tuple(payload["loss_curve"]),
     )

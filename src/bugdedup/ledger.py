@@ -44,9 +44,6 @@ class CostLedger:
             with self._lock:
                 self.wall_clock_ms[name] = self.wall_clock_ms.get(name, 0.0) + elapsed_ms
 
-    def total_ms(self) -> float:
-        return sum(self.wall_clock_ms.values())
-
     def snapshot(self) -> dict:
         with self._lock:
             return {

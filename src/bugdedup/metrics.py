@@ -12,7 +12,7 @@ since either aggregation is defensible for ranked retrieval.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -73,25 +73,21 @@ class MetricRow:
     zero_denominator: tuple[str, ...] = ()
     macro_precision: float | None = None
     macro_recall: float | None = None
-    extra: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        out = {
-            "k": self.k,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "accuracy": self.accuracy,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "tn": self.tn,
-            "zero_denominator": list(self.zero_denominator),
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-        }
-        out.update(self.extra)
-        return out
+        return asdict(self)
+
+
+def report_row(row: MetricRow, method: str, wall_clock_ms: float, ledger_snapshot: dict) -> dict:
+    """A metric row as reports write it: with the method that produced it,
+    the run's wall-clock time and its paper counters."""
+    return {
+        **row.to_json(),
+        "method": method,
+        "wall_clock_ms": wall_clock_ms,
+        "embed_calls": ledger_snapshot["embed_calls"],
+        "pair_classifications": ledger_snapshot["pair_classifications"],
+    }
 
 
 def classification_metrics(cm: ConfusionMatrix, k: int | None = None) -> MetricRow:
@@ -161,8 +157,9 @@ def aggregate_curves(outcomes: Sequence[QueryOutcome], k_list: Sequence[int]) ->
 
     Macro recall averages tp/|relevant| over queries that have relevant
     items (queries without peers cannot score recall); macro precision
-    averages hits/k over all queries. Permutation of query order cannot
-    change any output.
+    averages hits/k over all queries. The pooled counts do not depend on
+    the order of ``outcomes``, but each macro mean is a float sum taken in
+    that order, so reordering the queries can change its last bits.
 
     Each outcome's candidates are walked once, recording how many
     distinct kept ids (positives) and relevant ones among them (true
@@ -202,15 +199,34 @@ def aggregate_curves(outcomes: Sequence[QueryOutcome], k_list: Sequence[int]) ->
                 recalls.append(tp / len(outcome.relevant))
             precisions.append(tp / k)
         total = ConfusionMatrix(total_tp, total_pos - total_tp, total_fn, total_tn)
-        row = classification_metrics(total, k=k)
-        rows.append(
-            replace(
-                row,
-                macro_precision=sum(precisions) / len(precisions) if precisions else 0.0,
-                macro_recall=sum(recalls) / len(recalls) if recalls else None,
-            )
-        )
+        rows.append(_macro_row(total, k, precisions, recalls))
     return rows
+
+
+def exhaustive_row(outcomes: Sequence[QueryOutcome], k: int) -> MetricRow:
+    """Exhaustive classification ignores k: one row, every decision counted."""
+    total = ConfusionMatrix()
+    recalls: list[float] = []
+    precisions: list[float] = []
+    for o in outcomes:
+        cm = o.confusion_at(len(o.candidates))
+        total = total + cm
+        if o.relevant:
+            recalls.append(cm.tp / len(o.relevant))
+        denom = cm.tp + cm.fp
+        precisions.append(cm.tp / denom if denom else 0.0)
+    return _macro_row(total, k, precisions, recalls)
+
+
+def _macro_row(
+    total: ConfusionMatrix, k: int, precisions: list[float], recalls: list[float]
+) -> MetricRow:
+    """Pooled-confusion metrics at k, with the per-query means as macro values."""
+    return replace(
+        classification_metrics(total, k=k),
+        macro_precision=sum(precisions) / len(precisions) if precisions else 0.0,
+        macro_recall=sum(recalls) / len(recalls) if recalls else None,
+    )
 
 
 CSV_COLUMNS = (

@@ -33,11 +33,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .corpus import BugReport
 from .embedder import ZERO_NORM
 from .ledger import CostLedger
 
@@ -102,28 +101,13 @@ class VectorIndex:
         return len(self.ids)
 
 
-def build_index(embedder, reports: Iterable[BugReport], ledger: CostLedger | None = None) -> VectorIndex:
-    """Embed each report once and index it; embeds are ledgered."""
-    reports = list(reports)
-    texts = [r.clean_text for r in reports]
-    vectors = embedder.embed_texts(texts) if reports else np.zeros((0, 1))
-    if ledger is not None:
-        ledger.count_embeds(len(reports))
-    return VectorIndex.from_vectors([r.bug_id for r in reports], vectors)
-
-
 @dataclass(frozen=True)
 class RankedCandidates:
-    """Top candidates for one query, scores non-increasing.
-
-    ``fewer_than_k`` flags the legal case where the index holds fewer
-    candidates than requested and the full ranking is returned.
-    """
+    """Top candidates for one query, scores non-increasing. When the index
+    holds fewer candidates than requested, ``ranked`` is the full ranking."""
 
     query: str
     ranked: tuple[tuple[str, float], ...]
-    k: int
-    fewer_than_k: bool = False
 
     def ids(self) -> tuple[str, ...]:
         return tuple(bug_id for bug_id, _ in self.ranked)
@@ -214,8 +198,5 @@ def search(
                 order = order[order != skip]
             order = order[:k]
             ranked = tuple(zip((index.ids[j] for j in order.tolist()), row_scores[order].tolist()))
-            fewer = k > m - (skip is not None)
-            results.append(
-                RankedCandidates(query=queries[first + i], ranked=ranked, k=k, fewer_than_k=fewer)
-            )
+            results.append(RankedCandidates(query=queries[first + i], ranked=ranked))
     return results

@@ -187,7 +187,6 @@ def generate_pairs(
     """
     caps = caps if caps is not None else manifest.caps
     seed = seed if seed is not None else manifest.seed
-    membership = {m: c.cluster_id for c in cluster_set.clusters for m in c.members}
 
     pairs: dict[str, list[LabeledPair]] = {}
     for split in SPLITS:
@@ -214,7 +213,7 @@ def generate_pairs(
 
         bugs = manifest.bugs_in(cluster_set, split)
         neg_rng = substream_rng(seed, f"pairs.neg:{split}")
-        negatives = _sample_negatives(bugs, membership, n_neg, neg_rng, split)
+        negatives = _sample_negatives(bugs, cluster_set, n_neg, neg_rng, split)
 
         pairs[split] = [LabeledPair(a, b, True) for a, b in dup] + [
             LabeledPair(a, b, False) for a, b in negatives
@@ -226,7 +225,7 @@ def generate_pairs(
 
 def _sample_negatives(
     bugs: list[str],
-    membership: dict[str, int],
+    cluster_set: ClusterSet,
     count: int,
     rng,
     split: str,
@@ -235,7 +234,7 @@ def _sample_negatives(
     n = len(bugs)
     by_cluster: dict[int, int] = {}
     for b in bugs:
-        cid = membership.get(b)
+        cid = cluster_set.cluster_of(b)
         if cid is not None:
             by_cluster[cid] = by_cluster.get(cid, 0) + 1
     pool = n * (n - 1) // 2 - sum(k * (k - 1) // 2 for k in by_cluster.values())
@@ -246,14 +245,10 @@ def _sample_negatives(
     if count == 0:
         return []
 
-    def is_dup(a: str, b: str) -> bool:
-        ca = membership.get(a)
-        return ca is not None and ca == membership.get(b)
-
     if count * 3 >= pool:
         # Dense request: enumerate the pool and sample exactly.
         eligible = [
-            (a, b) for a, b in combinations(bugs, 2) if not is_dup(a, b)
+            (a, b) for a, b in combinations(bugs, 2) if not cluster_set.same_cluster(a, b)
         ]
         chosen = rng.choice(len(eligible), size=count, replace=False)
         return [eligible[i] for i in sorted(int(i) for i in chosen)]
@@ -268,7 +263,7 @@ def _sample_negatives(
         a, b = bugs[int(i)], bugs[int(j)]
         if a > b:
             a, b = b, a
-        if (a, b) in seen or is_dup(a, b):
+        if (a, b) in seen or cluster_set.same_cluster(a, b):
             continue
         seen.add((a, b))
         out.append((a, b))
@@ -293,7 +288,6 @@ def generate_triplets(
     rng = substream_rng(seed, "triplets")
 
     train_bugs = manifest.bugs_in(cluster_set, "train")
-    membership = {m: c.cluster_id for c in cluster_set.clusters for m in c.members}
     eligible_by_cluster: dict[int, list[str]] = {}
     for c in manifest.clusters_in(cluster_set, "train"):
         members = set(c.members)
@@ -304,7 +298,7 @@ def generate_triplets(
         if not pair.duplicate:
             continue
         for anchor, positive in ((pair.bug_a, pair.bug_b), (pair.bug_b, pair.bug_a)):
-            eligible = eligible_by_cluster[membership[anchor]]
+            eligible = eligible_by_cluster[cluster_set.cluster_of(anchor)]
             if not eligible:
                 raise SplitError(f"no eligible triplet negatives for anchor {anchor!r}")
             negative = eligible[int(rng.integers(len(eligible)))]

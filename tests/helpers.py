@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import re
@@ -15,7 +16,14 @@ from bugdedup.cascade import classify_pairs, run_partition
 from bugdedup.corpus import Corpus, clean
 from bugdedup.dup_graph import ClusterSet, build_clusters
 from bugdedup.embedder import TfidfHashEmbedder
-from bugdedup.metrics import ConfusionMatrix, MetricRow, classification_metrics
+from bugdedup.metrics import (
+    ConfusionMatrix,
+    MetricRow,
+    QueryOutcome,
+    aggregate_curves,
+    classification_metrics,
+)
+from bugdedup.retrieval import VectorIndex, search
 from bugdedup.splitter import SplitManifest, build_manifest
 from bugdedup.stopwords import STOP_WORDS
 from bugdedup.synth import SynthConfig, synth_corpus
@@ -176,6 +184,62 @@ def reference_curves(outcomes, k_list) -> list[MetricRow]:
             )
         )
     return rows
+
+
+def reference_eval_retrieval(corpus, clusters, manifest, split, embedder, k_list) -> list[dict]:
+    """``eval-retrieval``'s rows computed on their own: embed the split's
+    reports, index them, search with each group's query (itself left
+    out) and aggregate in the manifest's group order. Each row holds the
+    metric fields and the two counters; the command adds its method and
+    wall-clock time."""
+    reports = [corpus.by_id[b] for b in manifest.bugs_in(clusters, split)]
+    index = VectorIndex.from_vectors(
+        [r.bug_id for r in reports], embedder.embed_texts([r.clean_text for r in reports])
+    )
+    row_of = {bug_id: i for i, bug_id in enumerate(index.ids)}
+    groups = manifest.groups[split]
+    queries = [g.query for g in groups]
+    found = search(index, index.matrix[[row_of[q] for q in queries]], max(k_list), excludes=queries)
+    outcomes = [
+        QueryOutcome(
+            query=g.query,
+            candidates=ranked.ids(),
+            kept=tuple(True for _ in ranked.ranked),
+            relevant=frozenset(g.relevant),
+            db_size=len(index) - 1,
+        )
+        for g, ranked in zip(groups, found)
+    ]
+    counters = {"embed_calls": len(reports), "pair_classifications": 0}
+    return [{**dataclasses.asdict(row), **counters} for row in aggregate_curves(outcomes, k_list)]
+
+
+_TIMING_KEYS = {"wall_clock_ms", "timing_ms", "avg_query_ms", "total", "total_ms"}
+
+
+def reference_scrub_timings(payload):
+    """The timing scrub as two walkers over a deep copy: under a timing key,
+    ``zeroed`` sets every number of nested dicts to 0.0 and leaves lists
+    alone. ``cascade._scrub_timings`` must give the same result."""
+
+    def scrub(node):
+        if isinstance(node, dict):
+            return {
+                key: (zeroed(value) if key in _TIMING_KEYS else scrub(value))
+                for key, value in node.items()
+            }
+        if isinstance(node, list):
+            return [scrub(item) for item in node]
+        return node
+
+    def zeroed(value):
+        if isinstance(value, dict):
+            return {k: zeroed(v) for k, v in value.items()}
+        if isinstance(value, (int, float)):
+            return 0.0
+        return value
+
+    return scrub(copy.deepcopy(payload))
 
 
 # ------------------------------------------------------------- HTTP stub

@@ -7,11 +7,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bugdedup.cascade import (
     METHODS,
     ScenarioConfig,
     ScenarioError,
+    _scrub_timings,
     canonical_scenario_bytes,
     classify_pairs,
     predict_cost,
@@ -38,6 +41,7 @@ from helpers import (
     fit_train_embedder,
     planted_pipeline,
     reference_cascade,
+    reference_scrub_timings,
     reports_of,
 )
 
@@ -550,6 +554,34 @@ def test_canonical_bytes_ignore_timings_only(setup):
     mutated = json.loads(json.dumps(a))
     mutated["metrics"][0]["recall"] = -1.0
     assert canonical_scenario_bytes(mutated) != canonical_scenario_bytes(a)
+
+
+_KEYS = st.sampled_from(
+    ["wall_clock_ms", "timing_ms", "avg_query_ms", "total", "total_ms", "k", "ledger", "metrics"]
+)
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**6), 10**6)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=3)
+)
+_PAYLOADS = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=st.dictionaries(_KEYS, _PAYLOADS, max_size=5))
+def test_scrub_timings_equals_the_two_walkers_it_replaced(payload):
+    before = json.dumps(payload, sort_keys=True)
+    got = json.dumps(_scrub_timings(payload), sort_keys=True)
+    assert got == json.dumps(reference_scrub_timings(payload), sort_keys=True)
+    assert json.dumps(payload, sort_keys=True) == before
 
 
 def test_save_scenario_merges_extra(tmp_path, setup):

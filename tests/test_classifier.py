@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,7 +20,6 @@ from bugdedup.classifier import (
     OracleClassifier,
     PairFeaturizer,
     SimilarityClassifier,
-    ce_loss,
     load_classifier,
     save_classifier,
     train_classifier,
@@ -207,18 +208,28 @@ def test_both_empty_pair_inside_a_batch_is_rejected():
         LogisticClassifier(model, featurizer).classify_batch(pairs)
 
 
+def _ce(y: int, z: float) -> float:
+    """The trainer's mean CE loss of one example whose logit is z."""
+    weights = np.zeros(FEATURE_COUNT + 1)
+    weights[0] = z
+    x = np.zeros((1, FEATURE_COUNT))
+    x[0, 0] = 1.0
+    return classifier._mean_ce(weights, x, np.array([float(y)]))
+
+
 def test_ce_loss_values():
-    assert ce_loss(1, 0.5) == pytest.approx(math.log(2))
-    assert ce_loss(0, 0.5) == pytest.approx(math.log(2))
-    assert ce_loss(1, 1.0) == pytest.approx(-math.log(1 - 1e-12), abs=1e-15)
-    assert ce_loss(1, 0.0) == pytest.approx(-math.log(1e-12))
-    assert ce_loss(0, 1.0) == pytest.approx(-math.log(1e-12))
+    # logits 0, 1000 and -1000 give the probabilities 0.5, 1.0 and 0.0
+    assert _ce(1, 0.0) == pytest.approx(math.log(2))
+    assert _ce(0, 0.0) == pytest.approx(math.log(2))
+    assert _ce(1, 1000.0) == pytest.approx(-math.log(1 - 1e-12), abs=1e-15)
+    assert _ce(1, -1000.0) == pytest.approx(-math.log(1e-12))
+    assert _ce(0, 1000.0) == pytest.approx(-math.log(1e-12))
 
 
 @settings(max_examples=100, deadline=None)
-@given(y=st.integers(0, 1), p=st.floats(min_value=0.0, max_value=1.0))
-def test_ce_loss_nonnegative_and_finite(y, p):
-    loss = ce_loss(y, p)
+@given(y=st.integers(0, 1), z=st.floats(min_value=-1e3, max_value=1e3))
+def test_ce_loss_nonnegative_and_finite(y, z):
+    loss = _ce(y, z)
     assert loss >= 0.0
     assert math.isfinite(loss)
 
@@ -440,6 +451,10 @@ def test_classifier_save_load_roundtrip(tmp_path):
     assert again.train_config == model.train_config
 
 
-def test_classifier_config_json_roundtrip():
+def test_classifier_config_json_roundtrip(tmp_path):
     cfg = ClassifierTrainConfig(learning_rate=0.1, epochs=9, batch_size=8, seed=2, threshold_step=0.05)
-    assert ClassifierTrainConfig.from_json(cfg.to_json()) == cfg
+    path = tmp_path / "classifier.json"
+    save_classifier(LogisticPairModel(weights=np.arange(FEATURE_COUNT + 1.0), train_config=cfg), path)
+    payload = json.loads(path.read_text())
+    assert set(payload["train_config"]) == {f.name for f in fields(ClassifierTrainConfig)}
+    assert load_classifier(path).train_config == cfg

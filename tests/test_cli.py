@@ -6,13 +6,19 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bugdedup import cli
 from bugdedup import embedder as embedder_mod
 from bugdedup import remote as remote_mod
+from bugdedup.corpus import BugReport, build_corpus, ingest, write_jsonl
+from bugdedup.dup_graph import clusters_from_json
+from bugdedup.metrics import write_metrics_csv
+from bugdedup.splitter import load_manifest
+from bugdedup.synth import SynthConfig, synth_corpus
 
-from helpers import classify_reply, embed_reply
+from helpers import classify_reply, embed_reply, fit_train_embedder, reference_eval_retrieval
 
 
 def _run(capsys, *argv: str) -> dict:
@@ -117,6 +123,50 @@ def test_eval_retrieval_tfidf(workdir, tmp_path, capsys):
     assert all(int(r["pair_classifications"]) == 0 for r in rows)
     assert all(int(r["embed_calls"]) > 0 for r in rows)
     assert (tmp_path / "retrieval.csv.config.json").is_file()
+
+
+@pytest.fixture(scope="module")
+def interleaved(tmp_path_factory) -> Path:
+    """A clustered and split corpus whose ids are a seeded permutation of a
+    synthetic corpus's, so that cluster members do not hold neighbouring
+    ids and the manifest's group order is not id order."""
+    root = tmp_path_factory.mktemp("interleaved")
+    corpus = synth_corpus(SynthConfig(n_clusters=60, seed=5))
+    ids = list(corpus.bug_ids)
+    new_id = dict(zip(ids, np.random.default_rng(5).permutation(ids).tolist()))
+    reports = [
+        BugReport(new_id[r.bug_id], r.title, r.description, new_id.get(r.dup_of))
+        for r in corpus.reports
+    ]
+    write_jsonl(build_corpus(reports), root / "corpus.jsonl")
+    steps = [
+        ["cluster", "--corpus", str(root / "corpus.jsonl"), "--out", str(root / "clusters.json")],
+        ["split", "--clusters", str(root / "clusters.json"), "--seed", "3",
+         "--out", str(root / "manifest.json")],
+    ]
+    for argv in steps:
+        assert cli.main(argv) == 0, f"pipeline step failed: {argv[0]}"
+    return root
+
+
+def test_eval_retrieval_equals_a_search_in_group_order(interleaved, tmp_path, capsys):
+    corpus = ingest(interleaved / "corpus.jsonl")
+    clusters = clusters_from_json(json.loads((interleaved / "clusters.json").read_text()))
+    manifest = load_manifest(interleaved / "manifest.json")
+    queries = [g.query for g in manifest.groups["train"]]
+    assert queries != sorted(queries)
+    out = tmp_path / "retrieval.csv"
+    _run(
+        capsys, "eval-retrieval", *_pipeline_flags(interleaved), "--split", "train",
+        "--k-list", "1,5,10,20", "--dim", "128", "--out", str(out),
+    )
+    embedder = fit_train_embedder(corpus, clusters, manifest, dim=128)
+    rows = reference_eval_retrieval(corpus, clusters, manifest, "train", embedder, [1, 5, 10, 20])
+    write_metrics_csv(tmp_path / "want.csv", [{**r, "method": "retrieval_tfidf"} for r in rows])
+    got, want = _read_csv(out), _read_csv(tmp_path / "want.csv")
+    for row in (*got, *want):
+        del row["wall_clock_ms"]
+    assert got == want
 
 
 def test_eval_retrieval_projection_backend(workdir, tmp_path, capsys):
@@ -298,6 +348,22 @@ def test_bad_ratios_exit_2(workdir, tmp_path, capsys):
         "--seed", "0", "--ratios", "0.5,0.5", "--out", str(tmp_path / "m.json"),
     )
     assert "--ratios" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--ratios", "0.8,x,0.1"), ("--caps", "train=abc"), ("--csv-columns", "bug_id,summary")],
+)
+def test_malformed_list_flag_exits_2(workdir, tmp_path, capsys, flag, value):
+    if flag == "--csv-columns":
+        argv = ["ingest", "--in", str(workdir / "corpus.jsonl"), "--format", "csv"]
+    else:
+        argv = ["split", "--clusters", str(workdir / "clusters.json"), "--seed", "0"]
+    out = tmp_path / "out.json"
+    err = _run_fail(capsys, 2, *argv, flag, value, "--out", str(out))
+    assert err["error"] == "UsageError"
+    assert flag in err["message"]
+    assert not out.exists()
 
 
 def test_runtime_split_failure_exits_1(tmp_path, capsys):

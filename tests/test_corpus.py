@@ -202,6 +202,16 @@ def test_ingest_csv_missing_id_column(tmp_path):
         ingest(path, format="csv")
 
 
+def test_ingest_csv_names_missing_text_columns(tmp_path):
+    path = tmp_path / "bugs.csv"
+    path.write_text("bug_id,summary,body,dup_of\n1,Crash,heap bad,\n")
+    with pytest.raises(IngestError, match="missing required column 'title', 'description'"):
+        ingest(path, format="csv")
+    # dup_of stays optional: unlabeled exports have no such column
+    path.write_text("bug_id,title,description\n1,Crash,heap bad\n")
+    assert ingest(path, format="csv").by_id["1"].clean_text == "crash heap bad"
+
+
 @pytest.mark.parametrize(
     "format,text",
     [

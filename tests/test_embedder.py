@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from bugdedup.embedder import (
     load_projection,
     save_projection,
     train_projection,
-    triplet_loss,
+    _pass_losses,
 )
 from bugdedup.retrieval import VectorIndex, top_k
 
@@ -206,24 +207,30 @@ def test_cosine_scale_invariance(u, v, scale):
     assert _retrieval_cosine(u, scale * v) == pytest.approx(_retrieval_cosine(u, v), abs=1e-9)
 
 
+def _triplet_loss(a, p, n, margin):
+    """The trainer's triplet loss of one triplet under the identity projection."""
+    rows = [np.atleast_2d(np.asarray(v, dtype=np.float64)) for v in (a, p, n)]
+    return float(_pass_losses(np.eye(rows[0].shape[1]), *rows, margin)[0])
+
+
 def test_triplet_loss_hand_value():
     a = [1.0, 0.0]
     p = [0.0, 1.0]  # d_ap = sqrt(2)
     n = [1.0, 0.0]  # d_an = 0
-    assert triplet_loss(a, p, n, margin=0.2) == pytest.approx(math.sqrt(2) + 0.2)
+    assert _triplet_loss(a, p, n, margin=0.2) == pytest.approx(math.sqrt(2) + 0.2)
 
 
 def test_triplet_loss_zero_when_margin_satisfied():
     a = [1.0, 0.0]
     p = [1.0, 0.0]
     n = [-1.0, 0.0]
-    assert triplet_loss(a, p, n, margin=0.2) == 0.0
+    assert _triplet_loss(a, p, n, margin=0.2) == 0.0
 
 
 @settings(max_examples=100, deadline=None)
 @given(a=_vec, p=_vec, n=_vec, margin=st.floats(min_value=0.0, max_value=2.0))
 def test_triplet_loss_nonnegative(a, p, n, margin):
-    assert triplet_loss(a, p, n, margin) >= 0.0
+    assert _triplet_loss(a, p, n, margin) >= 0.0
 
 
 def test_l2_normalize_rows_leaves_zero_rows():
@@ -330,9 +337,13 @@ def test_projection_load_rejects_corruption(tmp_path):
         load_projection(path)
 
 
-def test_train_config_json_roundtrip():
+def test_train_config_json_roundtrip(tmp_path):
     cfg = TrainConfig(learning_rate=0.5, epochs=7, batch_size=4, seed=9, dim_out=16, margin=0.3)
-    assert TrainConfig.from_json(cfg.to_json()) == cfg
+    path = tmp_path / "projection.json"
+    save_projection(ProjectionModel(weights=np.ones((3, 16)), margin=0.3, train_config=cfg), path)
+    payload = json.loads(path.read_text())
+    assert set(payload["train_config"]) == {f.name for f in fields(TrainConfig)}
+    assert load_projection(path).train_config == cfg
 
 
 def test_loss_curve_not_worse_on_planted_triplets():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from bugdedup.metrics import (
     QueryOutcome,
     aggregate_curves,
     classification_metrics,
+    report_row,
     write_metrics_csv,
 )
 
@@ -223,11 +225,17 @@ def test_aggregate_rejects_a_db_size_too_small_for_its_counts():
         aggregate_curves([small, large], [1, 3])
 
 
-def test_metric_row_to_json_merges_extra():
-    row = MetricRow(precision=1, recall=1, f1=1, accuracy=1, k=2, extra={"method": "m"})
-    payload = row.to_json()
-    assert payload["method"] == "m"
-    assert payload["k"] == 2
+def test_report_row_adds_method_time_and_counters():
+    row = MetricRow(precision=1, recall=1, f1=1, accuracy=1, k=2, zero_denominator=("f1",))
+    ledger = {"embed_calls": 7, "pair_classifications": 3, "similarity_ops": 9}
+    payload = report_row(row, "m", 12.5, ledger)
+    assert payload == {
+        **{f.name: getattr(row, f.name) for f in fields(MetricRow)},
+        "method": "m",
+        "wall_clock_ms": 12.5,
+        "embed_calls": 7,
+        "pair_classifications": 3,
+    }
 
 
 def test_write_metrics_csv(tmp_path):

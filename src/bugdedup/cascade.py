@@ -125,29 +125,10 @@ def predict_cost_all_vs_all(
     }
 
 
-@dataclass(frozen=True)
-class QueryRecord:
-    """One query's candidates: (bug_id, score, kept) in rank order."""
-
-    query: str
-    candidates: tuple[tuple[str, float, bool], ...]
-    relevant: tuple[str, ...]
-    db_size: int
-
-    def outcome(self) -> QueryOutcome:
-        return QueryOutcome(
-            query=self.query,
-            candidates=tuple(c for c, _, _ in self.candidates),
-            kept=tuple(kept for _, _, kept in self.candidates),
-            relevant=frozenset(self.relevant),
-            db_size=self.db_size,
-        )
-
-
 @dataclass
 class ScenarioResult:
     config: ScenarioConfig
-    records: list[QueryRecord]
+    records: list[QueryOutcome]
     metric_rows: list[MetricRow]
     ledger: dict
     timing_ms: dict[str, float]
@@ -167,12 +148,13 @@ def run_partition(
     k: int,
     exclude_self: bool = False,
     dedup_pairs: bool = False,
-) -> tuple[list[QueryRecord], CostLedger]:
+) -> tuple[list[QueryOutcome], CostLedger]:
     """Run one method over an explicit query/database partition.
 
-    This is the engine under both scenarios; the ledger it returns holds
-    the exact counter values for the run. Texts are embedded at most
-    once each, which is what makes the n+m accounting true.
+    This is the engine under both scenarios and the one place that counts
+    embeddings and similarity ops; the ledger it returns holds the exact
+    counter values for the run. Texts are embedded at most once each,
+    which is what makes the n+m accounting true.
 
     The cascade scores all n*k candidate pairs of the partition in one
     ``classify_pairs`` batch, in query-id order and then rank order, and
@@ -226,9 +208,11 @@ def run_partition(
             np.stack([vec_of[b] for b in query_ids]),
             k,
             excludes=query_ids if exclude_self else None,
-            ledger=ledger,
             queries=query_ids,
         )
+        # A query ranks the whole database, less itself when it is excluded.
+        db_size_of = {q: len(database) - (exclude_self and q in db_by_id) for q in query_ids}
+        ledger.count_similarity(sum(db_size_of.values()))
         ranked_of = {r.query: r.ranked for r in found}
 
     if method == "retrieval_only":
@@ -240,11 +224,11 @@ def run_partition(
                 classify_pairs(pair_classifier, pairs, ledger, {} if dedup_pairs else None)
             )
     records = [
-        QueryRecord(
+        QueryOutcome(
             query=q.bug_id,
             candidates=tuple((b, s, next(verdicts)[1]) for b, s in ranked_of[q.bug_id]),
             relevant=relevant_of[q.bug_id],
-            db_size=len(database) - (1 if exclude_self and q.bug_id in db_by_id else 0),
+            db_size=db_size_of[q.bug_id],
         )
         for q in queries
     ]
@@ -296,7 +280,7 @@ def classify_pairs(
 
 def _run_classification_only(
     queries, database, pair_classifier, ledger, exclude_self, dedup_pairs, relevant_of
-) -> list[QueryRecord]:
+) -> list[QueryOutcome]:
     pair_cache = {} if dedup_pairs else None
     records = []
     with ledger.phase("classify"):
@@ -312,7 +296,7 @@ def _run_classification_only(
                 key=lambda t: (-t[1], t[0]),
             )
             records.append(
-                QueryRecord(
+                QueryOutcome(
                     query=q.bug_id,
                     candidates=tuple(scored),
                     relevant=relevant_of[q.bug_id],
@@ -411,16 +395,15 @@ def run_all_vs_all(
 
 def _build_result(
     config: ScenarioConfig,
-    records: list[QueryRecord],
+    records: list[QueryOutcome],
     ledger: CostLedger,
     n_queries: int,
     db_size: int,
 ) -> ScenarioResult:
-    outcomes = [r.outcome() for r in records]
     if config.method == "classification_only":
-        rows = [exhaustive_row(outcomes, config.k)]
+        rows = [exhaustive_row(records, config.k)]
     else:
-        rows = aggregate_curves(outcomes, list(range(1, config.k + 1)))
+        rows = aggregate_curves(records, list(range(1, config.k + 1)))
     snapshot = ledger.snapshot()
     total_ms = sum(snapshot["wall_clock_ms"].values())
     return ScenarioResult(
@@ -431,7 +414,7 @@ def _build_result(
         timing_ms={**snapshot["wall_clock_ms"], "total": total_ms},
         n_queries=n_queries,
         db_size=db_size,
-        queries_without_peers=sum(1 for o in outcomes if not o.relevant),
+        queries_without_peers=sum(1 for r in records if not r.relevant),
         avg_query_ms=total_ms / n_queries if n_queries else 0.0,
     )
 

@@ -36,6 +36,7 @@ import numpy as np
 from .corpus import BugReport
 from .dup_graph import ClusterSet
 from .embedder import ZERO_NORM, TrainingError
+from .metrics import ConfusionMatrix, classification_metrics
 from .seeding import substream_rng
 
 _CLAMP = 1e-12
@@ -302,18 +303,19 @@ def _mean_ce(weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def tune_threshold(probabilities: np.ndarray, labels: np.ndarray, step: float = 0.01) -> float:
-    """Grid-sweep the threshold maximizing F1; lowest argmax wins ties."""
+    """Grid-sweep the threshold maximizing F1; lowest argmax wins ties.
+    Empty input raises ValueError: its confusion matrix is all zero."""
     best_t, best_f1 = 0.5, -1.0
-    grid = np.arange(step, 1.0, step)
-    for t in grid:
+    positive, negative = labels == 1, labels == 0
+    for t in np.arange(step, 1.0, step):
         pred = probabilities >= t
-        tp = int(np.sum(pred & (labels == 1)))
-        fp = int(np.sum(pred & (labels == 0)))
-        fn = int(np.sum(~pred & (labels == 1)))
-        denom_p, denom_r = tp + fp, tp + fn
-        precision = tp / denom_p if denom_p else 0.0
-        recall = tp / denom_r if denom_r else 0.0
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        cm = ConfusionMatrix(
+            tp=int(np.sum(pred & positive)),
+            fp=int(np.sum(pred & negative)),
+            fn=int(np.sum(~pred & positive)),
+            tn=int(np.sum(~pred & negative)),
+        )
+        f1 = classification_metrics(cm).f1
         if f1 > best_f1 + 1e-15:
             best_t, best_f1 = float(t), f1
     return best_t

@@ -101,7 +101,10 @@ def _cap(entry: str) -> tuple[str, int]:
         raise ValueError(f"entries look like train=100, got {entry!r}")
     if split not in splitter_mod.SPLITS:
         raise ValueError(f"split must be one of {splitter_mod.SPLITS}, got {split!r}")
-    return split, int(value)
+    cap = int(value)
+    if cap < 0:
+        raise ValueError(f"a cap must be >= 0, got {entry!r}")
+    return split, cap
 
 
 def _load_pipeline(args) -> tuple:
@@ -316,9 +319,7 @@ def cmd_eval_retrieval(args) -> int:
         )
     # Macro means are summed in query order, so keep the manifest's group order.
     record_of = {r.query: r for r in records}
-    outcomes = [
-        replace(record_of[g.query].outcome(), relevant=frozenset(g.relevant)) for g in groups
-    ]
+    outcomes = [replace(record_of[g.query], relevant=frozenset(g.relevant)) for g in groups]
     rows = metrics_mod.aggregate_curves(outcomes, k_list)
     elapsed_ms = (time.monotonic() - start) * 1000.0
     method = f"retrieval_{args.embed_backend}"
@@ -391,7 +392,10 @@ def cmd_run_cascade(args) -> int:
 def cmd_report(args) -> int:
     payloads = []
     for path in args.inputs:
-        payloads.append(json.loads(_require_file(path, "--in").read_text(encoding="utf-8")))
+        payload = json.loads(_require_file(path, "--in").read_text(encoding="utf-8"))
+        if not isinstance(payload, dict) or not {"config", "metrics"} <= payload.keys():
+            raise UsageError(f"--in: {path} is not a scenario artifact (needs config and metrics)")
+        payloads.append(payload)
     shared_keys = ("mode", "seed", "query_fraction", "include_independents", "dedup_pairs")
     baseline = {k: payloads[0]["config"][k] for k in shared_keys}
     for path, payload in zip(args.inputs, payloads):

@@ -211,6 +211,10 @@ def _read_jsonl(path: Path) -> list[BugReport]:
 
 
 def _read_csv(path: Path, columns: tuple[str, str, str, str]) -> list[BugReport]:
+    if len(columns) != 4:
+        raise IngestError(
+            f"csv_columns needs 4 names (bug_id, title, description, dup_of), got {len(columns)}"
+        )
     id_col, title_col, desc_col, dup_col = columns
     reports = []
     with path.open(encoding="utf-8-sig", newline="") as fh:

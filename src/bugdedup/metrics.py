@@ -124,28 +124,23 @@ def classification_metrics(cm: ConfusionMatrix, k: int | None = None) -> MetricR
 
 @dataclass(frozen=True)
 class QueryOutcome:
-    """What one query retrieved and what was true.
+    """The scenario runner's record of one query: what it ranked and what was true.
 
-    ``candidates`` is the retrieval-ranked top list; ``kept`` is the
-    classifier verdict per candidate (all True when no classifier ran).
-    Truncating both at a cutoff k reproduces the run the cascade would
-    have made at that smaller k, which is what lets one run at k_max
-    yield the whole curve.
+    ``candidates`` holds ``(bug_id, score, kept)`` in rank order; ``kept`` is
+    the classifier verdict (always True when no classifier ran). Truncating
+    them at a cutoff k reproduces the run the cascade would have made at
+    that smaller k, which is what lets one run at k_max yield the whole
+    curve. Metrics only test membership in ``relevant`` and take its length.
     """
 
     query: str
-    candidates: tuple[str, ...]
-    kept: tuple[bool, ...]
-    relevant: frozenset[str]
+    candidates: tuple[tuple[str, float, bool], ...]
+    relevant: tuple[str, ...] | frozenset[str]
     db_size: int
 
-    def __post_init__(self):
-        if len(self.candidates) != len(self.kept):
-            raise ValueError("candidates and kept verdicts must align")
-
     def confusion_at(self, k: int) -> ConfusionMatrix:
-        positives = {c for c, keep in zip(self.candidates[:k], self.kept[:k]) if keep}
-        tp = len(positives & self.relevant)
+        positives = {c for c, _, keep in self.candidates[:k] if keep}
+        tp = len(positives.intersection(self.relevant))
         fp = len(positives) - tp
         fn = len(self.relevant) - tp
         tn = self.db_size - len(positives) - fn
@@ -173,7 +168,7 @@ def aggregate_curves(outcomes: Sequence[QueryOutcome], k_list: Sequence[int]) ->
         positives: set[str] = set()
         tp = 0
         counts = [(0, 0)]
-        for candidate, keep in zip(outcome.candidates, outcome.kept):
+        for candidate, _, keep in outcome.candidates:
             if keep and candidate not in positives:
                 positives.add(candidate)
                 tp += candidate in outcome.relevant

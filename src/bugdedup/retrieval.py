@@ -7,8 +7,9 @@ thousands) that exactness is cheap, and exact results keep every
 retrieval metric oracle-checkable. Ranking is fully deterministic: ties
 break by ascending bug id, and candidates whose embedding is the zero
 vector (cosine undefined) sort below everything. ``top_k`` is the
-one-query case. Recall and precision at k are computed from the
-rankings in ``metrics``.
+one-query case. Search counts nothing: the scenario runner charges the
+similarity ops, and ``metrics`` computes recall and precision at k from
+the rankings.
 
 The loops run over query chunks, then over aligned row blocks of the
 index, then over the queries of the chunk, and each step is one
@@ -38,7 +39,6 @@ from typing import Sequence
 import numpy as np
 
 from .embedder import ZERO_NORM
-from .ledger import CostLedger
 
 # The scan's row blocks hold at most this many matrix elements, in a
 # multiple of _BLOCK_ALIGN rows. OpenBLAS computes a matrix-vector product
@@ -118,19 +118,17 @@ def top_k(
     query_vector: np.ndarray,
     k: int,
     exclude: str | None = None,
-    ledger: CostLedger | None = None,
     query: str = "",
 ) -> RankedCandidates:
     """The k most cosine-similar entries, excluding self-matches.
 
-    A one-query ``search``: one similarity op per scanned candidate is
-    ledgered, and zero-vector candidates (or a zero query) score -inf
-    instead of erroring, so they rank last but deterministically.
+    A one-query ``search``: zero-vector candidates (or a zero query)
+    score -inf instead of erroring, so they rank last but deterministically.
     """
     q = np.asarray(query_vector, dtype=np.float64)
     if q.shape != (index.dim,):
         raise ValueError(f"query dim {q.shape} does not match index dim {index.dim}")
-    return search(index, q[None, :], k, [exclude], ledger, [query])[0]
+    return search(index, q[None, :], k, [exclude], [query])[0]
 
 
 def search(
@@ -138,14 +136,14 @@ def search(
     query_vectors: np.ndarray,
     k: int,
     excludes: Sequence[str | None] | None = None,
-    ledger: CostLedger | None = None,
     queries: Sequence[str] | None = None,
 ) -> list[RankedCandidates]:
     """``top_k`` for each row of ``query_vectors``, in one pass over the index.
 
     ``excludes[i]`` (an id or None) is left out of query i's ranking and
     ``queries[i]`` names it; both default to None/"" for every query.
-    Each result equals the one-query ``top_k`` bit for bit.
+    Each result equals the one-query ``top_k`` bit for bit. Nothing is
+    counted here: ``cascade.run_partition`` charges the similarity ops.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -163,8 +161,6 @@ def search(
     for exclude in excludes:
         pos = bisect_left(index.ids, exclude) if exclude is not None else m
         skips.append(pos if pos < m and index.ids[pos] == exclude else None)
-        if ledger is not None:
-            ledger.count_similarity(m - (skips[-1] is not None))
 
     block = max(_BLOCK_ALIGN, _BLOCK_ELEMENTS // max(1, index.dim) // _BLOCK_ALIGN * _BLOCK_ALIGN)
     chunk = max(1, _CHUNK_SCORES // m)

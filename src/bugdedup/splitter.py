@@ -96,6 +96,14 @@ def _validate_ratios(ratios: tuple[float, float, float]) -> None:
         raise SplitError(f"ratios must sum to 1, got {sum(ratios)}")
 
 
+def _validate_caps(caps: dict[str, int | None]) -> None:
+    for split, cap in caps.items():
+        if split not in SPLITS:
+            raise SplitError(f"caps: split must be one of {SPLITS}, got {split!r}")
+        if cap is not None and cap < 0:
+            raise SplitError(f"caps: {split} must be >= 0, got {cap}")
+
+
 def split_clusters(
     cluster_set: ClusterSet,
     ratios: tuple[float, float, float] = DEFAULT_RATIOS,
@@ -114,6 +122,7 @@ def split_clusters(
     with at least 3 clusters every split holds at least one.
     """
     _validate_ratios(ratios)
+    _validate_caps(caps or {})
     clusters = cluster_set.clusters
     if len(clusters) < 3:
         raise SplitError(f"need at least 3 clusters to populate all splits, got {len(clusters)}")
@@ -186,6 +195,7 @@ def generate_pairs(
     split boundary.
     """
     caps = caps if caps is not None else manifest.caps
+    _validate_caps(caps)
     seed = seed if seed is not None else manifest.seed
 
     pairs: dict[str, list[LabeledPair]] = {}

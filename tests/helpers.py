@@ -152,6 +152,33 @@ def reference_cascade(
     return out, ledger
 
 
+def outcome(query, ids, kept, relevant, db_size) -> QueryOutcome:
+    """A ``QueryOutcome`` whose candidates are ``ids`` with their ``kept``
+    verdicts, every score 0.0."""
+    return QueryOutcome(query, tuple((b, 0.0, k) for b, k in zip(ids, kept, strict=True)),
+                        relevant, db_size)
+
+
+def reference_tune_threshold(probabilities, labels, step=0.01) -> float:
+    """``classifier.tune_threshold`` with its own precision, recall and F1
+    formulas; the version built on ``metrics`` must equal this bit for bit
+    on every nonempty input."""
+    best_t, best_f1 = 0.5, -1.0
+    grid = np.arange(step, 1.0, step)
+    for t in grid:
+        pred = probabilities >= t
+        tp = int(np.sum(pred & (labels == 1)))
+        fp = int(np.sum(pred & (labels == 0)))
+        fn = int(np.sum(~pred & (labels == 1)))
+        denom_p, denom_r = tp + fp, tp + fn
+        precision = tp / denom_p if denom_p else 0.0
+        recall = tp / denom_r if denom_r else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        if f1 > best_f1 + 1e-15:
+            best_t, best_f1 = float(t), f1
+    return best_t
+
+
 def reference_curves(outcomes, k_list) -> list[MetricRow]:
     """``aggregate_curves`` as one ``confusion_at`` per (query, k): the
     one-pass version must equal this exactly."""
@@ -201,13 +228,8 @@ def reference_eval_retrieval(corpus, clusters, manifest, split, embedder, k_list
     queries = [g.query for g in groups]
     found = search(index, index.matrix[[row_of[q] for q in queries]], max(k_list), excludes=queries)
     outcomes = [
-        QueryOutcome(
-            query=g.query,
-            candidates=ranked.ids(),
-            kept=tuple(True for _ in ranked.ranked),
-            relevant=frozenset(g.relevant),
-            db_size=len(index) - 1,
-        )
+        outcome(g.query, ranked.ids(), (True,) * len(ranked.ranked), frozenset(g.relevant),
+                len(index) - 1)
         for g, ranked in zip(groups, found)
     ]
     counters = {"embed_calls": len(reports), "pair_classifications": 0}

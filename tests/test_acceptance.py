@@ -45,14 +45,14 @@ from bugdedup.embedder import (
     initial_weights,
     train_projection,
 )
-from bugdedup.metrics import ConfusionMatrix, QueryOutcome, aggregate_curves, classification_metrics
+from bugdedup.metrics import ConfusionMatrix, aggregate_curves, classification_metrics
 from bugdedup.ledger import CostLedger
 from bugdedup.retrieval import VectorIndex, search, top_k
 from bugdedup.splitter import SPLITS, build_manifest, count_dup_pairs, split_clusters
 from bugdedup.synth import SynthConfig, synth_corpus
 from bugdedup import cli
 
-from helpers import fit_train_embedder, planted_pipeline, resolve_pairs
+from helpers import fit_train_embedder, outcome, planted_pipeline, resolve_pairs
 
 
 @pytest.fixture(scope="module")
@@ -249,15 +249,7 @@ def test_5_metrics_match_brute_force_on_1000_instances():
             kept = [bool(rng.integers(2)) for _ in range(n_cand)]
             n_rel = int(rng.integers(0, db + 1))
             relevant = frozenset(str(x) for x in rng.choice(ids, size=n_rel, replace=False))
-            group.append(
-                QueryOutcome(
-                    query="q",
-                    candidates=tuple(candidates),
-                    kept=tuple(kept),
-                    relevant=relevant,
-                    db_size=db,
-                )
-            )
+            group.append(outcome("q", tuple(candidates), tuple(kept), relevant, db))
             raw.append((ids, candidates, kept, relevant))
             instances += 1
         ks = sorted({int(rng.integers(1, 35)) for _ in range(3)})
@@ -290,12 +282,10 @@ def test_5_metrics_match_brute_force_on_1000_instances():
         ids, candidates, kept, relevant = raw[0]
         if relevant:
             # the same list ranked and kept in full: recall@k and precision@k
-            outcome = QueryOutcome(
-                "q", tuple(candidates), (True,) * len(candidates), relevant, len(ids)
-            )
-            for k, row in zip(ks, aggregate_curves([outcome], ks)):
+            query = outcome("q", tuple(candidates), (True,) * len(candidates), relevant, len(ids))
+            for k, row in zip(ks, aggregate_curves([query], ks)):
                 hits = len(set(candidates[:k]) & relevant)
-                assert outcome.confusion_at(k).tp == hits
+                assert query.confusion_at(k).tp == hits
                 assert abs(row.macro_recall - hits / len(relevant)) <= 1e-12
                 assert abs(row.macro_precision - hits / k) <= 1e-12
     print(f"[5] {instances} instances agreed with brute force within 1e-12")
@@ -337,10 +327,10 @@ def test_6_retrieval_recall_properties_and_full_sort_oracle(pipeline, train_embe
         relevant = set(
             str(x) for x in rng.choice(population, size=n_rel, replace=False)
         )
-        outcome = QueryOutcome(
+        ranked_query = outcome(
             "q", ranked.ids(), (True,) * len(ranked.ranked), frozenset(relevant), len(population)
         )
-        rows = aggregate_curves([outcome], range(1, len(population) + 1))
+        rows = aggregate_curves([ranked_query], range(1, len(population) + 1))
         curve = [row.macro_recall for row in rows]
         assert curve == [row.recall for row in rows]
         assert curve == sorted(curve)
@@ -484,7 +474,7 @@ def test_8_gradients_projection_gain_and_separable_convergence():
             queries = [g.query for g in groups]
             found = search(index, index.matrix[[row_of[q] for q in queries]], 10, excludes=queries)
             outcomes = [
-                QueryOutcome(
+                outcome(
                     g.query,
                     ranked.ids(),
                     (True,) * len(ranked.ranked),

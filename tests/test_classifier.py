@@ -32,7 +32,7 @@ from bugdedup.dup_graph import build_clusters
 from bugdedup.embedder import TfidfHashEmbedder
 from bugdedup.ledger import CostLedger
 
-from helpers import CountingEmbedder, reference_pair_features
+from helpers import CountingEmbedder, reference_pair_features, reference_tune_threshold
 
 
 def _report(bug_id, title, description, dup_of=None):
@@ -246,6 +246,28 @@ def test_tune_threshold_all_negative_labels():
     labels = np.array([0.0, 0.0])
     # f1 is 0 everywhere, so the whole grid ties and the lowest point wins
     assert tune_threshold(probs, labels) == pytest.approx(0.01)
+
+
+def test_tune_threshold_rejects_empty_input():
+    with pytest.raises(ValueError, match="all-zero"):
+        tune_threshold(np.array([]), np.array([]))
+
+
+# Probabilities on and near the grid points, where F1 ties are likeliest.
+_PROBABILITY = st.one_of(
+    st.floats(0.0, 1.0), st.integers(0, 100).map(lambda i: i / 100), st.just(0.1 + 0.2)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.lists(st.tuples(_PROBABILITY, st.sampled_from([0.0, 1.0])), min_size=1, max_size=40),
+    step=st.sampled_from([0.01, 0.03, 0.05, 0.1, 0.25, 0.3]),
+)
+def test_tune_threshold_equals_its_own_f1_loop(data, step):
+    probs = np.array([p for p, _ in data])
+    labels = np.array([y for _, y in data])
+    assert tune_threshold(probs, labels, step) == reference_tune_threshold(probs, labels, step)
 
 
 def _separable_pairs(n_each=12):

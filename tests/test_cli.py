@@ -293,6 +293,13 @@ def test_report_rejects_conflicting_scenarios(workdir, tmp_path, capsys):
     assert "conflicting" in err["message"]
 
 
+def test_report_names_an_input_that_is_not_a_scenario(workdir, tmp_path, capsys):
+    clusters = str(workdir / "clusters.json")
+    err = _run_fail(capsys, 2, "report", "--in", clusters, "--out", str(tmp_path / "r.csv"))
+    assert err["error"] == "UsageError"
+    assert clusters in err["message"]
+
+
 def test_service_backends_drive_scenario(workdir, tmp_path, capsys, stub_service, monkeypatch):
     stub_service.default = embed_reply(16)
     classify_stub = type(stub_service)(default=classify_reply(0.8))
@@ -352,7 +359,12 @@ def test_bad_ratios_exit_2(workdir, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--ratios", "0.8,x,0.1"), ("--caps", "train=abc"), ("--csv-columns", "bug_id,summary")],
+    [
+        ("--ratios", "0.8,x,0.1"),
+        ("--caps", "train=abc"),
+        ("--caps", "train=-1"),
+        ("--csv-columns", "bug_id,summary"),
+    ],
 )
 def test_malformed_list_flag_exits_2(workdir, tmp_path, capsys, flag, value):
     if flag == "--csv-columns":

@@ -195,6 +195,13 @@ def test_ingest_csv_with_custom_columns(tmp_path):
     assert corpus.duplicate_relations == frozenset({("1", "2")})
 
 
+def test_ingest_csv_rejects_a_wrong_number_of_columns(tmp_path):
+    path = tmp_path / "bugs.csv"
+    path.write_text("bug_id,title\n1,Crash\n")
+    with pytest.raises(IngestError, match="needs 4 names .*got 2"):
+        ingest(path, format="csv", csv_columns=("bug_id", "title"))
+
+
 def test_ingest_csv_missing_id_column(tmp_path):
     path = tmp_path / "bugs.csv"
     path.write_text("title,description\nCrash,heap\n")

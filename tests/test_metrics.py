@@ -13,14 +13,13 @@ from bugdedup.metrics import (
     CSV_COLUMNS,
     ConfusionMatrix,
     MetricRow,
-    QueryOutcome,
     aggregate_curves,
     classification_metrics,
     report_row,
     write_metrics_csv,
 )
 
-from helpers import reference_curves
+from helpers import outcome, reference_curves
 
 
 def test_confusion_rejects_negative_counts():
@@ -94,37 +93,22 @@ def test_metric_identities(tp, fp, fn, tn):
     assert row.accuracy == pytest.approx((tp + tn) / (tp + fp + fn + tn))
 
 
-def test_query_outcome_validates_alignment():
-    with pytest.raises(ValueError, match="align"):
-        QueryOutcome("q", ("a", "b"), (True,), frozenset(), 5)
-
-
 def test_query_outcome_truncation():
-    outcome = QueryOutcome(
-        query="q",
-        candidates=("a", "b", "c", "d"),
-        kept=(True, False, True, True),
-        relevant=frozenset({"a", "c", "x"}),
-        db_size=10,
-    )
-    cm1 = outcome.confusion_at(1)
-    assert (cm1.tp, cm1.fp, cm1.fn, cm1.tn) == (1, 0, 2, 7)
-    cm3 = outcome.confusion_at(3)  # b dropped by the classifier
-    assert (cm3.tp, cm3.fp, cm3.fn, cm3.tn) == (2, 0, 1, 7)
-    cm4 = outcome.confusion_at(4)
-    assert (cm4.tp, cm4.fp, cm4.fn, cm4.tn) == (2, 1, 1, 6)
-    cm_big = outcome.confusion_at(100)
-    assert cm_big == cm4
+    # the runner's records hold relevant ids as a sorted tuple, eval-retrieval's as a set
+    for relevant in (frozenset({"a", "c", "x"}), ("a", "c", "x")):
+        query = outcome("q", ("a", "b", "c", "d"), (True, False, True, True), relevant, 10)
+        cm1 = query.confusion_at(1)
+        assert (cm1.tp, cm1.fp, cm1.fn, cm1.tn) == (1, 0, 2, 7)
+        cm3 = query.confusion_at(3)  # b dropped by the classifier
+        assert (cm3.tp, cm3.fp, cm3.fn, cm3.tn) == (2, 0, 1, 7)
+        cm4 = query.confusion_at(4)
+        assert (cm4.tp, cm4.fp, cm4.fn, cm4.tn) == (2, 1, 1, 6)
+        cm_big = query.confusion_at(100)
+        assert cm_big == cm4
 
 
 def _outcome(query, candidates, relevant, db_size=20):
-    return QueryOutcome(
-        query=query,
-        candidates=tuple(candidates),
-        kept=tuple(True for _ in candidates),
-        relevant=frozenset(relevant),
-        db_size=db_size,
-    )
+    return outcome(query, candidates, [True] * len(candidates), frozenset(relevant), db_size)
 
 
 def test_aggregate_single_perfect_query():
@@ -199,7 +183,7 @@ def _outcomes(draw):
         kept = draw(st.lists(st.booleans(), min_size=len(candidates), max_size=len(candidates)))
         relevant = draw(st.frozensets(_IDS, max_size=4))
         db_size = len(set(candidates) | relevant) + draw(st.integers(0, 5))
-        out.append(QueryOutcome(f"q{i}", tuple(candidates), tuple(kept), relevant, db_size))
+        out.append(outcome(f"q{i}", tuple(candidates), tuple(kept), relevant, db_size))
     return out
 
 
@@ -218,7 +202,7 @@ def test_aggregate_equals_the_per_k_confusion_loop(outcomes, k_list):
 def test_aggregate_rejects_a_db_size_too_small_for_its_counts():
     # at k=3 the first query has tn = 3 - 3 - 1 < 0, which the second's
     # tn would hide in the pooled matrix
-    small = QueryOutcome("q1", ("a", "b", "c"), (True, True, True), frozenset({"z"}), 3)
+    small = outcome("q1", ("a", "b", "c"), (True, True, True), frozenset({"z"}), 3)
     large = _outcome("q2", ["a"], ["a"], db_size=50)
     assert aggregate_curves([small, large], [2])[0].tn == 49
     with pytest.raises(ValueError, match="nonnegative"):

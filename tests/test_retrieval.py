@@ -8,9 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bugdedup import retrieval
-from bugdedup.ledger import CostLedger
-from bugdedup.metrics import QueryOutcome, aggregate_curves
+from bugdedup.cascade import run_partition
+from bugdedup.corpus import BugReport
+from bugdedup.dup_graph import ClusterSet
+from bugdedup.metrics import aggregate_curves
 from bugdedup.retrieval import VectorIndex, search, top_k
+
+from helpers import outcome
 
 _ZERO_NORM = 1e-12
 
@@ -119,12 +123,22 @@ def test_top_k_validates_inputs():
         top_k(empty, np.array([1.0, 0.0]), k=1)
 
 
+class _FixedEmbedder:
+    def embed_texts(self, texts):
+        return np.array([[1.0, float(len(t))] for t in texts])
+
+
 def test_top_k_counts_similarity_ops():
-    idx = _index({"a": [1, 0], "b": [0, 1], "c": [1, 1]})
-    ledger = CostLedger()
-    top_k(idx, np.array([1.0, 0.0]), k=2, ledger=ledger)
-    assert ledger.similarity_ops == 3
-    top_k(idx, np.array([1.0, 0.0]), k=2, exclude="a", ledger=ledger)
+    # Search counts nothing; the runner charges each query one op per
+    # database bug it ranks. In an all-vs-all partition whose query "z" is
+    # not in the database, "z" scans all 3 bugs and "a" the 2 others.
+    database = [BugReport(b, f"title {b}", "text" * (i + 1)) for i, b in enumerate("abc")]
+    queries = [database[0], BugReport("z", "title z", "text")]
+    records, ledger = run_partition(
+        queries, database, ClusterSet((), ()), _FixedEmbedder(), None, "retrieval_only", 2,
+        exclude_self=True,
+    )
+    assert [(r.query, r.db_size) for r in records] == [("a", 2), ("z", 3)]
     assert ledger.similarity_ops == 5
 
 
@@ -221,23 +235,17 @@ def test_search_equals_the_full_sort_oracle_for_every_query(monkeypatch, m, dim,
     rng = np.random.default_rng(m * 1000 + n)
     index, queries, excludes = _search_case(rng, m, dim, n)
     names = [f"q{i}" for i in range(n)]
-    ledger = CostLedger()
-    got = search(index, queries, k, excludes, ledger, names)
+    got = search(index, queries, k, excludes, names)
     assert len(got) == n
     for i, ranked in enumerate(got):
         assert ranked.query == names[i]
         assert ranked.ranked == _oracle_rank(index, queries[i], k, excludes[i]), f"query {i}"
         assert ranked == top_k(index, queries[i], k, exclude=excludes[i], query=names[i])
-    skipped = sum(1 for e in excludes if e in index.ids)
-    assert ledger.similarity_ops == n * m - skipped
 
 
 def test_search_edge_inputs():
     index = _index({"a": [1, 0], "b": [0, 1]})
     assert search(index, np.zeros((0, 2)), 3) == []
-    ledger = CostLedger()
-    search(index, np.zeros((0, 2)), 3, ledger=ledger)
-    assert ledger.similarity_ops == 0
     got = search(index, np.array([[1.0, 0.0], [0.0, 1.0]]), 1)
     assert [r.ids() for r in got] == [("a",), ("b",)]
     assert [r.query for r in got] == ["", ""]
@@ -256,14 +264,9 @@ def test_search_edge_inputs():
 
 def _at_k(ranked, relevant, k_list, db_size=50):
     """Metric rows at each k for one query that retrieved ``ranked``."""
-    outcome = QueryOutcome(
-        query="q",
-        candidates=tuple(ranked),
-        kept=(True,) * len(ranked),
-        relevant=frozenset(relevant),
-        db_size=db_size,
+    return aggregate_curves(
+        [outcome("q", ranked, (True,) * len(ranked), frozenset(relevant), db_size)], k_list
     )
-    return aggregate_curves([outcome], k_list)
 
 
 def test_recall_at_k_hand_values():
@@ -276,8 +279,8 @@ def test_recall_at_k_hand_values():
 def test_recall_requires_relevant():
     # a query without relevant items has no recall and is left out of the mean
     assert _at_k(["a"], set(), [1])[0].macro_recall is None
-    with_peers = QueryOutcome("p", ("a",), (True,), frozenset({"a", "b"}), 50)
-    without = QueryOutcome("q", ("a",), (True,), frozenset(), 50)
+    with_peers = outcome("p", ("a",), (True,), frozenset({"a", "b"}), 50)
+    without = outcome("q", ("a",), (True,), frozenset(), 50)
     assert aggregate_curves([with_peers, without], [1])[0].macro_recall == 0.5
 
 

@@ -100,6 +100,16 @@ def test_split_rejects_bad_ratios():
         split_clusters(cs, ratios=(1.0, 0.0, 0.0))
 
 
+def test_split_rejects_bad_caps():
+    cs = _uniform_clusters(5, 2)
+    with pytest.raises(SplitError, match="train must be >= 0, got -1"):
+        split_clusters(cs, caps={"train": -1, "dev": None, "test": None})
+    with pytest.raises(SplitError, match="got 'tran'"):
+        build_manifest(cs, caps={"tran": 5})
+    with pytest.raises(SplitError, match="dev must be >= 0"):
+        generate_pairs(split_clusters(cs), cs, caps={"dev": -2})
+
+
 def test_independents_follow_ratios(clusters, manifest):
     counts = {s: 0 for s in SPLITS}
     for split in manifest.independent_assignment.values():

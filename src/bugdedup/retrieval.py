@@ -1,32 +1,63 @@
 """Exact top-k cosine search over embedded reports.
 
 ``search`` scores a batch of queries against the whole index by brute
-force, then selects each query's top k with ``np.partition`` and sorts
-only the rows that can make it: databases stay small enough (tens of
-thousands) that exactness is cheap, and exact results keep every
-retrieval metric oracle-checkable. Ranking is fully deterministic: ties
-break by ascending bug id, and candidates whose embedding is the zero
-vector (cosine undefined) sort below everything. ``top_k`` is the
-one-query case. Search counts nothing: the scenario runner charges the
-similarity ops, and ``metrics`` computes recall and precision at k from
-the rankings.
+force: databases stay small enough (tens of thousands) that exactness is
+cheap, and exact results keep every retrieval metric oracle-checkable.
+Ranking is fully deterministic: ties break by ascending bug id, and
+candidates whose embedding is the zero vector (cosine undefined) sort
+below everything. ``top_k`` is the one-query case. Search counts
+nothing: the scenario runner charges the similarity ops, and ``metrics``
+computes recall and precision at k from the rankings.
 
-The loops run over query chunks, then over aligned row blocks of the
-index, then over the queries of the chunk, and each step is one
-matrix-vector product of a row block with one query. A block (at most
-``_BLOCK_ELEMENTS`` values) stays in cache while every query of the
-chunk reads it, instead of each query streaming the whole index. Every
-score is still the result of the same product on the same block as a
-one-query scan, so its bits do not depend on which other queries share
-the call; the block's size and alignment also keep the product on the
-calling thread (see ``_BLOCK_ELEMENTS``), so they do not depend on the
-BLAS thread count either. A matrix-matrix product would be about four times faster
-here, but it sums in an order that depends on the query block: its
-scores differ in the last bits from a one-query scan, and between
-block sizes and orders of the same queries. Query norms are taken one
-vector at a time with ``np.linalg.norm`` for the same reason;
-``norm(axis=1)`` sums in a different order. A chunk holds at most
-``_CHUNK_SCORES`` scores, which bounds the memory of a search.
+A score's bits are defined by a one-query block scan: the matrix-vector
+product (GEMV) of the aligned row block holding the row with the query,
+``index.matrix[s:s + block] @ q``, over the product of the two norms. So
+they do not depend on which other queries share the call, and the scan
+itself is kept in the tests as their oracle. A matrix-matrix product
+(GEMM) sums in an order that depends on the query block, and its scores
+differ from the scan's in the last bits, so ``search`` uses it only to
+choose candidates, as FAISS's exact search does before its refine step
+(Johnson, Douze and Jegou, arXiv:1702.08734):
+
+1. One GEMM per query chunk scores every (query, row) pair, over the
+   same denominators as the scan, with the same zero-norm and exclusion
+   rules.
+2. ``_shortlist`` keeps each row whose GEMM score is at least the
+   query's k-th GEMM score minus ``4 * gamma(d + 2)``, where
+   ``gamma(n) = n*u / (1 - n*u)`` and ``u = 2**-53`` (every row when
+   ``k >= m``). Any order of summing a d-term dot product errs by at most
+   ``gamma(d) * |x| * |q|`` (Higham, *Accuracy and Stability of
+   Numerical Algorithms*, section 3.1), so the GEMM's and the scan's dot
+   products of a pair differ by at most twice that. Both are divided by
+   the same denominator bits, the product of two computed norms that are
+   each within about ``gamma(d) / 2`` of the true norm. With the two
+   divisions' roundings, the two cosines of a pair then differ by at most
+   ``E = 2 * gamma(d + 2)`` (for any d below about 10**8). A row of the
+   exact top k scores at least the exact k-th score, which is at least
+   the GEMM k-th score minus E, and the row's GEMM score is at most E
+   below its exact one: a margin of ``2 * E`` keeps it, ties included.
+   The bound needs finite norms, so a vector whose norm is not finite is
+   refused.
+3. The shortlist is rescored to the scan's bits, and each chunk is
+   ranked with one ``np.lexsort``. A -inf score (zero norm, or excluded)
+   is the same in both and is not rescored.
+
+The rescoring rests on how OpenBLAS computes a GEMV: rows in groups of
+four, then the last ``r mod 4`` rows of an r-row call on another path,
+and a row's bits depend only on which of the two computed it. Rows below
+``head = m - m mod 4`` are on the group path of their scan block, and a
+gather ``index.matrix[rows] @ q`` padded with row 0 to a multiple of four
+rows puts every row there too. A gather holds at most ``block`` rows,
+like a scan block, which keeps the product on the calling thread (see
+``_BLOCK_ELEMENTS``): a larger one is split between threads at a row
+that need not start a group. Rows at or after ``head`` are read from the
+scan's own last-block call ``index.matrix[last:m] @ q``, with ``last =
+(m - 1) // block * block``: they take its remainder path, or, when that
+block has one row, numpy's dot product, which no gather reproduces.
+Query norms are taken one vector at a time with ``np.linalg.norm``, as
+the scan takes them; ``norm(axis=1)`` sums in a different order. A chunk
+holds at most ``_CHUNK_SCORES`` scores, which bounds the memory of a
+search.
 """
 
 from __future__ import annotations
@@ -40,14 +71,15 @@ import numpy as np
 
 from .embedder import ZERO_NORM
 
-# The scan's row blocks hold at most this many matrix elements, in a
-# multiple of _BLOCK_ALIGN rows. OpenBLAS computes a matrix-vector product
-# this small on the calling thread. A larger one it splits across threads
-# at a row that need not be aligned, which changes the last bits of the
-# rows around the split with the thread count, and in a tight per-query
-# loop on a small machine each call can wait milliseconds for a worker
-# that shares the caller's CPU. Aligned blocks keep every row in the same
-# kernel group as one single-threaded product, so the scores are its bits.
+# The scan's row blocks, and the rescoring's gathers, hold at most this
+# many matrix elements, in a multiple of _BLOCK_ALIGN rows. OpenBLAS
+# computes a matrix-vector product this small on the calling thread. A
+# larger one it splits across threads at a row that need not be aligned,
+# which changes the last bits of the rows around the split with the thread
+# count, and in a tight per-query loop on a small machine each call can
+# wait milliseconds for a worker that shares the caller's CPU. Aligned
+# blocks keep every row in the same kernel group as one single-threaded
+# product, so the scores are its bits.
 _BLOCK_ELEMENTS = 1 << 16
 _BLOCK_ALIGN = 64
 # A search scores at most this many (query, row) pairs at a time.
@@ -87,11 +119,11 @@ class VectorIndex:
             raise ValueError(f"{len(ids)} ids but {matrix.shape[0]} vectors")
         order = sorted(range(len(ids)), key=lambda i: ids[i])
         ordered = _aligned_rows(matrix, order)
-        return cls(
-            ids=tuple(ids[i] for i in order),
-            matrix=ordered,
-            norms=np.linalg.norm(ordered, axis=1),
-        )
+        norms = np.linalg.norm(ordered, axis=1)
+        bad = np.flatnonzero(~np.isfinite(norms))
+        if len(bad):
+            raise ValueError(f"the vector of {ids[order[bad[0]]]!r} has a norm that is not finite")
+        return cls(ids=tuple(ids[i] for i in order), matrix=ordered, norms=norms)
 
     @property
     def dim(self) -> int:
@@ -138,12 +170,13 @@ def search(
     excludes: Sequence[str | None] | None = None,
     queries: Sequence[str] | None = None,
 ) -> list[RankedCandidates]:
-    """``top_k`` for each row of ``query_vectors``, in one pass over the index.
+    """``top_k`` for each row of ``query_vectors``, one GEMM per query chunk.
 
     ``excludes[i]`` (an id or None) is left out of query i's ranking and
     ``queries[i]`` names it; both default to None/"" for every query.
-    Each result equals the one-query ``top_k`` bit for bit. Nothing is
-    counted here: ``cascade.run_partition`` charges the similarity ops.
+    Each result equals the one-query ``top_k`` bit for bit. A query whose
+    norm is not finite raises ``ValueError``. Nothing is counted here:
+    ``cascade.run_partition`` charges the similarity ops.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -157,42 +190,95 @@ def search(
     queries = [""] * n if queries is None else list(queries)
     if len(excludes) != n or len(queries) != n:
         raise ValueError(f"{n} query vectors but {len(excludes)} excludes and {len(queries)} names")
-    skips: list[int | None] = []
-    for exclude in excludes:
+    # The row each query leaves out, or -1.
+    skips = np.full(n, -1)
+    for i, exclude in enumerate(excludes):
         pos = bisect_left(index.ids, exclude) if exclude is not None else m
-        skips.append(pos if pos < m and index.ids[pos] == exclude else None)
+        if pos < m and index.ids[pos] == exclude:
+            skips[i] = pos
+
+    norms = np.array([np.linalg.norm(q) for q in vectors])
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if len(bad):
+        raise ValueError(f"query {bad[0]} ({queries[bad[0]]!r}) has a norm that is not finite")
 
     block = max(_BLOCK_ALIGN, _BLOCK_ELEMENTS // max(1, index.dim) // _BLOCK_ALIGN * _BLOCK_ALIGN)
     chunk = max(1, _CHUNK_SCORES // m)
     results: list[RankedCandidates] = []
     for first in range(0, n, chunk):
         part = vectors[first : first + chunk]
-        scores = np.empty((len(part), m))
-        for start in range(0, m, block):
-            rows = index.matrix[start : start + block]
-            for i, q in enumerate(part):
-                np.matmul(rows, q, out=scores[i, start : start + block])
-        denom = index.norms[None, :] * np.array([np.linalg.norm(q) for q in part])[:, None]
+        scores = part @ index.matrix.T
+        denom = index.norms[None, :] * norms[first : first + len(part), None]
         invalid = ~(denom > ZERO_NORM)
         denom[invalid] = 1.0
         np.divide(scores, denom, out=scores)
         scores[invalid] = -np.inf
-        # An excluded row scores -inf. A query's ``rows`` keeps every row
-        # scoring at least its k-th best, so if that includes the excluded
-        # row, the k-th best is -inf and ``rows`` is the whole index:
-        # dropping it below still leaves the k best of the rest.
-        chunk_skips = skips[first : first + len(part)]
-        for i, skip in enumerate(chunk_skips):
-            if skip is not None:
-                scores[i, skip] = -np.inf
-        kth = np.partition(scores, m - k, axis=1)[:, m - k] if k < m else None
-        for i, (row_scores, skip) in enumerate(zip(scores, chunk_skips)):
-            rows = np.arange(m) if kth is None else np.flatnonzero(row_scores >= kth[i])
-            # Index rows are sorted by id, so ascending row is ascending id.
-            order = rows[np.lexsort((rows, -row_scores[rows]))]
-            if skip is not None:
-                order = order[order != skip]
-            order = order[:k]
-            ranked = tuple(zip((index.ids[j] for j in order.tolist()), row_scores[order].tolist()))
+        # An excluded row scores -inf, so the k-th score is that of the
+        # rest; the row then leaves the shortlist.
+        skipping = np.flatnonzero(skips[first : first + len(part)] >= 0)
+        skipped = skips[first + skipping]
+        scores[skipping, skipped] = -np.inf
+        keep = _shortlist(scores, k, index.dim)
+        keep[skipping, skipped] = False
+        # Shortlist pairs in query-major, ascending-row order. A -inf score
+        # is exact; every other one is replaced by the scan's bits.
+        who, rows = np.nonzero(keep)
+        picked = scores[who, rows]
+        finite = np.flatnonzero(picked > -np.inf)
+        finite_rows = rows[finite]
+        spans = np.searchsorted(who[finite], np.arange(len(part) + 1)).tolist()
+        dots = np.empty(len(finite))
+        for i, (a, b) in enumerate(zip(spans, spans[1:])):
+            if a < b:
+                dots[a:b] = _scan_dots(index.matrix, part[i], finite_rows[a:b], block)
+        picked[finite] = dots / denom[who[finite], finite_rows]
+        # Index rows are sorted by id, so ascending row is ascending id. The
+        # sort keeps each query's pairs where np.nonzero put them, so a
+        # query's first k pairs are those less than k past its start.
+        order = np.lexsort((rows, -picked, who))
+        starts = np.searchsorted(who, np.arange(len(part) + 1))
+        top = order[np.arange(len(order)) - starts[who] < k]
+        top_ids = [index.ids[j] for j in rows[top].tolist()]
+        top_scores = picked[top].tolist()
+        ends = np.cumsum(np.minimum(np.diff(starts), k)).tolist()
+        for i, (a, b) in enumerate(zip([0, *ends], ends)):
+            ranked = tuple(zip(top_ids[a:b], top_scores[a:b]))
             results.append(RankedCandidates(query=queries[first + i], ranked=ranked))
     return results
+
+
+def _shortlist(scores: np.ndarray, k: int, dim: int) -> np.ndarray:
+    """Which rows of each query's GEMM ``scores`` can be in its exact top k.
+
+    A GEMM cosine is within ``2 * gamma(dim + 2)`` of the scan's, so a row
+    of the exact top k scores at most ``4 * gamma(dim + 2)`` below the
+    query's k-th GEMM score (see the module docstring). The margin is
+    rounded up, and a rounded ``kth - margin`` is then never above a score
+    that the exact difference is not above.
+    """
+    m = scores.shape[1]
+    if k >= m:
+        return np.ones(scores.shape, dtype=bool)
+    u = 2.0**-53
+    gamma = (dim + 2) * u / (1 - (dim + 2) * u)
+    margin = math.nextafter(4 * gamma, math.inf)
+    kth = np.partition(scores, m - k, axis=1)[:, m - k]
+    return scores >= (kth - margin)[:, None]
+
+
+def _scan_dots(matrix: np.ndarray, q: np.ndarray, rows: np.ndarray, block: int) -> np.ndarray:
+    """``matrix[rows] @ q`` for ascending ``rows``, with the bits of the scan
+    ``matrix[s:s + block] @ q`` (see the module docstring)."""
+    m = len(matrix)
+    body = rows.searchsorted(m - m % 4)
+    out = np.empty(len(rows))
+    for s in range(0, body, block):
+        n = min(block, body - s)
+        take = rows[s : s + n]
+        if n % 4:
+            take = np.concatenate((take, np.zeros(-n % 4, dtype=take.dtype)))
+        out[s : s + n] = (matrix[take] @ q)[:n]
+    if body < len(rows):
+        last = (m - 1) // block * block
+        out[body:] = (matrix[last:] @ q)[rows[body:] - last]
+    return out

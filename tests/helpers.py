@@ -8,6 +8,7 @@ import json
 import re
 import threading
 import time
+from bisect import bisect_left
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -15,7 +16,8 @@ import numpy as np
 from bugdedup.cascade import classify_pairs, run_partition
 from bugdedup.corpus import Corpus, clean
 from bugdedup.dup_graph import ClusterSet, build_clusters
-from bugdedup.embedder import TfidfHashEmbedder
+from bugdedup import retrieval
+from bugdedup.embedder import ZERO_NORM, TfidfHashEmbedder
 from bugdedup.metrics import (
     ConfusionMatrix,
     MetricRow,
@@ -23,7 +25,7 @@ from bugdedup.metrics import (
     aggregate_curves,
     classification_metrics,
 )
-from bugdedup.retrieval import VectorIndex, search
+from bugdedup.retrieval import RankedCandidates, VectorIndex, search
 from bugdedup.splitter import SplitManifest, build_manifest
 from bugdedup.stopwords import STOP_WORDS
 from bugdedup.synth import SynthConfig, synth_corpus
@@ -157,6 +159,66 @@ def outcome(query, ids, kept, relevant, db_size) -> QueryOutcome:
     verdicts, every score 0.0."""
     return QueryOutcome(query, tuple((b, 0.0, k) for b, k in zip(ids, kept, strict=True)),
                         relevant, db_size)
+
+
+def reference_search(index, query_vectors, k, excludes=None, queries=None) -> list[RankedCandidates]:
+    """``retrieval.search`` as a one-query block scan, the definition of its
+    bits: each score is the matrix-vector product of the aligned row block
+    holding the row with one query, over the product of the norms."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if len(index) == 0:
+        raise ValueError("cannot query an empty index")
+    vectors = np.ascontiguousarray(query_vectors, dtype=np.float64)
+    if vectors.ndim != 2 or vectors.shape[1] != index.dim:
+        raise ValueError(f"query dim {vectors.shape} does not match index dim {index.dim}")
+    n, m = len(vectors), len(index)
+    excludes = [None] * n if excludes is None else list(excludes)
+    queries = [""] * n if queries is None else list(queries)
+    if len(excludes) != n or len(queries) != n:
+        raise ValueError(f"{n} query vectors but {len(excludes)} excludes and {len(queries)} names")
+    skips: list[int | None] = []
+    for exclude in excludes:
+        pos = bisect_left(index.ids, exclude) if exclude is not None else m
+        skips.append(pos if pos < m and index.ids[pos] == exclude else None)
+
+    block = max(
+        retrieval._BLOCK_ALIGN,
+        retrieval._BLOCK_ELEMENTS // max(1, index.dim) // retrieval._BLOCK_ALIGN * retrieval._BLOCK_ALIGN,
+    )
+    chunk = max(1, retrieval._CHUNK_SCORES // m)
+    results: list[RankedCandidates] = []
+    for first in range(0, n, chunk):
+        part = vectors[first : first + chunk]
+        scores = np.empty((len(part), m))
+        for start in range(0, m, block):
+            rows = index.matrix[start : start + block]
+            for i, q in enumerate(part):
+                np.matmul(rows, q, out=scores[i, start : start + block])
+        denom = index.norms[None, :] * np.array([np.linalg.norm(q) for q in part])[:, None]
+        invalid = ~(denom > ZERO_NORM)
+        denom[invalid] = 1.0
+        np.divide(scores, denom, out=scores)
+        scores[invalid] = -np.inf
+        # An excluded row scores -inf. A query's ``rows`` keeps every row
+        # scoring at least its k-th best, so if that includes the excluded
+        # row, the k-th best is -inf and ``rows`` is the whole index:
+        # dropping it below still leaves the k best of the rest.
+        chunk_skips = skips[first : first + len(part)]
+        for i, skip in enumerate(chunk_skips):
+            if skip is not None:
+                scores[i, skip] = -np.inf
+        kth = np.partition(scores, m - k, axis=1)[:, m - k] if k < m else None
+        for i, (row_scores, skip) in enumerate(zip(scores, chunk_skips)):
+            rows = np.arange(m) if kth is None else np.flatnonzero(row_scores >= kth[i])
+            # Index rows are sorted by id, so ascending row is ascending id.
+            order = rows[np.lexsort((rows, -row_scores[rows]))]
+            if skip is not None:
+                order = order[order != skip]
+            order = order[:k]
+            ranked = tuple(zip((index.ids[j] for j in order.tolist()), row_scores[order].tolist()))
+            results.append(RankedCandidates(query=queries[first + i], ranked=ranked))
+    return results
 
 
 def reference_tune_threshold(probabilities, labels, step=0.01) -> float:

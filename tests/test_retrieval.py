@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,7 @@ from bugdedup.dup_graph import ClusterSet
 from bugdedup.metrics import aggregate_curves
 from bugdedup.retrieval import VectorIndex, search, top_k
 
-from helpers import outcome
+from helpers import outcome, reference_search
 
 _ZERO_NORM = 1e-12
 
@@ -201,14 +204,19 @@ def test_top_k_matches_full_sort_on_random_indexes():
         assert got.ranked == _oracle_rank(index, q, k, exclude), f"edge case {case}"
 
 
-def _search_case(rng, m, dim, n):
-    """An index with zero rows and exact ties, and n queries (some zero) with mixed excludes."""
-    matrix = rng.normal(size=(m, dim))
+def _search_case(rng, m, dim, n, integer=False):
+    """An index with zero rows and exact ties, and n queries (some zero) with
+    mixed excludes. ``integer`` vectors have exact dot products, so more of
+    their scores tie."""
+    def draw(shape):
+        return rng.integers(-2, 3, size=shape).astype(float) if integer else rng.normal(size=shape)
+
+    matrix = draw((m, dim))
     matrix[rng.random(m) < 0.1] = 0.0
     for row in range(1, m, 5):
         matrix[row] = matrix[row - 1]
     ids = [f"r{i:04d}" for i in range(m)]
-    queries = rng.normal(size=(n, dim))
+    queries = draw((n, dim))
     queries[rng.random(n) < 0.1] = 0.0
     # copies of index rows tie with them, and with each other
     queries[::3] = matrix[rng.integers(m, size=len(queries[::3]))]
@@ -241,6 +249,97 @@ def test_search_equals_the_full_sort_oracle_for_every_query(monkeypatch, m, dim,
         assert ranked.query == names[i]
         assert ranked.ranked == _oracle_rank(index, queries[i], k, excludes[i]), f"query {i}"
         assert ranked == top_k(index, queries[i], k, exclude=excludes[i], query=names[i])
+
+
+def _bits(results):
+    return [(r.query, [(bug_id, score.hex()) for bug_id, score in r.ranked]) for r in results]
+
+
+@pytest.mark.parametrize(
+    "m,dim,integer,ks,chunk_scores",
+    [
+        # At dim 1024 a scan block is 64 rows.
+        (1, 1024, False, None, None),  # one row: no 4-row group at all
+        (2, 1024, False, None, None),
+        (3, 1024, False, None, None),
+        (64, 1024, False, None, None),  # m mod 4 = 0, one full block
+        (65, 1024, False, None, None),  # a last block of 1 row, a dot product
+        (66, 1024, False, None, None),  # a last block of 2 rows
+        (67, 1024, False, None, None),  # a last block of 3 rows
+        (93, 1024, False, None, None),  # m mod 4 = 1, 2 and 3 in a longer last block
+        (94, 1024, False, None, None),
+        (95, 1024, True, None, None),
+        (257, 256, False, None, None),  # a last block of 1 row after 256-row blocks
+        (131, 1024, True, None, None),  # integer vectors, exact ties, a 3-row last block
+        (50, 6, True, None, 200),  # several query chunks
+        (300, 700, False, None, 900),  # several query chunks and row blocks
+        # Shortlists of 500 rows and of the whole index: more than one block,
+        # and more than OpenBLAS computes on one thread.
+        (604, 1024, False, (1, 500, 603, 604, 607), None),
+    ],
+)
+def test_search_equals_the_block_scan_bit_for_bit(monkeypatch, m, dim, integer, ks, chunk_scores):
+    if chunk_scores is not None:
+        monkeypatch.setattr(retrieval, "_CHUNK_SCORES", chunk_scores)
+    rng = np.random.default_rng(m * 1000 + dim)
+    index, queries, excludes = _search_case(rng, m, dim, 12, integer)
+    # The rows after the last 4-row group score, and one query is zero.
+    matrix = np.array(index.matrix)
+    matrix[m - m % 4 :] = rng.normal(size=(m % 4, dim))
+    index = VectorIndex.from_vectors(index.ids, matrix)
+    queries[1] = 0.0
+    names = [f"q{i}" for i in range(len(queries))]
+    for k in ks or sorted({1, 5, max(1, m - 1), m, m + 3}):
+        want = reference_search(index, queries, k, excludes, names)
+        assert _bits(search(index, queries, k, excludes, names)) == _bits(want), f"k={k}"
+    assert search(index, queries[:0], 1) == reference_search(index, queries[:0], 1) == []
+
+
+def _perturbed(value: float, t: float, bound: Fraction) -> float:
+    """The float nearest ``value + t * bound`` that is within ``bound`` of ``value``."""
+    noisy = float(Fraction(value) + Fraction(t) * bound)
+    while abs(Fraction(noisy) - Fraction(value)) > bound:
+        noisy = math.nextafter(noisy, value)
+    return noisy
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    exact=st.lists(
+        st.sampled_from([-math.inf, -1.0, 0.0, 0.25, 1.0]) | st.floats(-1.0, 1.0),
+        min_size=1,
+        max_size=30,
+    ),
+    data=st.data(),
+)
+def test_shortlist_keeps_the_exact_top_k_under_the_error_bound(exact, data):
+    # The GEMM and the scan score a pair at most 2 * gamma(dim + 2) apart,
+    # and score -inf alike. Whatever the GEMM's error within that bound,
+    # the shortlist holds every row scoring at least the exact k-th score.
+    dim = data.draw(st.integers(0, 5000), label="dim")
+    k = data.draw(st.integers(1, len(exact) + 3), label="k")
+    bound = 2 * Fraction(dim + 2, 2**53 - (dim + 2))
+    ts = data.draw(
+        st.lists(st.sampled_from([-1.0, 1.0]) | st.floats(-1.0, 1.0),
+                 min_size=len(exact), max_size=len(exact)),
+        label="error, in units of the bound",
+    )
+    noisy = [v if v == -math.inf else _perturbed(v, t, bound) for v, t in zip(exact, ts)]
+    keep = retrieval._shortlist(np.array([noisy]), k, dim)[0]
+    scores = np.array(exact)
+    kth = np.sort(scores)[::-1][min(k, len(scores)) - 1]
+    assert keep[scores >= kth].all()
+
+
+def test_non_finite_vectors_are_refused():
+    with pytest.raises(ValueError, match="'c' has a norm that is not finite"):
+        VectorIndex.from_vectors(list("dcba"), np.array([[1.0, 0.0], [np.inf, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+    index = _index({"a": [1, 0], "b": [0, 1]})
+    with pytest.raises(ValueError, match=r"query 1 \('nan'\) has a norm that is not finite"):
+        search(index, np.array([[1.0, 0.0], [np.nan, 0.0]]), 1, queries=["ok", "nan"])
+    # finite entries whose norm overflows
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="query 0 .* not finite"):
+        search(index, np.array([[1e200, 1e200]]), 1)
 
 
 def test_search_edge_inputs():

@@ -12,7 +12,9 @@ import base64
 import hashlib
 import json
 import math
+import threading
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -53,6 +55,22 @@ def l2_normalize_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix / safe
 
 
+class _TokenTable:
+    """A vocabulary id per token, and per id its bucket and IDF.
+
+    ``ids`` only grows. ``arrays`` holds the ``(bucket, idf)`` arrays as one
+    tuple, replaced whole when it grows and never resized in place; new ids
+    enter ``ids`` only after the arrays that cover them are published, so a
+    reader that maps its tokens first and takes ``arrays`` second always
+    holds rows for every id it has.
+    """
+
+    def __init__(self) -> None:
+        self.ids: dict[str, int] = {}
+        self.arrays: tuple[np.ndarray, np.ndarray] = (np.empty(0, dtype=np.intp), np.empty(0))
+        self.lock = threading.Lock()
+
+
 @dataclass(frozen=True)
 class TfidfHashEmbedder:
     """Hashed TF-IDF embedder, fitted on train-split texts only.
@@ -60,17 +78,28 @@ class TfidfHashEmbedder:
     Tokens (whitespace-split, already cleaned) are bucketed by FNV-1a
     64-bit hash mod ``dim``; each contributes tf * idf to its bucket and
     the vector is L2-normalized. IDF uses the smoothed form
-    ln((1+N)/(1+df)) + 1 so unseen tokens still carry weight. Fitted
-    instances are immutable and safe to share across threads; each token's
-    bucket and IDF are memoised on first sight (a pure function of the
-    fitted fields, so the memo takes no part in equality or ``to_json``).
+    ln((1+N)/(1+df)) + 1 so unseen tokens still carry weight.
+
+    A batch is embedded in one pass. Each token has a vocabulary id, given
+    on first sight, and per id a bucket and an IDF in two arrays. The
+    batch's distinct (text, token) pairs come from one ``np.unique`` with
+    their counts, sorted by first occurrence, and one ``np.add.at`` adds
+    each ``count * idf`` to its bucket in that order. So every bucket
+    holds the float64 sum, from 0.0, of its tokens in the order they first
+    appear in the text: a row's bits depend neither on its batch nor on
+    which tokens were seen before.
+
+    Fitted instances are immutable and safe to share across threads. The
+    token tables are a pure function of the fitted fields, so they take no
+    part in equality or ``to_json``; they grow under a lock, by replacing
+    the arrays, so a reader always sees a consistent snapshot.
     """
 
     dim: int
     doc_count: int
     df: Mapping[str, int]
-    _memo: dict[str, tuple[int, float]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
+    _tokens: _TokenTable = field(
+        default_factory=_TokenTable, init=False, repr=False, compare=False
     )
 
     @classmethod
@@ -86,26 +115,52 @@ class TfidfHashEmbedder:
     def idf(self, token: str) -> float:
         return math.log((1 + self.doc_count) / (1 + self.df.get(token, 0))) + 1.0
 
-    def _token(self, token: str) -> tuple[int, float]:
-        hit = self._memo.get(token)
-        if hit is None:
-            hit = self._memo[token] = (fnv1a64(token) % self.dim, self.idf(token))
-        return hit
+    def _learn(self, tokens: Sequence[str]) -> None:
+        """Give each token not yet in the vocabulary an id, a bucket and an IDF."""
+        table = self._tokens
+        with table.lock:
+            new = [t for t in dict.fromkeys(tokens) if t not in table.ids]
+            if not new:
+                return
+            buckets, idf = table.arrays
+            new_buckets = np.array([fnv1a64(t) % self.dim for t in new], dtype=np.intp)
+            table.arrays = (
+                np.concatenate((buckets, new_buckets)),
+                np.concatenate((idf, [self.idf(t) for t in new])),
+            )
+            # Only now that the arrays cover them do the new ids become visible.
+            table.ids.update(zip(new, range(len(idf), len(idf) + len(new))))
+
+    def _ids(self, tokens: list[str]) -> np.ndarray:
+        """Each token's vocabulary id, learning the tokens not seen before."""
+        try:
+            return np.fromiter(map(self._tokens.ids.__getitem__, tokens), np.intp, len(tokens))
+        except KeyError:
+            self._learn(tokens)
+            return self._ids(tokens)
 
     def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
+        return l2_normalize_rows(self._weights(texts))
+
+    def _weights(self, texts: Sequence[str]) -> np.ndarray:
+        """The rows before normalisation. Its per-token arrays are freed on
+        return, before the normalisation allocates its dense temporaries."""
+        split = [text.split() for text in texts]
+        ids = self._ids(list(chain.from_iterable(split)))
+        # Taken after the ids, so the arrays cover every one of them.
+        buckets, idf = self._tokens.arrays
+        text_of = np.repeat(np.arange(len(texts)), [len(tokens) for tokens in split])
+        # One key per (text, token) pair; its first index orders it as the
+        # token first occurs in the text.
+        _, first, counts = np.unique(
+            text_of * len(idf) + ids, return_index=True, return_counts=True
+        )
+        order = np.argsort(first, kind="stable")
+        first, counts = first[order], counts[order]
+        token = ids[first]
         out = np.zeros((len(texts), self.dim))
-        for i, text in enumerate(texts):
-            tf: dict[str, int] = {}
-            for token in text.split():
-                tf[token] = tf.get(token, 0) + 1
-            # Buckets accumulate in first-occurrence order, as float64 sums
-            # starting from 0.0, so a row's bits do not depend on the memo.
-            row: dict[int, float] = {}
-            for token, count in tf.items():
-                bucket, idf = self._token(token)
-                row[bucket] = row.get(bucket, 0.0) + count * idf
-            out[i, list(row)] = list(row.values())
-        return l2_normalize_rows(out)
+        np.add.at(out.reshape(-1), text_of[first] * self.dim + buckets[token], counts * idf[token])
+        return out
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "doc_count": self.doc_count, "df": dict(self.df)}

@@ -55,9 +55,13 @@ scan's own last-block call ``index.matrix[last:m] @ q``, with ``last =
 (m - 1) // block * block``: they take its remainder path, or, when that
 block has one row, numpy's dot product, which no gather reproduces.
 Query norms are taken one vector at a time with ``np.linalg.norm``, as
-the scan takes them; ``norm(axis=1)`` sums in a different order. A chunk
-holds at most ``_CHUNK_SCORES`` scores, which bounds the memory of a
-search.
+the scan takes them; ``norm(axis=1)`` sums in a different order.
+
+A chunk holds at most ``_CHUNK_SCORES`` scores. A shortlisted pair takes
+about ten array elements until its chunk is ranked, so a chunk also holds
+at most a tenth as many pairs of shortlists of ``min(k, m)`` rows a query.
+That bounds the memory of a search when the shortlist is the whole index
+(``k >= m``) too.
 """
 
 from __future__ import annotations
@@ -203,7 +207,7 @@ def search(
         raise ValueError(f"query {bad[0]} ({queries[bad[0]]!r}) has a norm that is not finite")
 
     block = max(_BLOCK_ALIGN, _BLOCK_ELEMENTS // max(1, index.dim) // _BLOCK_ALIGN * _BLOCK_ALIGN)
-    chunk = max(1, _CHUNK_SCORES // m)
+    chunk = max(1, _CHUNK_SCORES // max(m, 10 * min(k, m)))
     results: list[RankedCandidates] = []
     for first in range(0, n, chunk):
         part = vectors[first : first + chunk]

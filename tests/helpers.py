@@ -17,7 +17,7 @@ from bugdedup.cascade import classify_pairs, run_partition
 from bugdedup.corpus import Corpus, clean
 from bugdedup.dup_graph import ClusterSet, build_clusters
 from bugdedup import retrieval
-from bugdedup.embedder import ZERO_NORM, TfidfHashEmbedder
+from bugdedup.embedder import ZERO_NORM, TfidfHashEmbedder, fnv1a64, l2_normalize_rows
 from bugdedup.metrics import (
     ConfusionMatrix,
     MetricRow,
@@ -97,6 +97,26 @@ def reference_clean(text: str) -> str:
         elif re.fullmatch(r"[a-z0-9]+", tok) and tok not in STOP_WORDS:
             kept.append(tok)
     return " ".join(kept)
+
+
+def reference_tfidf_embed(embedder, texts) -> np.ndarray:
+    """``TfidfHashEmbedder.embed_texts`` as the loop over texts and tokens it
+    replaced, with each token's bucket and IDF computed where it is used.
+    A bucket sums ``count * idf`` from 0.0 in the order its tokens first
+    occur in the text; the vectorised embed must equal this bit for bit."""
+    out = np.zeros((len(texts), embedder.dim))
+    for i, text in enumerate(texts):
+        tf: dict[str, int] = {}
+        for token in text.split():
+            tf[token] = tf.get(token, 0) + 1
+        # Buckets accumulate in first-occurrence order, as float64 sums
+        # starting from 0.0.
+        row: dict[int, float] = {}
+        for token, count in tf.items():
+            bucket, idf = fnv1a64(token) % embedder.dim, embedder.idf(token)
+            row[bucket] = row.get(bucket, 0.0) + count * idf
+        out[i, list(row)] = list(row.values())
+    return l2_normalize_rows(out)
 
 
 def reference_pair_features(embedder, a, b) -> list[float]:

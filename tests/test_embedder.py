@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -27,6 +29,9 @@ from bugdedup.embedder import (
     _pass_losses,
 )
 from bugdedup.retrieval import VectorIndex, top_k
+from bugdedup.synth import SynthConfig, synth_corpus
+
+from helpers import reference_tfidf_embed
 
 _FINITE = {"allow_nan": False, "allow_infinity": False, "min_value": -1e6, "max_value": 1e6}
 
@@ -167,6 +172,101 @@ def test_tfidf_row_does_not_depend_on_its_batch(dim, texts):
     batch = embedder.embed_texts(texts)
     for i, text in enumerate(texts):
         assert embedder.embed_texts([text])[0].tobytes() == batch[i].tobytes()
+
+
+_FIT_WORDS = [f"w{i}" for i in range(12)]
+# Document frequencies 0-3 of 4, so no IDF is a whole number and a sum's
+# rounding depends on its order; the last three tokens are never seen.
+_FIT_TEXTS = [" ".join(_FIT_WORDS[:n]) for n in (0, 3, 6, 9)]
+_token_text = st.lists(
+    st.tuples(
+        st.sampled_from(_FIT_WORDS + ["unseen", "other", "new"]),
+        st.sampled_from([" ", "  ", "\t", "\n "]),
+    ),
+    max_size=20,
+).map(lambda parts: "".join(token + gap for token, gap in parts))
+_text = st.one_of(st.sampled_from(["", " ", "\t \n"]), _token_text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dim=st.sampled_from([4, 1024]),
+    others=st.lists(_text, max_size=4),
+    texts=st.lists(_text, max_size=8),
+    repeats=st.integers(min_value=0, max_value=3),
+)
+def test_tfidf_embed_equals_the_reference_loop_bit_for_bit(dim, others, texts, repeats):
+    # At dim 4 tokens with different weights share buckets, so a bucket's
+    # bits depend on the order of its sum. The warmed embedder first sees
+    # other texts, and the batch's tokens backwards, so it numbers tokens in
+    # another order than they occur in the batch, which repeats texts.
+    batch = texts + texts[:repeats]
+    want = reference_tfidf_embed(TfidfHashEmbedder.fit(_FIT_TEXTS, dim=dim), batch).tobytes()
+    backwards = [" ".join(reversed(text.split())) for text in texts]
+    for warm in ([], others + backwards):
+        embedder = TfidfHashEmbedder.fit(_FIT_TEXTS, dim=dim)
+        embedder.embed_texts(warm)
+        got = embedder.embed_texts(batch)
+        assert got.shape == (len(batch), dim)
+        assert got.tobytes() == want
+
+
+def test_tfidf_embed_equals_the_reference_loop_on_a_synth_corpus():
+    reports = synth_corpus(SynthConfig(n_clusters=120, seed=5)).reports
+    for dim in (4, 1024):
+        embedder = TfidfHashEmbedder.fit([r.clean_text for r in reports[::2]], dim=dim)
+        for field in ("clean_text", "clean_title", "clean_description"):
+            texts = [getattr(r, field) for r in reports]
+            want = reference_tfidf_embed(embedder, texts).tobytes()
+            assert embedder.embed_texts(texts).tobytes() == want, (dim, field)
+
+
+def test_tfidf_embedder_shared_by_two_threads_keeps_its_bits():
+    words = [f"w{i}" for i in range(40)]
+    train = [" ".join(words[:n]) for n in (10, 20, 30)]
+    # Every round of each thread brings tokens unseen by the fit and by the
+    # other thread, so both grow the vocabulary at the same time.
+    rounds = [
+        [
+            [f"{words[i % 40]} t{t}r{r}x{i} {words[3 * i % 40]} t{t}r{r}x{i} t{t}y{i % 7}"
+             for i in range(30)]
+            for r in range(20)
+        ]
+        for t in range(2)
+    ]
+    reference = TfidfHashEmbedder.fit(train, dim=8)
+    want = [[reference_tfidf_embed(reference, texts) for texts in thread] for thread in rounds]
+    shared = TfidfHashEmbedder.fit(train, dim=8)
+    start = threading.Barrier(2, timeout=30)
+    mismatches: list[tuple[int, int, int]] = []
+    finished: list[int] = []
+
+    def worker(t):
+        start.wait()
+        for r, texts in enumerate(rounds[t]):
+            if shared.embed_texts(texts).tobytes() != want[t][r].tobytes():
+                mismatches.append((t, r, -1))
+            for i, text in enumerate(texts):
+                if shared.embed_texts([text])[0].tobytes() != want[t][r][i].tobytes():
+                    mismatches.append((t, r, i))
+        finished.append(t)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(finished) == [0, 1]
+    assert mismatches == []
+    fresh = TfidfHashEmbedder.fit(train, dim=8)
+    assert shared == fresh
+    assert shared.to_json() == fresh.to_json()
 
 
 def _retrieval_cosine(u, v) -> float:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -233,7 +235,7 @@ def _search_case(rng, m, dim, n, integer=False):
         (40, 8, 30, 45, None),  # k > m
         (300, 700, 25, 20, None),  # several row blocks
         (300, 700, 25, 300, None),  # several row blocks, every score compared
-        (50, 6, 23, 7, 200),  # several query chunks of 4, the last one short
+        (50, 6, 23, 7, 200),  # several query chunks of 2, the last one short
         (50, 6, 23, 7, 1),  # a chunk smaller than one query
     ],
 )
@@ -293,6 +295,41 @@ def test_search_equals_the_block_scan_bit_for_bit(monkeypatch, m, dim, integer, 
         want = reference_search(index, queries, k, excludes, names)
         assert _bits(search(index, queries, k, excludes, names)) == _bits(want), f"k={k}"
     assert search(index, queries[:0], 1) == reference_search(index, queries[:0], 1) == []
+
+
+def _transient_bytes(run) -> int:
+    """Peak bytes traced while ``run()`` ran, less those it left allocated."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    # Under a profile function CPython 3.11 gives each code object it runs a
+    # line-number array, so tracemalloc finds each allocation's line without
+    # scanning the line table: this test then runs about 7 times faster.
+    profile = sys.getprofile()
+    sys.setprofile(profile or (lambda *args: None))
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        kept = run()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        sys.setprofile(profile)
+        if started:
+            tracemalloc.stop()
+    assert retained > before and kept
+    return peak - retained
+
+
+def test_search_memory_stays_near_the_scan_when_the_shortlist_is_the_whole_index():
+    # With k >= m every pair is shortlisted, and each holds about ten array
+    # elements until its chunk is ranked.
+    n, m, d, k = 10_000, 100, 64, 100
+    rng = np.random.default_rng(7)
+    index = VectorIndex.from_vectors([f"b{i:03d}" for i in range(m)], rng.normal(size=(m, d)))
+    queries = rng.normal(size=(n, d))
+    scan = _transient_bytes(lambda: reference_search(index, queries, k))
+    got = _transient_bytes(lambda: search(index, queries, k))
+    assert got <= 2 * scan, (got / 2**20, scan / 2**20)
 
 
 def _perturbed(value: float, t: float, bound: Fraction) -> float:

@@ -140,11 +140,17 @@ class TfidfHashEmbedder:
             return self._ids(tokens)
 
     def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
-        return l2_normalize_rows(self._weights(texts))
+        # ``l2_normalize_rows`` in place, with its bits: the rows are this
+        # call's own, and a normalised copy would add a dense array to the
+        # peak memory of every call.
+        out = self._weights(texts)
+        norms = np.linalg.norm(out, axis=1, keepdims=True)
+        out /= np.where(norms < ZERO_NORM, 1.0, norms)
+        return out
 
     def _weights(self, texts: Sequence[str]) -> np.ndarray:
         """The rows before normalisation. Its per-token arrays are freed on
-        return, before the normalisation allocates its dense temporaries."""
+        return, before the normalisation allocates its dense temporary."""
         split = [text.split() for text in texts]
         ids = self._ids(list(chain.from_iterable(split)))
         # Taken after the ids, so the arrays cover every one of them.

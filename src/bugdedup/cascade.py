@@ -100,29 +100,22 @@ def predict_cost_all_vs_all(
 ) -> dict[str, int]:
     """Closed forms when every one of m bugs queries the other m-1.
 
-    Embeddings are cached, so retrieval-bearing methods embed exactly m
-    texts. Cascade with pair dedup has no closed form (the classified
-    set depends on the rankings), so that combination is refused.
+    These are ``predict_cost`` for m queries against m-1 bugs each, with
+    two changes: each bug is embedded once, so retrieval-bearing methods
+    embed exactly m texts, and pair dedup scores each unordered pair once,
+    half the pairs. Cascade with pair dedup has no closed form (the
+    classified set depends on the rankings), so that combination is refused.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
     if m < 2:
         raise ValueError("all_vs_all requires at least 2 bugs")
-    scans = m * (m - 1)
-    if method == "classification_only":
-        pairs = scans // 2 if dedup_pairs else scans
-        return {"embed_calls": 0, "pair_classifications": pairs, "similarity_ops": 0}
-    if method == "retrieval_only":
-        return {"embed_calls": m, "pair_classifications": 0, "similarity_ops": scans}
-    if k is None or k < 1:
-        raise ValueError("cascade requires k >= 1")
-    if dedup_pairs:
+    if method == "cascade" and dedup_pairs:
         raise ValueError("no closed form for cascade with dedup_pairs; audit the ledger instead")
-    return {
-        "embed_calls": m,
-        "pair_classifications": m * min(k, m - 1),
-        "similarity_ops": scans,
-    }
+    cost = predict_cost(method, m, m - 1, k)
+    if cost["embed_calls"]:
+        cost["embed_calls"] = m
+    if dedup_pairs:
+        cost["pair_classifications"] //= 2
+    return cost
 
 
 @dataclass
@@ -154,10 +147,11 @@ def run_partition(
     This is the engine under both scenarios and the one place that counts
     embeddings and similarity ops; the ledger it returns holds the exact
     counter values for the run. Texts are embedded at most once each,
-    which is what makes the n+m accounting true.
+    which is what makes the n+m accounting true. The records, the search
+    and the cascade's batch follow the order of ``queries`` as given.
 
     The cascade scores all n*k candidate pairs of the partition in one
-    ``classify_pairs`` batch, in query-id order and then rank order, and
+    ``classify_pairs`` batch, in query order and then rank order, and
     splits the verdicts back per query. No built-in scorer's score for a
     pair depends on its batch, so this equals one batch per query. If
     the pair scorer's featurizer embeds with ``embedder`` itself, it
@@ -168,7 +162,6 @@ def run_partition(
         raise ScenarioError(f"unknown method {method!r}")
     if not queries or not database:
         raise ScenarioError("query set and database must both be nonempty")
-    queries = sorted(queries, key=lambda r: r.bug_id)
     database = sorted(database, key=lambda r: r.bug_id)
     db_ids = [r.bug_id for r in database]
     if len(set(db_ids)) != len(db_ids):
@@ -176,13 +169,10 @@ def run_partition(
     db_by_id = {r.bug_id: r for r in database}
 
     ledger = CostLedger()
-    peer_map: dict[str, tuple[str, ...]] = {}
-    for c in cluster_set.clusters:
-        for member in c.members:
-            peer_map[member] = tuple(x for x in c.members if x != member)
+    members_of = {m: c.members for c in cluster_set.clusters for m in c.members}
     relevant_of = {
         q.bug_id: tuple(
-            sorted(p for p in peer_map.get(q.bug_id, ()) if p in db_by_id)
+            sorted(p for p in members_of.get(q.bug_id, ()) if p != q.bug_id and p in db_by_id)
         )
         for q in queries
     }
@@ -316,17 +306,13 @@ def _scenario_pool(
     """The test bugs a ``mode`` scenario runs on; at least 2 of them."""
     if config.mode != mode:
         raise ScenarioError(f"config.mode is {config.mode!r}")
-    clustered = {
-        m
-        for c in manifest.clusters_in(cluster_set, "test")
-        for m in c.members
-    }
-    pool = set(clustered)
     if config.include_independents:
-        pool.update(b for b, s in manifest.independent_assignment.items() if s == "test")
+        pool = manifest.bugs_in(cluster_set, "test")
+    else:
+        pool = sorted(m for c in manifest.clusters_in(cluster_set, "test") for m in c.members)
     if len(pool) < 2:
         raise ScenarioError(f"test split holds {len(pool)} bugs; need at least 2")
-    return [corpus.by_id[b] for b in sorted(pool)]
+    return [corpus.by_id[b] for b in pool]
 
 
 def run_one_vs_all(
@@ -352,21 +338,12 @@ def run_one_vs_all(
             f"query_fraction {config.query_fraction} leaves an empty side "
             f"({n_queries} of {len(pool)} as queries)"
         )
-    queries = [pool[int(i)] for i in order[:n_queries]]
+    # The pool is in id order, so sorted positions put the queries in id order.
+    queries = [pool[int(i)] for i in np.sort(order[:n_queries])]
     database = [pool[int(i)] for i in order[n_queries:]]
-
-    records, ledger = run_partition(
-        queries,
-        database,
-        cluster_set,
-        embedder,
-        pair_classifier,
-        config.method,
-        config.k,
-        exclude_self=False,
-        dedup_pairs=config.dedup_pairs,
+    return _run_scenario(
+        config, queries, database, cluster_set, embedder, pair_classifier, exclude_self=False
     )
-    return _build_result(config, records, ledger, len(queries), len(database))
 
 
 def run_all_vs_all(
@@ -379,27 +356,31 @@ def run_all_vs_all(
 ) -> ScenarioResult:
     """Every test bug queries all the others (self excluded)."""
     pool = _scenario_pool(config, "all_vs_all", manifest, cluster_set, corpus)
+    return _run_scenario(
+        config, pool, pool, cluster_set, embedder, pair_classifier, exclude_self=True
+    )
+
+
+def _run_scenario(
+    config: ScenarioConfig,
+    queries: list[BugReport],
+    database: list[BugReport],
+    cluster_set: ClusterSet,
+    embedder,
+    pair_classifier,
+    exclude_self: bool,
+) -> ScenarioResult:
     records, ledger = run_partition(
-        pool,
-        pool,
+        queries,
+        database,
         cluster_set,
         embedder,
         pair_classifier,
         config.method,
         config.k,
-        exclude_self=True,
+        exclude_self=exclude_self,
         dedup_pairs=config.dedup_pairs,
     )
-    return _build_result(config, records, ledger, len(pool), len(pool))
-
-
-def _build_result(
-    config: ScenarioConfig,
-    records: list[QueryOutcome],
-    ledger: CostLedger,
-    n_queries: int,
-    db_size: int,
-) -> ScenarioResult:
     if config.method == "classification_only":
         rows = [exhaustive_row(records, config.k)]
     else:
@@ -412,10 +393,10 @@ def _build_result(
         metric_rows=rows,
         ledger=snapshot,
         timing_ms={**snapshot["wall_clock_ms"], "total": total_ms},
-        n_queries=n_queries,
-        db_size=db_size,
+        n_queries=len(queries),
+        db_size=len(database),
         queries_without_peers=sum(1 for r in records if not r.relevant),
-        avg_query_ms=total_ms / n_queries if n_queries else 0.0,
+        avg_query_ms=total_ms / len(queries),
     )
 
 

@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from . import cascade as cascade_mod
@@ -296,19 +295,28 @@ def cmd_train_classifier(args) -> int:
     return 0
 
 
+def _write_eval_csv(args, method: str, rows, start: float, ledger: CostLedger) -> None:
+    """An eval command's metric rows as a report CSV with its config sidecar,
+    timed from ``start``."""
+    elapsed_ms = (time.monotonic() - start) * 1000.0
+    snapshot = ledger.snapshot()
+    metrics_mod.write_metrics_csv(
+        args.out, [metrics_mod.report_row(row, method, elapsed_ms, snapshot) for row in rows]
+    )
+    _write_sidecar(args.out, _config_echo(args))
+
+
 def cmd_eval_retrieval(args) -> int:
     corpus, clusters, manifest = _load_pipeline(args)
     k_list = _parse_k_list(args.k_list)
-    groups = manifest.groups.get(args.split) or splitter_mod.generate_retrieval_groups(
-        manifest, clusters, args.split
-    )
-    if not groups:
+    queries = [corpus.by_id[m] for c in manifest.clusters_in(clusters, args.split) for m in c.members]
+    if not queries:
         raise UsageError(f"split {args.split!r} has no retrieval groups")
     with contextlib.ExitStack() as backends:
         emb = _make_embedder(args, corpus, clusters, manifest, backends)
         start = time.monotonic()
         records, ledger = cascade_mod.run_partition(
-            [corpus.by_id[g.query] for g in groups],
+            queries,
             [corpus.by_id[b] for b in manifest.bugs_in(clusters, args.split)],
             clusters,
             emb,
@@ -317,18 +325,9 @@ def cmd_eval_retrieval(args) -> int:
             max(k_list),
             exclude_self=True,
         )
-    # Macro means are summed in query order, so keep the manifest's group order.
-    record_of = {r.query: r for r in records}
-    outcomes = [replace(record_of[g.query], relevant=frozenset(g.relevant)) for g in groups]
-    rows = metrics_mod.aggregate_curves(outcomes, k_list)
-    elapsed_ms = (time.monotonic() - start) * 1000.0
-    method = f"retrieval_{args.embed_backend}"
-    snapshot = ledger.snapshot()
-    metrics_mod.write_metrics_csv(
-        args.out, [metrics_mod.report_row(row, method, elapsed_ms, snapshot) for row in rows]
-    )
-    _write_sidecar(args.out, _config_echo(args))
-    _emit({"out": args.out, "queries": len(outcomes), "k_list": k_list})
+    rows = metrics_mod.aggregate_curves(records, k_list)
+    _write_eval_csv(args, f"retrieval_{args.embed_backend}", rows, start, ledger)
+    _emit({"out": args.out, "queries": len(records), "k_list": k_list})
     return 0
 
 
@@ -348,12 +347,7 @@ def cmd_eval_classification(args) -> int:
         (label, p.duplicate) for (_, label), p in zip(verdicts, pairs)
     )
     row = metrics_mod.classification_metrics(cm)
-    elapsed_ms = (time.monotonic() - start) * 1000.0
-    method = f"classification_{args.classifier_backend}"
-    metrics_mod.write_metrics_csv(
-        args.out, [metrics_mod.report_row(row, method, elapsed_ms, ledger.snapshot())]
-    )
-    _write_sidecar(args.out, _config_echo(args))
+    _write_eval_csv(args, f"classification_{args.classifier_backend}", [row], start, ledger)
     _emit({"out": args.out, "pairs": len(pairs), "f1": row.f1, "accuracy": row.accuracy})
     return 0
 
@@ -404,13 +398,9 @@ def cmd_report(args) -> int:
             raise UsageError(
                 f"conflicting scenario configs: {path} has {got}, expected {baseline}"
             )
-    rows = []
-    for payload in payloads:
-        native_k = payload["config"]["k"]
-        for row in payload["metrics"]:
-            if payload["config"]["method"] == "classification_only" or row["k"] == native_k:
-                rows.append(row)
-    rows.sort(key=lambda r: (r["method"], r["k"] if isinstance(r["k"], int) else -1))
+    # Each artifact reports at its own k; a classification row carries it too.
+    rows = [row for p in payloads for row in p["metrics"] if row["k"] == p["config"]["k"]]
+    rows.sort(key=lambda r: (r["method"], r["k"]))
     metrics_mod.write_metrics_csv(args.out, rows)
     _write_sidecar(args.out, _config_echo(args))
     _emit({"out": args.out, "rows": len(rows), "inputs": len(payloads)})

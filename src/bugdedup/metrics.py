@@ -130,12 +130,13 @@ class QueryOutcome:
     the classifier verdict (always True when no classifier ran). Truncating
     them at a cutoff k reproduces the run the cascade would have made at
     that smaller k, which is what lets one run at k_max yield the whole
-    curve. Metrics only test membership in ``relevant`` and take its length.
+    curve. ``relevant`` holds the query's cluster peers in the database, in
+    id order; metrics only test membership in it and take its length.
     """
 
     query: str
     candidates: tuple[tuple[str, float, bool], ...]
-    relevant: tuple[str, ...] | frozenset[str]
+    relevant: tuple[str, ...]
     db_size: int
 
     def confusion_at(self, k: int) -> ConfusionMatrix:

@@ -61,7 +61,8 @@ A chunk holds at most ``_CHUNK_SCORES`` scores. A shortlisted pair takes
 about ten array elements until its chunk is ranked, so a chunk also holds
 at most a tenth as many pairs of shortlists of ``min(k, m)`` rows a query.
 That bounds the memory of a search when the shortlist is the whole index
-(``k >= m``) too.
+(``k >= m``) too. A query whose k-th score is -inf (a zero query, say)
+would shortlist every row; it keeps only the first ``k + 1`` -inf rows.
 """
 
 from __future__ import annotations
@@ -223,6 +224,13 @@ def search(
         skipped = skips[first + skipping]
         scores[skipping, skipped] = -np.inf
         keep = _shortlist(scores, k, index.dim)
+        if k < m:
+            # A -inf k-th score shortlists every row, but -inf scores tie and
+            # rank by row: only the first k + 1 of them can place, the one
+            # more in case the excluded row is among them.
+            whole = np.flatnonzero(keep.all(axis=1))
+            tail = scores[whole] == -np.inf
+            keep[whole] = ~tail | (np.cumsum(tail, axis=1) <= k + 1)
         keep[skipping, skipped] = False
         # Shortlist pairs in query-major, ascending-row order. A -inf score
         # is exact; every other one is replaced by the scan's bits.

@@ -179,12 +179,7 @@ def _rebalance_empty_splits(per_split: dict[str, list[int]]) -> None:
             per_split[split].append(per_split[donor].pop())
 
 
-def generate_pairs(
-    manifest: SplitManifest,
-    cluster_set: ClusterSet,
-    caps: dict[str, int | None] | None = None,
-    seed: int | None = None,
-) -> dict[str, list[LabeledPair]]:
+def generate_pairs(manifest: SplitManifest, cluster_set: ClusterSet) -> dict[str, list[LabeledPair]]:
     """Enumerate duplicate pairs and sample non-duplicate pairs per split.
 
     Duplicate pairs are every unordered member pair of each cluster of
@@ -192,12 +187,8 @@ def generate_pairs(
     sampled uniformly without replacement across distinct clusters and
     independents of the same split, count chosen by the balance rule
     (train 1:1, dev/test from target_dup_ratio). No pair ever crosses a
-    split boundary.
+    split boundary. Caps and seed come from the manifest.
     """
-    caps = caps if caps is not None else manifest.caps
-    _validate_caps(caps)
-    seed = seed if seed is not None else manifest.seed
-
     pairs: dict[str, list[LabeledPair]] = {}
     for split in SPLITS:
         split_clusters_ = manifest.clusters_in(cluster_set, split)
@@ -209,9 +200,9 @@ def generate_pairs(
             for c in split_clusters_
             for a, b in combinations(c.members, 2)
         ]
-        cap = caps.get(split)
+        cap = manifest.caps.get(split)
         if cap is not None and cap < len(dup):
-            rng = substream_rng(seed, f"pairs.dup:{split}")
+            rng = substream_rng(manifest.seed, f"pairs.dup:{split}")
             chosen = rng.choice(len(dup), size=cap, replace=False)
             dup = [dup[i] for i in sorted(int(i) for i in chosen)]
 
@@ -222,7 +213,7 @@ def generate_pairs(
             n_neg = round(len(dup) * (1.0 - r) / r)
 
         bugs = manifest.bugs_in(cluster_set, split)
-        neg_rng = substream_rng(seed, f"pairs.neg:{split}")
+        neg_rng = substream_rng(manifest.seed, f"pairs.neg:{split}")
         negatives = _sample_negatives(bugs, cluster_set, n_neg, neg_rng, split)
 
         pairs[split] = [LabeledPair(a, b, True) for a, b in dup] + [
@@ -280,11 +271,7 @@ def _sample_negatives(
     return sorted(out)
 
 
-def generate_triplets(
-    manifest: SplitManifest,
-    cluster_set: ClusterSet,
-    seed: int | None = None,
-) -> list[TripletExample]:
+def generate_triplets(manifest: SplitManifest, cluster_set: ClusterSet) -> list[TripletExample]:
     """Build train triplets: one per ordered train duplicate pair.
 
     Each unordered duplicate pair (a, b) yields the two ordered examples
@@ -294,8 +281,7 @@ def generate_triplets(
     """
     if "train" not in manifest.pairs:
         raise SplitError("generate_pairs must run before generate_triplets")
-    seed = seed if seed is not None else manifest.seed
-    rng = substream_rng(seed, "triplets")
+    rng = substream_rng(manifest.seed, "triplets")
 
     train_bugs = manifest.bugs_in(cluster_set, "train")
     eligible_by_cluster: dict[int, list[str]] = {}

@@ -13,7 +13,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
-from bugdedup.cascade import classify_pairs, run_partition
+from bugdedup.cascade import METHODS, classify_pairs, run_partition
 from bugdedup.corpus import Corpus, clean
 from bugdedup.dup_graph import ClusterSet, build_clusters
 from bugdedup import retrieval
@@ -152,7 +152,7 @@ def reference_cascade(
     queries, database, cluster_set, embedder, pair_classifier, k,
     exclude_self=False, dedup_pairs=False,
 ):
-    """The cascade with one ``classify_pairs`` batch per query, in query-id
+    """The cascade with one ``classify_pairs`` batch per query, in query
     order, and one pair cache shared by the queries. Retrieval is the
     library's; the featurizer embeds every text itself. ``run_partition``
     scores the whole partition in one batch and must equal this exactly,
@@ -172,6 +172,33 @@ def reference_cascade(
         )
         out.append(dataclasses.replace(record, candidates=candidates))
     return out, ledger
+
+
+def reference_predict_cost_all_vs_all(
+    method: str, m: int, k: int | None = None, dedup_pairs: bool = False
+) -> dict[str, int]:
+    """The all-vs-all closed forms written out per method.
+    ``cascade.predict_cost_all_vs_all`` derives them from ``predict_cost``
+    and must equal these, or raise ``ValueError`` where these do."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if m < 2:
+        raise ValueError("all_vs_all requires at least 2 bugs")
+    scans = m * (m - 1)
+    if method == "classification_only":
+        pairs = scans // 2 if dedup_pairs else scans
+        return {"embed_calls": 0, "pair_classifications": pairs, "similarity_ops": 0}
+    if method == "retrieval_only":
+        return {"embed_calls": m, "pair_classifications": 0, "similarity_ops": scans}
+    if k is None or k < 1:
+        raise ValueError("cascade requires k >= 1")
+    if dedup_pairs:
+        raise ValueError("no closed form for cascade with dedup_pairs; audit the ledger instead")
+    return {
+        "embed_calls": m,
+        "pair_classifications": m * min(k, m - 1),
+        "similarity_ops": scans,
+    }
 
 
 def outcome(query, ids, kept, relevant, db_size) -> QueryOutcome:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 
@@ -41,6 +42,7 @@ from helpers import (
     fit_train_embedder,
     planted_pipeline,
     reference_cascade,
+    reference_predict_cost_all_vs_all,
     reference_scrub_timings,
     reports_of,
 )
@@ -131,6 +133,33 @@ def test_predict_cost_all_vs_all():
 def test_predict_cost_all_vs_all_refuses_cascade_dedup():
     with pytest.raises(ValueError, match="no closed form"):
         predict_cost_all_vs_all("cascade", m=10, k=3, dedup_pairs=True)
+
+
+def test_predict_cost_all_vs_all_equals_the_reference():
+    for method in (*METHODS, "nope"):
+        for m in range(13):
+            for k in (None, *range(1, 16)):
+                for dedup_pairs in (False, True):
+                    got = want = ValueError
+                    with contextlib.suppress(ValueError):
+                        want = reference_predict_cost_all_vs_all(method, m, k, dedup_pairs)
+                    with contextlib.suppress(ValueError):
+                        got = predict_cost_all_vs_all(method, m, k, dedup_pairs)
+                    assert got == want, (method, m, k, dedup_pairs)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_partition_records_follow_the_given_query_order(setup, method):
+    corpus, clusters, manifest, embedder, similarity, _ = setup
+    queries, database = _partition_setup(corpus, clusters, manifest, n=6, m=15)
+    shuffled = [queries[i] for i in (3, 0, 5, 1, 4, 2)]
+    assert [q.bug_id for q in queries] == sorted(q.bug_id for q in shuffled)
+    got, got_ledger = run_partition(shuffled, database, clusters, embedder, similarity, method, k=4)
+    want, want_ledger = run_partition(queries, database, clusters, embedder, similarity, method, k=4)
+    assert [r.query for r in got] == [q.bug_id for q in shuffled]
+    assert sorted(got, key=lambda r: r.query) == want
+    counters = ("embed_calls", "pair_classifications", "similarity_ops")
+    assert [getattr(got_ledger, c) for c in counters] == [getattr(want_ledger, c) for c in counters]
 
 
 @pytest.mark.parametrize("method", METHODS)

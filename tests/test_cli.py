@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -12,9 +13,10 @@ import pytest
 from bugdedup import cli
 from bugdedup import embedder as embedder_mod
 from bugdedup import remote as remote_mod
+from bugdedup.classifier import LogisticClassifier, PairFeaturizer, SimilarityClassifier, load_classifier
 from bugdedup.corpus import BugReport, build_corpus, ingest, write_jsonl
 from bugdedup.dup_graph import clusters_from_json
-from bugdedup.metrics import write_metrics_csv
+from bugdedup.metrics import ConfusionMatrix, classification_metrics, write_metrics_csv
 from bugdedup.splitter import load_manifest
 from bugdedup.synth import SynthConfig, synth_corpus
 
@@ -193,6 +195,38 @@ def test_eval_classification_logistic(workdir, tmp_path, capsys):
     assert rows[0]["k"] == ""
     assert int(rows[0]["pair_classifications"]) == summary["pairs"]
     assert 0.0 <= float(rows[0]["accuracy"]) <= 1.0
+
+
+@pytest.mark.parametrize("backend", ["logistic", "similarity"])
+def test_eval_classification_equals_rows_built_from_the_backend(workdir, tmp_path, capsys, backend):
+    out = tmp_path / "clf.csv"
+    _run(
+        capsys, "eval-classification", *_pipeline_flags(workdir), "--dim", "128",
+        "--backend", backend, "--model", str(workdir / "classifier.json"),
+        "--sim-threshold", "0.4", "--out", str(out),
+    )
+    corpus = ingest(workdir / "corpus.jsonl")
+    clusters = clusters_from_json(json.loads((workdir / "clusters.json").read_text()))
+    manifest = load_manifest(workdir / "manifest.json")
+    featurizer = PairFeaturizer(fit_train_embedder(corpus, clusters, manifest, dim=128))
+    if backend == "logistic":
+        scorer = LogisticClassifier(load_classifier(workdir / "classifier.json"), featurizer)
+    else:
+        scorer = SimilarityClassifier(featurizer, 0.4)
+    pairs = manifest.pairs["test"]
+    probs = scorer.classify_batch([(corpus.by_id[p.bug_a], corpus.by_id[p.bug_b]) for p in pairs])
+    counts = {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
+    for prob, pair in zip(probs.tolist(), pairs):
+        predicted = prob >= scorer.threshold
+        counts[("t" if predicted == pair.duplicate else "f") + ("p" if predicted else "n")] += 1
+    row = classification_metrics(ConfusionMatrix(**counts))
+    want = {**dataclasses.asdict(row), "method": f"classification_{backend}",
+            "embed_calls": 0, "pair_classifications": len(pairs)}
+    write_metrics_csv(tmp_path / "want.csv", [want])
+    got, want = _read_csv(out), _read_csv(tmp_path / "want.csv")
+    for r in (*got, *want):
+        del r["wall_clock_ms"]
+    assert got == want
 
 
 def test_cascade_scenarios_and_report(workdir, tmp_path, capsys):

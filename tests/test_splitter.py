@@ -107,7 +107,7 @@ def test_split_rejects_bad_caps():
     with pytest.raises(SplitError, match="got 'tran'"):
         build_manifest(cs, caps={"tran": 5})
     with pytest.raises(SplitError, match="dev must be >= 0"):
-        generate_pairs(split_clusters(cs), cs, caps={"dev": -2})
+        split_clusters(cs, caps={"dev": -2})
 
 
 def test_independents_follow_ratios(clusters, manifest):
@@ -175,10 +175,8 @@ def test_pairs_are_canonical_and_within_split(clusters, manifest):
 
 
 def test_caps_subsample_duplicates(clusters):
-    manifest = split_clusters(clusters, seed=3)
-    pairs = generate_pairs(
-        manifest, clusters, caps={"train": 10, "dev": None, "test": None}
-    )
+    manifest = split_clusters(clusters, seed=3, caps={"train": 10, "dev": None, "test": None})
+    pairs = generate_pairs(manifest, clusters)
     dup = [p for p in pairs["train"] if p.duplicate]
     nondup = [p for p in pairs["train"] if not p.duplicate]
     assert len(dup) == 10

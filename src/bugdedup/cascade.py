@@ -17,7 +17,6 @@ n*k pairs to the classifier as one batch per partition.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import json
 from dataclasses import asdict, dataclass
@@ -153,10 +152,10 @@ def run_partition(
     The cascade scores all n*k candidate pairs of the partition in one
     ``classify_pairs`` batch, in query order and then rank order, and
     splits the verdicts back per query. No built-in scorer's score for a
-    pair depends on its batch, so this equals one batch per query. If
-    the pair scorer's featurizer embeds with ``embedder`` itself, it
-    reuses the whole-text vectors of the embed phase. Classification
-    alone keeps one batch per query: its partition holds n*m pairs.
+    pair depends on its batch, so this equals one batch per query. A pair
+    scorer's featurizer embeds its own sparse rows; the dense vectors of
+    the embed phase serve search only. Classification alone keeps one
+    batch per query: its partition holds n*m pairs.
     """
     if method not in METHODS:
         raise ScenarioError(f"unknown method {method!r}")
@@ -208,7 +207,7 @@ def run_partition(
     if method == "retrieval_only":
         verdicts = itertools.repeat((None, True))
     else:
-        with ledger.phase("classify"), _reusing(pair_classifier, embedder, vec_of):
+        with ledger.phase("classify"):
             pairs = [(q, db_by_id[b]) for q in queries for b, _ in ranked_of[q.bug_id]]
             verdicts = iter(
                 classify_pairs(pair_classifier, pairs, ledger, {} if dedup_pairs else None)
@@ -223,15 +222,6 @@ def run_partition(
         for q in queries
     ]
     return records, ledger
-
-
-def _reusing(pair_classifier, embedder, text_vectors: dict[str, np.ndarray]):
-    """Hand the embed phase's vectors to the pair scorer's featurizer, if it
-    embeds with the very same embedder object; an equal copy does not count."""
-    featurizer = getattr(pair_classifier, "featurizer", None)
-    if featurizer is None or featurizer.embedder is not embedder:
-        return contextlib.nullcontext()
-    return featurizer.reusing(text_vectors)
 
 
 def classify_pairs(

@@ -14,22 +14,20 @@ classifications, so no backend decides or counts on its own.
   verify pipeline plumbing, never for reported metrics.
 
 The remote service backend lives in ``remote``. The pair featurizer
-embeds each report's whole text, title and description once and keeps
-the vectors for every later pair; those embeddings are its own business
-and are deliberately not ledgered as embedding calls. When the cascade
-runner embedded the whole texts with the featurizer's own embedder (the
-same object), it hands those vectors over (``PairFeaturizer.reusing``),
-and the featurizer embeds only titles and descriptions.
+embeds each report's whole text, title and description once, as sparse
+rows (``embed_sparse``), and keeps them for every later pair; those
+embeddings are its own business and are deliberately not ledgered as
+embedding calls. A pair's features cost in proportion to the tokens of
+its two reports, not to the embedding's dimension.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -48,24 +46,87 @@ class FeatureError(ValueError):
 
 FEATURE_COUNT = 5
 
-# ``feature_matrix`` and ``cosine_all_batch`` gather the vectors of at most
-# this many pairs at a time, which bounds their memory for any batch size.
-_CHUNK_PAIRS = 256
+# ``feature_matrix`` and ``cosine_all_batch`` gather the rows of at most
+# this many pairs at a time, which bounds their memory by the nonzeros of
+# that many pairs whatever the batch size.
+_CHUNK_PAIRS = 2048
 
 
 def _chunks(n: int) -> Iterator[slice]:
     return (slice(i, i + _CHUNK_PAIRS) for i in range(0, n, _CHUNK_PAIRS))
 
 
-def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``u[i] @ v[i]`` for every row i, each summed as that 1-D product is."""
-    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+def _put(buffer: np.ndarray, at: int, values: np.ndarray) -> np.ndarray:
+    """``buffer`` with ``values`` written from index ``at`` on, in a copy of
+    at least twice the size when it is too short, so appends stay amortised
+    O(1)."""
+    end = at + len(values)
+    if end > len(buffer):
+        grown = np.empty(max(end, 2 * len(buffer)), dtype=buffer.dtype)
+        grown[:at] = buffer[:at]
+        buffer = grown
+    buffer[at:end] = values
+    return buffer
 
 
-def _cosines(u: np.ndarray, v: np.ndarray, nu: np.ndarray, nv: np.ndarray) -> np.ndarray:
-    """Row-wise cosine given row norms; 0 where either norm is below 1e-12."""
-    valid = ~((nu < ZERO_NORM) | (nv < ZERO_NORM))
-    return np.where(valid, _row_dots(u, v) / np.where(valid, nu * nv, 1.0), 0.0)
+class _SparseRows:
+    """One field's rows in CSR form with their norms, grown by ``append``."""
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.indptr = np.zeros(1, dtype=np.intp)
+        self.buckets = np.empty(0, dtype=np.intp)
+        self.weights = np.empty(0)
+        self.norms = np.empty(0)
+
+    def append(self, indptr: np.ndarray, buckets: np.ndarray, weights: np.ndarray) -> None:
+        rows, used = len(indptr) - 1, int(self.indptr[self.count])
+        weights = np.asarray(weights, dtype=np.float64)
+        self.indptr = _put(self.indptr, self.count + 1, indptr[1:] + used)
+        self.buckets = _put(self.buckets, used, buckets)
+        self.weights = _put(self.weights, used, weights)
+        row_of = np.repeat(np.arange(rows), np.diff(indptr))
+        self.norms = _put(self.norms, self.count, np.sqrt(np.bincount(row_of, weights * weights, rows)))
+        self.count += rows
+
+    def gather(self, rows: np.ndarray, stride: int) -> tuple[np.ndarray, np.ndarray]:
+        """Keys ``i * stride + bucket`` and weights of the entries of each ``rows[i]``."""
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        ends = np.cumsum(lengths)
+        at = np.arange(lengths.sum()) + np.repeat(starts - ends + lengths, lengths)
+        return np.repeat(np.arange(len(rows)), lengths) * stride + self.buckets[at], self.weights[at]
+
+
+def _compare(
+    rows: _SparseRows, left: np.ndarray, right: np.ndarray, stride: int, distance: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Cosine of rows ``left[i]`` and ``right[i]`` for every i, 0 where either
+    norm is below 1e-12, and their Euclidean distance if asked for.
+
+    Each sum of a pair runs from 0.0 over that pair's own entries, the dot
+    in ascending bucket order and each one-sided part of the distance in
+    its row's order, so a pair's bits depend neither on its batch nor on
+    which side of it a report is. A row must hold each bucket once.
+    """
+    n = len(left)
+    lk, lw = rows.gather(left, stride)
+    rk, rw = rows.gather(right, stride)
+    shared, il, ir = np.intersect1d(lk, rk, assume_unique=True, return_indices=True)
+    pair = shared // stride
+    dots = np.bincount(pair, lw[il] * rw[ir], n)
+    nl, nr = rows.norms[left], rows.norms[right]
+    valid = ~((nl < ZERO_NORM) | (nr < ZERO_NORM))
+    cosines = np.where(valid, dots / np.where(valid, nl * nr, 1.0), 0.0)
+    if not distance:
+        return cosines, None
+    # Over the union of the two rows: a shared bucket adds (wl - wr)², any
+    # other its w². Unlike 2 - 2u.v, this does not cancel for near-equal
+    # rows. Zeroed shared entries leave the one-sided sums as they are.
+    both = np.bincount(pair, (lw[il] - rw[ir]) ** 2, n)
+    lw[il] = rw[ir] = 0.0
+    one_sided = np.bincount(lk // stride, lw * lw, n) + np.bincount(rk // stride, rw * rw, n)
+    return cosines, np.sqrt(both + one_sided)
 
 
 def _jaccard(a: frozenset[str], b: frozenset[str]) -> float:
@@ -74,85 +135,45 @@ def _jaccard(a: frozenset[str], b: frozenset[str]) -> float:
     return shared / union if union else 0.0
 
 
-# Report fields the featurizer embeds, in the order of its vector store's first axis.
+# Report fields the featurizer embeds, in the order of its row stores.
 _FIELDS = ("clean_text", "clean_title", "clean_description")
 
 
 class PairFeaturizer:
-    """Builds pair features from per-report vectors, each embedded once.
+    """Builds pair features from per-report sparse rows, each embedded once.
 
     ``warm`` embeds the whole text, title and description of every report
-    not seen before, in one batched call per field, and stores them as
-    rows of one array with their norms and token sets. ``feature_matrix``
-    gathers the rows of a batch of pairs by index, one field and
-    ``_CHUNK_PAIRS`` pairs at a time. Norms and dot products are summed
-    exactly as ``np.linalg.norm`` and ``u @ v`` sum a single pair, so a
-    feature does not depend on the batch it was computed in.
+    not seen before with ``embedder.embed_sparse``, in one batched call per
+    field, and appends the rows to that field's CSR store with their norms
+    and the report's token set. ``feature_matrix`` gathers the entries of
+    a batch of pairs by row, one field and ``_CHUNK_PAIRS`` pairs at a
+    time, and matches them by (pair, bucket) key, so a pair costs the
+    nonzeros of its two rows. Every sum of a pair runs over its own
+    entries only, so a feature does not depend on the batch it was
+    computed in.
     """
 
     def __init__(self, embedder):
+        if not callable(getattr(embedder, "embed_sparse", None)):
+            raise TypeError(
+                f"PairFeaturizer needs an embedder with an embed_sparse method; "
+                f"{type(embedder).__name__} has none"
+            )
         self.embedder = embedder
         self._row: dict[str, int] = {}
         self._tokens: list[frozenset[str]] = []
-        self._vectors = np.zeros((len(_FIELDS), 0, 0))  # field, row, dim
-        self._norms = np.zeros((len(_FIELDS), 0))
-        self._given: Mapping[str, np.ndarray] = {}
-
-    @contextmanager
-    def reusing(self, text_vectors: Mapping[str, np.ndarray]) -> Iterator[None]:
-        """Inside the block, ``warm`` takes a report's whole-text vector from
-        ``text_vectors`` (by bug id) instead of embedding the text again.
-
-        The vectors must come from ``self.embedder``. A ``TfidfHashEmbedder``
-        builds and normalises each row on its own, so a reused row equals
-        the one ``warm`` would embed, bit for bit.
-        """
-        self._given = text_vectors
-        try:
-            yield
-        finally:
-            self._given = {}
+        self._fields = [_SparseRows() for _ in _FIELDS]
 
     def warm(self, reports: Sequence[BugReport]) -> None:
         """Embed the reports not seen before, each once, one batched call per field."""
         missing = list({r.bug_id: r for r in reports if r.bug_id not in self._row}.values())
         if not missing:
             return
-        used, end = len(self._tokens), len(self._tokens) + len(missing)
-        for f, name in enumerate(_FIELDS):
-            if f == 0:
-                vectors = self._text_vectors(missing)
-                self._reserve(end, vectors.shape[1])
-            else:
-                texts = [getattr(r, name) for r in missing]
-                vectors = np.asarray(self.embedder.embed_texts(texts), dtype=np.float64)
-            self._vectors[f, used:end] = vectors
-            self._norms[f, used:end] = np.sqrt(_row_dots(vectors, vectors))
-        for i, r in enumerate(missing):
-            self._row[r.bug_id] = used + i
+        for rows, name in zip(self._fields, _FIELDS):
+            rows.append(*self.embedder.embed_sparse([getattr(r, name) for r in missing]))
+        for r in missing:
+            self._row[r.bug_id] = len(self._tokens)
             self._tokens.append(frozenset(r.clean_text.split()))
-
-    def _text_vectors(self, reports: Sequence[BugReport]) -> np.ndarray:
-        """Whole-text vectors: those handed over by ``reusing``, the rest embedded."""
-        vectors = [self._given.get(r.bug_id) for r in reports]
-        todo = [r.clean_text for r, v in zip(reports, vectors) if v is None]
-        if todo:
-            fresh = iter(self.embedder.embed_texts(todo))
-            vectors = [next(fresh) if v is None else v for v in vectors]
-        return np.asarray(vectors, dtype=np.float64)
-
-    def _reserve(self, rows: int, dim: int) -> None:
-        """Room for ``rows`` rows in the vector store, kept rows copied over."""
-        used = len(self._tokens)
-        if rows <= self._vectors.shape[1]:
-            return
-        size = max(rows, 2 * used)  # doubling keeps appends amortised O(1)
-        grown = np.zeros((len(_FIELDS), size, dim))
-        norms = np.zeros((len(_FIELDS), size))
-        if used:
-            grown[:, :used] = self._vectors[:, :used]
-            norms[:, :used] = self._norms[:, :used]
-        self._vectors, self._norms = grown, norms
 
     def _rows(self, pairs: Sequence[tuple[BugReport, BugReport]]) -> tuple[np.ndarray, np.ndarray]:
         self.warm([r for pair in pairs for r in pair])
@@ -169,13 +190,12 @@ class PairFeaturizer:
         left, right = self._rows(pairs)
         x = np.empty((len(pairs), FEATURE_COUNT))
         for chunk in _chunks(len(pairs)):
-            l, r = left[chunk], right[chunk]
-            for f in range(len(_FIELDS)):
-                u, v = self._vectors[f, l], self._vectors[f, r]
-                x[chunk, f] = _cosines(u, v, self._norms[f, l], self._norms[f, r])
+            for f, rows in enumerate(self._fields):
+                x[chunk, f], distance = _compare(
+                    rows, left[chunk], right[chunk], self.embedder.dim, distance=f == 0
+                )
                 if f == 0:
-                    diff = u - v
-                    x[chunk, 3] = np.sqrt(_row_dots(diff, diff))
+                    x[chunk, 3] = distance
         tokens = self._tokens
         x[:, 4] = [_jaccard(tokens[i], tokens[j]) for i, j in zip(left.tolist(), right.tolist())]
         if not np.isfinite(x).all():
@@ -188,11 +208,9 @@ class PairFeaturizer:
     def cosine_all_batch(self, pairs: Sequence[tuple[BugReport, BugReport]]) -> np.ndarray:
         """Whole-text cosine for many pairs at once, as ``feature_matrix`` computes it."""
         left, right = self._rows(pairs)
-        vectors, norms = self._vectors[0], self._norms[0]
         out = np.empty(len(pairs))
         for chunk in _chunks(len(pairs)):
-            l, r = left[chunk], right[chunk]
-            out[chunk] = _cosines(vectors[l], vectors[r], norms[l], norms[r])
+            out[chunk] = _compare(self._fields[0], left[chunk], right[chunk], self.embedder.dim)[0]
         return out
 
 

@@ -311,7 +311,7 @@ def cmd_eval_retrieval(args) -> int:
     k_list = _parse_k_list(args.k_list)
     queries = [corpus.by_id[m] for c in manifest.clusters_in(clusters, args.split) for m in c.members]
     if not queries:
-        raise UsageError(f"split {args.split!r} has no retrieval groups")
+        raise UsageError(f"split {args.split!r} has no clustered bugs to query")
     with contextlib.ExitStack() as backends:
         emb = _make_embedder(args, corpus, clusters, manifest, backends)
         start = time.monotonic()

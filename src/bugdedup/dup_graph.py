@@ -94,13 +94,6 @@ class ClusterSet:
         ca = self.cluster_of(a)
         return ca is not None and ca == self.cluster_of(b)
 
-    @property
-    def all_bug_ids(self) -> set[str]:
-        ids = set(self.independents)
-        for c in self.clusters:
-            ids.update(c.members)
-        return ids
-
 
 def build_clusters(corpus: Corpus) -> ClusterSet:
     """Group the corpus into duplicate clusters and independent bugs.

@@ -3,7 +3,9 @@
 Two built-in backends share one interface (``embed_texts``): a hashed
 TF-IDF bag-of-tokens baseline, and that baseline composed with a linear
 projection fine-tuned by triplet loss. Both are deterministic; the
-remote HTTP backend lives in ``remote``.
+remote HTTP backend lives in ``remote``. The TF-IDF baseline also gives
+its rows in sparse form (``embed_sparse``), which the pair featurizer
+needs.
 """
 
 from __future__ import annotations
@@ -148,9 +150,34 @@ class TfidfHashEmbedder:
         out /= np.where(norms < ZERO_NORM, 1.0, norms)
         return out
 
+    def embed_sparse(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows as CSR arrays ``(indptr, buckets, weights)``: row i holds
+        ``buckets[indptr[i]:indptr[i + 1]]``, each once and in ascending
+        order. A weight is its bucket's sum as ``embed_texts`` adds it, bit
+        for bit, over the norm of its own row's weights; a row whose norm is
+        below ``ZERO_NORM`` is left as it is."""
+        rows, buckets, weights = self._triples(texts)
+        # bincount adds each bucket's weights from 0.0 in the order they
+        # come, as ``np.add.at`` does.
+        keys, entry = np.unique(rows * self.dim + buckets, return_inverse=True)
+        merged = np.bincount(entry, weights, len(keys))
+        rows, buckets = np.divmod(keys, self.dim)
+        norms = np.sqrt(np.bincount(rows, merged * merged, len(texts)))
+        indptr = np.zeros(len(texts) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=len(texts)), out=indptr[1:])
+        return indptr, buckets, merged / np.where(norms < ZERO_NORM, 1.0, norms)[rows]
+
     def _weights(self, texts: Sequence[str]) -> np.ndarray:
         """The rows before normalisation. Its per-token arrays are freed on
         return, before the normalisation allocates its dense temporary."""
+        rows, buckets, weights = self._triples(texts)
+        out = np.zeros((len(texts), self.dim))
+        np.add.at(out.reshape(-1), rows * self.dim + buckets, weights)
+        return out
+
+    def _triples(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(row, bucket, count * idf)`` of each distinct (text, token) pair,
+        ordered by text and then by the token's first occurrence in it."""
         split = [text.split() for text in texts]
         ids = self._ids(list(chain.from_iterable(split)))
         # Taken after the ids, so the arrays cover every one of them.
@@ -164,9 +191,7 @@ class TfidfHashEmbedder:
         order = np.argsort(first, kind="stable")
         first, counts = first[order], counts[order]
         token = ids[first]
-        out = np.zeros((len(texts), self.dim))
-        np.add.at(out.reshape(-1), text_of[first] * self.dim + buckets[token], counts * idf[token])
-        return out
+        return text_of[first], buckets[token], counts * idf[token]
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "doc_count": self.doc_count, "df": dict(self.df)}

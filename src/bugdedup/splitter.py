@@ -47,19 +47,12 @@ class TripletExample:
     negative: str
 
 
-@dataclass(frozen=True)
-class RetrievalGroup:
-    query: str
-    relevant: tuple[str, ...]
-
-
 @dataclass
 class SplitManifest:
-    """Persistent record of one split: assignment, pairs, triplets, groups.
+    """Persistent record of one split: assignment, pairs, triplets.
 
     Built in stages: ``split_clusters`` fills the assignment, then
-    ``generate_pairs`` / ``generate_triplets`` / ``generate_retrieval_groups``
-    fill the rest. All stages are deterministic in (inputs, seed).
+    ``generate_pairs`` / ``generate_triplets`` fill the rest. All stages are deterministic in (inputs, seed).
     """
 
     seed: int
@@ -70,7 +63,6 @@ class SplitManifest:
     independent_assignment: dict[str, str]
     pairs: dict[str, list[LabeledPair]] = field(default_factory=dict)
     triplets: list[TripletExample] = field(default_factory=list)
-    groups: dict[str, list[RetrievalGroup]] = field(default_factory=dict)
 
     def clusters_in(self, cluster_set: ClusterSet, split: str) -> list[Cluster]:
         return [c for c in cluster_set.clusters if self.cluster_assignment[c.cluster_id] == split]
@@ -304,21 +296,6 @@ def generate_triplets(manifest: SplitManifest, cluster_set: ClusterSet) -> list[
     return triplets
 
 
-def generate_retrieval_groups(
-    manifest: SplitManifest,
-    cluster_set: ClusterSet,
-    split: str,
-) -> list[RetrievalGroup]:
-    """One group per clustered bug of the split: query plus its peers."""
-    groups = [
-        RetrievalGroup(query=m, relevant=tuple(x for x in c.members if x != m))
-        for c in manifest.clusters_in(cluster_set, split)
-        for m in c.members
-    ]
-    manifest.groups[split] = groups
-    return groups
-
-
 def build_manifest(
     cluster_set: ClusterSet,
     ratios: tuple[float, float, float] = DEFAULT_RATIOS,
@@ -326,12 +303,10 @@ def build_manifest(
     target_dup_ratio: float = DEFAULT_TARGET_DUP_RATIO,
     caps: dict[str, int | None] | None = None,
 ) -> SplitManifest:
-    """Run every split stage: assignment, pairs, triplets, groups."""
+    """Run every split stage: assignment, pairs, triplets."""
     manifest = split_clusters(cluster_set, ratios, seed, target_dup_ratio, caps)
     generate_pairs(manifest, cluster_set)
     generate_triplets(manifest, cluster_set)
-    for split in SPLITS:
-        generate_retrieval_groups(manifest, cluster_set, split)
     return manifest
 
 
@@ -363,10 +338,6 @@ def manifest_to_json(manifest: SplitManifest) -> dict:
             for split, pairs in manifest.pairs.items()
         },
         "triplets": [[t.anchor, t.positive, t.negative] for t in manifest.triplets],
-        "groups": {
-            split: [[g.query, list(g.relevant)] for g in groups]
-            for split, groups in manifest.groups.items()
-        },
         "stats": split_stats(manifest),
     }
 
@@ -385,10 +356,6 @@ def manifest_from_json(payload: dict) -> SplitManifest:
         for split, pairs in payload.get("pairs", {}).items()
     }
     manifest.triplets = [TripletExample(a, p, n) for a, p, n in payload.get("triplets", [])]
-    manifest.groups = {
-        split: [RetrievalGroup(q, tuple(rel)) for q, rel in groups]
-        for split, groups in payload.get("groups", {}).items()
-    }
     return manifest
 
 

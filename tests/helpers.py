@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import math
 import re
 import threading
 import time
@@ -62,19 +63,22 @@ def resolve_pairs(corpus, labeled_pairs):
 
 
 class CountingEmbedder:
-    """Records every text each ``embed_texts`` call receives. Two of them
-    around the same embedder compare equal but are distinct objects."""
+    """Records the texts of every ``embed_texts`` call in ``calls`` and of
+    every ``embed_sparse`` call in ``sparse_calls``."""
 
     def __init__(self, inner):
         self.inner = inner
+        self.dim = inner.dim
         self.calls: list[list[str]] = []
-
-    def __eq__(self, other):
-        return isinstance(other, CountingEmbedder) and other.inner == self.inner
+        self.sparse_calls: list[list[str]] = []
 
     def embed_texts(self, texts):
         self.calls.append(list(texts))
         return self.inner.embed_texts(texts)
+
+    def embed_sparse(self, texts):
+        self.sparse_calls.append(list(texts))
+        return self.inner.embed_sparse(texts)
 
 
 def reference_clean(text: str) -> str:
@@ -99,13 +103,10 @@ def reference_clean(text: str) -> str:
     return " ".join(kept)
 
 
-def reference_tfidf_embed(embedder, texts) -> np.ndarray:
-    """``TfidfHashEmbedder.embed_texts`` as the loop over texts and tokens it
-    replaced, with each token's bucket and IDF computed where it is used.
-    A bucket sums ``count * idf`` from 0.0 in the order its tokens first
-    occur in the text; the vectorised embed must equal this bit for bit."""
-    out = np.zeros((len(texts), embedder.dim))
-    for i, text in enumerate(texts):
+def _reference_tfidf_rows(embedder, texts) -> list[dict[int, float]]:
+    """Each text's buckets and their sums, in the order they first occur."""
+    rows = []
+    for text in texts:
         tf: dict[str, int] = {}
         for token in text.split():
             tf[token] = tf.get(token, 0) + 1
@@ -115,15 +116,41 @@ def reference_tfidf_embed(embedder, texts) -> np.ndarray:
         for token, count in tf.items():
             bucket, idf = fnv1a64(token) % embedder.dim, embedder.idf(token)
             row[bucket] = row.get(bucket, 0.0) + count * idf
+        rows.append(row)
+    return rows
+
+
+def reference_tfidf_embed(embedder, texts) -> np.ndarray:
+    """``TfidfHashEmbedder.embed_texts`` as the loop over texts and tokens it
+    replaced, with each token's bucket and IDF computed where it is used.
+    A bucket sums ``count * idf`` from 0.0 in the order its tokens first
+    occur in the text; the vectorised embed must equal this bit for bit."""
+    out = np.zeros((len(texts), embedder.dim))
+    for i, row in enumerate(_reference_tfidf_rows(embedder, texts)):
         out[i, list(row)] = list(row.values())
     return l2_normalize_rows(out)
 
 
+def reference_tfidf_sparse(embedder, texts) -> list[tuple[list[int], list[float]]]:
+    """``TfidfHashEmbedder.embed_sparse`` as a loop: each text's buckets in
+    ascending order with the sums ``reference_tfidf_embed`` gives them, over
+    the row's norm summed in that order. ``embed_sparse`` must equal this
+    bit for bit."""
+    out = []
+    for row in _reference_tfidf_rows(embedder, texts):
+        buckets = sorted(row)
+        norm = math.sqrt(sum(row[b] * row[b] for b in buckets))
+        scale = norm if norm >= ZERO_NORM else 1.0
+        out.append((buckets, [row[b] / scale for b in buckets]))
+    return out
+
+
 def reference_pair_features(embedder, a, b) -> list[float]:
     """The five pair features of one pair by the per-pair formulas: each
-    field cleaned from the raw text, embedded, and compared with 1-D
-    ``np.linalg.norm`` and ``@``. The batched featurizer must equal this
-    bit for bit."""
+    field cleaned from the raw text, embedded as a dense row, and compared
+    with 1-D ``np.linalg.norm`` and ``@``. The sparse featurizer sums in
+    another order, so it equals this within a rounding bound, and the
+    token Jaccard exactly."""
 
     def vectors(report):
         texts = [clean(f"{report.title} {report.description}"), clean(report.title),
@@ -154,7 +181,7 @@ def reference_cascade(
 ):
     """The cascade with one ``classify_pairs`` batch per query, in query
     order, and one pair cache shared by the queries. Retrieval is the
-    library's; the featurizer embeds every text itself. ``run_partition``
+    library's. ``run_partition``
     scores the whole partition in one batch and must equal this exactly,
     records and ledger."""
     records, ledger = run_partition(
@@ -324,22 +351,22 @@ def reference_curves(outcomes, k_list) -> list[MetricRow]:
 
 def reference_eval_retrieval(corpus, clusters, manifest, split, embedder, k_list) -> list[dict]:
     """``eval-retrieval``'s rows computed on their own: embed the split's
-    reports, index them, search with each group's query (itself left
-    out) and aggregate in the manifest's group order. Each row holds the
-    metric fields and the two counters; the command adds its method and
-    wall-clock time."""
+    reports, index them, search with each clustered bug of the split (itself
+    left out), its cluster peers relevant, and aggregate in the manifest's
+    cluster order. Each row holds the metric fields and the two counters;
+    the command adds its method and wall-clock time."""
     reports = [corpus.by_id[b] for b in manifest.bugs_in(clusters, split)]
     index = VectorIndex.from_vectors(
         [r.bug_id for r in reports], embedder.embed_texts([r.clean_text for r in reports])
     )
     row_of = {bug_id: i for i, bug_id in enumerate(index.ids)}
-    groups = manifest.groups[split]
-    queries = [g.query for g in groups]
+    peers = {m: c.members for c in manifest.clusters_in(clusters, split) for m in c.members}
+    queries = list(peers)
     found = search(index, index.matrix[[row_of[q] for q in queries]], max(k_list), excludes=queries)
     outcomes = [
-        outcome(g.query, ranked.ids(), (True,) * len(ranked.ranked), frozenset(g.relevant),
-                len(index) - 1)
-        for g, ranked in zip(groups, found)
+        outcome(q, ranked.ids(), (True,) * len(ranked.ranked),
+                frozenset(peers[q]) - {q}, len(index) - 1)
+        for q, ranked in zip(queries, found)
     ]
     counters = {"embed_calls": len(reports), "pair_classifications": 0}
     return [{**dataclasses.asdict(row), **counters} for row in aggregate_curves(outcomes, k_list)]

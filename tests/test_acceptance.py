@@ -470,18 +470,20 @@ def test_8_gradients_projection_gain_and_separable_convergence():
             vectors = embedder.embed_texts([r.clean_text for r in reports])
             index = VectorIndex.from_vectors([r.bug_id for r in reports], vectors)
             row_of = {bug_id: j for j, bug_id in enumerate(index.ids)}
-            groups = manifest.groups["test"]
-            queries = [g.query for g in groups]
+            peers = {
+                m: c.members for c in manifest.clusters_in(clusters, "test") for m in c.members
+            }
+            queries = list(peers)
             found = search(index, index.matrix[[row_of[q] for q in queries]], 10, excludes=queries)
             outcomes = [
                 outcome(
-                    g.query,
+                    q,
                     ranked.ids(),
                     (True,) * len(ranked.ranked),
-                    frozenset(g.relevant),
+                    frozenset(peers[q]) - {q},
                     len(index) - 1,
                 )
-                for g, ranked in zip(groups, found)
+                for q, ranked in zip(queries, found)
             ]
             assert all(o.relevant for o in outcomes)
             return aggregate_curves(outcomes, [10])[0].macro_recall

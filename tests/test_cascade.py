@@ -451,32 +451,65 @@ def _embedded_by_featurizer(records, reports):
     return [by_id[bug_id] for bug_id in dict.fromkeys(ids)]
 
 
-@pytest.mark.parametrize("shared", [True, False])
-def test_runner_hands_its_text_vectors_to_the_same_embedder(setup, shared):
+def test_featurizer_embeds_sparse_rows_apart_from_the_runner(setup):
     _, clusters, _, embedder, _, _ = setup
     queries, database, _ = _mode_partition(setup, "one_vs_all")
-    runner_side = CountingEmbedder(embedder)
-    # an equal but distinct embedder gets nothing: identity is the test
-    featurizer_side = runner_side if shared else CountingEmbedder(embedder)
-    assert featurizer_side == runner_side
+    counting = CountingEmbedder(embedder)
     model = LogisticPairModel(_WEIGHTS, threshold=0.3)
-    scorer = LogisticClassifier(model, PairFeaturizer(featurizer_side))
-    records, _ = run_partition(queries, database, clusters, runner_side, scorer, "cascade", k=6)
+    scorer = LogisticClassifier(model, PairFeaturizer(counting))
+    records, _ = run_partition(queries, database, clusters, counting, scorer, "cascade", k=6)
     everyone = sorted([*queries, *database], key=lambda r: r.bug_id)
     paired = _embedded_by_featurizer(records, everyone)
-    titles = [r.clean_title for r in paired]
-    descriptions = [r.clean_description for r in paired]
-    if shared:
-        # each whole text embedded once, by the runner; then titles and descriptions
-        assert runner_side.calls == [[r.clean_text for r in everyone], titles, descriptions]
-    else:
-        assert runner_side.calls == [[r.clean_text for r in everyone]]
-        assert featurizer_side.calls == [[r.clean_text for r in paired], titles, descriptions]
+    # The runner embeds each whole text once, densely, for search; the
+    # featurizer embeds the three fields of each paired report once, sparsely.
+    assert counting.calls == [[r.clean_text for r in everyone]]
+    assert counting.sparse_calls == [
+        [r.clean_text for r in paired],
+        [r.clean_title for r in paired],
+        [r.clean_description for r in paired],
+    ]
     want, _ = reference_cascade(
         queries, database, clusters, embedder,
         LogisticClassifier(model, PairFeaturizer(embedder)), k=6,
     )
     assert records == want
+
+
+@pytest.mark.parametrize("name", ["logistic", "similarity"])
+@pytest.mark.parametrize("mode", ["one_vs_all", "all_vs_all"])
+def test_cascade_keeps_what_classification_alone_keeps_in_the_top_k(setup, name, mode):
+    """For every query and k, the cascade keeps exactly the top-k candidates
+    that classification alone keeps, and at k >= m both keep the same set.
+    The cascade scores one batch of n*k pairs and classification alone one
+    batch per query, so this rests on no pair's score depending on its batch."""
+    _, clusters, _, embedder, _, _ = setup
+    queries, database, exclude_self = _mode_partition(setup, mode)
+    m = len(database) - exclude_self
+
+    def scorer():
+        if name == "logistic":
+            return LogisticClassifier(LogisticPairModel(_WEIGHTS, threshold=0.3), PairFeaturizer(embedder))
+        return SimilarityClassifier(PairFeaturizer(embedder), similarity_threshold=0.3)
+
+    alone, _ = run_partition(
+        queries, database, clusters, embedder, scorer(), "classification_only", 1,
+        exclude_self=exclude_self,
+    )
+    kept_alone = {r.query: {b for b, _, kept in r.candidates if kept} for r in alone}
+    kept_count = sum(map(len, kept_alone.values()))
+    assert 0 < kept_count < len(queries) * m  # the threshold splits the pairs
+    for k in range(1, m + 2):
+        cascade, _ = run_partition(
+            queries, database, clusters, embedder, scorer(), "cascade", k,
+            exclude_self=exclude_self,
+        )
+        for record in cascade:
+            top_k = {b for b, _, _ in record.candidates}
+            assert len(top_k) == min(k, m)
+            kept = {b for b, _, dup in record.candidates if dup}
+            assert kept == kept_alone[record.query] & top_k, (record.query, k)
+            if k >= m:
+                assert kept == kept_alone[record.query]
 
 
 def test_one_vs_all_partition_shape(setup):

@@ -44,8 +44,40 @@ def _embedder(*reports, dim=64):
 
 
 class _NanEmbedder:
-    def embed_texts(self, texts):
-        return np.full((len(texts), 4), np.nan)
+    """One NaN weight in bucket 0 of every row."""
+
+    dim = 4
+
+    def embed_sparse(self, texts):
+        return np.arange(len(texts) + 1), np.zeros(len(texts), dtype=np.intp), np.full(len(texts), np.nan)
+
+
+class _Proxy:
+    """Forwards every attribute, as a tracing or logging wrapper might."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def test_featurizer_refuses_an_embedder_without_embed_sparse():
+    a, b = _report("b1", "crash heap", "overflow"), _report("b2", "render", "shader")
+    embedder = _embedder(a, b)
+
+    class DenseOnly:
+        dim = embedder.dim
+
+        def embed_texts(self, texts):
+            return embedder.embed_texts(texts)
+
+    for dense in (DenseOnly(), _Proxy(DenseOnly())):
+        with pytest.raises(TypeError, match="embed_sparse"):
+            PairFeaturizer(dense)
+    # A proxy that forwards ``embed_sparse`` is an embedder with one.
+    proxied = PairFeaturizer(_Proxy(embedder)).feature_matrix([(a, b)])
+    assert proxied.tobytes() == PairFeaturizer(embedder).feature_matrix([(a, b)]).tobytes()
 
 
 def test_pair_features_validation(monkeypatch):
@@ -136,47 +168,48 @@ def test_warm_embeds_each_report_once_per_field():
     counting = CountingEmbedder(_embedder(*reports))
     featurizer = PairFeaturizer(counting)
     featurizer.warm([reports[0], reports[1], reports[0], reports[2], reports[1]])
-    assert counting.calls == [
+    assert counting.sparse_calls == [
         [r.clean_text for r in reports[:3]],
         [r.clean_title for r in reports[:3]],
         [r.clean_description for r in reports[:3]],
     ]
     # A query paired with every candidate, as the cascade batches it.
     featurizer.feature_matrix([(reports[3], r) for r in reports] + [(reports[2], reports[3])])
-    assert counting.calls[3:] == [
+    assert counting.sparse_calls[3:] == [
         [reports[3].clean_text],
         [reports[3].clean_title],
         [reports[3].clean_description],
     ]
     featurizer.warm(reports)
     featurizer.feature_matrix([(reports[1], reports[3])])
-    assert len(counting.calls) == 6
+    assert len(counting.sparse_calls) == 6
+    assert counting.calls == []  # no dense row is ever built
 
 
-def test_reused_text_vectors_give_the_same_features(corpus):
-    reports, extra = list(corpus.reports[:60]), corpus.reports[60]
-    embedder = TfidfHashEmbedder.fit([r.clean_text for r in reports[20:]], dim=128)
-    # more pairs than one gather chunk holds, so the chunked path runs too
-    pairs = [(a, b) for a in reports[:30] for b in reports[::4] if a is not b]
-    assert len(pairs) > classifier._CHUNK_PAIRS
-    counting = CountingEmbedder(embedder)
-    reusing = PairFeaturizer(counting)
-    handed = [*reports, extra]
-    vectors = embedder.embed_texts([r.clean_text for r in handed])
-    with reusing.reusing({r.bug_id: v for r, v in zip(handed, vectors)}):
-        x = reusing.feature_matrix(pairs)
-    # only titles and descriptions were embedded, each report once
-    seen = list({r.bug_id: r for pair in pairs for r in pair}.values())
-    assert counting.calls == [
-        [r.clean_title for r in seen],
-        [r.clean_description for r in seen],
-    ]
-    fresh = PairFeaturizer(embedder)
-    assert x.tobytes() == fresh.feature_matrix(pairs).tobytes()
-    assert reusing.cosine_all_batch(pairs).tobytes() == fresh.cosine_all_batch(pairs).tobytes()
-    # after the block nothing handed over is used: extra embeds its whole text
-    reusing.feature_matrix([(extra, reports[0])])
-    assert counting.calls[2:] == [[extra.clean_text], [extra.clean_title], [extra.clean_description]]
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _gamma(n: int) -> float:
+    """Higham's bound on the relative rounding error of n operations."""
+    return n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
+
+
+def _assert_near_reference(x, embedder, pairs):
+    """Each row of ``x`` against the dense per-pair formulas: the cosines and
+    the distance within 10·γ(d + 3) at dimension d, the Jaccard exactly.
+
+    Either way of computing a feature of two unit rows takes each weight to
+    within γ(d + 2) of exact, the dot or the squared distance to within
+    γ(d) more, and the norms to within γ(d + 3), so each is within
+    5·γ(d + 3) of the exact feature and the two are within 10·γ(d + 3) of
+    each other. The sparse featurizer sums in bucket order, and the dense
+    reference pairwise over all d buckets.
+    """
+    bound = 10 * _gamma(embedder.dim + 3)
+    for row, (a, b) in zip(x.tolist(), pairs):
+        want = reference_pair_features(embedder, a, b)
+        assert all(abs(g - w) <= bound for g, w in zip(row[:4], want[:4])), (row, want)
+        assert row[4] == want[4]
 
 
 def test_feature_matrix_rows_equal_per_pair_formulas(corpus):
@@ -193,7 +226,61 @@ def test_feature_matrix_rows_equal_per_pair_formulas(corpus):
     pairs = [(a, b) for a in reports for b in reports[::3] if a.clean_text or b.clean_text]
     x = PairFeaturizer(embedder).feature_matrix(pairs)
     assert x.shape == (len(pairs), FEATURE_COUNT)
-    assert x.tolist() == [reference_pair_features(embedder, a, b) for a, b in pairs]
+    _assert_near_reference(x, embedder, pairs)
+
+
+# Repeated tokens, stopwords ("the", "is", "a") and a token that cleaning
+# splits ("heap." gives "heap" and "."); at dim 4 most tokens share buckets.
+_FIELD_WORDS = ["crash", "heap", "heap.", "overflow", "render", "shader", "null", "the", "is", "a"]
+_field = st.lists(st.sampled_from(_FIELD_WORDS), max_size=8).map(" ".join)
+_FEATURE_EMBEDDERS = {
+    dim: TfidfHashEmbedder.fit(["crash heap overflow", "render shader", "crash null"], dim=dim)
+    for dim in (4, 1024)
+}
+
+
+def _reports_and_pairs(draw_fields):
+    reports = [_report(f"b{i}", t, d) for i, (t, d) in enumerate(draw_fields)]
+    pairs = [(a, b) for a in reports for b in reports if a.clean_text or b.clean_text]
+    return reports, pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dim=st.sampled_from(sorted(_FEATURE_EMBEDDERS)),
+    fields=st.lists(st.tuples(_field, _field), min_size=1, max_size=5),
+)
+def test_sparse_features_stay_near_the_dense_reference(dim, fields):
+    embedder = _FEATURE_EMBEDDERS[dim]
+    reports, pairs = _reports_and_pairs(fields)
+    if pairs:
+        _assert_near_reference(PairFeaturizer(embedder).feature_matrix(pairs), embedder, pairs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dim=st.sampled_from(sorted(_FEATURE_EMBEDDERS)),
+    fields=st.lists(st.tuples(_field, _field), min_size=1, max_size=5),
+    chunk=st.sampled_from([1, 3, classifier._CHUNK_PAIRS]),
+    data=st.data(),
+)
+def test_feature_rows_do_not_depend_on_their_batch(dim, fields, chunk, data):
+    embedder = _FEATURE_EMBEDDERS[dim]
+    reports, pairs = _reports_and_pairs(fields)
+    if not pairs:
+        return
+    alone = [PairFeaturizer(embedder).feature_matrix([pair])[0].tobytes() for pair in pairs]
+    order = data.draw(st.lists(st.sampled_from(range(len(pairs))), min_size=1, max_size=40))
+    featurizer = PairFeaturizer(embedder)
+    featurizer.warm(reports[::-1])  # rows stored in another order than alone
+    default, classifier._CHUNK_PAIRS = classifier._CHUNK_PAIRS, chunk
+    try:
+        x = featurizer.feature_matrix([pairs[i] for i in order])
+        cosines = featurizer.cosine_all_batch([pairs[i] for i in order])
+    finally:
+        classifier._CHUNK_PAIRS = default
+    assert [row.tobytes() for row in x] == [alone[i] for i in order]
+    assert cosines.tobytes() == x[:, 0].copy().tobytes()
 
 
 def test_both_empty_pair_inside_a_batch_is_rejected():

@@ -155,7 +155,7 @@ def test_eval_retrieval_equals_a_search_in_group_order(interleaved, tmp_path, ca
     corpus = ingest(interleaved / "corpus.jsonl")
     clusters = clusters_from_json(json.loads((interleaved / "clusters.json").read_text()))
     manifest = load_manifest(interleaved / "manifest.json")
-    queries = [g.query for g in manifest.groups["train"]]
+    queries = [m for c in manifest.clusters_in(clusters, "train") for m in c.members]
     assert queries != sorted(queries)
     out = tmp_path / "retrieval.csv"
     _run(

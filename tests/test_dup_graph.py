@@ -52,11 +52,6 @@ def test_cluster_of_and_same_cluster():
     assert not cs.same_cluster("b4", "b4")  # independents are never duplicates
 
 
-def test_all_bug_ids():
-    cs = build_clusters(_corpus(3, {"b1": "b0"}))
-    assert cs.all_bug_ids == {"b0", "b1", "b2"}
-
-
 def test_cluster_set_rejects_singleton_cluster():
     with pytest.raises(ValueError, match="fewer than 2"):
         ClusterSet(clusters=(Cluster(0, ("a",)),), independents=())

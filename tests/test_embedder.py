@@ -31,7 +31,7 @@ from bugdedup.embedder import (
 from bugdedup.retrieval import VectorIndex, top_k
 from bugdedup.synth import SynthConfig, synth_corpus
 
-from helpers import reference_tfidf_embed
+from helpers import reference_tfidf_embed, reference_tfidf_sparse
 
 _FINITE = {"allow_nan": False, "allow_infinity": False, "min_value": -1e6, "max_value": 1e6}
 
@@ -209,6 +209,29 @@ def test_tfidf_embed_equals_the_reference_loop_bit_for_bit(dim, others, texts, r
         got = embedder.embed_texts(batch)
         assert got.shape == (len(batch), dim)
         assert got.tobytes() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dim=st.sampled_from([4, 1024]),
+    others=st.lists(_text, max_size=4),
+    texts=st.lists(_text, max_size=8),
+)
+def test_tfidf_sparse_rows_equal_the_reference_loop_bit_for_bit(dim, others, texts):
+    # At dim 4 most rows merge tokens into shared buckets; ``others`` and
+    # the single-text calls show that a row does not depend on its batch.
+    want = reference_tfidf_sparse(TfidfHashEmbedder.fit(_FIT_TEXTS, dim=dim), texts)
+    embedder = TfidfHashEmbedder.fit(_FIT_TEXTS, dim=dim)
+    embedder.embed_sparse(others)
+    indptr, buckets, weights = embedder.embed_sparse(texts)
+    assert indptr.shape == (len(texts) + 1,) and indptr[0] == 0
+    got = [
+        (buckets[s:e].tolist(), weights[s:e].tolist()) for s, e in zip(indptr[:-1], indptr[1:])
+    ]
+    assert got == want
+    for text, row in zip(texts, want):
+        _, b, w = embedder.embed_sparse([text])
+        assert (b.tolist(), w.tolist()) == row
 
 
 def test_tfidf_embed_equals_the_reference_loop_on_a_synth_corpus():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from itertools import combinations
 
 import pytest
@@ -15,7 +16,6 @@ from bugdedup.splitter import (
     build_manifest,
     count_dup_pairs,
     generate_pairs,
-    generate_retrieval_groups,
     generate_triplets,
     load_manifest,
     manifest_from_json,
@@ -36,12 +36,17 @@ def _uniform_clusters(n_clusters: int, size: int) -> ClusterSet:
     return ClusterSet(clusters=clusters, independents=())
 
 
+def _all_bug_ids(clusters: ClusterSet) -> set[str]:
+    """Every bug the cluster set knows: cluster members and independents."""
+    return {m for c in clusters.clusters for m in c.members} | set(clusters.independents)
+
+
 def test_splits_are_disjoint_and_complete(clusters, manifest):
     split_bugs = {s: set(manifest.bugs_in(clusters, s)) for s in SPLITS}
     assert not split_bugs["train"] & split_bugs["dev"]
     assert not split_bugs["train"] & split_bugs["test"]
     assert not split_bugs["dev"] & split_bugs["test"]
-    assert split_bugs["train"] | split_bugs["dev"] | split_bugs["test"] == clusters.all_bug_ids
+    assert split_bugs["train"] | split_bugs["dev"] | split_bugs["test"] == _all_bug_ids(clusters)
 
 
 def test_clusters_are_split_pure(clusters, manifest):
@@ -211,26 +216,6 @@ def test_triplets_require_pairs_first(clusters):
         generate_triplets(manifest, clusters)
 
 
-def test_retrieval_groups_cover_clustered_bugs(clusters, manifest):
-    for split in SPLITS:
-        clustered = {
-            m for c in manifest.clusters_in(clusters, split) for m in c.members
-        }
-        groups = manifest.groups[split]
-        assert {g.query for g in groups} == clustered
-        for g in groups:
-            assert g.query not in g.relevant
-            assert clusters.cluster_of(g.query) is not None
-            for peer in g.relevant:
-                assert clusters.same_cluster(g.query, peer)
-
-
-def test_generate_groups_populates_manifest(clusters):
-    manifest = split_clusters(clusters, seed=9)
-    groups = generate_retrieval_groups(manifest, clusters, "dev")
-    assert manifest.groups["dev"] is groups
-
-
 def test_manifest_json_roundtrip(manifest):
     again = manifest_from_json(manifest_to_json(manifest))
     assert again == manifest
@@ -239,6 +224,16 @@ def test_manifest_json_roundtrip(manifest):
 def test_manifest_save_load(tmp_path, manifest):
     path = tmp_path / "manifest.json"
     save_manifest(manifest, path, extra={"note": "x"})
+    assert load_manifest(path) == manifest
+
+
+def test_manifest_load_ignores_the_groups_of_older_files(tmp_path, manifest):
+    # Manifests once carried one retrieval group per clustered bug.
+    payload = manifest_to_json(manifest)
+    assert "groups" not in payload
+    payload["groups"] = {"test": [["b1", ["b2"]]]}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
     assert load_manifest(path) == manifest
 
 
@@ -276,4 +271,4 @@ def test_leakage_free_across_seeds(seed):
     manifest = split_clusters(clusters, seed=seed)
     sets = [set(manifest.bugs_in(clusters, s)) for s in SPLITS]
     assert not (sets[0] & sets[1] or sets[0] & sets[2] or sets[1] & sets[2])
-    assert sets[0] | sets[1] | sets[2] == clusters.all_bug_ids
+    assert sets[0] | sets[1] | sets[2] == _all_bug_ids(clusters)

@@ -451,23 +451,30 @@ def _embedded_by_featurizer(records, reports):
     return [by_id[bug_id] for bug_id in dict.fromkeys(ids)]
 
 
-def test_featurizer_embeds_sparse_rows_apart_from_the_runner(setup):
+@pytest.mark.parametrize("shared", [True, False])
+def test_runner_hands_its_text_vectors_to_the_same_embedder(setup, shared):
+    """The runner and the featurizer each embed with their own embedder, even
+    when it is the same object: the runner's dense whole-text vectors are
+    never handed on, and the featurizer embeds its sparse rows itself."""
     _, clusters, _, embedder, _, _ = setup
     queries, database, _ = _mode_partition(setup, "one_vs_all")
-    counting = CountingEmbedder(embedder)
+    runner_side = CountingEmbedder(embedder)
+    featurizer_side = runner_side if shared else CountingEmbedder(embedder)
     model = LogisticPairModel(_WEIGHTS, threshold=0.3)
-    scorer = LogisticClassifier(model, PairFeaturizer(counting))
-    records, _ = run_partition(queries, database, clusters, counting, scorer, "cascade", k=6)
+    scorer = LogisticClassifier(model, PairFeaturizer(featurizer_side))
+    records, _ = run_partition(queries, database, clusters, runner_side, scorer, "cascade", k=6)
     everyone = sorted([*queries, *database], key=lambda r: r.bug_id)
     paired = _embedded_by_featurizer(records, everyone)
     # The runner embeds each whole text once, densely, for search; the
     # featurizer embeds the three fields of each paired report once, sparsely.
-    assert counting.calls == [[r.clean_text for r in everyone]]
-    assert counting.sparse_calls == [
+    assert runner_side.calls == [[r.clean_text for r in everyone]]
+    assert featurizer_side.sparse_calls == [
         [r.clean_text for r in paired],
         [r.clean_title for r in paired],
         [r.clean_description for r in paired],
     ]
+    if not shared:
+        assert featurizer_side.calls == [] and runner_side.sparse_calls == []
     want, _ = reference_cascade(
         queries, database, clusters, embedder,
         LogisticClassifier(model, PairFeaturizer(embedder)), k=6,

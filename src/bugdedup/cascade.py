@@ -146,16 +146,19 @@ def run_partition(
     This is the engine under both scenarios and the one place that counts
     embeddings and similarity ops; the ledger it returns holds the exact
     counter values for the run. Texts are embedded at most once each,
-    which is what makes the n+m accounting true. The records, the search
-    and the cascade's batch follow the order of ``queries`` as given.
+    which is what makes the n+m accounting true: the database in id
+    order, then the queries that are not in it, in id order, in one
+    ``embed_texts`` call. The records, the search and the cascade's batch
+    follow the order of ``queries`` as given.
 
     The cascade scores all n*k candidate pairs of the partition in one
     ``classify_pairs`` batch, in query order and then rank order, and
     splits the verdicts back per query. No built-in scorer's score for a
     pair depends on its batch, so this equals one batch per query. A pair
-    scorer's featurizer embeds its own sparse rows; the dense vectors of
-    the embed phase serve search only. Classification alone keeps one
-    batch per query: its partition holds n*m pairs.
+    scorer's featurizer reads its own tokens and builds its own sparse
+    rows; the dense vectors of the embed phase serve search only.
+    Classification alone keeps one batch per query: its partition holds
+    n*m pairs.
     """
     if method not in METHODS:
         raise ScenarioError(f"unknown method {method!r}")
@@ -183,18 +186,20 @@ def run_partition(
         return records, ledger
 
     with ledger.phase("embed"):
-        unique = {r.bug_id: r for r in list(queries) + list(database)}
-        ordered = [unique[bug_id] for bug_id in sorted(unique)]
+        # The database is already in id order, so its vectors are the
+        # index's rows as they come.
+        extra = sorted({q.bug_id: q for q in queries if q.bug_id not in db_by_id}.items())
+        ordered = database + [q for _, q in extra]
         vectors = embedder.embed_texts([r.clean_text for r in ordered])
         ledger.count_embeds(len(ordered))
-        vec_of = {r.bug_id: vectors[i] for i, r in enumerate(ordered)}
-        index = VectorIndex.from_vectors(db_ids, np.stack([vec_of[b] for b in db_ids]))
+        index = VectorIndex.from_vectors(db_ids, vectors[: len(database)])
 
     with ledger.phase("search"):
         query_ids = [q.bug_id for q in queries]
+        row_of = {r.bug_id: i for i, r in enumerate(ordered)}
         found = search(
             index,
-            np.stack([vec_of[b] for b in query_ids]),
+            vectors[[row_of[b] for b in query_ids]],
             k,
             excludes=query_ids if exclude_self else None,
             queries=query_ids,

@@ -14,8 +14,9 @@ classifications, so no backend decides or counts on its own.
   verify pipeline plumbing, never for reported metrics.
 
 The remote service backend lives in ``remote``. The pair featurizer
-embeds each report's whole text, title and description once, as sparse
-rows (``embed_sparse``), and keeps them for every later pair; those
+reads each report's tokens once (the embedder's ``token_ids``), builds
+its whole-text, title and description rows from them as sparse rows
+(``sparse_rows``), and keeps them for every later pair; those
 embeddings are its own business and are deliberately not ledgered as
 embedding calls. A pair's features cost in proportion to the tokens of
 its two reports, not to the embedding's dimension.
@@ -70,36 +71,43 @@ def _put(buffer: np.ndarray, at: int, values: np.ndarray) -> np.ndarray:
 
 
 class _SparseRows:
-    """One field's rows in CSR form with their norms, grown by ``append``."""
+    """Rows in CSR form with their norms, grown by ``append``. ``stride`` is
+    one more than the largest column index stored, so ``i * stride +
+    column`` keys an entry of the i-th row of a gather uniquely."""
 
     def __init__(self) -> None:
         self.count = 0
+        self.stride = 1
         self.indptr = np.zeros(1, dtype=np.intp)
-        self.buckets = np.empty(0, dtype=np.intp)
+        self.columns = np.empty(0, dtype=np.intp)
         self.weights = np.empty(0)
         self.norms = np.empty(0)
 
-    def append(self, indptr: np.ndarray, buckets: np.ndarray, weights: np.ndarray) -> None:
+    def append(self, indptr: np.ndarray, columns: np.ndarray, weights: np.ndarray) -> None:
         rows, used = len(indptr) - 1, int(self.indptr[self.count])
         weights = np.asarray(weights, dtype=np.float64)
+        self.stride = max(self.stride, int(columns.max(initial=0)) + 1)
         self.indptr = _put(self.indptr, self.count + 1, indptr[1:] + used)
-        self.buckets = _put(self.buckets, used, buckets)
+        self.columns = _put(self.columns, used, columns)
         self.weights = _put(self.weights, used, weights)
         row_of = np.repeat(np.arange(rows), np.diff(indptr))
         self.norms = _put(self.norms, self.count, np.sqrt(np.bincount(row_of, weights * weights, rows)))
         self.count += rows
 
-    def gather(self, rows: np.ndarray, stride: int) -> tuple[np.ndarray, np.ndarray]:
-        """Keys ``i * stride + bucket`` and weights of the entries of each ``rows[i]``."""
+    def lengths(self, rows: np.ndarray) -> np.ndarray:
+        return self.indptr[rows + 1] - self.indptr[rows]
+
+    def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Keys ``i * stride + column`` and weights of the entries of each ``rows[i]``."""
         starts = self.indptr[rows]
         lengths = self.indptr[rows + 1] - starts
         ends = np.cumsum(lengths)
         at = np.arange(lengths.sum()) + np.repeat(starts - ends + lengths, lengths)
-        return np.repeat(np.arange(len(rows)), lengths) * stride + self.buckets[at], self.weights[at]
+        return np.repeat(np.arange(len(rows)), lengths) * self.stride + self.columns[at], self.weights[at]
 
 
 def _compare(
-    rows: _SparseRows, left: np.ndarray, right: np.ndarray, stride: int, distance: bool = False
+    rows: _SparseRows, left: np.ndarray, right: np.ndarray, distance: bool = False
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Cosine of rows ``left[i]`` and ``right[i]`` for every i, 0 where either
     norm is below 1e-12, and their Euclidean distance if asked for.
@@ -109,9 +117,9 @@ def _compare(
     its row's order, so a pair's bits depend neither on its batch nor on
     which side of it a report is. A row must hold each bucket once.
     """
-    n = len(left)
-    lk, lw = rows.gather(left, stride)
-    rk, rw = rows.gather(right, stride)
+    n, stride = len(left), rows.stride
+    lk, lw = rows.gather(left)
+    rk, rw = rows.gather(right)
     shared, il, ir = np.intersect1d(lk, rk, assume_unique=True, return_indices=True)
     pair = shared // stride
     dots = np.bincount(pair, lw[il] * rw[ir], n)
@@ -129,51 +137,71 @@ def _compare(
     return cosines, np.sqrt(both + one_sided)
 
 
-def _jaccard(a: frozenset[str], b: frozenset[str]) -> float:
-    shared = len(a & b)
-    union = len(a) + len(b) - shared
-    return shared / union if union else 0.0
-
-
-# Report fields the featurizer embeds, in the order of its row stores.
-_FIELDS = ("clean_text", "clean_title", "clean_description")
+def _jaccards(sets: _SparseRows, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Token Jaccard of reports ``left[i]`` and ``right[i]``, whose rows in
+    ``sets`` hold their distinct token ids once each, 0 where both are
+    empty. The counts are exact integers, so the float64 quotient has the
+    bits of Python's ``shared / union``."""
+    shared = np.intersect1d(sets.gather(left)[0], sets.gather(right)[0], assume_unique=True)
+    shared = np.bincount(shared // sets.stride, minlength=len(left))
+    union = sets.lengths(left) + sets.lengths(right) - shared
+    return shared / np.maximum(union, 1)
 
 
 class PairFeaturizer:
     """Builds pair features from per-report sparse rows, each embedded once.
 
-    ``warm`` embeds the whole text, title and description of every report
-    not seen before with ``embedder.embed_sparse``, in one batched call per
-    field, and appends the rows to that field's CSR store with their norms
-    and the report's token set. ``feature_matrix`` gathers the entries of
-    a batch of pairs by row, one field and ``_CHUNK_PAIRS`` pairs at a
-    time, and matches them by (pair, bucket) key, so a pair costs the
-    nonzeros of its two rows. Every sum of a pair runs over its own
-    entries only, so a feature does not depend on the batch it was
-    computed in.
+    ``warm`` reads the whole text of every report not seen before in one
+    token pass (``embedder.token_ids``). ``clean_text`` is the cleaned
+    title and description joined by a space, so a report's token ids are
+    its title's followed by its description's: cut at the title's token
+    count, they give the title and description rows too. Two rows passes
+    (``embedder.sparse_rows``) turn the whole texts and the cut parts into
+    sparse rows, appended to two CSR stores with their norms: the whole
+    texts, and the parts with report r's title at row 2r and its
+    description at 2r + 1. A third store keeps each report's distinct
+    token ids in ascending order for the Jaccard feature.
+
+    ``feature_matrix`` gathers the entries of a batch of pairs by row, one
+    field and ``_CHUNK_PAIRS`` pairs at a time, and matches them by
+    (pair, column) key, so a pair costs the nonzeros of its two rows.
+    Every sum of a pair runs over its own entries only, so a feature does
+    not depend on the batch it was computed in.
     """
 
     def __init__(self, embedder):
-        if not callable(getattr(embedder, "embed_sparse", None)):
+        if not all(callable(getattr(embedder, name, None)) for name in ("token_ids", "sparse_rows")):
             raise TypeError(
-                f"PairFeaturizer needs an embedder with an embed_sparse method; "
-                f"{type(embedder).__name__} has none"
+                f"PairFeaturizer needs an embedder with token_ids and sparse_rows methods; "
+                f"{type(embedder).__name__} lacks them"
             )
         self.embedder = embedder
         self._row: dict[str, int] = {}
-        self._tokens: list[frozenset[str]] = []
-        self._fields = [_SparseRows() for _ in _FIELDS]
+        self._texts, self._parts, self._tokens = _SparseRows(), _SparseRows(), _SparseRows()
 
     def warm(self, reports: Sequence[BugReport]) -> None:
-        """Embed the reports not seen before, each once, one batched call per field."""
+        """Read the reports not seen before, each once, in one token pass."""
         missing = list({r.bug_id: r for r in reports if r.bug_id not in self._row}.values())
         if not missing:
             return
-        for rows, name in zip(self._fields, _FIELDS):
-            rows.append(*self.embedder.embed_sparse([getattr(r, name) for r in missing]))
-        for r in missing:
-            self._row[r.bug_id] = len(self._tokens)
-            self._tokens.append(frozenset(r.clean_text.split()))
+        n = len(missing)
+        indptr, ids = self.embedder.token_ids([r.clean_text for r in missing])
+        # ``clean`` joins tokens with single spaces, so a title holds one
+        # token more than it holds spaces, or none.
+        titles = [r.clean_title.count(" ") + 1 if r.clean_title else 0 for r in missing]
+        parts = np.empty(2 * n + 1, dtype=np.intp)
+        parts[0::2] = indptr
+        parts[1::2] = indptr[:-1] + titles
+        self._texts.append(*self.embedder.sparse_rows(indptr, ids))
+        self._parts.append(*self.embedder.sparse_rows(parts, ids))
+        # Each report's distinct ids, ascending, from one sort of
+        # (report, id) keys.
+        stride = int(ids.max(initial=0)) + 1
+        distinct = np.unique(np.repeat(np.arange(n), np.diff(indptr)) * stride + ids)
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(distinct // stride, minlength=n))))
+        self._tokens.append(bounds, distinct % stride, np.ones(len(distinct)))
+        first = len(self._row)
+        self._row.update(zip([r.bug_id for r in missing], range(first, first + n)))
 
     def _rows(self, pairs: Sequence[tuple[BugReport, BugReport]]) -> tuple[np.ndarray, np.ndarray]:
         self.warm([r for pair in pairs for r in pair])
@@ -184,20 +212,19 @@ class PairFeaturizer:
     def feature_matrix(self, pairs: Sequence[tuple[BugReport, BugReport]]) -> np.ndarray:
         """Features of each pair, shape (len(pairs), 5): whole-text, title and
         description cosine, whole-text Euclidean distance, token Jaccard."""
-        for a, b in pairs:
-            if not a.clean_text and not b.clean_text:
-                raise FeatureError(f"both reports empty after cleaning: {a.bug_id}, {b.bug_id}")
         left, right = self._rows(pairs)
+        tokens = self._tokens
+        empty = np.flatnonzero((tokens.lengths(left) == 0) & (tokens.lengths(right) == 0))
+        if len(empty):
+            a, b = pairs[empty[0]]
+            raise FeatureError(f"both reports empty after cleaning: {a.bug_id}, {b.bug_id}")
         x = np.empty((len(pairs), FEATURE_COUNT))
         for chunk in _chunks(len(pairs)):
-            for f, rows in enumerate(self._fields):
-                x[chunk, f], distance = _compare(
-                    rows, left[chunk], right[chunk], self.embedder.dim, distance=f == 0
-                )
-                if f == 0:
-                    x[chunk, 3] = distance
-        tokens = self._tokens
-        x[:, 4] = [_jaccard(tokens[i], tokens[j]) for i, j in zip(left.tolist(), right.tolist())]
+            i, j = left[chunk], right[chunk]
+            x[chunk, 0], x[chunk, 3] = _compare(self._texts, i, j, distance=True)
+            x[chunk, 1] = _compare(self._parts, 2 * i, 2 * j)[0]
+            x[chunk, 2] = _compare(self._parts, 2 * i + 1, 2 * j + 1)[0]
+            x[chunk, 4] = _jaccards(tokens, i, j)
         if not np.isfinite(x).all():
             bad = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
             raise FeatureError(f"non-finite pair features: {tuple(x[bad].tolist())}")
@@ -210,7 +237,7 @@ class PairFeaturizer:
         left, right = self._rows(pairs)
         out = np.empty(len(pairs))
         for chunk in _chunks(len(pairs)):
-            out[chunk] = _compare(self._fields[0], left[chunk], right[chunk], self.embedder.dim)[0]
+            out[chunk] = _compare(self._texts, left[chunk], right[chunk])[0]
         return out
 
 

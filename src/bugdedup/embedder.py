@@ -4,8 +4,9 @@ Two built-in backends share one interface (``embed_texts``): a hashed
 TF-IDF bag-of-tokens baseline, and that baseline composed with a linear
 projection fine-tuned by triplet loss. Both are deterministic; the
 remote HTTP backend lives in ``remote``. The TF-IDF baseline also gives
-its rows in sparse form (``embed_sparse``), which the pair featurizer
-needs.
+its rows in sparse form, from a token pass (``token_ids``) and a rows
+pass (``sparse_rows``): the pair featurizer reads each report's tokens
+once and cuts them into its title's and its description's rows.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ _FNV_PRIME = 0x100000001B3
 # features treat their cosine as undefined, and normalisation leaves them
 # as they are.
 ZERO_NORM = 1e-12
+# ``row_norms`` takes this many rows at a time.
+_NORM_BLOCK_ROWS = 64
 
 
 class TrainingError(RuntimeError):
@@ -48,6 +51,19 @@ def fnv1a64(token: str) -> int:
         h ^= byte
         h = (h * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
     return h
+
+
+def row_norms(matrix: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(matrix, axis=1)`` with its bits, a block of rows at a
+    time, so the norm's two temporaries (the conjugate and the squares) are
+    a block's size, not the matrix's. Each row is still one ``add.reduce``
+    of its own squares."""
+    out = np.empty(len(matrix))
+    for start in range(0, len(matrix), _NORM_BLOCK_ROWS):
+        out[start : start + _NORM_BLOCK_ROWS] = np.linalg.norm(
+            matrix[start : start + _NORM_BLOCK_ROWS], axis=1
+        )
+    return out
 
 
 def l2_normalize_rows(matrix: np.ndarray) -> np.ndarray:
@@ -82,14 +98,15 @@ class TfidfHashEmbedder:
     the vector is L2-normalized. IDF uses the smoothed form
     ln((1+N)/(1+df)) + 1 so unseen tokens still carry weight.
 
-    A batch is embedded in one pass. Each token has a vocabulary id, given
-    on first sight, and per id a bucket and an IDF in two arrays. The
-    batch's distinct (text, token) pairs come from one ``np.unique`` with
-    their counts, sorted by first occurrence, and one ``np.add.at`` adds
-    each ``count * idf`` to its bucket in that order. So every bucket
-    holds the float64 sum, from 0.0, of its tokens in the order they first
-    appear in the text: a row's bits depend neither on its batch nor on
-    which tokens were seen before.
+    A batch is embedded in two passes. The token pass splits each text
+    once and maps its tokens to vocabulary ids, given on first sight; per
+    id a bucket and an IDF sit in two arrays. The rows pass takes the
+    distinct (row, token) pairs from one ``np.unique`` with their counts,
+    sorted by first occurrence, and one ``np.add.at`` adds each ``count *
+    idf`` to its bucket in that order. So every bucket holds the float64
+    sum, from 0.0, of its tokens in the order they first appear in the
+    text: a row's bits depend neither on its batch nor on which tokens
+    were seen before.
 
     Fitted instances are immutable and safe to share across threads. The
     token tables are a pure function of the fitted fields, so they take no
@@ -146,52 +163,67 @@ class TfidfHashEmbedder:
         # call's own, and a normalised copy would add a dense array to the
         # peak memory of every call.
         out = self._weights(texts)
-        norms = np.linalg.norm(out, axis=1, keepdims=True)
+        norms = row_norms(out)[:, None]
         out /= np.where(norms < ZERO_NORM, 1.0, norms)
         return out
 
-    def embed_sparse(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rows as CSR arrays ``(indptr, buckets, weights)``: row i holds
-        ``buckets[indptr[i]:indptr[i + 1]]``, each once and in ascending
-        order. A weight is its bucket's sum as ``embed_texts`` adds it, bit
-        for bit, over the norm of its own row's weights; a row whose norm is
-        below ``ZERO_NORM`` is left as it is."""
-        rows, buckets, weights = self._triples(texts)
+    def token_ids(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """The token pass: each text's tokens as vocabulary ids, in CSR form
+        ``(indptr, ids)``. Text i's ids are ``ids[indptr[i]:indptr[i + 1]]``,
+        in the order its tokens come. Each text is split once, and tokens
+        not seen before are given ids."""
+        split = [text.split() for text in texts]
+        return np.cumsum([0, *map(len, split)]), self._ids(list(chain.from_iterable(split)))
+
+    def sparse_rows(
+        self, indptr: np.ndarray, ids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows pass: row i of the ids of ``token_ids`` is the span
+        ``ids[indptr[i]:indptr[i + 1]]`` (spans may cut a text into parts),
+        returned in CSR form ``(indptr, buckets, weights)``. A row holds each
+        bucket once, in ascending order. A weight is its bucket's sum as
+        ``embed_texts`` adds it, bit for bit, over the norm of its own row's
+        weights; a row whose norm is below ``ZERO_NORM`` is left as it is."""
+        rows, buckets, weights = self._triples(indptr, ids)
+        n = len(indptr) - 1
         # bincount adds each bucket's weights from 0.0 in the order they
         # come, as ``np.add.at`` does.
         keys, entry = np.unique(rows * self.dim + buckets, return_inverse=True)
         merged = np.bincount(entry, weights, len(keys))
         rows, buckets = np.divmod(keys, self.dim)
-        norms = np.sqrt(np.bincount(rows, merged * merged, len(texts)))
-        indptr = np.zeros(len(texts) + 1, dtype=np.intp)
-        np.cumsum(np.bincount(rows, minlength=len(texts)), out=indptr[1:])
+        norms = np.sqrt(np.bincount(rows, merged * merged, n))
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
         return indptr, buckets, merged / np.where(norms < ZERO_NORM, 1.0, norms)[rows]
+
+    def embed_sparse(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows of ``texts`` in sparse form: ``sparse_rows`` of ``token_ids``."""
+        return self.sparse_rows(*self.token_ids(texts))
 
     def _weights(self, texts: Sequence[str]) -> np.ndarray:
         """The rows before normalisation. Its per-token arrays are freed on
-        return, before the normalisation allocates its dense temporary."""
-        rows, buckets, weights = self._triples(texts)
+        return, before the normalisation allocates its temporaries."""
+        rows, buckets, weights = self._triples(*self.token_ids(texts))
         out = np.zeros((len(texts), self.dim))
         np.add.at(out.reshape(-1), rows * self.dim + buckets, weights)
         return out
 
-    def _triples(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(row, bucket, count * idf)`` of each distinct (text, token) pair,
-        ordered by text and then by the token's first occurrence in it."""
-        split = [text.split() for text in texts]
-        ids = self._ids(list(chain.from_iterable(split)))
+    def _triples(
+        self, indptr: np.ndarray, ids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(row, bucket, count * idf)`` of each distinct (row, token) pair,
+        ordered by row and then by the token's first occurrence in it."""
         # Taken after the ids, so the arrays cover every one of them.
         buckets, idf = self._tokens.arrays
-        text_of = np.repeat(np.arange(len(texts)), [len(tokens) for tokens in split])
-        # One key per (text, token) pair; its first index orders it as the
-        # token first occurs in the text.
+        row_of = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+        # One key per (row, token) pair; its first index orders it as the
+        # token first occurs in the row.
         _, first, counts = np.unique(
-            text_of * len(idf) + ids, return_index=True, return_counts=True
+            row_of * len(idf) + ids, return_index=True, return_counts=True
         )
         order = np.argsort(first, kind="stable")
         first, counts = first[order], counts[order]
         token = ids[first]
-        return text_of[first], buckets[token], counts * idf[token]
+        return row_of[first], buckets[token], counts * idf[token]
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "doc_count": self.doc_count, "df": dict(self.df)}

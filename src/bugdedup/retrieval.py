@@ -74,7 +74,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .embedder import ZERO_NORM
+from .embedder import ZERO_NORM, row_norms
 
 # The scan's row blocks, and the rescoring's gathers, hold at most this
 # many matrix elements, in a multiple of _BLOCK_ALIGN rows. OpenBLAS
@@ -105,7 +105,10 @@ def _aligned_rows(matrix: np.ndarray, order: Sequence[int]) -> np.ndarray:
     flat = np.empty(size + _MATRIX_ALIGN_BYTES // 8)
     skip = (-flat.ctypes.data % _MATRIX_ALIGN_BYTES) // 8
     out = flat[skip : skip + size].reshape(shape)
-    return np.take(np.asarray(matrix, dtype=np.float64), order, axis=0, out=out)
+    # Under mode="raise" np.take fills a buffer and copies it into ``out``;
+    # "clip" writes ``out`` directly. The caller's orders are permutations,
+    # so no index is clipped.
+    return np.take(np.asarray(matrix, dtype=np.float64), order, axis=0, out=out, mode="clip")
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +127,7 @@ class VectorIndex:
             raise ValueError(f"{len(ids)} ids but {matrix.shape[0]} vectors")
         order = sorted(range(len(ids)), key=lambda i: ids[i])
         ordered = _aligned_rows(matrix, order)
-        norms = np.linalg.norm(ordered, axis=1)
+        norms = row_norms(ordered)
         bad = np.flatnonzero(~np.isfinite(norms))
         if len(bad):
             raise ValueError(f"the vector of {ids[order[bad[0]]]!r} has a norm that is not finite")

@@ -64,21 +64,27 @@ def resolve_pairs(corpus, labeled_pairs):
 
 class CountingEmbedder:
     """Records the texts of every ``embed_texts`` call in ``calls`` and of
-    every ``embed_sparse`` call in ``sparse_calls``."""
+    every token pass (``token_ids``) in ``token_calls``, and counts the
+    rows passes (``sparse_rows``) in ``rows_calls``."""
 
     def __init__(self, inner):
         self.inner = inner
         self.dim = inner.dim
         self.calls: list[list[str]] = []
-        self.sparse_calls: list[list[str]] = []
+        self.token_calls: list[list[str]] = []
+        self.rows_calls = 0
 
     def embed_texts(self, texts):
         self.calls.append(list(texts))
         return self.inner.embed_texts(texts)
 
-    def embed_sparse(self, texts):
-        self.sparse_calls.append(list(texts))
-        return self.inner.embed_sparse(texts)
+    def token_ids(self, texts):
+        self.token_calls.append(list(texts))
+        return self.inner.token_ids(texts)
+
+    def sparse_rows(self, indptr, ids):
+        self.rows_calls += 1
+        return self.inner.sparse_rows(indptr, ids)
 
 
 def reference_clean(text: str) -> str:

@@ -463,18 +463,18 @@ def test_runner_hands_its_text_vectors_to_the_same_embedder(setup, shared):
     model = LogisticPairModel(_WEIGHTS, threshold=0.3)
     scorer = LogisticClassifier(model, PairFeaturizer(featurizer_side))
     records, _ = run_partition(queries, database, clusters, runner_side, scorer, "cascade", k=6)
-    everyone = sorted([*queries, *database], key=lambda r: r.bug_id)
-    paired = _embedded_by_featurizer(records, everyone)
-    # The runner embeds each whole text once, densely, for search; the
-    # featurizer embeds the three fields of each paired report once, sparsely.
-    assert runner_side.calls == [[r.clean_text for r in everyone]]
-    assert featurizer_side.sparse_calls == [
-        [r.clean_text for r in paired],
-        [r.clean_title for r in paired],
-        [r.clean_description for r in paired],
-    ]
+    in_db = {r.bug_id for r in database}
+    extra = [q for q in queries if q.bug_id not in in_db]
+    embed_order = sorted(database, key=lambda r: r.bug_id) + sorted(extra, key=lambda r: r.bug_id)
+    paired = _embedded_by_featurizer(records, embed_order)
+    # The runner embeds each whole text once, densely, for search: the
+    # database in id order, then the other queries in id order. The
+    # featurizer reads each paired report's whole text once, in one token
+    # pass, and builds its sparse rows from it.
+    assert extra and runner_side.calls == [[r.clean_text for r in embed_order]]
+    assert featurizer_side.token_calls == [[r.clean_text for r in paired]]
     if not shared:
-        assert featurizer_side.calls == [] and runner_side.sparse_calls == []
+        assert featurizer_side.calls == [] and runner_side.token_calls == []
     want, _ = reference_cascade(
         queries, database, clusters, embedder,
         LogisticClassifier(model, PairFeaturizer(embedder)), k=6,

@@ -44,12 +44,15 @@ def _embedder(*reports, dim=64):
 
 
 class _NanEmbedder:
-    """One NaN weight in bucket 0 of every row."""
+    """Every token is id 0, and every row is one NaN weight in bucket 0."""
 
-    dim = 4
+    def token_ids(self, texts):
+        indptr = np.cumsum([0] + [len(text.split()) for text in texts])
+        return indptr, np.zeros(indptr[-1], dtype=np.intp)
 
-    def embed_sparse(self, texts):
-        return np.arange(len(texts) + 1), np.zeros(len(texts), dtype=np.intp), np.full(len(texts), np.nan)
+    def sparse_rows(self, indptr, ids):
+        n = len(indptr) - 1
+        return np.arange(n + 1), np.zeros(n, dtype=np.intp), np.full(n, np.nan)
 
 
 class _Proxy:
@@ -72,10 +75,14 @@ def test_featurizer_refuses_an_embedder_without_embed_sparse():
         def embed_texts(self, texts):
             return embedder.embed_texts(texts)
 
-    for dense in (DenseOnly(), _Proxy(DenseOnly())):
-        with pytest.raises(TypeError, match="embed_sparse"):
+    class SparseOnly(DenseOnly):
+        def embed_sparse(self, texts):
+            return embedder.embed_sparse(texts)
+
+    for dense in (DenseOnly(), _Proxy(DenseOnly()), SparseOnly()):
+        with pytest.raises(TypeError, match="token_ids and sparse_rows"):
             PairFeaturizer(dense)
-    # A proxy that forwards ``embed_sparse`` is an embedder with one.
+    # A proxy that forwards the token and rows passes is an embedder with them.
     proxied = PairFeaturizer(_Proxy(embedder)).feature_matrix([(a, b)])
     assert proxied.tobytes() == PairFeaturizer(embedder).feature_matrix([(a, b)]).tobytes()
 
@@ -84,7 +91,7 @@ def test_pair_features_validation(monkeypatch):
     a, b = _report("b1", "crash heap", "overflow"), _report("b2", "render", "shader")
     with pytest.raises(FeatureError, match="non-finite"):
         PairFeaturizer(_NanEmbedder()).feature_matrix([(a, b)])
-    monkeypatch.setattr(classifier, "_jaccard", lambda x, y: 1.5)
+    monkeypatch.setattr(classifier, "_jaccards", lambda sets, left, right: np.full(len(left), 1.5))
     with pytest.raises(FeatureError, match="jaccard"):
         PairFeaturizer(_embedder(a, b)).feature_matrix([(a, b)])
 
@@ -168,21 +175,16 @@ def test_warm_embeds_each_report_once_per_field():
     counting = CountingEmbedder(_embedder(*reports))
     featurizer = PairFeaturizer(counting)
     featurizer.warm([reports[0], reports[1], reports[0], reports[2], reports[1]])
-    assert counting.sparse_calls == [
-        [r.clean_text for r in reports[:3]],
-        [r.clean_title for r in reports[:3]],
-        [r.clean_description for r in reports[:3]],
-    ]
+    # One token pass over the whole texts; the title and description rows
+    # are cut from it, so no field is read on its own.
+    assert counting.token_calls == [[r.clean_text for r in reports[:3]]]
     # A query paired with every candidate, as the cascade batches it.
     featurizer.feature_matrix([(reports[3], r) for r in reports] + [(reports[2], reports[3])])
-    assert counting.sparse_calls[3:] == [
-        [reports[3].clean_text],
-        [reports[3].clean_title],
-        [reports[3].clean_description],
-    ]
+    assert counting.token_calls[1:] == [[reports[3].clean_text]]
     featurizer.warm(reports)
     featurizer.feature_matrix([(reports[1], reports[3])])
-    assert len(counting.sparse_calls) == 6
+    assert len(counting.token_calls) == 2
+    assert counting.rows_calls == 4  # whole texts and their parts, per token pass
     assert counting.calls == []  # no dense row is ever built
 
 
@@ -283,11 +285,57 @@ def test_feature_rows_do_not_depend_on_their_batch(dim, fields, chunk, data):
     assert cosines.tobytes() == x[:, 0].copy().tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    fields=st.lists(st.tuples(_field, _field), min_size=1, max_size=6),
+    cut=st.integers(min_value=0, max_value=6),
+)
+def test_jaccard_equals_the_frozenset_formula_bit_for_bit(fields, cut):
+    # The pairs hold empty, one-sided empty and identical texts (each report
+    # with itself). The reports are warmed in two calls on a fresh embedder,
+    # so the second call's new tokens take ids the first never saw.
+    reports, pairs = _reports_and_pairs(fields)
+    featurizer = PairFeaturizer(TfidfHashEmbedder.fit(["crash"], dim=4))
+    featurizer.warm(reports[:cut])
+    featurizer.warm(reports[cut:])
+    want = []
+    for a, b in pairs:
+        left, right = frozenset(a.clean_text.split()), frozenset(b.clean_text.split())
+        want.append(len(left & right) / len(left | right))
+    assert featurizer.feature_matrix(pairs)[:, 4].tobytes() == np.array(want).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dim=st.sampled_from(sorted(_FEATURE_EMBEDDERS)),
+    fields=st.lists(st.tuples(_field, _field), min_size=1, max_size=5),
+)
+def test_rows_cut_from_the_token_pass_equal_embed_sparse_of_each_field(dim, fields):
+    embedder = _FEATURE_EMBEDDERS[dim]
+    reports, _ = _reports_and_pairs(fields)
+    featurizer = PairFeaturizer(embedder)
+    featurizer.warm(reports)
+
+    def row(store, i):
+        start, end = store.indptr[i], store.indptr[i + 1]
+        return store.columns[start:end].tobytes(), store.weights[start:end].tobytes()
+
+    for r, report in enumerate(reports):
+        for store, i, text in (
+            (featurizer._texts, r, report.clean_text),
+            (featurizer._parts, 2 * r, report.clean_title),
+            (featurizer._parts, 2 * r + 1, report.clean_description),
+        ):
+            _, buckets, weights = embedder.embed_sparse([text])
+            assert row(store, i) == (buckets.tobytes(), weights.tobytes())
+
+
 def test_both_empty_pair_inside_a_batch_is_rejected():
     a, b = _report("b1", "crash heap", "overflow"), _report("b2", "render", "shader")
     empty1, empty2 = _report("e1", "", "the"), _report("e2", "", "")
     featurizer = PairFeaturizer(_embedder(a, b))
-    pairs = [(a, b), (empty1, empty2), (a, empty1)]
+    # The error names the first both-empty pair of the batch.
+    pairs = [(a, b), (empty1, empty2), (a, empty1), (empty2, empty1)]
     with pytest.raises(FeatureError, match="e1, e2"):
         featurizer.feature_matrix(pairs)
     model = LogisticPairModel(weights=np.zeros(FEATURE_COUNT + 1))

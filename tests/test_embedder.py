@@ -24,6 +24,7 @@ from bugdedup.embedder import (
     initial_weights,
     l2_normalize_rows,
     load_projection,
+    row_norms,
     save_projection,
     train_projection,
     _pass_losses,
@@ -232,6 +233,23 @@ def test_tfidf_sparse_rows_equal_the_reference_loop_bit_for_bit(dim, others, tex
     for text, row in zip(texts, want):
         _, b, w = embedder.embed_sparse([text])
         assert (b.tolist(), w.tolist()) == row
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 129])
+def test_tfidf_embed_normalises_in_blocks_with_the_bits_of_the_whole_array(n):
+    # Batch sizes around the normalisation's block of rows; every fifth text
+    # holds no token, so its row is all zero.
+    rng = np.random.default_rng(n)
+    words = _FIT_WORDS + ["unseen", "other"]
+    texts = [" ".join(rng.choice(words, size=rng.integers(1, 9))) for _ in range(n)]
+    for i in range(0, n, 5):
+        texts[i] = " \t" if i % 10 else ""
+    embedder = TfidfHashEmbedder.fit(_FIT_TEXTS, dim=8)
+    got = embedder.embed_texts(texts)
+    assert got.shape == (n, 8) and not got[::5].any()
+    assert got.tobytes() == reference_tfidf_embed(embedder, texts).tobytes()
+    matrix = rng.normal(size=(n, 300))
+    assert row_norms(matrix).tobytes() == np.linalg.norm(matrix, axis=1).tobytes()
 
 
 def test_tfidf_embed_equals_the_reference_loop_on_a_synth_corpus():

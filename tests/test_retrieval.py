@@ -50,6 +50,19 @@ def test_index_matrix_starts_on_a_cache_line(dtype):
     assert idx.matrix.tobytes() == matrix[order].astype(np.float64).tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(1, 70), dim=st.integers(1, 9), data=st.data())
+def test_aligned_rows_is_an_aligned_copy_of_the_gather(rows, dim, data):
+    matrix = np.random.default_rng(rows * 10 + dim).normal(size=(rows, dim))
+    # The identity, as the cascade's database comes, or any permutation.
+    order = data.draw(st.just(list(range(rows))) | st.permutations(range(rows)))
+    got = retrieval._aligned_rows(matrix, order)
+    assert got.ctypes.data % retrieval._MATRIX_ALIGN_BYTES == 0
+    assert got.flags.c_contiguous and not np.shares_memory(got, matrix)
+    assert got.shape == (rows, dim)
+    assert got.tobytes() == matrix[order].tobytes()
+
+
 def test_search_scores_do_not_depend_on_the_matrix_address():
     rng = np.random.default_rng(5)
     idx = VectorIndex.from_vectors([f"b{i:03d}" for i in range(200)], rng.normal(size=(200, 100)))

@@ -240,8 +240,9 @@ def classify_pairs(
     A pair is a duplicate iff its probability is at least the backend's
     ``threshold``. This is the one place where pair classifications are
     decided and counted, so the ledger holds exactly the pairs the
-    backend scored. With a ``pair_cache``, an unordered pair already in
-    it is neither scored nor counted again.
+    backend scored. A probability that is not finite raises
+    ``ScenarioError`` before any pair is counted. With a ``pair_cache``, an
+    unordered pair already in it is neither scored nor counted again.
     """
     if pair_cache is None:
         fresh = pairs
@@ -255,6 +256,10 @@ def classify_pairs(
     probs = pair_classifier.classify_batch(fresh)
     if probs.shape != (len(fresh),):
         raise ScenarioError(f"pair classifier returned shape {probs.shape} for {len(fresh)} pairs")
+    bad = np.flatnonzero(~np.isfinite(probs))
+    if len(bad):
+        a, b = fresh[bad[0]]
+        raise ScenarioError(f"pair classifier returned {probs[bad[0]]} for {a.bug_id}, {b.bug_id}")
     ledger.count_classifications(len(fresh))
     verdicts = list(zip(probs.tolist(), (probs >= pair_classifier.threshold).tolist()))
     if pair_cache is None:

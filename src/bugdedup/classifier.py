@@ -34,7 +34,7 @@ import numpy as np
 
 from .corpus import BugReport
 from .dup_graph import ClusterSet
-from .embedder import ZERO_NORM, TrainingError
+from .embedder import ZERO_NORM, TrainingError, _csr_row_norms
 from .metrics import ConfusionMatrix, classification_metrics
 from .seeding import substream_rng
 
@@ -90,8 +90,7 @@ class _SparseRows:
         self.indptr = _put(self.indptr, self.count + 1, indptr[1:] + used)
         self.columns = _put(self.columns, used, columns)
         self.weights = _put(self.weights, used, weights)
-        row_of = np.repeat(np.arange(rows), np.diff(indptr))
-        self.norms = _put(self.norms, self.count, np.sqrt(np.bincount(row_of, weights * weights, rows)))
+        self.norms = _put(self.norms, self.count, _csr_row_norms(indptr, weights))
         self.count += rows
 
     def lengths(self, rows: np.ndarray) -> np.ndarray:
@@ -384,11 +383,13 @@ class LogisticClassifier:
 class SimilarityClassifier:
     """Fixed-threshold rule on whole-text cosine; no training.
 
-    A cosine s in [-1, 1] scores (s + 1) / 2, and the cosine threshold t
-    becomes the probability threshold (t + 1) / 2.
+    A cosine s in [-1, 1] scores (s + 1) / 2, and the cosine threshold t,
+    which must lie in [-1, 1], becomes the probability threshold (t + 1) / 2.
     """
 
     def __init__(self, featurizer: PairFeaturizer, similarity_threshold: float = 0.5):
+        if not -1.0 <= similarity_threshold <= 1.0:
+            raise ValueError(f"similarity threshold must lie in [-1,1], got {similarity_threshold}")
         self.featurizer = featurizer
         self.similarity_threshold = similarity_threshold
 

@@ -156,7 +156,10 @@ def _make_classifier(args, corpus, clusters, manifest, backends: contextlib.Exit
         base = _fit_train_embedder(corpus, clusters, manifest, args.dim)
     featurizer = classifier_mod.PairFeaturizer(base)
     if args.classifier_backend == "similarity":
-        return classifier_mod.SimilarityClassifier(featurizer, args.sim_threshold)
+        try:
+            return classifier_mod.SimilarityClassifier(featurizer, args.sim_threshold)
+        except ValueError as exc:
+            raise UsageError(f"--sim-threshold: {exc}") from exc
     model_path = _require_file(args.model, "--model")
     trained_dim = json.loads(model_path.read_text(encoding="utf-8")).get("cli", {}).get("dim")
     if trained_dim is not None and trained_dim != args.dim:

@@ -3,10 +3,11 @@
 Two built-in backends share one interface (``embed_texts``): a hashed
 TF-IDF bag-of-tokens baseline, and that baseline composed with a linear
 projection fine-tuned by triplet loss. Both are deterministic; the
-remote HTTP backend lives in ``remote``. The TF-IDF baseline also gives
-its rows in sparse form, from a token pass (``token_ids``) and a rows
-pass (``sparse_rows``): the pair featurizer reads each report's tokens
-once and cuts them into its title's and its description's rows.
+remote HTTP backend lives in ``remote``. The TF-IDF baseline sums each
+row's buckets in one rows pass after a token pass (``token_ids``):
+``embed_texts`` scatters the sums into dense rows, and ``sparse_rows``
+divides them by their row's norm, so the pair featurizer can read each
+report's tokens once and cut them into its title's and description's rows.
 """
 
 from __future__ import annotations
@@ -66,6 +67,12 @@ def row_norms(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
+def _csr_row_norms(indptr: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Each CSR row's L2 norm, its squared weights summed from 0.0 in order."""
+    n = len(indptr) - 1
+    return np.sqrt(np.bincount(np.repeat(np.arange(n), np.diff(indptr)), weights * weights, n))
+
+
 def l2_normalize_rows(matrix: np.ndarray) -> np.ndarray:
     """Row-normalize; all-zero rows are left as zeros."""
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
@@ -102,11 +109,11 @@ class TfidfHashEmbedder:
     once and maps its tokens to vocabulary ids, given on first sight; per
     id a bucket and an IDF sit in two arrays. The rows pass takes the
     distinct (row, token) pairs from one ``np.unique`` with their counts,
-    sorted by first occurrence, and one ``np.add.at`` adds each ``count *
-    idf`` to its bucket in that order. So every bucket holds the float64
-    sum, from 0.0, of its tokens in the order they first appear in the
-    text: a row's bits depend neither on its batch nor on which tokens
-    were seen before.
+    sorted by first occurrence, and one ``np.bincount`` adds each ``count *
+    idf`` to its (row, bucket) in that order. So every bucket holds the
+    float64 sum, from 0.0, of its tokens in the order they first appear in
+    the text: a row's bits depend neither on its batch nor on which tokens
+    were seen before. The dense and the sparse rows hold the same sums.
 
     Fitted instances are immutable and safe to share across threads. The
     token tables are a pure function of the fitted fields, so they take no
@@ -159,10 +166,12 @@ class TfidfHashEmbedder:
             return self._ids(tokens)
 
     def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
+        indptr, buckets, sums = self._sums(*self.token_ids(texts))
+        out = np.zeros((len(texts), self.dim))
+        out[np.repeat(np.arange(len(texts)), np.diff(indptr)), buckets] = sums
         # ``l2_normalize_rows`` in place, with its bits: the rows are this
         # call's own, and a normalised copy would add a dense array to the
         # peak memory of every call.
-        out = self._weights(texts)
         norms = row_norms(out)[:, None]
         out /= np.where(norms < ZERO_NORM, 1.0, norms)
         return out
@@ -181,40 +190,24 @@ class TfidfHashEmbedder:
         """The rows pass: row i of the ids of ``token_ids`` is the span
         ``ids[indptr[i]:indptr[i + 1]]`` (spans may cut a text into parts),
         returned in CSR form ``(indptr, buckets, weights)``. A row holds each
-        bucket once, in ascending order. A weight is its bucket's sum as
-        ``embed_texts`` adds it, bit for bit, over the norm of its own row's
-        weights; a row whose norm is below ``ZERO_NORM`` is left as it is."""
-        rows, buckets, weights = self._triples(indptr, ids)
-        n = len(indptr) - 1
-        # bincount adds each bucket's weights from 0.0 in the order they
-        # come, as ``np.add.at`` does.
-        keys, entry = np.unique(rows * self.dim + buckets, return_inverse=True)
-        merged = np.bincount(entry, weights, len(keys))
-        rows, buckets = np.divmod(keys, self.dim)
-        norms = np.sqrt(np.bincount(rows, merged * merged, n))
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-        return indptr, buckets, merged / np.where(norms < ZERO_NORM, 1.0, norms)[rows]
+        bucket once, in ascending order. A weight is its bucket's sum, the
+        one ``embed_texts`` scatters into its dense row, over the norm of
+        its own row's sums; a row whose norm is below ``ZERO_NORM`` is left
+        as it is."""
+        indptr, buckets, sums = self._sums(indptr, ids)
+        norms = _csr_row_norms(indptr, sums)
+        return indptr, buckets, sums / np.where(norms < ZERO_NORM, 1.0, norms).repeat(np.diff(indptr))
 
-    def embed_sparse(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rows of ``texts`` in sparse form: ``sparse_rows`` of ``token_ids``."""
-        return self.sparse_rows(*self.token_ids(texts))
-
-    def _weights(self, texts: Sequence[str]) -> np.ndarray:
-        """The rows before normalisation. Its per-token arrays are freed on
-        return, before the normalisation allocates its temporaries."""
-        rows, buckets, weights = self._triples(*self.token_ids(texts))
-        out = np.zeros((len(texts), self.dim))
-        np.add.at(out.reshape(-1), rows * self.dim + buckets, weights)
-        return out
-
-    def _triples(
+    def _sums(
         self, indptr: np.ndarray, ids: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(row, bucket, count * idf)`` of each distinct (row, token) pair,
-        ordered by row and then by the token's first occurrence in it."""
+        """The rows of ``sparse_rows`` before normalisation: each bucket once,
+        ascending, with the float64 sum from 0.0 of ``count * idf`` over the
+        row's distinct tokens, in the order they first occur in the row."""
         # Taken after the ids, so the arrays cover every one of them.
-        buckets, idf = self._tokens.arrays
-        row_of = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+        bucket_of, idf = self._tokens.arrays
+        n = len(indptr) - 1
+        row_of = np.repeat(np.arange(n), np.diff(indptr))
         # One key per (row, token) pair; its first index orders it as the
         # token first occurs in the row.
         _, first, counts = np.unique(
@@ -223,7 +216,10 @@ class TfidfHashEmbedder:
         order = np.argsort(first, kind="stable")
         first, counts = first[order], counts[order]
         token = ids[first]
-        return row_of[first], buckets[token], counts * idf[token]
+        # bincount sums each (row, bucket) from 0.0 in the order its terms come.
+        keys, entry = np.unique(row_of[first] * self.dim + bucket_of[token], return_inverse=True)
+        sums = np.bincount(entry, counts * idf[token], len(keys))
+        return np.searchsorted(keys, np.arange(n + 1) * self.dim), keys % self.dim, sums
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "doc_count": self.doc_count, "df": dict(self.df)}

@@ -138,10 +138,10 @@ def reference_tfidf_embed(embedder, texts) -> np.ndarray:
 
 
 def reference_tfidf_sparse(embedder, texts) -> list[tuple[list[int], list[float]]]:
-    """``TfidfHashEmbedder.embed_sparse`` as a loop: each text's buckets in
-    ascending order with the sums ``reference_tfidf_embed`` gives them, over
-    the row's norm summed in that order. ``embed_sparse`` must equal this
-    bit for bit."""
+    """``sparse_rows(*token_ids(texts))`` of a ``TfidfHashEmbedder`` as a
+    loop: each text's buckets in ascending order with the sums
+    ``reference_tfidf_embed`` gives them, over the row's norm summed in that
+    order. The rows pass must equal this bit for bit."""
     out = []
     for row in _reference_tfidf_rows(embedder, texts):
         buckets = sorted(row)

@@ -328,6 +328,29 @@ def test_runner_rejects_scores_of_the_wrong_shape(setup):
         classify_pairs(_WrongShape(), _peer_pairs(setup, n_others=2), CostLedger())
 
 
+class _FixedScores:
+    threshold = 0.5
+
+    def __init__(self, scores):
+        self.scores = np.array(scores)
+
+    def classify_batch(self, pairs):
+        return self.scores[: len(pairs)]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_runner_rejects_a_score_that_is_not_finite(setup, bad):
+    # The error names the first such pair, and nothing is counted or cached.
+    pairs = _peer_pairs(setup, n_others=3)
+    backend = _FixedScores([0.9, bad, 0.2, bad])
+    ledger, cache = CostLedger(), {}
+    a, b = pairs[1]
+    for pair_cache in (None, cache):
+        with pytest.raises(ScenarioError, match=f"{a.bug_id}, {b.bug_id}"):
+            classify_pairs(backend, pairs, ledger, pair_cache)
+    assert ledger.pair_classifications == 0 and cache == {}
+
+
 @pytest.mark.parametrize("name", BACKENDS)
 def test_runner_dedup_counts_each_unordered_pair_once(setup, stub_service, name):
     backend = _backend(name, setup, stub_service)

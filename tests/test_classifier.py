@@ -26,7 +26,7 @@ from bugdedup.classifier import (
     tune_threshold,
 )
 from bugdedup import classifier
-from bugdedup.cascade import classify_pairs
+from bugdedup.cascade import ScenarioError, classify_pairs
 from bugdedup.corpus import BugReport
 from bugdedup.dup_graph import build_clusters
 from bugdedup.embedder import TfidfHashEmbedder
@@ -77,7 +77,7 @@ def test_featurizer_refuses_an_embedder_without_embed_sparse():
 
     class SparseOnly(DenseOnly):
         def embed_sparse(self, texts):
-            return embedder.embed_sparse(texts)
+            return embedder.sparse_rows(*embedder.token_ids(texts))
 
     for dense in (DenseOnly(), _Proxy(DenseOnly()), SparseOnly()):
         with pytest.raises(TypeError, match="token_ids and sparse_rows"):
@@ -326,7 +326,7 @@ def test_rows_cut_from_the_token_pass_equal_embed_sparse_of_each_field(dim, fiel
             (featurizer._parts, 2 * r, report.clean_title),
             (featurizer._parts, 2 * r + 1, report.clean_description),
         ):
-            _, buckets, weights = embedder.embed_sparse([text])
+            _, buckets, weights = embedder.sparse_rows(*embedder.token_ids([text]))
             assert row(store, i) == (buckets.tobytes(), weights.tobytes())
 
 
@@ -528,6 +528,27 @@ def test_similarity_classifier_threshold_rule():
     assert prob_dup == pytest.approx(1.0)
     assert prob_neg == pytest.approx(0.5)  # cosine 0 maps to probability 0.5
     assert clf.threshold == pytest.approx(0.75)
+
+
+def test_backends_refuse_a_pair_whose_score_is_not_finite():
+    # Both backends refuse the NaN rows of one embedder before the runner
+    # counts a pair: the logistic features raise, and the runner refuses
+    # the similarity score.
+    a, b = _report("b1", "crash heap", "overflow"), _report("b2", "render", "shader")
+    model, ledger = LogisticPairModel(weights=np.zeros(FEATURE_COUNT + 1)), CostLedger()
+    with pytest.raises(FeatureError, match="non-finite"):
+        classify_pairs(LogisticClassifier(model, PairFeaturizer(_NanEmbedder())), [(a, b)], ledger)
+    with pytest.raises(ScenarioError, match="nan for b1, b2"):
+        classify_pairs(SimilarityClassifier(PairFeaturizer(_NanEmbedder())), [(a, b)], ledger)
+    assert ledger.pair_classifications == 0
+
+
+def test_similarity_threshold_must_lie_in_the_cosine_range():
+    for t in (-1.0, -0.2, 1.0):
+        assert SimilarityClassifier(_FixedCosines([]), t).threshold == (t + 1.0) / 2.0
+    for t in (math.nan, math.inf, 2.0, -1.5, float(np.nextafter(1.0, 2.0))):
+        with pytest.raises(ValueError, match="similarity threshold"):
+            SimilarityClassifier(_FixedCosines([]), t)
 
 
 class _FixedCosines:

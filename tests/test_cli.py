@@ -412,6 +412,22 @@ def test_malformed_list_flag_exits_2(workdir, tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "2", "-1.5"])
+@pytest.mark.parametrize("command", ["eval-classification", "run-cascade"])
+def test_sim_threshold_outside_the_cosine_range_exits_2(workdir, tmp_path, capsys, command, value):
+    argv = [command, *_pipeline_flags(workdir), "--dim", "128"]
+    if command == "eval-classification":
+        argv += ["--backend", "similarity"]
+    else:
+        argv += ["--mode", "one-vs-all", "--method", "cascade", "--seed", "1",
+                 "--classifier-backend", "similarity"]
+    out = tmp_path / "out"
+    err = _run_fail(capsys, 2, *argv, "--sim-threshold", value, "--out", str(out))
+    assert err["error"] == "UsageError"
+    assert "--sim-threshold" in err["message"]
+    assert not out.exists()
+
+
 def test_runtime_split_failure_exits_1(tmp_path, capsys):
     _run(capsys, "synth", "--clusters", "2", "--seed", "1", "--out", str(tmp_path / "tiny.jsonl"))
     _run(

@@ -223,15 +223,15 @@ def test_tfidf_sparse_rows_equal_the_reference_loop_bit_for_bit(dim, others, tex
     # the single-text calls show that a row does not depend on its batch.
     want = reference_tfidf_sparse(TfidfHashEmbedder.fit(_FIT_TEXTS, dim=dim), texts)
     embedder = TfidfHashEmbedder.fit(_FIT_TEXTS, dim=dim)
-    embedder.embed_sparse(others)
-    indptr, buckets, weights = embedder.embed_sparse(texts)
+    embedder.sparse_rows(*embedder.token_ids(others))
+    indptr, buckets, weights = embedder.sparse_rows(*embedder.token_ids(texts))
     assert indptr.shape == (len(texts) + 1,) and indptr[0] == 0
     got = [
         (buckets[s:e].tolist(), weights[s:e].tolist()) for s, e in zip(indptr[:-1], indptr[1:])
     ]
     assert got == want
     for text, row in zip(texts, want):
-        _, b, w = embedder.embed_sparse([text])
+        _, b, w = embedder.sparse_rows(*embedder.token_ids([text]))
         assert (b.tolist(), w.tolist()) == row
 
 

@@ -240,7 +240,7 @@ def classify_pairs(
     A pair is a duplicate iff its probability is at least the backend's
     ``threshold``. This is the one place where pair classifications are
     decided and counted, so the ledger holds exactly the pairs the
-    backend scored. A probability that is not finite raises
+    backend scored. A probability outside [0, 1] (NaN included) raises
     ``ScenarioError`` before any pair is counted. With a ``pair_cache``, an
     unordered pair already in it is neither scored nor counted again.
     """
@@ -256,7 +256,7 @@ def classify_pairs(
     probs = pair_classifier.classify_batch(fresh)
     if probs.shape != (len(fresh),):
         raise ScenarioError(f"pair classifier returned shape {probs.shape} for {len(fresh)} pairs")
-    bad = np.flatnonzero(~np.isfinite(probs))
+    bad = np.flatnonzero(~((probs >= 0) & (probs <= 1)))
     if len(bad):
         a, b = fresh[bad[0]]
         raise ScenarioError(f"pair classifier returned {probs[bad[0]]} for {a.bug_id}, {b.bug_id}")

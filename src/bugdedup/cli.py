@@ -84,6 +84,19 @@ def _split_flag(text: str, flag: str, convert=str, count: int | None = None) -> 
     return values
 
 
+@contextlib.contextmanager
+def _flags_for_fields(**flags: str):
+    """A ``ValueError`` whose message starts with one of ``flags``' field
+    names becomes a usage error naming that field's flag."""
+    try:
+        yield
+    except ValueError as exc:
+        flag = flags.get(str(exc).partition(" ")[0])
+        if flag is None:
+            raise
+        raise UsageError(f"{flag}: {exc}") from exc
+
+
 def _parse_k_list(text: str) -> list[int]:
     try:
         ks = [int(x) for x in text.split(",") if x.strip()]
@@ -179,13 +192,15 @@ def _resolve_pairs(corpus, pairs):
 
 
 def cmd_synth(args) -> int:
-    config = synth_mod.SynthConfig(
-        n_clusters=args.clusters,
-        mean_size=args.mean_size,
-        n_independents=args.independents,
-        n_topics=args.topics,
-        seed=args.seed,
-    )
+    with _flags_for_fields(n_clusters="--clusters", mean_size="--mean-size",
+                           n_independents="--independents", n_topics="--topics"):
+        config = synth_mod.SynthConfig(
+            n_clusters=args.clusters,
+            mean_size=args.mean_size,
+            n_independents=args.independents,
+            n_topics=args.topics,
+            seed=args.seed,
+        )
     corpus = synth_mod.synth_corpus(config)
     corpus_mod.write_jsonl(corpus, args.out)
     _write_sidecar(args.out, _config_echo(args))
@@ -223,13 +238,15 @@ def cmd_split(args) -> int:
         json.loads(_require_file(args.clusters, "--clusters").read_text(encoding="utf-8"))
     )
     caps = dict(_split_flag(args.caps, "--caps", _cap)) if args.caps else {}
-    manifest = splitter_mod.build_manifest(
-        clusters,
-        ratios=tuple(_split_flag(args.ratios, "--ratios", float, count=3)),
-        seed=args.seed,
-        target_dup_ratio=args.dup_ratio,
-        caps=dict.fromkeys(splitter_mod.SPLITS) | caps,
-    )
+    ratios = tuple(_split_flag(args.ratios, "--ratios", float, count=3))
+    with _flags_for_fields(target_dup_ratio="--dup-ratio"):
+        manifest = splitter_mod.build_manifest(
+            clusters,
+            ratios=ratios,
+            seed=args.seed,
+            target_dup_ratio=args.dup_ratio,
+            caps=dict.fromkeys(splitter_mod.SPLITS) | caps,
+        )
     splitter_mod.save_manifest(manifest, args.out, extra=_config_echo(args))
     _emit({"out": args.out, "stats": splitter_mod.split_stats(manifest)})
     return 0

@@ -9,6 +9,12 @@ distinct clusters (independents included) of the same split.
 Train pairs are balanced 1:1. Dev and test are deliberately skewed: the
 negative count is chosen so duplicates make up ``target_dup_ratio`` of
 the split's pairs, mirroring how rare duplicates are in live triage.
+
+Sparse negative sampling draws its candidate pairs in blocks. numpy draws
+every bounded integer below 2**32 from one 32-bit word whatever the call's
+``size``, so a block reads the same stream as one call per candidate; the
+block's unread tail is never used, because each split's negatives have a
+substream of their own.
 """
 
 from __future__ import annotations
@@ -115,6 +121,8 @@ def split_clusters(
     """
     _validate_ratios(ratios)
     _validate_caps(caps or {})
+    if not 0 < target_dup_ratio <= 1:
+        raise SplitError(f"target_dup_ratio must lie in (0, 1], got {target_dup_ratio}")
     clusters = cluster_set.clusters
     if len(clusters) < 3:
         raise SplitError(f"need at least 3 clusters to populate all splits, got {len(clusters)}")
@@ -246,20 +254,21 @@ def _sample_negatives(
         chosen = rng.choice(len(eligible), size=count, replace=False)
         return [eligible[i] for i in sorted(int(i) for i in chosen)]
 
-    # Sparse request: rejection-sample distinct cross-cluster pairs.
+    # Sparse request: rejection-sample distinct cross-cluster pairs, one
+    # block of candidates at a time; no block holds more than are missing.
     seen: set[tuple[str, str]] = set()
     out: list[tuple[str, str]] = []
     while len(out) < count:
-        i, j = rng.integers(0, n, size=2)
-        if i == j:
-            continue
-        a, b = bugs[int(i)], bugs[int(j)]
-        if a > b:
-            a, b = b, a
-        if (a, b) in seen or cluster_set.same_cluster(a, b):
-            continue
-        seen.add((a, b))
-        out.append((a, b))
+        for i, j in rng.integers(0, n, size=(count - len(out), 2)).tolist():
+            if i == j:
+                continue
+            a, b = bugs[i], bugs[j]
+            if a > b:
+                a, b = b, a
+            if (a, b) in seen or cluster_set.same_cluster(a, b):
+                continue
+            seen.add((a, b))
+            out.append((a, b))
     return sorted(out)
 
 
@@ -269,28 +278,34 @@ def generate_triplets(manifest: SplitManifest, cluster_set: ClusterSet) -> list[
     Each unordered duplicate pair (a, b) yields the two ordered examples
     (anchor=a, positive=b) and (anchor=b, positive=a); the negative is
     drawn uniformly from train bugs outside the anchor's cluster
-    (independents included).
+    (independents included): one draw below their count, stepped past the
+    cluster's own positions in the sorted train bugs.
     """
     if "train" not in manifest.pairs:
         raise SplitError("generate_pairs must run before generate_triplets")
     rng = substream_rng(manifest.seed, "triplets")
 
     train_bugs = manifest.bugs_in(cluster_set, "train")
-    eligible_by_cluster: dict[int, list[str]] = {}
-    for c in manifest.clusters_in(cluster_set, "train"):
-        members = set(c.members)
-        eligible_by_cluster[c.cluster_id] = [b for b in train_bugs if b not in members]
+    position = {b: i for i, b in enumerate(train_bugs)}
+    taken = {
+        c.cluster_id: sorted(position[m] for m in c.members)
+        for c in manifest.clusters_in(cluster_set, "train")
+    }
 
     triplets: list[TripletExample] = []
     for pair in manifest.pairs["train"]:
         if not pair.duplicate:
             continue
         for anchor, positive in ((pair.bug_a, pair.bug_b), (pair.bug_b, pair.bug_a)):
-            eligible = eligible_by_cluster[cluster_set.cluster_of(anchor)]
-            if not eligible:
+            skip = taken[cluster_set.cluster_of(anchor)]
+            if len(skip) == len(train_bugs):
                 raise SplitError(f"no eligible triplet negatives for anchor {anchor!r}")
-            negative = eligible[int(rng.integers(len(eligible)))]
-            triplets.append(TripletExample(anchor, positive, negative))
+            i = int(rng.integers(len(train_bugs) - len(skip)))
+            for p in skip:
+                if p > i:
+                    break
+                i += 1
+            triplets.append(TripletExample(anchor, positive, train_bugs[i]))
 
     manifest.triplets = triplets
     return triplets

@@ -7,10 +7,17 @@ mix is what makes the corpora useful for evaluation: topic overlap
 confuses a pure bag-of-words ranker, while cluster signatures keep the
 ground truth learnable. Token shapes are plain lowercase alphanumerics
 so text cleaning passes them through untouched.
+
+Each report draws its title topic word and its description's topic words
+in one ``integers`` call, then its noise words in one more. numpy draws
+every bounded integer below 2**32 from one 32-bit word (Lemire's method)
+whatever the call's ``size``, so a block reads the same stream as single
+draws in the same order, and a corpus does not depend on the blocking.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .corpus import BugReport, Corpus, build_corpus
@@ -32,12 +39,15 @@ class SynthConfig:
     seed: int = 7
 
     def __post_init__(self):
-        if self.n_clusters < 1:
-            raise ValueError("n_clusters must be >= 1")
-        if self.mean_size < 2:
-            raise ValueError("mean_size must be >= 2 (clusters need 2+ members)")
-        if self.n_topics < 1 or self.topic_words < 1 or self.signature_words < 1:
-            raise ValueError("vocabulary sizes must be positive")
+        minimums = {"n_clusters": 1, "n_independents": 0, "n_topics": 1, "topic_words": 1,
+                    "signature_words": 1, "noise_vocab": 1, "description_words": 0,
+                    "topic_repeat": 0, "signature_repeat": 0}
+        for name, low in minimums.items():
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+        if not 2 <= self.mean_size < math.inf:  # clusters need 2+ members
+            raise ValueError(f"mean_size must be finite and >= 2, got {self.mean_size}")
 
     @property
     def independents(self) -> int:
@@ -67,39 +77,26 @@ def synth_corpus(config: SynthConfig = SynthConfig()) -> Corpus:
         anchor_id: str | None = None
         for _ in range(size):
             bug_id = next_id()
-            title = f"{signature[0]} {topic[int(rng.integers(len(topic)))]}"
-            reports.append(
-                BugReport(
-                    bug_id=bug_id,
-                    title=title,
-                    description=_description(rng, config, topic, signature, noise_pool),
-                    dup_of=anchor_id,
-                )
-            )
+            title, description = _texts(rng, config, topic, signature, noise_pool)
+            reports.append(BugReport(bug_id, title, description, dup_of=anchor_id))
             if anchor_id is None:
                 anchor_id = bug_id
 
     for i in range(config.independents):
         topic = topic_pools[int(rng.integers(config.n_topics))]
         own = [f"i{i}u{j}" for j in range(config.signature_words)]
-        reports.append(
-            BugReport(
-                bug_id=next_id(),
-                title=f"{own[0]} {topic[int(rng.integers(len(topic)))]}",
-                description=_description(rng, config, topic, own, noise_pool),
-                dup_of=None,
-            )
-        )
+        title, description = _texts(rng, config, topic, own, noise_pool)
+        reports.append(BugReport(next_id(), title, description, dup_of=None))
 
     return build_corpus(reports)
 
 
-def _description(rng, config: SynthConfig, topic, signature, noise_pool) -> str:
-    words: list[str] = []
-    for _ in range(config.description_words):
-        words.extend([topic[int(rng.integers(len(topic)))]] * config.topic_repeat)
+def _texts(rng, config: SynthConfig, topic, signature, noise_pool) -> tuple[str, str]:
+    """A report's title and description: the title's topic word is the first
+    of one block of topic draws, the description's noise words a second block."""
+    picks = rng.integers(len(topic), size=1 + config.description_words).tolist()
+    words = [topic[t] for t in picks[1:] for _ in range(config.topic_repeat)]
     for sig in signature:
         words.extend([sig] * config.signature_repeat)
-    for _ in range(3):
-        words.append(noise_pool[int(rng.integers(len(noise_pool)))])
-    return " ".join(words)
+    words.extend(noise_pool[w] for w in rng.integers(len(noise_pool), size=3).tolist())
+    return f"{signature[0]} {topic[picks[0]]}", " ".join(words)

@@ -11,11 +11,12 @@ import threading
 import time
 from bisect import bisect_left
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from itertools import combinations
 
 import numpy as np
 
 from bugdedup.cascade import METHODS, classify_pairs, run_partition
-from bugdedup.corpus import Corpus, clean
+from bugdedup.corpus import BugReport, Corpus, build_corpus, clean
 from bugdedup.dup_graph import ClusterSet, build_clusters
 from bugdedup import retrieval
 from bugdedup.embedder import ZERO_NORM, TfidfHashEmbedder, fnv1a64, l2_normalize_rows
@@ -27,7 +28,8 @@ from bugdedup.metrics import (
     classification_metrics,
 )
 from bugdedup.retrieval import RankedCandidates, VectorIndex, search
-from bugdedup.splitter import SplitManifest, build_manifest
+from bugdedup.seeding import substream_rng
+from bugdedup.splitter import SplitError, SplitManifest, TripletExample, build_manifest
 from bugdedup.stopwords import STOP_WORDS
 from bugdedup.synth import SynthConfig, synth_corpus
 
@@ -404,6 +406,136 @@ def reference_scrub_timings(payload):
         return value
 
     return scrub(copy.deepcopy(payload))
+
+
+def reference_synth_corpus(config: SynthConfig) -> Corpus:
+    """The synthetic corpus with one ``integers`` call per word.
+    ``synth.synth_corpus`` draws in blocks and must give the same corpus."""
+    rng = substream_rng(config.seed, "synth")
+    topic_pools = [
+        [f"t{t}w{i}" for i in range(config.topic_words)] for t in range(config.n_topics)
+    ]
+    noise_pool = [f"noise{i}" for i in range(config.noise_vocab)]
+
+    reports: list[BugReport] = []
+    serial = 0
+
+    def next_id() -> str:
+        nonlocal serial
+        serial += 1
+        return f"b{serial:06d}"
+
+    for c in range(config.n_clusters):
+        topic = topic_pools[c % config.n_topics]
+        signature = [f"c{c}s{j}" for j in range(config.signature_words)]
+        size = 2 + int(rng.poisson(max(config.mean_size - 2.0, 0.0)))
+        anchor_id: str | None = None
+        for _ in range(size):
+            bug_id = next_id()
+            title = f"{signature[0]} {topic[int(rng.integers(len(topic)))]}"
+            reports.append(
+                BugReport(
+                    bug_id=bug_id,
+                    title=title,
+                    description=_reference_description(rng, config, topic, signature, noise_pool),
+                    dup_of=anchor_id,
+                )
+            )
+            if anchor_id is None:
+                anchor_id = bug_id
+
+    for i in range(config.independents):
+        topic = topic_pools[int(rng.integers(config.n_topics))]
+        own = [f"i{i}u{j}" for j in range(config.signature_words)]
+        reports.append(
+            BugReport(
+                bug_id=next_id(),
+                title=f"{own[0]} {topic[int(rng.integers(len(topic)))]}",
+                description=_reference_description(rng, config, topic, own, noise_pool),
+                dup_of=None,
+            )
+        )
+
+    return build_corpus(reports)
+
+
+def _reference_description(rng, config: SynthConfig, topic, signature, noise_pool) -> str:
+    words: list[str] = []
+    for _ in range(config.description_words):
+        words.extend([topic[int(rng.integers(len(topic)))]] * config.topic_repeat)
+    for sig in signature:
+        words.extend([sig] * config.signature_repeat)
+    for _ in range(3):
+        words.append(noise_pool[int(rng.integers(len(noise_pool)))])
+    return " ".join(words)
+
+
+def reference_sample_negatives(bugs, cluster_set, count, rng, split) -> list[tuple[str, str]]:
+    """Negative sampling with one ``integers(0, n, size=2)`` call per sparse
+    candidate. ``splitter._sample_negatives`` draws its candidates in blocks
+    and must give the same pairs."""
+    n = len(bugs)
+    by_cluster: dict[int, int] = {}
+    for b in bugs:
+        cid = cluster_set.cluster_of(b)
+        if cid is not None:
+            by_cluster[cid] = by_cluster.get(cid, 0) + 1
+    pool = n * (n - 1) // 2 - sum(k * (k - 1) // 2 for k in by_cluster.values())
+    if count > pool:
+        raise SplitError(
+            f"split {split!r} needs {count} non-duplicate pairs but only {pool} exist"
+        )
+    if count == 0:
+        return []
+
+    if count * 3 >= pool:
+        # Dense request: enumerate the pool and sample exactly.
+        eligible = [
+            (a, b) for a, b in combinations(bugs, 2) if not cluster_set.same_cluster(a, b)
+        ]
+        chosen = rng.choice(len(eligible), size=count, replace=False)
+        return [eligible[i] for i in sorted(int(i) for i in chosen)]
+
+    # Sparse request: rejection-sample distinct cross-cluster pairs.
+    seen: set[tuple[str, str]] = set()
+    out: list[tuple[str, str]] = []
+    while len(out) < count:
+        i, j = rng.integers(0, n, size=2)
+        if i == j:
+            continue
+        a, b = bugs[int(i)], bugs[int(j)]
+        if a > b:
+            a, b = b, a
+        if (a, b) in seen or cluster_set.same_cluster(a, b):
+            continue
+        seen.add((a, b))
+        out.append((a, b))
+    return sorted(out)
+
+
+def reference_generate_triplets(manifest, cluster_set) -> list[TripletExample]:
+    """Triplets drawn from a list, per train cluster, of every train bug
+    outside it. ``splitter.generate_triplets`` keeps no such lists and must
+    give the same triplets; this one leaves ``manifest`` as it was."""
+    rng = substream_rng(manifest.seed, "triplets")
+
+    train_bugs = manifest.bugs_in(cluster_set, "train")
+    eligible_by_cluster: dict[int, list[str]] = {}
+    for c in manifest.clusters_in(cluster_set, "train"):
+        members = set(c.members)
+        eligible_by_cluster[c.cluster_id] = [b for b in train_bugs if b not in members]
+
+    triplets: list[TripletExample] = []
+    for pair in manifest.pairs["train"]:
+        if not pair.duplicate:
+            continue
+        for anchor, positive in ((pair.bug_a, pair.bug_b), (pair.bug_b, pair.bug_a)):
+            eligible = eligible_by_cluster[cluster_set.cluster_of(anchor)]
+            if not eligible:
+                raise SplitError(f"no eligible triplet negatives for anchor {anchor!r}")
+            negative = eligible[int(rng.integers(len(eligible)))]
+            triplets.append(TripletExample(anchor, positive, negative))
+    return triplets
 
 
 # ------------------------------------------------------------- HTTP stub

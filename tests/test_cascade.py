@@ -33,8 +33,10 @@ from bugdedup.classifier import (
     PairFeaturizer,
     SimilarityClassifier,
 )
+from bugdedup.embedder import TfidfHashEmbedder
 from bugdedup.ledger import CostLedger
 from bugdedup.remote import RemoteClassifier, RemoteConfig
+from bugdedup.synth import SynthConfig, synth_corpus
 
 from helpers import (
     CountingEmbedder,
@@ -338,9 +340,12 @@ class _FixedScores:
         return self.scores[: len(pairs)]
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), float("-inf"), 1.5, -0.5, np.nextafter(1.0, 2.0), -5e-324]
+)
 def test_runner_rejects_a_score_that_is_not_finite(setup, bad):
-    # The error names the first such pair, and nothing is counted or cached.
+    # Not finite, or outside [0, 1]: the error names the first such pair,
+    # and nothing is counted or cached.
     pairs = _peer_pairs(setup, n_others=3)
     backend = _FixedScores([0.9, bad, 0.2, bad])
     ledger, cache = CostLedger(), {}
@@ -349,6 +354,19 @@ def test_runner_rejects_a_score_that_is_not_finite(setup, bad):
         with pytest.raises(ScenarioError, match=f"{a.bug_id}, {b.bug_id}"):
             classify_pairs(backend, pairs, ledger, pair_cache)
     assert ledger.pair_classifications == 0 and cache == {}
+
+
+@pytest.mark.parametrize("seed", [1, 3, 7])
+def test_similarity_self_pairs_at_dim_1024_stay_within_the_unit_interval(seed):
+    # A report's cosine with itself can read 1 ulp above 1, which
+    # (s + 1) / 2 rounds to exactly 1.0, so the runner's range check passes.
+    corpus = synth_corpus(SynthConfig(n_clusters=120, seed=seed))
+    embedder = TfidfHashEmbedder.fit([r.clean_text for r in corpus.reports], dim=1024)
+    similarity = SimilarityClassifier(PairFeaturizer(embedder))
+    ledger = CostLedger()
+    verdicts = classify_pairs(similarity, [(r, r) for r in corpus.reports], ledger)
+    assert ledger.pair_classifications == len(corpus.reports)
+    assert max(p for p, _ in verdicts) == 1.0
 
 
 @pytest.mark.parametrize("name", BACKENDS)

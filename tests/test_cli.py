@@ -428,6 +428,31 @@ def test_sim_threshold_outside_the_cosine_range_exits_2(workdir, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--clusters", "0"), ("--mean-size", "1.5"), ("--mean-size", "nan"),
+     ("--independents", "-2"), ("--topics", "0")],
+)
+def test_synth_flag_outside_its_range_exits_2(tmp_path, capsys, flag, value):
+    out = tmp_path / "corpus.jsonl"
+    err = _run_fail(capsys, 2, "synth", "--seed", "1", flag, value, "--out", str(out))
+    assert err["error"] == "UsageError"
+    assert err["message"].startswith(f"{flag}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-0.5", "1.5", "nan"])
+def test_dup_ratio_outside_the_unit_interval_exits_2(workdir, tmp_path, capsys, value):
+    out = tmp_path / "m.json"
+    err = _run_fail(
+        capsys, 2, "split", "--clusters", str(workdir / "clusters.json"), "--seed", "0",
+        "--dup-ratio", value, "--out", str(out),
+    )
+    assert err["error"] == "UsageError"
+    assert err["message"].startswith("--dup-ratio: ")
+    assert not out.exists()
+
+
 def test_runtime_split_failure_exits_1(tmp_path, capsys):
     _run(capsys, "synth", "--clusters", "2", "--seed", "1", "--out", str(tmp_path / "tiny.jsonl"))
     _run(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -10,9 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bugdedup.dup_graph import Cluster, ClusterSet, build_clusters
+from bugdedup.seeding import substream_rng
 from bugdedup.splitter import (
     SPLITS,
+    LabeledPair,
     SplitError,
+    _sample_negatives,
     build_manifest,
     count_dup_pairs,
     generate_pairs,
@@ -26,6 +30,8 @@ from bugdedup.splitter import (
 )
 
 from bugdedup.synth import SynthConfig, synth_corpus
+
+from helpers import reference_generate_triplets, reference_sample_negatives
 
 
 def _uniform_clusters(n_clusters: int, size: int) -> ClusterSet:
@@ -103,6 +109,13 @@ def test_split_rejects_bad_ratios():
         split_clusters(cs, ratios=(0.5, 0.2, 0.2))
     with pytest.raises(SplitError, match="positive"):
         split_clusters(cs, ratios=(1.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("ratio", [0.0, -0.5, 1.5, float("nan")])
+def test_split_rejects_a_dup_ratio_outside_the_unit_interval(ratio):
+    cs = _uniform_clusters(5, 2)
+    with pytest.raises(SplitError, match=r"target_dup_ratio must lie in \(0, 1\]"):
+        split_clusters(cs, target_dup_ratio=ratio)
 
 
 def test_split_rejects_bad_caps():
@@ -208,6 +221,59 @@ def test_triplet_membership_soundness(clusters, manifest):
         assert clusters.same_cluster(t.anchor, t.positive)
         assert not clusters.same_cluster(t.anchor, t.negative)
         assert {t.anchor, t.positive, t.negative} <= train_bugs
+
+
+def test_triplets_need_a_train_bug_outside_the_anchor_cluster():
+    # Train holds one 2-bug cluster and no independents; pairs set by hand,
+    # since generate_pairs already refuses a split without negatives.
+    cs = _uniform_clusters(3, 2)
+    manifest = split_clusters(cs, seed=0)
+    (train,) = manifest.clusters_in(cs, "train")
+    manifest.pairs = {"train": [LabeledPair(*train.members, True)]}
+    with pytest.raises(SplitError, match="no eligible triplet negatives"):
+        generate_triplets(manifest, cs)
+
+
+class _CountingRng:
+    def __init__(self, rng):
+        self.rng, self.calls = rng, Counter()
+
+    def __getattr__(self, name):
+        self.calls[name] += 1
+        return getattr(self.rng, name)
+
+
+def test_pairs_and_triplets_equal_the_one_call_per_draw_references():
+    # Poisson cluster sizes, caps, independents or none, and dup ratios that
+    # send negative requests down the dense path, the sparse path within one
+    # block of candidates, and the sparse path past its first block.
+    cases = [
+        ({"n_clusters": 60, "seed": 2}, {"seed": 1}),
+        ({"n_clusters": 40, "mean_size": 4.0, "seed": 6},
+         {"seed": 5, "ratios": (0.6, 0.2, 0.2), "target_dup_ratio": 0.5}),
+        ({"n_clusters": 50, "seed": 8}, {"seed": 2, "caps": {"train": 1, "dev": 3, "test": None}}),
+        ({"n_clusters": 16, "n_independents": 0, "seed": 1},
+         {"seed": 4, "ratios": (0.5, 0.25, 0.25), "target_dup_ratio": 0.5}),
+        ({"n_clusters": 30, "mean_size": 3.5, "n_independents": 60, "seed": 3},
+         {"seed": 9, "target_dup_ratio": 1.0}),
+    ]
+    paths = set()
+    for synth_fields, split_kwargs in cases:
+        clusters = build_clusters(synth_corpus(SynthConfig(**synth_fields)))
+        manifest = build_manifest(clusters, **split_kwargs)
+        for split in SPLITS:
+            negatives = [(p.bug_a, p.bug_b) for p in manifest.pairs[split] if not p.duplicate]
+            bugs = manifest.bugs_in(clusters, split)
+            rng = _CountingRng(substream_rng(manifest.seed, f"pairs.neg:{split}"))
+            assert _sample_negatives(bugs, clusters, len(negatives), rng, split) == negatives
+            reference_rng = substream_rng(manifest.seed, f"pairs.neg:{split}")
+            assert reference_sample_negatives(
+                bugs, clusters, len(negatives), reference_rng, split
+            ) == negatives
+            blocks = rng.calls["integers"]
+            paths.add("dense" if rng.calls["choice"] else f"sparse, {min(blocks, 2)} blocks")
+        assert manifest.triplets == reference_generate_triplets(manifest, clusters)
+    assert {"dense", "sparse, 1 blocks", "sparse, 2 blocks"} <= paths
 
 
 def test_triplets_require_pairs_first(clusters):

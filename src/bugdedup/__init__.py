@@ -33,7 +33,7 @@ from .embedder import (
 )
 from .ledger import CostLedger
 from .metrics import ConfusionMatrix, MetricRow, aggregate_curves, classification_metrics
-from .retrieval import VectorIndex, search, top_k
+from .retrieval import VectorIndex, search
 from .splitter import SplitManifest, build_manifest, count_dup_pairs, split_clusters
 from .synth import SynthConfig, synth_corpus
 
@@ -77,7 +77,6 @@ __all__ = [
     "search",
     "split_clusters",
     "synth_corpus",
-    "top_k",
     "train_classifier",
     "train_projection",
 ]

@@ -11,7 +11,9 @@ incoming queries and a fixed database; all-vs-all queries every bug
 against all the others. The point of the cascade is the cost shape:
 classification alone needs n*m pair inferences, the cascade needs n+m
 embeddings plus n*k classifications, and the ledger proves it run by
-run against the closed forms in ``predict_cost``. The cascade sends its
+run against the closed forms in ``predict_cost``. That holds because a
+query is never its own candidate: a query that is also in the database
+is left out of its own ranking and its own pairs. The cascade sends its
 n*k pairs to the classifier as one batch per partition.
 """
 
@@ -62,7 +64,7 @@ class ScenarioConfig:
         if self.k < 1:
             raise ScenarioError("k must be >= 1")
         if self.k > self.max_k:
-            raise ScenarioError(f"k={self.k} exceeds the cap of {self.max_k}")
+            raise ScenarioError(f"k {self.k} exceeds the cap of {self.max_k}")
         if self.mode == "one_vs_all" and not 0.0 < self.query_fraction < 1.0:
             raise ScenarioError("query_fraction must lie in (0,1) for one_vs_all")
 
@@ -138,7 +140,6 @@ def run_partition(
     pair_classifier,
     method: str,
     k: int,
-    exclude_self: bool = False,
     dedup_pairs: bool = False,
 ) -> tuple[list[QueryOutcome], CostLedger]:
     """Run one method over an explicit query/database partition.
@@ -149,7 +150,10 @@ def run_partition(
     which is what makes the n+m accounting true: the database in id
     order, then the queries that are not in it, in id order, in one
     ``embed_texts`` call. The records, the search and the cascade's batch
-    follow the order of ``queries`` as given.
+    follow the order of ``queries`` as given. A query that is in the
+    database ranks and pairs with the rest of it, so its ``db_size`` is
+    one less; one-vs-all partitions are disjoint, and all-vs-all is the
+    case where every query is.
 
     The cascade scores all n*k candidate pairs of the partition in one
     ``classify_pairs`` batch, in query order and then rank order, and
@@ -181,7 +185,7 @@ def run_partition(
 
     if method == "classification_only":
         records = _run_classification_only(
-            queries, database, pair_classifier, ledger, exclude_self, dedup_pairs, relevant_of
+            queries, database, pair_classifier, ledger, dedup_pairs, relevant_of
         )
         return records, ledger
 
@@ -197,15 +201,9 @@ def run_partition(
     with ledger.phase("search"):
         query_ids = [q.bug_id for q in queries]
         row_of = {r.bug_id: i for i, r in enumerate(ordered)}
-        found = search(
-            index,
-            vectors[[row_of[b] for b in query_ids]],
-            k,
-            excludes=query_ids if exclude_self else None,
-            queries=query_ids,
-        )
-        # A query ranks the whole database, less itself when it is excluded.
-        db_size_of = {q: len(database) - (exclude_self and q in db_by_id) for q in query_ids}
+        found = search(index, vectors[[row_of[b] for b in query_ids]], k, query_ids)
+        # A query ranks the whole database, less itself.
+        db_size_of = {q: len(database) - (q in db_by_id) for q in query_ids}
         ledger.count_similarity(sum(db_size_of.values()))
         ranked_of = {r.query: r.ranked for r in found}
 
@@ -269,13 +267,13 @@ def classify_pairs(
 
 
 def _run_classification_only(
-    queries, database, pair_classifier, ledger, exclude_self, dedup_pairs, relevant_of
+    queries, database, pair_classifier, ledger, dedup_pairs, relevant_of
 ) -> list[QueryOutcome]:
     pair_cache = {} if dedup_pairs else None
     records = []
     with ledger.phase("classify"):
         for q in queries:
-            others = [d for d in database if not (exclude_self and d.bug_id == q.bug_id)]
+            others = [d for d in database if d.bug_id != q.bug_id]
             pairs = [(q, d) for d in others]
             verdicts = classify_pairs(pair_classifier, pairs, ledger, pair_cache)
             scored = sorted(
@@ -341,9 +339,7 @@ def run_one_vs_all(
     # The pool is in id order, so sorted positions put the queries in id order.
     queries = [pool[int(i)] for i in np.sort(order[:n_queries])]
     database = [pool[int(i)] for i in order[n_queries:]]
-    return _run_scenario(
-        config, queries, database, cluster_set, embedder, pair_classifier, exclude_self=False
-    )
+    return _run_scenario(config, queries, database, cluster_set, embedder, pair_classifier)
 
 
 def run_all_vs_all(
@@ -356,9 +352,7 @@ def run_all_vs_all(
 ) -> ScenarioResult:
     """Every test bug queries all the others (self excluded)."""
     pool = _scenario_pool(config, "all_vs_all", manifest, cluster_set, corpus)
-    return _run_scenario(
-        config, pool, pool, cluster_set, embedder, pair_classifier, exclude_self=True
-    )
+    return _run_scenario(config, pool, pool, cluster_set, embedder, pair_classifier)
 
 
 def _run_scenario(
@@ -368,7 +362,6 @@ def _run_scenario(
     cluster_set: ClusterSet,
     embedder,
     pair_classifier,
-    exclude_self: bool,
 ) -> ScenarioResult:
     records, ledger = run_partition(
         queries,
@@ -378,7 +371,6 @@ def _run_scenario(
         pair_classifier,
         config.method,
         config.k,
-        exclude_self=exclude_self,
         dedup_pairs=config.dedup_pairs,
     )
     if config.method == "classification_only":

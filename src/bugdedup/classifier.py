@@ -14,12 +14,12 @@ classifications, so no backend decides or counts on its own.
   verify pipeline plumbing, never for reported metrics.
 
 The remote service backend lives in ``remote``. The pair featurizer
-reads each report's tokens once (the embedder's ``token_ids``), builds
-its whole-text, title and description rows from them as sparse rows
-(``sparse_rows``), and keeps them for every later pair; those
-embeddings are its own business and are deliberately not ledgered as
-embedding calls. A pair's features cost in proportion to the tokens of
-its two reports, not to the embedding's dimension.
+reads each report's title and description tokens once (the embedder's
+``token_ids``), builds its whole-text, title and description rows from
+them as sparse rows (``sparse_rows``), and keeps them for every later
+pair; those embeddings are its own business and are deliberately not
+ledgered as embedding calls. A pair's features cost in proportion to the
+tokens of its two reports, not to the embedding's dimension.
 """
 
 from __future__ import annotations
@@ -150,16 +150,16 @@ def _jaccards(sets: _SparseRows, left: np.ndarray, right: np.ndarray) -> np.ndar
 class PairFeaturizer:
     """Builds pair features from per-report sparse rows, each embedded once.
 
-    ``warm`` reads the whole text of every report not seen before in one
-    token pass (``embedder.token_ids``). ``clean_text`` is the cleaned
-    title and description joined by a space, so a report's token ids are
-    its title's followed by its description's: cut at the title's token
-    count, they give the title and description rows too. Two rows passes
-    (``embedder.sparse_rows``) turn the whole texts and the cut parts into
-    sparse rows, appended to two CSR stores with their norms: the whole
-    texts, and the parts with report r's title at row 2r and its
-    description at 2r + 1. A third store keeps each report's distinct
-    token ids in ascending order for the Jaccard feature.
+    ``warm`` reads the cleaned title and description of every report not
+    seen before in one token pass (``embedder.token_ids``), as adjacent
+    texts: report r's title is span 2r and its description span 2r + 1,
+    and the two spans together are its whole text, the tokens of
+    ``clean_text``. Two rows passes (``embedder.sparse_rows``) turn the
+    whole texts and the parts into sparse rows, appended to two CSR
+    stores with their norms: the whole texts, and the parts with report
+    r's title at row 2r and its description at 2r + 1. A third store keeps
+    each report's distinct token ids in ascending order for the Jaccard
+    feature.
 
     ``feature_matrix`` gathers the entries of a batch of pairs by row, one
     field and ``_CHUNK_PAIRS`` pairs at a time, and matches them by
@@ -184,13 +184,9 @@ class PairFeaturizer:
         if not missing:
             return
         n = len(missing)
-        indptr, ids = self.embedder.token_ids([r.clean_text for r in missing])
-        # ``clean`` joins tokens with single spaces, so a title holds one
-        # token more than it holds spaces, or none.
-        titles = [r.clean_title.count(" ") + 1 if r.clean_title else 0 for r in missing]
-        parts = np.empty(2 * n + 1, dtype=np.intp)
-        parts[0::2] = indptr
-        parts[1::2] = indptr[:-1] + titles
+        fields = [text for r in missing for text in (r.clean_title, r.clean_description)]
+        parts, ids = self.embedder.token_ids(fields)
+        indptr = parts[0::2]
         self._texts.append(*self.embedder.sparse_rows(indptr, ids))
         self._parts.append(*self.embedder.sparse_rows(parts, ids))
         # Each report's distinct ids, ascending, from one sort of
@@ -256,6 +252,13 @@ class ClassifierTrainConfig:
     batch_size: int = 32
     seed: int = 0
     threshold_step: float = 0.01
+
+    def __post_init__(self):
+        for name, low in {"epochs": 0, "batch_size": 1}.items():
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not 0.0 < self.threshold_step < 1.0:
+            raise ValueError(f"threshold_step must lie in (0,1), got {self.threshold_step}")
 
 
 @dataclass(frozen=True, eq=False)

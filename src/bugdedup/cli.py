@@ -239,7 +239,7 @@ def cmd_split(args) -> int:
     )
     caps = dict(_split_flag(args.caps, "--caps", _cap)) if args.caps else {}
     ratios = tuple(_split_flag(args.ratios, "--ratios", float, count=3))
-    with _flags_for_fields(target_dup_ratio="--dup-ratio"):
+    with _flags_for_fields(ratios="--ratios", target_dup_ratio="--dup-ratio"):
         manifest = splitter_mod.build_manifest(
             clusters,
             ratios=ratios,
@@ -253,6 +253,15 @@ def cmd_split(args) -> int:
 
 
 def cmd_train_projection(args) -> int:
+    with _flags_for_fields(epochs="--epochs", batch_size="--batch-size", dim_out="--dim-out"):
+        cfg = embedder_mod.TrainConfig(
+            learning_rate=args.lr,
+            epochs=args.epochs,
+            batch_size=args.batch_size,
+            seed=args.seed,
+            dim_out=args.dim_out,
+            margin=args.margin,
+        )
     corpus, clusters, manifest = _load_pipeline(args)
     if not manifest.triplets:
         raise UsageError("--manifest holds no triplets; re-run split")
@@ -265,14 +274,6 @@ def cmd_train_projection(args) -> int:
         )
         for t in manifest.triplets
     ]
-    cfg = embedder_mod.TrainConfig(
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        dim_out=args.dim_out,
-        margin=args.margin,
-    )
     model = embedder_mod.train_projection(triplet_texts, base, cfg)
     embedder_mod.save_projection(model, args.out, extra=_config_echo(args))
     _emit(
@@ -287,19 +288,22 @@ def cmd_train_projection(args) -> int:
 
 
 def cmd_train_classifier(args) -> int:
+    with _flags_for_fields(
+        epochs="--epochs", batch_size="--batch-size", threshold_step="--threshold-step"
+    ):
+        cfg = classifier_mod.ClassifierTrainConfig(
+            learning_rate=args.lr,
+            epochs=args.epochs,
+            batch_size=args.batch_size,
+            seed=args.seed,
+            threshold_step=args.threshold_step,
+        )
     corpus, clusters, manifest = _load_pipeline(args)
     train_pairs = _resolve_pairs(corpus, manifest.pairs.get("train", []))
     dev_pairs = _resolve_pairs(corpus, manifest.pairs.get("dev", []))
     if not train_pairs:
         raise UsageError("--manifest holds no train pairs; re-run split")
     base = _fit_train_embedder(corpus, clusters, manifest, args.dim)
-    cfg = classifier_mod.ClassifierTrainConfig(
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        threshold_step=args.threshold_step,
-    )
     model = classifier_mod.train_classifier(train_pairs, base, cfg, dev_pairs=dev_pairs or None)
     classifier_mod.save_classifier(model, args.out, extra=_config_echo(args))
     _emit(
@@ -343,7 +347,6 @@ def cmd_eval_retrieval(args) -> int:
             None,
             "retrieval_only",
             max(k_list),
-            exclude_self=True,
         )
     rows = metrics_mod.aggregate_curves(records, k_list)
     _write_eval_csv(args, f"retrieval_{args.embed_backend}", rows, start, ledger)
@@ -374,15 +377,16 @@ def cmd_eval_classification(args) -> int:
 
 def cmd_run_cascade(args) -> int:
     corpus, clusters, manifest = _load_pipeline(args)
-    config = cascade_mod.ScenarioConfig(
-        mode=_MODE_NAMES[args.mode],
-        method=_METHOD_NAMES[args.method],
-        k=args.k,
-        query_fraction=args.query_fraction,
-        seed=args.seed,
-        include_independents=not args.exclude_independents,
-        dedup_pairs=args.dedup_pairs,
-    )
+    with _flags_for_fields(k="--k", query_fraction="--query-fraction"):
+        config = cascade_mod.ScenarioConfig(
+            mode=_MODE_NAMES[args.mode],
+            method=_METHOD_NAMES[args.method],
+            k=args.k,
+            query_fraction=args.query_fraction,
+            seed=args.seed,
+            include_independents=not args.exclude_independents,
+            dedup_pairs=args.dedup_pairs,
+        )
     runner = (
         cascade_mod.run_one_vs_all if config.mode == "one_vs_all" else cascade_mod.run_all_vs_all
     )

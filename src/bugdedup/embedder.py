@@ -242,6 +242,11 @@ class TrainConfig:
     dim_out: int = DEFAULT_PROJECTION_DIM
     margin: float = DEFAULT_MARGIN
 
+    def __post_init__(self):
+        for name, low in {"epochs": 0, "batch_size": 1, "dim_out": 1}.items():
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True, eq=False)
 class ProjectionModel:

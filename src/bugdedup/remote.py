@@ -169,8 +169,9 @@ def _finite_array(rows: list[list]) -> np.ndarray | None:
 
 
 class RemoteClassifier:
-    """Batched client for a pair-probability service; also a cascade
-    backend, which scores each pair by its reports' cleaned texts."""
+    """Batched client for a pair-probability service and a pair backend:
+    ``classify_batch`` sends each pair as its reports' cleaned texts, in
+    batches of ``config.batch_size`` pairs."""
 
     def __init__(self, config: RemoteConfig, threshold: float = 0.5):
         if not 0.0 < threshold < 1.0:
@@ -181,15 +182,6 @@ class RemoteClassifier:
 
     def close(self) -> None:
         self._session.close()
-
-    def classify_texts(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
-        if not pairs:
-            return []
-        probs: list[float] = []
-        for start in range(0, len(pairs), self.config.batch_size):
-            batch = [list(p) for p in pairs[start : start + self.config.batch_size]]
-            probs.extend(self._classify_batch(batch))
-        return probs
 
     def _classify_batch(self, batch: list[list[str]]) -> list[float]:
         body = _post_json(self._session, self.config, {"pairs": batch})
@@ -208,5 +200,8 @@ class RemoteClassifier:
         return [float(p) for p in probs]
 
     def classify_batch(self, pairs: Sequence[tuple[BugReport, BugReport]]) -> np.ndarray:
-        probs = self.classify_texts([(a.clean_text, b.clean_text) for a, b in pairs])
+        texts = [[a.clean_text, b.clean_text] for a, b in pairs]
+        probs: list[float] = []
+        for start in range(0, len(texts), self.config.batch_size):
+            probs.extend(self._classify_batch(texts[start : start + self.config.batch_size]))
         return np.array(probs, dtype=np.float64)

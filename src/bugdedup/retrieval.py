@@ -5,9 +5,10 @@ force: databases stay small enough (tens of thousands) that exactness is
 cheap, and exact results keep every retrieval metric oracle-checkable.
 Ranking is fully deterministic: ties break by ascending bug id, and
 candidates whose embedding is the zero vector (cosine undefined) sort
-below everything. ``top_k`` is the one-query case. Search counts
-nothing: the scenario runner charges the similarity ops, and ``metrics``
-computes recall and precision at k from the rankings.
+below everything. A query is never its own candidate: a query whose
+name is an id of the index leaves that row out of its ranking. Search
+counts nothing: the scenario runner charges the similarity ops, and
+``metrics`` computes recall and precision at k from the rankings.
 
 A score's bits are defined by a one-query block scan: the matrix-vector
 product (GEMV) of the aligned row block holding the row with the query,
@@ -149,42 +150,18 @@ class RankedCandidates:
     query: str
     ranked: tuple[tuple[str, float], ...]
 
-    def ids(self) -> tuple[str, ...]:
-        return tuple(bug_id for bug_id, _ in self.ranked)
-
-
-def top_k(
-    index: VectorIndex,
-    query_vector: np.ndarray,
-    k: int,
-    exclude: str | None = None,
-    query: str = "",
-) -> RankedCandidates:
-    """The k most cosine-similar entries, excluding self-matches.
-
-    A one-query ``search``: zero-vector candidates (or a zero query)
-    score -inf instead of erroring, so they rank last but deterministically.
-    """
-    q = np.asarray(query_vector, dtype=np.float64)
-    if q.shape != (index.dim,):
-        raise ValueError(f"query dim {q.shape} does not match index dim {index.dim}")
-    return search(index, q[None, :], k, [exclude], [query])[0]
-
 
 def search(
-    index: VectorIndex,
-    query_vectors: np.ndarray,
-    k: int,
-    excludes: Sequence[str | None] | None = None,
-    queries: Sequence[str] | None = None,
+    index: VectorIndex, query_vectors: np.ndarray, k: int, queries: Sequence[str]
 ) -> list[RankedCandidates]:
-    """``top_k`` for each row of ``query_vectors``, one GEMM per query chunk.
+    """The k most cosine-similar entries for each row of ``query_vectors``,
+    one GEMM per query chunk.
 
-    ``excludes[i]`` (an id or None) is left out of query i's ranking and
-    ``queries[i]`` names it; both default to None/"" for every query.
-    Each result equals the one-query ``top_k`` bit for bit. A query whose
-    norm is not finite raises ``ValueError``. Nothing is counted here:
-    ``cascade.run_partition`` charges the similarity ops.
+    ``queries[i]`` names query i; when it is an id of the index, that row
+    is left out of query i's ranking. Each result's bits are those of the
+    one-query block scan. A query whose norm is not finite raises
+    ``ValueError``. Nothing is counted here: ``cascade.run_partition``
+    charges the similarity ops.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -194,15 +171,13 @@ def search(
     if vectors.ndim != 2 or vectors.shape[1] != index.dim:
         raise ValueError(f"query dim {vectors.shape} does not match index dim {index.dim}")
     n, m = len(vectors), len(index)
-    excludes = [None] * n if excludes is None else list(excludes)
-    queries = [""] * n if queries is None else list(queries)
-    if len(excludes) != n or len(queries) != n:
-        raise ValueError(f"{n} query vectors but {len(excludes)} excludes and {len(queries)} names")
-    # The row each query leaves out, or -1.
+    if len(queries) != n:
+        raise ValueError(f"{n} query vectors but {len(queries)} names")
+    # The row of each query's own id, or -1.
     skips = np.full(n, -1)
-    for i, exclude in enumerate(excludes):
-        pos = bisect_left(index.ids, exclude) if exclude is not None else m
-        if pos < m and index.ids[pos] == exclude:
+    for i, query in enumerate(queries):
+        pos = bisect_left(index.ids, query)
+        if pos < m and index.ids[pos] == query:
             skips[i] = pos
 
     norms = np.array([np.linalg.norm(q) for q in vectors])

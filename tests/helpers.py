@@ -184,18 +184,14 @@ def reference_pair_features(embedder, a, b) -> list[float]:
 
 
 def reference_cascade(
-    queries, database, cluster_set, embedder, pair_classifier, k,
-    exclude_self=False, dedup_pairs=False,
+    queries, database, cluster_set, embedder, pair_classifier, k, dedup_pairs=False
 ):
     """The cascade with one ``classify_pairs`` batch per query, in query
     order, and one pair cache shared by the queries. Retrieval is the
     library's. ``run_partition``
     scores the whole partition in one batch and must equal this exactly,
     records and ledger."""
-    records, ledger = run_partition(
-        queries, database, cluster_set, embedder, None, "retrieval_only", k,
-        exclude_self=exclude_self,
-    )
+    records, ledger = run_partition(queries, database, cluster_set, embedder, None, "retrieval_only", k)
     by_id = {r.bug_id: r for r in [*queries, *database]}
     cache = {} if dedup_pairs else None
     out = []
@@ -243,10 +239,11 @@ def outcome(query, ids, kept, relevant, db_size) -> QueryOutcome:
                         relevant, db_size)
 
 
-def reference_search(index, query_vectors, k, excludes=None, queries=None) -> list[RankedCandidates]:
+def reference_search(index, query_vectors, k, queries) -> list[RankedCandidates]:
     """``retrieval.search`` as a one-query block scan, the definition of its
     bits: each score is the matrix-vector product of the aligned row block
-    holding the row with one query, over the product of the norms."""
+    holding the row with one query, over the product of the norms. A query
+    named by an id of the index leaves that row out."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if len(index) == 0:
@@ -255,14 +252,12 @@ def reference_search(index, query_vectors, k, excludes=None, queries=None) -> li
     if vectors.ndim != 2 or vectors.shape[1] != index.dim:
         raise ValueError(f"query dim {vectors.shape} does not match index dim {index.dim}")
     n, m = len(vectors), len(index)
-    excludes = [None] * n if excludes is None else list(excludes)
-    queries = [""] * n if queries is None else list(queries)
-    if len(excludes) != n or len(queries) != n:
-        raise ValueError(f"{n} query vectors but {len(excludes)} excludes and {len(queries)} names")
+    if len(queries) != n:
+        raise ValueError(f"{n} query vectors but {len(queries)} names")
     skips: list[int | None] = []
-    for exclude in excludes:
-        pos = bisect_left(index.ids, exclude) if exclude is not None else m
-        skips.append(pos if pos < m and index.ids[pos] == exclude else None)
+    for query in queries:
+        pos = bisect_left(index.ids, query)
+        skips.append(pos if pos < m and index.ids[pos] == query else None)
 
     block = max(
         retrieval._BLOCK_ALIGN,
@@ -370,9 +365,9 @@ def reference_eval_retrieval(corpus, clusters, manifest, split, embedder, k_list
     row_of = {bug_id: i for i, bug_id in enumerate(index.ids)}
     peers = {m: c.members for c in manifest.clusters_in(clusters, split) for m in c.members}
     queries = list(peers)
-    found = search(index, index.matrix[[row_of[q] for q in queries]], max(k_list), excludes=queries)
+    found = search(index, index.matrix[[row_of[q] for q in queries]], max(k_list), queries)
     outcomes = [
-        outcome(q, ranked.ids(), (True,) * len(ranked.ranked),
+        outcome(q, [b for b, _ in ranked.ranked], (True,) * len(ranked.ranked),
                 frozenset(peers[q]) - {q}, len(index) - 1)
         for q, ranked in zip(queries, found)
     ]

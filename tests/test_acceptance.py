@@ -47,7 +47,7 @@ from bugdedup.embedder import (
 )
 from bugdedup.metrics import ConfusionMatrix, aggregate_curves, classification_metrics
 from bugdedup.ledger import CostLedger
-from bugdedup.retrieval import VectorIndex, search, top_k
+from bugdedup.retrieval import VectorIndex, search
 from bugdedup.splitter import SPLITS, build_manifest, count_dup_pairs, split_clusters
 from bugdedup.synth import SynthConfig, synth_corpus
 from bugdedup import cli
@@ -306,7 +306,7 @@ def test_6_retrieval_recall_properties_and_full_sort_oracle(pipeline, train_embe
         query = np.zeros(dim) if rng.random() < 0.05 else rng.normal(size=dim)
         exclude = ids[int(rng.integers(n))] if rng.random() < 0.3 else None
 
-        ranked = top_k(index, query, n, exclude=exclude)
+        ranked = search(index, query[None, :], n, [exclude or "q"])[0]
         qn = float(np.linalg.norm(query))
         norms = np.linalg.norm(index.matrix, axis=1)
         raw = index.matrix @ query
@@ -328,7 +328,11 @@ def test_6_retrieval_recall_properties_and_full_sort_oracle(pipeline, train_embe
             str(x) for x in rng.choice(population, size=n_rel, replace=False)
         )
         ranked_query = outcome(
-            "q", ranked.ids(), (True,) * len(ranked.ranked), frozenset(relevant), len(population)
+            "q",
+            [b for b, _ in ranked.ranked],
+            (True,) * len(ranked.ranked),
+            frozenset(relevant),
+            len(population),
         )
         rows = aggregate_curves([ranked_query], range(1, len(population) + 1))
         curve = [row.macro_recall for row in rows]
@@ -474,11 +478,11 @@ def test_8_gradients_projection_gain_and_separable_convergence():
                 m: c.members for c in manifest.clusters_in(clusters, "test") for m in c.members
             }
             queries = list(peers)
-            found = search(index, index.matrix[[row_of[q] for q in queries]], 10, excludes=queries)
+            found = search(index, index.matrix[[row_of[q] for q in queries]], 10, queries)
             outcomes = [
                 outcome(
                     q,
-                    ranked.ids(),
+                    [b for b, _ in ranked.ranked],
                     (True,) * len(ranked.ranked),
                     frozenset(peers[q]) - {q},
                     len(index) - 1,

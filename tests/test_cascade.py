@@ -389,12 +389,12 @@ def test_all_vs_all_dedup_halves_classifications(setup):
     pool = reports_of(corpus, manifest.bugs_in(clusters, "dev"))[:12]
     _, ledger = run_partition(
         pool, pool, clusters, None, similarity, "classification_only",
-        k=1, exclude_self=True, dedup_pairs=True,
+        k=1, dedup_pairs=True,
     )
     assert ledger.pair_classifications == 12 * 11 // 2
     _, full = run_partition(
         pool, pool, clusters, None, similarity, "classification_only",
-        k=1, exclude_self=True, dedup_pairs=False,
+        k=1, dedup_pairs=False,
     )
     assert full.pair_classifications == 12 * 11
 
@@ -424,10 +424,9 @@ class _Recording:
 def _mode_partition(setup, mode):
     corpus, clusters, manifest, _, _, _ = setup
     if mode == "one_vs_all":
-        queries, database = _partition_setup(corpus, clusters, manifest, n=10, m=40)
-        return queries, database, False
+        return _partition_setup(corpus, clusters, manifest, n=10, m=40)
     pool = reports_of(corpus, manifest.bugs_in(clusters, "test"))[:30]
-    return pool, pool, True
+    return pool, pool
 
 
 def _fresh_scorer(name, setup, stub_service, embedder):
@@ -446,15 +445,14 @@ def _fresh_scorer(name, setup, stub_service, embedder):
 @pytest.mark.parametrize("k", [1, 7])
 def test_cascade_equals_one_batch_per_query(setup, stub_service, name, dedup, mode, k):
     _, clusters, _, embedder, _, _ = setup
-    queries, database, exclude_self = _mode_partition(setup, mode)
+    queries, database = _mode_partition(setup, mode)
     want_scorer = _fresh_scorer(name, setup, stub_service, embedder)
     want, want_ledger = reference_cascade(
-        queries, database, clusters, embedder, want_scorer, k, exclude_self, dedup
+        queries, database, clusters, embedder, want_scorer, k, dedup
     )
     got_scorer = _fresh_scorer(name, setup, stub_service, embedder)
     got, got_ledger = run_partition(
-        queries, database, clusters, embedder, got_scorer, "cascade", k,
-        exclude_self=exclude_self, dedup_pairs=dedup,
+        queries, database, clusters, embedder, got_scorer, "cascade", k, dedup_pairs=dedup
     )
     assert got == want
     counters = ("embed_calls", "pair_classifications", "similarity_ops")
@@ -498,7 +496,7 @@ def test_runner_hands_its_text_vectors_to_the_same_embedder(setup, shared):
     when it is the same object: the runner's dense whole-text vectors are
     never handed on, and the featurizer embeds its sparse rows itself."""
     _, clusters, _, embedder, _, _ = setup
-    queries, database, _ = _mode_partition(setup, "one_vs_all")
+    queries, database = _mode_partition(setup, "one_vs_all")
     runner_side = CountingEmbedder(embedder)
     featurizer_side = runner_side if shared else CountingEmbedder(embedder)
     model = LogisticPairModel(_WEIGHTS, threshold=0.3)
@@ -510,10 +508,11 @@ def test_runner_hands_its_text_vectors_to_the_same_embedder(setup, shared):
     paired = _embedded_by_featurizer(records, embed_order)
     # The runner embeds each whole text once, densely, for search: the
     # database in id order, then the other queries in id order. The
-    # featurizer reads each paired report's whole text once, in one token
-    # pass, and builds its sparse rows from it.
+    # featurizer reads each paired report's title and description once, in
+    # one token pass, and builds its sparse rows from them.
     assert extra and runner_side.calls == [[r.clean_text for r in embed_order]]
-    assert featurizer_side.token_calls == [[r.clean_text for r in paired]]
+    fields = [text for r in paired for text in (r.clean_title, r.clean_description)]
+    assert featurizer_side.token_calls == [fields]
     if not shared:
         assert featurizer_side.calls == [] and runner_side.token_calls == []
     want, _ = reference_cascade(
@@ -531,8 +530,8 @@ def test_cascade_keeps_what_classification_alone_keeps_in_the_top_k(setup, name,
     The cascade scores one batch of n*k pairs and classification alone one
     batch per query, so this rests on no pair's score depending on its batch."""
     _, clusters, _, embedder, _, _ = setup
-    queries, database, exclude_self = _mode_partition(setup, mode)
-    m = len(database) - exclude_self
+    queries, database = _mode_partition(setup, mode)
+    m = len(database) - (mode == "all_vs_all")
 
     def scorer():
         if name == "logistic":
@@ -540,16 +539,14 @@ def test_cascade_keeps_what_classification_alone_keeps_in_the_top_k(setup, name,
         return SimilarityClassifier(PairFeaturizer(embedder), similarity_threshold=0.3)
 
     alone, _ = run_partition(
-        queries, database, clusters, embedder, scorer(), "classification_only", 1,
-        exclude_self=exclude_self,
+        queries, database, clusters, embedder, scorer(), "classification_only", 1
     )
     kept_alone = {r.query: {b for b, _, kept in r.candidates if kept} for r in alone}
     kept_count = sum(map(len, kept_alone.values()))
     assert 0 < kept_count < len(queries) * m  # the threshold splits the pairs
     for k in range(1, m + 2):
         cascade, _ = run_partition(
-            queries, database, clusters, embedder, scorer(), "cascade", k,
-            exclude_self=exclude_self,
+            queries, database, clusters, embedder, scorer(), "cascade", k
         )
         for record in cascade:
             top_k = {b for b, _, _ in record.candidates}

@@ -170,17 +170,22 @@ def test_cosine_all_batch_matches_loop():
     assert batch.tolist() == single
 
 
+def _fields(reports) -> list[str]:
+    """The texts of the featurizer's token pass over ``reports``."""
+    return [text for r in reports for text in (r.clean_title, r.clean_description)]
+
+
 def test_warm_embeds_each_report_once_per_field():
     reports = [_report(f"b{i}", f"title{i} crash", f"body{i} heap") for i in range(4)]
     counting = CountingEmbedder(_embedder(*reports))
     featurizer = PairFeaturizer(counting)
     featurizer.warm([reports[0], reports[1], reports[0], reports[2], reports[1]])
-    # One token pass over the whole texts; the title and description rows
-    # are cut from it, so no field is read on its own.
-    assert counting.token_calls == [[r.clean_text for r in reports[:3]]]
+    # One token pass over each report's title and description, as adjacent
+    # texts; the whole-text rows span both, so no text is read twice.
+    assert counting.token_calls == [_fields(reports[:3])]
     # A query paired with every candidate, as the cascade batches it.
     featurizer.feature_matrix([(reports[3], r) for r in reports] + [(reports[2], reports[3])])
-    assert counting.token_calls[1:] == [[reports[3].clean_text]]
+    assert counting.token_calls[1:] == [_fields(reports[3:])]
     featurizer.warm(reports)
     featurizer.feature_matrix([(reports[1], reports[3])])
     assert len(counting.token_calls) == 2

@@ -395,6 +395,7 @@ def test_bad_ratios_exit_2(workdir, tmp_path, capsys):
     "flag, value",
     [
         ("--ratios", "0.8,x,0.1"),
+        ("--ratios", "0.5,0.2,0.2"),
         ("--caps", "train=abc"),
         ("--caps", "train=-1"),
         ("--csv-columns", "bug_id,summary"),
@@ -436,6 +437,26 @@ def test_sim_threshold_outside_the_cosine_range_exits_2(workdir, tmp_path, capsy
 def test_synth_flag_outside_its_range_exits_2(tmp_path, capsys, flag, value):
     out = tmp_path / "corpus.jsonl"
     err = _run_fail(capsys, 2, "synth", "--seed", "1", flag, value, "--out", str(out))
+    assert err["error"] == "UsageError"
+    assert err["message"].startswith(f"{flag}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("train-classifier", "--threshold-step", "0"), ("train-classifier", "--threshold-step", "1"),
+     ("train-classifier", "--threshold-step", "nan"), ("train-classifier", "--batch-size", "0"),
+     ("train-classifier", "--epochs", "-1"), ("train-projection", "--batch-size", "0"),
+     ("train-projection", "--dim-out", "0"), ("train-projection", "--epochs", "-1"),
+     ("run-cascade", "--k", "0"), ("run-cascade", "--k", "500"),
+     ("run-cascade", "--query-fraction", "1.5"), ("run-cascade", "--query-fraction", "0")],
+)
+def test_config_flag_outside_its_range_exits_2(workdir, tmp_path, capsys, command, flag, value):
+    argv = [command, *_pipeline_flags(workdir), "--seed", "1"]
+    if command == "run-cascade":
+        argv += ["--mode", "one-vs-all", "--method", "retrieval"]
+    out = tmp_path / "out.json"
+    err = _run_fail(capsys, 2, *argv, flag, value, "--out", str(out))
     assert err["error"] == "UsageError"
     assert err["message"].startswith(f"{flag}: ")
     assert not out.exists()

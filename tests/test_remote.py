@@ -37,6 +37,13 @@ def _report(bug_id: str, text: str) -> BugReport:
     return BugReport(bug_id=bug_id, title=text, description="")
 
 
+def _pairs(*texts: tuple[str, str]) -> list[tuple[BugReport, BugReport]]:
+    """Report pairs whose cleaned texts are ``texts``."""
+    pairs = [(_report(f"{i}a", a), _report(f"{i}b", b)) for i, (a, b) in enumerate(texts)]
+    assert [(x.clean_text, y.clean_text) for x, y in pairs] == list(texts)
+    return pairs
+
+
 def test_config_validation():
     RemoteConfig(endpoint="http://x/", batch_size=1, retries=0)
     with pytest.raises(ValueError, match="batch_size"):
@@ -174,20 +181,20 @@ def test_connection_refused_exhausts_retries():
 def test_classifier_happy_path(stub_service):
     stub_service.default = classify_reply(0.9)
     clf = RemoteClassifier(RemoteConfig(endpoint=stub_service.url))
-    probs = clf.classify_texts([("a", "b"), ("c", "d")])
-    assert probs == [0.9, 0.9]
+    probs = clf.classify_batch(_pairs(("aa", "b"), ("c", "d")))
+    assert probs.dtype == np.float64 and probs.tolist() == [0.9, 0.9]
     _, body = stub_service.requests[0]
-    assert body == {"pairs": [["a", "b"], ["c", "d"]]}
+    assert body == {"pairs": [["aa", "b"], ["c", "d"]]}
 
 
 def test_classifier_batching_and_order(stub_service):
     stub_service.default = classify_reply()
     clf = RemoteClassifier(RemoteConfig(endpoint=stub_service.url, batch_size=2))
     pairs = [("aa", "b"), ("c", "dddd"), ("ee", "ff"), ("g", "h"), ("iii", "j")]
-    probs = clf.classify_texts(pairs)
-    assert len(probs) == 5
+    probs = clf.classify_batch(_pairs(*pairs))
+    assert probs.shape == (5,)
     expected = [round((len(a) + len(b)) % 10 / 10.0, 6) for a, b in pairs]
-    assert probs == expected
+    assert probs.tolist() == expected
     assert len(stub_service.requests) == 3
     assert len(set(stub_service.ports)) == 1
     clf.close()
@@ -195,7 +202,8 @@ def test_classifier_batching_and_order(stub_service):
 
 def test_classifier_empty_input_sends_nothing(stub_service):
     clf = RemoteClassifier(RemoteConfig(endpoint=stub_service.url))
-    assert clf.classify_texts([]) == []
+    probs = clf.classify_batch([])
+    assert probs.shape == (0,) and probs.dtype == np.float64
     assert stub_service.requests == []
 
 
@@ -203,28 +211,28 @@ def test_classifier_probability_out_of_range(stub_service):
     stub_service.script = [classify_reply(1.5)]
     clf = RemoteClassifier(RemoteConfig(endpoint=stub_service.url))
     with pytest.raises(ProbabilityRangeError, match="out of"):
-        clf.classify_texts([("a", "b")])
+        clf.classify_batch(_pairs(("aa", "b")))
 
 
 def test_classifier_count_mismatch(stub_service):
     stub_service.script = [json_reply({"probabilities": [0.5]})]
     clf = RemoteClassifier(RemoteConfig(endpoint=stub_service.url))
     with pytest.raises(CountMismatchError, match="1 probabilities for 2 pairs"):
-        clf.classify_texts([("a", "b"), ("c", "d")])
+        clf.classify_batch(_pairs(("aa", "b"), ("c", "d")))
 
 
 def test_classifier_non_finite_probability(stub_service):
     stub_service.script = [raw_reply(b'{"probabilities": [NaN]}')]
     clf = RemoteClassifier(RemoteConfig(endpoint=stub_service.url))
     with pytest.raises(MalformedResponseError, match="finite"):
-        clf.classify_texts([("a", "b")])
+        clf.classify_batch(_pairs(("aa", "b")))
 
 
 def test_classifier_missing_key(stub_service):
     stub_service.script = [json_reply({"scores": [0.5]})]
     clf = RemoteClassifier(RemoteConfig(endpoint=stub_service.url))
     with pytest.raises(MalformedResponseError, match="probabilities"):
-        clf.classify_texts([("a", "b")])
+        clf.classify_batch(_pairs(("aa", "b")))
 
 
 def test_classifier_threshold_and_reports(stub_service):

@@ -17,7 +17,7 @@ from bugdedup.cascade import run_partition
 from bugdedup.corpus import BugReport
 from bugdedup.dup_graph import ClusterSet
 from bugdedup.metrics import aggregate_curves
-from bugdedup.retrieval import VectorIndex, search, top_k
+from bugdedup.retrieval import VectorIndex, search
 
 from helpers import outcome, reference_search
 
@@ -28,6 +28,15 @@ def _index(vectors: dict[str, list[float]]) -> VectorIndex:
     ids = list(vectors)
     matrix = np.array([vectors[i] for i in ids], dtype=np.float64)
     return VectorIndex.from_vectors(ids, matrix)
+
+
+def _one(index: VectorIndex, q, k: int, name: str = "query"):
+    """The ranking of one query vector named ``name``."""
+    return search(index, np.asarray(q, dtype=np.float64)[None, :], k, [name])[0]
+
+
+def _ids(ranked) -> tuple[str, ...]:
+    return tuple(bug_id for bug_id, _ in ranked.ranked)
 
 
 def test_index_sorts_ids():
@@ -67,7 +76,8 @@ def test_search_scores_do_not_depend_on_the_matrix_address():
     rng = np.random.default_rng(5)
     idx = VectorIndex.from_vectors([f"b{i:03d}" for i in range(200)], rng.normal(size=(200, 100)))
     queries = rng.normal(size=(30, 100))
-    want = search(idx, queries, 200)
+    names = [f"q{i}" for i in range(30)]
+    want = search(idx, queries, 200, names)
     for offset in range(8, 64, 8):
         flat = np.empty(idx.matrix.size + 16)
         start = (offset - flat.ctypes.data % 64) % 64 // 8
@@ -75,7 +85,7 @@ def test_search_scores_do_not_depend_on_the_matrix_address():
         moved[...] = idx.matrix
         assert moved.ctypes.data % 64 == offset
         shifted = VectorIndex(ids=idx.ids, matrix=moved, norms=idx.norms)
-        assert search(shifted, queries, 200) == want
+        assert search(shifted, queries, 200, names) == want
 
 
 def test_index_rejects_duplicate_ids():
@@ -90,42 +100,42 @@ def test_index_rejects_count_mismatch():
 
 def test_top_k_orders_by_similarity():
     idx = _index({"far": [-1, 0], "near": [1, 0.01], "mid": [0, 1]})
-    ranked = top_k(idx, np.array([1.0, 0.0]), k=3)
-    assert ranked.ids() == ("near", "mid", "far")
+    ranked = _one(idx, [1.0, 0.0], k=3)
+    assert _ids(ranked) == ("near", "mid", "far")
     scores = [s for _, s in ranked.ranked]
     assert scores == sorted(scores, reverse=True)
 
 
 def test_top_k_breaks_ties_by_id():
     idx = _index({"bb": [1, 0], "aa": [1, 0], "cc": [1, 0]})
-    ranked = top_k(idx, np.array([2.0, 0.0]), k=3)
-    assert ranked.ids() == ("aa", "bb", "cc")
+    ranked = _one(idx, [2.0, 0.0], k=3)
+    assert _ids(ranked) == ("aa", "bb", "cc")
 
 
 def test_top_k_zero_candidates_rank_last():
     idx = _index({"zero": [0, 0], "hit": [1, 0]})
-    ranked = top_k(idx, np.array([1.0, 0.0]), k=2)
-    assert ranked.ids() == ("hit", "zero")
+    ranked = _one(idx, [1.0, 0.0], k=2)
+    assert _ids(ranked) == ("hit", "zero")
     assert ranked.ranked[1][1] == -np.inf
 
 
 def test_top_k_zero_query_orders_by_id():
     idx = _index({"b": [1, 0], "a": [0, 1]})
-    ranked = top_k(idx, np.array([0.0, 0.0]), k=2)
-    assert ranked.ids() == ("a", "b")
+    ranked = _one(idx, [0.0, 0.0], k=2)
+    assert _ids(ranked) == ("a", "b")
     assert all(s == -np.inf for _, s in ranked.ranked)
 
 
 def test_top_k_excludes_self():
     idx = _index({"q": [1, 0], "other": [1, 0]})
-    ranked = top_k(idx, np.array([1.0, 0.0]), k=2, exclude="q")
-    assert ranked.ids() == ("other",)
+    ranked = _one(idx, [1.0, 0.0], k=2, name="q")
+    assert _ids(ranked) == ("other",)
     assert len(ranked.ranked) < 2
 
 
 def test_top_k_flags_small_index():
     idx = _index({"a": [1, 0]})
-    ranked = top_k(idx, np.array([1.0, 0.0]), k=5)
+    ranked = _one(idx, [1.0, 0.0], k=5)
     assert len(ranked.ranked) < 5
     assert len(ranked.ranked) == 1
 
@@ -133,12 +143,12 @@ def test_top_k_flags_small_index():
 def test_top_k_validates_inputs():
     idx = _index({"a": [1, 0]})
     with pytest.raises(ValueError, match="k must be"):
-        top_k(idx, np.array([1.0, 0.0]), k=0)
+        _one(idx, [1.0, 0.0], k=0)
     with pytest.raises(ValueError, match="query dim"):
-        top_k(idx, np.array([1.0, 0.0, 0.0]), k=1)
+        _one(idx, [1.0, 0.0, 0.0], k=1)
     empty = VectorIndex.from_vectors([], np.zeros((0, 2)))
     with pytest.raises(ValueError, match="empty index"):
-        top_k(empty, np.array([1.0, 0.0]), k=1)
+        _one(empty, [1.0, 0.0], k=1)
 
 
 class _FixedEmbedder:
@@ -153,8 +163,7 @@ def test_top_k_counts_similarity_ops():
     database = [BugReport(b, f"title {b}", "text" * (i + 1)) for i, b in enumerate("abc")]
     queries = [database[0], BugReport("z", "title z", "text")]
     records, ledger = run_partition(
-        queries, database, ClusterSet((), ()), _FixedEmbedder(), None, "retrieval_only", 2,
-        exclude_self=True,
+        queries, database, ClusterSet((), ()), _FixedEmbedder(), None, "retrieval_only", 2
     )
     assert [(r.query, r.db_size) for r in records] == [("a", 2), ("z", 3)]
     assert ledger.similarity_ops == 5
@@ -192,7 +201,7 @@ def test_top_k_matches_full_sort_on_random_indexes():
         q = np.zeros(dim) if rng.random() < 0.1 else rng.normal(size=dim)
         k = int(rng.integers(1, n + 3))
         exclude = ids[int(rng.integers(n))] if rng.random() < 0.5 else None
-        got = top_k(index, q, k, exclude=exclude)
+        got = _one(index, q, k, name=exclude or "query")
         assert got.ranked == _oracle_rank(index, q, k, exclude), f"trial {trial}"
 
     zero_run = np.vstack([rng.normal(size=(3, 4)), np.zeros((4, 4)), rng.normal(size=(2, 4))])
@@ -215,14 +224,15 @@ def test_top_k_matches_full_sort_on_random_indexes():
     for case, (matrix, exclude, k) in enumerate(edge_cases):
         index = VectorIndex.from_vectors([f"r{i:04d}" for i in range(len(matrix))], matrix)
         q = rng.normal(size=matrix.shape[1])
-        got = top_k(index, q, k, exclude=exclude)
+        got = _one(index, q, k, name=exclude or "query")
         assert got.ranked == _oracle_rank(index, q, k, exclude), f"edge case {case}"
 
 
 def _search_case(rng, m, dim, n, integer=False):
     """An index with zero rows and exact ties, and n queries (some zero) with
-    mixed excludes. ``integer`` vectors have exact dot products, so more of
-    their scores tie."""
+    mixed names: ids of the index, which leave their row out, and names that
+    are not. ``integer`` vectors have exact dot products, so more of their
+    scores tie."""
     def draw(shape):
         return rng.integers(-2, 3, size=shape).astype(float) if integer else rng.normal(size=shape)
 
@@ -235,9 +245,9 @@ def _search_case(rng, m, dim, n, integer=False):
     queries[rng.random(n) < 0.1] = 0.0
     # copies of index rows tie with them, and with each other
     queries[::3] = matrix[rng.integers(m, size=len(queries[::3]))]
-    excludes = [ids[int(rng.integers(m))] if rng.random() < 0.6 else None for _ in range(n)]
-    excludes[::7] = ["absent"] * len(excludes[::7])
-    return VectorIndex.from_vectors(ids, matrix), queries, excludes
+    names = [ids[int(rng.integers(m))] if rng.random() < 0.6 else f"q{i}" for i in range(n)]
+    names[::7] = ["absent"] * len(names[::7])
+    return VectorIndex.from_vectors(ids, matrix), queries, names
 
 
 @pytest.mark.parametrize(
@@ -256,14 +266,14 @@ def test_search_equals_the_full_sort_oracle_for_every_query(monkeypatch, m, dim,
     if chunk_scores is not None:
         monkeypatch.setattr(retrieval, "_CHUNK_SCORES", chunk_scores)
     rng = np.random.default_rng(m * 1000 + n)
-    index, queries, excludes = _search_case(rng, m, dim, n)
-    names = [f"q{i}" for i in range(n)]
-    got = search(index, queries, k, excludes, names)
+    index, queries, names = _search_case(rng, m, dim, n)
+    assert any(name in index.ids for name in names) and not all(name in index.ids for name in names)
+    got = search(index, queries, k, names)
     assert len(got) == n
     for i, ranked in enumerate(got):
         assert ranked.query == names[i]
-        assert ranked.ranked == _oracle_rank(index, queries[i], k, excludes[i]), f"query {i}"
-        assert ranked == top_k(index, queries[i], k, exclude=excludes[i], query=names[i])
+        assert ranked.ranked == _oracle_rank(index, queries[i], k, names[i]), f"query {i}"
+        assert ranked == search(index, queries[i : i + 1], k, names[i : i + 1])[0]
 
 
 def _bits(results):
@@ -297,17 +307,16 @@ def test_search_equals_the_block_scan_bit_for_bit(monkeypatch, m, dim, integer, 
     if chunk_scores is not None:
         monkeypatch.setattr(retrieval, "_CHUNK_SCORES", chunk_scores)
     rng = np.random.default_rng(m * 1000 + dim)
-    index, queries, excludes = _search_case(rng, m, dim, 12, integer)
+    index, queries, names = _search_case(rng, m, dim, 12, integer)
     # The rows after the last 4-row group score, and one query is zero.
     matrix = np.array(index.matrix)
     matrix[m - m % 4 :] = rng.normal(size=(m % 4, dim))
     index = VectorIndex.from_vectors(index.ids, matrix)
     queries[1] = 0.0
-    names = [f"q{i}" for i in range(len(queries))]
     for k in ks or sorted({1, 5, max(1, m - 1), m, m + 3}):
-        want = reference_search(index, queries, k, excludes, names)
-        assert _bits(search(index, queries, k, excludes, names)) == _bits(want), f"k={k}"
-    assert search(index, queries[:0], 1) == reference_search(index, queries[:0], 1) == []
+        want = reference_search(index, queries, k, names)
+        assert _bits(search(index, queries, k, names)) == _bits(want), f"k={k}"
+    assert search(index, queries[:0], 1, []) == reference_search(index, queries[:0], 1, []) == []
 
 
 def _transient_bytes(run) -> int:
@@ -341,8 +350,9 @@ def test_search_memory_stays_near_the_scan_when_the_shortlist_is_the_whole_index
     for n, m, d, k, zero, bound in ((10_000, 100, 64, 100, False, 2), (2_000, 1_000, 64, 20, True, 1.5)):
         index = VectorIndex.from_vectors([f"b{i:04d}" for i in range(m)], rng.normal(size=(m, d)))
         queries = np.zeros((n, d)) if zero else rng.normal(size=(n, d))
-        scan = _transient_bytes(lambda: reference_search(index, queries, k))
-        got = _transient_bytes(lambda: search(index, queries, k))
+        names = [f"q{i}" for i in range(n)]
+        scan = _transient_bytes(lambda: reference_search(index, queries, k, names))
+        got = _transient_bytes(lambda: search(index, queries, k, names))
         assert got <= bound * scan, (n, m, k, got / 2**20, scan / 2**20)
 
 
@@ -390,26 +400,29 @@ def test_non_finite_vectors_are_refused():
         search(index, np.array([[1.0, 0.0], [np.nan, 0.0]]), 1, queries=["ok", "nan"])
     # finite entries whose norm overflows
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="query 0 .* not finite"):
-        search(index, np.array([[1e200, 1e200]]), 1)
+        search(index, np.array([[1e200, 1e200]]), 1, ["big"])
 
 
 def test_search_edge_inputs():
     index = _index({"a": [1, 0], "b": [0, 1]})
-    assert search(index, np.zeros((0, 2)), 3) == []
-    got = search(index, np.array([[1.0, 0.0], [0.0, 1.0]]), 1)
-    assert [r.ids() for r in got] == [("a",), ("b",)]
-    assert [r.query for r in got] == ["", ""]
+    assert search(index, np.zeros((0, 2)), 3, []) == []
+    got = search(index, np.array([[1.0, 0.0], [0.0, 1.0]]), 1, ["x", "y"])
+    assert [_ids(r) for r in got] == [("a",), ("b",)]
+    assert [r.query for r in got] == ["x", "y"]
+    # A query named by an index id never ranks itself, even as its best match.
+    got = search(index, np.array([[1.0, 0.0], [0.0, 1.0]]), 1, ["a", "b"])
+    assert [_ids(r) for r in got] == [("b",), ("a",)]
     empty = VectorIndex.from_vectors([], np.zeros((0, 2)))
     with pytest.raises(ValueError, match="empty index"):
-        search(empty, np.zeros((1, 2)), 1)
+        search(empty, np.zeros((1, 2)), 1, ["x"])
     with pytest.raises(ValueError, match="k must be"):
-        search(index, np.zeros((1, 2)), 0)
+        search(index, np.zeros((1, 2)), 0, ["x"])
     with pytest.raises(ValueError, match="query dim"):
-        search(index, np.zeros((1, 3)), 1)
+        search(index, np.zeros((1, 3)), 1, ["x"])
     with pytest.raises(ValueError, match="query dim"):
-        search(index, np.zeros(2), 1)
-    with pytest.raises(ValueError, match="excludes"):
-        search(index, np.zeros((2, 2)), 1, excludes=["a"])
+        search(index, np.zeros(2), 1, ["x"])
+    with pytest.raises(ValueError, match="2 query vectors but 1 names"):
+        search(index, np.zeros((2, 2)), 1, ["a"])
 
 
 def _at_k(ranked, relevant, k_list, db_size=50):
@@ -456,7 +469,7 @@ def test_recall_monotone_in_k(ranked, relevant, k):
 
 def test_works_with_ranked_candidates_object():
     idx = _index({"a": [1, 0], "b": [0, 1]})
-    ranked = top_k(idx, np.array([1.0, 0.0]), k=2)
-    at_1, at_2 = _at_k(ranked.ids(), {"a"}, [1, 2], db_size=len(idx))
+    ranked = _one(idx, [1.0, 0.0], k=2)
+    at_1, at_2 = _at_k(_ids(ranked), {"a"}, [1, 2], db_size=len(idx))
     assert at_1.macro_recall == 1.0
     assert at_2.macro_precision == 0.5

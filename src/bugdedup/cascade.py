@@ -152,12 +152,15 @@ def run_partition(
     ``embed_texts`` call. The records, the search and the cascade's batch
     follow the order of ``queries`` as given. A query that is in the
     database ranks and pairs with the rest of it, so its ``db_size`` is
-    one less; one-vs-all partitions are disjoint, and all-vs-all is the
-    case where every query is.
+    one less, for every method; one-vs-all partitions are disjoint, and
+    all-vs-all is the case where every query is.
 
-    The cascade scores all n*k candidate pairs of the partition in one
-    ``classify_pairs`` batch, in query order and then rank order, and
-    splits the verdicts back per query. No built-in scorer's score for a
+    A record's candidates are its query's ranking with the verdicts
+    attached: from ``search``, or, for classification alone, its pairs
+    sorted by falling probability and then id. The cascade scores all n*k
+    candidate pairs of the partition in one ``classify_pairs`` batch, in
+    query order and then rank order, and splits the verdicts back per
+    query. No built-in scorer's score for a
     pair depends on its batch, so this equals one batch per query. A pair
     scorer's featurizer reads its own tokens and builds its own sparse
     rows; the dense vectors of the embed phase serve search only.
@@ -173,56 +176,55 @@ def run_partition(
     if len(set(db_ids)) != len(db_ids):
         raise ScenarioError("duplicate bug ids in database")
     db_by_id = {r.bug_id: r for r in database}
-
     ledger = CostLedger()
-    members_of = {m: c.members for c in cluster_set.clusters for m in c.members}
-    relevant_of = {
-        q.bug_id: tuple(
-            sorted(p for p in members_of.get(q.bug_id, ()) if p != q.bug_id and p in db_by_id)
-        )
-        for q in queries
-    }
+    pair_cache = {} if dedup_pairs else None
 
     if method == "classification_only":
-        records = _run_classification_only(
-            queries, database, pair_classifier, ledger, dedup_pairs, relevant_of
-        )
-        return records, ledger
-
-    with ledger.phase("embed"):
-        # The database is already in id order, so its vectors are the
-        # index's rows as they come.
-        extra = sorted({q.bug_id: q for q in queries if q.bug_id not in db_by_id}.items())
-        ordered = database + [q for _, q in extra]
-        vectors = embedder.embed_texts([r.clean_text for r in ordered])
-        ledger.count_embeds(len(ordered))
-        index = VectorIndex.from_vectors(db_ids, vectors[: len(database)])
-
-    with ledger.phase("search"):
-        query_ids = [q.bug_id for q in queries]
-        row_of = {r.bug_id: i for i, r in enumerate(ordered)}
-        found = search(index, vectors[[row_of[b] for b in query_ids]], k, query_ids)
-        # A query ranks the whole database, less itself.
-        db_size_of = {q: len(database) - (q in db_by_id) for q in query_ids}
-        ledger.count_similarity(sum(db_size_of.values()))
-        ranked_of = {r.query: r.ranked for r in found}
-
-    if method == "retrieval_only":
-        verdicts = itertools.repeat((None, True))
-    else:
+        rankings = []
         with ledger.phase("classify"):
-            pairs = [(q, db_by_id[b]) for q in queries for b, _ in ranked_of[q.bug_id]]
-            verdicts = iter(
-                classify_pairs(pair_classifier, pairs, ledger, {} if dedup_pairs else None)
-            )
+            for q in queries:
+                others = [d for d in database if d.bug_id != q.bug_id]
+                verdicts = classify_pairs(
+                    pair_classifier, [(q, d) for d in others], ledger, pair_cache
+                )
+                scored = ((d.bug_id, p, kept) for d, (p, kept) in zip(others, verdicts))
+                rankings.append(tuple(sorted(scored, key=lambda t: (-t[1], t[0]))))
+    else:
+        with ledger.phase("embed"):
+            # The database is already in id order, so its vectors are the
+            # index's rows as they come.
+            extra = sorted({q.bug_id: q for q in queries if q.bug_id not in db_by_id}.items())
+            ordered = database + [q for _, q in extra]
+            vectors = embedder.embed_texts([r.clean_text for r in ordered])
+            ledger.count_embeds(len(ordered))
+            index = VectorIndex.from_vectors(db_ids, vectors[: len(database)])
+
+        with ledger.phase("search"):
+            query_ids = [q.bug_id for q in queries]
+            row_of = {r.bug_id: i for i, r in enumerate(ordered)}
+            found = search(index, vectors[[row_of[b] for b in query_ids]], k, query_ids)
+            # A query ranks the whole database, less itself.
+            ledger.count_similarity(sum(len(database) - (b in db_by_id) for b in query_ids))
+
+        if method == "retrieval_only":
+            verdicts = itertools.repeat((None, True))
+        else:
+            with ledger.phase("classify"):
+                pairs = [(q, db_by_id[b]) for q, ranked in zip(queries, found) for b, _ in ranked]
+                verdicts = iter(classify_pairs(pair_classifier, pairs, ledger, pair_cache))
+        rankings = [tuple((b, s, next(verdicts)[1]) for b, s in ranked) for ranked in found]
+
+    members_of = {m: c.members for c in cluster_set.clusters for m in c.members}
     records = [
         QueryOutcome(
             query=q.bug_id,
-            candidates=tuple((b, s, next(verdicts)[1]) for b, s in ranked_of[q.bug_id]),
-            relevant=relevant_of[q.bug_id],
-            db_size=db_size_of[q.bug_id],
+            candidates=candidates,
+            relevant=tuple(
+                sorted(p for p in members_of.get(q.bug_id, ()) if p != q.bug_id and p in db_by_id)
+            ),
+            db_size=len(database) - (q.bug_id in db_by_id),
         )
-        for q in queries
+        for q, candidates in zip(queries, rankings)
     ]
     return records, ledger
 
@@ -264,34 +266,6 @@ def classify_pairs(
         return verdicts
     pair_cache.update(zip(missing, verdicts))
     return [pair_cache[key] for key in keys]
-
-
-def _run_classification_only(
-    queries, database, pair_classifier, ledger, dedup_pairs, relevant_of
-) -> list[QueryOutcome]:
-    pair_cache = {} if dedup_pairs else None
-    records = []
-    with ledger.phase("classify"):
-        for q in queries:
-            others = [d for d in database if d.bug_id != q.bug_id]
-            pairs = [(q, d) for d in others]
-            verdicts = classify_pairs(pair_classifier, pairs, ledger, pair_cache)
-            scored = sorted(
-                (
-                    (d.bug_id, verdicts[i][0], verdicts[i][1])
-                    for i, d in enumerate(others)
-                ),
-                key=lambda t: (-t[1], t[0]),
-            )
-            records.append(
-                QueryOutcome(
-                    query=q.bug_id,
-                    candidates=tuple(scored),
-                    relevant=relevant_of[q.bug_id],
-                    db_size=len(others),
-                )
-            )
-    return records
 
 
 def _scenario_pool(

@@ -253,7 +253,9 @@ def cmd_split(args) -> int:
 
 
 def cmd_train_projection(args) -> int:
-    with _flags_for_fields(epochs="--epochs", batch_size="--batch-size", dim_out="--dim-out"):
+    with _flags_for_fields(
+        epochs="--epochs", batch_size="--batch-size", dim_out="--dim-out", margin="--margin"
+    ):
         cfg = embedder_mod.TrainConfig(
             learning_rate=args.lr,
             epochs=args.epochs,
@@ -394,7 +396,9 @@ def cmd_run_cascade(args) -> int:
         emb = _make_embedder(args, corpus, clusters, manifest, backends)
         tfidf = emb if args.embed_backend == "tfidf" else None
         clf = _make_classifier(args, corpus, clusters, manifest, backends, tfidf)
-        result = runner(config, manifest, clusters, corpus, emb, clf)
+        # How many queries a fraction leaves depends on the test pool's size.
+        with _flags_for_fields(query_fraction="--query-fraction"):
+            result = runner(config, manifest, clusters, corpus, emb, clf)
     cascade_mod.save_scenario(result, args.out, extra=_config_echo(args))
     _emit(
         {

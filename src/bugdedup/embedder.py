@@ -246,6 +246,8 @@ class TrainConfig:
         for name, low in {"epochs": 0, "batch_size": 1, "dim_out": 1}.items():
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not 0.0 < self.margin < math.inf:
+            raise ValueError(f"margin must be positive and finite, got {self.margin}")
 
 
 @dataclass(frozen=True, eq=False)

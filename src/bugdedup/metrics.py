@@ -7,6 +7,10 @@ never crash. Curve aggregation treats every (query, database-item)
 decision as binary at cutoff k (retained implies positive) and emits
 both the micro (pooled confusion) and macro (per-query mean) views,
 since either aggregation is defensible for ranked retrieval.
+
+Every count comes from one walk of each ``QueryOutcome``'s ranking and
+running sums over it, read at each k or at the full ranking. Each macro
+mean is one left-to-right float sum, in query order.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ import csv
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -31,11 +37,6 @@ class ConfusionMatrix:
     @property
     def total(self) -> int:
         return self.tp + self.fp + self.fn + self.tn
-
-    def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        return ConfusionMatrix(
-            self.tp + other.tp, self.fp + other.fp, self.fn + other.fn, self.tn + other.tn
-        )
 
     @classmethod
     def from_decisions(cls, decisions: Iterable[tuple[bool, bool]]) -> "ConfusionMatrix":
@@ -139,14 +140,6 @@ class QueryOutcome:
     relevant: tuple[str, ...]
     db_size: int
 
-    def confusion_at(self, k: int) -> ConfusionMatrix:
-        positives = {c for c, _, keep in self.candidates[:k] if keep}
-        tp = len(positives.intersection(self.relevant))
-        fp = len(positives) - tp
-        fn = len(self.relevant) - tp
-        tn = self.db_size - len(positives) - fn
-        return ConfusionMatrix(tp, fp, fn, tn)
-
 
 def aggregate_curves(outcomes: Sequence[QueryOutcome], k_list: Sequence[int]) -> list[MetricRow]:
     """One MetricRow per k: pooled-confusion metrics plus macro means.
@@ -156,62 +149,67 @@ def aggregate_curves(outcomes: Sequence[QueryOutcome], k_list: Sequence[int]) ->
     averages hits/k over all queries. The pooled counts do not depend on
     the order of ``outcomes``, but each macro mean is a float sum taken in
     that order, so reordering the queries can change its last bits.
-
-    Each outcome's candidates are walked once, recording how many
-    distinct kept ids (positives) and relevant ones among them (true
-    positives) each prefix holds; every k then reads those counts, which
-    equal ``confusion_at(k)``'s.
     """
     if not outcomes:
         raise ValueError("cannot aggregate an empty result set")
-    prefixes = []
-    for outcome in outcomes:
-        positives: set[str] = set()
-        tp = 0
-        counts = [(0, 0)]
-        for candidate, _, keep in outcome.candidates:
-            if keep and candidate not in positives:
-                positives.add(candidate)
-                tp += candidate in outcome.relevant
-            counts.append((len(positives), tp))
-        prefixes.append(counts)
+    counts = _RunningCounts(outcomes)
     rows = []
     for k in sorted(set(k_list)):
-        total_tp = total_pos = total_fn = total_tn = 0
-        recalls: list[float] = []
-        precisions: list[float] = []
-        for outcome, counts in zip(outcomes, prefixes):
-            n_pos, tp = counts[min(k, len(counts) - 1)]
-            fn = len(outcome.relevant) - tp
-            tn = outcome.db_size - n_pos - fn
-            # tp, fp and fn cannot be negative; tn can, if db_size is too small.
-            if tn < 0:
-                raise ValueError("confusion counts must be nonnegative")
-            total_tp += tp
-            total_pos += n_pos
-            total_fn += fn
-            total_tn += tn
-            if outcome.relevant:
-                recalls.append(tp / len(outcome.relevant))
-            precisions.append(tp / k)
-        total = ConfusionMatrix(total_tp, total_pos - total_tp, total_fn, total_tn)
-        rows.append(_macro_row(total, k, precisions, recalls))
+        tp, _, total, recalls = counts.at(np.minimum(k, counts.lengths))
+        rows.append(_macro_row(total, k, (tp / k).tolist(), recalls))
     return rows
 
 
 def exhaustive_row(outcomes: Sequence[QueryOutcome], k: int) -> MetricRow:
-    """Exhaustive classification ignores k: one row, every decision counted."""
-    total = ConfusionMatrix()
-    recalls: list[float] = []
-    precisions: list[float] = []
-    for o in outcomes:
-        cm = o.confusion_at(len(o.candidates))
-        total = total + cm
-        if o.relevant:
-            recalls.append(cm.tp / len(o.relevant))
-        denom = cm.tp + cm.fp
-        precisions.append(cm.tp / denom if denom else 0.0)
-    return _macro_row(total, k, precisions, recalls)
+    """Exhaustive classification ignores k: one row, every decision counted.
+    Its macro precision averages tp/positives over all queries, 0.0 for a
+    query that kept nothing."""
+    counts = _RunningCounts(outcomes)
+    tp, positives, total, recalls = counts.at(counts.lengths)
+    precisions = np.divide(tp, positives, out=np.zeros(len(tp)), where=positives > 0)
+    return _macro_row(total, k, precisions.tolist(), recalls)
+
+
+class _RunningCounts:
+    """Each query's confusion counts at every cutoff. One walk of its
+    ranking marks each positive (a kept id not kept earlier in the ranking)
+    and each true positive (a relevant positive); running sums of the marks
+    over all the rankings laid end to end give the counts of any prefix."""
+
+    def __init__(self, outcomes: Sequence[QueryOutcome]):
+        positive: list[bool] = []
+        true_positive: list[bool] = []
+        for outcome in outcomes:
+            kept: set[str] = set()
+            for candidate, _, keep in outcome.candidates:
+                new = keep and candidate not in kept
+                if new:
+                    kept.add(candidate)
+                positive.append(new)
+                true_positive.append(new and candidate in outcome.relevant)
+        self.lengths = np.array([len(o.candidates) for o in outcomes], dtype=np.int64)
+        self._starts = np.cumsum(self.lengths) - self.lengths
+        running = np.zeros((2, len(positive) + 1), dtype=np.int64)
+        np.cumsum([positive, true_positive], axis=1, out=running[:, 1:])
+        self._running = running
+        self._relevant = np.array([len(o.relevant) for o in outcomes], dtype=np.int64)
+        self._db_size = np.array([o.db_size for o in outcomes], dtype=np.int64)
+
+    def at(self, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, ConfusionMatrix, list]:
+        """Each query's true positives and positives among its first
+        ``lengths[i]`` candidates, the pooled confusion matrix, and
+        tp/|relevant| for each query that has relevant items, in order."""
+        positives, tp = self._running[:, self._starts + lengths] - self._running[:, self._starts]
+        fn = self._relevant - tp
+        tn = self._db_size - positives - fn
+        # tp, fp and fn cannot be negative; tn can, if db_size is too small.
+        if (tn < 0).any():
+            raise ValueError("confusion counts must be nonnegative")
+        total = ConfusionMatrix(
+            int(tp.sum()), int((positives - tp).sum()), int(fn.sum()), int(tn.sum())
+        )
+        peers = self._relevant > 0
+        return tp, positives, total, (tp[peers] / self._relevant[peers]).tolist()
 
 
 def _macro_row(
@@ -220,9 +218,19 @@ def _macro_row(
     """Pooled-confusion metrics at k, with the per-query means as macro values."""
     return replace(
         classification_metrics(total, k=k),
-        macro_precision=sum(precisions) / len(precisions) if precisions else 0.0,
-        macro_recall=sum(recalls) / len(recalls) if recalls else None,
+        macro_precision=_sum(precisions) / len(precisions) if precisions else 0.0,
+        macro_recall=_sum(recalls) / len(recalls) if recalls else None,
     )
+
+
+def _sum(values: Iterable[float]) -> float:
+    """``values`` summed left to right from 0.0, the one float reduction of
+    every mean that reaches an artifact. The built-in ``sum`` gives the same
+    bits up to Python 3.11, but from 3.12 it compensates the rounding."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 CSV_COLUMNS = (

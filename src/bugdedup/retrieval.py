@@ -142,26 +142,19 @@ class VectorIndex:
         return len(self.ids)
 
 
-@dataclass(frozen=True)
-class RankedCandidates:
-    """Top candidates for one query, scores non-increasing. When the index
-    holds fewer candidates than requested, ``ranked`` is the full ranking."""
-
-    query: str
-    ranked: tuple[tuple[str, float], ...]
-
-
 def search(
     index: VectorIndex, query_vectors: np.ndarray, k: int, queries: Sequence[str]
-) -> list[RankedCandidates]:
+) -> list[tuple[tuple[str, float], ...]]:
     """The k most cosine-similar entries for each row of ``query_vectors``,
     one GEMM per query chunk.
 
-    ``queries[i]`` names query i; when it is an id of the index, that row
-    is left out of query i's ranking. Each result's bits are those of the
-    one-query block scan. A query whose norm is not finite raises
-    ``ValueError``. Nothing is counted here: ``cascade.run_partition``
-    charges the similarity ops.
+    Entry i is query i's ranking: ``(bug_id, score)`` pairs, scores
+    non-increasing, and the whole index when it holds fewer than k
+    candidates. ``queries[i]`` names query i; when it is an id of the
+    index, that row is left out of query i's ranking. Each score's bits are
+    those of the one-query block scan. A query whose norm is not finite
+    raises ``ValueError``. Nothing is counted here:
+    ``cascade.run_partition`` charges the similarity ops.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -187,7 +180,7 @@ def search(
 
     block = max(_BLOCK_ALIGN, _BLOCK_ELEMENTS // max(1, index.dim) // _BLOCK_ALIGN * _BLOCK_ALIGN)
     chunk = max(1, _CHUNK_SCORES // max(m, 10 * min(k, m)))
-    results: list[RankedCandidates] = []
+    results: list[tuple[tuple[str, float], ...]] = []
     for first in range(0, n, chunk):
         part = vectors[first : first + chunk]
         scores = part @ index.matrix.T
@@ -231,9 +224,9 @@ def search(
         top_ids = [index.ids[j] for j in rows[top].tolist()]
         top_scores = picked[top].tolist()
         ends = np.cumsum(np.minimum(np.diff(starts), k)).tolist()
-        for i, (a, b) in enumerate(zip([0, *ends], ends)):
-            ranked = tuple(zip(top_ids[a:b], top_scores[a:b]))
-            results.append(RankedCandidates(query=queries[first + i], ranked=ranked))
+        results.extend(
+            tuple(zip(top_ids[a:b], top_scores[a:b])) for a, b in zip([0, *ends], ends)
+        )
     return results
 
 

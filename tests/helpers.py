@@ -27,7 +27,7 @@ from bugdedup.metrics import (
     aggregate_curves,
     classification_metrics,
 )
-from bugdedup.retrieval import RankedCandidates, VectorIndex, search
+from bugdedup.retrieval import VectorIndex, search
 from bugdedup.seeding import substream_rng
 from bugdedup.splitter import SplitError, SplitManifest, TripletExample, build_manifest
 from bugdedup.stopwords import STOP_WORDS
@@ -239,7 +239,7 @@ def outcome(query, ids, kept, relevant, db_size) -> QueryOutcome:
                         relevant, db_size)
 
 
-def reference_search(index, query_vectors, k, queries) -> list[RankedCandidates]:
+def reference_search(index, query_vectors, k, queries) -> list[tuple[tuple[str, float], ...]]:
     """``retrieval.search`` as a one-query block scan, the definition of its
     bits: each score is the matrix-vector product of the aligned row block
     holding the row with one query, over the product of the norms. A query
@@ -264,7 +264,7 @@ def reference_search(index, query_vectors, k, queries) -> list[RankedCandidates]
         retrieval._BLOCK_ELEMENTS // max(1, index.dim) // retrieval._BLOCK_ALIGN * retrieval._BLOCK_ALIGN,
     )
     chunk = max(1, retrieval._CHUNK_SCORES // m)
-    results: list[RankedCandidates] = []
+    results: list[tuple[tuple[str, float], ...]] = []
     for first in range(0, n, chunk):
         part = vectors[first : first + chunk]
         scores = np.empty((len(part), m))
@@ -293,8 +293,9 @@ def reference_search(index, query_vectors, k, queries) -> list[RankedCandidates]
             if skip is not None:
                 order = order[order != skip]
             order = order[:k]
-            ranked = tuple(zip((index.ids[j] for j in order.tolist()), row_scores[order].tolist()))
-            results.append(RankedCandidates(query=queries[first + i], ranked=ranked))
+            results.append(
+                tuple(zip((index.ids[j] for j in order.tolist()), row_scores[order].tolist()))
+            )
     return results
 
 
@@ -318,38 +319,58 @@ def reference_tune_threshold(probabilities, labels, step=0.01) -> float:
     return best_t
 
 
+def reference_confusion(outcome, k) -> ConfusionMatrix:
+    """One query's confusion matrix at cutoff k, as a set walk: its
+    positives are the distinct kept ids among its first k candidates."""
+    positives = {c for c, _, keep in outcome.candidates[:k] if keep}
+    tp = len(positives.intersection(outcome.relevant))
+    fn = len(outcome.relevant) - tp
+    return ConfusionMatrix(tp, len(positives) - tp, fn, outcome.db_size - len(positives) - fn)
+
+
 def reference_curves(outcomes, k_list) -> list[MetricRow]:
-    """``aggregate_curves`` as one ``confusion_at`` per (query, k): the
-    one-pass version must equal this exactly."""
-    rows = []
-    for k in sorted(set(k_list)):
-        total = ConfusionMatrix()
-        recalls: list[float] = []
-        precisions: list[float] = []
-        for outcome in outcomes:
-            cm = outcome.confusion_at(k)
-            total = total + cm
-            if outcome.relevant:
-                recalls.append(cm.tp / len(outcome.relevant))
-            precisions.append(cm.tp / k)
-        row = classification_metrics(total, k=k)
-        rows.append(
-            MetricRow(
-                precision=row.precision,
-                recall=row.recall,
-                f1=row.f1,
-                accuracy=row.accuracy,
-                k=k,
-                tp=row.tp,
-                fp=row.fp,
-                fn=row.fn,
-                tn=row.tn,
-                zero_denominator=row.zero_denominator,
-                macro_precision=sum(precisions) / len(precisions) if precisions else 0.0,
-                macro_recall=sum(recalls) / len(recalls) if recalls else None,
-            )
-        )
-    return rows
+    """``aggregate_curves`` as one ``reference_confusion`` per (query, k):
+    the one-pass version must equal this exactly."""
+    return [_reference_row(outcomes, k, k) for k in sorted(set(k_list))]
+
+
+def reference_exhaustive_row(outcomes, k) -> MetricRow:
+    """``exhaustive_row`` as one ``reference_confusion`` per query over its
+    whole ranking, macro precision tp/positives (0.0 with no positives)."""
+    return _reference_row(outcomes, None, k)
+
+
+def _reference_row(outcomes, cutoff, k) -> MetricRow:
+    """The pooled row of every query's confusion at ``cutoff`` (the whole
+    ranking when None), each macro mean summed left to right from 0.0."""
+    tp = fp = fn = tn = 0
+    precision_sum = recall_sum = 0.0
+    with_peers = 0
+    for outcome in outcomes:
+        cm = reference_confusion(outcome, cutoff or len(outcome.candidates))
+        tp, fp, fn, tn = tp + cm.tp, fp + cm.fp, fn + cm.fn, tn + cm.tn
+        if outcome.relevant:
+            recall_sum += cm.tp / len(outcome.relevant)
+            with_peers += 1
+        if cutoff:
+            precision_sum += cm.tp / cutoff
+        elif cm.tp + cm.fp:
+            precision_sum += cm.tp / (cm.tp + cm.fp)
+    row = classification_metrics(ConfusionMatrix(tp, fp, fn, tn), k=k)
+    return MetricRow(
+        precision=row.precision,
+        recall=row.recall,
+        f1=row.f1,
+        accuracy=row.accuracy,
+        k=k,
+        tp=row.tp,
+        fp=row.fp,
+        fn=row.fn,
+        tn=row.tn,
+        zero_denominator=row.zero_denominator,
+        macro_precision=precision_sum / len(outcomes),
+        macro_recall=recall_sum / with_peers if with_peers else None,
+    )
 
 
 def reference_eval_retrieval(corpus, clusters, manifest, split, embedder, k_list) -> list[dict]:
@@ -367,7 +388,7 @@ def reference_eval_retrieval(corpus, clusters, manifest, split, embedder, k_list
     queries = list(peers)
     found = search(index, index.matrix[[row_of[q] for q in queries]], max(k_list), queries)
     outcomes = [
-        outcome(q, [b for b, _ in ranked.ranked], (True,) * len(ranked.ranked),
+        outcome(q, [b for b, _ in ranked], (True,) * len(ranked),
                 frozenset(peers[q]) - {q}, len(index) - 1)
         for q, ranked in zip(queries, found)
     ]

@@ -255,7 +255,7 @@ def test_5_metrics_match_brute_force_on_1000_instances():
         ks = sorted({int(rng.integers(1, 35)) for _ in range(3)})
         rows = aggregate_curves(group, ks)
         for k, row in zip(ks, rows):
-            pooled = ConfusionMatrix()
+            pooled = (0, 0, 0, 0)
             recalls, precisions = [], []
             for ids, candidates, kept, relevant in raw:
                 predicted = {c for c, keep in zip(candidates[:k], kept[:k]) if keep}
@@ -263,14 +263,12 @@ def test_5_metrics_match_brute_force_on_1000_instances():
                 fp = len(predicted - relevant)
                 fn = len(relevant - predicted)
                 tn = len([i for i in ids if i not in predicted and i not in relevant])
-                pooled = pooled + ConfusionMatrix(tp, fp, fn, tn)
+                pooled = tuple(a + b for a, b in zip(pooled, (tp, fp, fn, tn)))
                 if relevant:
                     recalls.append(tp / len(relevant))
                 precisions.append(tp / k)
-            assert (row.tp, row.fp, row.fn, row.tn) == (
-                pooled.tp, pooled.fp, pooled.fn, pooled.tn,
-            )
-            brute = classification_metrics(pooled, k=k)
+            assert (row.tp, row.fp, row.fn, row.tn) == pooled
+            brute = classification_metrics(ConfusionMatrix(*pooled), k=k)
             for name in ("precision", "recall", "f1", "accuracy"):
                 assert abs(getattr(row, name) - getattr(brute, name)) <= 1e-12
             assert abs(row.macro_precision - sum(precisions) / len(precisions)) <= 1e-12
@@ -285,7 +283,7 @@ def test_5_metrics_match_brute_force_on_1000_instances():
             query = outcome("q", tuple(candidates), (True,) * len(candidates), relevant, len(ids))
             for k, row in zip(ks, aggregate_curves([query], ks)):
                 hits = len(set(candidates[:k]) & relevant)
-                assert query.confusion_at(k).tp == hits
+                assert row.tp == hits
                 assert abs(row.macro_recall - hits / len(relevant)) <= 1e-12
                 assert abs(row.macro_precision - hits / k) <= 1e-12
     print(f"[5] {instances} instances agreed with brute force within 1e-12")
@@ -320,7 +318,7 @@ def test_6_retrieval_recall_properties_and_full_sort_oracle(pipeline, train_embe
             ((b, s) for b, s in scores.items() if b != exclude),
             key=lambda t: (-t[1], t[0]),
         )
-        assert [b for b, _ in ranked.ranked] == [b for b, _ in oracle]
+        assert [b for b, _ in ranked] == [b for b, _ in oracle]
 
         population = [b for b in ids if b != exclude]
         n_rel = int(rng.integers(1, len(population) + 1))
@@ -329,8 +327,8 @@ def test_6_retrieval_recall_properties_and_full_sort_oracle(pipeline, train_embe
         )
         ranked_query = outcome(
             "q",
-            [b for b, _ in ranked.ranked],
-            (True,) * len(ranked.ranked),
+            [b for b, _ in ranked],
+            (True,) * len(ranked),
             frozenset(relevant),
             len(population),
         )
@@ -482,8 +480,8 @@ def test_8_gradients_projection_gain_and_separable_convergence():
             outcomes = [
                 outcome(
                     q,
-                    [b for b, _ in ranked.ranked],
-                    (True,) * len(ranked.ranked),
+                    [b for b, _ in ranked],
+                    (True,) * len(ranked),
                     frozenset(peers[q]) - {q},
                     len(index) - 1,
                 )

@@ -449,7 +449,10 @@ def test_synth_flag_outside_its_range_exits_2(tmp_path, capsys, flag, value):
      ("train-classifier", "--epochs", "-1"), ("train-projection", "--batch-size", "0"),
      ("train-projection", "--dim-out", "0"), ("train-projection", "--epochs", "-1"),
      ("run-cascade", "--k", "0"), ("run-cascade", "--k", "500"),
-     ("run-cascade", "--query-fraction", "1.5"), ("run-cascade", "--query-fraction", "0")],
+     ("train-projection", "--margin", "-1"), ("train-projection", "--margin", "0"),
+     ("train-projection", "--margin", "nan"),
+     ("run-cascade", "--query-fraction", "1.5"), ("run-cascade", "--query-fraction", "0"),
+     ("run-cascade", "--query-fraction", "0.001")],
 )
 def test_config_flag_outside_its_range_exits_2(workdir, tmp_path, capsys, command, flag, value):
     argv = [command, *_pipeline_flags(workdir), "--seed", "1"]

@@ -9,17 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bugdedup import metrics
 from bugdedup.metrics import (
     CSV_COLUMNS,
     ConfusionMatrix,
     MetricRow,
     aggregate_curves,
     classification_metrics,
+    exhaustive_row,
     report_row,
     write_metrics_csv,
 )
 
-from helpers import outcome, reference_curves
+from helpers import outcome, reference_curves, reference_exhaustive_row
 
 
 def test_confusion_rejects_negative_counts():
@@ -27,10 +29,8 @@ def test_confusion_rejects_negative_counts():
         ConfusionMatrix(tp=-1)
 
 
-def test_confusion_addition_and_total():
-    cm = ConfusionMatrix(1, 2, 3, 4) + ConfusionMatrix(10, 20, 30, 40)
-    assert (cm.tp, cm.fp, cm.fn, cm.tn) == (11, 22, 33, 44)
-    assert cm.total == 110
+def test_confusion_total():
+    assert ConfusionMatrix(11, 22, 33, 44).total == 110
 
 
 def test_confusion_from_decisions():
@@ -97,14 +97,11 @@ def test_query_outcome_truncation():
     # the runner's records hold relevant ids as a sorted tuple, eval-retrieval's as a set
     for relevant in (frozenset({"a", "c", "x"}), ("a", "c", "x")):
         query = outcome("q", ("a", "b", "c", "d"), (True, False, True, True), relevant, 10)
-        cm1 = query.confusion_at(1)
-        assert (cm1.tp, cm1.fp, cm1.fn, cm1.tn) == (1, 0, 2, 7)
-        cm3 = query.confusion_at(3)  # b dropped by the classifier
-        assert (cm3.tp, cm3.fp, cm3.fn, cm3.tn) == (2, 0, 1, 7)
-        cm4 = query.confusion_at(4)
-        assert (cm4.tp, cm4.fp, cm4.fn, cm4.tn) == (2, 1, 1, 6)
-        cm_big = query.confusion_at(100)
-        assert cm_big == cm4
+        at_1, at_3, at_4, at_big = aggregate_curves([query], [1, 3, 4, 100])
+        assert (at_1.tp, at_1.fp, at_1.fn, at_1.tn) == (1, 0, 2, 7)
+        assert (at_3.tp, at_3.fp, at_3.fn, at_3.tn) == (2, 0, 1, 7)  # b dropped by the classifier
+        assert (at_4.tp, at_4.fp, at_4.fn, at_4.tn) == (2, 1, 1, 6)
+        assert (at_big.tp, at_big.fp, at_big.fn, at_big.tn) == (2, 1, 1, 6)
 
 
 def _outcome(query, candidates, relevant, db_size=20):
@@ -197,6 +194,24 @@ def test_aggregate_equals_the_per_k_confusion_loop(outcomes, k_list):
             aggregate_curves(outcomes, k_list)
         return
     assert aggregate_curves(outcomes, k_list) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(outcomes=_outcomes(), k=st.integers(1, 14))
+def test_exhaustive_row_equals_the_per_query_confusion_loop(outcomes, k):
+    try:
+        expected = reference_exhaustive_row(outcomes, k)
+    except ValueError as exc:  # an all-zero pooled matrix
+        with pytest.raises(ValueError, match=str(exc)):
+            exhaustive_row(outcomes, k)
+        return
+    assert exhaustive_row(outcomes, k) == expected
+
+
+def test_macro_means_sum_left_to_right_from_zero():
+    # A compensated sum (the built-in from Python 3.12) gives 1.0 here.
+    assert metrics._sum([1e16, 1.0, -1e16]) == 0.0
+    assert metrics._sum([]) == 0.0
 
 
 def test_aggregate_rejects_a_db_size_too_small_for_its_counts():

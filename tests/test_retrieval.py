@@ -36,7 +36,7 @@ def _one(index: VectorIndex, q, k: int, name: str = "query"):
 
 
 def _ids(ranked) -> tuple[str, ...]:
-    return tuple(bug_id for bug_id, _ in ranked.ranked)
+    return tuple(bug_id for bug_id, _ in ranked)
 
 
 def test_index_sorts_ids():
@@ -102,7 +102,7 @@ def test_top_k_orders_by_similarity():
     idx = _index({"far": [-1, 0], "near": [1, 0.01], "mid": [0, 1]})
     ranked = _one(idx, [1.0, 0.0], k=3)
     assert _ids(ranked) == ("near", "mid", "far")
-    scores = [s for _, s in ranked.ranked]
+    scores = [s for _, s in ranked]
     assert scores == sorted(scores, reverse=True)
 
 
@@ -116,28 +116,28 @@ def test_top_k_zero_candidates_rank_last():
     idx = _index({"zero": [0, 0], "hit": [1, 0]})
     ranked = _one(idx, [1.0, 0.0], k=2)
     assert _ids(ranked) == ("hit", "zero")
-    assert ranked.ranked[1][1] == -np.inf
+    assert ranked[1][1] == -np.inf
 
 
 def test_top_k_zero_query_orders_by_id():
     idx = _index({"b": [1, 0], "a": [0, 1]})
     ranked = _one(idx, [0.0, 0.0], k=2)
     assert _ids(ranked) == ("a", "b")
-    assert all(s == -np.inf for _, s in ranked.ranked)
+    assert all(s == -np.inf for _, s in ranked)
 
 
 def test_top_k_excludes_self():
     idx = _index({"q": [1, 0], "other": [1, 0]})
     ranked = _one(idx, [1.0, 0.0], k=2, name="q")
     assert _ids(ranked) == ("other",)
-    assert len(ranked.ranked) < 2
+    assert len(ranked) < 2
 
 
 def test_top_k_flags_small_index():
     idx = _index({"a": [1, 0]})
     ranked = _one(idx, [1.0, 0.0], k=5)
-    assert len(ranked.ranked) < 5
-    assert len(ranked.ranked) == 1
+    assert len(ranked) < 5
+    assert len(ranked) == 1
 
 
 def test_top_k_validates_inputs():
@@ -202,7 +202,7 @@ def test_top_k_matches_full_sort_on_random_indexes():
         k = int(rng.integers(1, n + 3))
         exclude = ids[int(rng.integers(n))] if rng.random() < 0.5 else None
         got = _one(index, q, k, name=exclude or "query")
-        assert got.ranked == _oracle_rank(index, q, k, exclude), f"trial {trial}"
+        assert got == _oracle_rank(index, q, k, exclude), f"trial {trial}"
 
     zero_run = np.vstack([rng.normal(size=(3, 4)), np.zeros((4, 4)), rng.normal(size=(2, 4))])
     edge_cases = [
@@ -225,7 +225,7 @@ def test_top_k_matches_full_sort_on_random_indexes():
         index = VectorIndex.from_vectors([f"r{i:04d}" for i in range(len(matrix))], matrix)
         q = rng.normal(size=matrix.shape[1])
         got = _one(index, q, k, name=exclude or "query")
-        assert got.ranked == _oracle_rank(index, q, k, exclude), f"edge case {case}"
+        assert got == _oracle_rank(index, q, k, exclude), f"edge case {case}"
 
 
 def _search_case(rng, m, dim, n, integer=False):
@@ -271,13 +271,12 @@ def test_search_equals_the_full_sort_oracle_for_every_query(monkeypatch, m, dim,
     got = search(index, queries, k, names)
     assert len(got) == n
     for i, ranked in enumerate(got):
-        assert ranked.query == names[i]
-        assert ranked.ranked == _oracle_rank(index, queries[i], k, names[i]), f"query {i}"
+        assert ranked == _oracle_rank(index, queries[i], k, names[i]), f"query {i}"
         assert ranked == search(index, queries[i : i + 1], k, names[i : i + 1])[0]
 
 
 def _bits(results):
-    return [(r.query, [(bug_id, score.hex()) for bug_id, score in r.ranked]) for r in results]
+    return [[(bug_id, score.hex()) for bug_id, score in ranked] for ranked in results]
 
 
 @pytest.mark.parametrize(
@@ -407,8 +406,8 @@ def test_search_edge_inputs():
     index = _index({"a": [1, 0], "b": [0, 1]})
     assert search(index, np.zeros((0, 2)), 3, []) == []
     got = search(index, np.array([[1.0, 0.0], [0.0, 1.0]]), 1, ["x", "y"])
-    assert [_ids(r) for r in got] == [("a",), ("b",)]
-    assert [r.query for r in got] == ["x", "y"]
+    # One ranking per query, in query order.
+    assert got == [(("a", 1.0),), (("b", 1.0),)]
     # A query named by an index id never ranks itself, even as its best match.
     got = search(index, np.array([[1.0, 0.0], [0.0, 1.0]]), 1, ["a", "b"])
     assert [_ids(r) for r in got] == [("b",), ("a",)]
@@ -467,7 +466,7 @@ def test_recall_monotone_in_k(ranked, relevant, k):
     assert larger.macro_recall >= smaller.macro_recall
 
 
-def test_works_with_ranked_candidates_object():
+def test_works_with_a_search_ranking():
     idx = _index({"a": [1, 0], "b": [0, 1]})
     ranked = _one(idx, [1.0, 0.0], k=2)
     at_1, at_2 = _at_k(_ids(ranked), {"a"}, [1, 2], db_size=len(idx))

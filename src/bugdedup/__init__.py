@@ -33,7 +33,7 @@ from .embedder import (
 )
 from .ledger import CostLedger
 from .metrics import ConfusionMatrix, MetricRow, aggregate_curves, classification_metrics
-from .retrieval import VectorIndex, search
+from .retrieval import VectorIndex, search, search_rows
 from .splitter import SplitManifest, build_manifest, count_dup_pairs, split_clusters
 from .synth import SynthConfig, synth_corpus
 
@@ -75,6 +75,7 @@ __all__ = [
     "run_one_vs_all",
     "run_partition",
     "search",
+    "search_rows",
     "split_clusters",
     "synth_corpus",
     "train_classifier",

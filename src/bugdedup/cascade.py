@@ -29,9 +29,10 @@ import numpy as np
 
 from .corpus import BugReport, Corpus
 from .dup_graph import ClusterSet
+from .embedder import has_sparse_rows
 from .ledger import CostLedger
 from .metrics import MetricRow, QueryOutcome, aggregate_curves, exhaustive_row, report_row
-from .retrieval import VectorIndex, search
+from .retrieval import VectorIndex, search, search_rows
 from .seeding import substream_rng
 from .splitter import SplitManifest
 
@@ -148,12 +149,17 @@ def run_partition(
     embeddings and similarity ops; the ledger it returns holds the exact
     counter values for the run. Texts are embedded at most once each,
     which is what makes the n+m accounting true: the database in id
-    order, then the queries that are not in it, in id order, in one
-    ``embed_texts`` call. The records, the search and the cascade's batch
-    follow the order of ``queries`` as given. A query that is in the
-    database ranks and pairs with the rest of it, so its ``db_size`` is
-    one less, for every method; one-vs-all partitions are disjoint, and
-    all-vs-all is the case where every query is.
+    order, then the queries that are not in it, in id order, in one pass.
+    An embedder with a token pass and a rows pass (``token_ids`` and
+    ``sparse_rows``, as ``TfidfHashEmbedder`` has) takes the sparse path:
+    one call of each over those whole texts, ranked by
+    ``retrieval.search_rows``. Any other (``ProjectedEmbedder``,
+    ``RemoteEmbedder``) takes the dense path: one ``embed_texts`` call, a
+    ``VectorIndex`` and ``retrieval.search``. The records, the search and
+    the cascade's batch follow the order of ``queries`` as given. A query
+    that is in the database ranks and pairs with the rest of it, so its
+    ``db_size`` is one less, for every method; one-vs-all partitions are
+    disjoint, and all-vs-all is the case where every query is.
 
     A record's candidates are its query's ranking with the verdicts
     attached: from ``search``, or, for classification alone, its pairs
@@ -163,7 +169,7 @@ def run_partition(
     query. No built-in scorer's score for a
     pair depends on its batch, so this equals one batch per query. A pair
     scorer's featurizer reads its own tokens and builds its own sparse
-    rows; the dense vectors of the embed phase serve search only.
+    rows; the rows or vectors of the embed phase serve search only.
     Classification alone keeps one batch per query: its partition holds
     n*m pairs.
     """
@@ -190,19 +196,28 @@ def run_partition(
                 scored = ((d.bug_id, p, kept) for d, (p, kept) in zip(others, verdicts))
                 rankings.append(tuple(sorted(scored, key=lambda t: (-t[1], t[0]))))
     else:
+        sparse = has_sparse_rows(embedder)
         with ledger.phase("embed"):
-            # The database is already in id order, so its vectors are the
+            # The database is already in id order, so its rows are the
             # index's rows as they come.
             extra = sorted({q.bug_id: q for q in queries if q.bug_id not in db_by_id}.items())
             ordered = database + [q for _, q in extra]
-            vectors = embedder.embed_texts([r.clean_text for r in ordered])
+            texts = [r.clean_text for r in ordered]
+            if sparse:
+                rows = embedder.sparse_rows(*embedder.token_ids(texts))
+            else:
+                vectors = embedder.embed_texts(texts)
+                index = VectorIndex.from_vectors(db_ids, vectors[: len(database)])
             ledger.count_embeds(len(ordered))
-            index = VectorIndex.from_vectors(db_ids, vectors[: len(database)])
 
         with ledger.phase("search"):
             query_ids = [q.bug_id for q in queries]
             row_of = {r.bug_id: i for i, r in enumerate(ordered)}
-            found = search(index, vectors[[row_of[b] for b in query_ids]], k, query_ids)
+            at = [row_of[b] for b in query_ids]
+            if sparse:
+                found = search_rows(rows, db_ids, at, k, query_ids)
+            else:
+                found = search(index, vectors[at], k, query_ids)
             # A query ranks the whole database, less itself.
             ledger.count_similarity(sum(len(database) - (b in db_by_id) for b in query_ids))
 

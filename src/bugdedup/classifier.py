@@ -34,7 +34,7 @@ import numpy as np
 
 from .corpus import BugReport
 from .dup_graph import ClusterSet
-from .embedder import ZERO_NORM, TrainingError, _csr_row_norms
+from .embedder import ZERO_NORM, TrainingError, _csr_row_norms, has_sparse_rows
 from .metrics import ConfusionMatrix, classification_metrics
 from .seeding import substream_rng
 
@@ -169,7 +169,7 @@ class PairFeaturizer:
     """
 
     def __init__(self, embedder):
-        if not all(callable(getattr(embedder, name, None)) for name in ("token_ids", "sparse_rows")):
+        if not has_sparse_rows(embedder):
             raise TypeError(
                 f"PairFeaturizer needs an embedder with token_ids and sparse_rows methods; "
                 f"{type(embedder).__name__} lacks them"
@@ -257,6 +257,8 @@ class ClassifierTrainConfig:
         for name, low in {"epochs": 0, "batch_size": 1}.items():
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not 0.0 < self.threshold_step < 1.0:
             raise ValueError(f"threshold_step must lie in (0,1), got {self.threshold_step}")
 

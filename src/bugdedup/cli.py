@@ -254,7 +254,8 @@ def cmd_split(args) -> int:
 
 def cmd_train_projection(args) -> int:
     with _flags_for_fields(
-        epochs="--epochs", batch_size="--batch-size", dim_out="--dim-out", margin="--margin"
+        learning_rate="--lr", epochs="--epochs", batch_size="--batch-size", dim_out="--dim-out",
+        margin="--margin",
     ):
         cfg = embedder_mod.TrainConfig(
             learning_rate=args.lr,
@@ -291,7 +292,8 @@ def cmd_train_projection(args) -> int:
 
 def cmd_train_classifier(args) -> int:
     with _flags_for_fields(
-        epochs="--epochs", batch_size="--batch-size", threshold_step="--threshold-step"
+        learning_rate="--lr", epochs="--epochs", batch_size="--batch-size",
+        threshold_step="--threshold-step",
     ):
         cfg = classifier_mod.ClassifierTrainConfig(
             learning_rate=args.lr,

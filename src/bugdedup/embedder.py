@@ -73,6 +73,12 @@ def _csr_row_norms(indptr: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.sqrt(np.bincount(np.repeat(np.arange(n), np.diff(indptr)), weights * weights, n))
 
 
+def has_sparse_rows(embedder) -> bool:
+    """Whether ``embedder`` has a token pass (``token_ids``) and a rows pass
+    (``sparse_rows``), as ``TfidfHashEmbedder`` has."""
+    return all(callable(getattr(embedder, name, None)) for name in ("token_ids", "sparse_rows"))
+
+
 def l2_normalize_rows(matrix: np.ndarray) -> np.ndarray:
     """Row-normalize; all-zero rows are left as zeros."""
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
@@ -246,8 +252,9 @@ class TrainConfig:
         for name, low in {"epochs": 0, "batch_size": 1, "dim_out": 1}.items():
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if not 0.0 < self.margin < math.inf:
-            raise ValueError(f"margin must be positive and finite, got {self.margin}")
+        for name in ("learning_rate", "margin"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True, eq=False)

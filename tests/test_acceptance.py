@@ -567,3 +567,35 @@ def test_9_identical_pipeline_runs_are_byte_identical(tmp_path, monkeypatch):
     scenario_b = json.loads((tmp_path / "b" / "scenario.json").read_text())
     assert canonical_scenario_bytes(scenario_a) == canonical_scenario_bytes(scenario_b)
     print("[9] both pipeline runs produced identical artifacts")
+
+
+def test_10_similarity_cascade_probability_is_the_retrieval_score_mapped():
+    """With ``SimilarityClassifier``, every cascade candidate's probability
+    is ``(score + 1) / 2`` of its retrieval score, bit for bit: TF-IDF
+    retrieval and the pair featurizer define a whole-text cosine alike."""
+    pairs = 0
+    for seed in (1, 2, 3):
+        corpus, clusters, manifest = planted_pipeline(
+            n_clusters=80, corpus_seed=40 + seed, split_seed=seed, ratios=(0.5, 0.1, 0.4)
+        )
+        base = fit_train_embedder(corpus, clusters, manifest, dim=1024)
+        scorer = SimilarityClassifier(PairFeaturizer(base), similarity_threshold=0.3)
+        probabilities = []
+
+        class Recording:
+            threshold = scorer.threshold
+
+            def classify_batch(self, batch):
+                probs = scorer.classify_batch(batch)
+                probabilities.extend(probs.tolist())
+                return probs
+
+        for mode, runner in (("one_vs_all", run_one_vs_all), ("all_vs_all", run_all_vs_all)):
+            probabilities.clear()
+            config = ScenarioConfig(mode=mode, method="cascade", k=15, seed=seed)
+            result = runner(config, manifest, clusters, corpus, base, Recording())
+            scores = [s for r in result.records for _, s, _ in r.candidates]
+            assert len(scores) == len(probabilities) > 0 and np.isfinite(scores).all()
+            assert [((s + 1.0) / 2.0).hex() for s in scores] == [p.hex() for p in probabilities]
+            pairs += len(scores)
+    print(f"[10] {pairs} cascade pairs scored (score + 1) / 2 of their retrieval score")

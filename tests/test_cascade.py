@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bugdedup import cascade as cascade_module
 from bugdedup.cascade import (
     METHODS,
     ScenarioConfig,
@@ -33,9 +34,16 @@ from bugdedup.classifier import (
     PairFeaturizer,
     SimilarityClassifier,
 )
-from bugdedup.embedder import TfidfHashEmbedder
+from bugdedup.embedder import (
+    ProjectedEmbedder,
+    ProjectionModel,
+    TfidfHashEmbedder,
+    TrainConfig,
+    initial_weights,
+)
 from bugdedup.ledger import CostLedger
 from bugdedup.remote import RemoteClassifier, RemoteConfig
+from bugdedup.retrieval import search
 from bugdedup.synth import SynthConfig, synth_corpus
 
 from helpers import (
@@ -492,9 +500,10 @@ def _embedded_by_featurizer(records, reports):
 
 @pytest.mark.parametrize("shared", [True, False])
 def test_runner_hands_its_text_vectors_to_the_same_embedder(setup, shared):
-    """The runner and the featurizer each embed with their own embedder, even
-    when it is the same object: the runner's dense whole-text vectors are
-    never handed on, and the featurizer embeds its sparse rows itself."""
+    """With a TF-IDF embedder the runner reads each whole text once, in one
+    token pass and one rows pass, and never embeds densely. The featurizer
+    makes its own token pass, even when the embedder is the same object:
+    the runner's rows serve search only."""
     _, clusters, _, embedder, _, _ = setup
     queries, database = _mode_partition(setup, "one_vs_all")
     runner_side = CountingEmbedder(embedder)
@@ -506,20 +515,45 @@ def test_runner_hands_its_text_vectors_to_the_same_embedder(setup, shared):
     extra = [q for q in queries if q.bug_id not in in_db]
     embed_order = sorted(database, key=lambda r: r.bug_id) + sorted(extra, key=lambda r: r.bug_id)
     paired = _embedded_by_featurizer(records, embed_order)
-    # The runner embeds each whole text once, densely, for search: the
-    # database in id order, then the other queries in id order. The
-    # featurizer reads each paired report's title and description once, in
-    # one token pass, and builds its sparse rows from them.
-    assert extra and runner_side.calls == [[r.clean_text for r in embed_order]]
+    # The runner's token pass: the database in id order, then the other
+    # queries in id order. The featurizer's: each paired report's title and
+    # description, in the order it first sees the report.
+    whole = [r.clean_text for r in embed_order]
     fields = [text for r in paired for text in (r.clean_title, r.clean_description)]
-    assert featurizer_side.token_calls == [fields]
-    if not shared:
-        assert featurizer_side.calls == [] and runner_side.token_calls == []
+    assert extra and runner_side.calls == featurizer_side.calls == []
+    if shared:
+        assert runner_side.token_calls == [whole, fields] and runner_side.rows_calls == 3
+    else:
+        assert runner_side.token_calls == [whole] and runner_side.rows_calls == 1
+        assert featurizer_side.token_calls == [fields] and featurizer_side.rows_calls == 2
     want, _ = reference_cascade(
         queries, database, clusters, embedder,
         LogisticClassifier(model, PairFeaturizer(embedder)), k=6,
     )
     assert records == want
+
+
+@pytest.mark.parametrize("mode", ["one_vs_all", "all_vs_all"])
+def test_an_embedder_without_a_token_pass_reaches_dense_search(setup, monkeypatch, mode):
+    """A ``ProjectedEmbedder`` has no ``token_ids``, so the runner embeds
+    densely and ranks with ``search``: one call, whose rankings are the
+    records'."""
+    _, clusters, _, embedder, _, _ = setup
+    weights = initial_weights(embedder.dim, 16, seed=4)
+    projected = ProjectedEmbedder(embedder, ProjectionModel(weights, 0.2, TrainConfig(dim_out=16)))
+    queries, database = _mode_partition(setup, mode)
+    found = []
+
+    def recording(*args):
+        found.append(search(*args))
+        return found[-1]
+
+    monkeypatch.setattr(cascade_module, "search", recording)
+    monkeypatch.setattr(cascade_module, "search_rows", None)  # the sparse path would fail
+    records, ledger = run_partition(queries, database, clusters, projected, None, "retrieval_only", 5)
+    assert len(found) == 1
+    assert [tuple((b, s) for b, s, _ in r.candidates) for r in records] == found[0]
+    assert ledger.embed_calls == len({r.bug_id for r in [*queries, *database]})
 
 
 @pytest.mark.parametrize("name", ["logistic", "similarity"])

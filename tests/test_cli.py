@@ -452,7 +452,9 @@ def test_synth_flag_outside_its_range_exits_2(tmp_path, capsys, flag, value):
      ("train-projection", "--margin", "-1"), ("train-projection", "--margin", "0"),
      ("train-projection", "--margin", "nan"),
      ("run-cascade", "--query-fraction", "1.5"), ("run-cascade", "--query-fraction", "0"),
-     ("run-cascade", "--query-fraction", "0.001")],
+     ("run-cascade", "--query-fraction", "0.001"),
+     *((command, "--lr", value) for command in ("train-projection", "train-classifier")
+       for value in ("-1", "0", "nan"))],
 )
 def test_config_flag_outside_its_range_exits_2(workdir, tmp_path, capsys, command, flag, value):
     argv = [command, *_pipeline_flags(workdir), "--seed", "1"]

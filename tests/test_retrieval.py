@@ -16,10 +16,11 @@ from bugdedup import retrieval
 from bugdedup.cascade import run_partition
 from bugdedup.corpus import BugReport
 from bugdedup.dup_graph import ClusterSet
+from bugdedup.embedder import TfidfHashEmbedder
 from bugdedup.metrics import aggregate_curves
 from bugdedup.retrieval import VectorIndex, search
 
-from helpers import outcome, reference_search
+from helpers import fit_train_embedder, outcome, planted_pipeline, reference_search
 
 _ZERO_NORM = 1e-12
 
@@ -422,6 +423,161 @@ def test_search_edge_inputs():
         search(index, np.zeros(2), 1, ["x"])
     with pytest.raises(ValueError, match="2 query vectors but 1 names"):
         search(index, np.zeros((2, 2)), 1, ["a"])
+
+
+# ------------------------------------------------------------ sparse rows
+
+
+_WORDS = [f"w{i}" for i in range(12)]
+
+
+def _sparse_case(db_texts, outside_texts, dim):
+    """Database and outside texts embedded as one CSR, as the runner embeds
+    them: database ids ascending, then the outside rows."""
+    embedder = TfidfHashEmbedder.fit(db_texts + outside_texts + ["w0 w1", "w2"], dim=dim)
+    rows = embedder.sparse_rows(*embedder.token_ids(db_texts + outside_texts))
+    return rows, [f"b{i:03d}" for i in range(len(db_texts))]
+
+
+def _reference_search_rows(rows, ids, query_rows, k, queries):
+    """Each pair's dot summed from 0.0 over its shared buckets in ascending
+    order, over the product of the two norms (each a sum from 0.0 of its
+    squared weights in row order); -inf for a norm below 1e-12 and for the
+    query's own row; ranked by (-score, id)."""
+    indptr, buckets, weights = (a.tolist() for a in rows)
+
+    def row(i):
+        return dict(zip(buckets[indptr[i] : indptr[i + 1]], weights[indptr[i] : indptr[i + 1]]))
+
+    def norm(r):
+        total = 0.0
+        for w in r.values():
+            total += w * w
+        return math.sqrt(total)
+
+    out = []
+    for q, name in zip(query_rows, queries):
+        qr = row(q)
+        pool = []
+        for j, bug_id in enumerate(ids):
+            if bug_id == name:
+                continue
+            dr = row(j)
+            dot = 0.0
+            for b in sorted(qr.keys() & dr.keys()):
+                dot += qr[b] * dr[b]
+            qn, dn = norm(qr), norm(dr)
+            pool.append((bug_id, -math.inf if qn < _ZERO_NORM or dn < _ZERO_NORM else dot / (qn * dn)))
+        pool.sort(key=lambda c: (-c[1], c[0]))
+        out.append(tuple(pool[:k]))
+    return out
+
+
+_texts = st.lists(st.sampled_from(_WORDS + [""]), max_size=6).map(" ".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    db_texts=st.lists(_texts, min_size=1, max_size=12),
+    outside=st.lists(_texts, max_size=4),
+    dim=st.sampled_from([4, 16, 1024]),
+    data=st.data(),
+)
+def test_search_rows_equals_the_per_pair_reference_bit_for_bit(db_texts, outside, dim, data):
+    # Empty texts are zero rows, copied texts tie exactly, and a small dim
+    # makes tokens share buckets.
+    if len(db_texts) > 1:
+        db_texts[-1] = db_texts[0]
+    rows, ids = _sparse_case(db_texts, outside, dim)
+    m = len(ids)
+    inside = data.draw(st.lists(st.integers(0, m - 1), max_size=6), label="database queries")
+    query_rows = inside + list(range(m, m + len(outside)))
+    queries = [ids[i] for i in inside] + [f"q{i}" for i in range(len(outside))]
+    k = data.draw(st.integers(1, m + 2), label="k")
+    want = _reference_search_rows(rows, ids, query_rows, k, queries)
+    got = retrieval.search_rows(rows, ids, query_rows, k, queries)
+    assert _bits(got) == _bits(want)
+    # Neither the chunk bound nor the other queries of the call move a bit.
+    bound = data.draw(st.sampled_from([1, 5, 40]), label="chunk bound")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(retrieval, "_SPARSE_CHUNK", bound)
+        assert _bits(retrieval.search_rows(rows, ids, query_rows, k, queries)) == _bits(want)
+    for i in range(len(query_rows)):
+        alone = retrieval.search_rows(rows, ids, query_rows[i : i + 1], k, queries[i : i + 1])
+        assert _bits(alone) == _bits(want[i : i + 1])
+
+
+def test_search_rows_zero_rows_rank_last_by_id():
+    rows, ids = _sparse_case(["w1 w2", "", "w1", "", "w3"], ["w1", ""], dim=64)
+    got = retrieval.search_rows(rows, ids, [5, 6, 0], 5, ["q", "z", "b000"])
+    assert _ids(got[0])[:2] == ("b002", "b000") and _ids(got[0])[2:] == ("b004", "b001", "b003")
+    assert [s for _, s in got[0][3:]] == [-math.inf, -math.inf]
+    # A zero query ranks every row at -inf, by id; its own row never places.
+    assert got[1] == tuple((b, -math.inf) for b in ids)
+    assert _ids(got[2]) == ("b002", "b004", "b001", "b003")
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("k", [1, 20, 500])
+def test_search_rows_equals_the_dense_full_sort_oracle(seed, k):
+    # The benchmark's oracle: a full sort of dense cosines, exact or rounded
+    # to 1e-12, ties by id.
+    corpus, clusters, manifest = planted_pipeline(n_clusters=80, corpus_seed=seed)
+    reports = sorted(corpus.reports, key=lambda r: r.bug_id)
+    database, outside = reports[:150], reports[150:180]
+    embedder = fit_train_embedder(corpus, clusters, manifest, dim=1024)
+    texts = [r.clean_text for r in database + outside]
+    rows = embedder.sparse_rows(*embedder.token_ids(texts))
+    ids = [r.bug_id for r in database]
+    query_rows = list(range(0, len(texts), 3))
+    queries = [(ids + [r.bug_id for r in outside])[i] for i in query_rows]
+    got = retrieval.search_rows(rows, ids, query_rows, k, queries)
+    vectors = embedder.embed_texts(texts)
+    db_norms = np.linalg.norm(vectors[: len(ids)], axis=1)
+    for q, name, ranked in zip(query_rows, queries, got):
+        denom = db_norms * np.linalg.norm(vectors[q])
+        scores = np.where(denom > _ZERO_NORM, (vectors[: len(ids)] @ vectors[q]) / denom, -np.inf)
+        oracles = [
+            tuple(ids[j] for j in np.lexsort((np.arange(len(ids)), -s)) if ids[j] != name)
+            for s in (scores, np.round(scores, 12))
+        ]
+        assert len(ranked) == min(k, len(oracles[0]))
+        assert _ids(ranked) in [o[: len(ranked)] for o in oracles], name
+
+
+def test_search_rows_memory_stays_near_its_chunk_bound_when_k_covers_the_database(monkeypatch):
+    # With k >= m every score of a chunk is ranked. A chunk holds at most
+    # _SPARSE_CHUNK scores and as many products, each taking a few 8-byte
+    # array elements until its chunk is ranked; the arrays of one entry per
+    # query token are small beside them. So the transient peak is a small
+    # multiple of the bound, for one chunk or for several.
+    bound = 1 << 16
+    monkeypatch.setattr(retrieval, "_SPARSE_CHUNK", bound)
+    corpus, clusters, manifest = planted_pipeline(n_clusters=240, corpus_seed=5)
+    embedder = fit_train_embedder(corpus, clusters, manifest, dim=1024)
+    reports = sorted(corpus.reports, key=lambda r: r.bug_id)
+    rows = embedder.sparse_rows(*embedder.token_ids([r.clean_text for r in reports]))
+    m = 200
+    ids = [r.bug_id for r in reports[:m]]
+    for n in (bound // m, len(reports)):
+        names = [r.bug_id for r in reports[:n]]
+        peak = _transient_bytes(lambda: retrieval.search_rows(rows, ids, range(n), m + 5, names))
+        assert peak <= 8 * 8 * bound, (n, peak / (8 * bound))
+
+
+def test_search_rows_edge_inputs():
+    rows, ids = _sparse_case(["w1", "w2"], ["w1"], dim=16)
+    assert retrieval.search_rows(rows, ids, [], 3, []) == []
+    with pytest.raises(ValueError, match="k must be"):
+        retrieval.search_rows(rows, ids, [2], 0, ["q"])
+    with pytest.raises(ValueError, match="empty index"):
+        retrieval.search_rows(rows, [], [2], 1, ["q"])
+    with pytest.raises(ValueError, match="distinct and ascending"):
+        retrieval.search_rows(rows, ["b", "a"], [2], 1, ["q"])
+    with pytest.raises(ValueError, match="1 query rows but 2 names"):
+        retrieval.search_rows(rows, ids, [2], 1, ["q", "r"])
+    with pytest.raises(ValueError, match="too few"):
+        retrieval.search_rows(rows, ids, [3], 1, ["q"])
 
 
 def _at_k(ranked, relevant, k_list, db_size=50):

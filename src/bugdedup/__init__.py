@@ -34,7 +34,7 @@ from .embedder import (
 from .ledger import CostLedger
 from .metrics import ConfusionMatrix, MetricRow, aggregate_curves, classification_metrics
 from .retrieval import VectorIndex, search, search_rows
-from .splitter import SplitManifest, build_manifest, count_dup_pairs, split_clusters
+from .splitter import SplitManifest, build_manifest, split_clusters
 from .synth import SynthConfig, synth_corpus
 
 __version__ = "0.1.0"
@@ -67,7 +67,6 @@ __all__ = [
     "classification_metrics",
     "clean",
     "corpus_stats",
-    "count_dup_pairs",
     "ingest",
     "predict_cost",
     "predict_cost_all_vs_all",

@@ -19,7 +19,6 @@ n*k pairs to the classifier as one batch per partition.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -31,7 +30,7 @@ from .corpus import BugReport, Corpus
 from .dup_graph import ClusterSet
 from .embedder import has_sparse_rows
 from .ledger import CostLedger
-from .metrics import MetricRow, QueryOutcome, aggregate_curves, exhaustive_row, report_row
+from .metrics import MetricRow, Outcomes, QueryOutcome, aggregate_curves, exhaustive_row, report_row
 from .retrieval import VectorIndex, search, search_rows
 from .seeding import substream_rng
 from .splitter import SplitManifest
@@ -120,10 +119,56 @@ def predict_cost_all_vs_all(
     return cost
 
 
+@dataclass(frozen=True, eq=False)
+class PartitionOutcome(Outcomes):
+    """A partition's run as arrays: ``metrics.Outcomes`` with what a record
+    of a query also holds.
+
+    Candidate j of query i (``ptr[i] <= j < ptr[i + 1]``) is database row
+    ``rows[j]``, the bug ``db_ids[rows[j]]``, with its ``scores[j]``: the
+    retrieval score, or, for classification alone, the probability.
+    ``labels`` holds each database row's cluster id and ``query_labels``
+    each query's, -1 for a bug in no cluster. ``records`` builds the
+    ``QueryOutcome``s on each access; the arrays are all that is kept.
+    """
+
+    scores: np.ndarray
+    queries: tuple[str, ...]
+    db_ids: tuple[str, ...]
+    labels: np.ndarray
+    query_labels: np.ndarray
+
+    @property
+    def records(self) -> list[QueryOutcome]:
+        """One ``QueryOutcome`` per query, in query order, built on each access."""
+        return [
+            QueryOutcome(query, tuple(candidates), relevant, db_size)
+            for query, candidates, relevant, db_size in self._per_query()
+        ]
+
+    def _per_query(self):
+        """Each query's id, its ``(bug_id, score, kept)`` candidates as an
+        iterator, its relevant ids and its db_size, from the arrays."""
+        ids = self.db_ids
+        bugs = [ids[r] for r in self.rows.tolist()]
+        scores, kept, ptr = self.scores.tolist(), self.kept.tolist(), self.ptr.tolist()
+        # Database rows grouped by cluster, ascending row (so id) within one.
+        grouped = np.argsort(self.labels, kind="stable")
+        bounds = self.labels[grouped].searchsorted([self.query_labels, self.query_labels + 1])
+        grouped = grouped.tolist()
+        for i, (query, label, lo, hi, db_size) in enumerate(
+            zip(self.queries, self.query_labels.tolist(), *bounds.tolist(), self.db_size.tolist())
+        ):
+            a, b = ptr[i], ptr[i + 1]
+            peers = [ids[r] for r in grouped[lo:hi]] if label >= 0 else []
+            relevant = tuple(p for p in peers if p != query)
+            yield query, zip(bugs[a:b], scores[a:b], kept[a:b]), relevant, db_size
+
+
 @dataclass
 class ScenarioResult:
     config: ScenarioConfig
-    records: list[QueryOutcome]
+    outcome: PartitionOutcome
     metric_rows: list[MetricRow]
     ledger: dict
     timing_ms: dict[str, float]
@@ -131,6 +176,11 @@ class ScenarioResult:
     db_size: int
     queries_without_peers: int
     avg_query_ms: float = 0.0
+
+    @property
+    def records(self) -> list[QueryOutcome]:
+        """The run's ``QueryOutcome``s, built on each access."""
+        return self.outcome.records
 
 
 def run_partition(
@@ -142,7 +192,7 @@ def run_partition(
     method: str,
     k: int,
     dedup_pairs: bool = False,
-) -> tuple[list[QueryOutcome], CostLedger]:
+) -> tuple[PartitionOutcome, CostLedger]:
     """Run one method over an explicit query/database partition.
 
     This is the engine under both scenarios and the one place that counts
@@ -155,93 +205,113 @@ def run_partition(
     one call of each over those whole texts, ranked by
     ``retrieval.search_rows``. Any other (``ProjectedEmbedder``,
     ``RemoteEmbedder``) takes the dense path: one ``embed_texts`` call, a
-    ``VectorIndex`` and ``retrieval.search``. The records, the search and
+    ``VectorIndex`` and ``retrieval.search``. The outcome, the search and
     the cascade's batch follow the order of ``queries`` as given. A query
     that is in the database ranks and pairs with the rest of it, so its
     ``db_size`` is one less, for every method; one-vs-all partitions are
     disjoint, and all-vs-all is the case where every query is.
 
-    A record's candidates are its query's ranking with the verdicts
-    attached: from ``search``, or, for classification alone, its pairs
-    sorted by falling probability and then id. The cascade scores all n*k
-    candidate pairs of the partition in one ``classify_pairs`` batch, in
-    query order and then rank order, and splits the verdicts back per
-    query. No built-in scorer's score for a
-    pair depends on its batch, so this equals one batch per query. A pair
-    scorer's featurizer reads its own tokens and builds its own sparse
-    rows; the rows or vectors of the embed phase serve search only.
-    Classification alone keeps one batch per query: its partition holds
-    n*m pairs.
+    The outcome holds every query's ranking as arrays, from search to the
+    metric rows: its database rows and scores, the verdicts as ``kept``
+    (all True for retrieval alone), and a relevance flag per candidate,
+    taken once from the cluster ids. For classification alone a ranking is
+    the query's pairs ordered by falling probability and then row (id).
+    The cascade scores all n*k candidate pairs of the partition in one
+    ``classify_pairs`` batch, in query order and then rank order. No
+    built-in scorer's score for a pair depends on its batch, so this
+    equals one batch per query. A pair scorer's featurizer reads its own
+    tokens and builds its own sparse rows; the rows or vectors of the
+    embed phase serve search only. Classification alone keeps one batch
+    per query: its partition holds n*m pairs.
     """
     if method not in METHODS:
         raise ScenarioError(f"unknown method {method!r}")
     if not queries or not database:
         raise ScenarioError("query set and database must both be nonempty")
     database = sorted(database, key=lambda r: r.bug_id)
-    db_ids = [r.bug_id for r in database]
-    if len(set(db_ids)) != len(db_ids):
+    db_ids = tuple(r.bug_id for r in database)
+    db_row = {b: i for i, b in enumerate(db_ids)}
+    if len(db_row) != len(db_ids):
         raise ScenarioError("duplicate bug ids in database")
-    db_by_id = {r.bug_id: r for r in database}
+    query_ids = tuple(q.bug_id for q in queries)
+    # Each query's own database row, or -1.
+    own = np.array([db_row.get(b, -1) for b in query_ids])
+    m = len(database)
     ledger = CostLedger()
     pair_cache = {} if dedup_pairs else None
 
     if method == "classification_only":
-        rankings = []
+        parts = []
         with ledger.phase("classify"):
-            for q in queries:
-                others = [d for d in database if d.bug_id != q.bug_id]
-                verdicts = classify_pairs(
-                    pair_classifier, [(q, d) for d in others], ledger, pair_cache
-                )
-                scored = ((d.bug_id, p, kept) for d, (p, kept) in zip(others, verdicts))
-                rankings.append(tuple(sorted(scored, key=lambda t: (-t[1], t[0]))))
+            for q, skip in zip(queries, own.tolist()):
+                others = np.flatnonzero(np.arange(m) != skip)
+                pairs = [(q, database[r]) for r in others.tolist()]
+                probs, dup = _classify(pair_classifier, pairs, ledger, pair_cache)
+                order = np.argsort(-probs, kind="stable")
+                parts.append((others[order], probs[order], dup[order]))
+        rows, scores, kept = (np.concatenate(column) for column in zip(*parts))
+        ptr = np.cumsum([0] + [len(r) for r, _, _ in parts])
     else:
         sparse = has_sparse_rows(embedder)
         with ledger.phase("embed"):
             # The database is already in id order, so its rows are the
             # index's rows as they come.
-            extra = sorted({q.bug_id: q for q in queries if q.bug_id not in db_by_id}.items())
+            extra = sorted({q.bug_id: q for q in queries if q.bug_id not in db_row}.items())
             ordered = database + [q for _, q in extra]
             texts = [r.clean_text for r in ordered]
             if sparse:
-                rows = embedder.sparse_rows(*embedder.token_ids(texts))
+                embedded = embedder.sparse_rows(*embedder.token_ids(texts))
             else:
                 vectors = embedder.embed_texts(texts)
-                index = VectorIndex.from_vectors(db_ids, vectors[: len(database)])
+                index = VectorIndex.from_vectors(db_ids, vectors[:m])
             ledger.count_embeds(len(ordered))
 
         with ledger.phase("search"):
-            query_ids = [q.bug_id for q in queries]
             row_of = {r.bug_id: i for i, r in enumerate(ordered)}
             at = [row_of[b] for b in query_ids]
             if sparse:
-                found = search_rows(rows, db_ids, at, k, query_ids)
+                ptr, rows, scores = search_rows(embedded, db_ids, at, k, query_ids)
             else:
-                found = search(index, vectors[at], k, query_ids)
+                ptr, rows, scores = search(index, vectors[at], k, query_ids)
             # A query ranks the whole database, less itself.
-            ledger.count_similarity(sum(len(database) - (b in db_by_id) for b in query_ids))
+            ledger.count_similarity(int(m * len(queries) - (own >= 0).sum()))
 
         if method == "retrieval_only":
-            verdicts = itertools.repeat((None, True))
+            kept = np.ones(len(rows), dtype=bool)
         else:
             with ledger.phase("classify"):
-                pairs = [(q, db_by_id[b]) for q, ranked in zip(queries, found) for b, _ in ranked]
-                verdicts = iter(classify_pairs(pair_classifier, pairs, ledger, pair_cache))
-        rankings = [tuple((b, s, next(verdicts)[1]) for b, s in ranked) for ranked in found]
+                who = np.repeat(np.arange(len(queries)), np.diff(ptr)).tolist()
+                pairs = [(queries[i], database[r]) for i, r in zip(who, rows.tolist())]
+                _, kept = _classify(pair_classifier, pairs, ledger, pair_cache)
 
-    members_of = {m: c.members for c in cluster_set.clusters for m in c.members}
-    records = [
-        QueryOutcome(
-            query=q.bug_id,
-            candidates=candidates,
-            relevant=tuple(
-                sorted(p for p in members_of.get(q.bug_id, ()) if p != q.bug_id and p in db_by_id)
-            ),
-            db_size=len(database) - (q.bug_id in db_by_id),
-        )
-        for q, candidates in zip(queries, rankings)
-    ]
-    return records, ledger
+    # A candidate is relevant when it is in its query's cluster. A query's
+    # relevant count is its cluster's database members (``sizes``, shifted
+    # one place for -1), less itself when it is one.
+    labels = _labels(cluster_set, db_ids)
+    query_labels = _labels(cluster_set, query_ids)
+    ranked_labels = np.repeat(query_labels, np.diff(ptr))
+    sizes = np.bincount(labels + 1, minlength=max(labels.max(initial=-1), query_labels.max()) + 2)
+    outcome = PartitionOutcome(
+        ptr=ptr,
+        rows=rows,
+        kept=kept,
+        relevant=(labels[rows] == ranked_labels) & (ranked_labels >= 0),
+        n_relevant=np.where(query_labels >= 0, sizes[query_labels + 1] - (own >= 0), 0),
+        db_size=m - (own >= 0),
+        scores=scores,
+        queries=query_ids,
+        db_ids=db_ids,
+        labels=labels,
+        query_labels=query_labels,
+    )
+    return outcome, ledger
+
+
+def _labels(cluster_set: ClusterSet, bug_ids: Sequence[str]) -> np.ndarray:
+    """The cluster id of each bug, -1 for one in no cluster."""
+    return np.array(
+        [-1 if c is None else c for c in map(cluster_set.cluster_of, bug_ids)], dtype=np.int64
+    )
 
 
 def classify_pairs(
@@ -259,6 +329,12 @@ def classify_pairs(
     ``ScenarioError`` before any pair is counted. With a ``pair_cache``, an
     unordered pair already in it is neither scored nor counted again.
     """
+    probs, dup = _classify(pair_classifier, pairs, ledger, pair_cache)
+    return list(zip(probs.tolist(), dup.tolist()))
+
+
+def _classify(pair_classifier, pairs, ledger, pair_cache) -> tuple[np.ndarray, np.ndarray]:
+    """``classify_pairs`` as two arrays: the probabilities and the verdicts."""
     if pair_cache is None:
         fresh = pairs
     else:
@@ -276,11 +352,12 @@ def classify_pairs(
         a, b = fresh[bad[0]]
         raise ScenarioError(f"pair classifier returned {probs[bad[0]]} for {a.bug_id}, {b.bug_id}")
     ledger.count_classifications(len(fresh))
-    verdicts = list(zip(probs.tolist(), (probs >= pair_classifier.threshold).tolist()))
+    dup = probs >= pair_classifier.threshold
     if pair_cache is None:
-        return verdicts
-    pair_cache.update(zip(missing, verdicts))
-    return [pair_cache[key] for key in keys]
+        return probs, dup
+    pair_cache.update(zip(missing, zip(probs.tolist(), dup.tolist())))
+    cached = np.array([pair_cache[key] for key in keys], dtype=np.float64).reshape(-1, 2)
+    return cached[:, 0], cached[:, 1] == 1.0
 
 
 def _scenario_pool(
@@ -352,7 +429,7 @@ def _run_scenario(
     embedder,
     pair_classifier,
 ) -> ScenarioResult:
-    records, ledger = run_partition(
+    outcome, ledger = run_partition(
         queries,
         database,
         cluster_set,
@@ -363,20 +440,20 @@ def _run_scenario(
         dedup_pairs=config.dedup_pairs,
     )
     if config.method == "classification_only":
-        rows = [exhaustive_row(records, config.k)]
+        rows = [exhaustive_row(outcome, config.k)]
     else:
-        rows = aggregate_curves(records, list(range(1, config.k + 1)))
+        rows = aggregate_curves(outcome, list(range(1, config.k + 1)))
     snapshot = ledger.snapshot()
     total_ms = sum(snapshot["wall_clock_ms"].values())
     return ScenarioResult(
         config=config,
-        records=records,
+        outcome=outcome,
         metric_rows=rows,
         ledger=snapshot,
         timing_ms={**snapshot["wall_clock_ms"], "total": total_ms},
         n_queries=len(queries),
         db_size=len(database),
-        queries_without_peers=sum(1 for r in records if not r.relevant),
+        queries_without_peers=int((outcome.n_relevant == 0).sum()),
         avg_query_ms=total_ms / len(queries),
     )
 
@@ -398,12 +475,12 @@ def scenario_to_json(result: ScenarioResult) -> dict:
         "metrics": rows,
         "per_query": [
             {
-                "query": r.query,
-                "relevant": list(r.relevant),
-                "db_size": r.db_size,
-                "candidates": [[b, s, bool(kept)] for b, s, kept in r.candidates],
+                "query": query,
+                "relevant": list(relevant),
+                "db_size": db_size,
+                "candidates": list(map(list, candidates)),
             }
-            for r in result.records
+            for query, candidates, relevant, db_size in result.outcome._per_query()
         ],
     }
 

@@ -343,7 +343,7 @@ def cmd_eval_retrieval(args) -> int:
     with contextlib.ExitStack() as backends:
         emb = _make_embedder(args, corpus, clusters, manifest, backends)
         start = time.monotonic()
-        records, ledger = cascade_mod.run_partition(
+        outcome, ledger = cascade_mod.run_partition(
             queries,
             [corpus.by_id[b] for b in manifest.bugs_in(clusters, args.split)],
             clusters,
@@ -352,9 +352,9 @@ def cmd_eval_retrieval(args) -> int:
             "retrieval_only",
             max(k_list),
         )
-    rows = metrics_mod.aggregate_curves(records, k_list)
+    rows = metrics_mod.aggregate_curves(outcome, k_list)
     _write_eval_csv(args, f"retrieval_{args.embed_backend}", rows, start, ledger)
-    _emit({"out": args.out, "queries": len(records), "k_list": k_list})
+    _emit({"out": args.out, "queries": len(outcome), "k_list": k_list})
     return 0
 
 

@@ -8,9 +8,11 @@ decision as binary at cutoff k (retained implies positive) and emits
 both the micro (pooled confusion) and macro (per-query mean) views,
 since either aggregation is defensible for ranked retrieval.
 
-Every count comes from one walk of each ``QueryOutcome``'s ranking and
-running sums over it, read at each k or at the full ranking. Each macro
-mean is one left-to-right float sum, in query order.
+Curves read a partition's rankings as arrays (``Outcomes``): every count
+comes from two running sums over the rankings laid end to end, one of
+kept candidates and one of kept relevant ones, read at each k or at the
+full ranking. Each macro mean is one left-to-right float sum, in query
+order.
 """
 
 from __future__ import annotations
@@ -125,14 +127,13 @@ def classification_metrics(cm: ConfusionMatrix, k: int | None = None) -> MetricR
 
 @dataclass(frozen=True)
 class QueryOutcome:
-    """The scenario runner's record of one query: what it ranked and what was true.
+    """One query of a scenario run as Python values, built from its
+    ``Outcomes`` arrays for the callers that read a query at a time.
 
     ``candidates`` holds ``(bug_id, score, kept)`` in rank order; ``kept`` is
-    the classifier verdict (always True when no classifier ran). Truncating
-    them at a cutoff k reproduces the run the cascade would have made at
-    that smaller k, which is what lets one run at k_max yield the whole
-    curve. ``relevant`` holds the query's cluster peers in the database, in
-    id order; metrics only test membership in it and take its length.
+    the classifier verdict (always True when no classifier ran).
+    ``relevant`` holds the query's cluster peers in the database, in id
+    order.
     """
 
     query: str
@@ -141,7 +142,32 @@ class QueryOutcome:
     db_size: int
 
 
-def aggregate_curves(outcomes: Sequence[QueryOutcome], k_list: Sequence[int]) -> list[MetricRow]:
+@dataclass(frozen=True, eq=False)
+class Outcomes:
+    """A partition's rankings as arrays, query-major: what the curves read.
+
+    Query i's candidates are ``ptr[i]:ptr[i + 1]``, in rank order. Each is
+    a database row (``rows``), ``kept`` by the classifier (always True when
+    no classifier ran) and ``relevant`` or not to its query. A ranking's
+    rows are distinct. ``n_relevant[i]`` counts query i's relevant database
+    items, ranked or not, and ``db_size[i]`` the database items it was
+    compared with. Truncating a ranking at a cutoff k reproduces the run
+    the cascade would have made at that smaller k, which is what lets one
+    run at k_max yield the whole curve.
+    """
+
+    ptr: np.ndarray
+    rows: np.ndarray
+    kept: np.ndarray
+    relevant: np.ndarray
+    n_relevant: np.ndarray
+    db_size: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ptr) - 1
+
+
+def aggregate_curves(outcomes: Outcomes, k_list: Sequence[int]) -> list[MetricRow]:
     """One MetricRow per k: pooled-confusion metrics plus macro means.
 
     Macro recall averages tp/|relevant| over queries that have relevant
@@ -150,7 +176,7 @@ def aggregate_curves(outcomes: Sequence[QueryOutcome], k_list: Sequence[int]) ->
     the order of ``outcomes``, but each macro mean is a float sum taken in
     that order, so reordering the queries can change its last bits.
     """
-    if not outcomes:
+    if not len(outcomes):
         raise ValueError("cannot aggregate an empty result set")
     counts = _RunningCounts(outcomes)
     rows = []
@@ -160,7 +186,7 @@ def aggregate_curves(outcomes: Sequence[QueryOutcome], k_list: Sequence[int]) ->
     return rows
 
 
-def exhaustive_row(outcomes: Sequence[QueryOutcome], k: int) -> MetricRow:
+def exhaustive_row(outcomes: Outcomes, k: int) -> MetricRow:
     """Exhaustive classification ignores k: one row, every decision counted.
     Its macro precision averages tp/positives over all queries, 0.0 for a
     query that kept nothing."""
@@ -171,29 +197,26 @@ def exhaustive_row(outcomes: Sequence[QueryOutcome], k: int) -> MetricRow:
 
 
 class _RunningCounts:
-    """Each query's confusion counts at every cutoff. One walk of its
-    ranking marks each positive (a kept id not kept earlier in the ranking)
-    and each true positive (a relevant positive); running sums of the marks
-    over all the rankings laid end to end give the counts of any prefix."""
+    """Each query's confusion counts at every cutoff. A ranking's rows are
+    distinct, so each kept candidate is a positive and each kept relevant
+    one a true positive: running sums of the two flags over all the
+    rankings laid end to end give the counts of any prefix."""
 
-    def __init__(self, outcomes: Sequence[QueryOutcome]):
-        positive: list[bool] = []
-        true_positive: list[bool] = []
-        for outcome in outcomes:
-            kept: set[str] = set()
-            for candidate, _, keep in outcome.candidates:
-                new = keep and candidate not in kept
-                if new:
-                    kept.add(candidate)
-                positive.append(new)
-                true_positive.append(new and candidate in outcome.relevant)
-        self.lengths = np.array([len(o.candidates) for o in outcomes], dtype=np.int64)
-        self._starts = np.cumsum(self.lengths) - self.lengths
-        running = np.zeros((2, len(positive) + 1), dtype=np.int64)
-        np.cumsum([positive, true_positive], axis=1, out=running[:, 1:])
+    def __init__(self, outcomes: Outcomes):
+        self.lengths = np.diff(outcomes.ptr)
+        who = np.repeat(np.arange(len(self.lengths)), self.lengths)
+        width = int(outcomes.rows.max(initial=0)) + 1
+        cells = np.sort(who * width + outcomes.rows)
+        repeated = cells[1:][cells[1:] == cells[:-1]]
+        if len(repeated):
+            query, row = divmod(int(repeated[0]), width)
+            raise ValueError(f"the ranking of query {query} repeats row {row}")
+        self._starts = outcomes.ptr[:-1]
+        running = np.zeros((2, len(outcomes.kept) + 1), dtype=np.int64)
+        np.cumsum([outcomes.kept, outcomes.kept & outcomes.relevant], axis=1, out=running[:, 1:])
         self._running = running
-        self._relevant = np.array([len(o.relevant) for o in outcomes], dtype=np.int64)
-        self._db_size = np.array([o.db_size for o in outcomes], dtype=np.int64)
+        self._relevant = outcomes.n_relevant
+        self._db_size = outcomes.db_size
 
     def at(self, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, ConfusionMatrix, list]:
         """Each query's true positives and positives among its first

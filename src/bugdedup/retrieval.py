@@ -4,12 +4,15 @@
 by brute force, and ``search_rows`` a batch of sparse rows (see the last
 section): databases stay small enough (tens of thousands) that exactness
 is cheap, and exact results keep every retrieval metric oracle-checkable.
-Ranking is fully deterministic: ties break by ascending bug id, and
-candidates whose embedding is the zero vector (cosine undefined) sort
-below everything. A query is never its own candidate: a query whose
-name is an id of the index leaves that row out of its ranking. Search
-counts nothing: the scenario runner charges the similarity ops, and
-``metrics`` computes recall and precision at k from the rankings.
+Both return the rankings of the batch as arrays, one query-major CSR
+``(ptr, rows, scores)`` whose rows index the database in ascending-id
+order; no per-candidate Python object is built. Ranking is fully
+deterministic: ties break by ascending bug id, and candidates whose
+embedding is the zero vector (cosine undefined) sort below everything.
+A query is never its own candidate: a query whose name is an id of the
+index leaves that row out of its ranking. Search counts nothing: the
+scenario runner charges the similarity ops, and ``metrics`` computes
+recall and precision at k from the rankings.
 
 A dense score's bits are defined by a one-query block scan: the
 matrix-vector product (GEMV) of the aligned row block holding the row with
@@ -41,8 +44,8 @@ choose candidates, as FAISS's exact search does before its refine step
    The bound needs finite norms, so a vector whose norm is not finite is
    refused.
 3. The shortlist is rescored to the scan's bits, and each chunk is
-   ranked with one ``np.lexsort``. A -inf score (zero norm, or excluded)
-   is the same in both and is not rescored.
+   ranked with one stable sort per query (``_ranked``). A -inf score
+   (zero norm, or excluded) is the same in both and is not rescored.
 
 The rescoring rests on how OpenBLAS computes a GEMV: rows in groups of
 four, then the last ``r mod 4`` rows of an r-row call on another path,
@@ -83,8 +86,8 @@ whole-text cosine (``classifier._compare``), and they depend on no BLAS,
 thread count, batch or chunk. The score is -inf where either norm is
 below ``ZERO_NORM`` and for the query's own row. Scores are exact, so
 top-k needs no margin: each query keeps the rows at or above its k-th
-score (``np.partition``), and one ``np.lexsort`` on (query, -score, row)
-ranks a chunk. A chunk's score block and its products each hold at most
+score (``np.partition``), and ``_ranked`` orders them by (-score, row).
+A chunk's score block and its products each hold at most
 ``_SPARSE_CHUNK`` elements, unless one query alone needs more.
 """
 
@@ -171,16 +174,17 @@ class VectorIndex:
 
 def search(
     index: VectorIndex, query_vectors: np.ndarray, k: int, queries: Sequence[str]
-) -> list[tuple[tuple[str, float], ...]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The k most cosine-similar entries for each row of ``query_vectors``,
     one GEMM per query chunk.
 
-    Entry i is query i's ranking: ``(bug_id, score)`` pairs, scores
-    non-increasing, and the whole index when it holds fewer than k
-    candidates. ``queries[i]`` names query i; when it is an id of the
-    index, that row is left out of query i's ranking. Each score's bits are
-    those of the one-query block scan. A query whose norm is not finite
-    raises ``ValueError``. Nothing is counted here:
+    Returns one query-major CSR ranking ``(ptr, rows, scores)``: query i's
+    ranking is ``rows[ptr[i]:ptr[i + 1]]``, rows of ``index`` (ascending
+    id), with their ``scores``, non-increasing. It is the whole index when
+    that holds fewer than k candidates. ``queries[i]`` names query i; when
+    it is an id of the index, that row is left out of query i's ranking.
+    Each score's bits are those of the one-query block scan. A query whose
+    norm is not finite raises ``ValueError``. Nothing is counted here:
     ``cascade.run_partition`` charges the similarity ops.
     """
     if k < 1:
@@ -207,7 +211,7 @@ def search(
 
     block = max(_BLOCK_ALIGN, _BLOCK_ELEMENTS // max(1, index.dim) // _BLOCK_ALIGN * _BLOCK_ALIGN)
     chunk = max(1, _CHUNK_SCORES // max(m, 10 * min(k, m)))
-    results: list[tuple[tuple[str, float], ...]] = []
+    parts = []
     for first in range(0, n, chunk):
         part = vectors[first : first + chunk]
         scores = part @ index.matrix.T
@@ -242,28 +246,39 @@ def search(
             if a < b:
                 dots[a:b] = _scan_dots(index.matrix, part[i], finite_rows[a:b], block)
         picked[finite] = dots / denom[who[finite], finite_rows]
-        results.extend(_ranked(index.ids, who, rows, picked, len(part), k))
-    return results
+        parts.append(_ranked(who, rows, picked, len(part), k))
+    return _csr(parts)
 
 
 def _ranked(
-    ids: Sequence[str], who: np.ndarray, rows: np.ndarray, scores: np.ndarray, n: int, k: int
-) -> list[tuple[tuple[str, float], ...]]:
+    who: np.ndarray, rows: np.ndarray, scores: np.ndarray, n: int, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ranking of each of ``n`` queries from its pairs ``(who, rows,
     scores)``, in query-major, ascending-row order: its first k by (-score,
-    row), as ``(id, score)`` pairs.
+    row), as ``(counts, rows, scores)`` with ``counts[i]`` the length of
+    query i's ranking.
 
-    Rows are sorted by id, so ascending row is ascending id. The sort keeps
-    each query's pairs where they were, so a query's first k pairs are
-    those less than k past its start.
+    Each query's pairs fill one row of a block, in ascending-row order,
+    padded after its last pair, and one stable sort of each block row by
+    falling score keeps ascending row within a tie. A -inf score and the
+    padding tie, and the padding comes last. The block holds no more
+    elements than the chunk that produced the pairs.
     """
-    order = np.lexsort((rows, -scores, who))
-    starts = np.searchsorted(who, np.arange(n + 1))
-    top = order[np.arange(len(order)) - starts[who] < k]
-    top_ids = [ids[j] for j in rows[top].tolist()]
-    top_scores = scores[top].tolist()
-    ends = np.cumsum(np.minimum(np.diff(starts), k)).tolist()
-    return [tuple(zip(top_ids[a:b], top_scores[a:b])) for a, b in zip([0, *ends], ends)]
+    counts = np.bincount(who, minlength=n)
+    starts = np.cumsum(counts) - counts
+    block = np.full((n, int(counts.max(initial=0))), np.inf)
+    block[who, np.arange(len(who)) - starts[who]] = -scores
+    order = np.argsort(block, axis=1, kind="stable")[:, :k]
+    counts = np.minimum(counts, k)
+    top = (order + starts[:, None])[np.arange(order.shape[1]) < counts[:, None]]
+    return counts, rows[top], scores[top]
+
+
+def _csr(parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]]):
+    """The chunks' ``_ranked`` outputs, in query order, as one CSR ranking."""
+    ptr = np.cumsum(np.concatenate([np.zeros(1, dtype=np.int64), *(c for c, _, _ in parts)]))
+    rows = np.concatenate([np.zeros(0, dtype=np.intp), *(r for _, r, _ in parts)])
+    return ptr, rows, np.concatenate([np.zeros(0), *(s for _, _, s in parts)])
 
 
 def search_rows(
@@ -272,14 +287,14 @@ def search_rows(
     query_rows: Sequence[int],
     k: int,
     queries: Sequence[str],
-) -> list[tuple[tuple[str, float], ...]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``search`` over sparse rows, scored term at a time.
 
     ``rows`` is a CSR ``(indptr, buckets, weights)`` whose first
     ``len(ids)`` rows are the database, its ``ids`` distinct and ascending.
     Query i is row ``query_rows[i]``, named ``queries[i]``. Returns what
-    ``search`` returns, with the scores of the module docstring's sparse
-    section.
+    ``search`` returns, a CSR ranking whose rows index the database, with
+    the scores of the module docstring's sparse section.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -319,7 +334,7 @@ def search_rows(
     products = np.concatenate(([0], np.cumsum(spans)))[entry_ptr]
     del postings, post_buckets, entries, q_buckets
 
-    results: list[tuple[tuple[str, float], ...]] = []
+    parts = []
     first = 0
     while first < n:
         fits = int(np.searchsorted(products, products[first] + _SPARSE_CHUNK, "right")) - 1
@@ -355,9 +370,9 @@ def search_rows(
         keep[skipping, skipped] = False
         who, cols = np.nonzero(keep)
         del keep
-        results.extend(_ranked(ids, who, cols, scores[who, cols], c, k))
+        parts.append(_ranked(who, cols, scores[who, cols], c, k))
         first = last
-    return results
+    return _csr(parts)
 
 
 def _shortlist(scores: np.ndarray, k: int, dim: int) -> np.ndarray:

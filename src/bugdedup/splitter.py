@@ -80,13 +80,6 @@ class SplitManifest:
         return sorted(bugs)
 
 
-def count_dup_pairs(cluster_size: int) -> int:
-    """Number of unordered duplicate pairs a cluster of n bugs yields."""
-    if cluster_size < 1:
-        raise ValueError("cluster_size must be >= 1")
-    return cluster_size * (cluster_size - 1) // 2
-
-
 def _validate_ratios(ratios: tuple[float, float, float]) -> None:
     if len(ratios) != 3 or any(r <= 0 for r in ratios):
         raise SplitError(f"ratios must be three positive fractions, got {ratios}")

@@ -20,9 +20,11 @@ from bugdedup.corpus import BugReport, Corpus, build_corpus, clean
 from bugdedup.dup_graph import ClusterSet, build_clusters
 from bugdedup import retrieval
 from bugdedup.embedder import ZERO_NORM, TfidfHashEmbedder, fnv1a64, l2_normalize_rows
+from bugdedup.ledger import CostLedger
 from bugdedup.metrics import (
     ConfusionMatrix,
     MetricRow,
+    Outcomes,
     QueryOutcome,
     aggregate_curves,
     classification_metrics,
@@ -191,7 +193,8 @@ def reference_cascade(
     library's. ``run_partition``
     scores the whole partition in one batch and must equal this exactly,
     records and ledger."""
-    records, ledger = run_partition(queries, database, cluster_set, embedder, None, "retrieval_only", k)
+    outcome, ledger = run_partition(queries, database, cluster_set, embedder, None, "retrieval_only", k)
+    records = outcome.records
     by_id = {r.bug_id: r for r in [*queries, *database]}
     cache = {} if dedup_pairs else None
     out = []
@@ -203,6 +206,56 @@ def reference_cascade(
         )
         out.append(dataclasses.replace(record, candidates=candidates))
     return out, ledger
+
+
+def reference_records(
+    queries, database, cluster_set, embedder, pair_classifier, method, k, dedup_pairs=False
+) -> list[QueryOutcome]:
+    """The runner's ``QueryOutcome``s built as tuples, one query at a time:
+    each retrieval ranking as ``(bug_id, score)`` pairs from the library's
+    sparse search, the cascade's verdicts from one ``classify_pairs`` batch
+    in query and rank order, classification alone's pairs sorted by
+    (-probability, id), and the relevant ids from the cluster members in
+    the database. ``result.records`` and the ``per_query`` JSON must equal
+    these."""
+    database = sorted(database, key=lambda r: r.bug_id)
+    by_id = {r.bug_id: r for r in database}
+    db_ids = list(by_id)
+    cache = {} if dedup_pairs else None
+    ledger = CostLedger()
+    if method == "classification_only":
+        ranked = []
+        for q in queries:
+            others = [d for d in database if d.bug_id != q.bug_id]
+            verdicts = classify_pairs(pair_classifier, [(q, d) for d in others], ledger, cache)
+            scored = ((d.bug_id, p, dup) for d, (p, dup) in zip(others, verdicts))
+            ranked.append(tuple(sorted(scored, key=lambda t: (-t[1], t[0]))))
+    else:
+        extra = sorted({q.bug_id: q for q in queries if q.bug_id not in by_id}.items())
+        ordered = database + [q for _, q in extra]
+        rows = embedder.sparse_rows(*embedder.token_ids([r.clean_text for r in ordered]))
+        row_of = {r.bug_id: i for i, r in enumerate(ordered)}
+        query_ids = [q.bug_id for q in queries]
+        at = [row_of[b] for b in query_ids]
+        found = rankings(db_ids, retrieval.search_rows(rows, db_ids, at, k, query_ids))
+        if method == "retrieval_only":
+            ranked = [tuple((b, s, True) for b, s in ranking) for ranking in found]
+        else:
+            pairs = [(q, by_id[b]) for q, ranking in zip(queries, found) for b, _ in ranking]
+            verdicts = iter(classify_pairs(pair_classifier, pairs, ledger, cache))
+            ranked = [tuple((b, s, next(verdicts)[1]) for b, s in ranking) for ranking in found]
+    members_of = {m: c.members for c in cluster_set.clusters for m in c.members}
+    return [
+        QueryOutcome(
+            query=q.bug_id,
+            candidates=candidates,
+            relevant=tuple(
+                sorted(p for p in members_of.get(q.bug_id, ()) if p != q.bug_id and p in by_id)
+            ),
+            db_size=len(database) - (q.bug_id in by_id),
+        )
+        for q, candidates in zip(queries, ranked)
+    ]
 
 
 def reference_predict_cost_all_vs_all(
@@ -237,6 +290,35 @@ def outcome(query, ids, kept, relevant, db_size) -> QueryOutcome:
     verdicts, every score 0.0."""
     return QueryOutcome(query, tuple((b, 0.0, k) for b, k in zip(ids, kept, strict=True)),
                         relevant, db_size)
+
+
+def columnar(records) -> Outcomes:
+    """``QueryOutcome``s as the ``Outcomes`` arrays the curves read: each
+    candidate's row is its id's place among all the ids named, and it is
+    relevant when its id is in its query's ``relevant``."""
+    names = sorted({b for r in records for b, _, _ in r.candidates}
+                   | {b for r in records for b in r.relevant})
+    row = {b: i for i, b in enumerate(names)}
+    candidates = [c for r in records for c in r.candidates]
+    return Outcomes(
+        ptr=np.cumsum([0] + [len(r.candidates) for r in records]),
+        rows=np.array([row[b] for b, _, _ in candidates], dtype=np.intp),
+        kept=np.array([kept for _, _, kept in candidates], dtype=bool),
+        relevant=np.array(
+            [b in r.relevant for r in records for b, _, _ in r.candidates], dtype=bool
+        ),
+        n_relevant=np.array([len(r.relevant) for r in records], dtype=np.int64),
+        db_size=np.array([r.db_size for r in records], dtype=np.int64),
+    )
+
+
+def rankings(ids, found) -> list[tuple[tuple[str, float], ...]]:
+    """A CSR ranking ``(ptr, rows, scores)`` of rows of ``ids`` as one tuple
+    of ``(bug_id, score)`` pairs per query."""
+    ptr, rows, scores = (a.tolist() for a in found)
+    return [
+        tuple(zip([ids[j] for j in rows[a:b]], scores[a:b])) for a, b in zip(ptr, ptr[1:])
+    ]
 
 
 def reference_search(index, query_vectors, k, queries) -> list[tuple[tuple[str, float], ...]]:
@@ -388,12 +470,13 @@ def reference_eval_retrieval(corpus, clusters, manifest, split, embedder, k_list
     queries = list(peers)
     found = search(index, index.matrix[[row_of[q] for q in queries]], max(k_list), queries)
     outcomes = [
-        outcome(q, [b for b, _ in ranked], (True,) * len(ranked),
+        outcome(q, [b for b, _ in ranking], (True,) * len(ranking),
                 frozenset(peers[q]) - {q}, len(index) - 1)
-        for q, ranked in zip(queries, found)
+        for q, ranking in zip(queries, rankings(index.ids, found))
     ]
     counters = {"embed_calls": len(reports), "pair_classifications": 0}
-    return [{**dataclasses.asdict(row), **counters} for row in aggregate_curves(outcomes, k_list)]
+    rows = aggregate_curves(columnar(outcomes), k_list)
+    return [{**dataclasses.asdict(row), **counters} for row in rows]
 
 
 _TIMING_KEYS = {"wall_clock_ms", "timing_ms", "avg_query_ms", "total", "total_ms"}

@@ -48,11 +48,18 @@ from bugdedup.embedder import (
 from bugdedup.metrics import ConfusionMatrix, aggregate_curves, classification_metrics
 from bugdedup.ledger import CostLedger
 from bugdedup.retrieval import VectorIndex, search
-from bugdedup.splitter import SPLITS, build_manifest, count_dup_pairs, split_clusters
+from bugdedup.splitter import SPLITS, build_manifest, split_clusters
 from bugdedup.synth import SynthConfig, synth_corpus
 from bugdedup import cli
 
-from helpers import fit_train_embedder, outcome, planted_pipeline, resolve_pairs
+from helpers import (
+    columnar,
+    fit_train_embedder,
+    outcome,
+    planted_pipeline,
+    rankings,
+    resolve_pairs,
+)
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +116,7 @@ def test_2_pair_counts_balance_and_ratio_are_exact():
             dup = [p for p in pairs if p.duplicate]
             neg = [p for p in pairs if not p.duplicate]
             expected = sum(
-                count_dup_pairs(c.size) for c in manifest.clusters_in(clusters, split)
+                c.size * (c.size - 1) // 2 for c in manifest.clusters_in(clusters, split)
             )
             assert len(dup) == expected
             for p in dup:
@@ -253,7 +260,7 @@ def test_5_metrics_match_brute_force_on_1000_instances():
             raw.append((ids, candidates, kept, relevant))
             instances += 1
         ks = sorted({int(rng.integers(1, 35)) for _ in range(3)})
-        rows = aggregate_curves(group, ks)
+        rows = aggregate_curves(columnar(group), ks)
         for k, row in zip(ks, rows):
             pooled = (0, 0, 0, 0)
             recalls, precisions = [], []
@@ -281,7 +288,7 @@ def test_5_metrics_match_brute_force_on_1000_instances():
         if relevant:
             # the same list ranked and kept in full: recall@k and precision@k
             query = outcome("q", tuple(candidates), (True,) * len(candidates), relevant, len(ids))
-            for k, row in zip(ks, aggregate_curves([query], ks)):
+            for k, row in zip(ks, aggregate_curves(columnar([query]), ks)):
                 hits = len(set(candidates[:k]) & relevant)
                 assert row.tp == hits
                 assert abs(row.macro_recall - hits / len(relevant)) <= 1e-12
@@ -304,7 +311,7 @@ def test_6_retrieval_recall_properties_and_full_sort_oracle(pipeline, train_embe
         query = np.zeros(dim) if rng.random() < 0.05 else rng.normal(size=dim)
         exclude = ids[int(rng.integers(n))] if rng.random() < 0.3 else None
 
-        ranked = search(index, query[None, :], n, [exclude or "q"])[0]
+        ranked = rankings(index.ids, search(index, query[None, :], n, [exclude or "q"]))[0]
         qn = float(np.linalg.norm(query))
         norms = np.linalg.norm(index.matrix, axis=1)
         raw = index.matrix @ query
@@ -332,7 +339,7 @@ def test_6_retrieval_recall_properties_and_full_sort_oracle(pipeline, train_embe
             frozenset(relevant),
             len(population),
         )
-        rows = aggregate_curves([ranked_query], range(1, len(population) + 1))
+        rows = aggregate_curves(columnar([ranked_query]), range(1, len(population) + 1))
         curve = [row.macro_recall for row in rows]
         assert curve == [row.recall for row in rows]
         assert curve == sorted(curve)
@@ -485,10 +492,10 @@ def test_8_gradients_projection_gain_and_separable_convergence():
                     frozenset(peers[q]) - {q},
                     len(index) - 1,
                 )
-                for q, ranked in zip(queries, found)
+                for q, ranked in zip(queries, rankings(index.ids, found))
             ]
             assert all(o.relevant for o in outcomes)
-            return aggregate_curves(outcomes, [10])[0].macro_recall
+            return aggregate_curves(columnar(outcomes), [10])[0].macro_recall
 
         wins += mean_recall_10(projected) > mean_recall_10(base)
     assert wins >= 4

@@ -51,8 +51,10 @@ from helpers import (
     classify_reply,
     fit_train_embedder,
     planted_pipeline,
+    rankings,
     reference_cascade,
     reference_predict_cost_all_vs_all,
+    reference_records,
     reference_scrub_timings,
     reports_of,
 )
@@ -166,6 +168,7 @@ def test_partition_records_follow_the_given_query_order(setup, method):
     assert [q.bug_id for q in queries] == sorted(q.bug_id for q in shuffled)
     got, got_ledger = run_partition(shuffled, database, clusters, embedder, similarity, method, k=4)
     want, want_ledger = run_partition(queries, database, clusters, embedder, similarity, method, k=4)
+    got, want = got.records, want.records
     assert [r.query for r in got] == [q.bug_id for q in shuffled]
     assert sorted(got, key=lambda r: r.query) == want
     counters = ("embed_calls", "pair_classifications", "similarity_ops")
@@ -207,9 +210,10 @@ def test_partition_validates_inputs(setup):
 def test_retrieval_records_keep_everything(setup):
     corpus, clusters, manifest, embedder, similarity, _ = setup
     queries, database = _partition_setup(corpus, clusters, manifest, n=4, m=12)
-    records, _ = run_partition(
+    outcome, _ = run_partition(
         queries, database, clusters, embedder, similarity, "retrieval_only", k=5
     )
+    records = outcome.records
     assert len(records) == 4
     db_ids = {r.bug_id for r in database}
     for record in records:
@@ -227,12 +231,12 @@ def test_retrieval_records_keep_everything(setup):
 def test_classification_only_scores_every_database_bug(setup):
     corpus, clusters, manifest, embedder, similarity, _ = setup
     queries, database = _partition_setup(corpus, clusters, manifest, n=3, m=9)
-    records, ledger = run_partition(
+    outcome, ledger = run_partition(
         queries, database, clusters, embedder, similarity, "classification_only", k=2
     )
     assert ledger.embed_calls == 0
     assert ledger.similarity_ops == 0
-    for record in records:
+    for record in outcome.records:
         assert len(record.candidates) == 9
         # ordered by descending probability, ties by id
         probs = [p for _, p, _ in record.candidates]
@@ -242,10 +246,10 @@ def test_classification_only_scores_every_database_bug(setup):
 def test_cascade_with_oracle_keeps_only_true_peers(setup):
     corpus, clusters, manifest, embedder, _, oracle = setup
     queries, database = _partition_setup(corpus, clusters, manifest, n=8, m=30)
-    records, _ = run_partition(
+    outcome, _ = run_partition(
         queries, database, clusters, embedder, oracle, "cascade", k=10
     )
-    for record in records:
+    for record in outcome.records:
         for candidate, _, kept in record.candidates:
             assert kept == clusters.same_cluster(record.query, candidate)
 
@@ -462,6 +466,7 @@ def test_cascade_equals_one_batch_per_query(setup, stub_service, name, dedup, mo
     got, got_ledger = run_partition(
         queries, database, clusters, embedder, got_scorer, "cascade", k, dedup_pairs=dedup
     )
+    got = got.records
     assert got == want
     counters = ("embed_calls", "pair_classifications", "similarity_ops")
     assert [getattr(got_ledger, c) for c in counters] == [getattr(want_ledger, c) for c in counters]
@@ -510,7 +515,8 @@ def test_runner_hands_its_text_vectors_to_the_same_embedder(setup, shared):
     featurizer_side = runner_side if shared else CountingEmbedder(embedder)
     model = LogisticPairModel(_WEIGHTS, threshold=0.3)
     scorer = LogisticClassifier(model, PairFeaturizer(featurizer_side))
-    records, _ = run_partition(queries, database, clusters, runner_side, scorer, "cascade", k=6)
+    outcome, _ = run_partition(queries, database, clusters, runner_side, scorer, "cascade", k=6)
+    records = outcome.records
     in_db = {r.bug_id for r in database}
     extra = [q for q in queries if q.bug_id not in in_db]
     embed_order = sorted(database, key=lambda r: r.bug_id) + sorted(extra, key=lambda r: r.bug_id)
@@ -550,9 +556,10 @@ def test_an_embedder_without_a_token_pass_reaches_dense_search(setup, monkeypatc
 
     monkeypatch.setattr(cascade_module, "search", recording)
     monkeypatch.setattr(cascade_module, "search_rows", None)  # the sparse path would fail
-    records, ledger = run_partition(queries, database, clusters, projected, None, "retrieval_only", 5)
+    outcome, ledger = run_partition(queries, database, clusters, projected, None, "retrieval_only", 5)
     assert len(found) == 1
-    assert [tuple((b, s) for b, s, _ in r.candidates) for r in records] == found[0]
+    want = rankings(sorted(r.bug_id for r in database), found[0])
+    assert [tuple((b, s) for b, s, _ in r.candidates) for r in outcome.records] == want
     assert ledger.embed_calls == len({r.bug_id for r in [*queries, *database]})
 
 
@@ -575,14 +582,14 @@ def test_cascade_keeps_what_classification_alone_keeps_in_the_top_k(setup, name,
     alone, _ = run_partition(
         queries, database, clusters, embedder, scorer(), "classification_only", 1
     )
-    kept_alone = {r.query: {b for b, _, kept in r.candidates if kept} for r in alone}
+    kept_alone = {r.query: {b for b, _, kept in r.candidates if kept} for r in alone.records}
     kept_count = sum(map(len, kept_alone.values()))
     assert 0 < kept_count < len(queries) * m  # the threshold splits the pairs
     for k in range(1, m + 2):
         cascade, _ = run_partition(
             queries, database, clusters, embedder, scorer(), "cascade", k
         )
-        for record in cascade:
+        for record in cascade.records:
             top_k = {b for b, _, _ in record.candidates}
             assert len(top_k) == min(k, m)
             kept = {b for b, _, dup in record.candidates if dup}
@@ -668,6 +675,37 @@ def test_queries_without_peers_counted(setup):
     result = run_one_vs_all(config, manifest, clusters, corpus, embedder, similarity)
     manual = sum(1 for r in result.records if not r.relevant)
     assert result.queries_without_peers == manual
+
+
+@pytest.mark.parametrize("dedup", [False, True])
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("mode", ["one_vs_all", "all_vs_all"])
+def test_records_and_per_query_json_equal_the_tuple_path(setup, mode, method, dedup):
+    corpus, clusters, manifest, embedder, similarity, _ = setup
+    config = ScenarioConfig(mode=mode, method=method, k=6, seed=7, dedup_pairs=dedup)
+    runner = run_one_vs_all if mode == "one_vs_all" else run_all_vs_all
+    result = runner(config, manifest, clusters, corpus, embedder, similarity)
+    pool = manifest.bugs_in(clusters, "test")
+    queries = [corpus.by_id[r.query] for r in result.records]
+    if mode == "one_vs_all":
+        database = reports_of(corpus, sorted(set(pool) - {q.bug_id for q in queries}))
+    else:
+        assert [q.bug_id for q in queries] == pool
+        database = reports_of(corpus, pool)
+    want = reference_records(queries, database, clusters, embedder, similarity, method, 6, dedup)
+    assert result.records == want
+    kept = [kept for r in want for _, _, kept in r.candidates]
+    assert any(kept) and (method == "retrieval_only") != (not all(kept))
+    assert any(r.relevant for r in want) and not all(r.relevant for r in want)
+    assert scenario_to_json(result)["per_query"] == [
+        {
+            "query": r.query,
+            "relevant": list(r.relevant),
+            "db_size": r.db_size,
+            "candidates": [[b, s, kept] for b, s, kept in r.candidates],
+        }
+        for r in want
+    ]
 
 
 def test_scenario_json_structure(setup):

@@ -313,7 +313,8 @@ def test_tfidf_embedder_shared_by_two_threads_keeps_its_bits():
 def _retrieval_cosine(u, v) -> float:
     """Cosine of two vectors as retrieval scores it: ``u`` queries ``v`` as a one-row index."""
     index = VectorIndex.from_vectors(["v"], np.array([v], dtype=np.float64))
-    return search(index, np.array([u], dtype=np.float64), 1, ["u"])[0][0][1]
+    _, _, scores = search(index, np.array([u], dtype=np.float64), 1, ["u"])
+    return float(scores[0])
 
 
 def test_cosine_known_values():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from bugdedup.metrics import (
     CSV_COLUMNS,
     ConfusionMatrix,
     MetricRow,
+    Outcomes,
     aggregate_curves,
     classification_metrics,
     exhaustive_row,
@@ -21,7 +23,7 @@ from bugdedup.metrics import (
     write_metrics_csv,
 )
 
-from helpers import outcome, reference_curves, reference_exhaustive_row
+from helpers import columnar, outcome, reference_curves, reference_exhaustive_row
 
 
 def test_confusion_rejects_negative_counts():
@@ -97,7 +99,7 @@ def test_query_outcome_truncation():
     # the runner's records hold relevant ids as a sorted tuple, eval-retrieval's as a set
     for relevant in (frozenset({"a", "c", "x"}), ("a", "c", "x")):
         query = outcome("q", ("a", "b", "c", "d"), (True, False, True, True), relevant, 10)
-        at_1, at_3, at_4, at_big = aggregate_curves([query], [1, 3, 4, 100])
+        at_1, at_3, at_4, at_big = aggregate_curves(columnar([query]), [1, 3, 4, 100])
         assert (at_1.tp, at_1.fp, at_1.fn, at_1.tn) == (1, 0, 2, 7)
         assert (at_3.tp, at_3.fp, at_3.fn, at_3.tn) == (2, 0, 1, 7)  # b dropped by the classifier
         assert (at_4.tp, at_4.fp, at_4.fn, at_4.tn) == (2, 1, 1, 6)
@@ -110,7 +112,7 @@ def _outcome(query, candidates, relevant, db_size=20):
 
 def test_aggregate_single_perfect_query():
     outcome = _outcome("q", ["a", "b"], ["a", "b"], db_size=5)
-    rows = aggregate_curves([outcome], [1, 2])
+    rows = aggregate_curves(columnar([outcome]), [1, 2])
     assert rows[0].k == 1 and rows[1].k == 2
     assert rows[1].recall == 1.0
     assert rows[1].precision == 1.0
@@ -123,7 +125,7 @@ def test_aggregate_micro_equals_macro_for_equal_relevant_sizes():
         _outcome("q1", ["a", "x"], ["a", "b"]),
         _outcome("q2", ["c", "d"], ["c", "d"]),
     ]
-    rows = aggregate_curves(outcomes, [2])
+    rows = aggregate_curves(columnar(outcomes), [2])
     row = rows[0]
     # every query has |relevant| = 2, so pooled and averaged recall agree
     assert row.macro_recall == pytest.approx(row.recall)
@@ -135,8 +137,8 @@ def test_aggregate_permutation_invariant():
         _outcome("q2", ["c", "d", "z"], ["c", "d"]),
         _outcome("q3", ["m", "n", "o"], ["zz"]),
     ]
-    forward = aggregate_curves(outcomes, [1, 2, 3])
-    backward = aggregate_curves(list(reversed(outcomes)), [1, 2, 3])
+    forward = aggregate_curves(columnar(outcomes), [1, 2, 3])
+    backward = aggregate_curves(columnar(list(reversed(outcomes))), [1, 2, 3])
     assert forward == backward
 
 
@@ -145,67 +147,93 @@ def test_aggregate_handles_queries_without_relevant():
         _outcome("q1", ["a"], []),
         _outcome("q2", ["c"], ["c"]),
     ]
-    rows = aggregate_curves(outcomes, [1])
+    rows = aggregate_curves(columnar(outcomes), [1])
     # macro recall averages only over queries that can score recall
     assert rows[0].macro_recall == 1.0
     assert rows[0].macro_precision == pytest.approx(0.5)
 
 
 def test_aggregate_macro_recall_none_when_no_query_has_peers():
-    rows = aggregate_curves([_outcome("q1", ["a"], [])], [1])
+    rows = aggregate_curves(columnar([_outcome("q1", ["a"], [])]), [1])
     assert rows[0].macro_recall is None
 
 
 def test_aggregate_requires_outcomes():
     with pytest.raises(ValueError, match="empty result"):
-        aggregate_curves([], [1])
+        aggregate_curves(columnar([]), [1])
 
 
 def test_aggregate_sorts_and_dedupes_k():
     outcome = _outcome("q", ["a", "b", "c"], ["a"])
-    rows = aggregate_curves([outcome], [3, 1, 3, 2])
+    rows = aggregate_curves(columnar([outcome]), [3, 1, 3, 2])
     assert [r.k for r in rows] == [1, 2, 3]
-
-
-_IDS = st.sampled_from([f"b{i}" for i in range(8)])
 
 
 @st.composite
 def _outcomes(draw):
-    """Outcomes with repeated candidate ids, mixed kept flags, short lists
-    and empty relevant sets; db_size leaves room for every id."""
-    out = []
+    """Columnar outcomes and the same queries as ``QueryOutcome``s for the
+    references: rankings of distinct rows of an 8-row database, mixed kept
+    flags, short lists and empty relevant sets; db_size leaves room for
+    every row named."""
+    rows, kept, relevant, n_relevant, db_size, records = [], [], [], [], [], []
     for i in range(draw(st.integers(1, 6))):
-        candidates = draw(st.lists(_IDS, max_size=10))
-        kept = draw(st.lists(st.booleans(), min_size=len(candidates), max_size=len(candidates)))
-        relevant = draw(st.frozensets(_IDS, max_size=4))
-        db_size = len(set(candidates) | relevant) + draw(st.integers(0, 5))
-        out.append(outcome(f"q{i}", tuple(candidates), tuple(kept), relevant, db_size))
-    return out
+        ranking = draw(st.lists(st.integers(0, 7), max_size=8, unique=True))
+        flags = draw(st.lists(st.booleans(), min_size=len(ranking), max_size=len(ranking)))
+        peers = draw(st.frozensets(st.integers(0, 7), max_size=4))
+        size = len(set(ranking) | peers) + draw(st.integers(0, 5))
+        rows += ranking
+        kept += flags
+        relevant += [r in peers for r in ranking]
+        n_relevant.append(len(peers))
+        db_size.append(size)
+        records.append(outcome(f"q{i}", tuple(ranking), tuple(flags), peers, size))
+    lengths = [len(r.candidates) for r in records]
+    arrays = Outcomes(
+        ptr=np.cumsum([0] + lengths),
+        rows=np.array(rows, dtype=np.intp),
+        kept=np.array(kept, dtype=bool),
+        relevant=np.array(relevant, dtype=bool),
+        n_relevant=np.array(n_relevant, dtype=np.int64),
+        db_size=np.array(db_size, dtype=np.int64),
+    )
+    return arrays, records
 
 
 @settings(max_examples=300, deadline=None)
 @given(outcomes=_outcomes(), k_list=st.lists(st.integers(1, 14), min_size=1, max_size=6))
 def test_aggregate_equals_the_per_k_confusion_loop(outcomes, k_list):
+    arrays, records = outcomes
     try:
-        expected = reference_curves(outcomes, k_list)
+        expected = reference_curves(records, k_list)
     except ValueError as exc:  # an all-zero pooled matrix
         with pytest.raises(ValueError, match=str(exc)):
-            aggregate_curves(outcomes, k_list)
+            aggregate_curves(arrays, k_list)
         return
-    assert aggregate_curves(outcomes, k_list) == expected
+    assert aggregate_curves(arrays, k_list) == expected
 
 
 @settings(max_examples=300, deadline=None)
 @given(outcomes=_outcomes(), k=st.integers(1, 14))
 def test_exhaustive_row_equals_the_per_query_confusion_loop(outcomes, k):
+    arrays, records = outcomes
     try:
-        expected = reference_exhaustive_row(outcomes, k)
+        expected = reference_exhaustive_row(records, k)
     except ValueError as exc:  # an all-zero pooled matrix
         with pytest.raises(ValueError, match=str(exc)):
-            exhaustive_row(outcomes, k)
+            exhaustive_row(arrays, k)
         return
-    assert exhaustive_row(outcomes, k) == expected
+    assert exhaustive_row(arrays, k) == expected
+
+
+def test_a_ranking_that_repeats_a_row_is_refused():
+    # Each kept candidate counts as a positive, which holds only while a
+    # ranking's rows are distinct; a row may recur across rankings.
+    ok = outcome("q0", ("a", "b"), (True, True), frozenset({"a"}), 5)
+    assert aggregate_curves(columnar([ok, ok]), [2])[0].tp == 2
+    repeated = outcome("q1", ("b", "a", "b"), (True, False, True), frozenset({"b"}), 5)
+    for run in (lambda o: aggregate_curves(o, [1]), lambda o: exhaustive_row(o, 1)):
+        with pytest.raises(ValueError, match="query 1 repeats row 1"):
+            run(columnar([ok, repeated]))
 
 
 def test_macro_means_sum_left_to_right_from_zero():
@@ -219,9 +247,9 @@ def test_aggregate_rejects_a_db_size_too_small_for_its_counts():
     # tn would hide in the pooled matrix
     small = outcome("q1", ("a", "b", "c"), (True, True, True), frozenset({"z"}), 3)
     large = _outcome("q2", ["a"], ["a"], db_size=50)
-    assert aggregate_curves([small, large], [2])[0].tn == 49
+    assert aggregate_curves(columnar([small, large]), [2])[0].tn == 49
     with pytest.raises(ValueError, match="nonnegative"):
-        aggregate_curves([small, large], [1, 3])
+        aggregate_curves(columnar([small, large]), [1, 3])
 
 
 def test_report_row_adds_method_time_and_counters():

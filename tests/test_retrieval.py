@@ -20,7 +20,14 @@ from bugdedup.embedder import TfidfHashEmbedder
 from bugdedup.metrics import aggregate_curves
 from bugdedup.retrieval import VectorIndex, search
 
-from helpers import fit_train_embedder, outcome, planted_pipeline, reference_search
+from helpers import (
+    columnar,
+    fit_train_embedder,
+    outcome,
+    planted_pipeline,
+    rankings,
+    reference_search,
+)
 
 _ZERO_NORM = 1e-12
 
@@ -31,9 +38,19 @@ def _index(vectors: dict[str, list[float]]) -> VectorIndex:
     return VectorIndex.from_vectors(ids, matrix)
 
 
+def _search(index: VectorIndex, queries, k: int, names):
+    """``search``'s CSR ranking as one tuple of ``(bug_id, score)`` pairs per query."""
+    return rankings(index.ids, search(index, queries, k, names))
+
+
+def _search_rows(rows, ids, query_rows, k, queries):
+    """``search_rows``'s CSR ranking in the form of ``_search``."""
+    return rankings(ids, retrieval.search_rows(rows, ids, query_rows, k, queries))
+
+
 def _one(index: VectorIndex, q, k: int, name: str = "query"):
     """The ranking of one query vector named ``name``."""
-    return search(index, np.asarray(q, dtype=np.float64)[None, :], k, [name])[0]
+    return _search(index, np.asarray(q, dtype=np.float64)[None, :], k, [name])[0]
 
 
 def _ids(ranked) -> tuple[str, ...]:
@@ -78,7 +95,7 @@ def test_search_scores_do_not_depend_on_the_matrix_address():
     idx = VectorIndex.from_vectors([f"b{i:03d}" for i in range(200)], rng.normal(size=(200, 100)))
     queries = rng.normal(size=(30, 100))
     names = [f"q{i}" for i in range(30)]
-    want = search(idx, queries, 200, names)
+    want = _search(idx, queries, 200, names)
     for offset in range(8, 64, 8):
         flat = np.empty(idx.matrix.size + 16)
         start = (offset - flat.ctypes.data % 64) % 64 // 8
@@ -86,7 +103,7 @@ def test_search_scores_do_not_depend_on_the_matrix_address():
         moved[...] = idx.matrix
         assert moved.ctypes.data % 64 == offset
         shifted = VectorIndex(ids=idx.ids, matrix=moved, norms=idx.norms)
-        assert search(shifted, queries, 200, names) == want
+        assert _search(shifted, queries, 200, names) == want
 
 
 def test_index_rejects_duplicate_ids():
@@ -163,10 +180,10 @@ def test_top_k_counts_similarity_ops():
     # not in the database, "z" scans all 3 bugs and "a" the 2 others.
     database = [BugReport(b, f"title {b}", "text" * (i + 1)) for i, b in enumerate("abc")]
     queries = [database[0], BugReport("z", "title z", "text")]
-    records, ledger = run_partition(
+    outcome, ledger = run_partition(
         queries, database, ClusterSet((), ()), _FixedEmbedder(), None, "retrieval_only", 2
     )
-    assert [(r.query, r.db_size) for r in records] == [("a", 2), ("z", 3)]
+    assert [(r.query, r.db_size) for r in outcome.records] == [("a", 2), ("z", 3)]
     assert ledger.similarity_ops == 5
 
 
@@ -269,11 +286,11 @@ def test_search_equals_the_full_sort_oracle_for_every_query(monkeypatch, m, dim,
     rng = np.random.default_rng(m * 1000 + n)
     index, queries, names = _search_case(rng, m, dim, n)
     assert any(name in index.ids for name in names) and not all(name in index.ids for name in names)
-    got = search(index, queries, k, names)
+    got = _search(index, queries, k, names)
     assert len(got) == n
     for i, ranked in enumerate(got):
         assert ranked == _oracle_rank(index, queries[i], k, names[i]), f"query {i}"
-        assert ranked == search(index, queries[i : i + 1], k, names[i : i + 1])[0]
+        assert ranked == _search(index, queries[i : i + 1], k, names[i : i + 1])[0]
 
 
 def _bits(results):
@@ -315,8 +332,8 @@ def test_search_equals_the_block_scan_bit_for_bit(monkeypatch, m, dim, integer, 
     queries[1] = 0.0
     for k in ks or sorted({1, 5, max(1, m - 1), m, m + 3}):
         want = reference_search(index, queries, k, names)
-        assert _bits(search(index, queries, k, names)) == _bits(want), f"k={k}"
-    assert search(index, queries[:0], 1, []) == reference_search(index, queries[:0], 1, []) == []
+        assert _bits(_search(index, queries, k, names)) == _bits(want), f"k={k}"
+    assert _search(index, queries[:0], 1, []) == reference_search(index, queries[:0], 1, []) == []
 
 
 def _transient_bytes(run) -> int:
@@ -405,12 +422,12 @@ def test_non_finite_vectors_are_refused():
 
 def test_search_edge_inputs():
     index = _index({"a": [1, 0], "b": [0, 1]})
-    assert search(index, np.zeros((0, 2)), 3, []) == []
-    got = search(index, np.array([[1.0, 0.0], [0.0, 1.0]]), 1, ["x", "y"])
+    assert _search(index, np.zeros((0, 2)), 3, []) == []
+    got = _search(index, np.array([[1.0, 0.0], [0.0, 1.0]]), 1, ["x", "y"])
     # One ranking per query, in query order.
     assert got == [(("a", 1.0),), (("b", 1.0),)]
     # A query named by an index id never ranks itself, even as its best match.
-    got = search(index, np.array([[1.0, 0.0], [0.0, 1.0]]), 1, ["a", "b"])
+    got = _search(index, np.array([[1.0, 0.0], [0.0, 1.0]]), 1, ["a", "b"])
     assert [_ids(r) for r in got] == [("b",), ("a",)]
     empty = VectorIndex.from_vectors([], np.zeros((0, 2)))
     with pytest.raises(ValueError, match="empty index"):
@@ -495,21 +512,58 @@ def test_search_rows_equals_the_per_pair_reference_bit_for_bit(db_texts, outside
     queries = [ids[i] for i in inside] + [f"q{i}" for i in range(len(outside))]
     k = data.draw(st.integers(1, m + 2), label="k")
     want = _reference_search_rows(rows, ids, query_rows, k, queries)
-    got = retrieval.search_rows(rows, ids, query_rows, k, queries)
+    got = _search_rows(rows, ids, query_rows, k, queries)
     assert _bits(got) == _bits(want)
     # Neither the chunk bound nor the other queries of the call move a bit.
     bound = data.draw(st.sampled_from([1, 5, 40]), label="chunk bound")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(retrieval, "_SPARSE_CHUNK", bound)
-        assert _bits(retrieval.search_rows(rows, ids, query_rows, k, queries)) == _bits(want)
+        assert _bits(_search_rows(rows, ids, query_rows, k, queries)) == _bits(want)
     for i in range(len(query_rows)):
-        alone = retrieval.search_rows(rows, ids, query_rows[i : i + 1], k, queries[i : i + 1])
+        alone = _search_rows(rows, ids, query_rows[i : i + 1], k, queries[i : i + 1])
         assert _bits(alone) == _bits(want[i : i + 1])
+
+
+# Texts with equal bags of words embed to equal rows, and "" to a zero row.
+_TIED_TEXTS = ["w0 w1", "w1 w0", "w0 w1 w1", "w2", "w2 w3", ""]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    db_texts=st.lists(st.sampled_from(_TIED_TEXTS), min_size=1, max_size=14),
+    outside=st.lists(st.sampled_from(_TIED_TEXTS), max_size=4),
+    data=st.data(),
+)
+def test_search_orders_tied_scores_as_the_oracles_do(db_texts, outside, data):
+    # Copied texts tie at every cutoff, the k-th score included; a zero row
+    # scores -inf, and a zero query ranks every row at -inf. Queries come
+    # from inside the database, leaving their own row out, and from outside
+    # it; k runs past m; and a small chunk bound splits the call's queries.
+    rows, ids = _sparse_case(db_texts, outside, dim=16)
+    m = len(ids)
+    inside = data.draw(st.lists(st.integers(0, m - 1), max_size=6), label="database queries")
+    query_rows = inside + list(range(m, m + len(outside)))
+    queries = [ids[i] for i in inside] + [f"q{i}" for i in range(len(outside))]
+    k = data.draw(st.integers(1, m + 2), label="k")
+    bound = data.draw(st.sampled_from([1, 7, 1 << 17]), label="chunk bound")
+    indptr, buckets, weights = rows
+    dense = np.zeros((len(indptr) - 1, 16))
+    dense[np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)), buckets] = weights
+    index = VectorIndex.from_vectors(ids, dense[:m])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(retrieval, "_SPARSE_CHUNK", bound)
+        patch.setattr(retrieval, "_CHUNK_SCORES", bound)
+        sparse = _search_rows(rows, ids, query_rows, k, queries)
+        found = _search(index, dense[query_rows], k, queries)
+    assert _bits(sparse) == _bits(_reference_search_rows(rows, ids, query_rows, k, queries))
+    assert found == [
+        _oracle_rank(index, dense[q], k, name) for q, name in zip(query_rows, queries)
+    ]
 
 
 def test_search_rows_zero_rows_rank_last_by_id():
     rows, ids = _sparse_case(["w1 w2", "", "w1", "", "w3"], ["w1", ""], dim=64)
-    got = retrieval.search_rows(rows, ids, [5, 6, 0], 5, ["q", "z", "b000"])
+    got = _search_rows(rows, ids, [5, 6, 0], 5, ["q", "z", "b000"])
     assert _ids(got[0])[:2] == ("b002", "b000") and _ids(got[0])[2:] == ("b004", "b001", "b003")
     assert [s for _, s in got[0][3:]] == [-math.inf, -math.inf]
     # A zero query ranks every row at -inf, by id; its own row never places.
@@ -531,7 +585,7 @@ def test_search_rows_equals_the_dense_full_sort_oracle(seed, k):
     ids = [r.bug_id for r in database]
     query_rows = list(range(0, len(texts), 3))
     queries = [(ids + [r.bug_id for r in outside])[i] for i in query_rows]
-    got = retrieval.search_rows(rows, ids, query_rows, k, queries)
+    got = _search_rows(rows, ids, query_rows, k, queries)
     vectors = embedder.embed_texts(texts)
     db_norms = np.linalg.norm(vectors[: len(ids)], axis=1)
     for q, name, ranked in zip(query_rows, queries, got):
@@ -567,7 +621,7 @@ def test_search_rows_memory_stays_near_its_chunk_bound_when_k_covers_the_databas
 
 def test_search_rows_edge_inputs():
     rows, ids = _sparse_case(["w1", "w2"], ["w1"], dim=16)
-    assert retrieval.search_rows(rows, ids, [], 3, []) == []
+    assert _search_rows(rows, ids, [], 3, []) == []
     with pytest.raises(ValueError, match="k must be"):
         retrieval.search_rows(rows, ids, [2], 0, ["q"])
     with pytest.raises(ValueError, match="empty index"):
@@ -583,7 +637,8 @@ def test_search_rows_edge_inputs():
 def _at_k(ranked, relevant, k_list, db_size=50):
     """Metric rows at each k for one query that retrieved ``ranked``."""
     return aggregate_curves(
-        [outcome("q", ranked, (True,) * len(ranked), frozenset(relevant), db_size)], k_list
+        columnar([outcome("q", ranked, (True,) * len(ranked), frozenset(relevant), db_size)]),
+        k_list,
     )
 
 
@@ -599,7 +654,7 @@ def test_recall_requires_relevant():
     assert _at_k(["a"], set(), [1])[0].macro_recall is None
     with_peers = outcome("p", ("a",), (True,), frozenset({"a", "b"}), 50)
     without = outcome("q", ("a",), (True,), frozenset(), 50)
-    assert aggregate_curves([with_peers, without], [1])[0].macro_recall == 0.5
+    assert aggregate_curves(columnar([with_peers, without]), [1])[0].macro_recall == 0.5
 
 
 def test_precision_at_k_divides_by_k():

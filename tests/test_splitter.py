@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +17,6 @@ from bugdedup.splitter import (
     SplitError,
     _sample_negatives,
     build_manifest,
-    count_dup_pairs,
     generate_pairs,
     generate_triplets,
     load_manifest,
@@ -137,22 +135,10 @@ def test_independents_follow_ratios(clusters, manifest):
     assert sum(counts.values()) == n
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=1, max_value=60))
-def test_count_dup_pairs_matches_enumeration(n):
-    members = list(range(n))
-    assert count_dup_pairs(n) == len(list(combinations(members, 2)))
-
-
-def test_count_dup_pairs_rejects_zero():
-    with pytest.raises(ValueError):
-        count_dup_pairs(0)
-
-
 def test_dup_pairs_enumerate_whole_clusters(clusters, manifest):
     for split in SPLITS:
         expected = sum(
-            count_dup_pairs(c.size) for c in manifest.clusters_in(clusters, split)
+            c.size * (c.size - 1) // 2 for c in manifest.clusters_in(clusters, split)
         )
         dup = [p for p in manifest.pairs[split] if p.duplicate]
         assert len(dup) == expected

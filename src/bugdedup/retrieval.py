@@ -17,57 +17,16 @@ recall and precision at k from the rankings.
 A dense score's bits are defined by a one-query block scan: the
 matrix-vector product (GEMV) of the aligned row block holding the row with
 the query, ``index.matrix[s:s + block] @ q``, over the product of the two
-norms. So they do not depend on which other queries share the call, and
-the scan itself is kept in the tests as their oracle. A matrix-matrix product
-(GEMM) sums in an order that depends on the query block, and its scores
-differ from the scan's in the last bits, so ``search`` uses it only to
-choose candidates, as FAISS's exact search does before its refine step
-(Johnson, Douze and Jegou, arXiv:1702.08734):
+norms. So they do not depend on which other queries share the call.
+``search`` is that scan: for each chunk of queries it fills the chunk's
+score block one row block at a time, and each row block serves every query
+of the chunk while it is in cache.
 
-1. One GEMM per query chunk scores every (query, row) pair, over the
-   same denominators as the scan, with the same zero-norm and exclusion
-   rules.
-2. ``_shortlist`` keeps each row whose GEMM score is at least the
-   query's k-th GEMM score minus ``4 * gamma(d + 2)``, where
-   ``gamma(n) = n*u / (1 - n*u)`` and ``u = 2**-53`` (every row when
-   ``k >= m``). Any order of summing a d-term dot product errs by at most
-   ``gamma(d) * |x| * |q|`` (Higham, *Accuracy and Stability of
-   Numerical Algorithms*, section 3.1), so the GEMM's and the scan's dot
-   products of a pair differ by at most twice that. Both are divided by
-   the same denominator bits, the product of two computed norms that are
-   each within about ``gamma(d) / 2`` of the true norm. With the two
-   divisions' roundings, the two cosines of a pair then differ by at most
-   ``E = 2 * gamma(d + 2)`` (for any d below about 10**8). A row of the
-   exact top k scores at least the exact k-th score, which is at least
-   the GEMM k-th score minus E, and the row's GEMM score is at most E
-   below its exact one: a margin of ``2 * E`` keeps it, ties included.
-   The bound needs finite norms, so a vector whose norm is not finite is
-   refused.
-3. The shortlist is rescored to the scan's bits, and each chunk is
-   ranked with one stable sort per query (``_ranked``). A -inf score
-   (zero norm, or excluded) is the same in both and is not rescored.
-
-The rescoring rests on how OpenBLAS computes a GEMV: rows in groups of
-four, then the last ``r mod 4`` rows of an r-row call on another path,
-and a row's bits depend only on which of the two computed it. Rows below
-``head = m - m mod 4`` are on the group path of their scan block, and a
-gather ``index.matrix[rows] @ q`` padded with row 0 to a multiple of four
-rows puts every row there too. A gather holds at most ``block`` rows,
-like a scan block, which keeps the product on the calling thread (see
-``_BLOCK_ELEMENTS``): a larger one is split between threads at a row
-that need not start a group. Rows at or after ``head`` are read from the
-scan's own last-block call ``index.matrix[last:m] @ q``, with ``last =
-(m - 1) // block * block``: they take its remainder path, or, when that
-block has one row, numpy's dot product, which no gather reproduces.
-Query norms are taken one vector at a time with ``np.linalg.norm``, as
-the scan takes them; ``norm(axis=1)`` sums in a different order.
-
-A chunk holds at most ``_CHUNK_SCORES`` scores. A shortlisted pair takes
-about ten array elements until its chunk is ranked, so a chunk also holds
-at most a tenth as many pairs of shortlists of ``min(k, m)`` rows a query.
-That bounds the memory of a search when the shortlist is the whole index
-(``k >= m``) too. A query whose k-th score is -inf (a zero query, say)
-would shortlist every row; it keeps only the first ``k + 1`` -inf rows.
+Both searches end alike (``_top_k``): a score is -inf where either norm is
+below ``ZERO_NORM`` and for the query's own row; each query keeps the rows
+at or above its k-th score (``np.partition``), and ``_ranked`` orders them
+by (-score, row). A chunk's score block holds at most ``_CHUNK`` scores,
+unless one query alone needs more.
 
 Sparse rows
 -----------
@@ -83,12 +42,8 @@ dot is thus summed from 0.0 over its shared buckets in ascending order,
 and divided by the product of the query's and the row's norms
 (``embedder._csr_row_norms``). These are the bits of the pair featurizer's
 whole-text cosine (``classifier._compare``), and they depend on no BLAS,
-thread count, batch or chunk. The score is -inf where either norm is
-below ``ZERO_NORM`` and for the query's own row. Scores are exact, so
-top-k needs no margin: each query keeps the rows at or above its k-th
-score (``np.partition``), and ``_ranked`` orders them by (-score, row).
-A chunk's score block and its products each hold at most
-``_SPARSE_CHUNK`` elements, unless one query alone needs more.
+thread count, batch or chunk. A chunk's products, like its scores, number
+at most ``_CHUNK``, unless one query alone needs more.
 """
 
 from __future__ import annotations
@@ -102,24 +57,21 @@ import numpy as np
 
 from .embedder import ZERO_NORM, _csr_row_norms, row_norms
 
-# The scan's row blocks, and the rescoring's gathers, hold at most this
-# many matrix elements, in a multiple of _BLOCK_ALIGN rows. OpenBLAS
-# computes a matrix-vector product this small on the calling thread. A
-# larger one it splits across threads at a row that need not be aligned,
-# which changes the last bits of the rows around the split with the thread
-# count, and in a tight per-query loop on a small machine each call can
-# wait milliseconds for a worker that shares the caller's CPU. Aligned
-# blocks keep every row in the same kernel group as one single-threaded
-# product, so the scores are its bits.
+# The scan's row blocks hold at most this many matrix elements, in a
+# multiple of _BLOCK_ALIGN rows. OpenBLAS computes a matrix-vector product
+# this small on the calling thread. A larger one it splits across threads
+# at a row that need not be aligned, which changes the last bits of the
+# rows around the split with the thread count, and in a tight per-query
+# loop on a small machine each call can wait milliseconds for a worker that
+# shares the caller's CPU. Aligned blocks keep every row in the same kernel
+# group as one single-threaded product, so the scores are its bits.
 _BLOCK_ELEMENTS = 1 << 16
 _BLOCK_ALIGN = 64
-# A search scores at most this many (query, row) pairs at a time.
-_CHUNK_SCORES = 1 << 20
-# A sparse search's chunk holds at most this many scores, and as many
-# products. Its arrays (1 MiB at 8 bytes an element) then stay in a core's
-# cache: on a 638-report all-vs-all search, chunks of 2**20 took about 30 ms
-# against 22 ms (one thread).
-_SPARSE_CHUNK = 1 << 17
+# A search's chunk holds at most this many scores, and a sparse search's as
+# many products. Its arrays (1 MiB at 8 bytes an element) then stay in a
+# core's cache: on a 638-report all-vs-all sparse search, chunks of 2**20
+# took about 30 ms against 22 ms (one thread).
+_CHUNK = 1 << 17
 # The index matrix starts on a boundary of this many bytes. Where an array
 # starts is otherwise up to the allocator's history: with the matrix 16
 # bytes off a 32-byte boundary, a 638-row scan took about 113 ms against
@@ -176,16 +128,15 @@ def search(
     index: VectorIndex, query_vectors: np.ndarray, k: int, queries: Sequence[str]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The k most cosine-similar entries for each row of ``query_vectors``,
-    one GEMM per query chunk.
+    by the one-query block scan.
 
     Returns one query-major CSR ranking ``(ptr, rows, scores)``: query i's
     ranking is ``rows[ptr[i]:ptr[i + 1]]``, rows of ``index`` (ascending
     id), with their ``scores``, non-increasing. It is the whole index when
     that holds fewer than k candidates. ``queries[i]`` names query i; when
     it is an id of the index, that row is left out of query i's ranking.
-    Each score's bits are those of the one-query block scan. A query whose
-    norm is not finite raises ``ValueError``. Nothing is counted here:
-    ``cascade.run_partition`` charges the similarity ops.
+    A query whose norm is not finite raises ``ValueError``. Nothing is
+    counted here: ``cascade.run_partition`` charges the similarity ops.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -197,57 +148,62 @@ def search(
     n, m = len(vectors), len(index)
     if len(queries) != n:
         raise ValueError(f"{n} query vectors but {len(queries)} names")
-    # The row of each query's own id, or -1.
-    skips = np.full(n, -1)
-    for i, query in enumerate(queries):
-        pos = bisect_left(index.ids, query)
-        if pos < m and index.ids[pos] == query:
-            skips[i] = pos
-
+    skips = _own_rows(index.ids, queries)
+    # Each query's norm alone, a dot product: norm(axis=1) sums in another
+    # order.
     norms = np.array([np.linalg.norm(q) for q in vectors])
     bad = np.flatnonzero(~np.isfinite(norms))
     if len(bad):
         raise ValueError(f"query {bad[0]} ({queries[bad[0]]!r}) has a norm that is not finite")
 
     block = max(_BLOCK_ALIGN, _BLOCK_ELEMENTS // max(1, index.dim) // _BLOCK_ALIGN * _BLOCK_ALIGN)
-    chunk = max(1, _CHUNK_SCORES // max(m, 10 * min(k, m)))
+    chunk = max(1, _CHUNK // m)
     parts = []
     for first in range(0, n, chunk):
         part = vectors[first : first + chunk]
-        scores = part @ index.matrix.T
-        denom = index.norms[None, :] * norms[first : first + len(part), None]
-        invalid = ~(denom > ZERO_NORM)
-        denom[invalid] = 1.0
-        np.divide(scores, denom, out=scores)
-        scores[invalid] = -np.inf
-        # An excluded row scores -inf, so the k-th score is that of the
-        # rest; the row then leaves the shortlist.
-        skipping = np.flatnonzero(skips[first : first + len(part)] >= 0)
-        skipped = skips[first + skipping]
-        scores[skipping, skipped] = -np.inf
-        keep = _shortlist(scores, k, index.dim)
-        if k < m:
-            # A -inf k-th score shortlists every row, but -inf scores tie and
-            # rank by row: only the first k + 1 of them can place, the one
-            # more in case the excluded row is among them.
-            whole = np.flatnonzero(keep.all(axis=1))
-            tail = scores[whole] == -np.inf
-            keep[whole] = ~tail | (np.cumsum(tail, axis=1) <= k + 1)
-        keep[skipping, skipped] = False
-        # Shortlist pairs in query-major, ascending-row order. A -inf score
-        # is exact; every other one is replaced by the scan's bits.
-        who, rows = np.nonzero(keep)
-        picked = scores[who, rows]
-        finite = np.flatnonzero(picked > -np.inf)
-        finite_rows = rows[finite]
-        spans = np.searchsorted(who[finite], np.arange(len(part) + 1)).tolist()
-        dots = np.empty(len(finite))
-        for i, (a, b) in enumerate(zip(spans, spans[1:])):
-            if a < b:
-                dots[a:b] = _scan_dots(index.matrix, part[i], finite_rows[a:b], block)
-        picked[finite] = dots / denom[who[finite], finite_rows]
-        parts.append(_ranked(who, rows, picked, len(part), k))
+        scores = np.empty((len(part), m))
+        for s in range(0, m, block):
+            rows = index.matrix[s : s + block]
+            for i, q in enumerate(part):
+                np.matmul(rows, q, out=scores[i, s : s + block])
+        last = first + len(part)
+        parts.append(_top_k(scores, norms[first:last], index.norms, skips[first:last], k))
     return _csr(parts)
+
+
+def _own_rows(ids: Sequence[str], queries: Sequence[str]) -> np.ndarray:
+    """Each query's own row of the ascending ``ids``, or -1."""
+    rows = [bisect_left(ids, query) for query in queries]
+    own = [r < len(ids) and ids[r] == query for r, query in zip(rows, queries)]
+    return np.where(own, rows, -1).astype(np.intp)
+
+
+def _top_k(
+    dots: np.ndarray, q_norms: np.ndarray, db_norms: np.ndarray, skips: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_ranked`` of a chunk's queries from their ``(c, m)`` block of dot
+    products, overwritten with the cosines: each over the product of its
+    query's and its row's norm, -inf where either norm is below
+    ``ZERO_NORM`` and at the query's own row (``skips``, or -1), and only
+    the rows at or above the query's k-th cosine ranked."""
+    c, m = dots.shape
+    q_zero, db_zero = q_norms < ZERO_NORM, db_norms < ZERO_NORM
+    dots /= np.multiply.outer(np.where(q_zero, 1.0, q_norms), np.where(db_zero, 1.0, db_norms))
+    dots[:, db_zero] = -np.inf
+    dots[q_zero] = -np.inf
+    skipping = np.flatnonzero(skips >= 0)
+    skipped = skips[skipping]
+    dots[skipping, skipped] = -np.inf
+    # The excluded row scores -inf, so the k-th score is that of the rest,
+    # or -inf with at least k other rows kept.
+    if k < m:
+        keep = dots >= np.partition(dots, m - k, axis=1)[:, m - k, None]
+    else:
+        keep = np.ones(dots.shape, dtype=bool)
+    keep[skipping, skipped] = False
+    who, cols = np.nonzero(keep)
+    del keep
+    return _ranked(who, cols, dots[who, cols], c, k)
 
 
 def _ranked(
@@ -310,13 +266,9 @@ def search_rows(
         raise ValueError(f"{n} query rows but {len(queries)} names")
     if len(indptr) <= max(m, int(query_rows.max(initial=-1)) + 1):
         raise ValueError(f"{len(indptr) - 1} rows are too few for the database and the queries")
-    skips = np.array([bisect_left(ids, query) for query in queries], dtype=np.intp)
-    skips[[s >= m or ids[s] != query for s, query in zip(skips.tolist(), queries)]] = -1
-    # A zero row's norm is taken as 1.0, and its scores are set to -inf.
+    skips = _own_rows(ids, queries)
     norms = _csr_row_norms(indptr, weights)
-    zero = norms < ZERO_NORM
-    norms[zero] = 1.0
-    q_norms, q_zero, db_norms, db_zero = norms[query_rows], zero[query_rows], norms[:m], zero[:m]
+    q_norms, db_norms = norms[query_rows], norms[:m]
 
     # The inverted lists: the database's entries sorted by bucket, then row.
     postings = np.argsort(buckets[: indptr[m]], kind="stable")
@@ -337,8 +289,8 @@ def search_rows(
     parts = []
     first = 0
     while first < n:
-        fits = int(np.searchsorted(products, products[first] + _SPARSE_CHUNK, "right")) - 1
-        last = max(first + 1, min(n, first + _SPARSE_CHUNK // m, fits))
+        fits = int(np.searchsorted(products, products[first] + _CHUNK, "right")) - 1
+        last = max(first + 1, min(n, first + _CHUNK // m, fits))
         c = last - first
         e0, e1 = entry_ptr[first], entry_ptr[last]
         span = spans[e0:e1]
@@ -355,58 +307,7 @@ def search_rows(
         # come, ascending bucket. With no product at all it counts integers.
         scores = np.bincount(key, product, c * m).astype(np.float64, copy=False).reshape(c, m)
         del key, product
-        scores /= np.multiply.outer(q_norms[first:last], db_norms)
-        scores[:, db_zero] = -np.inf
-        scores[q_zero[first:last]] = -np.inf
-        skipping = np.flatnonzero(skips[first:last] >= 0)
-        skipped = skips[first + skipping]
-        scores[skipping, skipped] = -np.inf
-        # The excluded row scores -inf, so the k-th score is that of the
-        # rest, or -inf with at least k other rows kept.
-        if k < m:
-            keep = scores >= np.partition(scores, m - k, axis=1)[:, m - k, None]
-        else:
-            keep = np.ones(scores.shape, dtype=bool)
-        keep[skipping, skipped] = False
-        who, cols = np.nonzero(keep)
-        del keep
-        parts.append(_ranked(who, cols, scores[who, cols], c, k))
+        parts.append(_top_k(scores, q_norms[first:last], db_norms, skips[first:last], k))
         first = last
     return _csr(parts)
 
-
-def _shortlist(scores: np.ndarray, k: int, dim: int) -> np.ndarray:
-    """Which rows of each query's GEMM ``scores`` can be in its exact top k.
-
-    A GEMM cosine is within ``2 * gamma(dim + 2)`` of the scan's, so a row
-    of the exact top k scores at most ``4 * gamma(dim + 2)`` below the
-    query's k-th GEMM score (see the module docstring). The margin is
-    rounded up, and a rounded ``kth - margin`` is then never above a score
-    that the exact difference is not above.
-    """
-    m = scores.shape[1]
-    if k >= m:
-        return np.ones(scores.shape, dtype=bool)
-    u = 2.0**-53
-    gamma = (dim + 2) * u / (1 - (dim + 2) * u)
-    margin = math.nextafter(4 * gamma, math.inf)
-    kth = np.partition(scores, m - k, axis=1)[:, m - k]
-    return scores >= (kth - margin)[:, None]
-
-
-def _scan_dots(matrix: np.ndarray, q: np.ndarray, rows: np.ndarray, block: int) -> np.ndarray:
-    """``matrix[rows] @ q`` for ascending ``rows``, with the bits of the scan
-    ``matrix[s:s + block] @ q`` (see the module docstring)."""
-    m = len(matrix)
-    body = rows.searchsorted(m - m % 4)
-    out = np.empty(len(rows))
-    for s in range(0, body, block):
-        n = min(block, body - s)
-        take = rows[s : s + n]
-        if n % 4:
-            take = np.concatenate((take, np.zeros(-n % 4, dtype=take.dtype)))
-        out[s : s + n] = (matrix[take] @ q)[:n]
-    if body < len(rows):
-        last = (m - 1) // block * block
-        out[body:] = (matrix[last:] @ q)[rows[body:] - last]
-    return out

@@ -324,8 +324,9 @@ def rankings(ids, found) -> list[tuple[tuple[str, float], ...]]:
 def reference_search(index, query_vectors, k, queries) -> list[tuple[tuple[str, float], ...]]:
     """``retrieval.search`` as a one-query block scan, the definition of its
     bits: each score is the matrix-vector product of the aligned row block
-    holding the row with one query, over the product of the norms. A query
-    named by an id of the index leaves that row out."""
+    holding the row with one query, over the product of the norms, or -inf
+    where either norm is below ``ZERO_NORM``. A query named by an id of the
+    index leaves that row out."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if len(index) == 0:
@@ -345,7 +346,7 @@ def reference_search(index, query_vectors, k, queries) -> list[tuple[tuple[str, 
         retrieval._BLOCK_ALIGN,
         retrieval._BLOCK_ELEMENTS // max(1, index.dim) // retrieval._BLOCK_ALIGN * retrieval._BLOCK_ALIGN,
     )
-    chunk = max(1, retrieval._CHUNK_SCORES // m)
+    chunk = max(1, retrieval._CHUNK // m)
     results: list[tuple[tuple[str, float], ...]] = []
     for first in range(0, n, chunk):
         part = vectors[first : first + chunk]
@@ -354,8 +355,10 @@ def reference_search(index, query_vectors, k, queries) -> list[tuple[tuple[str, 
             rows = index.matrix[start : start + block]
             for i, q in enumerate(part):
                 np.matmul(rows, q, out=scores[i, start : start + block])
-        denom = index.norms[None, :] * np.array([np.linalg.norm(q) for q in part])[:, None]
-        invalid = ~(denom > ZERO_NORM)
+        q_norms = np.array([np.linalg.norm(q) for q in part])
+        denom = index.norms[None, :] * q_norms[:, None]
+        # A zero vector is one whose own norm is below ZERO_NORM.
+        invalid = (index.norms[None, :] < ZERO_NORM) | (q_norms[:, None] < ZERO_NORM)
         denom[invalid] = 1.0
         np.divide(scores, denom, out=scores)
         scores[invalid] = -np.inf

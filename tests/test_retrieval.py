@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import sys
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -191,7 +190,7 @@ def _oracle_rank(index: VectorIndex, q: np.ndarray, k: int, exclude=None):
     qn = float(np.linalg.norm(q))
     dots = index.matrix @ q
     denom = index.norms * qn
-    valid = denom > _ZERO_NORM
+    valid = (index.norms >= _ZERO_NORM) & (qn >= _ZERO_NORM)
     scores = np.where(valid, dots / np.where(valid, denom, 1.0), -np.inf)
     pool = [
         (bug_id, float(scores[i]))
@@ -282,7 +281,7 @@ def _search_case(rng, m, dim, n, integer=False):
 )
 def test_search_equals_the_full_sort_oracle_for_every_query(monkeypatch, m, dim, n, k, chunk_scores):
     if chunk_scores is not None:
-        monkeypatch.setattr(retrieval, "_CHUNK_SCORES", chunk_scores)
+        monkeypatch.setattr(retrieval, "_CHUNK", chunk_scores)
     rng = np.random.default_rng(m * 1000 + n)
     index, queries, names = _search_case(rng, m, dim, n)
     assert any(name in index.ids for name in names) and not all(name in index.ids for name in names)
@@ -315,14 +314,14 @@ def _bits(results):
         (131, 1024, True, None, None),  # integer vectors, exact ties, a 3-row last block
         (50, 6, True, None, 200),  # several query chunks
         (300, 700, False, None, 900),  # several query chunks and row blocks
-        # Shortlists of 500 rows and of the whole index: more than one block,
-        # and more than OpenBLAS computes on one thread.
+        # Rankings of 500 rows and of the whole index over ten row blocks, a
+        # matrix that OpenBLAS would split between threads in one product.
         (604, 1024, False, (1, 500, 603, 604, 607), None),
     ],
 )
 def test_search_equals_the_block_scan_bit_for_bit(monkeypatch, m, dim, integer, ks, chunk_scores):
     if chunk_scores is not None:
-        monkeypatch.setattr(retrieval, "_CHUNK_SCORES", chunk_scores)
+        monkeypatch.setattr(retrieval, "_CHUNK", chunk_scores)
     rng = np.random.default_rng(m * 1000 + dim)
     index, queries, names = _search_case(rng, m, dim, 12, integer)
     # The rows after the last 4-row group score, and one query is zero.
@@ -359,54 +358,23 @@ def _transient_bytes(run) -> int:
     return peak - retained
 
 
-def test_search_memory_stays_near_the_scan_when_the_shortlist_is_the_whole_index():
-    # With k >= m every pair is shortlisted, and each holds about ten array
-    # elements until its chunk is ranked. A zero query's k-th score is -inf,
-    # and -inf is within the margin of every row's score.
+def test_search_memory_stays_near_its_chunk_bound_when_k_covers_the_index(monkeypatch):
+    # With k >= m every score of a chunk is ranked. A chunk holds at most
+    # _CHUNK scores, each taking a few 8-byte array elements until its
+    # chunk is ranked, so the transient peak is a small multiple of the
+    # bound, for one chunk or for one and a half. A zero query's k-th score
+    # is -inf, which keeps every row too. The output, which outlives the
+    # call, stays small beside the bound.
+    bound = 1 << 16
+    monkeypatch.setattr(retrieval, "_CHUNK", bound)
     rng = np.random.default_rng(7)
-    for n, m, d, k, zero, bound in ((10_000, 100, 64, 100, False, 2), (2_000, 1_000, 64, 20, True, 1.5)):
-        index = VectorIndex.from_vectors([f"b{i:04d}" for i in range(m)], rng.normal(size=(m, d)))
+    m, d = 200, 64
+    index = VectorIndex.from_vectors([f"b{i:04d}" for i in range(m)], rng.normal(size=(m, d)))
+    for n, zero in ((bound // m, False), (491, False), (491, True)):
         queries = np.zeros((n, d)) if zero else rng.normal(size=(n, d))
         names = [f"q{i}" for i in range(n)]
-        scan = _transient_bytes(lambda: reference_search(index, queries, k, names))
-        got = _transient_bytes(lambda: search(index, queries, k, names))
-        assert got <= bound * scan, (n, m, k, got / 2**20, scan / 2**20)
-
-
-def _perturbed(value: float, t: float, bound: Fraction) -> float:
-    """The float nearest ``value + t * bound`` that is within ``bound`` of ``value``."""
-    noisy = float(Fraction(value) + Fraction(t) * bound)
-    while abs(Fraction(noisy) - Fraction(value)) > bound:
-        noisy = math.nextafter(noisy, value)
-    return noisy
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    exact=st.lists(
-        st.sampled_from([-math.inf, -1.0, 0.0, 0.25, 1.0]) | st.floats(-1.0, 1.0),
-        min_size=1,
-        max_size=30,
-    ),
-    data=st.data(),
-)
-def test_shortlist_keeps_the_exact_top_k_under_the_error_bound(exact, data):
-    # The GEMM and the scan score a pair at most 2 * gamma(dim + 2) apart,
-    # and score -inf alike. Whatever the GEMM's error within that bound,
-    # the shortlist holds every row scoring at least the exact k-th score.
-    dim = data.draw(st.integers(0, 5000), label="dim")
-    k = data.draw(st.integers(1, len(exact) + 3), label="k")
-    bound = 2 * Fraction(dim + 2, 2**53 - (dim + 2))
-    ts = data.draw(
-        st.lists(st.sampled_from([-1.0, 1.0]) | st.floats(-1.0, 1.0),
-                 min_size=len(exact), max_size=len(exact)),
-        label="error, in units of the bound",
-    )
-    noisy = [v if v == -math.inf else _perturbed(v, t, bound) for v, t in zip(exact, ts)]
-    keep = retrieval._shortlist(np.array([noisy]), k, dim)[0]
-    scores = np.array(exact)
-    kth = np.sort(scores)[::-1][min(k, len(scores)) - 1]
-    assert keep[scores >= kth].all()
+        peak = _transient_bytes(lambda: search(index, queries, m + 5, names))
+        assert peak <= 8 * 8 * bound, (n, zero, peak / (8 * bound))
 
 
 def test_non_finite_vectors_are_refused():
@@ -517,7 +485,7 @@ def test_search_rows_equals_the_per_pair_reference_bit_for_bit(db_texts, outside
     # Neither the chunk bound nor the other queries of the call move a bit.
     bound = data.draw(st.sampled_from([1, 5, 40]), label="chunk bound")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(retrieval, "_SPARSE_CHUNK", bound)
+        patch.setattr(retrieval, "_CHUNK", bound)
         assert _bits(_search_rows(rows, ids, query_rows, k, queries)) == _bits(want)
     for i in range(len(query_rows)):
         alone = _search_rows(rows, ids, query_rows[i : i + 1], k, queries[i : i + 1])
@@ -551,14 +519,46 @@ def test_search_orders_tied_scores_as_the_oracles_do(db_texts, outside, data):
     dense[np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)), buckets] = weights
     index = VectorIndex.from_vectors(ids, dense[:m])
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(retrieval, "_SPARSE_CHUNK", bound)
-        patch.setattr(retrieval, "_CHUNK_SCORES", bound)
+        patch.setattr(retrieval, "_CHUNK", bound)
         sparse = _search_rows(rows, ids, query_rows, k, queries)
         found = _search(index, dense[query_rows], k, queries)
     assert _bits(sparse) == _bits(_reference_search_rows(rows, ids, query_rows, k, queries))
     assert found == [
         _oracle_rank(index, dense[q], k, name) for q, name in zip(query_rows, queries)
     ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(1, 8),
+    dim=st.integers(1, 4),
+    e=st.sampled_from([0, 25]),
+    data=st.data(),
+)
+def test_search_and_search_rows_agree_bit_for_bit(m, dim, e, data):
+    # Small integers scaled by 2**-e: every dot product and every norm is
+    # exact in any summation order, so the dense scan and the sparse search
+    # score each pair alike. At e = 25 a nonzero norm is about 1e-7: each
+    # vector's own norm is above ZERO_NORM, and the product of two is below.
+    vector = st.just([0] * dim) | st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    db = data.draw(st.lists(vector, min_size=m, max_size=m), label="database")
+    outside = data.draw(st.lists(vector, max_size=3), label="outside queries")
+    vectors = np.array(db + outside, dtype=np.float64).reshape(-1, dim) * 2.0**-e
+    ids = [f"b{i}" for i in range(m)]
+    inside = data.draw(st.lists(st.integers(0, m - 1), max_size=4), label="database queries")
+    query_rows = inside + list(range(m, len(vectors)))
+    queries = [ids[i] for i in inside] + [f"q{i}" for i in range(len(outside))]
+    k = data.draw(st.integers(1, m + 2), label="k")
+    # The CSR rows drop exact zeros and keep ascending columns.
+    who, cols = np.nonzero(vectors)
+    rows = (np.searchsorted(who, np.arange(len(vectors) + 1)), cols, vectors[who, cols])
+    index = VectorIndex.from_vectors(ids, vectors[:m])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(retrieval, "_CHUNK", data.draw(st.sampled_from([1, 7, 1 << 17]), label="chunk bound"))
+        dense = search(index, vectors[query_rows], k, queries)
+        sparse = retrieval.search_rows(rows, ids, query_rows, k, queries)
+    for got, want in zip(dense, sparse):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_search_rows_zero_rows_rank_last_by_id():
@@ -601,12 +601,12 @@ def test_search_rows_equals_the_dense_full_sort_oracle(seed, k):
 
 def test_search_rows_memory_stays_near_its_chunk_bound_when_k_covers_the_database(monkeypatch):
     # With k >= m every score of a chunk is ranked. A chunk holds at most
-    # _SPARSE_CHUNK scores and as many products, each taking a few 8-byte
+    # _CHUNK scores and as many products, each taking a few 8-byte
     # array elements until its chunk is ranked; the arrays of one entry per
     # query token are small beside them. So the transient peak is a small
     # multiple of the bound, for one chunk or for several.
     bound = 1 << 16
-    monkeypatch.setattr(retrieval, "_SPARSE_CHUNK", bound)
+    monkeypatch.setattr(retrieval, "_CHUNK", bound)
     corpus, clusters, manifest = planted_pipeline(n_clusters=240, corpus_seed=5)
     embedder = fit_train_embedder(corpus, clusters, manifest, dim=1024)
     reports = sorted(corpus.reports, key=lambda r: r.bug_id)

@@ -33,7 +33,7 @@ from .embedder import (
 )
 from .ledger import CostLedger
 from .metrics import ConfusionMatrix, MetricRow, aggregate_curves, classification_metrics
-from .retrieval import VectorIndex, search, search_rows
+from .retrieval import search, search_rows
 from .splitter import SplitManifest, build_manifest, split_clusters
 from .synth import SynthConfig, synth_corpus
 
@@ -59,7 +59,6 @@ __all__ = [
     "SynthConfig",
     "TfidfHashEmbedder",
     "TrainConfig",
-    "VectorIndex",
     "aggregate_curves",
     "build_clusters",
     "build_corpus",

@@ -31,7 +31,7 @@ from .dup_graph import ClusterSet
 from .embedder import has_sparse_rows
 from .ledger import CostLedger
 from .metrics import MetricRow, Outcomes, QueryOutcome, aggregate_curves, exhaustive_row, report_row
-from .retrieval import VectorIndex, search, search_rows
+from .retrieval import search, search_rows
 from .seeding import substream_rng
 from .splitter import SplitManifest
 
@@ -204,12 +204,13 @@ def run_partition(
     ``sparse_rows``, as ``TfidfHashEmbedder`` has) takes the sparse path:
     one call of each over those whole texts, ranked by
     ``retrieval.search_rows``. Any other (``ProjectedEmbedder``,
-    ``RemoteEmbedder``) takes the dense path: one ``embed_texts`` call, a
-    ``VectorIndex`` and ``retrieval.search``. The outcome, the search and
-    the cascade's batch follow the order of ``queries`` as given. A query
-    that is in the database ranks and pairs with the rest of it, so its
-    ``db_size`` is one less, for every method; one-vs-all partitions are
-    disjoint, and all-vs-all is the case where every query is.
+    ``RemoteEmbedder``) takes the dense path: one ``embed_texts`` call,
+    ranked by ``retrieval.search``. Either search takes the embedded rows
+    whole, the database first. The outcome, the search and the cascade's
+    batch follow the order of ``queries`` as given. A query that is in the
+    database ranks and pairs with the rest of it, so its ``db_size`` is one
+    less, for every method; one-vs-all partitions are disjoint, and
+    all-vs-all is the case where every query is.
 
     The outcome holds every query's ranking as arrays, from search to the
     metric rows: its database rows and scores, the verdicts as ``kept``
@@ -252,27 +253,22 @@ def run_partition(
         rows, scores, kept = (np.concatenate(column) for column in zip(*parts))
         ptr = np.cumsum([0] + [len(r) for r, _, _ in parts])
     else:
-        sparse = has_sparse_rows(embedder)
         with ledger.phase("embed"):
             # The database is already in id order, so its rows are the
-            # index's rows as they come.
+            # search's database rows as they come.
             extra = sorted({q.bug_id: q for q in queries if q.bug_id not in db_row}.items())
             ordered = database + [q for _, q in extra]
             texts = [r.clean_text for r in ordered]
-            if sparse:
-                embedded = embedder.sparse_rows(*embedder.token_ids(texts))
+            if has_sparse_rows(embedder):
+                embedded, rank = embedder.sparse_rows(*embedder.token_ids(texts)), search_rows
             else:
-                vectors = embedder.embed_texts(texts)
-                index = VectorIndex.from_vectors(db_ids, vectors[:m])
+                embedded, rank = embedder.embed_texts(texts), search
             ledger.count_embeds(len(ordered))
 
         with ledger.phase("search"):
             row_of = {r.bug_id: i for i, r in enumerate(ordered)}
             at = [row_of[b] for b in query_ids]
-            if sparse:
-                ptr, rows, scores = search_rows(embedded, db_ids, at, k, query_ids)
-            else:
-                ptr, rows, scores = search(index, vectors[at], k, query_ids)
+            ptr, rows, scores = rank(embedded, db_ids, at, k, query_ids)
             # A query ranks the whole database, less itself.
             ledger.count_similarity(int(m * len(queries) - (own >= 0).sum()))
 

@@ -414,13 +414,17 @@ def cmd_run_cascade(args) -> int:
 
 
 def cmd_report(args) -> int:
+    shared_keys = ("mode", "seed", "query_fraction", "include_independents", "dedup_pairs")
     payloads = []
     for path in args.inputs:
         payload = json.loads(_require_file(path, "--in").read_text(encoding="utf-8"))
         if not isinstance(payload, dict) or not {"config", "metrics"} <= payload.keys():
             raise UsageError(f"--in: {path} is not a scenario artifact (needs config and metrics)")
+        config = payload["config"]
+        for key in (*shared_keys, "k"):
+            if not isinstance(config, dict) or key not in config:
+                raise UsageError(f"--in: {path} is not a scenario artifact (its config lacks {key!r})")
         payloads.append(payload)
-    shared_keys = ("mode", "seed", "query_fraction", "include_independents", "dedup_pairs")
     baseline = {k: payloads[0]["config"][k] for k in shared_keys}
     for path, payload in zip(args.inputs, payloads):
         got = {k: payload["config"][k] for k in shared_keys}

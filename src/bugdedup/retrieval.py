@@ -1,22 +1,25 @@
 """Exact top-k cosine search over embedded reports.
 
-``search`` scores a batch of dense query vectors against the whole index
-by brute force, and ``search_rows`` a batch of sparse rows (see the last
-section): databases stay small enough (tens of thousands) that exactness
-is cheap, and exact results keep every retrieval metric oracle-checkable.
-Both return the rankings of the batch as arrays, one query-major CSR
-``(ptr, rows, scores)`` whose rows index the database in ascending-id
-order; no per-candidate Python object is built. Ranking is fully
-deterministic: ties break by ascending bug id, and candidates whose
-embedding is the zero vector (cosine undefined) sort below everything.
-A query is never its own candidate: a query whose name is an id of the
-index leaves that row out of its ranking. Search counts nothing: the
-scenario runner charges the similarity ops, and ``metrics`` computes
-recall and precision at k from the rankings.
+``search`` scores a batch of queries against the whole database by brute
+force over dense vectors, and ``search_rows`` over sparse rows (see the
+last section): databases stay small enough (tens of thousands) that
+exactness is cheap, and exact results keep every retrieval metric
+oracle-checkable. Both take the runner's embedded rows, as
+``(embedded, ids, query_rows, k, queries)``: the first ``len(ids)`` rows
+are the database, its ``ids`` distinct and ascending, and query i is row
+``query_rows[i]``, named ``queries[i]``. Both return the rankings of the
+batch as arrays, one query-major CSR ``(ptr, rows, scores)`` whose rows
+index the database in ascending-id order; no per-candidate Python object
+is built. Ranking is fully deterministic: ties break by ascending bug id,
+and candidates whose embedding is the zero vector (cosine undefined) sort
+below everything. A query is never its own candidate: a query whose name
+is a database id leaves that row out of its ranking. Search counts
+nothing: the scenario runner charges the similarity ops, and ``metrics``
+computes recall and precision at k from the rankings.
 
 A dense score's bits are defined by a one-query block scan: the
 matrix-vector product (GEMV) of the aligned row block holding the row with
-the query, ``index.matrix[s:s + block] @ q``, over the product of the two
+the query, ``database[s:s + block] @ q``, over the product of the two
 norms. So they do not depend on which other queries share the call.
 ``search`` is that scan: for each chunk of queries it fills the chunk's
 score block one row block at a time, and each row block serves every query
@@ -48,9 +51,7 @@ at most ``_CHUNK``, unless one query alone needs more.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -72,102 +73,99 @@ _BLOCK_ALIGN = 64
 # core's cache: on a 638-report all-vs-all sparse search, chunks of 2**20
 # took about 30 ms against 22 ms (one thread).
 _CHUNK = 1 << 17
-# The index matrix starts on a boundary of this many bytes. Where an array
-# starts is otherwise up to the allocator's history: with the matrix 16
-# bytes off a 32-byte boundary, a 638-row scan took about 113 ms against
+# The database matrix starts on a boundary of this many bytes. Where an
+# array starts is otherwise up to the allocator's history: with the matrix
+# 16 bytes off a 32-byte boundary, a 638-row scan took about 113 ms against
 # 95 ms aligned (OpenBLAS 0.3.31, AVX-512, one thread). The product's bits
 # do not depend on the alignment.
 _MATRIX_ALIGN_BYTES = 64
 
 
-def _aligned_rows(matrix: np.ndarray, order: Sequence[int]) -> np.ndarray:
-    """``matrix[order]`` as a C-contiguous float64 array whose data starts
-    on a ``_MATRIX_ALIGN_BYTES`` boundary."""
-    shape = (len(order), *matrix.shape[1:])
-    size = math.prod(shape)
-    flat = np.empty(size + _MATRIX_ALIGN_BYTES // 8)
+def _aligned_rows(matrix: np.ndarray) -> np.ndarray:
+    """A C-contiguous float64 copy of ``matrix`` whose data starts on a
+    ``_MATRIX_ALIGN_BYTES`` boundary."""
+    flat = np.empty(matrix.size + _MATRIX_ALIGN_BYTES // 8)
     skip = (-flat.ctypes.data % _MATRIX_ALIGN_BYTES) // 8
-    out = flat[skip : skip + size].reshape(shape)
-    # Under mode="raise" np.take fills a buffer and copies it into ``out``;
-    # "clip" writes ``out`` directly. The caller's orders are permutations,
-    # so no index is clipped.
-    return np.take(np.asarray(matrix, dtype=np.float64), order, axis=0, out=out, mode="clip")
+    out = flat[skip : skip + matrix.size].reshape(matrix.shape)
+    out[...] = matrix
+    return out
 
 
-@dataclass(frozen=True, eq=False)
-class VectorIndex:
-    """Immutable id -> vector store; queries are read-only."""
-
-    ids: tuple[str, ...]
-    matrix: np.ndarray
-    norms: np.ndarray
-
-    @classmethod
-    def from_vectors(cls, ids: Sequence[str], matrix: np.ndarray) -> "VectorIndex":
-        if len(ids) != len(set(ids)):
-            raise ValueError("duplicate bug ids in index")
-        if matrix.shape[0] != len(ids):
-            raise ValueError(f"{len(ids)} ids but {matrix.shape[0]} vectors")
-        order = sorted(range(len(ids)), key=lambda i: ids[i])
-        ordered = _aligned_rows(matrix, order)
-        norms = row_norms(ordered)
-        bad = np.flatnonzero(~np.isfinite(norms))
-        if len(bad):
-            raise ValueError(f"the vector of {ids[order[bad[0]]]!r} has a norm that is not finite")
-        return cls(ids=tuple(ids[i] for i in order), matrix=ordered, norms=norms)
-
-    @property
-    def dim(self) -> int:
-        return int(self.matrix.shape[1])
-
-    def __len__(self) -> int:
-        return len(self.ids)
+def _checked(
+    ids: Sequence[str], n_rows: int, query_rows: Sequence[int], k: int, queries: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The query rows as an array and each query's own row (``_own_rows``),
+    once the arguments of a search over ``n_rows`` embedded rows hold: k is
+    at least 1, the database is not empty and its ids are distinct and
+    ascending, each query row has one name, and every row is in range.
+    Anything else raises ``ValueError``."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    m = len(ids)
+    if m == 0:
+        raise ValueError("cannot query an empty index")
+    if any(a >= b for a, b in zip(ids, ids[1:])):
+        raise ValueError("database ids must be distinct and ascending")
+    query_rows = np.asarray(query_rows, dtype=np.intp)
+    n = len(query_rows)
+    if len(queries) != n:
+        raise ValueError(f"{n} query rows but {len(queries)} names")
+    if n_rows < m:
+        raise ValueError(f"{n_rows} rows are too few for a database of {m}")
+    bad = np.flatnonzero((query_rows < 0) | (query_rows >= n_rows))
+    if len(bad):
+        i = bad[0]
+        raise ValueError(f"query {i} ({queries[i]!r}) reads row {query_rows[i]}, outside the {n_rows} rows")
+    return query_rows, _own_rows(ids, queries)
 
 
 def search(
-    index: VectorIndex, query_vectors: np.ndarray, k: int, queries: Sequence[str]
+    vectors: np.ndarray, ids: Sequence[str], query_rows: Sequence[int], k: int, queries: Sequence[str]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The k most cosine-similar entries for each row of ``query_vectors``,
-    by the one-query block scan.
+    """The k most cosine-similar database rows for each query, by the
+    one-query block scan.
 
-    Returns one query-major CSR ranking ``(ptr, rows, scores)``: query i's
-    ranking is ``rows[ptr[i]:ptr[i + 1]]``, rows of ``index`` (ascending
-    id), with their ``scores``, non-increasing. It is the whole index when
-    that holds fewer than k candidates. ``queries[i]`` names query i; when
-    it is an id of the index, that row is left out of query i's ranking.
-    A query whose norm is not finite raises ``ValueError``. Nothing is
+    ``vectors`` is a matrix whose first ``len(ids)`` rows are the database,
+    its ``ids`` distinct and ascending; query i is row ``query_rows[i]``,
+    named ``queries[i]``. Returns one query-major CSR ranking ``(ptr, rows,
+    scores)``: query i's ranking is ``rows[ptr[i]:ptr[i + 1]]``, database
+    rows, with their ``scores``, non-increasing. It is the whole database
+    when that holds fewer than k candidates; when ``queries[i]`` is a
+    database id, that row is left out of query i's ranking. A database row
+    or a query whose norm is not finite raises ``ValueError``. Nothing is
     counted here: ``cascade.run_partition`` charges the similarity ops.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if len(index) == 0:
-        raise ValueError("cannot query an empty index")
-    vectors = np.ascontiguousarray(query_vectors, dtype=np.float64)
-    if vectors.ndim != 2 or vectors.shape[1] != index.dim:
-        raise ValueError(f"query dim {vectors.shape} does not match index dim {index.dim}")
-    n, m = len(vectors), len(index)
-    if len(queries) != n:
-        raise ValueError(f"{n} query vectors but {len(queries)} names")
-    skips = _own_rows(index.ids, queries)
+    vectors = np.asarray(vectors)
+    if vectors.ndim != 2:
+        raise ValueError(f"vectors of shape {vectors.shape} are not a matrix")
+    query_rows, skips = _checked(ids, len(vectors), query_rows, k, queries)
+    n, m = len(query_rows), len(ids)
+    database = _aligned_rows(vectors[:m])
+    db_norms = row_norms(database)
+    bad = np.flatnonzero(~np.isfinite(db_norms))
+    if len(bad):
+        raise ValueError(f"the vector of {ids[bad[0]]!r} has a norm that is not finite")
+    query_vectors = np.ascontiguousarray(vectors[query_rows], dtype=np.float64)
     # Each query's norm alone, a dot product: norm(axis=1) sums in another
     # order.
-    norms = np.array([np.linalg.norm(q) for q in vectors])
+    norms = np.array([np.linalg.norm(q) for q in query_vectors])
     bad = np.flatnonzero(~np.isfinite(norms))
     if len(bad):
         raise ValueError(f"query {bad[0]} ({queries[bad[0]]!r}) has a norm that is not finite")
 
-    block = max(_BLOCK_ALIGN, _BLOCK_ELEMENTS // max(1, index.dim) // _BLOCK_ALIGN * _BLOCK_ALIGN)
+    dim = vectors.shape[1]
+    block = max(_BLOCK_ALIGN, _BLOCK_ELEMENTS // max(1, dim) // _BLOCK_ALIGN * _BLOCK_ALIGN)
     chunk = max(1, _CHUNK // m)
     parts = []
     for first in range(0, n, chunk):
-        part = vectors[first : first + chunk]
+        part = query_vectors[first : first + chunk]
         scores = np.empty((len(part), m))
         for s in range(0, m, block):
-            rows = index.matrix[s : s + block]
+            rows = database[s : s + block]
             for i, q in enumerate(part):
                 np.matmul(rows, q, out=scores[i, s : s + block])
         last = first + len(part)
-        parts.append(_top_k(scores, norms[first:last], index.norms, skips[first:last], k))
+        parts.append(_top_k(scores, norms[first:last], db_norms, skips[first:last], k))
     return _csr(parts)
 
 
@@ -246,27 +244,13 @@ def search_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``search`` over sparse rows, scored term at a time.
 
-    ``rows`` is a CSR ``(indptr, buckets, weights)`` whose first
-    ``len(ids)`` rows are the database, its ``ids`` distinct and ascending.
-    Query i is row ``query_rows[i]``, named ``queries[i]``. Returns what
-    ``search`` returns, a CSR ranking whose rows index the database, with
+    ``rows`` is a CSR ``(indptr, buckets, weights)``; its rows, the ids
+    and the queries are as in ``search``, and so is what it returns, with
     the scores of the module docstring's sparse section.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    m = len(ids)
-    if m == 0:
-        raise ValueError("cannot query an empty index")
-    if any(a >= b for a, b in zip(ids, ids[1:])):
-        raise ValueError("database ids must be distinct and ascending")
     indptr, buckets, weights = rows
-    query_rows = np.asarray(query_rows, dtype=np.intp)
-    n = len(query_rows)
-    if len(queries) != n:
-        raise ValueError(f"{n} query rows but {len(queries)} names")
-    if len(indptr) <= max(m, int(query_rows.max(initial=-1)) + 1):
-        raise ValueError(f"{len(indptr) - 1} rows are too few for the database and the queries")
-    skips = _own_rows(ids, queries)
+    query_rows, skips = _checked(ids, len(indptr) - 1, query_rows, k, queries)
+    n, m = len(query_rows), len(ids)
     norms = _csr_row_norms(indptr, weights)
     q_norms, db_norms = norms[query_rows], norms[:m]
 

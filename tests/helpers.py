@@ -29,7 +29,7 @@ from bugdedup.metrics import (
     aggregate_curves,
     classification_metrics,
 )
-from bugdedup.retrieval import VectorIndex, search
+from bugdedup.retrieval import search
 from bugdedup.seeding import substream_rng
 from bugdedup.splitter import SplitError, SplitManifest, TripletExample, build_manifest
 from bugdedup.stopwords import STOP_WORDS
@@ -321,30 +321,32 @@ def rankings(ids, found) -> list[tuple[tuple[str, float], ...]]:
     ]
 
 
-def reference_search(index, query_vectors, k, queries) -> list[tuple[tuple[str, float], ...]]:
+def reference_search(vectors, ids, query_rows, k, queries) -> list[tuple[tuple[str, float], ...]]:
     """``retrieval.search`` as a one-query block scan, the definition of its
     bits: each score is the matrix-vector product of the aligned row block
     holding the row with one query, over the product of the norms, or -inf
-    where either norm is below ``ZERO_NORM``. A query named by an id of the
-    index leaves that row out."""
+    where either norm is below ``ZERO_NORM``. The first ``len(ids)`` rows of
+    ``vectors`` are the database, its ids ascending, and query i is row
+    ``query_rows[i]``. A query named by a database id leaves that row out."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if len(index) == 0:
+    m = len(ids)
+    if m == 0:
         raise ValueError("cannot query an empty index")
-    vectors = np.ascontiguousarray(query_vectors, dtype=np.float64)
-    if vectors.ndim != 2 or vectors.shape[1] != index.dim:
-        raise ValueError(f"query dim {vectors.shape} does not match index dim {index.dim}")
-    n, m = len(vectors), len(index)
+    matrix = np.array(vectors[:m], dtype=np.float64)
+    norms = np.linalg.norm(matrix, axis=1)
+    vectors = np.array(np.asarray(vectors)[list(query_rows)], dtype=np.float64)
+    n, dim = len(vectors), matrix.shape[1]
     if len(queries) != n:
-        raise ValueError(f"{n} query vectors but {len(queries)} names")
+        raise ValueError(f"{n} query rows but {len(queries)} names")
     skips: list[int | None] = []
     for query in queries:
-        pos = bisect_left(index.ids, query)
-        skips.append(pos if pos < m and index.ids[pos] == query else None)
+        pos = bisect_left(ids, query)
+        skips.append(pos if pos < m and ids[pos] == query else None)
 
     block = max(
         retrieval._BLOCK_ALIGN,
-        retrieval._BLOCK_ELEMENTS // max(1, index.dim) // retrieval._BLOCK_ALIGN * retrieval._BLOCK_ALIGN,
+        retrieval._BLOCK_ELEMENTS // max(1, dim) // retrieval._BLOCK_ALIGN * retrieval._BLOCK_ALIGN,
     )
     chunk = max(1, retrieval._CHUNK // m)
     results: list[tuple[tuple[str, float], ...]] = []
@@ -352,19 +354,19 @@ def reference_search(index, query_vectors, k, queries) -> list[tuple[tuple[str, 
         part = vectors[first : first + chunk]
         scores = np.empty((len(part), m))
         for start in range(0, m, block):
-            rows = index.matrix[start : start + block]
+            rows = matrix[start : start + block]
             for i, q in enumerate(part):
                 np.matmul(rows, q, out=scores[i, start : start + block])
         q_norms = np.array([np.linalg.norm(q) for q in part])
-        denom = index.norms[None, :] * q_norms[:, None]
+        denom = norms[None, :] * q_norms[:, None]
         # A zero vector is one whose own norm is below ZERO_NORM.
-        invalid = (index.norms[None, :] < ZERO_NORM) | (q_norms[:, None] < ZERO_NORM)
+        invalid = (norms[None, :] < ZERO_NORM) | (q_norms[:, None] < ZERO_NORM)
         denom[invalid] = 1.0
         np.divide(scores, denom, out=scores)
         scores[invalid] = -np.inf
         # An excluded row scores -inf. A query's ``rows`` keeps every row
         # scoring at least its k-th best, so if that includes the excluded
-        # row, the k-th best is -inf and ``rows`` is the whole index:
+        # row, the k-th best is -inf and ``rows`` is the whole database:
         # dropping it below still leaves the k best of the rest.
         chunk_skips = skips[first : first + len(part)]
         for i, skip in enumerate(chunk_skips):
@@ -373,13 +375,13 @@ def reference_search(index, query_vectors, k, queries) -> list[tuple[tuple[str, 
         kth = np.partition(scores, m - k, axis=1)[:, m - k] if k < m else None
         for i, (row_scores, skip) in enumerate(zip(scores, chunk_skips)):
             rows = np.arange(m) if kth is None else np.flatnonzero(row_scores >= kth[i])
-            # Index rows are sorted by id, so ascending row is ascending id.
+            # Database rows are sorted by id, so ascending row is ascending id.
             order = rows[np.lexsort((rows, -row_scores[rows]))]
             if skip is not None:
                 order = order[order != skip]
             order = order[:k]
             results.append(
-                tuple(zip((index.ids[j] for j in order.tolist()), row_scores[order].tolist()))
+                tuple(zip((ids[j] for j in order.tolist()), row_scores[order].tolist()))
             )
     return results
 
@@ -460,22 +462,22 @@ def _reference_row(outcomes, cutoff, k) -> MetricRow:
 
 def reference_eval_retrieval(corpus, clusters, manifest, split, embedder, k_list) -> list[dict]:
     """``eval-retrieval``'s rows computed on their own: embed the split's
-    reports, index them, search with each clustered bug of the split (itself
-    left out), its cluster peers relevant, and aggregate in the manifest's
+    reports in id order, search them with each clustered bug of the split
+    (itself left out), its cluster peers relevant, and aggregate in the manifest's
     cluster order. Each row holds the metric fields and the two counters;
     the command adds its method and wall-clock time."""
-    reports = [corpus.by_id[b] for b in manifest.bugs_in(clusters, split)]
-    index = VectorIndex.from_vectors(
-        [r.bug_id for r in reports], embedder.embed_texts([r.clean_text for r in reports])
-    )
-    row_of = {bug_id: i for i, bug_id in enumerate(index.ids)}
+    reports = sorted(map(corpus.by_id.__getitem__, manifest.bugs_in(clusters, split)),
+                     key=lambda r: r.bug_id)
+    ids = [r.bug_id for r in reports]
+    vectors = embedder.embed_texts([r.clean_text for r in reports])
+    row_of = {bug_id: i for i, bug_id in enumerate(ids)}
     peers = {m: c.members for c in manifest.clusters_in(clusters, split) for m in c.members}
     queries = list(peers)
-    found = search(index, index.matrix[[row_of[q] for q in queries]], max(k_list), queries)
+    found = search(vectors, ids, [row_of[q] for q in queries], max(k_list), queries)
     outcomes = [
         outcome(q, [b for b, _ in ranking], (True,) * len(ranking),
-                frozenset(peers[q]) - {q}, len(index) - 1)
-        for q, ranking in zip(queries, rankings(index.ids, found))
+                frozenset(peers[q]) - {q}, len(ids) - 1)
+        for q, ranking in zip(queries, rankings(ids, found))
     ]
     counters = {"embed_calls": len(reports), "pair_classifications": 0}
     rows = aggregate_curves(columnar(outcomes), k_list)

@@ -47,7 +47,7 @@ from bugdedup.embedder import (
 )
 from bugdedup.metrics import ConfusionMatrix, aggregate_curves, classification_metrics
 from bugdedup.ledger import CostLedger
-from bugdedup.retrieval import VectorIndex, search
+from bugdedup.retrieval import search
 from bugdedup.splitter import SPLITS, build_manifest, split_clusters
 from bugdedup.synth import SynthConfig, synth_corpus
 from bugdedup import cli
@@ -306,20 +306,20 @@ def test_6_retrieval_recall_properties_and_full_sort_oracle(pipeline, train_embe
         for i in range(n):
             if rng.random() < 0.08:
                 matrix[i] = 0.0
-        ids = [f"v{j}" for j in rng.permutation(n)]
-        index = VectorIndex.from_vectors(ids, matrix)
+        ids = sorted(f"v{j}" for j in rng.permutation(n))
         query = np.zeros(dim) if rng.random() < 0.05 else rng.normal(size=dim)
         exclude = ids[int(rng.integers(n))] if rng.random() < 0.3 else None
 
-        ranked = rankings(index.ids, search(index, query[None, :], n, [exclude or "q"]))[0]
+        vectors = np.vstack([matrix, query])
+        ranked = rankings(ids, search(vectors, ids, [n], n, [exclude or "q"]))[0]
         qn = float(np.linalg.norm(query))
-        norms = np.linalg.norm(index.matrix, axis=1)
-        raw = index.matrix @ query
+        norms = np.linalg.norm(matrix, axis=1)
+        raw = matrix @ query
         scores = {
             bug_id: (
                 float(raw[i] / (norms[i] * qn)) if qn > 0.0 and norms[i] > 0.0 else -np.inf
             )
-            for i, bug_id in enumerate(index.ids)
+            for i, bug_id in enumerate(ids)
         }
         oracle = sorted(
             ((b, s) for b, s in scores.items() if b != exclude),
@@ -475,24 +475,26 @@ def test_8_gradients_projection_gain_and_separable_convergence():
         projected = ProjectedEmbedder(base=base, model=model)
 
         def mean_recall_10(embedder):
-            reports = [corpus.by_id[b] for b in manifest.bugs_in(clusters, "test")]
+            reports = sorted(
+                (corpus.by_id[b] for b in manifest.bugs_in(clusters, "test")), key=lambda r: r.bug_id
+            )
+            ids = [r.bug_id for r in reports]
             vectors = embedder.embed_texts([r.clean_text for r in reports])
-            index = VectorIndex.from_vectors([r.bug_id for r in reports], vectors)
-            row_of = {bug_id: j for j, bug_id in enumerate(index.ids)}
+            row_of = {bug_id: j for j, bug_id in enumerate(ids)}
             peers = {
                 m: c.members for c in manifest.clusters_in(clusters, "test") for m in c.members
             }
             queries = list(peers)
-            found = search(index, index.matrix[[row_of[q] for q in queries]], 10, queries)
+            found = search(vectors, ids, [row_of[q] for q in queries], 10, queries)
             outcomes = [
                 outcome(
                     q,
                     [b for b, _ in ranked],
                     (True,) * len(ranked),
                     frozenset(peers[q]) - {q},
-                    len(index) - 1,
+                    len(ids) - 1,
                 )
-                for q, ranked in zip(queries, rankings(index.ids, found))
+                for q, ranked in zip(queries, rankings(ids, found))
             ]
             assert all(o.relevant for o in outcomes)
             return aggregate_curves(columnar(outcomes), [10])[0].macro_recall

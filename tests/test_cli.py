@@ -332,6 +332,12 @@ def test_report_names_an_input_that_is_not_a_scenario(workdir, tmp_path, capsys)
     err = _run_fail(capsys, 2, "report", "--in", clusters, "--out", str(tmp_path / "r.csv"))
     assert err["error"] == "UsageError"
     assert clusters in err["message"]
+    # A config without a key that report reads is named with the file.
+    thin = tmp_path / "thin.json"
+    thin.write_text(json.dumps({"config": {"k": 5}, "metrics": []}))
+    err = _run_fail(capsys, 2, "report", "--in", str(thin), "--out", str(tmp_path / "r.csv"))
+    assert err["error"] == "UsageError"
+    assert str(thin) in err["message"] and "'mode'" in err["message"]
 
 
 def test_service_backends_drive_scenario(workdir, tmp_path, capsys, stub_service, monkeypatch):

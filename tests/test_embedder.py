@@ -29,7 +29,7 @@ from bugdedup.embedder import (
     train_projection,
     _pass_losses,
 )
-from bugdedup.retrieval import VectorIndex, search
+from bugdedup.retrieval import search
 from bugdedup.synth import SynthConfig, synth_corpus
 
 from helpers import reference_tfidf_embed, reference_tfidf_sparse
@@ -311,9 +311,9 @@ def test_tfidf_embedder_shared_by_two_threads_keeps_its_bits():
 
 
 def _retrieval_cosine(u, v) -> float:
-    """Cosine of two vectors as retrieval scores it: ``u`` queries ``v`` as a one-row index."""
-    index = VectorIndex.from_vectors(["v"], np.array([v], dtype=np.float64))
-    _, _, scores = search(index, np.array([u], dtype=np.float64), 1, ["u"])
+    """Cosine of two vectors as retrieval scores it: ``u`` queries ``v`` as a one-row database."""
+    vectors = np.concatenate([np.array([v], dtype=np.float64), np.array([u], dtype=np.float64)])
+    _, _, scores = search(vectors, ["v"], [1], 1, ["u"])
     return float(scores[0])
 
 
@@ -324,7 +324,8 @@ def test_cosine_known_values():
 
 
 def test_cosine_rejects_dim_mismatch():
-    with pytest.raises(ValueError, match="does not match"):
+    # Vectors of two lengths do not make one matrix of embedded rows.
+    with pytest.raises(ValueError, match="must match exactly"):
         _retrieval_cosine([1.0, 0.0], [1.0, 0.0, 0.0])
 
 

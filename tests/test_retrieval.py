@@ -17,7 +17,7 @@ from bugdedup.corpus import BugReport
 from bugdedup.dup_graph import ClusterSet
 from bugdedup.embedder import TfidfHashEmbedder
 from bugdedup.metrics import aggregate_curves
-from bugdedup.retrieval import VectorIndex, search
+from bugdedup.retrieval import search
 
 from helpers import (
     columnar,
@@ -31,15 +31,18 @@ from helpers import (
 _ZERO_NORM = 1e-12
 
 
-def _index(vectors: dict[str, list[float]]) -> VectorIndex:
-    ids = list(vectors)
-    matrix = np.array([vectors[i] for i in ids], dtype=np.float64)
-    return VectorIndex.from_vectors(ids, matrix)
+def _database(vectors: dict[str, list[float]]):
+    """The database ``(matrix, ids)`` of ``vectors``, in ascending-id order."""
+    ids = sorted(vectors)
+    return np.array([vectors[i] for i in ids], dtype=np.float64), ids
 
 
-def _search(index: VectorIndex, queries, k: int, names):
-    """``search``'s CSR ranking as one tuple of ``(bug_id, score)`` pairs per query."""
-    return rankings(index.ids, search(index, queries, k, names))
+def _search(db, query_vectors, k: int, names):
+    """``search``'s CSR ranking of ``query_vectors``, as rows after the
+    database ``db``, as one tuple of ``(bug_id, score)`` pairs per query."""
+    matrix, ids = db
+    vectors = np.concatenate([matrix, query_vectors])
+    return rankings(ids, search(vectors, ids, range(len(ids), len(vectors)), k, names))
 
 
 def _search_rows(rows, ids, query_rows, k, queries):
@@ -47,76 +50,70 @@ def _search_rows(rows, ids, query_rows, k, queries):
     return rankings(ids, retrieval.search_rows(rows, ids, query_rows, k, queries))
 
 
-def _one(index: VectorIndex, q, k: int, name: str = "query"):
+def _one(db, q, k: int, name: str = "query"):
     """The ranking of one query vector named ``name``."""
-    return _search(index, np.asarray(q, dtype=np.float64)[None, :], k, [name])[0]
+    return _search(db, np.asarray(q, dtype=np.float64)[None, :], k, [name])[0]
 
 
 def _ids(ranked) -> tuple[str, ...]:
     return tuple(bug_id for bug_id, _ in ranked)
 
 
-def test_index_sorts_ids():
-    idx = _index({"z": [1, 0], "a": [0, 1], "m": [1, 1]})
-    assert idx.ids == ("a", "m", "z")
-    np.testing.assert_array_equal(idx.matrix[0], [0, 1])
-    assert idx.dim == 2
-    assert len(idx) == 3
-
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_index_matrix_starts_on_a_cache_line(dtype):
+    # Search copies the database rows of the embedded matrix.
     rng = np.random.default_rng(4)
-    ids = [f"b{i}" for i in rng.permutation(300)]
-    matrix = rng.normal(size=(300, 48)).astype(dtype)
-    idx = VectorIndex.from_vectors(ids, matrix)
-    assert idx.matrix.ctypes.data % retrieval._MATRIX_ALIGN_BYTES == 0
-    assert idx.matrix.dtype == np.float64 and idx.matrix.flags.c_contiguous
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    assert idx.matrix.tobytes() == matrix[order].astype(np.float64).tobytes()
+    vectors = rng.normal(size=(340, 48)).astype(dtype)
+    got = retrieval._aligned_rows(vectors[:300])
+    assert got.ctypes.data % retrieval._MATRIX_ALIGN_BYTES == 0
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    assert not np.shares_memory(got, vectors)
+    assert got.tobytes() == vectors[:300].astype(np.float64).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
-@given(rows=st.integers(1, 70), dim=st.integers(1, 9), data=st.data())
-def test_aligned_rows_is_an_aligned_copy_of_the_gather(rows, dim, data):
+@given(rows=st.integers(1, 70), dim=st.integers(1, 9), fortran=st.booleans())
+def test_aligned_rows_is_an_aligned_copy(rows, dim, fortran):
     matrix = np.random.default_rng(rows * 10 + dim).normal(size=(rows, dim))
-    # The identity, as the cascade's database comes, or any permutation.
-    order = data.draw(st.just(list(range(rows))) | st.permutations(range(rows)))
-    got = retrieval._aligned_rows(matrix, order)
+    if fortran:
+        matrix = np.asfortranarray(matrix)
+    got = retrieval._aligned_rows(matrix)
     assert got.ctypes.data % retrieval._MATRIX_ALIGN_BYTES == 0
     assert got.flags.c_contiguous and not np.shares_memory(got, matrix)
     assert got.shape == (rows, dim)
-    assert got.tobytes() == matrix[order].tobytes()
+    assert got.tobytes() == np.ascontiguousarray(matrix).tobytes()
 
 
 def test_search_scores_do_not_depend_on_the_matrix_address():
     rng = np.random.default_rng(5)
-    idx = VectorIndex.from_vectors([f"b{i:03d}" for i in range(200)], rng.normal(size=(200, 100)))
-    queries = rng.normal(size=(30, 100))
-    names = [f"q{i}" for i in range(30)]
-    want = _search(idx, queries, 200, names)
+    m, n = 200, 30
+    vectors = rng.normal(size=(m + n, 100))
+    ids = [f"b{i:03d}" for i in range(m)]
+    names = [f"q{i}" for i in range(n)]
+    want = rankings(ids, search(vectors, ids, range(m, m + n), m, names))
     for offset in range(8, 64, 8):
-        flat = np.empty(idx.matrix.size + 16)
+        flat = np.empty(vectors.size + 16)
         start = (offset - flat.ctypes.data % 64) % 64 // 8
-        moved = flat[start : start + idx.matrix.size].reshape(idx.matrix.shape)
-        moved[...] = idx.matrix
+        moved = flat[start : start + vectors.size].reshape(vectors.shape)
+        moved[...] = vectors
         assert moved.ctypes.data % 64 == offset
-        shifted = VectorIndex(ids=idx.ids, matrix=moved, norms=idx.norms)
-        assert _search(shifted, queries, 200, names) == want
+        assert rankings(ids, search(moved, ids, range(m, m + n), m, names)) == want
 
 
 def test_index_rejects_duplicate_ids():
-    with pytest.raises(ValueError, match="duplicate bug ids"):
-        VectorIndex.from_vectors(["a", "a"], np.zeros((2, 2)))
+    vectors = np.eye(3)
+    for ids in (["a", "a"], ["b", "a"]):
+        with pytest.raises(ValueError, match="distinct and ascending"):
+            search(vectors, ids, [2], 1, ["q"])
 
 
 def test_index_rejects_count_mismatch():
-    with pytest.raises(ValueError, match="ids but"):
-        VectorIndex.from_vectors(["a", "b"], np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="2 rows are too few for a database of 3"):
+        search(np.zeros((2, 2)), ["a", "b", "c"], [], 1, [])
 
 
 def test_top_k_orders_by_similarity():
-    idx = _index({"far": [-1, 0], "near": [1, 0.01], "mid": [0, 1]})
+    idx = _database({"far": [-1, 0], "near": [1, 0.01], "mid": [0, 1]})
     ranked = _one(idx, [1.0, 0.0], k=3)
     assert _ids(ranked) == ("near", "mid", "far")
     scores = [s for _, s in ranked]
@@ -124,48 +121,47 @@ def test_top_k_orders_by_similarity():
 
 
 def test_top_k_breaks_ties_by_id():
-    idx = _index({"bb": [1, 0], "aa": [1, 0], "cc": [1, 0]})
+    idx = _database({"bb": [1, 0], "aa": [1, 0], "cc": [1, 0]})
     ranked = _one(idx, [2.0, 0.0], k=3)
     assert _ids(ranked) == ("aa", "bb", "cc")
 
 
 def test_top_k_zero_candidates_rank_last():
-    idx = _index({"zero": [0, 0], "hit": [1, 0]})
+    idx = _database({"zero": [0, 0], "hit": [1, 0]})
     ranked = _one(idx, [1.0, 0.0], k=2)
     assert _ids(ranked) == ("hit", "zero")
     assert ranked[1][1] == -np.inf
 
 
 def test_top_k_zero_query_orders_by_id():
-    idx = _index({"b": [1, 0], "a": [0, 1]})
+    idx = _database({"b": [1, 0], "a": [0, 1]})
     ranked = _one(idx, [0.0, 0.0], k=2)
     assert _ids(ranked) == ("a", "b")
     assert all(s == -np.inf for _, s in ranked)
 
 
 def test_top_k_excludes_self():
-    idx = _index({"q": [1, 0], "other": [1, 0]})
+    idx = _database({"q": [1, 0], "other": [1, 0]})
     ranked = _one(idx, [1.0, 0.0], k=2, name="q")
     assert _ids(ranked) == ("other",)
     assert len(ranked) < 2
 
 
 def test_top_k_flags_small_index():
-    idx = _index({"a": [1, 0]})
+    idx = _database({"a": [1, 0]})
     ranked = _one(idx, [1.0, 0.0], k=5)
     assert len(ranked) < 5
     assert len(ranked) == 1
 
 
 def test_top_k_validates_inputs():
-    idx = _index({"a": [1, 0]})
+    idx = _database({"a": [1, 0]})
     with pytest.raises(ValueError, match="k must be"):
         _one(idx, [1.0, 0.0], k=0)
-    with pytest.raises(ValueError, match="query dim"):
-        _one(idx, [1.0, 0.0, 0.0], k=1)
-    empty = VectorIndex.from_vectors([], np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="not a matrix"):
+        search(np.zeros(2), ["a"], [0], 1, ["query"])
     with pytest.raises(ValueError, match="empty index"):
-        _one(empty, [1.0, 0.0], k=1)
+        _one((np.zeros((0, 2)), []), [1.0, 0.0], k=1)
 
 
 class _FixedEmbedder:
@@ -186,17 +182,15 @@ def test_top_k_counts_similarity_ops():
     assert ledger.similarity_ops == 5
 
 
-def _oracle_rank(index: VectorIndex, q: np.ndarray, k: int, exclude=None):
+def _oracle_rank(db, q: np.ndarray, k: int, exclude=None):
+    matrix, ids = db
     qn = float(np.linalg.norm(q))
-    dots = index.matrix @ q
-    denom = index.norms * qn
-    valid = (index.norms >= _ZERO_NORM) & (qn >= _ZERO_NORM)
+    norms = np.linalg.norm(matrix, axis=1)
+    dots = matrix @ q
+    denom = norms * qn
+    valid = (norms >= _ZERO_NORM) & (qn >= _ZERO_NORM)
     scores = np.where(valid, dots / np.where(valid, denom, 1.0), -np.inf)
-    pool = [
-        (bug_id, float(scores[i]))
-        for i, bug_id in enumerate(index.ids)
-        if bug_id != exclude
-    ]
+    pool = [(bug_id, float(scores[i])) for i, bug_id in enumerate(ids) if bug_id != exclude]
     pool.sort(key=lambda c: (-c[1], c[0]))
     return tuple(pool[:k])
 
@@ -213,8 +207,8 @@ def test_top_k_matches_full_sort_on_random_indexes():
                 matrix[row] = 0.0
             elif row > 0 and rng.random() < 0.2:
                 matrix[row] = matrix[int(rng.integers(row))]
-        ids = [f"r{int(x):04d}" for x in rng.permutation(10 * n)[:n]]
-        index = VectorIndex.from_vectors(ids, matrix)
+        ids = sorted(f"r{int(x):04d}" for x in rng.permutation(10 * n)[:n])
+        index = matrix, ids
         q = np.zeros(dim) if rng.random() < 0.1 else rng.normal(size=dim)
         k = int(rng.integers(1, n + 3))
         exclude = ids[int(rng.integers(n))] if rng.random() < 0.5 else None
@@ -239,16 +233,16 @@ def test_top_k_matches_full_sort_on_random_indexes():
         (rng.normal(size=(300, 700)), "r0150", 300),
     ]
     for case, (matrix, exclude, k) in enumerate(edge_cases):
-        index = VectorIndex.from_vectors([f"r{i:04d}" for i in range(len(matrix))], matrix)
+        index = matrix, [f"r{i:04d}" for i in range(len(matrix))]
         q = rng.normal(size=matrix.shape[1])
         got = _one(index, q, k, name=exclude or "query")
         assert got == _oracle_rank(index, q, k, exclude), f"edge case {case}"
 
 
 def _search_case(rng, m, dim, n, integer=False):
-    """An index with zero rows and exact ties, and n queries (some zero) with
-    mixed names: ids of the index, which leave their row out, and names that
-    are not. ``integer`` vectors have exact dot products, so more of their
+    """A database ``(matrix, ids)`` with zero rows and exact ties, and n
+    queries (some zero) with mixed names: database ids, which leave their
+    row out, and names that are not. ``integer`` vectors have exact dot products, so more of their
     scores tie."""
     def draw(shape):
         return rng.integers(-2, 3, size=shape).astype(float) if integer else rng.normal(size=shape)
@@ -260,11 +254,11 @@ def _search_case(rng, m, dim, n, integer=False):
     ids = [f"r{i:04d}" for i in range(m)]
     queries = draw((n, dim))
     queries[rng.random(n) < 0.1] = 0.0
-    # copies of index rows tie with them, and with each other
+    # copies of database rows tie with them, and with each other
     queries[::3] = matrix[rng.integers(m, size=len(queries[::3]))]
     names = [ids[int(rng.integers(m))] if rng.random() < 0.6 else f"q{i}" for i in range(n)]
     names[::7] = ["absent"] * len(names[::7])
-    return VectorIndex.from_vectors(ids, matrix), queries, names
+    return (matrix, ids), queries, names
 
 
 @pytest.mark.parametrize(
@@ -284,7 +278,7 @@ def test_search_equals_the_full_sort_oracle_for_every_query(monkeypatch, m, dim,
         monkeypatch.setattr(retrieval, "_CHUNK", chunk_scores)
     rng = np.random.default_rng(m * 1000 + n)
     index, queries, names = _search_case(rng, m, dim, n)
-    assert any(name in index.ids for name in names) and not all(name in index.ids for name in names)
+    assert any(name in index[1] for name in names) and not all(name in index[1] for name in names)
     got = _search(index, queries, k, names)
     assert len(got) == n
     for i, ranked in enumerate(got):
@@ -314,7 +308,7 @@ def _bits(results):
         (131, 1024, True, None, None),  # integer vectors, exact ties, a 3-row last block
         (50, 6, True, None, 200),  # several query chunks
         (300, 700, False, None, 900),  # several query chunks and row blocks
-        # Rankings of 500 rows and of the whole index over ten row blocks, a
+        # Rankings of 500 rows and of the whole database over ten row blocks, a
         # matrix that OpenBLAS would split between threads in one product.
         (604, 1024, False, (1, 500, 603, 604, 607), None),
     ],
@@ -323,16 +317,16 @@ def test_search_equals_the_block_scan_bit_for_bit(monkeypatch, m, dim, integer, 
     if chunk_scores is not None:
         monkeypatch.setattr(retrieval, "_CHUNK", chunk_scores)
     rng = np.random.default_rng(m * 1000 + dim)
-    index, queries, names = _search_case(rng, m, dim, 12, integer)
+    (matrix, ids), queries, names = _search_case(rng, m, dim, 12, integer)
     # The rows after the last 4-row group score, and one query is zero.
-    matrix = np.array(index.matrix)
     matrix[m - m % 4 :] = rng.normal(size=(m % 4, dim))
-    index = VectorIndex.from_vectors(index.ids, matrix)
     queries[1] = 0.0
+    vectors = np.concatenate([matrix, queries])
+    at = range(m, len(vectors))
     for k in ks or sorted({1, 5, max(1, m - 1), m, m + 3}):
-        want = reference_search(index, queries, k, names)
-        assert _bits(_search(index, queries, k, names)) == _bits(want), f"k={k}"
-    assert _search(index, queries[:0], 1, []) == reference_search(index, queries[:0], 1, []) == []
+        want = reference_search(vectors, ids, at, k, names)
+        assert _bits(rankings(ids, search(vectors, ids, at, k, names))) == _bits(want), f"k={k}"
+    assert rankings(ids, search(vectors, ids, [], 1, [])) == reference_search(vectors, ids, [], 1, []) == []
 
 
 def _transient_bytes(run) -> int:
@@ -363,51 +357,59 @@ def test_search_memory_stays_near_its_chunk_bound_when_k_covers_the_index(monkey
     # _CHUNK scores, each taking a few 8-byte array elements until its
     # chunk is ranked, so the transient peak is a small multiple of the
     # bound, for one chunk or for one and a half. A zero query's k-th score
-    # is -inf, which keeps every row too. The output, which outlives the
-    # call, stays small beside the bound.
+    # is -inf, which keeps every row too. The copy of the database and the
+    # query vectors, and the output, which outlives the call, stay small
+    # beside the bound.
     bound = 1 << 16
     monkeypatch.setattr(retrieval, "_CHUNK", bound)
     rng = np.random.default_rng(7)
     m, d = 200, 64
-    index = VectorIndex.from_vectors([f"b{i:04d}" for i in range(m)], rng.normal(size=(m, d)))
+    ids = [f"b{i:04d}" for i in range(m)]
+    database = rng.normal(size=(m, d))
     for n, zero in ((bound // m, False), (491, False), (491, True)):
         queries = np.zeros((n, d)) if zero else rng.normal(size=(n, d))
+        vectors = np.concatenate([database, queries])
         names = [f"q{i}" for i in range(n)]
-        peak = _transient_bytes(lambda: search(index, queries, m + 5, names))
+        peak = _transient_bytes(lambda: search(vectors, ids, range(m, m + n), m + 5, names))
         assert peak <= 8 * 8 * bound, (n, zero, peak / (8 * bound))
 
 
 def test_non_finite_vectors_are_refused():
+    vectors = np.array([[1.0, 1.0], [0.0, 1.0], [np.inf, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match="'c' has a norm that is not finite"):
-        VectorIndex.from_vectors(list("dcba"), np.array([[1.0, 0.0], [np.inf, 0.0], [0.0, 1.0], [1.0, 1.0]]))
-    index = _index({"a": [1, 0], "b": [0, 1]})
+        search(vectors, list("abcd"), [0], 1, ["a"])
+    vectors = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [np.nan, 0.0]])
     with pytest.raises(ValueError, match=r"query 1 \('nan'\) has a norm that is not finite"):
-        search(index, np.array([[1.0, 0.0], [np.nan, 0.0]]), 1, queries=["ok", "nan"])
+        search(vectors, ["a", "b"], [2, 3], 1, queries=["ok", "nan"])
     # finite entries whose norm overflows
+    vectors = np.array([[1.0, 0.0], [0.0, 1.0], [1e200, 1e200]])
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="query 0 .* not finite"):
-        search(index, np.array([[1e200, 1e200]]), 1, ["big"])
+        search(vectors, ["a", "b"], [2], 1, ["big"])
 
 
 def test_search_edge_inputs():
-    index = _index({"a": [1, 0], "b": [0, 1]})
+    index = _database({"a": [1, 0], "b": [0, 1]})
     assert _search(index, np.zeros((0, 2)), 3, []) == []
     got = _search(index, np.array([[1.0, 0.0], [0.0, 1.0]]), 1, ["x", "y"])
     # One ranking per query, in query order.
     assert got == [(("a", 1.0),), (("b", 1.0),)]
-    # A query named by an index id never ranks itself, even as its best match.
+    # A query named by a database id never ranks itself, even as its best match.
     got = _search(index, np.array([[1.0, 0.0], [0.0, 1.0]]), 1, ["a", "b"])
     assert [_ids(r) for r in got] == [("b",), ("a",)]
-    empty = VectorIndex.from_vectors([], np.zeros((0, 2)))
+    # A query may be a database row.
+    assert rankings(["a", "b"], search(np.eye(2), ["a", "b"], [0, 1], 1, ["a", "b"])) == got
+    vectors, ids = np.eye(3), ["a", "b"]
     with pytest.raises(ValueError, match="empty index"):
-        search(empty, np.zeros((1, 2)), 1, ["x"])
+        search(vectors, [], [2], 1, ["x"])
     with pytest.raises(ValueError, match="k must be"):
-        search(index, np.zeros((1, 2)), 0, ["x"])
-    with pytest.raises(ValueError, match="query dim"):
-        search(index, np.zeros((1, 3)), 1, ["x"])
-    with pytest.raises(ValueError, match="query dim"):
-        search(index, np.zeros(2), 1, ["x"])
-    with pytest.raises(ValueError, match="2 query vectors but 1 names"):
-        search(index, np.zeros((2, 2)), 1, ["a"])
+        search(vectors, ids, [2], 0, ["x"])
+    with pytest.raises(ValueError, match="not a matrix"):
+        search(np.zeros(3), ids, [2], 1, ["x"])
+    with pytest.raises(ValueError, match="2 query rows but 1 names"):
+        search(vectors, ids, [2, 2], 1, ["a"])
+    for row in (3, -1, -2):
+        with pytest.raises(ValueError, match=rf"query 0 \('x'\) reads row {row}, outside the 3 rows"):
+            search(vectors, ids, [row], 1, ["x"])
 
 
 # ------------------------------------------------------------ sparse rows
@@ -517,14 +519,13 @@ def test_search_orders_tied_scores_as_the_oracles_do(db_texts, outside, data):
     indptr, buckets, weights = rows
     dense = np.zeros((len(indptr) - 1, 16))
     dense[np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)), buckets] = weights
-    index = VectorIndex.from_vectors(ids, dense[:m])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(retrieval, "_CHUNK", bound)
         sparse = _search_rows(rows, ids, query_rows, k, queries)
-        found = _search(index, dense[query_rows], k, queries)
+        found = rankings(ids, search(dense, ids, query_rows, k, queries))
     assert _bits(sparse) == _bits(_reference_search_rows(rows, ids, query_rows, k, queries))
     assert found == [
-        _oracle_rank(index, dense[q], k, name) for q, name in zip(query_rows, queries)
+        _oracle_rank((dense[:m], ids), dense[q], k, name) for q, name in zip(query_rows, queries)
     ]
 
 
@@ -552,10 +553,9 @@ def test_search_and_search_rows_agree_bit_for_bit(m, dim, e, data):
     # The CSR rows drop exact zeros and keep ascending columns.
     who, cols = np.nonzero(vectors)
     rows = (np.searchsorted(who, np.arange(len(vectors) + 1)), cols, vectors[who, cols])
-    index = VectorIndex.from_vectors(ids, vectors[:m])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(retrieval, "_CHUNK", data.draw(st.sampled_from([1, 7, 1 << 17]), label="chunk bound"))
-        dense = search(index, vectors[query_rows], k, queries)
+        dense = search(vectors, ids, query_rows, k, queries)
         sparse = retrieval.search_rows(rows, ids, query_rows, k, queries)
     for got, want in zip(dense, sparse):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -631,7 +631,10 @@ def test_search_rows_edge_inputs():
     with pytest.raises(ValueError, match="1 query rows but 2 names"):
         retrieval.search_rows(rows, ids, [2], 1, ["q", "r"])
     with pytest.raises(ValueError, match="too few"):
-        retrieval.search_rows(rows, ids, [3], 1, ["q"])
+        retrieval.search_rows(rows, ids + ["c", "d"], [2], 1, ["q"])
+    for row in (3, -1, -2):
+        with pytest.raises(ValueError, match=rf"query 0 \('q'\) reads row {row}, outside the 3 rows"):
+            retrieval.search_rows(rows, ids, [row], 1, ["q"])
 
 
 def _at_k(ranked, relevant, k_list, db_size=50):
@@ -678,7 +681,7 @@ def test_recall_monotone_in_k(ranked, relevant, k):
 
 
 def test_works_with_a_search_ranking():
-    idx = _index({"a": [1, 0], "b": [0, 1]})
+    idx = _database({"a": [1, 0], "b": [0, 1]})
     ranked = _one(idx, [1.0, 0.0], k=2)
     at_1, at_2 = _at_k(_ids(ranked), {"a"}, [1, 2], db_size=len(idx))
     assert at_1.macro_recall == 1.0

@@ -202,7 +202,9 @@ def run_partition(
     order, then the queries that are not in it, in id order, in one pass.
     An embedder with a token pass and a rows pass (``token_ids`` and
     ``sparse_rows``, as ``TfidfHashEmbedder`` has) takes the sparse path:
-    one call of each over those whole texts, ranked by
+    one token pass over each report's title and description as adjacent
+    texts, and one rows pass over the spans of the whole texts, which are
+    the rows of ``clean_text`` bit for bit, ranked by
     ``retrieval.search_rows``. Any other (``ProjectedEmbedder``,
     ``RemoteEmbedder``) takes the dense path: one ``embed_texts`` call,
     ranked by ``retrieval.search``. Either search takes the embedded rows
@@ -220,10 +222,13 @@ def run_partition(
     The cascade scores all n*k candidate pairs of the partition in one
     ``classify_pairs`` batch, in query order and then rank order. No
     built-in scorer's score for a pair depends on its batch, so this
-    equals one batch per query. A pair scorer's featurizer reads its own
-    tokens and builds its own sparse rows; the rows or vectors of the
-    embed phase serve search only. Classification alone keeps one batch
-    per query: its partition holds n*m pairs.
+    equals one batch per query. When the cascade's pair scorer has a
+    ``featurizer`` whose ``embedder`` is this embedder object, the embed
+    phase hands it the token pass and the whole-text rows
+    (``PairFeaturizer.warm``), so each report is tokenised once; the
+    featurizer's rows are not ledgered. Otherwise the rows or vectors of
+    the embed phase serve search only. Classification alone keeps one
+    batch per query: its partition holds n*m pairs.
     """
     if method not in METHODS:
         raise ScenarioError(f"unknown method {method!r}")
@@ -258,11 +263,17 @@ def run_partition(
             # search's database rows as they come.
             extra = sorted({q.bug_id: q for q in queries if q.bug_id not in db_row}.items())
             ordered = database + [q for _, q in extra]
-            texts = [r.clean_text for r in ordered]
             if has_sparse_rows(embedder):
-                embedded, rank = embedder.sparse_rows(*embedder.token_ids(texts)), search_rows
+                # Report r's title and description are spans 2r and 2r + 1;
+                # together they are the tokens of its ``clean_text``.
+                fields = [text for r in ordered for text in (r.clean_title, r.clean_description)]
+                parts, ids = embedder.token_ids(fields)
+                embedded, rank = embedder.sparse_rows(parts[0::2], ids), search_rows
+                featurizer = getattr(pair_classifier, "featurizer", None)
+                if method == "cascade" and getattr(featurizer, "embedder", None) is embedder:
+                    featurizer.warm(ordered, (parts, ids, embedded))
             else:
-                embedded, rank = embedder.embed_texts(texts), search
+                embedded, rank = embedder.embed_texts([r.clean_text for r in ordered]), search
             ledger.count_embeds(len(ordered))
 
         with ledger.phase("search"):

@@ -18,8 +18,11 @@ reads each report's title and description tokens once (the embedder's
 ``token_ids``), builds its whole-text, title and description rows from
 them as sparse rows (``sparse_rows``), and keeps them for every later
 pair; those embeddings are its own business and are deliberately not
-ledgered as embedding calls. A pair's features cost in proportion to the
-tokens of its two reports, not to the embedding's dimension.
+ledgered as embedding calls. When the cascade runner's embedder is the
+featurizer's own, the runner hands over the tokens and whole-text rows
+it made for search, and the featurizer builds only the title and
+description rows. A pair's features cost in proportion to the tokens of
+its two reports, not to the embedding's dimension.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 
 from .corpus import BugReport
 from .dup_graph import ClusterSet
-from .embedder import ZERO_NORM, TrainingError, _csr_row_norms, has_sparse_rows
+from .embedder import ZERO_NORM, TrainingError, _csr_row_norms, has_sparse_rows, read_model_file
 from .metrics import ConfusionMatrix, classification_metrics
 from .seeding import substream_rng
 
@@ -55,6 +58,22 @@ _CHUNK_PAIRS = 2048
 
 def _chunks(n: int) -> Iterator[slice]:
     return (slice(i, i + _CHUNK_PAIRS) for i in range(0, n, _CHUNK_PAIRS))
+
+
+def _entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lengths of the CSR rows ``rows`` and the positions of their
+    entries, row after row."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    ends = np.cumsum(lengths)
+    return lengths, np.arange(lengths.sum()) + np.repeat(starts - ends + lengths, lengths)
+
+
+def _take(indptr: np.ndarray, rows: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The CSR rows ``rows`` of ``(indptr, *columns)``, in that order, as a
+    new CSR ``(indptr, *columns)``."""
+    lengths, at = _entries(indptr, rows)
+    return (np.concatenate(([0], np.cumsum(lengths))), *(column[at] for column in columns))
 
 
 def _put(buffer: np.ndarray, at: int, values: np.ndarray) -> np.ndarray:
@@ -98,10 +117,7 @@ class _SparseRows:
 
     def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Keys ``i * stride + column`` and weights of the entries of each ``rows[i]``."""
-        starts = self.indptr[rows]
-        lengths = self.indptr[rows + 1] - starts
-        ends = np.cumsum(lengths)
-        at = np.arange(lengths.sum()) + np.repeat(starts - ends + lengths, lengths)
+        lengths, at = _entries(self.indptr, rows)
         return np.repeat(np.arange(len(rows)), lengths) * self.stride + self.columns[at], self.weights[at]
 
 
@@ -159,7 +175,10 @@ class PairFeaturizer:
     stores with their norms: the whole texts, and the parts with report
     r's title at row 2r and its description at 2r + 1. A third store keeps
     each report's distinct token ids in ascending order for the Jaccard
-    feature.
+    feature. Given the token pass and whole-text rows of the same
+    embedder, as the cascade runner hands them over, ``warm`` makes only
+    the parts' rows pass: a row depends on its own tokens alone, so the
+    stores hold the same bits either way.
 
     ``feature_matrix`` gathers the entries of a batch of pairs by row, one
     field and ``_CHUNK_PAIRS`` pairs at a time, and matches them by
@@ -178,16 +197,40 @@ class PairFeaturizer:
         self._row: dict[str, int] = {}
         self._texts, self._parts, self._tokens = _SparseRows(), _SparseRows(), _SparseRows()
 
-    def warm(self, reports: Sequence[BugReport]) -> None:
-        """Read the reports not seen before, each once, in one token pass."""
-        missing = list({r.bug_id: r for r in reports if r.bug_id not in self._row}.values())
-        if not missing:
+    def warm(
+        self,
+        reports: Sequence[BugReport],
+        tokens: tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]] | None = None,
+    ) -> None:
+        """Read the reports not seen before, each once, in one token pass.
+
+        ``tokens``, if given, is ``(parts, ids, rows)`` for all of
+        ``reports`` from ``self.embedder``: the token pass over each
+        report's title and description as adjacent texts, and the rows pass
+        over the spans ``parts[0::2]``, its whole texts. Then the reports
+        not seen before are cut out of them, and no token pass is made.
+        """
+        # Each new report's id and the index of its first sight in ``reports``.
+        new: dict[str, int] = {}
+        for i, r in enumerate(reports):
+            if r.bug_id not in self._row:
+                new.setdefault(r.bug_id, i)
+        if not new:
             return
-        n = len(missing)
-        fields = [text for r in missing for text in (r.clean_title, r.clean_description)]
-        parts, ids = self.embedder.token_ids(fields)
+        n = len(new)
+        if tokens is None:
+            missing = [reports[i] for i in new.values()]
+            fields = [text for r in missing for text in (r.clean_title, r.clean_description)]
+            parts, ids = self.embedder.token_ids(fields)
+            texts = self.embedder.sparse_rows(parts[0::2], ids)
+        else:
+            parts, ids, texts = tokens
+            if n < len(reports):
+                keep = np.fromiter(new.values(), np.intp, n)
+                texts = _take(texts[0], keep, *texts[1:])
+                parts, ids = _take(parts, np.stack((2 * keep, 2 * keep + 1), axis=1).ravel(), ids)
         indptr = parts[0::2]
-        self._texts.append(*self.embedder.sparse_rows(indptr, ids))
+        self._texts.append(*texts)
         self._parts.append(*self.embedder.sparse_rows(parts, ids))
         # Each report's distinct ids, ascending, from one sort of
         # (report, id) keys.
@@ -195,8 +238,7 @@ class PairFeaturizer:
         distinct = np.unique(np.repeat(np.arange(n), np.diff(indptr)) * stride + ids)
         bounds = np.concatenate(([0], np.cumsum(np.bincount(distinct // stride, minlength=n))))
         self._tokens.append(bounds, distinct % stride, np.ones(len(distinct)))
-        first = len(self._row)
-        self._row.update(zip([r.bug_id for r in missing], range(first, first + n)))
+        self._row.update(zip(new, range(len(self._row), len(self._row) + n)))
 
     def _rows(self, pairs: Sequence[tuple[BugReport, BugReport]]) -> tuple[np.ndarray, np.ndarray]:
         self.warm([r for pair in pairs for r in pair])
@@ -431,7 +473,9 @@ def save_classifier(model: LogisticPairModel, path: str | Path, extra: dict | No
 
 
 def load_classifier(path: str | Path) -> LogisticPairModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = read_model_file(
+        path, "classifier", ("weights", "threshold", "train_config", "loss_curve")
+    )
     return LogisticPairModel(
         weights=np.array(payload["weights"]),
         threshold=payload["threshold"],

@@ -97,6 +97,15 @@ def _flags_for_fields(**flags: str):
         raise UsageError(f"{flag}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _model_file(flag: str):
+    """A malformed model file is a usage error naming its flag."""
+    try:
+        yield
+    except embedder_mod.ModelFileError as exc:
+        raise UsageError(f"{flag}: {exc}") from exc
+
+
 def _parse_k_list(text: str) -> list[int]:
     try:
         ks = [int(x) for x in text.split(",") if x.strip()]
@@ -138,7 +147,8 @@ def _make_embedder(args, corpus, clusters, manifest, backends: contextlib.ExitSt
     if args.embed_backend == "tfidf":
         return _fit_train_embedder(corpus, clusters, manifest, args.dim)
     if args.embed_backend == "projection":
-        model = embedder_mod.load_projection(_require_file(args.projection, "--projection"))
+        with _model_file("--projection"):
+            model = embedder_mod.load_projection(_require_file(args.projection, "--projection"))
         base = _fit_train_embedder(corpus, clusters, manifest, model.dim_in)
         return embedder_mod.ProjectedEmbedder(base=base, model=model)
     endpoint = args.endpoint or os.environ.get(EMBED_ENDPOINT_ENV)
@@ -174,13 +184,14 @@ def _make_classifier(args, corpus, clusters, manifest, backends: contextlib.Exit
         except ValueError as exc:
             raise UsageError(f"--sim-threshold: {exc}") from exc
     model_path = _require_file(args.model, "--model")
+    with _model_file("--model"):
+        model = classifier_mod.load_classifier(model_path)
     trained_dim = json.loads(model_path.read_text(encoding="utf-8")).get("cli", {}).get("dim")
     if trained_dim is not None and trained_dim != args.dim:
         raise UsageError(
             f"--model was trained on features at --dim {trained_dim}, "
             f"but this run embeds them at --dim {args.dim}"
         )
-    model = classifier_mod.load_classifier(model_path)
     return classifier_mod.LogisticClassifier(model, featurizer)
 
 
@@ -424,6 +435,15 @@ def cmd_report(args) -> int:
         for key in (*shared_keys, "k"):
             if not isinstance(config, dict) or key not in config:
                 raise UsageError(f"--in: {path} is not a scenario artifact (its config lacks {key!r})")
+        metrics = payload["metrics"]
+        if not isinstance(metrics, list) or not all(
+            isinstance(row, dict) and type(row.get("k")) is int and isinstance(row.get("method"), str)
+            for row in metrics
+        ):
+            raise UsageError(
+                f"--in: {path} is not a scenario artifact "
+                "(its metrics are not a list of rows, each with an integer k and a string method)"
+            )
         payloads.append(payload)
     baseline = {k: payloads[0]["config"][k] for k in shared_keys}
     for path, payload in zip(args.inputs, payloads):

@@ -45,6 +45,20 @@ class TrainingError(RuntimeError):
     """Raised when projection training produces a non-finite loss."""
 
 
+class ModelFileError(ValueError):
+    """Raised when a saved model file lacks a field or fails its checksum."""
+
+
+def read_model_file(path: str | Path, kind: str, keys: Sequence[str]) -> dict:
+    """The JSON object in the ``kind`` file at ``path``; a missing key of
+    ``keys`` raises ``ModelFileError`` naming the file and the key."""
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    for key in keys:
+        if not isinstance(payload, dict) or key not in payload:
+            raise ModelFileError(f"{kind} file {path} lacks {key!r}")
+    return payload
+
+
 def fnv1a64(token: str) -> int:
     """FNV-1a 64-bit hash; the bucket function is fixed for reproducibility."""
     h = _FNV_OFFSET
@@ -420,10 +434,14 @@ def save_projection(model: ProjectionModel, path: str | Path, extra: dict | None
 
 
 def load_projection(path: str | Path) -> ProjectionModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = read_model_file(
+        path,
+        "projection",
+        ("dim_in", "dim_out", "margin", "train_config", "loss_curve", "weights_b64", "weights_sha256"),
+    )
     raw = base64.b64decode(payload["weights_b64"])
     if hashlib.sha256(raw).hexdigest() != payload["weights_sha256"]:
-        raise ValueError(f"projection file {path} is corrupt: checksum mismatch")
+        raise ModelFileError(f"projection file {path} is corrupt: checksum mismatch")
     weights = np.frombuffer(raw, dtype=np.float64).reshape(
         payload["dim_in"], payload["dim_out"]
     )

@@ -505,10 +505,12 @@ def _embedded_by_featurizer(records, reports):
 
 @pytest.mark.parametrize("shared", [True, False])
 def test_runner_hands_its_text_vectors_to_the_same_embedder(setup, shared):
-    """With a TF-IDF embedder the runner reads each whole text once, in one
-    token pass and one rows pass, and never embeds densely. The featurizer
-    makes its own token pass, even when the embedder is the same object:
-    the runner's rows serve search only."""
+    """With a TF-IDF embedder the runner reads each report's title and
+    description once, in one token pass, takes its whole-text rows in one
+    rows pass, and never embeds densely. When the featurizer's embedder is
+    the same object, the runner hands it that token pass and those rows, so
+    the featurizer makes only its parts' rows pass; otherwise the featurizer
+    makes its own token pass and both of its rows passes."""
     _, clusters, _, embedder, _, _ = setup
     queries, database = _mode_partition(setup, "one_vs_all")
     runner_side = CountingEmbedder(embedder)
@@ -522,21 +524,103 @@ def test_runner_hands_its_text_vectors_to_the_same_embedder(setup, shared):
     embed_order = sorted(database, key=lambda r: r.bug_id) + sorted(extra, key=lambda r: r.bug_id)
     paired = _embedded_by_featurizer(records, embed_order)
     # The runner's token pass: the database in id order, then the other
-    # queries in id order. The featurizer's: each paired report's title and
-    # description, in the order it first sees the report.
-    whole = [r.clean_text for r in embed_order]
+    # queries in id order. The featurizer's own: each paired report, in the
+    # order it first sees the report. Both read a title, then its description.
+    embedded = [text for r in embed_order for text in (r.clean_title, r.clean_description)]
     fields = [text for r in paired for text in (r.clean_title, r.clean_description)]
     assert extra and runner_side.calls == featurizer_side.calls == []
     if shared:
-        assert runner_side.token_calls == [whole, fields] and runner_side.rows_calls == 3
+        assert runner_side.token_calls == [embedded] and runner_side.rows_calls == 2
     else:
-        assert runner_side.token_calls == [whole] and runner_side.rows_calls == 1
+        assert runner_side.token_calls == [embedded] and runner_side.rows_calls == 1
         assert featurizer_side.token_calls == [fields] and featurizer_side.rows_calls == 2
     want, _ = reference_cascade(
         queries, database, clusters, embedder,
         LogisticClassifier(model, PairFeaturizer(embedder)), k=6,
     )
     assert records == want
+
+
+def _scorer(name, featurizer):
+    if name == "logistic":
+        return LogisticClassifier(LogisticPairModel(_WEIGHTS, threshold=0.3), featurizer)
+    return SimilarityClassifier(featurizer, similarity_threshold=0.3)
+
+
+def _assert_equals_a_fresh_featurizer(featurizer, embedder, reports):
+    """``featurizer``'s features and cosines of every pair of ``reports``
+    equal, byte for byte, those of a featurizer that reads them itself."""
+    pairs = [(a, b) for i, a in enumerate(reports) for b in reports[i + 1 :]]
+    fresh = PairFeaturizer(embedder)
+    assert featurizer.feature_matrix(pairs).tobytes() == fresh.feature_matrix(pairs).tobytes()
+    assert featurizer.cosine_all_batch(pairs).tobytes() == fresh.cosine_all_batch(pairs).tobytes()
+
+
+@pytest.mark.parametrize("name", ["logistic", "similarity"])
+@pytest.mark.parametrize("mode", ["one_vs_all", "all_vs_all"])
+def test_a_handed_over_featurizer_equals_a_fresh_one_bit_for_bit(setup, mode, name):
+    """The featurizer holds every embedded report after the runner's one
+    token pass, and its features are a fresh featurizer's."""
+    _, clusters, _, embedder, _, _ = setup
+    queries, database = _mode_partition(setup, mode)
+    counting = CountingEmbedder(embedder)
+    featurizer = PairFeaturizer(counting)
+    run_partition(queries, database, clusters, counting, _scorer(name, featurizer), "cascade", 6)
+    embedded = list({r.bug_id: r for r in [*database, *queries]}.values())
+    assert len(counting.token_calls) == 1 and counting.rows_calls == 2
+    assert set(featurizer._row) == {r.bug_id for r in embedded}
+    _assert_equals_a_fresh_featurizer(featurizer, embedder, embedded)
+    assert len(counting.token_calls) == 1
+
+
+def test_a_featurizer_reused_across_overlapping_partitions_reads_only_new_reports(setup):
+    corpus, clusters, manifest, embedder, _, _ = setup
+    bugs = reports_of(corpus, manifest.bugs_in(clusters, "test") + manifest.bugs_in(clusters, "dev"))
+    assert len(bugs) >= 60
+    counting = CountingEmbedder(embedder)
+    featurizer = PairFeaturizer(counting)
+    scorer = _scorer("logistic", featurizer)
+    for queries, database in ((bugs[:10], bugs[10:40]), (bugs[30:40], bugs[20:60])):
+        outcome, _ = run_partition(queries, database, clusters, counting, scorer, "cascade", 6)
+    # The second partition's database and queries share 20 reports with the
+    # first's, and the featurizer stores each report once.
+    assert len(counting.token_calls) == 2 and counting.rows_calls == 4
+    assert set(featurizer._row) == {r.bug_id for r in bugs[:60]}
+    assert featurizer._texts.count == featurizer._parts.count // 2 == 60
+    fresh = _scorer("logistic", PairFeaturizer(embedder))
+    want, _ = run_partition(queries, database, clusters, embedder, fresh, "cascade", 6)
+    assert outcome.records == want.records
+    _assert_equals_a_fresh_featurizer(featurizer, embedder, bugs[:60])
+
+
+def test_an_equal_but_distinct_embedder_gets_no_hand_over(setup):
+    _, clusters, _, embedder, _, _ = setup
+    twin = TfidfHashEmbedder(dim=embedder.dim, doc_count=embedder.doc_count, df=embedder.df)
+    assert twin == embedder and twin is not embedder
+    queries, database = _mode_partition(setup, "one_vs_all")
+    featurizer = PairFeaturizer(twin)
+    outcome, _ = run_partition(
+        queries, database, clusters, embedder, _scorer("logistic", featurizer), "cascade", 6
+    )
+    # The featurizer read only the reports of the pairs it scored.
+    paired = {b for r in outcome.records for c, _, _ in r.candidates for b in (r.query, c)}
+    assert set(featurizer._row) == paired < {r.bug_id for r in [*queries, *database]}
+    _assert_equals_a_fresh_featurizer(featurizer, embedder, [*queries, *database])
+
+
+@pytest.mark.parametrize("mode", ["one_vs_all", "all_vs_all"])
+def test_a_handed_over_featurizer_leaves_the_ledger_at_its_closed_form(setup, mode):
+    """The featurizer's rows are its own business: the ledger counts n + m
+    embeddings however many reports the featurizer keeps."""
+    _, clusters, _, embedder, _, _ = setup
+    queries, database = _mode_partition(setup, mode)
+    scorer = _scorer("logistic", PairFeaturizer(embedder))
+    _, ledger = run_partition(queries, database, clusters, embedder, scorer, "cascade", 6)
+    if mode == "one_vs_all":
+        want = predict_cost("cascade", len(queries), len(database), 6)
+    else:
+        want = predict_cost_all_vs_all("cascade", len(database), 6)
+    assert {key: getattr(ledger, key) for key in want} == want
 
 
 @pytest.mark.parametrize("mode", ["one_vs_all", "all_vs_all"])

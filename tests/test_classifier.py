@@ -335,6 +335,43 @@ def test_rows_cut_from_the_token_pass_equal_embed_sparse_of_each_field(dim, fiel
             assert row(store, i) == (buckets.tobytes(), weights.tobytes())
 
 
+def _handed_tokens(embedder, reports):
+    """What the cascade runner hands ``warm``: one token pass over the
+    reports' titles and descriptions, and the rows of their whole texts."""
+    parts, ids = embedder.token_ids(_fields(reports))
+    return parts, ids, embedder.sparse_rows(parts[0::2], ids)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dim=st.sampled_from(sorted(_FEATURE_EMBEDDERS)),
+    fields=st.lists(st.tuples(_field, _field), min_size=1, max_size=5),
+    data=st.data(),
+)
+def test_warm_from_handed_tokens_equals_its_own_token_pass(dim, fields, data):
+    # Some reports are seen before the hand-over, and the handed list
+    # repeats some, so warm keeps only the first sight of each new one.
+    embedder = _FEATURE_EMBEDDERS[dim]
+    reports, pairs = _reports_and_pairs(fields)
+    if not pairs:
+        return
+    seen = data.draw(st.lists(st.sampled_from(reports), max_size=3))
+    handed = data.draw(st.permutations(reports)) + data.draw(st.lists(st.sampled_from(reports)))
+    counting = CountingEmbedder(embedder)
+    featurizer = PairFeaturizer(counting)
+    featurizer.warm(seen)
+    before = len(counting.token_calls)
+    featurizer.warm(handed, _handed_tokens(embedder, handed))
+    assert len(counting.token_calls) == before  # no token pass of its own
+    new = {r.bug_id for r in reports} - {r.bug_id for r in seen}
+    assert counting.rows_calls == 2 * before + bool(new)  # only the parts' rows pass
+    assert set(featurizer._row) == {r.bug_id for r in reports}
+    fresh = PairFeaturizer(embedder)
+    assert featurizer.feature_matrix(pairs).tobytes() == fresh.feature_matrix(pairs).tobytes()
+    assert featurizer.cosine_all_batch(pairs).tobytes() == fresh.cosine_all_batch(pairs).tobytes()
+    assert len(counting.token_calls) == before
+
+
 def test_both_empty_pair_inside_a_batch_is_rejected():
     a, b = _report("b1", "crash heap", "overflow"), _report("b2", "render", "shader")
     empty1, empty2 = _report("e1", "", "the"), _report("e2", "", "")

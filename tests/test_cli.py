@@ -340,6 +340,52 @@ def test_report_names_an_input_that_is_not_a_scenario(workdir, tmp_path, capsys)
     assert str(thin) in err["message"] and "'mode'" in err["message"]
 
 
+@pytest.mark.parametrize(
+    "metrics", [[{"method": "retrieval_only"}], {}], ids=["row-without-k", "not-a-list"]
+)
+def test_report_names_an_input_whose_metrics_are_not_rows(tmp_path, capsys, metrics):
+    config = {"mode": "one_vs_all", "seed": 1, "query_fraction": 0.2,
+              "include_independents": True, "dedup_pairs": False, "k": 5}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"config": config, "metrics": metrics}))
+    err = _run_fail(capsys, 2, "report", "--in", str(path), "--out", str(tmp_path / "r.csv"))
+    assert err["error"] == "UsageError"
+    assert str(path) in err["message"] and "integer k" in err["message"]
+    assert not (tmp_path / "r.csv").exists()
+
+
+def _corrupt(workdir):
+    payload = json.loads((workdir / "projection.json").read_text())
+    return {**payload, "weights_sha256": "0" * 64}
+
+
+@pytest.mark.parametrize(
+    "flag, payload, says",
+    [
+        ("--model", lambda _: {"threshold": 0.5}, "lacks 'weights'"),
+        ("--model", lambda _: [], "lacks 'weights'"),
+        ("--projection", lambda _: {"dim_in": 3}, "lacks 'dim_out'"),
+        ("--projection", _corrupt, "checksum mismatch"),
+    ],
+)
+def test_a_malformed_model_file_is_named_with_its_flag(
+    workdir, tmp_path, capsys, flag, payload, says
+):
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(payload(workdir)))
+    files = {"--model": workdir / "classifier.json", "--projection": workdir / "projection.json"}
+    files[flag] = bad
+    err = _run_fail(
+        capsys, 2, "run-cascade", *_pipeline_flags(workdir),
+        "--mode", "one-vs-all", "--method", "cascade", "--k", "5", "--seed", "1", "--dim", "128",
+        "--embed-backend", "projection", "--classifier-backend", "logistic",
+        *(str(x) for item in files.items() for x in item), "--out", str(tmp_path / "scenario.json"),
+    )
+    assert err["error"] == "UsageError"
+    assert err["message"].startswith(f"{flag}: ")
+    assert str(bad) in err["message"] and says in err["message"]
+
+
 def test_service_backends_drive_scenario(workdir, tmp_path, capsys, stub_service, monkeypatch):
     stub_service.default = embed_reply(16)
     classify_stub = type(stub_service)(default=classify_reply(0.8))

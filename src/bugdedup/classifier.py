@@ -474,11 +474,12 @@ def save_classifier(model: LogisticPairModel, path: str | Path, extra: dict | No
 
 def load_classifier(path: str | Path) -> LogisticPairModel:
     payload = read_model_file(
-        path, "classifier", ("weights", "threshold", "train_config", "loss_curve")
+        path, "classifier", ("weights", "threshold", "train_config", "loss_curve"),
+        ClassifierTrainConfig,
     )
     return LogisticPairModel(
         weights=np.array(payload["weights"]),
         threshold=payload["threshold"],
-        train_config=ClassifierTrainConfig(**payload["train_config"]),
+        train_config=payload["train_config"],
         loss_curve=tuple(payload["loss_curve"]),
     )

@@ -4,7 +4,8 @@ A corpus is an immutable collection of bug reports plus the set of
 pairwise duplicate relations declared through ``dup_of`` links. Cleaning
 normalizes the free text (title + description) into a deterministic
 lowercase token stream; everything downstream (embedding, pairing,
-retrieval) operates on ``clean_text`` only.
+retrieval) operates on ``clean_text`` only. A report's text is cleaned
+on first read, once per report, not when the report is built.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import csv
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -56,9 +57,10 @@ def clean(text: str) -> str:
 
 @dataclass(frozen=True)
 class BugReport:
-    """One bug report. The ``clean_*`` fields are derived, never taken from input.
+    """One bug report. The ``clean_*`` attributes are derived, never taken from input.
 
-    Each field is cleaned once, here. ``clean_text`` joins the cleaned
+    Each is cleaned on first read, once per report, so a command that
+    reads no report text cleans none. ``clean_text`` joins the cleaned
     title and description; that equals ``clean(f"{title} {description}")``
     because no token spans the space between the two.
     """
@@ -67,19 +69,27 @@ class BugReport:
     title: str
     description: str
     dup_of: str | None = None
-    clean_title: str = field(init=False)
-    clean_description: str = field(init=False)
-    clean_text: str = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.bug_id:
             raise ValueError("bug_id must be a non-empty string")
         if self.dup_of == self.bug_id:
             raise ValueError(f"bug {self.bug_id!r} declares itself as its duplicate")
-        title, description = clean(self.title), clean(self.description)
-        object.__setattr__(self, "clean_title", title)
-        object.__setattr__(self, "clean_description", description)
-        object.__setattr__(self, "clean_text", " ".join(x for x in (title, description) if x))
+
+    # ``cached_property`` stores into the instance ``__dict__`` directly, so
+    # the frozen ``__setattr__`` is never asked; ``clean`` is read through
+    # the module global so that a wrapper installed there sees every call.
+    @cached_property
+    def clean_title(self) -> str:
+        return clean(self.title)
+
+    @cached_property
+    def clean_description(self) -> str:
+        return clean(self.description)
+
+    @cached_property
+    def clean_text(self) -> str:
+        return " ".join(x for x in (self.clean_title, self.clean_description) if x)
 
 
 @dataclass(frozen=True)

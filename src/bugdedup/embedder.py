@@ -46,16 +46,23 @@ class TrainingError(RuntimeError):
 
 
 class ModelFileError(ValueError):
-    """Raised when a saved model file lacks a field or fails its checksum."""
+    """Raised when a saved model file lacks a field, holds a malformed
+    ``train_config`` or fails its checksum."""
 
 
-def read_model_file(path: str | Path, kind: str, keys: Sequence[str]) -> dict:
-    """The JSON object in the ``kind`` file at ``path``; a missing key of
-    ``keys`` raises ``ModelFileError`` naming the file and the key."""
+def read_model_file(path: str | Path, kind: str, keys: Sequence[str], config_type: type) -> dict:
+    """The JSON object in the ``kind`` file at ``path``, with its
+    ``train_config`` made a ``config_type``. A missing key of ``keys``, or a
+    ``train_config`` that is not an object or has an unknown key or a bad
+    value, raises ``ModelFileError`` naming the file and the key."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     for key in keys:
         if not isinstance(payload, dict) or key not in payload:
             raise ModelFileError(f"{kind} file {path} lacks {key!r}")
+    try:
+        payload["train_config"] = config_type(**payload["train_config"])
+    except (TypeError, ValueError) as exc:
+        raise ModelFileError(f"{kind} file {path}: malformed 'train_config': {exc}") from exc
     return payload
 
 
@@ -438,6 +445,7 @@ def load_projection(path: str | Path) -> ProjectionModel:
         path,
         "projection",
         ("dim_in", "dim_out", "margin", "train_config", "loss_curve", "weights_b64", "weights_sha256"),
+        TrainConfig,
     )
     raw = base64.b64decode(payload["weights_b64"])
     if hashlib.sha256(raw).hexdigest() != payload["weights_sha256"]:
@@ -448,6 +456,6 @@ def load_projection(path: str | Path) -> ProjectionModel:
     return ProjectionModel(
         weights=weights.copy(),
         margin=payload["margin"],
-        train_config=TrainConfig(**payload["train_config"]),
+        train_config=payload["train_config"],
         loss_curve=tuple(payload["loss_curve"]),
     )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from bugdedup import corpus as corpus_mod
 from helpers import StubService, fit_train_embedder, planted_pipeline
 
 
@@ -31,6 +32,20 @@ def manifest(pipeline):
 @pytest.fixture(scope="session")
 def train_embedder(pipeline):
     return fit_train_embedder(*pipeline, dim=256)
+
+
+@pytest.fixture
+def cleaned(monkeypatch) -> list[str]:
+    """Every text passed to ``bugdedup.corpus.clean`` from here on, in call order."""
+    calls: list[str] = []
+    real = corpus_mod.clean
+
+    def counting(text: str) -> str:
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(corpus_mod, "clean", counting)
+    return calls
 
 
 @pytest.fixture

@@ -29,7 +29,7 @@ from bugdedup import classifier
 from bugdedup.cascade import ScenarioError, classify_pairs
 from bugdedup.corpus import BugReport
 from bugdedup.dup_graph import build_clusters
-from bugdedup.embedder import TfidfHashEmbedder
+from bugdedup.embedder import ModelFileError, TfidfHashEmbedder
 from bugdedup.ledger import CostLedger
 
 from helpers import CountingEmbedder, reference_pair_features, reference_tune_threshold
@@ -678,3 +678,21 @@ def test_classifier_config_json_roundtrip(tmp_path):
     payload = json.loads(path.read_text())
     assert set(payload["train_config"]) == {f.name for f in fields(ClassifierTrainConfig)}
     assert load_classifier(path).train_config == cfg
+
+
+@pytest.mark.parametrize(
+    "train_config, says",
+    [
+        ({"epochs": 3, "bogus": 1}, "unexpected keyword argument 'bogus'"),
+        ([3], "must be a mapping"),
+        ({"epochs": -1}, "epochs must be >= 0"),
+    ],
+)
+def test_load_classifier_names_a_malformed_train_config(tmp_path, train_config, says):
+    path = tmp_path / "classifier.json"
+    save_classifier(LogisticPairModel(weights=np.zeros(FEATURE_COUNT + 1)), path)
+    payload = json.loads(path.read_text())
+    path.write_text(json.dumps({**payload, "train_config": train_config}))
+    with pytest.raises(ModelFileError, match=says) as caught:
+        load_classifier(path)
+    assert str(path) in str(caught.value)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +109,28 @@ def test_ingest_roundtrips_jsonl(workdir, tmp_path, capsys):
     )
     assert summary["dropped_relations"] == 0
     assert out.read_text() == (workdir / "corpus.jsonl").read_text()
+
+
+def test_synth_and_cluster_clean_no_text(tmp_path, capsys, cleaned):
+    _run(capsys, "synth", "--clusters", "20", "--seed", "2", "--out", str(tmp_path / "corpus.jsonl"))
+    _run(capsys, "cluster", "--corpus", str(tmp_path / "corpus.jsonl"), "--out", str(tmp_path / "clusters.json"))
+    assert cleaned == []
+
+
+def test_train_classifier_cleans_only_the_reports_it_reads(workdir, tmp_path, capsys, cleaned):
+    _run(
+        capsys, "train-classifier", *_pipeline_flags(workdir), "--seed", "5", "--dim", "128",
+        "--epochs", "2", "--out", str(tmp_path / "classifier.json"),
+    )
+    corpus = ingest(workdir / "corpus.jsonl")
+    clusters = clusters_from_json(json.loads((workdir / "clusters.json").read_text()))
+    manifest = load_manifest(workdir / "manifest.json")
+    read = set(manifest.bugs_in(clusters, "train"))
+    read.update(b for split in ("train", "dev") for p in manifest.pairs[split] for b in (p.bug_a, p.bug_b))
+    assert len(read) < len(corpus)
+    # Each report read has its title and description cleaned once.
+    want = Counter(text for b in read for text in (corpus.by_id[b].title, corpus.by_id[b].description))
+    assert Counter(cleaned) == want
 
 
 def test_eval_retrieval_tfidf(workdir, tmp_path, capsys):
@@ -359,6 +382,11 @@ def _corrupt(workdir):
     return {**payload, "weights_sha256": "0" * 64}
 
 
+def _with_train_config(path):
+    payload = json.loads(path.read_text())
+    return {**payload, "train_config": {**payload["train_config"], "bogus": 1}}
+
+
 @pytest.mark.parametrize(
     "flag, payload, says",
     [
@@ -366,6 +394,8 @@ def _corrupt(workdir):
         ("--model", lambda _: [], "lacks 'weights'"),
         ("--projection", lambda _: {"dim_in": 3}, "lacks 'dim_out'"),
         ("--projection", _corrupt, "checksum mismatch"),
+        ("--model", lambda w: _with_train_config(w / "classifier.json"), "unexpected keyword argument 'bogus'"),
+        ("--projection", lambda w: _with_train_config(w / "projection.json"), "unexpected keyword argument 'bogus'"),
     ],
 )
 def test_a_malformed_model_file_is_named_with_its_flag(

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import pickle
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +20,7 @@ from bugdedup.corpus import (
     ingest,
     write_jsonl,
 )
+from bugdedup.synth import SynthConfig, synth_corpus
 
 from helpers import reference_clean
 
@@ -89,6 +92,53 @@ def test_report_clean_fields_join_to_clean_text(title, description):
     assert r.clean_title == clean(title)
     assert r.clean_description == clean(description)
     assert r.clean_text == clean(f"{title} {description}")
+
+
+def test_building_and_ingesting_reports_cleans_nothing(tmp_path, cleaned):
+    corpus = synth_corpus(SynthConfig(n_clusters=20, seed=4))
+    path = tmp_path / "corpus.jsonl"
+    write_jsonl(corpus, path)
+    again = ingest(path)
+    assert again == corpus and len(again) > 20
+    assert cleaned == []
+
+
+def test_each_field_is_cleaned_once_on_first_read(cleaned):
+    r = BugReport(bug_id="b1", title="Crash!", description="The heap")
+    assert r.clean_text == r.clean_text == "crash heap"
+    assert cleaned == ["Crash!", "The heap"]
+    assert (r.clean_title, r.clean_description) == ("crash", "heap")
+    assert len(cleaned) == 2
+
+
+def test_a_replaced_report_is_cleaned_afresh(cleaned):
+    r = BugReport(bug_id="b1", title="Crash!", description="The heap")
+    assert r.clean_text == "crash heap"
+    again = dataclasses.replace(r, title="Hang")
+    assert again.clean_text == "hang heap"
+    assert cleaned == ["Crash!", "The heap", "Hang", "The heap"]
+
+
+def test_cleaned_text_cannot_be_assigned():
+    r = BugReport(bug_id="b1", title="Crash!", description="The heap")
+    for _ in range(2):  # before and after the first read
+        for name in ("clean_title", "clean_description", "clean_text"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(r, name, "x")
+        assert r.clean_text == "crash heap"
+
+
+def test_equality_hash_and_pickle_ignore_whether_text_was_read():
+    fresh = BugReport(bug_id="b1", title="Crash!", description="The heap", dup_of="b0")
+    read = BugReport(bug_id="b1", title="Crash!", description="The heap", dup_of="b0")
+    assert read.clean_text == "crash heap"
+    assert fresh == read and hash(fresh) == hash(read)
+    assert fresh != dataclasses.replace(read, description="heap")
+    assert [f.name for f in dataclasses.fields(BugReport)] == ["bug_id", "title", "description", "dup_of"]
+    for r in (fresh, read):
+        back = pickle.loads(pickle.dumps(r))
+        assert back == r and hash(back) == hash(r)
+        assert back.clean_text == "crash heap"
 
 
 def test_report_rejects_self_duplicate():

@@ -16,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 from bugdedup.embedder import (
     DEFAULT_MARGIN,
+    ModelFileError,
     ProjectedEmbedder,
     ProjectionModel,
     TfidfHashEmbedder,
@@ -487,6 +488,24 @@ def test_train_config_json_roundtrip(tmp_path):
     payload = json.loads(path.read_text())
     assert set(payload["train_config"]) == {f.name for f in fields(TrainConfig)}
     assert load_projection(path).train_config == cfg
+
+
+@pytest.mark.parametrize(
+    "train_config, says",
+    [
+        ({"epochs": 3, "bogus": 1}, "unexpected keyword argument 'bogus'"),
+        ("epochs=3", "must be a mapping"),
+        ({"dim_out": 0}, "dim_out must be >= 1"),
+    ],
+)
+def test_load_projection_names_a_malformed_train_config(tmp_path, train_config, says):
+    path = tmp_path / "projection.json"
+    save_projection(ProjectionModel(weights=np.ones((3, 4)), margin=0.2, train_config=TrainConfig()), path)
+    payload = json.loads(path.read_text())
+    path.write_text(json.dumps({**payload, "train_config": train_config}))
+    with pytest.raises(ModelFileError, match=says) as caught:
+        load_projection(path)
+    assert str(path) in str(caught.value)
 
 
 def test_loss_curve_not_worse_on_planted_triplets():

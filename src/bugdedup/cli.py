@@ -142,6 +142,17 @@ def _fit_train_embedder(corpus, clusters, manifest, dim: int):
     return embedder_mod.TfidfHashEmbedder.fit(train_texts, dim=dim)
 
 
+def _service_config(endpoint: str | None, flag: str, env: str) -> remote_mod.RemoteConfig:
+    """A service client's config from ``flag``, else from ``env``."""
+    endpoint = endpoint or os.environ.get(env)
+    if not endpoint:
+        raise UsageError(f"{flag} (or {env}) is required for the service backend")
+    try:
+        return remote_mod.RemoteConfig(endpoint=endpoint)
+    except ValueError as exc:
+        raise UsageError(f"{flag} (or {env}): {exc}") from exc
+
+
 def _make_embedder(args, corpus, clusters, manifest, backends: contextlib.ExitStack):
     """The embedding backend; a service client is closed when ``backends`` exits."""
     if args.embed_backend == "tfidf":
@@ -151,10 +162,7 @@ def _make_embedder(args, corpus, clusters, manifest, backends: contextlib.ExitSt
             model = embedder_mod.load_projection(_require_file(args.projection, "--projection"))
         base = _fit_train_embedder(corpus, clusters, manifest, model.dim_in)
         return embedder_mod.ProjectedEmbedder(base=base, model=model)
-    endpoint = args.endpoint or os.environ.get(EMBED_ENDPOINT_ENV)
-    if not endpoint:
-        raise UsageError(f"--endpoint (or {EMBED_ENDPOINT_ENV}) is required for the service backend")
-    client = remote_mod.RemoteEmbedder(remote_mod.RemoteConfig(endpoint=endpoint))
+    client = remote_mod.RemoteEmbedder(_service_config(args.endpoint, "--endpoint", EMBED_ENDPOINT_ENV))
     backends.callback(client.close)
     return client
 
@@ -166,12 +174,8 @@ def _make_classifier(args, corpus, clusters, manifest, backends: contextlib.Exit
     if args.classifier_backend == "oracle":
         return classifier_mod.OracleClassifier(clusters)
     if args.classifier_backend == "service":
-        endpoint = args.classify_endpoint or os.environ.get(CLASSIFY_ENDPOINT_ENV)
-        if not endpoint:
-            raise UsageError(
-                f"--classify-endpoint (or {CLASSIFY_ENDPOINT_ENV}) is required for the service backend"
-            )
-        client = remote_mod.RemoteClassifier(remote_mod.RemoteConfig(endpoint=endpoint))
+        config = _service_config(args.classify_endpoint, "--classify-endpoint", CLASSIFY_ENDPOINT_ENV)
+        client = remote_mod.RemoteClassifier(config)
         backends.callback(client.close)
         return client
     base = tfidf

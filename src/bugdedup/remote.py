@@ -8,20 +8,38 @@ Wire protocols (JSON over POST):
 Requests are batched per config and results re-assembled in order.
 ``RemoteClassifier`` is a pair backend like those in ``classifier``: it
 returns the service's probabilities and carries a ``threshold``, and the
-cascade runner decides and counts. Each client sends its batches over
-one keep-alive HTTP session; close the client to release its
-connection. Every contract violation maps to a typed error so callers
-can tell a flaky network from a broken service.
+cascade runner decides and counts. Every contract violation maps to a
+typed error so callers can tell a flaky network from a broken service.
+
+Transport: each client sends its batches over one keep-alive HTTP/1.1
+connection (the standard library's ``http.client``); close the client to
+release it, or let garbage collection do so. The proxy is read from the
+environment once, when the client is built (``HTTP_PROXY``,
+``HTTPS_PROXY``, ``ALL_PROXY`` and ``NO_PROXY`` through
+``urllib.request``): ``http`` endpoints are sent through it in absolute
+form and ``https`` endpoints tunnelled with CONNECT. User info in the
+endpoint or proxy URL is sent as Basic credentials. ``https`` verifies
+the server against the system trust store
+(``ssl.create_default_context()``, which honours ``SSL_CERT_FILE``).
+``REQUESTS_CA_BUNDLE`` and ``~/.netrc`` are not read, and redirects are
+not followed: a 3xx answer is a ``ServiceStatusError``.
 """
 
 from __future__ import annotations
 
+import base64
+import http.client
+import json
+import select
+import ssl
+import weakref
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
+from urllib.parse import SplitResult, quote, unquote, urlsplit, urlunsplit
+from urllib.request import getproxies, proxy_bypass
 
 import numpy as np
-import requests
 
 from .corpus import BugReport
 
@@ -62,36 +80,121 @@ class RemoteConfig:
     retries: int = 0
 
     def __post_init__(self):
+        if not _is_service_url(self.endpoint):
+            raise ValueError(f"endpoint must be an http or https URL with a host, got {self.endpoint!r}")
+        if not self.timeout_ms >= 1:
+            raise ValueError(f"timeout_ms must be >= 1, got {self.timeout_ms!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
 
 
-def _post_json(session: requests.Session, config: RemoteConfig, payload: dict) -> dict:
-    last: Exception | None = None
-    for _ in range(config.retries + 1):
-        try:
-            response = session.post(
-                config.endpoint, json=payload, timeout=config.timeout_ms / 1000.0
-            )
-        except (requests.Timeout, requests.ConnectionError) as exc:
-            last = exc
-            continue
-        if response.status_code != 200:
-            raise ServiceStatusError(
-                f"{config.endpoint} answered {response.status_code}: {response.text[:200]}"
-            )
-        try:
-            body = response.json()
-        except ValueError as exc:
-            raise MalformedResponseError(f"{config.endpoint} returned non-JSON body") from exc
-        if not isinstance(body, dict):
-            raise MalformedResponseError(f"{config.endpoint} returned {type(body).__name__}, expected object")
-        return body
-    raise RemoteTimeoutError(
-        f"{config.endpoint} unreachable after {config.retries + 1} attempt(s): {last}"
-    ) from last
+def _is_service_url(endpoint: str) -> bool:
+    try:
+        url = urlsplit(endpoint)
+        url.port  # raises ValueError on a port that is not a number in range
+    except ValueError:
+        return False
+    return url.scheme in ("http", "https") and bool(url.hostname)
+
+
+def _basic_auth(url: SplitResult, header: str) -> dict[str, str]:
+    """``header`` with Basic credentials from the URL's user info, if it has a password."""
+    if url.password is None:
+        return {}
+    pair = f"{unquote(url.username)}:{unquote(url.password)}".encode("latin-1")
+    return {header: "Basic " + base64.b64encode(pair).decode("ascii")}
+
+
+def _proxy(scheme: str, netloc: str) -> SplitResult | None:
+    """The proxy the environment names for ``scheme`` unless it bypasses ``netloc``."""
+    proxies = getproxies()
+    proxy = proxies.get(scheme) or proxies.get("all")
+    if not proxy or proxy_bypass(netloc):
+        return None
+    url = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+    if url.scheme != "http" or not url.hostname:
+        raise ValueError(f"proxy {proxy!r} is not an http:// URL with a host")
+    return url
+
+
+def _readable(sock) -> bool:
+    """Whether ``sock`` has something to read right now. On an idle
+    keep-alive connection that is the server's close (or bytes it
+    should not have sent): either way the connection is spent."""
+    if hasattr(select, "poll"):  # select() cannot take descriptors >= FD_SETSIZE
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
+class _Connection:
+    """One keep-alive connection to ``config.endpoint`` that posts JSON
+    and returns the JSON object of a 200 reply.
+
+    Timeouts and connection failures close the connection and are
+    retried ``config.retries`` times on a fresh one; any other answer is
+    final. An idle connection the server has closed is replaced before
+    it is used, at no cost to the retries.
+    """
+
+    def __init__(self, config: RemoteConfig):
+        self.config = config
+        url = urlsplit(config.endpoint)
+        netloc = url.netloc.rpartition("@")[2]
+        https = url.scheme == "https"
+        # Explicit ports: http.client would read the last group of a bare IPv6 host as one.
+        host, port = url.hostname, url.port or (443 if https else 80)
+        # Percent-encode spaces and non-ASCII, but not an existing escape.
+        self._target = quote(urlunsplit(("", "", url.path or "/", url.query, "")), safe="!#$%&'()*+,/:;=?@[]~")
+        self._headers = {"Content-Type": "application/json", **_basic_auth(url, "Authorization")}
+        proxy = _proxy(url.scheme, netloc)
+        address = (host, port) if proxy is None else (proxy.hostname, proxy.port or 80)
+        timeout = config.timeout_ms / 1000.0
+        if https:
+            context = ssl.create_default_context()
+            self._conn = http.client.HTTPSConnection(*address, timeout=timeout, context=context)
+            if proxy is not None:
+                self._conn.set_tunnel(host, port, headers=_basic_auth(proxy, "Proxy-Authorization"))
+        else:
+            self._conn = http.client.HTTPConnection(*address, timeout=timeout)
+            if proxy is not None:
+                self._target = f"{url.scheme}://{netloc}{self._target}"
+                self._headers.update(_basic_auth(proxy, "Proxy-Authorization"))
+        # Idempotent, and also run when the connection is garbage collected,
+        # so a client nobody closes leaves no socket open.
+        self.close = weakref.finalize(self, self._conn.close)
+
+    def post_json(self, payload: dict) -> dict:
+        config = self.config
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        last: Exception | None = None
+        for _ in range(config.retries + 1):
+            try:
+                if self._conn.sock is not None and _readable(self._conn.sock):
+                    self._conn.close()
+                self._conn.request("POST", self._target, body, self._headers)
+                response = self._conn.getresponse()
+                status, raw = response.status, response.read()
+            except (OSError, http.client.HTTPException) as exc:
+                self._conn.close()
+                last = exc
+                continue
+            if status != 200:
+                text = raw.decode("utf-8", errors="replace")
+                raise ServiceStatusError(f"{config.endpoint} answered {status}: {text[:200]}")
+            try:
+                reply = json.loads(raw)
+            except ValueError as exc:
+                raise MalformedResponseError(f"{config.endpoint} returned non-JSON body") from exc
+            if not isinstance(reply, dict):
+                raise MalformedResponseError(f"{config.endpoint} returned {type(reply).__name__}, expected object")
+            return reply
+        raise RemoteTimeoutError(
+            f"{config.endpoint} unreachable after {config.retries + 1} attempt(s): {last}"
+        ) from last
 
 
 class RemoteEmbedder:
@@ -104,10 +207,10 @@ class RemoteEmbedder:
     def __init__(self, config: RemoteConfig):
         self.config = config
         self._dim: int | None = None
-        self._session = requests.Session()
+        self._connection = _Connection(config)
 
     def close(self) -> None:
-        self._session.close()
+        self._connection.close()
 
     @property
     def dim(self) -> int | None:
@@ -123,7 +226,7 @@ class RemoteEmbedder:
         return np.concatenate(batches)
 
     def _embed_batch(self, batch: list[str]) -> np.ndarray:
-        body = _post_json(self._session, self.config, {"texts": batch})
+        body = self._connection.post_json({"texts": batch})
         if "dim" not in body or "vectors" not in body:
             raise MalformedResponseError("embed response missing 'dim' or 'vectors'")
         dim, vectors = body["dim"], body["vectors"]
@@ -178,13 +281,13 @@ class RemoteClassifier:
             raise ValueError("threshold must lie in (0,1)")
         self.config = config
         self.threshold = threshold
-        self._session = requests.Session()
+        self._connection = _Connection(config)
 
     def close(self) -> None:
-        self._session.close()
+        self._connection.close()
 
-    def _classify_batch(self, batch: list[list[str]]) -> list[float]:
-        body = _post_json(self._session, self.config, {"pairs": batch})
+    def _classify_batch(self, batch: list[list[str]]) -> np.ndarray:
+        body = self._connection.post_json({"pairs": batch})
         if "probabilities" not in body or not isinstance(body["probabilities"], list):
             raise MalformedResponseError("classify response missing 'probabilities'")
         probs = body["probabilities"]
@@ -192,16 +295,18 @@ class RemoteClassifier:
             raise CountMismatchError(
                 f"classify service returned {len(probs)} probabilities for {len(batch)} pairs"
             )
-        for i, p in enumerate(probs):
-            if not isinstance(p, (int, float)) or not np.isfinite(p):
-                raise MalformedResponseError(f"probability {i} is not a finite number: {p!r}")
-            if not 0.0 <= p <= 1.0:
-                raise ProbabilityRangeError(f"probability {i} out of [0,1]: {p}")
-        return [float(p) for p in probs]
+        array = _finite_array([probs])
+        if array is None or array.min() < 0.0 or array.max() > 1.0:
+            # The first probability that fails either check names the error.
+            for i, p in enumerate(probs):
+                if _finite_array([[p]]) is None:
+                    raise MalformedResponseError(f"probability {i} is not a finite number: {p!r}")
+                if not 0.0 <= p <= 1.0:
+                    raise ProbabilityRangeError(f"probability {i} out of [0,1]: {p}")
+        return array[0]
 
     def classify_batch(self, pairs: Sequence[tuple[BugReport, BugReport]]) -> np.ndarray:
         texts = [[a.clean_text, b.clean_text] for a, b in pairs]
-        probs: list[float] = []
-        for start in range(0, len(texts), self.config.batch_size):
-            probs.extend(self._classify_batch(texts[start : start + self.config.batch_size]))
-        return np.array(probs, dtype=np.float64)
+        size = self.config.batch_size
+        batches = [self._classify_batch(texts[start : start + size]) for start in range(0, len(texts), size)]
+        return np.concatenate(batches) if batches else np.zeros(0)

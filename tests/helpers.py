@@ -715,13 +715,20 @@ class StubService:
 
     ``script`` entries are handler callables consumed in order; once the
     script is exhausted the ``default`` handler answers. Every request
-    body is recorded for assertions, and so is the client port it came
-    from: requests sent over one keep-alive connection share a port.
+    body is recorded for assertions, and so are its headers and the
+    client port it came from: requests sent over one keep-alive
+    connection share a port. A ``CONNECT`` (a proxy tunnel) is recorded
+    in ``tunnels`` as its target and headers, and refused with 403.
+    With ``close_after`` set, the server closes each connection after its
+    reply without announcing it in a ``Connection: close`` header.
     """
 
     def __init__(self, default=None):
         self.requests: list[tuple[str, dict]] = []
+        self.headers: list[dict[str, str]] = []
         self.ports: list[int] = []
+        self.tunnels: list[tuple[str, dict[str, str]]] = []
+        self.close_after = False
         self.script: list = []
         self.default = default or embed_reply(4)
         stub = self
@@ -737,6 +744,7 @@ class StubService:
                 except json.JSONDecodeError:
                     body = {}
                 stub.requests.append((self.path, body))
+                stub.headers.append(dict(self.headers))
                 stub.ports.append(self.client_address[1])
                 fn = stub.script.pop(0) if stub.script else stub.default
                 status, payload, ctype = fn(self.path, body)
@@ -746,9 +754,17 @@ class StubService:
                     self.send_header("Content-Length", str(len(payload)))
                     self.end_headers()
                     self.wfile.write(payload)
+                    if stub.close_after:
+                        self.close_connection = True
                 except (BrokenPipeError, ConnectionResetError):
                     # The client gave up waiting (a timeout test) and hung up.
                     self.close_connection = True
+
+            def do_CONNECT(self):
+                stub.tunnels.append((self.path, dict(self.headers)))
+                self.send_response(403)
+                self.send_header("Content-Length", "0")
+                self.end_headers()
 
             def log_message(self, *args):
                 pass

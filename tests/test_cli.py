@@ -456,6 +456,35 @@ def test_missing_endpoint_is_usage_error(workdir, tmp_path, capsys, monkeypatch)
     assert cli.EMBED_ENDPOINT_ENV in err["message"]
 
 
+@pytest.mark.parametrize(
+    "flags,env,flag",
+    [
+        (["--endpoint", "foo"], {}, "--endpoint"),
+        (["--endpoint", "localhost:8080/embed"], {}, "--endpoint"),
+        ([], {cli.EMBED_ENDPOINT_ENV: "ftp://x/embed"}, "--endpoint"),
+        (
+            ["--endpoint", "http://127.0.0.1:1/embed", "--classifier-backend", "service"],
+            {cli.CLASSIFY_ENDPOINT_ENV: "http://"},
+            "--classify-endpoint",
+        ),
+    ],
+)
+def test_malformed_endpoint_is_usage_error_before_any_fit(workdir, tmp_path, capsys, monkeypatch, flags, env, flag):
+    monkeypatch.delenv(cli.EMBED_ENDPOINT_ENV, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    fits = []
+    monkeypatch.setattr(embedder_mod.TfidfHashEmbedder, "fit", classmethod(lambda cls, *a, **kw: fits.append(a)))
+    err = _run_fail(
+        capsys, 2, "run-cascade", *_pipeline_flags(workdir),
+        "--mode", "one-vs-all", "--method", "cascade", "--k", "3", "--seed", "1",
+        "--embed-backend", "service", *flags, "--out", str(tmp_path / "x.json"),
+    )
+    assert err["error"] == "UsageError"
+    assert err["message"].startswith(f"{flag} (or ") and "must be an http or https URL" in err["message"]
+    assert fits == [] and not (tmp_path / "x.json").exists()
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     err = _run_fail(
         capsys, 2, "cluster", "--corpus", str(tmp_path / "absent.jsonl"),

@@ -228,7 +228,10 @@ def run_partition(
     (``PairFeaturizer.warm``), so each report is tokenised once; the
     featurizer's rows are not ledgered. Otherwise the rows or vectors of
     the embed phase serve search only. Classification alone keeps one
-    batch per query: its partition holds n*m pairs.
+    batch per query, as its partition holds n*m pairs, but when its pair
+    scorer has a ``featurizer`` it first warms it once with the database
+    and the queries, so the featurizer makes one token pass for the
+    partition rather than one per query.
     """
     if method not in METHODS:
         raise ScenarioError(f"unknown method {method!r}")
@@ -245,10 +248,13 @@ def run_partition(
     m = len(database)
     ledger = CostLedger()
     pair_cache = {} if dedup_pairs else None
+    featurizer = getattr(pair_classifier, "featurizer", None)
 
     if method == "classification_only":
         parts = []
         with ledger.phase("classify"):
+            if featurizer is not None:
+                featurizer.warm([*database, *queries])
             for q, skip in zip(queries, own.tolist()):
                 others = np.flatnonzero(np.arange(m) != skip)
                 pairs = [(q, database[r]) for r in others.tolist()]
@@ -269,7 +275,6 @@ def run_partition(
                 fields = [text for r in ordered for text in (r.clean_title, r.clean_description)]
                 parts, ids = embedder.token_ids(fields)
                 embedded, rank = embedder.sparse_rows(parts[0::2], ids), search_rows
-                featurizer = getattr(pair_classifier, "featurizer", None)
                 if method == "cascade" and getattr(featurizer, "embedder", None) is embedder:
                     featurizer.warm(ordered, (parts, ids, embedded))
             else:

@@ -18,11 +18,16 @@ reads each report's title and description tokens once (the embedder's
 ``token_ids``), builds its whole-text, title and description rows from
 them as sparse rows (``sparse_rows``), and keeps them for every later
 pair; those embeddings are its own business and are deliberately not
-ledgered as embedding calls. When the cascade runner's embedder is the
-featurizer's own, the runner hands over the tokens and whole-text rows
-it made for search, and the featurizer builds only the title and
-description rows. A pair's features cost in proportion to the tokens of
-its two reports, not to the embedding's dimension.
+ledgered as embedding calls. It keeps two stores: the whole-text rows,
+each entry with the report's title and description weight at that
+bucket beside it, and each report's distinct token ids. One match of a
+pair's whole-text rows serves four features (the three cosines and the
+distance), and the token Jaccard makes its own. When the cascade
+runner's embedder is the featurizer's own, the runner hands over the
+tokens and whole-text rows it made for search, and the featurizer builds
+only the title and description rows. A pair's features cost in
+proportion to the tokens of its two reports, not to the embedding's
+dimension.
 """
 
 from __future__ import annotations
@@ -90,66 +95,108 @@ def _put(buffer: np.ndarray, at: int, values: np.ndarray) -> np.ndarray:
 
 
 class _SparseRows:
-    """Rows in CSR form with their norms, grown by ``append``. ``stride`` is
-    one more than the largest column index stored, so ``i * stride +
-    column`` keys an entry of the i-th row of a gather uniquely."""
+    """Rows in CSR form, grown by ``append``, with ``fields`` weight columns
+    and the row norms of each. ``stride`` is one more than the largest
+    column index stored, so ``i * stride + column`` keys an entry of the
+    i-th row of a gather uniquely."""
 
-    def __init__(self) -> None:
+    def __init__(self, fields: int) -> None:
         self.count = 0
         self.stride = 1
         self.indptr = np.zeros(1, dtype=np.intp)
         self.columns = np.empty(0, dtype=np.intp)
-        self.weights = np.empty(0)
-        self.norms = np.empty(0)
+        self.weights = [np.empty(0) for _ in range(fields)]
+        self.norms = [np.empty(0) for _ in range(fields)]
 
-    def append(self, indptr: np.ndarray, columns: np.ndarray, weights: np.ndarray) -> None:
+    def append(self, indptr: np.ndarray, columns: np.ndarray, *weights: np.ndarray) -> None:
         rows, used = len(indptr) - 1, int(self.indptr[self.count])
-        weights = np.asarray(weights, dtype=np.float64)
         self.stride = max(self.stride, int(columns.max(initial=0)) + 1)
         self.indptr = _put(self.indptr, self.count + 1, indptr[1:] + used)
         self.columns = _put(self.columns, used, columns)
-        self.weights = _put(self.weights, used, weights)
-        self.norms = _put(self.norms, self.count, _csr_row_norms(indptr, weights))
+        for f, field_weights in enumerate(weights):
+            field_weights = np.asarray(field_weights, dtype=np.float64)
+            self.weights[f] = _put(self.weights[f], used, field_weights)
+            self.norms[f] = _put(self.norms[f], self.count, _csr_row_norms(indptr, field_weights))
         self.count += rows
 
     def lengths(self, rows: np.ndarray) -> np.ndarray:
         return self.indptr[rows + 1] - self.indptr[rows]
 
     def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Keys ``i * stride + column`` and weights of the entries of each ``rows[i]``."""
+        """Keys ``i * stride + column`` of the entries of each ``rows[i]``, and
+        the positions of those entries in the store."""
         lengths, at = _entries(self.indptr, rows)
-        return np.repeat(np.arange(len(rows)), lengths) * self.stride + self.columns[at], self.weights[at]
+        return np.repeat(np.arange(len(rows)), lengths) * self.stride + self.columns[at], at
+
+
+def _field_weights(
+    texts: tuple[np.ndarray, np.ndarray, np.ndarray],
+    fields: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The title and the description weight at each entry of the whole-text
+    rows ``texts``, 0.0 where the field lacks that bucket. Report r's
+    whole text is row r of ``texts``, its title row 2r of ``fields`` and
+    its description row 2r + 1; every row holds each bucket once, in
+    ascending order. A field bucket that is not among its report's
+    whole-text buckets raises ``FeatureError``."""
+    indptr, buckets, _ = texts
+    field_indptr, field_buckets, weights = fields
+    stride = int(max(buckets.max(initial=0), field_buckets.max(initial=0))) + 1
+    keys = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)) * stride + buckets
+    field_rows = np.repeat(np.arange(len(field_indptr) - 1), np.diff(field_indptr))
+    field_keys = field_rows // 2 * stride + field_buckets
+    at = np.searchsorted(keys, field_keys)
+    # A key past the last one reads -1, which matches no key.
+    if not np.array_equal(np.append(keys, -1)[at], field_keys):
+        raise FeatureError(
+            "a title or description bucket is not among its report's whole-text buckets"
+        )
+    out = np.zeros((2, len(keys)))
+    out[field_rows % 2, at] = weights
+    return out[0], out[1]
 
 
 def _compare(
-    rows: _SparseRows, left: np.ndarray, right: np.ndarray, distance: bool = False
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Cosine of rows ``left[i]`` and ``right[i]`` for every i, 0 where either
-    norm is below 1e-12, and their Euclidean distance if asked for.
+    texts: _SparseRows, left: np.ndarray, right: np.ndarray, fields: bool = False
+) -> list[np.ndarray]:
+    """Whole-text cosine of rows ``left[i]`` and ``right[i]`` for every i,
+    and if asked for, their title cosine, description cosine and
+    whole-text Euclidean distance, in that order. A cosine is 0 where
+    either norm is below 1e-12.
 
-    Each sum of a pair runs from 0.0 over that pair's own entries, the dot
-    in ascending bucket order and each one-sided part of the distance in
-    its row's order, so a pair's bits depend neither on its batch nor on
-    which side of it a report is. A row must hold each bucket once.
+    One match of the two whole-text rows serves all four: a title or
+    description bucket is always one of its report's whole-text buckets,
+    and where a field lacks a shared bucket its weight there is 0.0, whose
+    product adds only ±0.0 to a dot that starts at +0.0. Each sum of a pair
+    runs from 0.0 over that pair's own entries, a dot in ascending bucket
+    order and each one-sided part of the distance in its row's order, so a
+    pair's bits depend neither on its batch nor on which side of it a
+    report is. A row must hold each bucket once.
     """
-    n, stride = len(left), rows.stride
-    lk, lw = rows.gather(left)
-    rk, rw = rows.gather(right)
+    n, stride = len(left), texts.stride
+    lk, la = texts.gather(left)
+    rk, ra = texts.gather(right)
     shared, il, ir = np.intersect1d(lk, rk, assume_unique=True, return_indices=True)
     pair = shared // stride
-    dots = np.bincount(pair, lw[il] * rw[ir], n)
-    nl, nr = rows.norms[left], rows.norms[right]
-    valid = ~((nl < ZERO_NORM) | (nr < ZERO_NORM))
-    cosines = np.where(valid, dots / np.where(valid, nl * nr, 1.0), 0.0)
-    if not distance:
-        return cosines, None
+    la_shared, ra_shared = la[il], ra[ir]
+    out = []
+    for f in range(3 if fields else 1):
+        weights, norms = texts.weights[f], texts.norms[f]
+        dots = np.bincount(pair, weights[la_shared] * weights[ra_shared], n)
+        nl, nr = norms[left], norms[right]
+        valid = ~((nl < ZERO_NORM) | (nr < ZERO_NORM))
+        out.append(np.where(valid, dots / np.where(valid, nl * nr, 1.0), 0.0))
+    if not fields:
+        return out
     # Over the union of the two rows: a shared bucket adds (wl - wr)², any
     # other its w². Unlike 2 - 2u.v, this does not cancel for near-equal
     # rows. Zeroed shared entries leave the one-sided sums as they are.
+    lw, rw = texts.weights[0][la], texts.weights[0][ra]
     both = np.bincount(pair, (lw[il] - rw[ir]) ** 2, n)
     lw[il] = rw[ir] = 0.0
     one_sided = np.bincount(lk // stride, lw * lw, n) + np.bincount(rk // stride, rw * rw, n)
-    return cosines, np.sqrt(both + one_sided)
+    out.append(np.sqrt(both + one_sided))
+    return out
 
 
 def _jaccards(sets: _SparseRows, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -171,18 +218,23 @@ class PairFeaturizer:
     texts: report r's title is span 2r and its description span 2r + 1,
     and the two spans together are its whole text, the tokens of
     ``clean_text``. Two rows passes (``embedder.sparse_rows``) turn the
-    whole texts and the parts into sparse rows, appended to two CSR
-    stores with their norms: the whole texts, and the parts with report
-    r's title at row 2r and its description at 2r + 1. A third store keeps
-    each report's distinct token ids in ascending order for the Jaccard
-    feature. Given the token pass and whole-text rows of the same
+    whole texts and the parts (titles and descriptions) into sparse rows.
+    Two CSR stores keep what the features need. The first holds each
+    report's whole-text row, and at each of its entries also its title and
+    description weight at that bucket, 0.0 where the field lacks it, with
+    the norms of all three. A title or description bucket is always one of
+    its report's whole-text buckets, so no field entry is lost. The second
+    keeps each report's distinct token ids in ascending order for the
+    Jaccard feature. Given the token pass and whole-text rows of the same
     embedder, as the cascade runner hands them over, ``warm`` makes only
     the parts' rows pass: a row depends on its own tokens alone, so the
     stores hold the same bits either way.
 
-    ``feature_matrix`` gathers the entries of a batch of pairs by row, one
-    field and ``_CHUNK_PAIRS`` pairs at a time, and matches them by
-    (pair, column) key, so a pair costs the nonzeros of its two rows.
+    ``feature_matrix`` gathers the whole-text entries of a batch of pairs
+    by row, ``_CHUNK_PAIRS`` pairs at a time, and matches them by (pair,
+    bucket) key once; that one match gives the whole-text, title and
+    description cosines and the distance (``_compare``), and the token
+    Jaccard makes its own. A pair costs the nonzeros of its two rows.
     Every sum of a pair runs over its own entries only, so a feature does
     not depend on the batch it was computed in.
     """
@@ -195,7 +247,7 @@ class PairFeaturizer:
             )
         self.embedder = embedder
         self._row: dict[str, int] = {}
-        self._texts, self._parts, self._tokens = _SparseRows(), _SparseRows(), _SparseRows()
+        self._texts, self._tokens = _SparseRows(3), _SparseRows(0)
 
     def warm(
         self,
@@ -230,14 +282,13 @@ class PairFeaturizer:
                 texts = _take(texts[0], keep, *texts[1:])
                 parts, ids = _take(parts, np.stack((2 * keep, 2 * keep + 1), axis=1).ravel(), ids)
         indptr = parts[0::2]
-        self._texts.append(*texts)
-        self._parts.append(*self.embedder.sparse_rows(parts, ids))
+        self._texts.append(*texts, *_field_weights(texts, self.embedder.sparse_rows(parts, ids)))
         # Each report's distinct ids, ascending, from one sort of
         # (report, id) keys.
         stride = int(ids.max(initial=0)) + 1
         distinct = np.unique(np.repeat(np.arange(n), np.diff(indptr)) * stride + ids)
         bounds = np.concatenate(([0], np.cumsum(np.bincount(distinct // stride, minlength=n))))
-        self._tokens.append(bounds, distinct % stride, np.ones(len(distinct)))
+        self._tokens.append(bounds, distinct % stride)
         self._row.update(zip(new, range(len(self._row), len(self._row) + n)))
 
     def _rows(self, pairs: Sequence[tuple[BugReport, BugReport]]) -> tuple[np.ndarray, np.ndarray]:
@@ -258,9 +309,8 @@ class PairFeaturizer:
         x = np.empty((len(pairs), FEATURE_COUNT))
         for chunk in _chunks(len(pairs)):
             i, j = left[chunk], right[chunk]
-            x[chunk, 0], x[chunk, 3] = _compare(self._texts, i, j, distance=True)
-            x[chunk, 1] = _compare(self._parts, 2 * i, 2 * j)[0]
-            x[chunk, 2] = _compare(self._parts, 2 * i + 1, 2 * j + 1)[0]
+            for column, values in enumerate(_compare(self._texts, i, j, fields=True)):
+                x[chunk, column] = values
             x[chunk, 4] = _jaccards(tokens, i, j)
         if not np.isfinite(x).all():
             bad = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])

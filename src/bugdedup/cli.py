@@ -167,15 +167,37 @@ def _make_embedder(args, corpus, clusters, manifest, backends: contextlib.ExitSt
     return client
 
 
-def _make_classifier(args, corpus, clusters, manifest, backends: contextlib.ExitStack, tfidf=None):
-    """The pair classifier; ``tfidf`` is an already fitted train-split
-    embedder at ``args.dim`` for the featurizer to share. A service
-    client is closed when ``backends`` exits."""
+def _classifier_input(args):
+    """What the classifier backend reads besides the corpus, checked before
+    anything is fitted: the service config, the logistic model (whose
+    ``--dim`` echo must match ``--dim``), or None for the other backends."""
+    if args.classifier_backend == "service":
+        return _service_config(args.classify_endpoint, "--classify-endpoint", CLASSIFY_ENDPOINT_ENV)
+    if args.classifier_backend != "logistic":
+        return None
+    model_path = _require_file(args.model, "--model")
+    with _model_file("--model"):
+        model = classifier_mod.load_classifier(model_path)
+    trained_dim = json.loads(model_path.read_text(encoding="utf-8")).get("cli", {}).get("dim")
+    if trained_dim is not None and trained_dim != args.dim:
+        raise UsageError(
+            f"--model was trained on features at --dim {trained_dim}, "
+            f"but this run embeds them at --dim {args.dim}"
+        )
+    return model
+
+
+def _make_classifier(
+    args, checked, corpus, clusters, manifest, backends: contextlib.ExitStack, tfidf=None
+):
+    """The pair classifier from ``checked``, what ``_classifier_input`` gave;
+    ``tfidf`` is an already fitted train-split embedder at ``args.dim`` for
+    the featurizer to share. A service client is closed when ``backends``
+    exits."""
     if args.classifier_backend == "oracle":
         return classifier_mod.OracleClassifier(clusters)
     if args.classifier_backend == "service":
-        config = _service_config(args.classify_endpoint, "--classify-endpoint", CLASSIFY_ENDPOINT_ENV)
-        client = remote_mod.RemoteClassifier(config)
+        client = remote_mod.RemoteClassifier(checked)
         backends.callback(client.close)
         return client
     base = tfidf
@@ -187,16 +209,7 @@ def _make_classifier(args, corpus, clusters, manifest, backends: contextlib.Exit
             return classifier_mod.SimilarityClassifier(featurizer, args.sim_threshold)
         except ValueError as exc:
             raise UsageError(f"--sim-threshold: {exc}") from exc
-    model_path = _require_file(args.model, "--model")
-    with _model_file("--model"):
-        model = classifier_mod.load_classifier(model_path)
-    trained_dim = json.loads(model_path.read_text(encoding="utf-8")).get("cli", {}).get("dim")
-    if trained_dim is not None and trained_dim != args.dim:
-        raise UsageError(
-            f"--model was trained on features at --dim {trained_dim}, "
-            f"but this run embeds them at --dim {args.dim}"
-        )
-    return classifier_mod.LogisticClassifier(model, featurizer)
+    return classifier_mod.LogisticClassifier(checked, featurizer)
 
 
 def _resolve_pairs(corpus, pairs):
@@ -378,8 +391,9 @@ def cmd_eval_classification(args) -> int:
     pairs = manifest.pairs.get(args.split, [])
     if not pairs:
         raise UsageError(f"split {args.split!r} holds no labeled pairs")
+    checked = _classifier_input(args)
     with contextlib.ExitStack() as backends:
-        backend = _make_classifier(args, corpus, clusters, manifest, backends)
+        backend = _make_classifier(args, checked, corpus, clusters, manifest, backends)
         ledger = CostLedger()
         start = time.monotonic()
         verdicts = cascade_mod.classify_pairs(
@@ -409,10 +423,11 @@ def cmd_run_cascade(args) -> int:
     runner = (
         cascade_mod.run_one_vs_all if config.mode == "one_vs_all" else cascade_mod.run_all_vs_all
     )
+    checked = _classifier_input(args)
     with contextlib.ExitStack() as backends:
         emb = _make_embedder(args, corpus, clusters, manifest, backends)
         tfidf = emb if args.embed_backend == "tfidf" else None
-        clf = _make_classifier(args, corpus, clusters, manifest, backends, tfidf)
+        clf = _make_classifier(args, checked, corpus, clusters, manifest, backends, tfidf)
         # How many queries a fraction leaves depends on the test pool's size.
         with _flags_for_fields(query_fraction="--query-fraction"):
             result = runner(config, manifest, clusters, corpus, emb, clf)

@@ -185,6 +185,55 @@ def reference_pair_features(embedder, a, b) -> list[float]:
     ]
 
 
+def reference_sparse_pair_features(embedder, a, b) -> list[float]:
+    """The five pair features of one pair with the sparse featurizer's bits:
+    each whole-text, title and description row embedded alone
+    (``sparse_rows`` of its own ``token_ids``), its norm and each dot
+    summed from 0.0 in ascending bucket order (the dot over the buckets the
+    two rows share), and a cosine 0.0 where either norm is below
+    ``ZERO_NORM``. The distance runs over the union of the two whole-text
+    rows: the squares of the shared differences in ascending order, plus
+    each row's own squares of its other buckets in ascending order, left
+    then right. The Jaccard is that of the two reports' token frozensets."""
+
+    def rows(report):
+        out = []
+        for text in (report.clean_text, report.clean_title, report.clean_description):
+            _, buckets, weights = embedder.sparse_rows(*embedder.token_ids([text]))
+            out.append(dict(zip(buckets.tolist(), weights.tolist())))
+        return out
+
+    def total(terms):
+        out = 0.0
+        for term in terms:
+            out += term
+        return out
+
+    def norm(row):
+        return math.sqrt(total(w * w for _, w in sorted(row.items())))
+
+    def cosine(u, v):
+        nu, nv = norm(u), norm(v)
+        if nu < ZERO_NORM or nv < ZERO_NORM:
+            return 0.0
+        return total(u[b] * v[b] for b in sorted(u.keys() & v.keys())) / (nu * nv)
+
+    ra, rb = rows(a), rows(b)
+    u, v = ra[0], rb[0]
+    shared = sorted(u.keys() & v.keys())
+    both = total((u[c] - v[c]) * (u[c] - v[c]) for c in shared)
+    own_u = total(u[c] * u[c] for c in sorted(u.keys() - v.keys()))
+    own_v = total(v[c] * v[c] for c in sorted(v.keys() - u.keys()))
+    ta, tb = frozenset(a.clean_text.split()), frozenset(b.clean_text.split())
+    return [
+        cosine(ra[0], rb[0]),
+        cosine(ra[1], rb[1]),
+        cosine(ra[2], rb[2]),
+        math.sqrt(both + (own_u + own_v)),
+        len(ta & tb) / len(ta | tb),
+    ]
+
+
 def reference_cascade(
     queries, database, cluster_set, embedder, pair_classifier, k, dedup_pairs=False
 ):

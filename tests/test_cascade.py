@@ -573,6 +573,45 @@ def test_a_handed_over_featurizer_equals_a_fresh_one_bit_for_bit(setup, mode, na
     assert len(counting.token_calls) == 1
 
 
+class _Unwarmed:
+    """A pair scorer with no ``featurizer`` for the runner to warm, so its
+    featurizer reads the new reports of each batch itself."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.threshold = inner.threshold
+
+    def classify_batch(self, pairs):
+        return self.inner.classify_batch(pairs)
+
+
+@pytest.mark.parametrize("name", ["logistic", "similarity"])
+@pytest.mark.parametrize("mode", ["one_vs_all", "all_vs_all"])
+def test_classification_alone_warms_its_featurizer_once_per_partition(setup, mode, name):
+    """Classification alone warms the scorer's featurizer with the whole
+    partition before its per-query batches: one token pass, and the
+    outcome of a featurizer warmed batch by batch, bit for bit."""
+    _, clusters, _, embedder, _, _ = setup
+    queries, database = _mode_partition(setup, mode)
+    counting = CountingEmbedder(embedder)
+    scorer = _scorer(name, PairFeaturizer(counting))
+    got, ledger = run_partition(
+        queries, database, clusters, embedder, scorer, "classification_only", 6
+    )
+    assert len(counting.token_calls) == 1 and counting.rows_calls == 2
+    batched = CountingEmbedder(embedder)
+    want, want_ledger = run_partition(
+        queries, database, clusters, embedder,
+        _Unwarmed(_scorer(name, PairFeaturizer(batched))), "classification_only", 6,
+    )
+    # One-vs-all meets a new query in every batch; all-vs-all meets every
+    # report in its first.
+    assert len(batched.token_calls) == (len(queries) if mode == "one_vs_all" else 1)
+    for column in ("ptr", "rows", "scores", "kept"):
+        assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
+    assert ledger.pair_classifications == want_ledger.pair_classifications
+
+
 def test_a_featurizer_reused_across_overlapping_partitions_reads_only_new_reports(setup):
     corpus, clusters, manifest, embedder, _, _ = setup
     bugs = reports_of(corpus, manifest.bugs_in(clusters, "test") + manifest.bugs_in(clusters, "dev"))
@@ -586,7 +625,7 @@ def test_a_featurizer_reused_across_overlapping_partitions_reads_only_new_report
     # first's, and the featurizer stores each report once.
     assert len(counting.token_calls) == 2 and counting.rows_calls == 4
     assert set(featurizer._row) == {r.bug_id for r in bugs[:60]}
-    assert featurizer._texts.count == featurizer._parts.count // 2 == 60
+    assert featurizer._texts.count == featurizer._tokens.count == 60
     fresh = _scorer("logistic", PairFeaturizer(embedder))
     want, _ = run_partition(queries, database, clusters, embedder, fresh, "cascade", 6)
     assert outcome.records == want.records

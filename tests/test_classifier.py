@@ -8,7 +8,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bugdedup.classifier import (
@@ -32,7 +32,12 @@ from bugdedup.dup_graph import build_clusters
 from bugdedup.embedder import ModelFileError, TfidfHashEmbedder
 from bugdedup.ledger import CostLedger
 
-from helpers import CountingEmbedder, reference_pair_features, reference_tune_threshold
+from helpers import (
+    CountingEmbedder,
+    reference_pair_features,
+    reference_sparse_pair_features,
+    reference_tune_threshold,
+)
 
 
 def _report(bug_id, title, description, dup_of=None):
@@ -53,6 +58,16 @@ class _NanEmbedder:
     def sparse_rows(self, indptr, ids):
         n = len(indptr) - 1
         return np.arange(n + 1), np.zeros(n, dtype=np.intp), np.full(n, np.nan)
+
+
+class _StrayFieldEmbedder(_NanEmbedder):
+    """Each row of a rows pass is one weight 1.0 in the bucket that counts
+    the pass's rows, so no title or description row (2n of them) shares
+    the bucket of its report's whole-text row (n of them)."""
+
+    def sparse_rows(self, indptr, ids):
+        n = len(indptr) - 1
+        return np.arange(n + 1), np.full(n, n, dtype=np.intp), np.ones(n)
 
 
 class _Proxy:
@@ -94,6 +109,11 @@ def test_pair_features_validation(monkeypatch):
     monkeypatch.setattr(classifier, "_jaccards", lambda sets, left, right: np.full(len(left), 1.5))
     with pytest.raises(FeatureError, match="jaccard"):
         PairFeaturizer(_embedder(a, b)).feature_matrix([(a, b)])
+
+
+def test_warm_refuses_a_field_bucket_outside_its_whole_text():
+    with pytest.raises(FeatureError, match="not among its report's whole-text buckets"):
+        PairFeaturizer(_StrayFieldEmbedder()).warm([_report("b1", "crash", "heap")])
 
 
 def test_pair_features_array_order():
@@ -264,6 +284,22 @@ def test_sparse_features_stay_near_the_dense_reference(dim, fields):
         _assert_near_reference(PairFeaturizer(embedder).feature_matrix(pairs), embedder, pairs)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    dim=st.sampled_from(sorted(_FEATURE_EMBEDDERS)),
+    fields=st.lists(st.tuples(_field, _field), min_size=1, max_size=5),
+)
+# At dim 4 "crash" and "shader" fall in bucket 0 and "render" in bucket 1,
+# so each report's title bucket is one that only the other's description has.
+@example(dim=4, fields=[("crash", "render"), ("render", "shader")])
+def test_sparse_features_equal_the_per_pair_reference_bit_for_bit(dim, fields):
+    embedder = _FEATURE_EMBEDDERS[dim]
+    reports, pairs = _reports_and_pairs(fields)
+    if pairs:
+        want = np.array([reference_sparse_pair_features(embedder, a, b) for a, b in pairs])
+        assert PairFeaturizer(embedder).feature_matrix(pairs).tobytes() == want.tobytes()
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     dim=st.sampled_from(sorted(_FEATURE_EMBEDDERS)),
@@ -320,19 +356,24 @@ def test_rows_cut_from_the_token_pass_equal_embed_sparse_of_each_field(dim, fiel
     reports, _ = _reports_and_pairs(fields)
     featurizer = PairFeaturizer(embedder)
     featurizer.warm(reports)
-
-    def row(store, i):
-        start, end = store.indptr[i], store.indptr[i + 1]
-        return store.columns[start:end].tobytes(), store.weights[start:end].tobytes()
-
+    texts = featurizer._texts
     for r, report in enumerate(reports):
-        for store, i, text in (
-            (featurizer._texts, r, report.clean_text),
-            (featurizer._parts, 2 * r, report.clean_title),
-            (featurizer._parts, 2 * r + 1, report.clean_description),
-        ):
+        start, end = texts.indptr[r], texts.indptr[r + 1]
+        columns = texts.columns[start:end]
+        for f, text in enumerate((report.clean_text, report.clean_title, report.clean_description)):
             _, buckets, weights = embedder.sparse_rows(*embedder.token_ids([text]))
-            assert row(store, i) == (buckets.tobytes(), weights.tobytes())
+            if f == 0:
+                assert columns.tobytes() == buckets.tobytes()
+            # The field's row, spread over its report's whole-text buckets
+            # with 0.0 where it lacks one, and its norm.
+            assert np.isin(buckets, columns).all()
+            spread = np.zeros(len(columns))
+            spread[np.searchsorted(columns, buckets)] = weights
+            assert texts.weights[f][start:end].tobytes() == spread.tobytes()
+            squares = 0.0
+            for w in weights.tolist():
+                squares += w * w
+            assert texts.norms[f][r] == math.sqrt(squares)
 
 
 def _handed_tokens(embedder, reports):

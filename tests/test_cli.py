@@ -485,6 +485,45 @@ def test_malformed_endpoint_is_usage_error_before_any_fit(workdir, tmp_path, cap
     assert fits == [] and not (tmp_path / "x.json").exists()
 
 
+_RUN = ["run-cascade", "--mode", "one-vs-all", "--method", "cascade", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            [*_RUN, "--classifier-backend", "service", "--classify-endpoint", "foo"],
+            f"--classify-endpoint (or {cli.CLASSIFY_ENDPOINT_ENV}): "
+            "endpoint must be an http or https URL with a host, got 'foo'",
+        ),
+        (
+            [*_RUN, "--classifier-backend", "logistic", "--model", "missing.json"],
+            "--model: file not found: missing.json",
+        ),
+        (
+            ["eval-classification", "--backend", "logistic", "--model", "missing.json"],
+            "--model: file not found: missing.json",
+        ),
+        (
+            [*_RUN, "--classifier-backend", "logistic", "--model", "{workdir}/classifier.json"],
+            f"--model was trained on features at --dim 128, "
+            f"but this run embeds them at --dim {embedder_mod.DEFAULT_DIM}",
+        ),
+    ],
+)
+def test_a_bad_classifier_input_is_usage_error_before_any_fit(
+    workdir, tmp_path, capsys, monkeypatch, argv, message
+):
+    monkeypatch.delenv(cli.CLASSIFY_ENDPOINT_ENV, raising=False)
+    fits = []
+    monkeypatch.setattr(embedder_mod.TfidfHashEmbedder, "fit", classmethod(lambda cls, *a, **kw: fits.append(a)))
+    argv = [arg.format(workdir=workdir) for arg in argv]
+    out = tmp_path / "out"
+    err = _run_fail(capsys, 2, *argv, *_pipeline_flags(workdir), "--out", str(out))
+    assert err == {"error": "UsageError", "message": message}
+    assert fits == [] and not out.exists()
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     err = _run_fail(
         capsys, 2, "cluster", "--corpus", str(tmp_path / "absent.jsonl"),

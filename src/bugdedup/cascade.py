@@ -28,7 +28,7 @@ import numpy as np
 
 from .corpus import BugReport, Corpus
 from .dup_graph import ClusterSet
-from .embedder import has_sparse_rows
+from .embedder import has_sparse_rows, report_tokens
 from .ledger import CostLedger
 from .metrics import MetricRow, Outcomes, QueryOutcome, aggregate_curves, exhaustive_row, report_row
 from .retrieval import search, search_rows
@@ -202,9 +202,9 @@ def run_partition(
     order, then the queries that are not in it, in id order, in one pass.
     An embedder with a token pass and a rows pass (``token_ids`` and
     ``sparse_rows``, as ``TfidfHashEmbedder`` has) takes the sparse path:
-    one token pass over each report's title and description as adjacent
-    texts, and one rows pass over the spans of the whole texts, which are
-    the rows of ``clean_text`` bit for bit, ranked by
+    ``embedder.report_tokens`` makes one token pass over each report's
+    title and description as adjacent spans and one rows pass over the
+    whole texts, the rows of ``clean_text`` bit for bit, ranked by
     ``retrieval.search_rows``. Any other (``ProjectedEmbedder``,
     ``RemoteEmbedder``) takes the dense path: one ``embed_texts`` call,
     ranked by ``retrieval.search``. Either search takes the embedded rows
@@ -224,14 +224,13 @@ def run_partition(
     built-in scorer's score for a pair depends on its batch, so this
     equals one batch per query. When the cascade's pair scorer has a
     ``featurizer`` whose ``embedder`` is this embedder object, the embed
-    phase hands it the token pass and the whole-text rows
-    (``PairFeaturizer.warm``), so each report is tokenised once; the
-    featurizer's rows are not ledgered. Otherwise the rows or vectors of
-    the embed phase serve search only. Classification alone keeps one
-    batch per query, as its partition holds n*m pairs, but when its pair
-    scorer has a ``featurizer`` it first warms it once with the database
-    and the queries, so the featurizer makes one token pass for the
-    partition rather than one per query.
+    phase hands it that ``report_tokens`` output (``PairFeaturizer.warm``),
+    so each report is tokenised once; the featurizer's rows are not
+    ledgered. Otherwise the rows or vectors of the embed phase serve search
+    only. Classification alone keeps one batch per query, as its partition
+    holds n*m pairs, but when its pair scorer has a ``featurizer`` it first
+    warms it once with the database and the queries, so the featurizer
+    makes one token pass for the partition rather than one per query.
     """
     if method not in METHODS:
         raise ScenarioError(f"unknown method {method!r}")
@@ -270,13 +269,10 @@ def run_partition(
             extra = sorted({q.bug_id: q for q in queries if q.bug_id not in db_row}.items())
             ordered = database + [q for _, q in extra]
             if has_sparse_rows(embedder):
-                # Report r's title and description are spans 2r and 2r + 1;
-                # together they are the tokens of its ``clean_text``.
-                fields = [text for r in ordered for text in (r.clean_title, r.clean_description)]
-                parts, ids = embedder.token_ids(fields)
-                embedded, rank = embedder.sparse_rows(parts[0::2], ids), search_rows
+                tokens = report_tokens(embedder, ordered)
+                embedded, rank = tokens[2], search_rows
                 if method == "cascade" and getattr(featurizer, "embedder", None) is embedder:
-                    featurizer.warm(ordered, (parts, ids, embedded))
+                    featurizer.warm(ordered, tokens)
             else:
                 embedded, rank = embedder.embed_texts([r.clean_text for r in ordered]), search
             ledger.count_embeds(len(ordered))

@@ -42,7 +42,7 @@ import numpy as np
 
 from .corpus import BugReport
 from .dup_graph import ClusterSet
-from .embedder import ZERO_NORM, TrainingError, _csr_row_norms, has_sparse_rows, read_model_file
+from .embedder import ZERO_NORM, TrainingError, _csr_row_norms, has_sparse_rows, read_model_file, report_tokens
 from .metrics import ConfusionMatrix, classification_metrics
 from .seeding import substream_rng
 
@@ -81,24 +81,11 @@ def _take(indptr: np.ndarray, rows: np.ndarray, *columns: np.ndarray) -> tuple[n
     return (np.concatenate(([0], np.cumsum(lengths))), *(column[at] for column in columns))
 
 
-def _put(buffer: np.ndarray, at: int, values: np.ndarray) -> np.ndarray:
-    """``buffer`` with ``values`` written from index ``at`` on, in a copy of
-    at least twice the size when it is too short, so appends stay amortised
-    O(1)."""
-    end = at + len(values)
-    if end > len(buffer):
-        grown = np.empty(max(end, 2 * len(buffer)), dtype=buffer.dtype)
-        grown[:at] = buffer[:at]
-        buffer = grown
-    buffer[at:end] = values
-    return buffer
-
-
 class _SparseRows:
     """Rows in CSR form, grown by ``append``, with ``fields`` weight columns
     and the row norms of each. ``stride`` is one more than the largest
     column index stored, so ``i * stride + column`` keys an entry of the
-    i-th row of a gather uniquely."""
+    i-th row of a gather uniquely. A warm appends once, by concatenation."""
 
     def __init__(self, fields: int) -> None:
         self.count = 0
@@ -109,15 +96,14 @@ class _SparseRows:
         self.norms = [np.empty(0) for _ in range(fields)]
 
     def append(self, indptr: np.ndarray, columns: np.ndarray, *weights: np.ndarray) -> None:
-        rows, used = len(indptr) - 1, int(self.indptr[self.count])
         self.stride = max(self.stride, int(columns.max(initial=0)) + 1)
-        self.indptr = _put(self.indptr, self.count + 1, indptr[1:] + used)
-        self.columns = _put(self.columns, used, columns)
+        self.indptr = np.concatenate((self.indptr, indptr[1:] + self.indptr[-1]))
+        self.columns = np.concatenate((self.columns, columns))
         for f, field_weights in enumerate(weights):
             field_weights = np.asarray(field_weights, dtype=np.float64)
-            self.weights[f] = _put(self.weights[f], used, field_weights)
-            self.norms[f] = _put(self.norms[f], self.count, _csr_row_norms(indptr, field_weights))
-        self.count += rows
+            self.weights[f] = np.concatenate((self.weights[f], field_weights))
+            self.norms[f] = np.concatenate((self.norms[f], _csr_row_norms(indptr, field_weights)))
+        self.count += len(indptr) - 1
 
     def lengths(self, rows: np.ndarray) -> np.ndarray:
         return self.indptr[rows + 1] - self.indptr[rows]
@@ -214,20 +200,17 @@ class PairFeaturizer:
     """Builds pair features from per-report sparse rows, each embedded once.
 
     ``warm`` reads the cleaned title and description of every report not
-    seen before in one token pass (``embedder.token_ids``), as adjacent
-    texts: report r's title is span 2r and its description span 2r + 1,
-    and the two spans together are its whole text, the tokens of
-    ``clean_text``. Two rows passes (``embedder.sparse_rows``) turn the
-    whole texts and the parts (titles and descriptions) into sparse rows.
-    Two CSR stores keep what the features need. The first holds each
-    report's whole-text row, and at each of its entries also its title and
-    description weight at that bucket, 0.0 where the field lacks it, with
-    the norms of all three. A title or description bucket is always one of
-    its report's whole-text buckets, so no field entry is lost. The second
-    keeps each report's distinct token ids in ascending order for the
-    Jaccard feature. Given the token pass and whole-text rows of the same
-    embedder, as the cascade runner hands them over, ``warm`` makes only
-    the parts' rows pass: a row depends on its own tokens alone, so the
+    seen before in one token pass, as adjacent spans, with the rows of their
+    whole texts (``embedder.report_tokens``), and one more rows pass
+    (``embedder.sparse_rows``) turns the parts, titles and descriptions,
+    into sparse rows. Two CSR stores keep what the features need. The first
+    holds each report's whole-text row, and at each of its entries also its
+    title and description weight at that bucket, 0.0 where the field lacks
+    it, with the norms of all three. A title or description bucket is always
+    one of its report's whole-text buckets, so no field entry is lost. The
+    second keeps each report's distinct token ids in ascending order for the
+    Jaccard feature. Handed the runner's ``report_tokens``, ``warm`` makes
+    only the parts' rows pass: a row depends on its own tokens alone, so the
     stores hold the same bits either way.
 
     ``feature_matrix`` gathers the whole-text entries of a batch of pairs
@@ -254,13 +237,12 @@ class PairFeaturizer:
         reports: Sequence[BugReport],
         tokens: tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]] | None = None,
     ) -> None:
-        """Read the reports not seen before, each once, in one token pass.
+        """Read the reports not seen before, each once, in one token pass
+        (``embedder.report_tokens``).
 
-        ``tokens``, if given, is ``(parts, ids, rows)`` for all of
-        ``reports`` from ``self.embedder``: the token pass over each
-        report's title and description as adjacent texts, and the rows pass
-        over the spans ``parts[0::2]``, its whole texts. Then the reports
-        not seen before are cut out of them, and no token pass is made.
+        ``tokens``, if given, is ``report_tokens(self.embedder, reports)``,
+        as the cascade runner hands it over. Then the reports not seen
+        before are cut out of it, and no token pass is made.
         """
         # Each new report's id and the index of its first sight in ``reports``.
         new: dict[str, int] = {}
@@ -271,10 +253,7 @@ class PairFeaturizer:
             return
         n = len(new)
         if tokens is None:
-            missing = [reports[i] for i in new.values()]
-            fields = [text for r in missing for text in (r.clean_title, r.clean_description)]
-            parts, ids = self.embedder.token_ids(fields)
-            texts = self.embedder.sparse_rows(parts[0::2], ids)
+            parts, ids, texts = report_tokens(self.embedder, [reports[i] for i in new.values()])
         else:
             parts, ids, texts = tokens
             if n < len(reports):
@@ -292,9 +271,14 @@ class PairFeaturizer:
         self._row.update(zip(new, range(len(self._row), len(self._row) + n)))
 
     def _rows(self, pairs: Sequence[tuple[BugReport, BugReport]]) -> tuple[np.ndarray, np.ndarray]:
-        self.warm([r for pair in pairs for r in pair])
-        left = np.array([self._row[a.bug_id] for a, _ in pairs], dtype=np.intp)
-        right = np.array([self._row[b.bug_id] for _, b in pairs], dtype=np.intp)
+        """Each pair's two store rows; the pairs are warmed only on a miss."""
+        row = self._row
+        try:
+            left = np.fromiter((row[a.bug_id] for a, _ in pairs), np.intp, len(pairs))
+            right = np.fromiter((row[b.bug_id] for _, b in pairs), np.intp, len(pairs))
+        except KeyError:
+            self.warm([r for pair in pairs for r in pair])
+            return self._rows(pairs)
         return left, right
 
     def feature_matrix(self, pairs: Sequence[tuple[BugReport, BugReport]]) -> np.ndarray:
@@ -444,18 +428,12 @@ def _mean_ce(weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def tune_threshold(probabilities: np.ndarray, labels: np.ndarray, step: float = 0.01) -> float:
-    """Grid-sweep the threshold maximizing F1; lowest argmax wins ties.
-    Empty input raises ValueError: its confusion matrix is all zero."""
+    """Grid-sweep the threshold maximizing F1 over 0/1 ``labels``; lowest
+    argmax wins ties. Empty input raises ValueError: all-zero confusion."""
     best_t, best_f1 = 0.5, -1.0
-    positive, negative = labels == 1, labels == 0
+    positive = labels == 1
     for t in np.arange(step, 1.0, step):
-        pred = probabilities >= t
-        cm = ConfusionMatrix(
-            tp=int(np.sum(pred & positive)),
-            fp=int(np.sum(pred & negative)),
-            fn=int(np.sum(~pred & positive)),
-            tn=int(np.sum(~pred & negative)),
-        )
+        cm = ConfusionMatrix.from_decisions(np.stack((probabilities >= t, positive), axis=1))
         f1 = classification_metrics(cm).f1
         if f1 > best_f1 + 1e-15:
             best_t, best_f1 = float(t), f1
@@ -477,18 +455,23 @@ class LogisticClassifier:
         return self.model.predict_proba(self.featurizer.feature_matrix(pairs))
 
 
+def check_similarity_threshold(value: float) -> float:
+    """The cosine threshold ``value``; outside [-1, 1], NaN too, ``ValueError``."""
+    if not -1.0 <= value <= 1.0:
+        raise ValueError(f"similarity threshold must lie in [-1,1], got {value}")
+    return value
+
+
 class SimilarityClassifier:
     """Fixed-threshold rule on whole-text cosine; no training.
 
-    A cosine s in [-1, 1] scores (s + 1) / 2, and the cosine threshold t,
-    which must lie in [-1, 1], becomes the probability threshold (t + 1) / 2.
+    A cosine s in [-1, 1] scores (s + 1) / 2, and the cosine threshold t
+    (``check_similarity_threshold``) the probability threshold (t + 1) / 2.
     """
 
     def __init__(self, featurizer: PairFeaturizer, similarity_threshold: float = 0.5):
-        if not -1.0 <= similarity_threshold <= 1.0:
-            raise ValueError(f"similarity threshold must lie in [-1,1], got {similarity_threshold}")
         self.featurizer = featurizer
-        self.similarity_threshold = similarity_threshold
+        self.similarity_threshold = check_similarity_threshold(similarity_threshold)
 
     @property
     def threshold(self) -> float:

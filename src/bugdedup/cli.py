@@ -169,10 +169,16 @@ def _make_embedder(args, corpus, clusters, manifest, backends: contextlib.ExitSt
 
 def _classifier_input(args):
     """What the classifier backend reads besides the corpus, checked before
-    anything is fitted: the service config, the logistic model (whose
-    ``--dim`` echo must match ``--dim``), or None for the other backends."""
+    anything is fitted: the service config, the similarity threshold, the
+    logistic model (whose ``--dim`` echo must match ``--dim``), or None for
+    the oracle."""
     if args.classifier_backend == "service":
         return _service_config(args.classify_endpoint, "--classify-endpoint", CLASSIFY_ENDPOINT_ENV)
+    if args.classifier_backend == "similarity":
+        try:
+            return classifier_mod.check_similarity_threshold(args.sim_threshold)
+        except ValueError as exc:
+            raise UsageError(f"--sim-threshold: {exc}") from exc
     if args.classifier_backend != "logistic":
         return None
     model_path = _require_file(args.model, "--model")
@@ -205,10 +211,7 @@ def _make_classifier(
         base = _fit_train_embedder(corpus, clusters, manifest, args.dim)
     featurizer = classifier_mod.PairFeaturizer(base)
     if args.classifier_backend == "similarity":
-        try:
-            return classifier_mod.SimilarityClassifier(featurizer, args.sim_threshold)
-        except ValueError as exc:
-            raise UsageError(f"--sim-threshold: {exc}") from exc
+        return classifier_mod.SimilarityClassifier(featurizer, checked)
     return classifier_mod.LogisticClassifier(checked, featurizer)
 
 

@@ -100,6 +100,15 @@ def has_sparse_rows(embedder) -> bool:
     return all(callable(getattr(embedder, name, None)) for name in ("token_ids", "sparse_rows"))
 
 
+def report_tokens(embedder, reports) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """``(parts, ids, rows)``: one token pass over each report's cleaned
+    title and description, spans 2r and 2r + 1, and the rows pass over its
+    whole text, ``parts[0::2]``, which are the rows of ``clean_text``."""
+    fields = [text for r in reports for text in (r.clean_title, r.clean_description)]
+    parts, ids = embedder.token_ids(fields)
+    return parts, ids, embedder.sparse_rows(parts[0::2], ids)
+
+
 def l2_normalize_rows(matrix: np.ndarray) -> np.ndarray:
     """Row-normalize; all-zero rows are left as zeros."""
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)

@@ -41,18 +41,12 @@ class ConfusionMatrix:
         return self.tp + self.fp + self.fn + self.tn
 
     @classmethod
-    def from_decisions(cls, decisions: Iterable[tuple[bool, bool]]) -> "ConfusionMatrix":
-        """Build from (predicted, actual) pairs."""
-        tp = fp = fn = tn = 0
-        for predicted, actual in decisions:
-            if predicted and actual:
-                tp += 1
-            elif predicted:
-                fp += 1
-            elif actual:
-                fn += 1
-            else:
-                tn += 1
+    def from_decisions(cls, decisions: Iterable[tuple[bool, bool]] | np.ndarray) -> "ConfusionMatrix":
+        """Build from (predicted, actual) pairs, iterated or an ``(n, 2)`` array."""
+        if not isinstance(decisions, np.ndarray):
+            decisions = list(decisions)
+        pairs = np.asarray(decisions, dtype=bool).reshape(len(decisions), 2)
+        tn, fn, fp, tp = np.bincount(2 * pairs[:, 0] + pairs[:, 1], minlength=4).tolist()
         return cls(tp, fp, fn, tn)
 
 

@@ -20,10 +20,12 @@ computes recall and precision at k from the rankings.
 A dense score's bits are defined by a one-query block scan: the
 matrix-vector product (GEMV) of the aligned row block holding the row with
 the query, ``database[s:s + block] @ q``, over the product of the two
-norms. So they do not depend on which other queries share the call.
-``search`` is that scan: for each chunk of queries it fills the chunk's
-score block one row block at a time, and each row block serves every query
-of the chunk while it is in cache.
+norms. So they do not depend on which other queries share the call, nor
+on where the matrix starts in memory: a C-contiguous float64 database is
+scanned in place, and any other is copied to one. ``search`` is that
+scan: for each chunk of queries it fills the chunk's score block one row
+block at a time, and each row block serves every query of the chunk while
+it is in cache.
 
 Both searches end alike (``_top_k``): a score is -inf where either norm is
 below ``ZERO_NORM`` and for the query's own row; each query keeps the rows
@@ -73,22 +75,6 @@ _BLOCK_ALIGN = 64
 # core's cache: on a 638-report all-vs-all sparse search, chunks of 2**20
 # took about 30 ms against 22 ms (one thread).
 _CHUNK = 1 << 17
-# The database matrix starts on a boundary of this many bytes. Where an
-# array starts is otherwise up to the allocator's history: with the matrix
-# 16 bytes off a 32-byte boundary, a 638-row scan took about 113 ms against
-# 95 ms aligned (OpenBLAS 0.3.31, AVX-512, one thread). The product's bits
-# do not depend on the alignment.
-_MATRIX_ALIGN_BYTES = 64
-
-
-def _aligned_rows(matrix: np.ndarray) -> np.ndarray:
-    """A C-contiguous float64 copy of ``matrix`` whose data starts on a
-    ``_MATRIX_ALIGN_BYTES`` boundary."""
-    flat = np.empty(matrix.size + _MATRIX_ALIGN_BYTES // 8)
-    skip = (-flat.ctypes.data % _MATRIX_ALIGN_BYTES) // 8
-    out = flat[skip : skip + matrix.size].reshape(matrix.shape)
-    out[...] = matrix
-    return out
 
 
 def _checked(
@@ -140,7 +126,7 @@ def search(
         raise ValueError(f"vectors of shape {vectors.shape} are not a matrix")
     query_rows, skips = _checked(ids, len(vectors), query_rows, k, queries)
     n, m = len(query_rows), len(ids)
-    database = _aligned_rows(vectors[:m])
+    database = np.ascontiguousarray(vectors[:m], dtype=np.float64)
     db_norms = row_norms(database)
     bad = np.flatnonzero(~np.isfinite(db_norms))
     if len(bad):

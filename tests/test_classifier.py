@@ -213,6 +213,49 @@ def test_warm_embeds_each_report_once_per_field():
     assert counting.calls == []  # no dense row is ever built
 
 
+def test_a_warmed_featurizer_looks_its_reports_up_without_warming(monkeypatch):
+    reports = [_report(f"b{i}", f"title{i} crash", f"body{i} heap") for i in range(5)]
+    featurizer = PairFeaturizer(_embedder(*reports))
+    featurizer.warm(reports[:4])
+    warms, warm = [], featurizer.warm
+    monkeypatch.setattr(featurizer, "warm", lambda *args: (warms.append(args), warm(*args)))
+    pairs = [(a, b) for a in reports[:4] for b in reports[:4]]
+    featurizer.feature_matrix(pairs)
+    featurizer.cosine_all_batch(pairs)
+    assert warms == []
+    # A batch with a report not seen before warms it, once.
+    featurizer.cosine_all_batch([(reports[4], reports[0])])
+    assert warms == [([reports[4], reports[0]],)]
+    featurizer.feature_matrix([(reports[0], reports[4])])
+    assert len(warms) == 1
+
+
+def _store_arrays(featurizer) -> list:
+    """Everything the featurizer's two stores and its row map hold."""
+    out = [featurizer._row]
+    for store in (featurizer._texts, featurizer._tokens):
+        arrays = [store.indptr, store.columns, *store.weights, *store.norms]
+        out += [store.count, store.stride, *((a.dtype, a.tobytes()) for a in arrays)]
+    return out
+
+
+def test_a_featurizer_warmed_in_two_appends_equals_one_warmed_once(corpus):
+    # Training features the train pairs, then tunes on the dev pairs, which
+    # share some reports with them; each batch warms the reports it lacks.
+    reports = list(corpus.reports[:60])
+    embedder = TfidfHashEmbedder.fit([r.clean_text for r in reports], dim=128)
+    train = [(reports[i], reports[i + 1]) for i in range(0, 40, 2)]
+    dev = [(reports[i], reports[i + 3]) for i in range(30, 56)]
+    twice = PairFeaturizer(embedder)
+    twice.feature_matrix(train)
+    assert twice._texts.count == 40
+    twice.feature_matrix(dev)
+    assert twice._texts.count == 59
+    once = PairFeaturizer(embedder)
+    once.warm([r for pair in train + dev for r in pair])
+    assert _store_arrays(twice) == _store_arrays(once)
+
+
 _UNIT_ROUNDOFF = 2.0**-53
 
 

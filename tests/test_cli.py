@@ -509,6 +509,14 @@ _RUN = ["run-cascade", "--mode", "one-vs-all", "--method", "cascade", "--seed", 
             f"--model was trained on features at --dim 128, "
             f"but this run embeds them at --dim {embedder_mod.DEFAULT_DIM}",
         ),
+        (
+            [*_RUN, "--classifier-backend", "similarity", "--sim-threshold", "2"],
+            "--sim-threshold: similarity threshold must lie in [-1,1], got 2.0",
+        ),
+        (
+            ["eval-classification", "--backend", "similarity", "--sim-threshold", "-3"],
+            "--sim-threshold: similarity threshold must lie in [-1,1], got -3.0",
+        ),
     ],
 )
 def test_a_bad_classifier_input_is_usage_error_before_any_fit(

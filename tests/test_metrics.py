@@ -37,8 +37,13 @@ def test_confusion_total():
 
 def test_confusion_from_decisions():
     decisions = [(True, True), (True, False), (False, True), (False, False), (True, True)]
-    cm = ConfusionMatrix.from_decisions(decisions)
-    assert (cm.tp, cm.fp, cm.fn, cm.tn) == (2, 1, 1, 1)
+    for given in (decisions, iter(decisions), np.array(decisions), np.array(decisions, dtype=float)):
+        cm = ConfusionMatrix.from_decisions(given)
+        assert (cm.tp, cm.fp, cm.fn, cm.tn) == (2, 1, 1, 1)
+    assert ConfusionMatrix.from_decisions(np.empty((0, 2), dtype=bool)) == ConfusionMatrix()
+    assert ConfusionMatrix.from_decisions([]) == ConfusionMatrix()
+    with pytest.raises(ValueError):
+        ConfusionMatrix.from_decisions(np.array([True, False, True, True]))
 
 
 def test_metrics_hand_example():

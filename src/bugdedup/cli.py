@@ -4,8 +4,10 @@ Every subcommand echoes its full configuration (plus a SHA-256 of it)
 into the artifact it produces, so any output file can be traced back to
 the exact invocation that made it. JSON artifacts embed the echo; JSONL
 and CSV artifacts get a ``<name>.config.json`` sidecar. Errors are
-machine-readable JSON on stderr; usage problems exit 2, runtime
-failures exit 1.
+machine-readable JSON on stderr. A bad flag value (``--dim`` and
+``--k-list`` included), a malformed model file or a ``report --in`` that is
+not a scenario artifact exits 2, naming the flag; a corpus, clusters or
+manifest file that cannot be read, or any other runtime failure, exits 1.
 """
 
 from __future__ import annotations
@@ -71,14 +73,21 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, default=str))
 
 
+@contextlib.contextmanager
+def _flag(flag: str, errors=ValueError):
+    """An ``errors`` exception raised inside is a usage error naming ``flag``."""
+    try:
+        yield
+    except errors as exc:
+        raise UsageError(f"{flag}: {exc}") from exc
+
+
 def _split_flag(text: str, flag: str, convert=str, count: int | None = None) -> list:
     """The comma-separated values of ``flag``, each passed through ``convert``.
     A value that ``convert`` rejects, or a count other than ``count``, is a
     usage error."""
-    try:
+    with _flag(flag):
         values = [convert(x) for x in text.split(",")]
-    except ValueError as exc:
-        raise UsageError(f"{flag}: {exc}") from exc
     if count is not None and len(values) != count:
         raise UsageError(f"{flag} needs {count} comma-separated values, got {text!r}")
     return values
@@ -97,23 +106,12 @@ def _flags_for_fields(**flags: str):
         raise UsageError(f"{flag}: {exc}") from exc
 
 
-@contextlib.contextmanager
-def _model_file(flag: str):
-    """A malformed model file is a usage error naming its flag."""
-    try:
-        yield
-    except embedder_mod.ModelFileError as exc:
-        raise UsageError(f"{flag}: {exc}") from exc
-
-
-def _parse_k_list(text: str) -> list[int]:
-    try:
-        ks = [int(x) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
-        raise UsageError(f"--k-list must be comma-separated integers, got {text!r}") from exc
-    if not ks or any(k < 1 for k in ks):
-        raise UsageError(f"--k-list values must be >= 1, got {text!r}")
-    return ks
+def _config(cls, args, flags: dict[str, str], **values):
+    """A ``cls`` whose fields in ``flags`` take their flags' values and whose
+    other fields take ``values``; a field's ``ValueError`` names its flag."""
+    values |= {field: getattr(args, flag[2:].replace("-", "_")) for field, flag in flags.items()}
+    with _flags_for_fields(**flags):
+        return cls(**values)
 
 
 def _cap(entry: str) -> tuple[str, int]:
@@ -128,12 +126,26 @@ def _cap(entry: str) -> tuple[str, int]:
     return split, cap
 
 
+def _read_json(path: str, flag: str, parse):
+    """``parse`` of the JSON in ``flag``'s file; a ``ValueError`` from
+    ``parse`` names the file."""
+    payload = json.loads(_require_file(path, flag).read_text(encoding="utf-8"))
+    try:
+        return parse(payload)
+    except ValueError as exc:
+        raise ValueError(f"{flag} {path}: {exc}") from exc
+
+
+def _clusters(args) -> dup_graph.ClusterSet:
+    return _read_json(args.clusters, "--clusters", dup_graph.clusters_from_json)
+
+
 def _load_pipeline(args) -> tuple:
+    if args.dim < 1:
+        raise UsageError(f"--dim must be >= 1, got {args.dim}")
     corpus = corpus_mod.ingest(_require_file(args.corpus, "--corpus"))
-    clusters = dup_graph.clusters_from_json(
-        json.loads(_require_file(args.clusters, "--clusters").read_text(encoding="utf-8"))
-    )
-    manifest = splitter_mod.load_manifest(_require_file(args.manifest, "--manifest"))
+    clusters = _clusters(args)
+    manifest = _read_json(args.manifest, "--manifest", splitter_mod.manifest_from_json)
     return corpus, clusters, manifest
 
 
@@ -147,10 +159,8 @@ def _service_config(endpoint: str | None, flag: str, env: str) -> remote_mod.Rem
     endpoint = endpoint or os.environ.get(env)
     if not endpoint:
         raise UsageError(f"{flag} (or {env}) is required for the service backend")
-    try:
+    with _flag(f"{flag} (or {env})"):
         return remote_mod.RemoteConfig(endpoint=endpoint)
-    except ValueError as exc:
-        raise UsageError(f"{flag} (or {env}): {exc}") from exc
 
 
 def _make_embedder(args, corpus, clusters, manifest, backends: contextlib.ExitStack):
@@ -158,7 +168,7 @@ def _make_embedder(args, corpus, clusters, manifest, backends: contextlib.ExitSt
     if args.embed_backend == "tfidf":
         return _fit_train_embedder(corpus, clusters, manifest, args.dim)
     if args.embed_backend == "projection":
-        with _model_file("--projection"):
+        with _flag("--projection", embedder_mod.ModelFileError):
             model = embedder_mod.load_projection(_require_file(args.projection, "--projection"))
         base = _fit_train_embedder(corpus, clusters, manifest, model.dim_in)
         return embedder_mod.ProjectedEmbedder(base=base, model=model)
@@ -175,14 +185,12 @@ def _classifier_input(args):
     if args.classifier_backend == "service":
         return _service_config(args.classify_endpoint, "--classify-endpoint", CLASSIFY_ENDPOINT_ENV)
     if args.classifier_backend == "similarity":
-        try:
+        with _flag("--sim-threshold"):
             return classifier_mod.check_similarity_threshold(args.sim_threshold)
-        except ValueError as exc:
-            raise UsageError(f"--sim-threshold: {exc}") from exc
     if args.classifier_backend != "logistic":
         return None
     model_path = _require_file(args.model, "--model")
-    with _model_file("--model"):
+    with _flag("--model", embedder_mod.ModelFileError):
         model = classifier_mod.load_classifier(model_path)
     trained_dim = json.loads(model_path.read_text(encoding="utf-8")).get("cli", {}).get("dim")
     if trained_dim is not None and trained_dim != args.dim:
@@ -223,15 +231,10 @@ def _resolve_pairs(corpus, pairs):
 
 
 def cmd_synth(args) -> int:
-    with _flags_for_fields(n_clusters="--clusters", mean_size="--mean-size",
-                           n_independents="--independents", n_topics="--topics"):
-        config = synth_mod.SynthConfig(
-            n_clusters=args.clusters,
-            mean_size=args.mean_size,
-            n_independents=args.independents,
-            n_topics=args.topics,
-            seed=args.seed,
-        )
+    config = _config(synth_mod.SynthConfig, args, {
+        "n_clusters": "--clusters", "mean_size": "--mean-size", "n_independents": "--independents",
+        "n_topics": "--topics", "seed": "--seed",
+    })
     corpus = synth_mod.synth_corpus(config)
     corpus_mod.write_jsonl(corpus, args.out)
     _write_sidecar(args.out, _config_echo(args))
@@ -265,9 +268,7 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_split(args) -> int:
-    clusters = dup_graph.clusters_from_json(
-        json.loads(_require_file(args.clusters, "--clusters").read_text(encoding="utf-8"))
-    )
+    clusters = _clusters(args)
     caps = dict(_split_flag(args.caps, "--caps", _cap)) if args.caps else {}
     ratios = tuple(_split_flag(args.ratios, "--ratios", float, count=3))
     with _flags_for_fields(ratios="--ratios", target_dup_ratio="--dup-ratio"):
@@ -284,18 +285,10 @@ def cmd_split(args) -> int:
 
 
 def cmd_train_projection(args) -> int:
-    with _flags_for_fields(
-        learning_rate="--lr", epochs="--epochs", batch_size="--batch-size", dim_out="--dim-out",
-        margin="--margin",
-    ):
-        cfg = embedder_mod.TrainConfig(
-            learning_rate=args.lr,
-            epochs=args.epochs,
-            batch_size=args.batch_size,
-            seed=args.seed,
-            dim_out=args.dim_out,
-            margin=args.margin,
-        )
+    cfg = _config(embedder_mod.TrainConfig, args, {
+        "learning_rate": "--lr", "epochs": "--epochs", "batch_size": "--batch-size",
+        "seed": "--seed", "dim_out": "--dim-out", "margin": "--margin",
+    })
     corpus, clusters, manifest = _load_pipeline(args)
     if not manifest.triplets:
         raise UsageError("--manifest holds no triplets; re-run split")
@@ -322,17 +315,10 @@ def cmd_train_projection(args) -> int:
 
 
 def cmd_train_classifier(args) -> int:
-    with _flags_for_fields(
-        learning_rate="--lr", epochs="--epochs", batch_size="--batch-size",
-        threshold_step="--threshold-step",
-    ):
-        cfg = classifier_mod.ClassifierTrainConfig(
-            learning_rate=args.lr,
-            epochs=args.epochs,
-            batch_size=args.batch_size,
-            seed=args.seed,
-            threshold_step=args.threshold_step,
-        )
+    cfg = _config(classifier_mod.ClassifierTrainConfig, args, {
+        "learning_rate": "--lr", "epochs": "--epochs", "batch_size": "--batch-size",
+        "seed": "--seed", "threshold_step": "--threshold-step",
+    })
     corpus, clusters, manifest = _load_pipeline(args)
     train_pairs = _resolve_pairs(corpus, manifest.pairs.get("train", []))
     dev_pairs = _resolve_pairs(corpus, manifest.pairs.get("dev", []))
@@ -366,8 +352,10 @@ def _write_eval_csv(args, method: str, rows, start: float, ledger: CostLedger) -
 
 
 def cmd_eval_retrieval(args) -> int:
+    k_list = _split_flag(args.k_list, "--k-list", int)
+    if min(k_list) < 1:
+        raise UsageError(f"--k-list values must be >= 1, got {args.k_list!r}")
     corpus, clusters, manifest = _load_pipeline(args)
-    k_list = _parse_k_list(args.k_list)
     queries = [corpus.by_id[m] for c in manifest.clusters_in(clusters, args.split) for m in c.members]
     if not queries:
         raise UsageError(f"split {args.split!r} has no clustered bugs to query")
@@ -413,16 +401,12 @@ def cmd_eval_classification(args) -> int:
 
 def cmd_run_cascade(args) -> int:
     corpus, clusters, manifest = _load_pipeline(args)
-    with _flags_for_fields(k="--k", query_fraction="--query-fraction"):
-        config = cascade_mod.ScenarioConfig(
-            mode=_MODE_NAMES[args.mode],
-            method=_METHOD_NAMES[args.method],
-            k=args.k,
-            query_fraction=args.query_fraction,
-            seed=args.seed,
-            include_independents=not args.exclude_independents,
-            dedup_pairs=args.dedup_pairs,
-        )
+    flags = {"k": "--k", "query_fraction": "--query-fraction", "seed": "--seed",
+             "dedup_pairs": "--dedup-pairs"}
+    config = _config(
+        cascade_mod.ScenarioConfig, args, flags, mode=_MODE_NAMES[args.mode],
+        method=_METHOD_NAMES[args.method], include_independents=not args.exclude_independents,
+    )
     runner = (
         cascade_mod.run_one_vs_all if config.mode == "one_vs_all" else cascade_mod.run_all_vs_all
     )
@@ -432,7 +416,7 @@ def cmd_run_cascade(args) -> int:
         tfidf = emb if args.embed_backend == "tfidf" else None
         clf = _make_classifier(args, checked, corpus, clusters, manifest, backends, tfidf)
         # How many queries a fraction leaves depends on the test pool's size.
-        with _flags_for_fields(query_fraction="--query-fraction"):
+        with _flags_for_fields(**flags):
             result = runner(config, manifest, clusters, corpus, emb, clf)
     cascade_mod.save_scenario(result, args.out, extra=_config_echo(args))
     _emit(
@@ -450,7 +434,9 @@ def cmd_report(args) -> int:
     shared_keys = ("mode", "seed", "query_fraction", "include_independents", "dedup_pairs")
     payloads = []
     for path in args.inputs:
-        payload = json.loads(_require_file(path, "--in").read_text(encoding="utf-8"))
+        source = _require_file(path, "--in")
+        with _flag(f"--in: {path} is not a scenario artifact (not JSON)"):
+            payload = json.loads(source.read_text(encoding="utf-8"))
         if not isinstance(payload, dict) or not {"config", "metrics"} <= payload.keys():
             raise UsageError(f"--in: {path} is not a scenario artifact (needs config and metrics)")
         config = payload["config"]
@@ -489,6 +475,7 @@ def cmd_report(args) -> int:
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
     for flag in ("--corpus", "--clusters", "--manifest"):
         p.add_argument(flag, required=True)
+    p.add_argument("--dim", type=int, default=embedder_mod.DEFAULT_DIM)
 
 
 def _add_embed_flags(p: argparse.ArgumentParser, flag: str) -> None:
@@ -551,7 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-projection", help="fit the triplet-loss projection")
     _add_data_flags(p)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--dim", type=int, default=embedder_mod.DEFAULT_DIM)
     p.add_argument("--dim-out", type=int, default=embedder_mod.DEFAULT_PROJECTION_DIM)
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--lr", type=float, default=1e-2)
@@ -563,7 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-classifier", help="fit the logistic pair classifier")
     _add_data_flags(p)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--dim", type=int, default=embedder_mod.DEFAULT_DIM)
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--lr", type=float, default=0.5)
     p.add_argument("--batch-size", type=int, default=32)
@@ -575,7 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     p.add_argument("--split", choices=splitter_mod.SPLITS, default="test")
     p.add_argument("--k-list", default="1,5,10,20,60,100")
-    p.add_argument("--dim", type=int, default=embedder_mod.DEFAULT_DIM)
     _add_embed_flags(p, "--backend")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval_retrieval)
@@ -583,7 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-classification", help="pairwise metrics over a split")
     _add_data_flags(p)
     p.add_argument("--split", choices=splitter_mod.SPLITS, default="test")
-    p.add_argument("--dim", type=int, default=embedder_mod.DEFAULT_DIM)
     _add_classifier_flags(p, "--backend", with_oracle=False)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval_classification)
@@ -597,7 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query-fraction", type=float, default=0.2)
     p.add_argument("--dedup-pairs", action="store_true")
     p.add_argument("--exclude-independents", action="store_true")
-    p.add_argument("--dim", type=int, default=embedder_mod.DEFAULT_DIM)
     _add_embed_flags(p, "--embed-backend")
     _add_classifier_flags(p, "--classifier-backend", with_oracle=True)
     p.add_argument("--out", required=True)

@@ -7,6 +7,7 @@ counts as a duplicate pair. Bugs touching no relation are independent.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -146,9 +147,23 @@ def clusters_to_json(cluster_set: ClusterSet) -> dict:
     }
 
 
+@contextmanager
+def _json_key(key: str):
+    """A payload that lacks ``key``, or holds a malformed value there, raises
+    ``ValueError`` naming the key."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"missing or malformed {key!r} ({type(exc).__name__}: {exc})") from exc
+
+
 def clusters_from_json(payload: dict) -> ClusterSet:
-    clusters = tuple(
-        Cluster(cluster_id=i, members=tuple(members))
-        for i, members in enumerate(payload["clusters"])
-    )
-    return ClusterSet(clusters=clusters, independents=tuple(payload["independents"]))
+    """The cluster set that ``clusters_to_json`` wrote; see ``_json_key``."""
+    with _json_key("clusters"):
+        clusters = tuple(
+            Cluster(cluster_id=i, members=tuple(members))
+            for i, members in enumerate(payload["clusters"])
+        )
+    with _json_key("independents"):
+        independents = tuple(payload["independents"])
+    return ClusterSet(clusters=clusters, independents=independents)

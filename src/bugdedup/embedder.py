@@ -46,16 +46,20 @@ class TrainingError(RuntimeError):
 
 
 class ModelFileError(ValueError):
-    """Raised when a saved model file lacks a field, holds a malformed
-    ``train_config`` or fails its checksum."""
+    """Raised when a saved model file is not JSON, lacks a field, holds a
+    malformed ``train_config`` or fails its checksum."""
 
 
 def read_model_file(path: str | Path, kind: str, keys: Sequence[str], config_type: type) -> dict:
     """The JSON object in the ``kind`` file at ``path``, with its
-    ``train_config`` made a ``config_type``. A missing key of ``keys``, or a
-    ``train_config`` that is not an object or has an unknown key or a bad
-    value, raises ``ModelFileError`` naming the file and the key."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    ``train_config`` made a ``config_type``. A file that is not JSON, a
+    missing key of ``keys``, or a ``train_config`` that is not an object or
+    has an unknown key or a bad value, raises ``ModelFileError`` naming the
+    file and, but for the first, the key."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ModelFileError(f"{kind} file {path} is not JSON: {exc}") from exc
     for key in keys:
         if not isinstance(payload, dict) or key not in payload:
             raise ModelFileError(f"{kind} file {path} lacks {key!r}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
 
-from .dup_graph import Cluster, ClusterSet
+from .dup_graph import Cluster, ClusterSet, _json_key
 from .seeding import substream_rng
 
 SPLITS = ("train", "dev", "test")
@@ -350,21 +350,29 @@ def manifest_to_json(manifest: SplitManifest) -> dict:
     }
 
 
-def manifest_from_json(payload: dict) -> SplitManifest:
-    manifest = SplitManifest(
-        seed=payload["seed"],
-        ratios=tuple(payload["ratios"]),
-        target_dup_ratio=payload["target_dup_ratio"],
-        caps={k: v for k, v in payload["caps"].items()},
-        cluster_assignment={int(k): v for k, v in payload["cluster_assignment"].items()},
-        independent_assignment=dict(payload["independent_assignment"]),
-    )
-    manifest.pairs = {
+_MANIFEST_FIELDS = {
+    "seed": lambda m: m["seed"],
+    "ratios": lambda m: tuple(m["ratios"]),
+    "target_dup_ratio": lambda m: m["target_dup_ratio"],
+    "caps": lambda m: {k: v for k, v in m["caps"].items()},
+    "cluster_assignment": lambda m: {int(k): v for k, v in m["cluster_assignment"].items()},
+    "independent_assignment": lambda m: dict(m["independent_assignment"]),
+    "pairs": lambda m: {
         split: [LabeledPair(a, b, bool(d)) for a, b, d in pairs]
-        for split, pairs in payload.get("pairs", {}).items()
-    }
-    manifest.triplets = [TripletExample(a, p, n) for a, p, n in payload.get("triplets", [])]
-    return manifest
+        for split, pairs in m.get("pairs", {}).items()
+    },
+    "triplets": lambda m: [TripletExample(a, p, n) for a, p, n in m.get("triplets", [])],
+}
+
+
+def manifest_from_json(payload: dict) -> SplitManifest:
+    """The manifest that ``manifest_to_json`` wrote. A key that is missing,
+    or whose value is malformed, raises ``ValueError`` naming it."""
+    fields = {}
+    for key, read in _MANIFEST_FIELDS.items():
+        with _json_key(key):
+            fields[key] = read(payload)
+    return SplitManifest(**fields)
 
 
 def save_manifest(manifest: SplitManifest, path: str | Path, extra: dict | None = None) -> None:

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bugdedup import cascade as cascade_mod
 from bugdedup import cli
 from bugdedup import embedder as embedder_mod
 from bugdedup import remote as remote_mod
@@ -91,6 +92,20 @@ def test_synth_writes_corpus_sidecar_and_summary(tmp_path, capsys):
     assert sidecar["cli"]["clusters"] == 10
     assert sidecar["cli"]["seed"] == 2
     assert len(sidecar["config_sha256"]) == 64
+
+
+def test_synth_reads_every_config_flag(tmp_path, capsys):
+    out = tmp_path / "corpus.jsonl"
+    _run(
+        capsys, "synth", "--clusters", "40", "--mean-size", "2.5", "--topics", "7",
+        "--independents", "9", "--seed", "4", "--out", str(out),
+    )
+    config = SynthConfig(n_clusters=40, mean_size=2.5, n_topics=7, n_independents=9, seed=4)
+    write_jsonl(synth_corpus(config), tmp_path / "want.jsonl")
+    assert out.read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+    default = tmp_path / "default.jsonl"
+    _run(capsys, "synth", "--clusters", "40", "--seed", "4", "--out", str(default))
+    assert default.read_bytes() != out.read_bytes()
 
 
 def test_pipeline_artifacts_exist_and_echo_config(workdir):
@@ -293,6 +308,32 @@ def test_cascade_scenarios_and_report(workdir, tmp_path, capsys):
     assert by_method["cascade"]["k"] == "10"
 
 
+def test_run_cascade_exclude_independents_equals_the_library_run(workdir, tmp_path, capsys):
+    out = tmp_path / "scenario.json"
+    _run(
+        capsys, "run-cascade", *_pipeline_flags(workdir), "--mode", "one-vs-all",
+        "--method", "cascade", "--exclude-independents", "--k", "5", "--seed", "1", "--dim", "128",
+        "--classifier-backend", "logistic", "--model", str(workdir / "classifier.json"),
+        "--out", str(out),
+    )
+    corpus = ingest(workdir / "corpus.jsonl")
+    clusters = clusters_from_json(json.loads((workdir / "clusters.json").read_text()))
+    manifest = load_manifest(workdir / "manifest.json")
+    embedder = fit_train_embedder(corpus, clusters, manifest, dim=128)
+    scorer = LogisticClassifier(load_classifier(workdir / "classifier.json"), PairFeaturizer(embedder))
+    config = cascade_mod.ScenarioConfig(
+        mode="one_vs_all", method="cascade", k=5, seed=1, include_independents=False
+    )
+    result = cascade_mod.run_one_vs_all(config, manifest, clusters, corpus, embedder, scorer)
+    # Without the independents the pool holds only the test split's cluster members.
+    assert result.n_queries + result.db_size < len(manifest.bugs_in(clusters, "test"))
+    keys = ("n_queries", "db_size", "per_query", "metrics")
+    got, want = json.loads(out.read_text()), cascade_mod.scenario_to_json(result)
+    assert cascade_mod.canonical_scenario_bytes({k: got[k] for k in keys}) == (
+        cascade_mod.canonical_scenario_bytes({k: want[k] for k in keys})
+    )
+
+
 @pytest.mark.parametrize("embed_backend, fits", [("tfidf", 1), ("projection", 2)])
 def test_run_cascade_shares_the_tfidf_embedder(
     workdir, tmp_path, capsys, monkeypatch, embed_backend, fits
@@ -361,6 +402,12 @@ def test_report_names_an_input_that_is_not_a_scenario(workdir, tmp_path, capsys)
     err = _run_fail(capsys, 2, "report", "--in", str(thin), "--out", str(tmp_path / "r.csv"))
     assert err["error"] == "UsageError"
     assert str(thin) in err["message"] and "'mode'" in err["message"]
+    # A file that is not JSON is named with the flag too.
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text("not json")
+    err = _run_fail(capsys, 2, "report", "--in", str(garbled), "--out", str(tmp_path / "r.csv"))
+    assert err["error"] == "UsageError"
+    assert err["message"].startswith(f"--in: {garbled} is not a scenario artifact")
 
 
 @pytest.mark.parametrize(
@@ -396,13 +443,16 @@ def _with_train_config(path):
         ("--projection", _corrupt, "checksum mismatch"),
         ("--model", lambda w: _with_train_config(w / "classifier.json"), "unexpected keyword argument 'bogus'"),
         ("--projection", lambda w: _with_train_config(w / "projection.json"), "unexpected keyword argument 'bogus'"),
+        ("--model", lambda _: "not json", "is not JSON"),
+        ("--projection", lambda _: "not json", "is not JSON"),
     ],
 )
 def test_a_malformed_model_file_is_named_with_its_flag(
     workdir, tmp_path, capsys, flag, payload, says
 ):
     bad = tmp_path / "model.json"
-    bad.write_text(json.dumps(payload(workdir)))
+    body = payload(workdir)
+    bad.write_text(body if isinstance(body, str) else json.dumps(body))
     files = {"--model": workdir / "classifier.json", "--projection": workdir / "projection.json"}
     files[flag] = bad
     err = _run_fail(
@@ -557,17 +607,43 @@ def test_bad_ratios_exit_2(workdir, tmp_path, capsys):
         ("--caps", "train=abc"),
         ("--caps", "train=-1"),
         ("--csv-columns", "bug_id,summary"),
+        ("--k-list", "1,x"),
+        ("--k-list", "0,5"),
+        ("--k-list", "1,,5"),
     ],
 )
 def test_malformed_list_flag_exits_2(workdir, tmp_path, capsys, flag, value):
     if flag == "--csv-columns":
         argv = ["ingest", "--in", str(workdir / "corpus.jsonl"), "--format", "csv"]
+    elif flag == "--k-list":
+        argv = ["eval-retrieval", *_pipeline_flags(workdir), "--dim", "128"]
     else:
         argv = ["split", "--clusters", str(workdir / "clusters.json"), "--seed", "0"]
     out = tmp_path / "out.json"
     err = _run_fail(capsys, 2, *argv, flag, value, "--out", str(out))
     assert err["error"] == "UsageError"
     assert flag in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train-projection", "--seed", "1"],
+        ["train-classifier", "--seed", "1"],
+        ["eval-retrieval"],
+        ["eval-classification", "--backend", "similarity"],
+        [*_RUN],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("dim", ["0", "-3"])
+def test_dim_below_1_is_usage_error_before_any_input_is_read(tmp_path, capsys, argv, dim):
+    # None of the input files exists, so the check must come before any is opened.
+    out = tmp_path / "out"
+    err = _run_fail(capsys, 2, *argv, *_pipeline_flags(tmp_path), "--dim", dim, "--out", str(out))
+    assert err["error"] == "UsageError"
+    assert err["message"].startswith("--dim")
     assert not out.exists()
 
 
@@ -648,6 +724,41 @@ def test_runtime_split_failure_exits_1(tmp_path, capsys):
         "--seed", "0", "--out", str(tmp_path / "m.json"),
     )
     assert err["error"] == "SplitError"
+
+
+def _short_train_pair(workdir):
+    payload = json.loads((workdir / "manifest.json").read_text())
+    payload["pairs"]["train"][0] = payload["pairs"]["train"][0][:2]
+    return payload
+
+
+@pytest.mark.parametrize(
+    "argv, flag, payload, key",
+    [
+        (["split", "--seed", "0"], "--clusters", lambda _: [1, 2], "'clusters'"),
+        (["eval-retrieval"], "--clusters", lambda _: [1, 2], "'clusters'"),
+        (["eval-retrieval"], "--clusters", lambda _: {"clusters": [["a", "b"]]}, "'independents'"),
+        (["eval-retrieval"], "--manifest", lambda _: {"seed": 1}, "'ratios'"),
+        (["train-classifier", "--seed", "1"], "--manifest", _short_train_pair, "'pairs'"),
+    ],
+    ids=["split-clusters-list", "clusters-list", "clusters-without-independents",
+         "manifest-without-ratios", "manifest-with-a-short-pair"],
+)
+def test_a_clusters_or_manifest_file_of_the_wrong_shape_exits_1(
+    workdir, tmp_path, capsys, argv, flag, payload, key
+):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload(workdir)))
+    files = {"--clusters": bad}
+    if argv[0] != "split":
+        files = {"--corpus": workdir / "corpus.jsonl", "--clusters": workdir / "clusters.json",
+                 "--manifest": workdir / "manifest.json", flag: bad}
+    argv = [*argv, *(str(x) for item in files.items() for x in item)]
+    out = tmp_path / "out"
+    err = _run_fail(capsys, 1, *argv, "--out", str(out))
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(f"{flag} {bad}: ") and key in err["message"]
+    assert not out.exists()
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -313,12 +313,11 @@ class PairFeaturizer:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)) where z >= 0 and exp(z) / (1 + exp(z)) elsewhere,
+    from one ``exp`` of -|z|, which never overflows. ``np.minimum(z, -z)``
+    is -|z| that keeps a NaN's sign, as the two-branch form does."""
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass(frozen=True)
@@ -396,17 +395,24 @@ def train_classifier(
     x, y = _feature_matrix(featurizer, train_pairs)
 
     weights = np.zeros(FEATURE_COUNT + 1)
+    grad = np.empty(FEATURE_COUNT + 1)
     curve = [_mean_ce(weights, x, y)]
     order_rng = substream_rng(cfg.seed, "classifier.order")
     for epoch in range(cfg.epochs):
         order = order_rng.permutation(len(y))
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            xb, yb = x[batch], y[batch]
-            p = _sigmoid(xb @ weights[:-1] + weights[-1])
-            err = p - yb
-            grad = np.concatenate([xb.T @ err, [err.sum()]]) / len(batch)
-            weights = weights - cfg.learning_rate * grad
+        # A batch is a run of contiguous rows of one permuted copy, as
+        # ``x[batch]`` is: numpy picks its product's kernel by contiguity.
+        xs, ys = x[order], y[order]
+        for start in range(0, len(ys), cfg.batch_size):
+            xb, yb = xs[start : start + cfg.batch_size], ys[start : start + cfg.batch_size]
+            err = _sigmoid(xb @ weights[:-1] + weights[-1])
+            err -= yb
+            np.matmul(xb.T, err, out=grad[:-1])
+            grad[-1] = err.sum()
+            # ``weights - lr * (grad / n)``, bit for bit, in place.
+            grad /= len(yb)
+            grad *= cfg.learning_rate
+            weights -= grad
         loss = _mean_ce(weights, x, y)
         if not math.isfinite(loss):
             raise TrainingError(f"non-finite CE loss after epoch {epoch + 1}")

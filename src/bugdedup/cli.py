@@ -8,6 +8,10 @@ machine-readable JSON on stderr. A bad flag value (``--dim`` and
 ``--k-list`` included), a malformed model file or a ``report --in`` that is
 not a scenario artifact exits 2, naming the flag; a corpus, clusters or
 manifest file that cannot be read, or any other runtime failure, exits 1.
+
+``main`` builds the parser of the invoked command only, with the top-level
+parser around it; with no command, ``-h`` or an unknown command it builds
+every command's parser. Help and error texts are the same either way.
 """
 
 from __future__ import annotations
@@ -146,6 +150,12 @@ def _load_pipeline(args) -> tuple:
     corpus = corpus_mod.ingest(_require_file(args.corpus, "--corpus"))
     clusters = _clusters(args)
     manifest = _read_json(args.manifest, "--manifest", splitter_mod.manifest_from_json)
+    for cluster in clusters.clusters:
+        if cluster.cluster_id not in manifest.cluster_assignment:
+            raise ValueError(
+                f"--manifest {args.manifest}: assigns no split to cluster "
+                f"{cluster.cluster_id} of --clusters {args.clusters}"
+            )
     return corpus, clusters, manifest
 
 
@@ -192,7 +202,10 @@ def _classifier_input(args):
     model_path = _require_file(args.model, "--model")
     with _flag("--model", embedder_mod.ModelFileError):
         model = classifier_mod.load_classifier(model_path)
-    trained_dim = json.loads(model_path.read_text(encoding="utf-8")).get("cli", {}).get("dim")
+    echo = json.loads(model_path.read_text(encoding="utf-8")).get("cli", {})
+    if not isinstance(echo, dict):
+        raise UsageError(f"--model: classifier file {model_path}: malformed 'cli': not an object")
+    trained_dim = echo.get("dim")
     if trained_dim is not None and trained_dim != args.dim:
         raise UsageError(
             f"--model was trained on features at --dim {trained_dim}, "
@@ -494,34 +507,25 @@ def _add_classifier_flags(p: argparse.ArgumentParser, flag: str, with_oracle: bo
     p.add_argument("--classify-endpoint", help=f"classifier service URL (or ${CLASSIFY_ENDPOINT_ENV})")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bugdedup", description="Duplicate bug report detection pipeline"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a planted synthetic corpus")
+def _synth_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--clusters", type=int, default=50)
     p.add_argument("--mean-size", type=float, default=3.0)
     p.add_argument("--independents", type=int, default=None)
     p.add_argument("--topics", type=int, default=5)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("ingest", help="normalize a raw corpus into canonical JSONL")
+
+def _ingest_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p.add_argument("--csv-columns", help="bug_id,title,description,dup_of column mapping")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("cluster", help="build duplicate clusters (transitive closure)")
+
+def _cluster_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("split", help="leakage-free train/dev/test manifest")
+
+def _split_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--clusters", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--ratios", default="0.8,0.1,0.1")
@@ -532,10 +536,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="duplicate fraction targeted in dev/test pair mixes",
     )
     p.add_argument("--caps", help="per-split duplicate-pair caps, e.g. train=100,dev=50,test=50")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("train-projection", help="fit the triplet-loss projection")
+
+def _train_projection_flags(p: argparse.ArgumentParser) -> None:
     _add_data_flags(p)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--dim-out", type=int, default=embedder_mod.DEFAULT_PROJECTION_DIM)
@@ -543,35 +546,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=1e-2)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--margin", type=float, default=embedder_mod.DEFAULT_MARGIN)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train_projection)
 
-    p = sub.add_parser("train-classifier", help="fit the logistic pair classifier")
+
+def _train_classifier_flags(p: argparse.ArgumentParser) -> None:
     _add_data_flags(p)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--lr", type=float, default=0.5)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--threshold-step", type=float, default=0.01)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train_classifier)
 
-    p = sub.add_parser("eval-retrieval", help="per-k recall/precision over a split")
+
+def _eval_retrieval_flags(p: argparse.ArgumentParser) -> None:
     _add_data_flags(p)
     p.add_argument("--split", choices=splitter_mod.SPLITS, default="test")
     p.add_argument("--k-list", default="1,5,10,20,60,100")
     _add_embed_flags(p, "--backend")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval_retrieval)
 
-    p = sub.add_parser("eval-classification", help="pairwise metrics over a split")
+
+def _eval_classification_flags(p: argparse.ArgumentParser) -> None:
     _add_data_flags(p)
     p.add_argument("--split", choices=splitter_mod.SPLITS, default="test")
     _add_classifier_flags(p, "--backend", with_oracle=False)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval_classification)
 
-    p = sub.add_parser("run-cascade", help="run a scenario end to end")
+
+def _run_cascade_flags(p: argparse.ArgumentParser) -> None:
     _add_data_flags(p)
     p.add_argument("--mode", choices=tuple(_MODE_NAMES), required=True)
     p.add_argument("--method", choices=tuple(_METHOD_NAMES), required=True)
@@ -582,20 +581,62 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exclude-independents", action="store_true")
     _add_embed_flags(p, "--embed-backend")
     _add_classifier_flags(p, "--classifier-backend", with_oracle=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_run_cascade)
 
-    p = sub.add_parser("report", help="merge scenario outputs into one CSV")
+
+def _report_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="inputs", nargs="+", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_report)
 
+
+# Each subcommand's help, handler and flags (``--out`` apart, which all
+# take last), in the order the help lists them.
+_COMMANDS = {
+    "synth": ("generate a planted synthetic corpus", cmd_synth, _synth_flags),
+    "ingest": ("normalize a raw corpus into canonical JSONL", cmd_ingest, _ingest_flags),
+    "cluster": ("build duplicate clusters (transitive closure)", cmd_cluster, _cluster_flags),
+    "split": ("leakage-free train/dev/test manifest", cmd_split, _split_flags),
+    "train-projection": (
+        "fit the triplet-loss projection", cmd_train_projection, _train_projection_flags
+    ),
+    "train-classifier": (
+        "fit the logistic pair classifier", cmd_train_classifier, _train_classifier_flags
+    ),
+    "eval-retrieval": (
+        "per-k recall/precision over a split", cmd_eval_retrieval, _eval_retrieval_flags
+    ),
+    "eval-classification": (
+        "pairwise metrics over a split", cmd_eval_classification, _eval_classification_flags
+    ),
+    "run-cascade": ("run a scenario end to end", cmd_run_cascade, _run_cascade_flags),
+    "report": ("merge scenario outputs into one CSV", cmd_report, _report_flags),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser; given a subcommand's name, with that subparser only.
+
+    Such a parser parses that command's arguments as the full one does and
+    prints the same help and errors for them: its subcommand metavar still
+    lists every command, which the top-level usage shows. A missing or an
+    unknown command needs the full parser, whose errors list the choices.
+    """
+    parser = argparse.ArgumentParser(
+        prog="bugdedup", description="Duplicate bug report detection pipeline"
+    )
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, func, add_flags) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_flags(p)
+            p.add_argument("--out", required=True)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (UsageError, FileNotFoundError) as exc:

@@ -157,13 +157,23 @@ def _json_key(key: str):
         raise ValueError(f"missing or malformed {key!r} ({type(exc).__name__}: {exc})") from exc
 
 
+def _bug_ids(values) -> tuple[str, ...]:
+    """``values`` as a tuple; an id that is not a string raises ``TypeError``."""
+    ids = tuple(values)
+    for bug_id in ids:
+        if not isinstance(bug_id, str):
+            raise TypeError(f"bug id {bug_id!r} is not a string")
+    return ids
+
+
 def clusters_from_json(payload: dict) -> ClusterSet:
-    """The cluster set that ``clusters_to_json`` wrote; see ``_json_key``."""
+    """The cluster set that ``clusters_to_json`` wrote; see ``_json_key``.
+    A member or independent id that is not a string is malformed."""
     with _json_key("clusters"):
         clusters = tuple(
-            Cluster(cluster_id=i, members=tuple(members))
+            Cluster(cluster_id=i, members=_bug_ids(members))
             for i, members in enumerate(payload["clusters"])
         )
     with _json_key("independents"):
-        independents = tuple(payload["independents"])
+        independents = _bug_ids(payload["independents"])
     return ClusterSet(clusters=clusters, independents=independents)

@@ -115,9 +115,13 @@ def report_tokens(embedder, reports) -> tuple[np.ndarray, np.ndarray, tuple[np.n
 
 def l2_normalize_rows(matrix: np.ndarray) -> np.ndarray:
     """Row-normalize; all-zero rows are left as zeros."""
+    return _unit_rows(matrix)[0]
+
+
+def _unit_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``l2_normalize_rows(matrix)`` and the row norms it divided by."""
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    safe = np.where(norms < ZERO_NORM, 1.0, norms)
-    return matrix / safe
+    return matrix / np.where(norms < ZERO_NORM, 1.0, norms), norms
 
 
 class _TokenTable:
@@ -357,7 +361,9 @@ def train_projection(
 
     ``triplets`` holds (anchor, positive, negative) texts. Base vectors
     are fixed during training, so each distinct text is embedded once up
-    front. Deterministic per seed: init and epoch shuffles draw from
+    front, and the anchor, positive and negative rows of the triplets are
+    gathered once, before the first pass; a batch takes its rows from
+    those. Deterministic per seed: init and epoch shuffles draw from
     named substreams of the config seed.
     """
     if not triplets:
@@ -367,23 +373,21 @@ def train_projection(
     texts = sorted({t for tri in triplets for t in tri})
     index = {t: i for i, t in enumerate(texts)}
     base = base_embedder.embed_texts(texts)
-    ia = np.array([index[a] for a, _, _ in triplets])
-    ip = np.array([index[p] for _, p, _ in triplets])
-    in_ = np.array([index[n] for _, _, n in triplets])
+    xa, xp, xn = (base[[index[text] for text in column]] for column in zip(*triplets))
 
     weights = initial_weights(base_embedder.dim, cfg.dim_out, cfg.seed)
-    curve = [float(np.mean(_pass_losses(weights, base[ia], base[ip], base[in_], cfg.margin)))]
+    curve = [float(np.mean(_pass_losses(weights, xa, xp, xn, cfg.margin)))]
 
     order_rng = substream_rng(cfg.seed, "projection.order")
     for epoch in range(cfg.epochs):
         order = order_rng.permutation(len(triplets))
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            grad = _batch_gradient(
-                weights, base[ia[batch]], base[ip[batch]], base[in_[batch]], cfg.margin
-            )
-            weights = weights - cfg.learning_rate * grad
-        epoch_loss = float(np.mean(_pass_losses(weights, base[ia], base[ip], base[in_], cfg.margin)))
+            grad = _batch_gradient(weights, xa[batch], xp[batch], xn[batch], cfg.margin)
+            # ``weights - lr * grad``, bit for bit, without two temporaries.
+            grad *= cfg.learning_rate
+            weights -= grad
+        epoch_loss = float(np.mean(_pass_losses(weights, xa, xp, xn, cfg.margin)))
         if not math.isfinite(epoch_loss):
             raise TrainingError(
                 f"non-finite loss {epoch_loss} after epoch {epoch + 1} "
@@ -404,8 +408,7 @@ def _batch_gradient(
     The chain runs through the row re-normalization: for z = xW and
     e = z/|z|, dL/dz = (g - (g.e)e)/|z| where g = dL/de.
     """
-    za, zp, zn = xa @ weights, xp @ weights, xn @ weights
-    ea, ep, en = l2_normalize_rows(za), l2_normalize_rows(zp), l2_normalize_rows(zn)
+    (ea, norm_a), (ep, norm_p), (en, norm_n) = (_unit_rows(x @ weights) for x in (xa, xp, xn))
 
     diff_ap = ea - ep
     diff_an = ea - en
@@ -421,19 +424,18 @@ def _batch_gradient(
     g_ep = active * (-u_ap)
     g_en = active * u_an
 
-    grad = (
-        xa.T @ _through_normalization(g_ea, za, ea)
-        + xp.T @ _through_normalization(g_ep, zp, ep)
-        + xn.T @ _through_normalization(g_en, zn, en)
-    )
-    return grad / xa.shape[0]
+    # Summed left to right and divided in place: the bits of (a + b + c) / n.
+    grad = xa.T @ _through_normalization(g_ea, ea, norm_a)
+    grad += xp.T @ _through_normalization(g_ep, ep, norm_p)
+    grad += xn.T @ _through_normalization(g_en, en, norm_n)
+    grad /= xa.shape[0]
+    return grad
 
 
-def _through_normalization(g: np.ndarray, z: np.ndarray, e: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    safe = np.where(norms < ZERO_NORM, 1.0, norms)
-    out = (g - np.sum(g * e, axis=1, keepdims=True) * e) / safe
-    return np.where(norms < ZERO_NORM, 0.0, out)
+def _through_normalization(g: np.ndarray, e: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    zero = norms < ZERO_NORM
+    out = (g - np.sum(g * e, axis=1, keepdims=True) * e) / np.where(zero, 1.0, norms)
+    return np.where(zero, 0.0, out)
 
 
 def save_projection(model: ProjectionModel, path: str | Path, extra: dict | None = None) -> None:

@@ -19,7 +19,14 @@ from bugdedup.cascade import METHODS, classify_pairs, run_partition
 from bugdedup.corpus import BugReport, Corpus, build_corpus, clean
 from bugdedup.dup_graph import ClusterSet, build_clusters
 from bugdedup import retrieval
-from bugdedup.embedder import ZERO_NORM, TfidfHashEmbedder, fnv1a64, l2_normalize_rows
+from bugdedup.classifier import FEATURE_COUNT, PairFeaturizer
+from bugdedup.embedder import (
+    ZERO_NORM,
+    TfidfHashEmbedder,
+    fnv1a64,
+    initial_weights,
+    l2_normalize_rows,
+)
 from bugdedup.ledger import CostLedger
 from bugdedup.metrics import (
     ConfusionMatrix,
@@ -453,6 +460,132 @@ def reference_tune_threshold(probabilities, labels, step=0.01) -> float:
         if f1 > best_f1 + 1e-15:
             best_t, best_f1 = float(t), f1
     return best_t
+
+
+def reference_sigmoid(z: np.ndarray) -> np.ndarray:
+    """The two-branch logistic function that ``classifier._sigmoid`` must
+    equal bit for bit."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _reference_l2_normalize_rows(matrix: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    safe = np.where(norms < ZERO_NORM, 1.0, norms)
+    return matrix / safe
+
+
+def _reference_through_normalization(g: np.ndarray, z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(z, axis=1, keepdims=True)
+    safe = np.where(norms < ZERO_NORM, 1.0, norms)
+    out = (g - np.sum(g * e, axis=1, keepdims=True) * e) / safe
+    return np.where(norms < ZERO_NORM, 0.0, out)
+
+
+def _reference_batch_gradient(weights, xa, xp, xn, margin) -> np.ndarray:
+    za, zp, zn = xa @ weights, xp @ weights, xn @ weights
+    ea, ep, en = (_reference_l2_normalize_rows(z) for z in (za, zp, zn))
+
+    diff_ap = ea - ep
+    diff_an = ea - en
+    d_ap = np.linalg.norm(diff_ap, axis=1, keepdims=True)
+    d_an = np.linalg.norm(diff_an, axis=1, keepdims=True)
+    active = ((d_ap - d_an + margin) > 0).astype(np.float64)
+
+    u_ap = np.where(d_ap < ZERO_NORM, 0.0, diff_ap / np.where(d_ap < ZERO_NORM, 1.0, d_ap))
+    u_an = np.where(d_an < ZERO_NORM, 0.0, diff_an / np.where(d_an < ZERO_NORM, 1.0, d_an))
+
+    g_ea = active * (u_ap - u_an)
+    g_ep = active * (-u_ap)
+    g_en = active * u_an
+
+    grad = (
+        xa.T @ _reference_through_normalization(g_ea, za, ea)
+        + xp.T @ _reference_through_normalization(g_ep, zp, ep)
+        + xn.T @ _reference_through_normalization(g_en, zn, en)
+    )
+    return grad / xa.shape[0]
+
+
+def _reference_pass_losses(weights, xa, xp, xn, margin) -> np.ndarray:
+    ea = _reference_l2_normalize_rows(xa @ weights)
+    ep = _reference_l2_normalize_rows(xp @ weights)
+    en = _reference_l2_normalize_rows(xn @ weights)
+    d_ap = np.linalg.norm(ea - ep, axis=1)
+    d_an = np.linalg.norm(ea - en, axis=1)
+    return np.maximum(d_ap - d_an + margin, 0.0)
+
+
+def reference_train_projection(triplets, base_embedder, cfg) -> tuple[np.ndarray, list[float]]:
+    """``embedder.train_projection``'s weights and loss curve, by the loop
+    that gathers every pass's and every batch's rows from the base vectors
+    and updates out of place; the trainer must equal it bit for bit."""
+    texts = sorted({t for tri in triplets for t in tri})
+    index = {t: i for i, t in enumerate(texts)}
+    base = base_embedder.embed_texts(texts)
+    ia = np.array([index[a] for a, _, _ in triplets])
+    ip = np.array([index[p] for _, p, _ in triplets])
+    in_ = np.array([index[n] for _, _, n in triplets])
+
+    def loss(w) -> float:
+        return float(np.mean(_reference_pass_losses(w, base[ia], base[ip], base[in_], cfg.margin)))
+
+    weights = initial_weights(base_embedder.dim, cfg.dim_out, cfg.seed)
+    curve = [loss(weights)]
+    order_rng = substream_rng(cfg.seed, "projection.order")
+    for _ in range(cfg.epochs):
+        order = order_rng.permutation(len(triplets))
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            grad = _reference_batch_gradient(
+                weights, base[ia[batch]], base[ip[batch]], base[in_[batch]], cfg.margin
+            )
+            weights = weights - cfg.learning_rate * grad
+        curve.append(loss(weights))
+    return weights, curve
+
+
+def _reference_mean_ce(weights, x, y) -> float:
+    p = np.clip(reference_sigmoid(x @ weights[:-1] + weights[-1]), 1e-12, 1.0 - 1e-12)
+    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+
+
+def reference_train_classifier(
+    train_pairs, embedder, cfg, dev_pairs=None
+) -> tuple[np.ndarray, list[float], float]:
+    """``classifier.train_classifier``'s weights, loss curve and threshold,
+    by the loop that gathers each batch with ``x[batch]`` and updates out of
+    place, and the two-branch sigmoid; the trainer must equal it bit for bit."""
+    featurizer = PairFeaturizer(embedder)
+    x = featurizer.feature_matrix([(a, b) for a, b, _ in train_pairs])
+    y = np.array([1.0 if dup else 0.0 for _, _, dup in train_pairs])
+
+    weights = np.zeros(FEATURE_COUNT + 1)
+    curve = [_reference_mean_ce(weights, x, y)]
+    order_rng = substream_rng(cfg.seed, "classifier.order")
+    for _ in range(cfg.epochs):
+        order = order_rng.permutation(len(y))
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            xb, yb = x[batch], y[batch]
+            p = reference_sigmoid(xb @ weights[:-1] + weights[-1])
+            err = p - yb
+            grad = np.concatenate([xb.T @ err, [err.sum()]]) / len(batch)
+            weights = weights - cfg.learning_rate * grad
+        curve.append(_reference_mean_ce(weights, x, y))
+
+    threshold = 0.5
+    if dev_pairs:
+        dev_x = np.ascontiguousarray(featurizer.feature_matrix([(a, b) for a, b, _ in dev_pairs]))
+        dev_y = np.array([1.0 if dup else 0.0 for _, _, dup in dev_pairs])
+        rows = np.repeat(dev_x, 2, axis=0) if len(dev_x) == 1 else dev_x
+        z = (rows @ weights[:-1])[: len(dev_x)] + weights[-1]
+        threshold = reference_tune_threshold(reference_sigmoid(z), dev_y, cfg.threshold_step)
+    return weights, curve, threshold
 
 
 def reference_confusion(outcome, k) -> ConfusionMatrix:

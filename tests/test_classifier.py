@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import fields
@@ -35,7 +36,9 @@ from bugdedup.ledger import CostLedger
 from helpers import (
     CountingEmbedder,
     reference_pair_features,
+    reference_sigmoid,
     reference_sparse_pair_features,
+    reference_train_classifier,
     reference_tune_threshold,
 )
 
@@ -780,3 +783,34 @@ def test_load_classifier_names_a_malformed_train_config(tmp_path, train_config, 
     with pytest.raises(ModelFileError, match=says) as caught:
         load_classifier(path)
     assert str(path) in str(caught.value)
+
+
+@pytest.mark.parametrize("epochs", [0, 1, 3])
+@pytest.mark.parametrize("batch_size", [1, 7, 22])
+def test_train_classifier_equals_the_reference_loop_bit_for_bit(batch_size, epochs):
+    # 22 training pairs, so batches of 7 leave a tail of 1.
+    pairs, embedder = _separable_pairs(n_each=11)
+    dev = pairs[:4] + pairs[-5:]
+    for seed, dev_pairs in itertools.product((0, 9), (None, dev)):
+        cfg = ClassifierTrainConfig(
+            learning_rate=0.7, epochs=epochs, batch_size=batch_size, seed=seed
+        )
+        model = train_classifier(pairs, embedder, cfg, dev_pairs=dev_pairs)
+        weights, curve, threshold = reference_train_classifier(pairs, embedder, cfg, dev_pairs)
+        assert model.weights.tobytes() == weights.tobytes(), cfg
+        assert list(model.loss_curve) == curve, cfg
+        assert model.threshold == threshold, cfg
+
+
+_SIGMOID_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 36.7, -36.7, 709.8, -709.8,
+    745.2, -745.2, math.inf, -math.inf, math.nan, -math.nan,
+]
+
+
+def test_sigmoid_equals_the_two_branch_form_bit_for_bit():
+    z = np.array(_SIGMOID_EDGES)
+    assert classifier._sigmoid(z).tobytes() == reference_sigmoid(z).tobytes()
+    rng = np.random.default_rng(3)
+    z = np.concatenate([z, rng.normal(scale=40.0, size=257), z[::-1]])
+    assert classifier._sigmoid(z).tobytes() == reference_sigmoid(z).tobytes()

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import dataclasses
 import json
+import shlex
 from collections import Counter
 from pathlib import Path
 
@@ -761,11 +763,102 @@ def test_a_clusters_or_manifest_file_of_the_wrong_shape_exits_1(
     assert not out.exists()
 
 
+def _without_cluster_0(workdir):
+    payload = json.loads((workdir / "manifest.json").read_text())
+    del payload["cluster_assignment"]["0"]
+    return payload
+
+
+@pytest.mark.parametrize(
+    "argv, flag, payload, rc, says",
+    [
+        (["eval-retrieval"], "--clusters", lambda _: {"clusters": [[[1], [2]]], "independents": []},
+         1, "bug id [1] is not a string"),
+        (["eval-classification", "--dim", "128", "--backend", "logistic"], "--model",
+         lambda w: {**json.loads((w / "classifier.json").read_text()), "cli": 5}, 2,
+         "malformed 'cli'"),
+        (["eval-retrieval"], "--manifest", _without_cluster_0, 1, "assigns no split to cluster 0"),
+    ],
+    ids=["clusters-with-list-ids", "model-with-a-non-object-echo", "manifest-without-a-cluster"],
+)
+def test_an_input_file_that_does_not_fit_names_its_flag(
+    workdir, tmp_path, capsys, argv, flag, payload, rc, says
+):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload(workdir)))
+    files = {"--corpus": workdir / "corpus.jsonl", "--clusters": workdir / "clusters.json",
+             "--manifest": workdir / "manifest.json", flag: bad}
+    out = tmp_path / "out.csv"
+    err = _run_fail(
+        capsys, rc, *argv, *(str(x) for item in files.items() for x in item), "--out", str(out)
+    )
+    assert flag in err["message"] and str(bad) in err["message"] and says in err["message"]
+    assert not out.exists()
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert "invalid choice: 'frobnicate'" in err
+    assert all(name in err.partition("invalid choice")[2] for name in cli._COMMANDS)
+
+
+def _subparsers(parser) -> dict:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_a_one_command_parser_holds_that_commands_parser_only(command):
+    one = _subparsers(cli.build_parser(command))
+    assert list(one) == [command]
+    assert one[command].format_help() == _subparsers(cli.build_parser())[command].format_help()
+
+
+def test_the_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out == cli.build_parser().format_help()
+    assert all(name in out and help_text in out for name, (help_text, _, _) in cli._COMMANDS.items())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["synth", "--out", "x", "extra"], ["synth", "--clusters", "many", "--out", "x"],
+     ["run-cascade", "--mode", "bad"], ["report"], ["split", "--help"]],
+)
+def test_a_one_command_parser_prints_the_full_parsers_errors(capsys, argv):
+    with pytest.raises(SystemExit) as want:
+        cli.build_parser().parse_args(argv)
+    full = capsys.readouterr()
+    with pytest.raises(SystemExit) as got:
+        cli.main(argv)
+    assert got.value.code == want.value.code
+    assert capsys.readouterr() == full
+
+
+def _readme_command_lines() -> list[list[str]]:
+    """The walkthrough's bugdedup command lines, commented ones too, with
+    continuations joined and each run-cascade method spelled out."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = next(b for b in readme.split("```bash\n") if "bugdedup synth" in b).partition("```")[0]
+    text = "\n".join(line.strip().lstrip("#").strip() for line in block.splitlines())
+    lines = [line for line in text.replace("\\\n", " ").splitlines() if line.startswith("bugdedup ")]
+    return [
+        shlex.split(line.replace("$method", method))[1:]
+        for line in lines
+        for method in (("retrieval", "classification", "cascade") if "$method" in line else ("",))
+    ]
+
+
+def test_every_readme_command_line_parses_alike_with_its_one_command_parser():
+    lines = _readme_command_lines()
+    assert {argv[0] for argv in lines} == set(cli._COMMANDS)
+    for argv in lines:
+        assert cli.build_parser(argv[0]).parse_args(argv) == cli.build_parser().parse_args(argv), argv
 
 
 def test_corrupt_clusters_json_exits_1(workdir, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -33,7 +34,7 @@ from bugdedup.embedder import (
 from bugdedup.retrieval import search
 from bugdedup.synth import SynthConfig, synth_corpus
 
-from helpers import reference_tfidf_embed, reference_tfidf_sparse
+from helpers import reference_tfidf_embed, reference_tfidf_sparse, reference_train_projection
 
 _FINITE = {"allow_nan": False, "allow_infinity": False, "min_value": -1e6, "max_value": 1e6}
 
@@ -526,3 +527,29 @@ def test_loss_curve_not_worse_on_planted_triplets():
     model = train_projection(triplets, embedder, TrainConfig(epochs=20, dim_out=8, seed=0))
     assert model.loss_curve[0] > 0.0
     assert model.loss_curve[-1] < model.loss_curve[0]
+
+
+def _triplets_with_a_tail_of_one():
+    """22 triplets, so batches of 7 leave a tail of 1. One negative is the
+    empty text, whose base row is zero, and one triplet's anchor and
+    positive are the same text."""
+    texts = [f"alpha{i % 5} beta{i % 3} crash{i} heap{i % 4}" for i in range(12)]
+    embedder = TfidfHashEmbedder.fit(texts, dim=48)
+    triplets = [(texts[i % 12], texts[(i + 5) % 12], texts[(i + 3) % 12]) for i in range(20)]
+    triplets += [(texts[0], texts[1], ""), (texts[2], texts[2], texts[7])]
+    return embedder, triplets
+
+
+@pytest.mark.parametrize("epochs", [0, 1, 3])
+@pytest.mark.parametrize("batch_size", [1, 7, 22])
+def test_train_projection_equals_the_reference_loop_bit_for_bit(batch_size, epochs):
+    embedder, triplets = _triplets_with_a_tail_of_one()
+    for margin, dim_out, seed in itertools.product((0.2, 1.5), (4, 16), (0, 9)):
+        cfg = TrainConfig(
+            learning_rate=0.3, epochs=epochs, batch_size=batch_size, seed=seed,
+            dim_out=dim_out, margin=margin,
+        )
+        model = train_projection(triplets, embedder, cfg)
+        weights, curve = reference_train_projection(triplets, embedder, cfg)
+        assert model.weights.tobytes() == weights.tobytes(), cfg
+        assert list(model.loss_curve) == curve, cfg

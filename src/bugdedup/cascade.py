@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -520,9 +519,3 @@ def canonical_scenario_bytes(payload: dict) -> bytes:
     scrubbed = _scrub_timings(payload)
     return (json.dumps(scrubbed, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
 
-
-def save_scenario(result: ScenarioResult, path: str | Path, extra: dict | None = None) -> None:
-    payload = scenario_to_json(result)
-    if extra:
-        payload.update(extra)
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")

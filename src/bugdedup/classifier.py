@@ -32,17 +32,16 @@ dimension.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import artifacts
 from .corpus import BugReport
 from .dup_graph import ClusterSet
-from .embedder import ZERO_NORM, TrainingError, _csr_row_norms, has_sparse_rows, read_model_file, report_tokens
+from .embedder import ZERO_NORM, TrainingError, _csr_row_norms, has_sparse_rows, report_tokens
 from .metrics import ConfusionMatrix, classification_metrics
 from .seeding import substream_rng
 
@@ -499,26 +498,24 @@ class OracleClassifier:
         return np.array([1.0 if same(a.bug_id, b.bug_id) else 0.0 for a, b in pairs])
 
 
-def save_classifier(model: LogisticPairModel, path: str | Path, extra: dict | None = None) -> None:
-    payload = {
+def classifier_to_json(model: LogisticPairModel) -> dict:
+    """The model's JSON form: weights, threshold, config and loss curve."""
+    return {
         "weights": list(map(float, model.weights)),
         "threshold": model.threshold,
         "train_config": asdict(model.train_config),
         "loss_curve": list(model.loss_curve),
     }
-    if extra:
-        payload.update(extra)
-    Path(path).write_text(json.dumps(payload, sort_keys=True, default=str) + "\n", encoding="utf-8")
 
 
-def load_classifier(path: str | Path) -> LogisticPairModel:
-    payload = read_model_file(
-        path, "classifier", ("weights", "threshold", "train_config", "loss_curve"),
-        ClassifierTrainConfig,
-    )
+def classifier_from_json(payload: dict) -> LogisticPairModel:
+    """The model that ``classifier_to_json`` wrote, each key read through
+    ``artifacts.field``."""
     return LogisticPairModel(
-        weights=np.array(payload["weights"]),
-        threshold=payload["threshold"],
-        train_config=payload["train_config"],
-        loss_curve=tuple(payload["loss_curve"]),
+        weights=np.array(artifacts.field(payload, "weights", artifacts.numbers), dtype=np.float64),
+        threshold=artifacts.field(payload, "threshold", artifacts.number),
+        train_config=artifacts.field(
+            payload, "train_config", lambda config: ClassifierTrainConfig(**config)
+        ),
+        loss_curve=tuple(artifacts.field(payload, "loss_curve", artifacts.numbers)),
     )

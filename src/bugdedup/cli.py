@@ -23,8 +23,10 @@ import json
 import os
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 
+from . import artifacts
 from . import cascade as cascade_mod
 from . import classifier as classifier_mod
 from . import corpus as corpus_mod
@@ -67,10 +69,10 @@ def _config_echo(args: argparse.Namespace) -> dict:
     return {"cli": cfg, "config_sha256": hashlib.sha256(blob.encode("utf-8")).hexdigest()}
 
 
-def _write_sidecar(out_path: str, echo: dict) -> None:
-    Path(str(out_path) + ".config.json").write_text(
-        json.dumps(echo, sort_keys=True, indent=1, default=str) + "\n", encoding="utf-8"
-    )
+def _save(args, payload: dict, indent: int | None, suffix: str = "") -> None:
+    """``payload`` with the config echo merged in, saved at ``--out`` plus
+    ``suffix`` (see ``artifacts.save``)."""
+    artifacts.save(args.out + suffix, payload | _config_echo(args), indent)
 
 
 def _emit(payload: dict) -> None:
@@ -78,11 +80,11 @@ def _emit(payload: dict) -> None:
 
 
 @contextlib.contextmanager
-def _flag(flag: str, errors=ValueError):
-    """An ``errors`` exception raised inside is a usage error naming ``flag``."""
+def _flag(flag: str):
+    """A ``ValueError`` raised inside is a usage error naming ``flag``."""
     try:
         yield
-    except errors as exc:
+    except ValueError as exc:
         raise UsageError(f"{flag}: {exc}") from exc
 
 
@@ -131,13 +133,13 @@ def _cap(entry: str) -> tuple[str, int]:
 
 
 def _read_json(path: str, flag: str, parse):
-    """``parse`` of the JSON in ``flag``'s file; a ``ValueError`` from
-    ``parse`` names the file."""
-    payload = json.loads(_require_file(path, flag).read_text(encoding="utf-8"))
+    """``parse`` of the JSON artifact in ``flag``'s file. An error names the
+    flag and the file; it stays a ``JSONDecodeError`` or is a ``ValueError``,
+    the names that the CLI has always printed for these files."""
     try:
-        return parse(payload)
-    except ValueError as exc:
-        raise ValueError(f"{flag} {path}: {exc}") from exc
+        return artifacts.load(_require_file(path, flag), parse, flag)
+    except artifacts.ArtifactError as exc:
+        raise ValueError(str(exc)) from exc
 
 
 def _clusters(args) -> dup_graph.ClusterSet:
@@ -149,6 +151,11 @@ def _load_pipeline(args) -> tuple:
         raise UsageError(f"--dim must be >= 1, got {args.dim}")
     corpus = corpus_mod.ingest(_require_file(args.corpus, "--corpus"))
     clusters = _clusters(args)
+    for bug_id in chain((m for c in clusters.clusters for m in c.members), clusters.independents):
+        if bug_id not in corpus.by_id:
+            raise ValueError(
+                f"--clusters {args.clusters}: bug {bug_id!r} is not in --corpus {args.corpus}"
+            )
     manifest = _read_json(args.manifest, "--manifest", splitter_mod.manifest_from_json)
     for cluster in clusters.clusters:
         if cluster.cluster_id not in manifest.cluster_assignment:
@@ -178,8 +185,9 @@ def _make_embedder(args, corpus, clusters, manifest, backends: contextlib.ExitSt
     if args.embed_backend == "tfidf":
         return _fit_train_embedder(corpus, clusters, manifest, args.dim)
     if args.embed_backend == "projection":
-        with _flag("--projection", embedder_mod.ModelFileError):
-            model = embedder_mod.load_projection(_require_file(args.projection, "--projection"))
+        path = _require_file(args.projection, "--projection")
+        with _flag("--projection"):
+            model = artifacts.load(path, embedder_mod.projection_from_json, "projection file")
         base = _fit_train_embedder(corpus, clusters, manifest, model.dim_in)
         return embedder_mod.ProjectedEmbedder(base=base, model=model)
     client = remote_mod.RemoteEmbedder(_service_config(args.endpoint, "--endpoint", EMBED_ENDPOINT_ENV))
@@ -199,19 +207,21 @@ def _classifier_input(args):
             return classifier_mod.check_similarity_threshold(args.sim_threshold)
     if args.classifier_backend != "logistic":
         return None
-    model_path = _require_file(args.model, "--model")
-    with _flag("--model", embedder_mod.ModelFileError):
-        model = classifier_mod.load_classifier(model_path)
-    echo = json.loads(model_path.read_text(encoding="utf-8")).get("cli", {})
-    if not isinstance(echo, dict):
-        raise UsageError(f"--model: classifier file {model_path}: malformed 'cli': not an object")
-    trained_dim = echo.get("dim")
+    path = _require_file(args.model, "--model")
+    with _flag("--model"):
+        model, trained_dim = artifacts.load(path, _model_and_dim, "classifier file")
     if trained_dim is not None and trained_dim != args.dim:
         raise UsageError(
             f"--model was trained on features at --dim {trained_dim}, "
             f"but this run embeds them at --dim {args.dim}"
         )
     return model
+
+
+def _model_and_dim(payload) -> tuple:
+    """A classifier file's model, and the ``--dim`` that its echo holds, if any."""
+    model = classifier_mod.classifier_from_json(payload)
+    return model, artifacts.field({"cli": {}, **payload}, "cli", lambda echo: echo.get("dim"))
 
 
 def _make_classifier(
@@ -250,7 +260,7 @@ def cmd_synth(args) -> int:
     })
     corpus = synth_mod.synth_corpus(config)
     corpus_mod.write_jsonl(corpus, args.out)
-    _write_sidecar(args.out, _config_echo(args))
+    _save(args, {}, 1, ".config.json")
     _emit({"out": args.out, **corpus_mod.corpus_stats(corpus).__dict__})
     return 0
 
@@ -263,7 +273,7 @@ def cmd_ingest(args) -> int:
         _require_file(args.infile, "--in"), format=args.format, csv_columns=columns
     )
     corpus_mod.write_jsonl(corpus, args.out)
-    _write_sidecar(args.out, _config_echo(args))
+    _save(args, {}, 1, ".config.json")
     stats = corpus_mod.corpus_stats(corpus)
     _emit({"out": args.out, "dropped_relations": corpus.dropped_relations, **stats.__dict__})
     return 0
@@ -272,9 +282,7 @@ def cmd_ingest(args) -> int:
 def cmd_cluster(args) -> int:
     corpus = corpus_mod.ingest(_require_file(args.corpus, "--corpus"))
     clusters = dup_graph.build_clusters(corpus)
-    payload = dup_graph.clusters_to_json(clusters)
-    payload.update(_config_echo(args))
-    Path(args.out).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    _save(args, dup_graph.clusters_to_json(clusters), 1)
     stats = dup_graph.cluster_stats(clusters)
     _emit({"out": args.out, **stats.__dict__})
     return 0
@@ -292,7 +300,7 @@ def cmd_split(args) -> int:
             target_dup_ratio=args.dup_ratio,
             caps=dict.fromkeys(splitter_mod.SPLITS) | caps,
         )
-    splitter_mod.save_manifest(manifest, args.out, extra=_config_echo(args))
+    _save(args, splitter_mod.manifest_to_json(manifest), 1)
     _emit({"out": args.out, "stats": splitter_mod.split_stats(manifest)})
     return 0
 
@@ -315,7 +323,7 @@ def cmd_train_projection(args) -> int:
         for t in manifest.triplets
     ]
     model = embedder_mod.train_projection(triplet_texts, base, cfg)
-    embedder_mod.save_projection(model, args.out, extra=_config_echo(args))
+    _save(args, embedder_mod.projection_to_json(model), None)
     _emit(
         {
             "out": args.out,
@@ -339,7 +347,7 @@ def cmd_train_classifier(args) -> int:
         raise UsageError("--manifest holds no train pairs; re-run split")
     base = _fit_train_embedder(corpus, clusters, manifest, args.dim)
     model = classifier_mod.train_classifier(train_pairs, base, cfg, dev_pairs=dev_pairs or None)
-    classifier_mod.save_classifier(model, args.out, extra=_config_echo(args))
+    _save(args, classifier_mod.classifier_to_json(model), None)
     _emit(
         {
             "out": args.out,
@@ -361,7 +369,7 @@ def _write_eval_csv(args, method: str, rows, start: float, ledger: CostLedger) -
     metrics_mod.write_metrics_csv(
         args.out, [metrics_mod.report_row(row, method, elapsed_ms, snapshot) for row in rows]
     )
-    _write_sidecar(args.out, _config_echo(args))
+    _save(args, {}, 1, ".config.json")
 
 
 def cmd_eval_retrieval(args) -> int:
@@ -431,7 +439,7 @@ def cmd_run_cascade(args) -> int:
         # How many queries a fraction leaves depends on the test pool's size.
         with _flags_for_fields(**flags):
             result = runner(config, manifest, clusters, corpus, emb, clf)
-    cascade_mod.save_scenario(result, args.out, extra=_config_echo(args))
+    _save(args, cascade_mod.scenario_to_json(result), 1)
     _emit(
         {
             "out": args.out,
@@ -448,8 +456,8 @@ def cmd_report(args) -> int:
     payloads = []
     for path in args.inputs:
         source = _require_file(path, "--in")
-        with _flag(f"--in: {path} is not a scenario artifact (not JSON)"):
-            payload = json.loads(source.read_text(encoding="utf-8"))
+        with _flag(f"--in: {path} is not a scenario artifact"):
+            payload = artifacts.load(source, lambda payload: payload, "scenario file")
         if not isinstance(payload, dict) or not {"config", "metrics"} <= payload.keys():
             raise UsageError(f"--in: {path} is not a scenario artifact (needs config and metrics)")
         config = payload["config"]
@@ -477,7 +485,7 @@ def cmd_report(args) -> int:
     rows = [row for p in payloads for row in p["metrics"] if row["k"] == p["config"]["k"]]
     rows.sort(key=lambda r: (r["method"], r["k"]))
     metrics_mod.write_metrics_csv(args.out, rows)
-    _write_sidecar(args.out, _config_echo(args))
+    _save(args, {}, 1, ".config.json")
     _emit({"out": args.out, "rows": len(rows), "inputs": len(payloads)})
     return 0
 

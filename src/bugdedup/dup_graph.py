@@ -7,10 +7,10 @@ counts as a duplicate pair. Bugs touching no relation are independent.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
+from . import artifacts
 from .corpus import Corpus
 
 
@@ -147,33 +147,23 @@ def clusters_to_json(cluster_set: ClusterSet) -> dict:
     }
 
 
-@contextmanager
-def _json_key(key: str):
-    """A payload that lacks ``key``, or holds a malformed value there, raises
-    ``ValueError`` naming the key."""
-    try:
-        yield
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"missing or malformed {key!r} ({type(exc).__name__}: {exc})") from exc
-
-
 def _bug_ids(values) -> tuple[str, ...]:
-    """``values`` as a tuple; an id that is not a string raises ``TypeError``."""
-    ids = tuple(values)
-    for bug_id in ids:
+    """``values``, a list of string ids, as a tuple; anything else, a string
+    of ids too, raises ``TypeError``."""
+    if type(values) is not list:
+        raise TypeError(f"{values!r} is not a list of bug ids")
+    for bug_id in values:
         if not isinstance(bug_id, str):
             raise TypeError(f"bug id {bug_id!r} is not a string")
-    return ids
+    return tuple(values)
 
 
 def clusters_from_json(payload: dict) -> ClusterSet:
-    """The cluster set that ``clusters_to_json`` wrote; see ``_json_key``.
-    A member or independent id that is not a string is malformed."""
-    with _json_key("clusters"):
-        clusters = tuple(
-            Cluster(cluster_id=i, members=_bug_ids(members))
-            for i, members in enumerate(payload["clusters"])
-        )
-    with _json_key("independents"):
-        independents = _bug_ids(payload["independents"])
+    """The cluster set that ``clusters_to_json`` wrote, each key read through
+    ``artifacts.field``. A cluster or the independents that are not a list
+    of string ids are malformed."""
+    clusters = artifacts.field(payload, "clusters", lambda value: tuple(
+        Cluster(cluster_id=i, members=_bug_ids(members)) for i, members in enumerate(value)
+    ))
+    independents = artifacts.field(payload, "independents", _bug_ids)
     return ClusterSet(clusters=clusters, independents=independents)

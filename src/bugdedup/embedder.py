@@ -14,17 +14,16 @@ from __future__ import annotations
 
 import base64
 import hashlib
-import json
 import math
 import threading
 from dataclasses import asdict, dataclass, field
 from itertools import chain
-from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import artifacts
 from .seeding import substream_rng
 
 DEFAULT_DIM = 1024
@@ -43,31 +42,6 @@ _NORM_BLOCK_ROWS = 64
 
 class TrainingError(RuntimeError):
     """Raised when projection training produces a non-finite loss."""
-
-
-class ModelFileError(ValueError):
-    """Raised when a saved model file is not JSON, lacks a field, holds a
-    malformed ``train_config`` or fails its checksum."""
-
-
-def read_model_file(path: str | Path, kind: str, keys: Sequence[str], config_type: type) -> dict:
-    """The JSON object in the ``kind`` file at ``path``, with its
-    ``train_config`` made a ``config_type``. A file that is not JSON, a
-    missing key of ``keys``, or a ``train_config`` that is not an object or
-    has an unknown key or a bad value, raises ``ModelFileError`` naming the
-    file and, but for the first, the key."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ModelFileError(f"{kind} file {path} is not JSON: {exc}") from exc
-    for key in keys:
-        if not isinstance(payload, dict) or key not in payload:
-            raise ModelFileError(f"{kind} file {path} lacks {key!r}")
-    try:
-        payload["train_config"] = config_type(**payload["train_config"])
-    except (TypeError, ValueError) as exc:
-        raise ModelFileError(f"{kind} file {path}: malformed 'train_config': {exc}") from exc
-    return payload
 
 
 def fnv1a64(token: str) -> int:
@@ -438,10 +412,11 @@ def _through_normalization(g: np.ndarray, e: np.ndarray, norms: np.ndarray) -> n
     return np.where(zero, 0.0, out)
 
 
-def save_projection(model: ProjectionModel, path: str | Path, extra: dict | None = None) -> None:
-    """Persist weights with dims, seed, margin, and a content checksum."""
+def projection_to_json(model: ProjectionModel) -> dict:
+    """The projection's JSON form: dims, margin, config, loss curve, and its
+    weights in base64 with their sha256."""
     raw = np.ascontiguousarray(model.weights, dtype=np.float64).tobytes()
-    payload = {
+    return {
         "dim_in": model.dim_in,
         "dim_out": model.dim_out,
         "margin": model.margin,
@@ -450,27 +425,23 @@ def save_projection(model: ProjectionModel, path: str | Path, extra: dict | None
         "weights_b64": base64.b64encode(raw).decode("ascii"),
         "weights_sha256": hashlib.sha256(raw).hexdigest(),
     }
-    if extra:
-        payload.update(extra)
-    Path(path).write_text(json.dumps(payload, sort_keys=True, default=str) + "\n", encoding="utf-8")
 
 
-def load_projection(path: str | Path) -> ProjectionModel:
-    payload = read_model_file(
-        path,
-        "projection",
-        ("dim_in", "dim_out", "margin", "train_config", "loss_curve", "weights_b64", "weights_sha256"),
-        TrainConfig,
-    )
-    raw = base64.b64decode(payload["weights_b64"])
-    if hashlib.sha256(raw).hexdigest() != payload["weights_sha256"]:
-        raise ModelFileError(f"projection file {path} is corrupt: checksum mismatch")
-    weights = np.frombuffer(raw, dtype=np.float64).reshape(
-        payload["dim_in"], payload["dim_out"]
-    )
+def projection_from_json(payload: dict) -> ProjectionModel:
+    """The projection that ``projection_to_json`` wrote, each key read
+    through ``artifacts.field``. Weights that fail their checksum, or that
+    do not fill ``dim_in`` by ``dim_out``, raise ``ArtifactError``."""
+    shape = tuple(artifacts.field(payload, k, artifacts.integer) for k in ("dim_in", "dim_out"))
+    margin = artifacts.field(payload, "margin", artifacts.number)
+    train_config = artifacts.field(payload, "train_config", lambda config: TrainConfig(**config))
+    loss_curve = tuple(artifacts.field(payload, "loss_curve", artifacts.numbers))
+    raw = artifacts.field(payload, "weights_b64", base64.b64decode)
+    if hashlib.sha256(raw).hexdigest() != artifacts.field(payload, "weights_sha256"):
+        raise artifacts.ArtifactError("corrupt: checksum mismatch")
+    if min(shape) < 1 or len(raw) != 8 * shape[0] * shape[1]:
+        message = f"{len(raw) // 8} weights do not fill 'dim_in' by 'dim_out' {shape}"
+        raise artifacts.ArtifactError(message)
+    weights = np.frombuffer(raw, dtype=np.float64).reshape(shape).copy()
     return ProjectionModel(
-        weights=weights.copy(),
-        margin=payload["margin"],
-        train_config=payload["train_config"],
-        loss_curve=tuple(payload["loss_curve"]),
+        weights=weights, margin=margin, train_config=train_config, loss_curve=loss_curve
     )

@@ -19,12 +19,11 @@ substream of their own.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import combinations
-from pathlib import Path
 
-from .dup_graph import Cluster, ClusterSet, _json_key
+from . import artifacts
+from .dup_graph import Cluster, ClusterSet
 from .seeding import substream_rng
 
 SPLITS = ("train", "dev", "test")
@@ -351,36 +350,23 @@ def manifest_to_json(manifest: SplitManifest) -> dict:
 
 
 _MANIFEST_FIELDS = {
-    "seed": lambda m: m["seed"],
-    "ratios": lambda m: tuple(m["ratios"]),
-    "target_dup_ratio": lambda m: m["target_dup_ratio"],
-    "caps": lambda m: {k: v for k, v in m["caps"].items()},
-    "cluster_assignment": lambda m: {int(k): v for k, v in m["cluster_assignment"].items()},
-    "independent_assignment": lambda m: dict(m["independent_assignment"]),
-    "pairs": lambda m: {
-        split: [LabeledPair(a, b, bool(d)) for a, b, d in pairs]
-        for split, pairs in m.get("pairs", {}).items()
+    "seed": artifacts.integer,
+    "ratios": tuple,
+    "target_dup_ratio": artifacts.number,
+    "caps": lambda caps: dict(caps.items()),
+    "cluster_assignment": lambda assignment: {int(k): v for k, v in assignment.items()},
+    "independent_assignment": dict,
+    "pairs": lambda pairs: {
+        split: [LabeledPair(a, b, bool(d)) for a, b, d in labeled] for split, labeled in pairs.items()
     },
-    "triplets": lambda m: [TripletExample(a, p, n) for a, p, n in m.get("triplets", [])],
+    "triplets": lambda triplets: [TripletExample(a, p, n) for a, p, n in triplets],
 }
 
 
 def manifest_from_json(payload: dict) -> SplitManifest:
-    """The manifest that ``manifest_to_json`` wrote. A key that is missing,
-    or whose value is malformed, raises ``ValueError`` naming it."""
-    fields = {}
-    for key, read in _MANIFEST_FIELDS.items():
-        with _json_key(key):
-            fields[key] = read(payload)
+    """The manifest that ``manifest_to_json`` wrote, each key read through
+    ``artifacts.field``; a manifest without pairs or triplets has none."""
+    if isinstance(payload, dict):
+        payload = {"pairs": {}, "triplets": [], **payload}
+    fields = {key: artifacts.field(payload, key, read) for key, read in _MANIFEST_FIELDS.items()}
     return SplitManifest(**fields)
-
-
-def save_manifest(manifest: SplitManifest, path: str | Path, extra: dict | None = None) -> None:
-    payload = manifest_to_json(manifest)
-    if extra:
-        payload.update(extra)
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-
-
-def load_manifest(path: str | Path) -> SplitManifest:
-    return manifest_from_json(json.loads(Path(path).read_text(encoding="utf-8")))

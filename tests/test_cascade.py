@@ -24,7 +24,6 @@ from bugdedup.cascade import (
     run_all_vs_all,
     run_one_vs_all,
     run_partition,
-    save_scenario,
     scenario_to_json,
 )
 from bugdedup.classifier import (
@@ -884,17 +883,6 @@ def test_scrub_timings_equals_the_two_walkers_it_replaced(payload):
     got = json.dumps(_scrub_timings(payload), sort_keys=True)
     assert got == json.dumps(reference_scrub_timings(payload), sort_keys=True)
     assert json.dumps(payload, sort_keys=True) == before
-
-
-def test_save_scenario_merges_extra(tmp_path, setup):
-    corpus, clusters, manifest, embedder, similarity, _ = setup
-    config = ScenarioConfig(mode="one_vs_all", method="retrieval_only", k=2, seed=1)
-    result = run_one_vs_all(config, manifest, clusters, corpus, embedder, similarity)
-    path = tmp_path / "scenario.json"
-    save_scenario(result, path, extra={"cli": {"note": 1}})
-    payload = json.loads(path.read_text())
-    assert payload["cli"] == {"note": 1}
-    assert payload["config"]["method"] == "retrieval_only"
 
 
 def test_pipeline_reruns_are_byte_identical():

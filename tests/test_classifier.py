@@ -21,16 +21,17 @@ from bugdedup.classifier import (
     OracleClassifier,
     PairFeaturizer,
     SimilarityClassifier,
-    load_classifier,
-    save_classifier,
+    classifier_from_json,
+    classifier_to_json,
     train_classifier,
     tune_threshold,
 )
 from bugdedup import classifier
+from bugdedup.artifacts import ArtifactError, load, save
 from bugdedup.cascade import ScenarioError, classify_pairs
 from bugdedup.corpus import BugReport
 from bugdedup.dup_graph import build_clusters
-from bugdedup.embedder import ModelFileError, TfidfHashEmbedder
+from bugdedup.embedder import TfidfHashEmbedder
 from bugdedup.ledger import CostLedger
 
 from helpers import (
@@ -750,8 +751,8 @@ def test_classifier_save_load_roundtrip(tmp_path):
         pairs, embedder, ClassifierTrainConfig(epochs=15), dev_pairs=pairs
     )
     path = tmp_path / "classifier.json"
-    save_classifier(model, path, extra={"note": "x"})
-    again = load_classifier(path)
+    save(path, classifier_to_json(model) | {"note": "x"})
+    again = load(path, classifier_from_json, "classifier file")
     np.testing.assert_array_equal(again.weights, model.weights)
     assert again.threshold == model.threshold
     assert again.loss_curve == model.loss_curve
@@ -761,10 +762,10 @@ def test_classifier_save_load_roundtrip(tmp_path):
 def test_classifier_config_json_roundtrip(tmp_path):
     cfg = ClassifierTrainConfig(learning_rate=0.1, epochs=9, batch_size=8, seed=2, threshold_step=0.05)
     path = tmp_path / "classifier.json"
-    save_classifier(LogisticPairModel(weights=np.arange(FEATURE_COUNT + 1.0), train_config=cfg), path)
+    save(path, classifier_to_json(LogisticPairModel(weights=np.arange(FEATURE_COUNT + 1.0), train_config=cfg)))
     payload = json.loads(path.read_text())
     assert set(payload["train_config"]) == {f.name for f in fields(ClassifierTrainConfig)}
-    assert load_classifier(path).train_config == cfg
+    assert load(path, classifier_from_json, "classifier file").train_config == cfg
 
 
 @pytest.mark.parametrize(
@@ -777,11 +778,10 @@ def test_classifier_config_json_roundtrip(tmp_path):
 )
 def test_load_classifier_names_a_malformed_train_config(tmp_path, train_config, says):
     path = tmp_path / "classifier.json"
-    save_classifier(LogisticPairModel(weights=np.zeros(FEATURE_COUNT + 1)), path)
-    payload = json.loads(path.read_text())
+    payload = classifier_to_json(LogisticPairModel(weights=np.zeros(FEATURE_COUNT + 1)))
     path.write_text(json.dumps({**payload, "train_config": train_config}))
-    with pytest.raises(ModelFileError, match=says) as caught:
-        load_classifier(path)
+    with pytest.raises(ArtifactError, match=says) as caught:
+        load(path, classifier_from_json, "classifier file")
     assert str(path) in str(caught.value)
 
 

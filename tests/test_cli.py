@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import hashlib
 import json
 import shlex
 from collections import Counter
@@ -17,11 +18,14 @@ from bugdedup import cascade as cascade_mod
 from bugdedup import cli
 from bugdedup import embedder as embedder_mod
 from bugdedup import remote as remote_mod
-from bugdedup.classifier import LogisticClassifier, PairFeaturizer, SimilarityClassifier, load_classifier
+from bugdedup.artifacts import load
+from bugdedup.classifier import (
+    LogisticClassifier, PairFeaturizer, SimilarityClassifier, classifier_from_json,
+)
 from bugdedup.corpus import BugReport, build_corpus, ingest, write_jsonl
 from bugdedup.dup_graph import clusters_from_json
 from bugdedup.metrics import ConfusionMatrix, classification_metrics, write_metrics_csv
-from bugdedup.splitter import load_manifest
+from bugdedup.splitter import manifest_from_json
 from bugdedup.synth import SynthConfig, synth_corpus
 
 from helpers import classify_reply, embed_reply, fit_train_embedder, reference_eval_retrieval
@@ -140,8 +144,8 @@ def test_train_classifier_cleans_only_the_reports_it_reads(workdir, tmp_path, ca
         "--epochs", "2", "--out", str(tmp_path / "classifier.json"),
     )
     corpus = ingest(workdir / "corpus.jsonl")
-    clusters = clusters_from_json(json.loads((workdir / "clusters.json").read_text()))
-    manifest = load_manifest(workdir / "manifest.json")
+    clusters = load(workdir / "clusters.json", clusters_from_json, "clusters file")
+    manifest = load(workdir / "manifest.json", manifest_from_json, "manifest file")
     read = set(manifest.bugs_in(clusters, "train"))
     read.update(b for split in ("train", "dev") for p in manifest.pairs[split] for b in (p.bug_a, p.bug_b))
     assert len(read) < len(corpus)
@@ -193,8 +197,8 @@ def interleaved(tmp_path_factory) -> Path:
 
 def test_eval_retrieval_equals_a_search_in_group_order(interleaved, tmp_path, capsys):
     corpus = ingest(interleaved / "corpus.jsonl")
-    clusters = clusters_from_json(json.loads((interleaved / "clusters.json").read_text()))
-    manifest = load_manifest(interleaved / "manifest.json")
+    clusters = load(interleaved / "clusters.json", clusters_from_json, "clusters file")
+    manifest = load(interleaved / "manifest.json", manifest_from_json, "manifest file")
     queries = [m for c in manifest.clusters_in(clusters, "train") for m in c.members]
     assert queries != sorted(queries)
     out = tmp_path / "retrieval.csv"
@@ -246,11 +250,12 @@ def test_eval_classification_equals_rows_built_from_the_backend(workdir, tmp_pat
         "--sim-threshold", "0.4", "--out", str(out),
     )
     corpus = ingest(workdir / "corpus.jsonl")
-    clusters = clusters_from_json(json.loads((workdir / "clusters.json").read_text()))
-    manifest = load_manifest(workdir / "manifest.json")
+    clusters = load(workdir / "clusters.json", clusters_from_json, "clusters file")
+    manifest = load(workdir / "manifest.json", manifest_from_json, "manifest file")
     featurizer = PairFeaturizer(fit_train_embedder(corpus, clusters, manifest, dim=128))
     if backend == "logistic":
-        scorer = LogisticClassifier(load_classifier(workdir / "classifier.json"), featurizer)
+        model = load(workdir / "classifier.json", classifier_from_json, "classifier file")
+        scorer = LogisticClassifier(model, featurizer)
     else:
         scorer = SimilarityClassifier(featurizer, 0.4)
     pairs = manifest.pairs["test"]
@@ -319,10 +324,11 @@ def test_run_cascade_exclude_independents_equals_the_library_run(workdir, tmp_pa
         "--out", str(out),
     )
     corpus = ingest(workdir / "corpus.jsonl")
-    clusters = clusters_from_json(json.loads((workdir / "clusters.json").read_text()))
-    manifest = load_manifest(workdir / "manifest.json")
+    clusters = load(workdir / "clusters.json", clusters_from_json, "clusters file")
+    manifest = load(workdir / "manifest.json", manifest_from_json, "manifest file")
     embedder = fit_train_embedder(corpus, clusters, manifest, dim=128)
-    scorer = LogisticClassifier(load_classifier(workdir / "classifier.json"), PairFeaturizer(embedder))
+    model = load(workdir / "classifier.json", classifier_from_json, "classifier file")
+    scorer = LogisticClassifier(model, PairFeaturizer(embedder))
     config = cascade_mod.ScenarioConfig(
         mode="one_vs_all", method="cascade", k=5, seed=1, include_independents=False
     )
@@ -436,6 +442,10 @@ def _with_train_config(path):
     return {**payload, "train_config": {**payload["train_config"], "bogus": 1}}
 
 
+def _with(path, key, value):
+    return {**json.loads(path.read_text()), key: value}
+
+
 @pytest.mark.parametrize(
     "flag, payload, says",
     [
@@ -447,6 +457,13 @@ def _with_train_config(path):
         ("--projection", lambda w: _with_train_config(w / "projection.json"), "unexpected keyword argument 'bogus'"),
         ("--model", lambda _: "not json", "is not JSON"),
         ("--projection", lambda _: "not json", "is not JSON"),
+        ("--model", lambda w: _with(w / "classifier.json", "loss_curve", 5), "malformed 'loss_curve'"),
+        ("--projection", lambda w: _with(w / "projection.json", "loss_curve", 5), "malformed 'loss_curve'"),
+        ("--projection", lambda w: _with(w / "projection.json", "weights_b64", 5), "malformed 'weights_b64'"),
+        ("--model", lambda w: _with(w / "classifier.json", "threshold", "x"), "malformed 'threshold'"),
+        ("--model", lambda w: _with(w / "classifier.json", "weights", "abc"), "malformed 'weights'"),
+        ("--projection", lambda w: _with(w / "projection.json", "dim_in", 5), "do not fill 'dim_in'"),
+        ("--projection", lambda w: _with(w / "projection.json", "margin", "x"), "malformed 'margin'"),
     ],
 )
 def test_a_malformed_model_file_is_named_with_its_flag(
@@ -742,9 +759,14 @@ def _short_train_pair(workdir):
         (["eval-retrieval"], "--clusters", lambda _: {"clusters": [["a", "b"]]}, "'independents'"),
         (["eval-retrieval"], "--manifest", lambda _: {"seed": 1}, "'ratios'"),
         (["train-classifier", "--seed", "1"], "--manifest", _short_train_pair, "'pairs'"),
+        (["eval-retrieval"], "--clusters", lambda _: {"clusters": ["ab"], "independents": []},
+         "malformed 'clusters'"),
+        (["eval-retrieval"], "--clusters", lambda w: _with(w / "clusters.json", "independents", "ab"),
+         "malformed 'independents'"),
     ],
     ids=["split-clusters-list", "clusters-list", "clusters-without-independents",
-         "manifest-without-ratios", "manifest-with-a-short-pair"],
+         "manifest-without-ratios", "manifest-with-a-short-pair", "clusters-with-a-string-cluster",
+         "clusters-with-string-independents"],
 )
 def test_a_clusters_or_manifest_file_of_the_wrong_shape_exits_1(
     workdir, tmp_path, capsys, argv, flag, payload, key
@@ -769,6 +791,13 @@ def _without_cluster_0(workdir):
     return payload
 
 
+def _with_unknown_ids(workdir, cluster_0=None, independent=None):
+    payload = json.loads((workdir / "clusters.json").read_text())
+    payload["clusters"][0] = cluster_0 or payload["clusters"][0]
+    payload["independents"] += [independent] if independent else []
+    return payload
+
+
 @pytest.mark.parametrize(
     "argv, flag, payload, rc, says",
     [
@@ -778,8 +807,13 @@ def _without_cluster_0(workdir):
          lambda w: {**json.loads((w / "classifier.json").read_text()), "cli": 5}, 2,
          "malformed 'cli'"),
         (["eval-retrieval"], "--manifest", _without_cluster_0, 1, "assigns no split to cluster 0"),
+        (["eval-retrieval"], "--clusters", lambda w: _with_unknown_ids(w, cluster_0=["zz1", "zz2"]),
+         1, "bug 'zz1' is not in --corpus"),
+        (["eval-retrieval"], "--clusters", lambda w: _with_unknown_ids(w, independent="zz3"),
+         1, "bug 'zz3' is not in --corpus"),
     ],
-    ids=["clusters-with-list-ids", "model-with-a-non-object-echo", "manifest-without-a-cluster"],
+    ids=["clusters-with-list-ids", "model-with-a-non-object-echo", "manifest-without-a-cluster",
+         "clusters-with-an-unknown-member", "clusters-with-an-unknown-independent"],
 )
 def test_an_input_file_that_does_not_fit_names_its_flag(
     workdir, tmp_path, capsys, argv, flag, payload, rc, says
@@ -869,3 +903,53 @@ def test_corrupt_clusters_json_exits_1(workdir, tmp_path, capsys):
         "--out", str(tmp_path / "m.json"),
     )
     assert err["error"] == "JSONDecodeError"
+    # Either flag, with text that is not JSON or bytes that are not UTF-8,
+    # is named with its file.
+    for content, error in ((b"{not json", "JSONDecodeError"), (b'{"clusters": "\xff"}', "ValueError")):
+        bad.write_bytes(content)
+        for flag in ("--clusters", "--manifest"):
+            files = {"--corpus": workdir / "corpus.jsonl", "--clusters": workdir / "clusters.json",
+                     "--manifest": workdir / "manifest.json", flag: bad}
+            out = tmp_path / "out.csv"
+            argv = [str(x) for item in files.items() for x in item]
+            err = _run_fail(capsys, 1, "eval-retrieval", *argv, "--out", str(out))
+            assert err["error"] == error
+            assert err["message"].startswith(f"{flag} {bad}: ")
+            assert not out.exists()
+
+
+def test_run_cascade_merges_its_echo_into_the_scenario(workdir, tmp_path, capsys):
+    out = tmp_path / "scenario.json"
+    _run(
+        capsys, "run-cascade", *_pipeline_flags(workdir), "--mode", "one-vs-all",
+        "--method", "retrieval", "--k", "2", "--seed", "1", "--dim", "128", "--out", str(out),
+    )
+    payload = json.loads(out.read_text())
+    # The echo sits beside the scenario's own config and clobbers none of it.
+    assert payload["cli"]["method"] == "retrieval" and payload["cli"]["k"] == 2
+    assert payload["config"]["method"] == "retrieval_only"
+    blob = json.dumps(payload["cli"], sort_keys=True).encode("utf-8")
+    assert payload["config_sha256"] == hashlib.sha256(blob).hexdigest()
+
+
+def test_every_json_artifact_keeps_its_layout(workdir, tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    _run(
+        capsys, "run-cascade", *_pipeline_flags(workdir), "--mode", "one-vs-all",
+        "--method", "retrieval", "--k", "2", "--seed", "1", "--dim", "128", "--out", str(scenario),
+    )
+    _run(capsys, "eval-retrieval", *_pipeline_flags(workdir), "--dim", "128",
+         "--out", str(tmp_path / "retrieval.csv"))
+    _run(capsys, "report", "--in", str(scenario), "--out", str(tmp_path / "report.csv"))
+    # Sorted keys and a final newline; indent 1, but compact for the two models.
+    indents = {
+        workdir / "clusters.json": 1, workdir / "manifest.json": 1, scenario: 1,
+        workdir / "corpus.jsonl.config.json": 1, tmp_path / "retrieval.csv.config.json": 1,
+        tmp_path / "report.csv.config.json": 1,
+        workdir / "classifier.json": None, workdir / "projection.json": None,
+    }
+    for path, indent in indents.items():
+        text = path.read_text(encoding="utf-8")
+        payload = json.loads(text)
+        assert text == json.dumps(payload, sort_keys=True, indent=indent) + "\n", path.name
+        assert {"cli", "config_sha256"} <= payload.keys(), path.name

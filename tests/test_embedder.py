@@ -17,7 +17,6 @@ from hypothesis.extra.numpy import arrays
 
 from bugdedup.embedder import (
     DEFAULT_MARGIN,
-    ModelFileError,
     ProjectedEmbedder,
     ProjectionModel,
     TfidfHashEmbedder,
@@ -25,12 +24,13 @@ from bugdedup.embedder import (
     fnv1a64,
     initial_weights,
     l2_normalize_rows,
-    load_projection,
+    projection_from_json,
+    projection_to_json,
     row_norms,
-    save_projection,
     train_projection,
     _pass_losses,
 )
+from bugdedup.artifacts import ArtifactError, load, save
 from bugdedup.retrieval import search
 from bugdedup.synth import SynthConfig, synth_corpus
 
@@ -462,8 +462,8 @@ def test_projection_save_load_roundtrip(tmp_path):
     embedder, triplets = _tiny_training_setup()
     model = train_projection(triplets, embedder, TrainConfig(epochs=2, dim_out=8, seed=3))
     path = tmp_path / "projection.json"
-    save_projection(model, path, extra={"note": "test"})
-    again = load_projection(path)
+    save(path, projection_to_json(model) | {"note": "test"})
+    again = load(path, projection_from_json, "projection file")
     np.testing.assert_array_equal(again.weights, model.weights)
     assert again.loss_curve == model.loss_curve
     assert again.train_config == model.train_config
@@ -474,21 +474,21 @@ def test_projection_load_rejects_corruption(tmp_path):
     embedder, triplets = _tiny_training_setup()
     model = train_projection(triplets, embedder, TrainConfig(epochs=1, dim_out=8))
     path = tmp_path / "projection.json"
-    save_projection(model, path)
-    payload = json.loads(path.read_text())
+    payload = projection_to_json(model)
     payload["weights_sha256"] = "0" * 64
     path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match="checksum"):
-        load_projection(path)
+    with pytest.raises(ArtifactError, match="checksum") as caught:
+        load(path, projection_from_json, "projection file")
+    assert str(path) in str(caught.value)
 
 
 def test_train_config_json_roundtrip(tmp_path):
     cfg = TrainConfig(learning_rate=0.5, epochs=7, batch_size=4, seed=9, dim_out=16, margin=0.3)
     path = tmp_path / "projection.json"
-    save_projection(ProjectionModel(weights=np.ones((3, 16)), margin=0.3, train_config=cfg), path)
+    save(path, projection_to_json(ProjectionModel(weights=np.ones((3, 16)), margin=0.3, train_config=cfg)))
     payload = json.loads(path.read_text())
     assert set(payload["train_config"]) == {f.name for f in fields(TrainConfig)}
-    assert load_projection(path).train_config == cfg
+    assert load(path, projection_from_json, "projection file").train_config == cfg
 
 
 @pytest.mark.parametrize(
@@ -501,11 +501,10 @@ def test_train_config_json_roundtrip(tmp_path):
 )
 def test_load_projection_names_a_malformed_train_config(tmp_path, train_config, says):
     path = tmp_path / "projection.json"
-    save_projection(ProjectionModel(weights=np.ones((3, 4)), margin=0.2, train_config=TrainConfig()), path)
-    payload = json.loads(path.read_text())
+    payload = projection_to_json(ProjectionModel(weights=np.ones((3, 4)), margin=0.2, train_config=TrainConfig()))
     path.write_text(json.dumps({**payload, "train_config": train_config}))
-    with pytest.raises(ModelFileError, match=says) as caught:
-        load_projection(path)
+    with pytest.raises(ArtifactError, match=says) as caught:
+        load(path, projection_from_json, "projection file")
     assert str(path) in str(caught.value)
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bugdedup.artifacts import load, save
 from bugdedup.dup_graph import Cluster, ClusterSet, build_clusters
 from bugdedup.seeding import substream_rng
 from bugdedup.splitter import (
@@ -19,10 +20,8 @@ from bugdedup.splitter import (
     build_manifest,
     generate_pairs,
     generate_triplets,
-    load_manifest,
     manifest_from_json,
     manifest_to_json,
-    save_manifest,
     split_clusters,
     split_stats,
 )
@@ -275,8 +274,8 @@ def test_manifest_json_roundtrip(manifest):
 
 def test_manifest_save_load(tmp_path, manifest):
     path = tmp_path / "manifest.json"
-    save_manifest(manifest, path, extra={"note": "x"})
-    assert load_manifest(path) == manifest
+    save(path, manifest_to_json(manifest) | {"note": "x"}, 1)
+    assert load(path, manifest_from_json, "manifest file") == manifest
 
 
 def test_manifest_load_ignores_the_groups_of_older_files(tmp_path, manifest):
@@ -286,7 +285,7 @@ def test_manifest_load_ignores_the_groups_of_older_files(tmp_path, manifest):
     payload["groups"] = {"test": [["b1", ["b2"]]]}
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
-    assert load_manifest(path) == manifest
+    assert load(path, manifest_from_json, "manifest file") == manifest
 
 
 def test_same_seed_reproduces_manifest(clusters):

@@ -72,6 +72,15 @@ def integer(value) -> int:
     return number(value, (int,))
 
 
+def one_of(value, choices: tuple):
+    """``value`` if it has the type of ``choices``, which share one, and
+    equals one of them, so that ``true`` is not the integer 1; any other
+    raises ``ValueError``."""
+    if type(value) is not type(choices[0]) or value not in choices:
+        raise ValueError(f"{value!r} is not one of {choices}")
+    return value
+
+
 def numbers(values) -> list:
     """``values`` if it is a list of numbers (see ``number``); anything
     else raises ``TypeError``."""

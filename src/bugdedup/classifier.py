@@ -42,7 +42,7 @@ from . import artifacts
 from .corpus import BugReport
 from .dup_graph import ClusterSet
 from .embedder import ZERO_NORM, TrainingError, _csr_row_norms, has_sparse_rows, report_tokens
-from .metrics import ConfusionMatrix, classification_metrics
+from .metrics import metric_rows
 from .seeding import substream_rng
 
 _CLAMP = 1e-12
@@ -434,14 +434,18 @@ def _mean_ce(weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
 
 def tune_threshold(probabilities: np.ndarray, labels: np.ndarray, step: float = 0.01) -> float:
     """Grid-sweep the threshold maximizing F1 over 0/1 ``labels``; lowest
-    argmax wins ties. Empty input raises ValueError: all-zero confusion."""
+    argmax wins ties. Every grid step is counted in one pass over a
+    ``(steps × pairs)`` decision array and scored by ``metrics.metric_rows``.
+    Empty input raises ValueError: all-zero confusion."""
+    grid = np.arange(step, 1.0, step)
+    predicted, positive = probabilities >= grid[:, None], labels == 1
+    tp = np.count_nonzero(predicted & positive, axis=1)
+    fp, fn = np.count_nonzero(predicted, axis=1) - tp, np.count_nonzero(positive) - tp
+    rows = metric_rows(np.stack((tp, fp, fn, len(labels) - tp - fp - fn), axis=1))
     best_t, best_f1 = 0.5, -1.0
-    positive = labels == 1
-    for t in np.arange(step, 1.0, step):
-        cm = ConfusionMatrix.from_decisions(np.stack((probabilities >= t, positive), axis=1))
-        f1 = classification_metrics(cm).f1
-        if f1 > best_f1 + 1e-15:
-            best_t, best_f1 = float(t), f1
+    for t, row in zip(grid.tolist(), rows):
+        if row.f1 > best_f1 + 1e-15:
+            best_t, best_f1 = t, row.f1
     return best_t
 
 

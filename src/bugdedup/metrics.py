@@ -8,11 +8,16 @@ decision as binary at cutoff k (retained implies positive) and emits
 both the micro (pooled confusion) and macro (per-query mean) views,
 since either aggregation is defensible for ranked retrieval.
 
-Curves read a partition's rankings as arrays (``Outcomes``): every count
-comes from two running sums over the rankings laid end to end, one of
-kept candidates and one of kept relevant ones, read at each k or at the
-full ranking. Each macro mean is one left-to-right float sum, in query
-order.
+Every row comes from one count table. Two running sums over a partition's
+rankings (``Outcomes``) laid end to end, one of kept candidates and one of
+kept relevant ones, are read at one ``(cutoffs × queries)`` index array;
+each cutoff's pooled tp/fp/fn/tn is one integer sum over the queries, and
+``metric_rows`` turns the ``(cutoffs × 4)`` table into rows, as it does
+the classifier's threshold sweep. Each macro mean is the last column of
+one ``np.cumsum`` over the queries: an accumulate adds left to right from
+the first value, so it has the bits of a plain loop in query order, which
+neither ``np.sum`` (pairwise) nor the built-in ``sum`` (compensated from
+Python 3.12) keeps.
 """
 
 from __future__ import annotations
@@ -168,86 +173,80 @@ def aggregate_curves(outcomes: Outcomes, k_list: Sequence[int]) -> list[MetricRo
     items (queries without peers cannot score recall); macro precision
     averages hits/k over all queries. The pooled counts do not depend on
     the order of ``outcomes``, but each macro mean is a float sum taken in
-    that order, so reordering the queries can change its last bits.
+    that order, so reordering the queries can change its last bits. A k
+    below 1 raises ``ValueError``.
     """
     if not len(outcomes):
         raise ValueError("cannot aggregate an empty result set")
-    counts = _RunningCounts(outcomes)
-    rows = []
-    for k in sorted(set(k_list)):
-        tp, _, total, recalls = counts.at(np.minimum(k, counts.lengths))
-        rows.append(_macro_row(total, k, (tp / k).tolist(), recalls))
-    return rows
+    below = [k for k in k_list if k < 1]
+    if below:
+        raise ValueError(f"every k must be at least 1, got {below[0]}")
+    ks = sorted(set(k_list))
+    cutoffs = np.array(ks, dtype=np.int64).reshape(-1, 1)
+    tp, positives = _prefix_counts(outcomes, np.minimum(cutoffs, np.diff(outcomes.ptr)))
+    return _macro_rows(outcomes, ks, tp, positives, tp / cutoffs)
 
 
 def exhaustive_row(outcomes: Outcomes, k: int) -> MetricRow:
     """Exhaustive classification ignores k: one row, every decision counted.
     Its macro precision averages tp/positives over all queries, 0.0 for a
     query that kept nothing."""
-    counts = _RunningCounts(outcomes)
-    tp, positives, total, recalls = counts.at(counts.lengths)
-    precisions = np.divide(tp, positives, out=np.zeros(len(tp)), where=positives > 0)
-    return _macro_row(total, k, precisions.tolist(), recalls)
+    tp, positives = _prefix_counts(outcomes, np.diff(outcomes.ptr)[None])
+    precisions = np.divide(tp, positives, out=np.zeros(tp.shape), where=positives > 0)
+    return _macro_rows(outcomes, [k], tp, positives, precisions)[0]
 
 
-class _RunningCounts:
-    """Each query's confusion counts at every cutoff. A ranking's rows are
-    distinct, so each kept candidate is a positive and each kept relevant
-    one a true positive: running sums of the two flags over all the
-    rankings laid end to end give the counts of any prefix."""
-
-    def __init__(self, outcomes: Outcomes):
-        self.lengths = np.diff(outcomes.ptr)
-        who = np.repeat(np.arange(len(self.lengths)), self.lengths)
-        width = int(outcomes.rows.max(initial=0)) + 1
-        cells = np.sort(who * width + outcomes.rows)
-        repeated = cells[1:][cells[1:] == cells[:-1]]
-        if len(repeated):
-            query, row = divmod(int(repeated[0]), width)
-            raise ValueError(f"the ranking of query {query} repeats row {row}")
-        self._starts = outcomes.ptr[:-1]
-        running = np.zeros((2, len(outcomes.kept) + 1), dtype=np.int64)
-        np.cumsum([outcomes.kept, outcomes.kept & outcomes.relevant], axis=1, out=running[:, 1:])
-        self._running = running
-        self._relevant = outcomes.n_relevant
-        self._db_size = outcomes.db_size
-
-    def at(self, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, ConfusionMatrix, list]:
-        """Each query's true positives and positives among its first
-        ``lengths[i]`` candidates, the pooled confusion matrix, and
-        tp/|relevant| for each query that has relevant items, in order."""
-        positives, tp = self._running[:, self._starts + lengths] - self._running[:, self._starts]
-        fn = self._relevant - tp
-        tn = self._db_size - positives - fn
-        # tp, fp and fn cannot be negative; tn can, if db_size is too small.
-        if (tn < 0).any():
-            raise ValueError("confusion counts must be nonnegative")
-        total = ConfusionMatrix(
-            int(tp.sum()), int((positives - tp).sum()), int(fn.sum()), int(tn.sum())
-        )
-        peers = self._relevant > 0
-        return tp, positives, total, (tp[peers] / self._relevant[peers]).tolist()
+def metric_rows(counts: np.ndarray, ks: Sequence[int | None] | None = None) -> list[MetricRow]:
+    """``classification_metrics`` of each row of ``counts``, an integer
+    ``(rows × 4)`` table of tp, fp, fn and tn; row i at cutoff ``ks[i]``,
+    or at none when ``ks`` is None."""
+    ks = [None] * len(counts) if ks is None else ks
+    return [classification_metrics(ConfusionMatrix(*row), k) for row, k in zip(counts.tolist(), ks)]
 
 
-def _macro_row(
-    total: ConfusionMatrix, k: int, precisions: list[float], recalls: list[float]
-) -> MetricRow:
-    """Pooled-confusion metrics at k, with the per-query means as macro values."""
-    return replace(
-        classification_metrics(total, k=k),
-        macro_precision=_sum(precisions) / len(precisions) if precisions else 0.0,
-        macro_recall=_sum(recalls) / len(recalls) if recalls else None,
-    )
+def _prefix_counts(outcomes: Outcomes, cutoffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each query's true positives and positives among its first
+    ``cutoffs[c, i]`` candidates, as two ``(cutoffs × queries)`` arrays.
+
+    A ranking's rows are distinct, so each kept candidate is a positive and
+    each kept relevant one a true positive: running sums of the two flags
+    over all the rankings laid end to end give the counts of any prefix.
+    """
+    who = np.repeat(np.arange(len(outcomes)), np.diff(outcomes.ptr))
+    width = int(outcomes.rows.max(initial=0)) + 1
+    cells = np.sort(who * width + outcomes.rows)
+    repeated = cells[1:][cells[1:] == cells[:-1]]
+    if len(repeated):
+        query, row = divmod(int(repeated[0]), width)
+        raise ValueError(f"the ranking of query {query} repeats row {row}")
+    running = np.zeros((2, len(outcomes.kept) + 1), dtype=np.int64)
+    np.cumsum([outcomes.kept, outcomes.kept & outcomes.relevant], axis=1, out=running[:, 1:])
+    starts = outcomes.ptr[:-1]
+    positives, tp = np.take(running, starts + cutoffs, axis=1) - running[:, None, starts]
+    return tp, positives
 
 
-def _sum(values: Iterable[float]) -> float:
-    """``values`` summed left to right from 0.0, the one float reduction of
-    every mean that reaches an artifact. The built-in ``sum`` gives the same
-    bits up to Python 3.11, but from 3.12 it compensates the rounding."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
+def _macro_rows(
+    outcomes: Outcomes, ks: Sequence[int], tp: np.ndarray, positives: np.ndarray, precisions: np.ndarray
+) -> list[MetricRow]:
+    """One row per cutoff: the metrics of the queries' pooled confusion
+    counts, with the means of ``precisions`` and of tp/|relevant| over the
+    queries that have relevant items as macro values."""
+    fn = outcomes.n_relevant - tp
+    tn = outcomes.db_size - positives - fn
+    # tp, fp and fn cannot be negative; tn can, if db_size is too small.
+    if (tn < 0).any():
+        raise ValueError("confusion counts must be nonnegative")
+    rows = metric_rows(np.stack((tp, positives - tp, fn, tn), axis=1).sum(axis=2), ks)
+    peers = outcomes.n_relevant > 0
+    recalls = _means(tp[:, peers] / outcomes.n_relevant[peers]) if peers.any() else [None] * len(ks)
+    means = zip(_means(precisions), recalls)
+    return [replace(row, macro_precision=p, macro_recall=r) for row, (p, r) in zip(rows, means)]
+
+
+def _means(values: np.ndarray) -> list[float]:
+    """Each row's mean, summed left to right (see the module docstring)."""
+    return (np.cumsum(values, axis=1)[:, -1] / values.shape[1]).tolist()
 
 
 CSV_COLUMNS = (

@@ -354,10 +354,11 @@ _MANIFEST_FIELDS = {
     "ratios": tuple,
     "target_dup_ratio": artifacts.number,
     "caps": lambda caps: dict(caps.items()),
-    "cluster_assignment": lambda assignment: {int(k): v for k, v in assignment.items()},
-    "independent_assignment": dict,
+    "cluster_assignment": lambda given: {int(k): artifacts.one_of(v, SPLITS) for k, v in given.items()},
+    "independent_assignment": lambda given: {k: artifacts.one_of(v, SPLITS) for k, v in given.items()},
     "pairs": lambda pairs: {
-        split: [LabeledPair(a, b, bool(d)) for a, b, d in labeled] for split, labeled in pairs.items()
+        split: [LabeledPair(a, b, bool(artifacts.one_of(d, (0, 1)))) for a, b, d in labeled]
+        for split, labeled in pairs.items()
     },
     "triplets": lambda triplets: [TripletExample(a, p, n) for a, p, n in triplets],
 }

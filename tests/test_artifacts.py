@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from bugdedup.artifacts import ArtifactError, field, integer, load, number, numbers, save
+from bugdedup.artifacts import ArtifactError, field, integer, load, number, numbers, one_of, save
 
 
 @pytest.mark.parametrize(
@@ -54,3 +54,10 @@ def test_number_and_numbers_return_what_they_check():
     for values in ("12", (1, 2), [1, "2"], [False]):
         with pytest.raises(TypeError):
             numbers(values)
+
+
+def test_one_of_takes_a_choice_of_the_same_type_only():
+    assert one_of(1, (0, 1)) == 1 and one_of("dev", ("train", "dev")) == "dev"
+    for value in (True, 1.0, "1", 2, None):
+        with pytest.raises(ValueError, match="is not one of"):
+            one_of(value, (0, 1))

@@ -751,6 +751,21 @@ def _short_train_pair(workdir):
     return payload
 
 
+def _with_train_pair_0_labelled_no(workdir):
+    payload = json.loads((workdir / "manifest.json").read_text())
+    payload["pairs"]["train"][0][2] = "no"
+    return payload
+
+
+def _with_cluster_0_in_holdout(workdir):
+    payload = json.loads((workdir / "manifest.json").read_text())
+    payload["cluster_assignment"]["0"] = "holdout"
+    return payload
+
+
+_SCORE_TRAIN_PAIRS = ["eval-classification", "--split", "train", "--dim", "128", "--backend", "similarity"]
+
+
 @pytest.mark.parametrize(
     "argv, flag, payload, key",
     [
@@ -763,10 +778,16 @@ def _short_train_pair(workdir):
          "malformed 'clusters'"),
         (["eval-retrieval"], "--clusters", lambda w: _with(w / "clusters.json", "independents", "ab"),
          "malformed 'independents'"),
+        # A label is the JSON integer 0 or 1 and a split is train, dev or
+        # test; neither is coerced, so "no" is not read as a duplicate.
+        (_SCORE_TRAIN_PAIRS, "--manifest", _with_train_pair_0_labelled_no, "malformed 'pairs'"),
+        (_SCORE_TRAIN_PAIRS, "--manifest", _with_cluster_0_in_holdout,
+         "malformed 'cluster_assignment'"),
     ],
     ids=["split-clusters-list", "clusters-list", "clusters-without-independents",
          "manifest-without-ratios", "manifest-with-a-short-pair", "clusters-with-a-string-cluster",
-         "clusters-with-string-independents"],
+         "clusters-with-string-independents", "manifest-with-a-word-label",
+         "manifest-with-an-unknown-split"],
 )
 def test_a_clusters_or_manifest_file_of_the_wrong_shape_exits_1(
     workdir, tmp_path, capsys, argv, flag, payload, key

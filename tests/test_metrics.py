@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bugdedup import metrics
 from bugdedup.metrics import (
     CSV_COLUMNS,
     ConfusionMatrix,
@@ -242,9 +241,26 @@ def test_a_ranking_that_repeats_a_row_is_refused():
 
 
 def test_macro_means_sum_left_to_right_from_zero():
-    # A compensated sum (the built-in from Python 3.12) gives 1.0 here.
-    assert metrics._sum([1e16, 1.0, -1e16]) == 0.0
-    assert metrics._sum([]) == 0.0
+    # Per-query precisions 1/3, 1 and 1 at k = 3: summed left to right they
+    # give 2.333333333333333, where math.fsum and the built-in sum from
+    # Python 3.12 give 2.3333333333333335.
+    outcomes = columnar([
+        _outcome("q1", ["a", "x", "y"], ["a"]),
+        _outcome("q2", ["b", "c", "d"], ["b", "c", "d"]),
+        _outcome("q3", ["e", "f", "g"], ["e", "f", "g"]),
+    ])
+    assert aggregate_curves(outcomes, [3])[0].macro_precision == 2.333333333333333 / 3
+    assert exhaustive_row(outcomes, 3).macro_precision == 2.333333333333333 / 3
+
+
+def test_aggregate_refuses_a_k_below_one():
+    # Unchecked, k = 0 would divide hits by zero and k = -1 would read the
+    # previous query's running sums.
+    outcomes = columnar([_outcome("q1", ["a", "b"], ["a"]), _outcome("q2", ["c"], ["c"])])
+    for k_list, first in (([0], 0), ([-1], -1), ([2, 0, -1], 0)):
+        with pytest.raises(ValueError, match=f"at least 1, got {first}$"):
+            aggregate_curves(outcomes, k_list)
+    assert aggregate_curves(outcomes, []) == []
 
 
 def test_aggregate_rejects_a_db_size_too_small_for_its_counts():

@@ -357,7 +357,9 @@ _MANIFEST_FIELDS = {
     "cluster_assignment": lambda given: {int(k): artifacts.one_of(v, SPLITS) for k, v in given.items()},
     "independent_assignment": lambda given: {k: artifacts.one_of(v, SPLITS) for k, v in given.items()},
     "pairs": lambda pairs: {
-        split: [LabeledPair(a, b, bool(artifacts.one_of(d, (0, 1)))) for a, b, d in labeled]
+        artifacts.one_of(split, SPLITS): [
+            LabeledPair(a, b, bool(artifacts.one_of(d, (0, 1)))) for a, b, d in labeled
+        ]
         for split, labeled in pairs.items()
     },
     "triplets": lambda triplets: [TripletExample(a, p, n) for a, p, n in triplets],

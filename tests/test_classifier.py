@@ -234,6 +234,24 @@ def test_a_warmed_featurizer_looks_its_reports_up_without_warming(monkeypatch):
     assert len(warms) == 1
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [[("", ""), ("the", ""), ("", "")], [("crash crash", "crash"), ("", ""), ("heap", "heap heap crash")]],
+    ids=["every-report-empty", "every-token-repeated"],
+)
+def test_warm_keeps_each_reports_distinct_token_ids(fields):
+    # With every report empty there is no (report, token) key at all.
+    reports = [_report(f"b{i}", title, description) for i, (title, description) in enumerate(fields)]
+    embedder = TfidfHashEmbedder.fit(["crash heap"], dim=64)
+    featurizer = PairFeaturizer(embedder)
+    featurizer.warm(reports)
+    tokens = featurizer._tokens
+    for r, report in enumerate(reports):
+        _, ids = embedder.token_ids([report.clean_title, report.clean_description])
+        got = tokens.columns[tokens.indptr[r] : tokens.indptr[r + 1]]
+        assert got.tolist() == sorted(set(ids.tolist())), report
+
+
 def _store_arrays(featurizer) -> list:
     """Everything the featurizer's two stores and its row map hold."""
     out = [featurizer._row]

@@ -763,6 +763,12 @@ def _with_cluster_0_in_holdout(workdir):
     return payload
 
 
+def _with_holdout_pairs(workdir):
+    payload = json.loads((workdir / "manifest.json").read_text())
+    payload["pairs"]["holdout"] = payload["pairs"]["train"][:3]
+    return payload
+
+
 _SCORE_TRAIN_PAIRS = ["eval-classification", "--split", "train", "--dim", "128", "--backend", "similarity"]
 
 
@@ -783,11 +789,12 @@ _SCORE_TRAIN_PAIRS = ["eval-classification", "--split", "train", "--dim", "128",
         (_SCORE_TRAIN_PAIRS, "--manifest", _with_train_pair_0_labelled_no, "malformed 'pairs'"),
         (_SCORE_TRAIN_PAIRS, "--manifest", _with_cluster_0_in_holdout,
          "malformed 'cluster_assignment'"),
+        (_SCORE_TRAIN_PAIRS, "--manifest", _with_holdout_pairs, "malformed 'pairs'"),
     ],
     ids=["split-clusters-list", "clusters-list", "clusters-without-independents",
          "manifest-without-ratios", "manifest-with-a-short-pair", "clusters-with-a-string-cluster",
          "clusters-with-string-independents", "manifest-with-a-word-label",
-         "manifest-with-an-unknown-split"],
+         "manifest-with-an-unknown-split", "manifest-with-an-unknown-pairs-split"],
 )
 def test_a_clusters_or_manifest_file_of_the_wrong_shape_exits_1(
     workdir, tmp_path, capsys, argv, flag, payload, key

@@ -456,7 +456,7 @@ _texts = st.lists(st.sampled_from(_WORDS + [""]), max_size=6).map(" ".join)
 @given(
     db_texts=st.lists(_texts, min_size=1, max_size=12),
     outside=st.lists(_texts, max_size=4),
-    dim=st.sampled_from([4, 16, 1024]),
+    dim=st.sampled_from([4, 16, 1024, 1 << 20]),
     data=st.data(),
 )
 def test_search_rows_equals_the_per_pair_reference_bit_for_bit(db_texts, outside, dim, data):
@@ -481,6 +481,40 @@ def test_search_rows_equals_the_per_pair_reference_bit_for_bit(db_texts, outside
     for i in range(len(query_rows)):
         alone = _search_rows(rows, ids, query_rows[i : i + 1], k, queries[i : i + 1])
         assert _bits(alone) == _bits(want[i : i + 1])
+
+
+@pytest.mark.parametrize(
+    "db, outside",
+    [
+        ([{}, {}, {}], [{2: 1.0}, {}]),
+        ([{1: 1.0, 5: 2.0}, {5: 0.5, 9: 1.5}, {9: 1.0}], [{0: 1.0, 3: 2.0, 5: 1.0}, {7: 1.0}]),
+        ([{1: 1.0, 2: 3.0}, {2: 1.0}], [{2: 1.0, 3: 1.0, 1 << 20: 4.0}, {(1 << 20) - 1: 1.0}]),
+    ],
+    ids=["all-database-rows-empty", "buckets-absent-from-the-database", "buckets-above-the-largest"],
+)
+def test_search_rows_inverted_lists_at_their_edges(db, outside):
+    # The lists' counts run to the largest bucket of the database or the
+    # queries: a database with no entry has none but empty lists, and a
+    # query bucket that no database row holds, below or above the largest
+    # that one does, reads an empty list. Every row is a query, together
+    # and alone, so a call's query entries may also be none at all.
+    texts = db + outside
+    rows = (
+        np.cumsum([0] + [len(r) for r in texts]),
+        np.array([b for r in texts for b in sorted(r)], dtype=np.int64),
+        np.array([r[b] for r in texts for b in sorted(r)], dtype=np.float64),
+    )
+    ids = [f"b{i}" for i in range(len(db))]
+    names = ids + [f"q{i}" for i in range(len(outside))]
+    for query_rows in [list(range(len(texts)))] + [[i] for i in range(len(texts))]:
+        queries = [names[i] for i in query_rows]
+        for k in (1, len(db) + 1):
+            want = _reference_search_rows(rows, ids, query_rows, k, queries)
+            for bound in (1, 1 << 17):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(retrieval, "_CHUNK", bound)
+                    got = _search_rows(rows, ids, query_rows, k, queries)
+                assert _bits(got) == _bits(want), (query_rows, k, bound)
 
 
 # Texts with equal bags of words embed to equal rows, and "" to a zero row.

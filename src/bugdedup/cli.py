@@ -64,7 +64,11 @@ def _require_file(path: str, flag: str) -> Path:
 
 def _config_echo(args: argparse.Namespace) -> dict:
     # Keyed "cli" so it can never clobber an artifact's own config block.
-    cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+    # A service URL is echoed without its credentials.
+    cfg = {
+        k: remote_mod.redact(v) if k in ("endpoint", "classify_endpoint") and v else v
+        for k, v in sorted(vars(args).items()) if k != "func"
+    }
     blob = json.dumps(cfg, sort_keys=True, default=str)
     return {"cli": cfg, "config_sha256": hashlib.sha256(blob.encode("utf-8")).hexdigest()}
 
@@ -163,7 +167,38 @@ def _load_pipeline(args) -> tuple:
                 f"--manifest {args.manifest}: assigns no split to cluster "
                 f"{cluster.cluster_id} of --clusters {args.clusters}"
             )
+    _check_manifest_ids(args, clusters, manifest)
     return corpus, clusters, manifest
+
+
+def _check_manifest_ids(args, clusters, manifest) -> None:
+    """Refuse a manifest whose pairs of a split name a bug outside that split
+    (``bugs_in``), or whose triplets name a bug that is not a train bug:
+    training on them would train on test bugs. The independents it assigns
+    must be those of ``--clusters``, so that every such bug is in the
+    corpus. The first bad bug is named, with the list it is in."""
+    independents = set(clusters.independents)
+    for bug_id in manifest.independent_assignment:
+        if bug_id not in independents:
+            raise ValueError(
+                f"--manifest {args.manifest}: assigns a split to bug {bug_id!r}, "
+                f"which is not an independent of --clusters {args.clusters}"
+            )
+    lists = [
+        (f"pairs[{split!r}]", split, chain.from_iterable((p.bug_a, p.bug_b) for p in pairs))
+        for split, pairs in manifest.pairs.items()
+    ]
+    lists.append(("triplets", "train", chain.from_iterable(
+        (t.anchor, t.positive, t.negative) for t in manifest.triplets
+    )))
+    for name, split, ids in lists:
+        members = set(manifest.bugs_in(clusters, split))
+        bad = next((bug_id for bug_id in ids if bug_id not in members), None)
+        if bad is not None:
+            raise ValueError(
+                f"--manifest {args.manifest}: {name} names bug {bad!r}, "
+                f"which is not a {split} bug of --clusters {args.clusters}"
+            )
 
 
 def _fit_train_embedder(corpus, clusters, manifest, dim: int):

@@ -147,9 +147,10 @@ def clusters_to_json(cluster_set: ClusterSet) -> dict:
     }
 
 
-def _bug_ids(values) -> tuple[str, ...]:
+def bug_ids(values) -> tuple[str, ...]:
     """``values``, a list of string ids, as a tuple; anything else, a string
-    of ids too, raises ``TypeError``."""
+    of ids too, raises ``TypeError``. Cluster members, independents and the
+    bugs of a manifest's pairs and triplets are read through here."""
     if type(values) is not list:
         raise TypeError(f"{values!r} is not a list of bug ids")
     for bug_id in values:
@@ -163,7 +164,7 @@ def clusters_from_json(payload: dict) -> ClusterSet:
     ``artifacts.field``. A cluster or the independents that are not a list
     of string ids are malformed."""
     clusters = artifacts.field(payload, "clusters", lambda value: tuple(
-        Cluster(cluster_id=i, members=_bug_ids(members)) for i, members in enumerate(value)
+        Cluster(cluster_id=i, members=bug_ids(members)) for i, members in enumerate(value)
     ))
-    independents = artifacts.field(payload, "independents", _bug_ids)
+    independents = artifacts.field(payload, "independents", bug_ids)
     return ClusterSet(clusters=clusters, independents=independents)

@@ -5,7 +5,11 @@ Wire protocols (JSON over POST):
 * embed:    {"texts": ["..."]}             -> {"dim": D, "vectors": [[...]]}
 * classify: {"pairs": [["a", "b"], ...]}   -> {"probabilities": [...]}
 
-Requests are batched per config and results re-assembled in order.
+Each client sends up to ``RemoteConfig.batch_size`` texts or pairs a
+request (256 by default) and re-assembles the results in order. A
+service answers each item on its own, so the batch size changes the
+number of round trips and never a result.
+
 ``RemoteClassifier`` is a pair backend like those in ``classifier``: it
 returns the service's probabilities and carries a ``threshold``, and the
 cascade runner decides and counts. Every contract violation maps to a
@@ -18,7 +22,9 @@ environment once, when the client is built (``HTTP_PROXY``,
 ``HTTPS_PROXY``, ``ALL_PROXY`` and ``NO_PROXY`` through
 ``urllib.request``): ``http`` endpoints are sent through it in absolute
 form and ``https`` endpoints tunnelled with CONNECT. User info in the
-endpoint or proxy URL is sent as Basic credentials. ``https`` verifies
+endpoint or proxy URL is sent as Basic credentials, and masked (see
+``redact``) in every error and log record that names the URL. A failed
+attempt, retried or not, is logged as a WARNING. ``https`` verifies
 the server against the system trust store
 (``ssl.create_default_context()``, which honours ``SSL_CERT_FILE``).
 ``REQUESTS_CA_BUNDLE`` and ``~/.netrc`` are not read, and redirects are
@@ -30,6 +36,8 @@ from __future__ import annotations
 import base64
 import http.client
 import json
+import logging
+import re
 import select
 import ssl
 import weakref
@@ -42,6 +50,8 @@ from urllib.request import getproxies, proxy_bypass
 import numpy as np
 
 from .corpus import BugReport
+
+logger = logging.getLogger(__name__)
 
 
 class RemoteError(RuntimeError):
@@ -74,20 +84,38 @@ class ProbabilityRangeError(RemoteError):
 
 @dataclass(frozen=True)
 class RemoteConfig:
+    """Where a client posts and how: ``batch_size`` is the most texts or
+    pairs one request carries, and ``retries`` how often a timeout or a
+    connection failure is tried again. A large batch saves round trips;
+    the bound keeps a request body small (a classify request of 256 pairs
+    is about 100 KB on the benchmark's corpus) and its reply well inside
+    ``timeout_ms``."""
+
     endpoint: str
     timeout_ms: int = 10000
-    batch_size: int = 32
+    batch_size: int = 256
     retries: int = 0
 
     def __post_init__(self):
         if not _is_service_url(self.endpoint):
-            raise ValueError(f"endpoint must be an http or https URL with a host, got {self.endpoint!r}")
+            raise ValueError(f"endpoint must be an http or https URL with a host, got {redact(self.endpoint)!r}")
         if not self.timeout_ms >= 1:
             raise ValueError(f"timeout_ms must be >= 1, got {self.timeout_ms!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
+
+
+# A URL's user info: everything between the "//" that opens its authority
+# and the authority's last "@", as urlsplit reads it.
+_USER_INFO = re.compile(r"^([^/?#@]*//)?[^/?#]*@")
+
+
+def redact(url: str) -> str:
+    """``url`` with its user info, if it has any, masked as ``***``: the
+    form in which an error, a log record or an artifact names a URL."""
+    return _USER_INFO.sub(r"\1***@", url, count=1)
 
 
 def _is_service_url(endpoint: str) -> bool:
@@ -115,7 +143,7 @@ def _proxy(scheme: str, netloc: str) -> SplitResult | None:
         return None
     url = urlsplit(proxy if "://" in proxy else "http://" + proxy)
     if url.scheme != "http" or not url.hostname:
-        raise ValueError(f"proxy {proxy!r} is not an http:// URL with a host")
+        raise ValueError(f"proxy {redact(proxy)!r} is not an http:// URL with a host")
     return url
 
 
@@ -135,13 +163,16 @@ class _Connection:
     and returns the JSON object of a 200 reply.
 
     Timeouts and connection failures close the connection and are
-    retried ``config.retries`` times on a fresh one; any other answer is
-    final. An idle connection the server has closed is replaced before
-    it is used, at no cost to the retries.
+    retried ``config.retries`` times on a fresh one, each failed attempt
+    logged as a WARNING; any other answer is final. An idle connection
+    the server has closed is replaced before it is used, at no cost to
+    the retries. Errors and log records name the endpoint as ``name``,
+    its ``redact``-ed form.
     """
 
     def __init__(self, config: RemoteConfig):
         self.config = config
+        self.name = redact(config.endpoint)
         url = urlsplit(config.endpoint)
         netloc = url.netloc.rpartition("@")[2]
         https = url.scheme == "https"
@@ -170,8 +201,9 @@ class _Connection:
     def post_json(self, payload: dict) -> dict:
         config = self.config
         body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        attempts = config.retries + 1
         last: Exception | None = None
-        for _ in range(config.retries + 1):
+        for attempt in range(1, attempts + 1):
             try:
                 if self._conn.sock is not None and _readable(self._conn.sock):
                     self._conn.close()
@@ -180,21 +212,23 @@ class _Connection:
                 status, raw = response.status, response.read()
             except (OSError, http.client.HTTPException) as exc:
                 self._conn.close()
+                logger.warning(
+                    "%s: attempt %d of %d failed: %s: %s",
+                    self.name, attempt, attempts, type(exc).__name__, exc,
+                )
                 last = exc
                 continue
             if status != 200:
                 text = raw.decode("utf-8", errors="replace")
-                raise ServiceStatusError(f"{config.endpoint} answered {status}: {text[:200]}")
+                raise ServiceStatusError(f"{self.name} answered {status}: {text[:200]}")
             try:
                 reply = json.loads(raw)
             except ValueError as exc:
-                raise MalformedResponseError(f"{config.endpoint} returned non-JSON body") from exc
+                raise MalformedResponseError(f"{self.name} returned non-JSON body") from exc
             if not isinstance(reply, dict):
-                raise MalformedResponseError(f"{config.endpoint} returned {type(reply).__name__}, expected object")
+                raise MalformedResponseError(f"{self.name} returned {type(reply).__name__}, expected object")
             return reply
-        raise RemoteTimeoutError(
-            f"{config.endpoint} unreachable after {config.retries + 1} attempt(s): {last}"
-        ) from last
+        raise RemoteTimeoutError(f"{self.name} unreachable after {attempts} attempt(s): {last}") from last
 
 
 class RemoteEmbedder:

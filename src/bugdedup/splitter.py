@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import artifacts
-from .dup_graph import Cluster, ClusterSet
+from .dup_graph import Cluster, ClusterSet, bug_ids
 from .seeding import substream_rng
 
 SPLITS = ("train", "dev", "test")
@@ -358,11 +358,11 @@ _MANIFEST_FIELDS = {
     "independent_assignment": lambda given: {k: artifacts.one_of(v, SPLITS) for k, v in given.items()},
     "pairs": lambda pairs: {
         artifacts.one_of(split, SPLITS): [
-            LabeledPair(a, b, bool(artifacts.one_of(d, (0, 1)))) for a, b, d in labeled
+            LabeledPair(*bug_ids([a, b]), bool(artifacts.one_of(d, (0, 1)))) for a, b, d in labeled
         ]
         for split, labeled in pairs.items()
     },
-    "triplets": lambda triplets: [TripletExample(a, p, n) for a, p, n in triplets],
+    "triplets": lambda triplets: [TripletExample(*bug_ids(triplet)) for triplet in triplets],
 }
 
 

@@ -6,7 +6,8 @@ and the CLI's ``.config.json`` sidecars) is written by ``save`` and read by
 ``*_from_json``. A ``*_from_json`` reads each key through ``field``, whose
 parsers check JSON types rather than convert them (``number``, ``integer``,
 ``numbers``), so a malformed file raises ``ArtifactError`` naming the file
-and the key.
+and the key. ``counts`` holds the count fields of a config to the same
+integer test.
 """
 
 from __future__ import annotations
@@ -70,6 +71,17 @@ def number(value, types: tuple[type, ...] = (int, float)):
 def integer(value) -> int:
     """``value`` if it is a JSON integer (see ``number``)."""
     return number(value, (int,))
+
+
+def counts(config, minimums: dict[str, int]) -> None:
+    """Check the count fields of ``config`` that ``minimums`` names: each
+    must be an ``int`` of at least its minimum, and a bool is none, so
+    ``True`` does not pass as 1. Any other raises ``ValueError`` naming the
+    field."""
+    for name, low in minimums.items():
+        value = getattr(config, name)
+        if type(value) is not int or value < low:
+            raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
 
 
 def one_of(value, choices: tuple):

@@ -3,11 +3,13 @@
 Every subcommand echoes its full configuration (plus a SHA-256 of it)
 into the artifact it produces, so any output file can be traced back to
 the exact invocation that made it. JSON artifacts embed the echo; JSONL
-and CSV artifacts get a ``<name>.config.json`` sidecar. Errors are
-machine-readable JSON on stderr. A bad flag value (``--dim`` and
-``--k-list`` included), a malformed model file or a ``report --in`` that is
-not a scenario artifact exits 2, naming the flag; a corpus, clusters or
-manifest file that cannot be read, or any other runtime failure, exits 1.
+and CSV artifacts get a ``<name>.config.json`` sidecar. Every stderr line
+of a command is a JSON object: its error, and each warning the package
+logs (a retried request, a dropped ``dup_of`` link). A bad flag value
+(``--dim`` and ``--k-list`` included), a malformed model file or a
+``report --in`` that is not a scenario artifact exits 2, naming the flag;
+a corpus, clusters or manifest file that cannot be read, or any other
+runtime failure, exits 1.
 
 ``main`` builds the parser of the invoked command only, with the top-level
 parser around it; with no command, ``-h`` or an unknown command it builds
@@ -20,6 +22,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import logging
 import os
 import sys
 import time
@@ -676,10 +679,24 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+class _JsonLines(logging.Formatter):
+    """A log record as one JSON object: its level, logger and message."""
+
+    def format(self, record: logging.LogRecord) -> str:
+        return json.dumps({"level": record.levelname, "logger": record.name, "message": record.getMessage()})
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = build_parser(command).parse_args(argv)
+    # The package's warnings go to stderr as JSON lines while the command
+    # runs; the handler goes with it, so repeated in-process calls do not
+    # stack handlers.
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(_JsonLines())
+    package_logger = logging.getLogger(__package__)
+    package_logger.addHandler(handler)
     try:
         return args.func(args)
     except (UsageError, FileNotFoundError) as exc:
@@ -688,6 +705,8 @@ def main(argv: list[str] | None = None) -> int:
     except (remote_mod.RemoteError, embedder_mod.TrainingError, ValueError, KeyError) as exc:
         _fail_json(exc)
         return 1
+    finally:
+        package_logger.removeHandler(handler)
 
 
 if __name__ == "__main__":

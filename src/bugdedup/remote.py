@@ -49,6 +49,7 @@ from urllib.request import getproxies, proxy_bypass
 
 import numpy as np
 
+from .artifacts import counts
 from .corpus import BugReport
 
 logger = logging.getLogger(__name__)
@@ -101,10 +102,7 @@ class RemoteConfig:
             raise ValueError(f"endpoint must be an http or https URL with a host, got {redact(self.endpoint)!r}")
         if not self.timeout_ms >= 1:
             raise ValueError(f"timeout_ms must be >= 1, got {self.timeout_ms!r}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
+        counts(self, {"batch_size": 1, "retries": 0})
 
 
 # A URL's user info: everything between the "//" that opens its authority

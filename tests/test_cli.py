@@ -8,6 +8,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import logging
 import shlex
 from collections import Counter
 from pathlib import Path
@@ -45,6 +46,11 @@ def _run_fail(capsys, expected_rc: int, *argv: str) -> dict:
     _, err = capsys.readouterr()
     assert rc == expected_rc, f"expected exit {expected_rc}, got {rc}"
     return json.loads(err.strip().splitlines()[-1])
+
+
+def _json_lines(text: str) -> list[dict]:
+    """Each line of ``text`` parsed as JSON: a line that is not fails the test."""
+    return [json.loads(line) for line in text.splitlines()]
 
 
 def _read_csv(path: Path) -> list[dict]:
@@ -131,6 +137,20 @@ def test_ingest_roundtrips_jsonl(workdir, tmp_path, capsys):
     )
     assert summary["dropped_relations"] == 0
     assert out.read_text() == (workdir / "corpus.jsonl").read_text()
+
+
+def test_a_dropped_dup_of_link_is_one_json_warning_on_stderr(tmp_path, capsys):
+    corpus = tmp_path / "in.jsonl"
+    write_jsonl(build_corpus([BugReport("a", "crash", "", dup_of="zz9"), BugReport("b", "hang", "")]), corpus)
+    for _ in range(2):  # the handler lives for one call, so a second call prints one line too
+        assert cli.main(["ingest", "--in", str(corpus), "--out", str(tmp_path / "out.jsonl")]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["dropped_relations"] == 1
+        assert _json_lines(err) == [{
+            "level": "WARNING", "logger": "bugdedup.corpus",
+            "message": "dropped 1 dup_of links with unknown targets",
+        }]
+    assert logging.getLogger("bugdedup").handlers == []
 
 
 def test_synth_and_cluster_clean_no_text(tmp_path, capsys, cleaned):
@@ -551,7 +571,10 @@ def test_endpoint_credentials_stay_out_of_output_logs_and_artifacts(
     )
     assert secret not in out.read_text() and "***@" in echo["endpoint"]
     assert rc == 1
-    failure = json.loads(err.strip().splitlines()[-1])
+    # Every stderr line is JSON: the failed attempt's warning, then the error.
+    warning, failure = _json_lines(err)
+    assert (warning["level"], warning["logger"]) == ("WARNING", "bugdedup.remote")
+    assert warning["message"].startswith("http://***@127.0.0.1:1/embed: attempt 1 of 1 failed: ")
     assert failure["error"] == "RemoteTimeoutError"
     assert failure["message"].startswith("http://***@127.0.0.1:1/embed unreachable after 1 attempt(s): ")
     assert caplog.records and not [r for r in caplog.records if secret in r.getMessage()]

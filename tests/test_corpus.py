@@ -72,6 +72,13 @@ def test_clean_equals_the_character_loop(text):
     assert clean(text) == reference_clean(text)
 
 
+def test_clean_equals_the_character_loop_on_every_code_point():
+    # Each code point between two x's: one that clean splits on and the
+    # loop does not, or the reverse, changes the tokens around it.
+    text = "x" + "x".join(map(chr, range(0x110000))) + "x"
+    assert clean(text) == reference_clean(text)
+
+
 def test_report_derives_clean_text():
     r = BugReport(bug_id="b1", title="Crash!", description="The heap")
     assert r.clean_text == "crash heap"

@@ -89,6 +89,12 @@ def test_config_validation():
         RemoteConfig(endpoint="http://x/", batch_size=0)
     with pytest.raises(ValueError, match="retries"):
         RemoteConfig(endpoint="http://x/", retries=-1)
+    # A count is an int, never a float or a bool: a float batch would fail
+    # only when the client sends, and True would pass as 1.
+    for name, value in [("batch_size", 2.5), ("batch_size", 8.0), ("batch_size", True),
+                        ("retries", True), ("retries", 1.0), ("retries", "2")]:
+        with pytest.raises(ValueError, match=f"^{name} must be an int >= [01], got {value!r}$"):
+            RemoteConfig(endpoint="http://x/", **{name: value})
     for endpoint in ("foo", "localhost:8080/embed", "ftp://x/embed", "http:///embed", "http://x:port/", ""):
         with pytest.raises(ValueError, match="endpoint"):
             RemoteConfig(endpoint=endpoint)

@@ -73,15 +73,16 @@ def integer(value) -> int:
     return number(value, (int,))
 
 
-def counts(config, minimums: dict[str, int]) -> None:
-    """Check the count fields of ``config`` that ``minimums`` names: each
-    must be an ``int`` of at least its minimum, and a bool is none, so
-    ``True`` does not pass as 1. Any other raises ``ValueError`` naming the
-    field."""
+def counts(config, minimums: dict[str, int | None]) -> None:
+    """Check the integer fields of ``config`` that ``minimums`` names: each
+    must be an ``int`` of at least its minimum (any ``int`` where that is
+    None, as for a seed), and a bool is none, so ``True`` does not pass as
+    1. Any other raises ``ValueError`` naming the field."""
     for name, low in minimums.items():
         value = getattr(config, name)
-        if type(value) is not int or value < low:
-            raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
+        if type(value) is not int or low is not None and value < low:
+            bound = "" if low is None else f" >= {low}"
+            raise ValueError(f"{name} must be an int{bound}, got {value!r}")
 
 
 def one_of(value, choices: tuple):

@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .artifacts import counts
 from .corpus import BugReport, Corpus
 from .dup_graph import ClusterSet
 from .embedder import has_sparse_rows, report_tokens
@@ -56,6 +57,7 @@ class ScenarioConfig:
     max_k: int = DEFAULT_K_CAP
 
     def __post_init__(self):
+        counts(self, {"seed": None})
         if self.mode not in MODES:
             raise ScenarioError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.method not in METHODS:

@@ -331,9 +331,7 @@ class ClassifierTrainConfig:
     threshold_step: float = 0.01
 
     def __post_init__(self):
-        for name, low in {"epochs": 0, "batch_size": 1}.items():
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        artifacts.counts(self, {"epochs": 0, "batch_size": 1, "seed": None})
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not 0.0 < self.threshold_step < 1.0:

@@ -163,45 +163,10 @@ def _load_pipeline(args) -> tuple:
             raise ValueError(
                 f"--clusters {args.clusters}: bug {bug_id!r} is not in --corpus {args.corpus}"
             )
-    manifest = _read_json(args.manifest, "--manifest", splitter_mod.manifest_from_json)
-    for cluster in clusters.clusters:
-        if cluster.cluster_id not in manifest.cluster_assignment:
-            raise ValueError(
-                f"--manifest {args.manifest}: assigns no split to cluster "
-                f"{cluster.cluster_id} of --clusters {args.clusters}"
-            )
-    _check_manifest_ids(args, clusters, manifest)
+    manifest = _read_json(
+        args.manifest, "--manifest", lambda payload: splitter_mod.manifest_from_json(payload, clusters)
+    )
     return corpus, clusters, manifest
-
-
-def _check_manifest_ids(args, clusters, manifest) -> None:
-    """Refuse a manifest whose pairs of a split name a bug outside that split
-    (``bugs_in``), or whose triplets name a bug that is not a train bug:
-    training on them would train on test bugs. The independents it assigns
-    must be those of ``--clusters``, so that every such bug is in the
-    corpus. The first bad bug is named, with the list it is in."""
-    independents = set(clusters.independents)
-    for bug_id in manifest.independent_assignment:
-        if bug_id not in independents:
-            raise ValueError(
-                f"--manifest {args.manifest}: assigns a split to bug {bug_id!r}, "
-                f"which is not an independent of --clusters {args.clusters}"
-            )
-    lists = [
-        (f"pairs[{split!r}]", split, chain.from_iterable((p.bug_a, p.bug_b) for p in pairs))
-        for split, pairs in manifest.pairs.items()
-    ]
-    lists.append(("triplets", "train", chain.from_iterable(
-        (t.anchor, t.positive, t.negative) for t in manifest.triplets
-    )))
-    for name, split, ids in lists:
-        members = set(manifest.bugs_in(clusters, split))
-        bad = next((bug_id for bug_id in ids if bug_id not in members), None)
-        if bad is not None:
-            raise ValueError(
-                f"--manifest {args.manifest}: {name} names bug {bad!r}, "
-                f"which is not a {split} bug of --clusters {args.clusters}"
-            )
 
 
 def _fit_train_embedder(corpus, clusters, manifest, dim: int):
@@ -350,7 +315,7 @@ def cmd_train_projection(args) -> int:
     })
     corpus, clusters, manifest = _load_pipeline(args)
     if not manifest.triplets:
-        raise UsageError("--manifest holds no triplets; re-run split")
+        raise UsageError("--manifest derives no triplets: its train cap is 0")
     base = _fit_train_embedder(corpus, clusters, manifest, args.dim)
     triplet_texts = [
         (
@@ -379,10 +344,10 @@ def cmd_train_classifier(args) -> int:
         "seed": "--seed", "threshold_step": "--threshold-step",
     })
     corpus, clusters, manifest = _load_pipeline(args)
-    train_pairs = _resolve_pairs(corpus, manifest.pairs.get("train", []))
-    dev_pairs = _resolve_pairs(corpus, manifest.pairs.get("dev", []))
+    train_pairs = _resolve_pairs(corpus, manifest.pairs["train"])
+    dev_pairs = _resolve_pairs(corpus, manifest.pairs["dev"])
     if not train_pairs:
-        raise UsageError("--manifest holds no train pairs; re-run split")
+        raise UsageError("--manifest derives no train pairs: its train cap is 0")
     base = _fit_train_embedder(corpus, clusters, manifest, args.dim)
     model = classifier_mod.train_classifier(train_pairs, base, cfg, dev_pairs=dev_pairs or None)
     _save(args, classifier_mod.classifier_to_json(model), None)
@@ -438,7 +403,7 @@ def cmd_eval_retrieval(args) -> int:
 
 def cmd_eval_classification(args) -> int:
     corpus, clusters, manifest = _load_pipeline(args)
-    pairs = manifest.pairs.get(args.split, [])
+    pairs = manifest.pairs[args.split]
     if not pairs:
         raise UsageError(f"split {args.split!r} holds no labeled pairs")
     checked = _classifier_input(args)

@@ -149,8 +149,8 @@ def clusters_to_json(cluster_set: ClusterSet) -> dict:
 
 def bug_ids(values) -> tuple[str, ...]:
     """``values``, a list of string ids, as a tuple; anything else, a string
-    of ids too, raises ``TypeError``. Cluster members, independents and the
-    bugs of a manifest's pairs and triplets are read through here."""
+    of ids too, raises ``TypeError``. Cluster members and independents are
+    read through here."""
     if type(values) is not list:
         raise TypeError(f"{values!r} is not a list of bug ids")
     for bug_id in values:

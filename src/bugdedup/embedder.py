@@ -261,9 +261,7 @@ class TrainConfig:
     margin: float = DEFAULT_MARGIN
 
     def __post_init__(self):
-        for name, low in {"epochs": 0, "batch_size": 1, "dim_out": 1}.items():
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        artifacts.counts(self, {"epochs": 0, "batch_size": 1, "dim_out": 1, "seed": None})
         for name in ("learning_rate", "margin"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")

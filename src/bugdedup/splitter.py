@@ -10,20 +10,25 @@ Train pairs are balanced 1:1. Dev and test are deliberately skewed: the
 negative count is chosen so duplicates make up ``target_dup_ratio`` of
 the split's pairs, mirroring how rare duplicates are in live triage.
 
-Sparse negative sampling draws its candidate pairs in blocks. numpy draws
-every bounded integer below 2**32 from one 32-bit word whatever the call's
-``size``, so a block reads the same stream as one call per candidate; the
-block's unread tail is never used, because each split's negatives have a
-substream of their own.
+Sparse negative sampling draws its candidate pairs in blocks, and triplet
+negatives are drawn in one call over an array of bounds. numpy draws every
+bounded integer below 2**32 from one 32-bit word whatever the call's
+``size`` or bounds, so a block reads the same stream as one call per
+candidate; the block's unread tail is never used, because each split's
+negatives have a substream of their own.
+
+A manifest file stores the split only: ``manifest_from_json`` derives the
+pairs and triplets again, so none read from disk can cross a split.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import artifacts
-from .dup_graph import Cluster, ClusterSet, bug_ids
+from .dup_graph import Cluster, ClusterSet
 from .seeding import substream_rng
 
 SPLITS = ("train", "dev", "test")
@@ -54,10 +59,12 @@ class TripletExample:
 
 @dataclass
 class SplitManifest:
-    """Persistent record of one split: assignment, pairs, triplets.
+    """One split: its assignment, and the pairs and triplets drawn from it.
 
     Built in stages: ``split_clusters`` fills the assignment, then
-    ``generate_pairs`` / ``generate_triplets`` fill the rest. All stages are deterministic in (inputs, seed).
+    ``generate_pairs`` / ``generate_triplets`` fill the rest. All stages are
+    deterministic in (inputs, seed), so a manifest file stores the
+    assignment and its reader derives the pairs and triplets again.
     """
 
     seed: int
@@ -79,19 +86,27 @@ class SplitManifest:
         return sorted(bugs)
 
 
-def _validate_ratios(ratios: tuple[float, float, float]) -> None:
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
+def _validate_ratios(ratios: tuple[float, float, float]) -> tuple[float, float, float]:
+    if len(ratios) != 3 or not all(r > 0 for r in ratios):  # NaN is no fraction
         raise SplitError(f"ratios must be three positive fractions, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise SplitError(f"ratios must sum to 1, got {sum(ratios)}")
+    return ratios
 
 
-def _validate_caps(caps: dict[str, int | None]) -> None:
+def _validate_caps(caps: dict[str, int | None]) -> dict[str, int | None]:
     for split, cap in caps.items():
         if split not in SPLITS:
             raise SplitError(f"caps: split must be one of {SPLITS}, got {split!r}")
         if cap is not None and cap < 0:
             raise SplitError(f"caps: {split} must be >= 0, got {cap}")
+    return caps
+
+
+def _validate_dup_ratio(target_dup_ratio: float) -> float:
+    if not 0 < target_dup_ratio <= 1:
+        raise SplitError(f"target_dup_ratio must lie in (0, 1], got {target_dup_ratio}")
+    return target_dup_ratio
 
 
 def split_clusters(
@@ -113,8 +128,9 @@ def split_clusters(
     """
     _validate_ratios(ratios)
     _validate_caps(caps or {})
-    if not 0 < target_dup_ratio <= 1:
-        raise SplitError(f"target_dup_ratio must lie in (0, 1], got {target_dup_ratio}")
+    _validate_dup_ratio(target_dup_ratio)
+    if type(seed) is not int:  # a bool or a float would name another substream
+        raise SplitError(f"seed must be an int, got {seed!r}")
     clusters = cluster_set.clusters
     if len(clusters) < 3:
         raise SplitError(f"need at least 3 clusters to populate all splits, got {len(clusters)}")
@@ -202,7 +218,10 @@ def generate_pairs(manifest: SplitManifest, cluster_set: ClusterSet) -> dict[str
             n_neg = len(dup)
         else:
             r = manifest.target_dup_ratio
-            n_neg = round(len(dup) * (1.0 - r) / r)
+            n_neg = len(dup) * (1.0 - r) / r
+            if n_neg == math.inf:
+                raise SplitError(f"split {split!r} needs more non-duplicate pairs than a float counts")
+            n_neg = round(n_neg)
 
         bugs = manifest.bugs_in(cluster_set, split)
         neg_rng = substream_rng(manifest.seed, f"pairs.neg:{split}")
@@ -271,12 +290,12 @@ def generate_triplets(manifest: SplitManifest, cluster_set: ClusterSet) -> list[
     (anchor=a, positive=b) and (anchor=b, positive=a); the negative is
     drawn uniformly from train bugs outside the anchor's cluster
     (independents included): one draw below their count, stepped past the
-    cluster's own positions in the sorted train bugs.
+    cluster's own positions in the sorted train bugs. All the draws are
+    one call over an array of bounds, which reads the same stream as one
+    call per draw (see the module docstring).
     """
     if "train" not in manifest.pairs:
         raise SplitError("generate_pairs must run before generate_triplets")
-    rng = substream_rng(manifest.seed, "triplets")
-
     train_bugs = manifest.bugs_in(cluster_set, "train")
     position = {b: i for i, b in enumerate(train_bugs)}
     taken = {
@@ -284,20 +303,24 @@ def generate_triplets(manifest: SplitManifest, cluster_set: ClusterSet) -> list[
         for c in manifest.clusters_in(cluster_set, "train")
     }
 
+    examples = [
+        (anchor, positive)
+        for pair in manifest.pairs["train"] if pair.duplicate
+        for anchor, positive in ((pair.bug_a, pair.bug_b), (pair.bug_b, pair.bug_a))
+    ]
+    skips = [taken[cluster_set.cluster_of(anchor)] for anchor, _ in examples]
+    bounds = [len(train_bugs) - len(skip) for skip in skips]
+    if 0 in bounds:
+        raise SplitError(f"no eligible triplet negatives for anchor {examples[bounds.index(0)][0]!r}")
+    draws = substream_rng(manifest.seed, "triplets").integers(bounds).tolist()
+
     triplets: list[TripletExample] = []
-    for pair in manifest.pairs["train"]:
-        if not pair.duplicate:
-            continue
-        for anchor, positive in ((pair.bug_a, pair.bug_b), (pair.bug_b, pair.bug_a)):
-            skip = taken[cluster_set.cluster_of(anchor)]
-            if len(skip) == len(train_bugs):
-                raise SplitError(f"no eligible triplet negatives for anchor {anchor!r}")
-            i = int(rng.integers(len(train_bugs) - len(skip)))
-            for p in skip:
-                if p > i:
-                    break
-                i += 1
-            triplets.append(TripletExample(anchor, positive, train_bugs[i]))
+    for (anchor, positive), skip, i in zip(examples, skips, draws):
+        for p in skip:
+            if p > i:
+                break
+            i += 1
+        triplets.append(TripletExample(anchor, positive, train_bugs[i]))
 
     manifest.triplets = triplets
     return triplets
@@ -333,6 +356,8 @@ def split_stats(manifest: SplitManifest) -> dict[str, dict]:
 
 
 def manifest_to_json(manifest: SplitManifest) -> dict:
+    """The manifest's split, without its pairs and triplets, which
+    ``manifest_from_json`` derives, and with their ``split_stats``."""
     return {
         "seed": manifest.seed,
         "ratios": list(manifest.ratios),
@@ -340,36 +365,46 @@ def manifest_to_json(manifest: SplitManifest) -> dict:
         "caps": manifest.caps,
         "cluster_assignment": {str(k): v for k, v in manifest.cluster_assignment.items()},
         "independent_assignment": manifest.independent_assignment,
-        "pairs": {
-            split: [[p.bug_a, p.bug_b, int(p.duplicate)] for p in pairs]
-            for split, pairs in manifest.pairs.items()
-        },
-        "triplets": [[t.anchor, t.positive, t.negative] for t in manifest.triplets],
         "stats": split_stats(manifest),
     }
 
 
+def _caps(given: dict) -> dict[str, int | None]:
+    caps = {split: cap if cap is None else artifacts.integer(cap) for split, cap in given.items()}
+    return _validate_caps(caps)
+
+
 _MANIFEST_FIELDS = {
     "seed": artifacts.integer,
-    "ratios": tuple,
-    "target_dup_ratio": artifacts.number,
-    "caps": lambda caps: dict(caps.items()),
+    "ratios": lambda ratios: _validate_ratios(tuple(artifacts.numbers(ratios))),
+    "target_dup_ratio": lambda ratio: _validate_dup_ratio(artifacts.number(ratio)),
+    "caps": _caps,
     "cluster_assignment": lambda given: {int(k): artifacts.one_of(v, SPLITS) for k, v in given.items()},
     "independent_assignment": lambda given: {k: artifacts.one_of(v, SPLITS) for k, v in given.items()},
-    "pairs": lambda pairs: {
-        artifacts.one_of(split, SPLITS): [
-            LabeledPair(*bug_ids([a, b]), bool(artifacts.one_of(d, (0, 1)))) for a, b, d in labeled
-        ]
-        for split, labeled in pairs.items()
-    },
-    "triplets": lambda triplets: [TripletExample(*bug_ids(triplet)) for triplet in triplets],
 }
 
 
-def manifest_from_json(payload: dict) -> SplitManifest:
-    """The manifest that ``manifest_to_json`` wrote, each key read through
-    ``artifacts.field``; a manifest without pairs or triplets has none."""
-    if isinstance(payload, dict):
-        payload = {"pairs": {}, "triplets": [], **payload}
-    fields = {key: artifacts.field(payload, key, read) for key, read in _MANIFEST_FIELDS.items()}
-    return SplitManifest(**fields)
+def manifest_from_json(payload: dict, cluster_set: ClusterSet) -> SplitManifest:
+    """The manifest that ``manifest_to_json`` wrote for ``cluster_set``, each
+    key read through ``artifacts.field``, with its pairs and triplets
+    derived by ``generate_pairs`` and ``generate_triplets``.
+
+    Every cluster of ``cluster_set`` must have a split, and every bug the
+    file assigns a split to must be one of its independents. A file's own
+    ``pairs`` or ``triplets``, which older manifests carried, are ignored
+    like any other unknown key, so no pair or triplet can name a bug that
+    its split does not hold.
+    """
+    manifest = SplitManifest(
+        **{key: artifacts.field(payload, key, read) for key, read in _MANIFEST_FIELDS.items()}
+    )
+    for cluster in cluster_set.clusters:
+        if cluster.cluster_id not in manifest.cluster_assignment:
+            raise SplitError(f"assigns no split to cluster {cluster.cluster_id}")
+    independents = set(cluster_set.independents)
+    for bug_id in manifest.independent_assignment:
+        if bug_id not in independents:
+            raise SplitError(f"assigns a split to bug {bug_id!r}, which is not an independent")
+    generate_pairs(manifest, cluster_set)
+    generate_triplets(manifest, cluster_set)
+    return manifest

@@ -52,7 +52,8 @@ class SynthConfig:
 
     def __post_init__(self):
         minimums = {"n_clusters": 1, "n_topics": 1, "topic_words": 1, "signature_words": 1,
-                    "noise_vocab": 1, "description_words": 0, "topic_repeat": 0, "signature_repeat": 0}
+                    "noise_vocab": 1, "description_words": 0, "topic_repeat": 0, "signature_repeat": 0,
+                    "seed": None}
         if self.n_independents is not None:
             minimums["n_independents"] = 0
         counts(self, minimums)

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import json
+import re
 
+import numpy as np
 import pytest
 
 from bugdedup.artifacts import ArtifactError, field, integer, load, number, numbers, one_of, save
+from bugdedup.cascade import ScenarioConfig
+from bugdedup.classifier import ClassifierTrainConfig
+from bugdedup.embedder import TrainConfig
+from bugdedup.synth import SynthConfig
 
 
 @pytest.mark.parametrize(
@@ -61,3 +67,21 @@ def test_one_of_takes_a_choice_of_the_same_type_only():
     for value in (True, 1.0, "1", 2, None):
         with pytest.raises(ValueError, match="is not one of"):
             one_of(value, (0, 1))
+
+
+_SEEDED_CONFIGS = [
+    ("SynthConfig", lambda seed: SynthConfig(seed=seed)),
+    ("TrainConfig", lambda seed: TrainConfig(seed=seed)),
+    ("ClassifierTrainConfig", lambda seed: ClassifierTrainConfig(seed=seed)),
+    ("ScenarioConfig", lambda seed: ScenarioConfig(mode="one_vs_all", method="cascade", seed=seed)),
+]
+
+
+@pytest.mark.parametrize("seed", [True, False, 1.0, 2.5, "3", None, np.int64(3)])
+@pytest.mark.parametrize("make", [make for _, make in _SEEDED_CONFIGS], ids=[n for n, _ in _SEEDED_CONFIGS])
+def test_every_config_with_a_seed_refuses_a_seed_that_is_not_an_int(make, seed):
+    # A bool would pass as 0 or 1, and a float or a string would name
+    # another substream than the int it spells (seeding hashes its text).
+    with pytest.raises(ValueError, match=f"^seed must be an int, got {re.escape(repr(seed))}$"):
+        make(seed)
+    assert make(-3).seed == -3

@@ -791,7 +791,12 @@ def test_classifier_config_json_roundtrip(tmp_path):
     [
         ({"epochs": 3, "bogus": 1}, "unexpected keyword argument 'bogus'"),
         ([3], "must be a mapping"),
-        ({"epochs": -1}, "epochs must be >= 0"),
+        ({"epochs": -1}, "epochs must be an int >= 0"),
+        # A count or a seed is a JSON integer: neither 2.5 nor true passes.
+        ({"epochs": 2.5, "batch_size": True, "seed": True}, "epochs must be an int >= 0, got 2.5"),
+        ({"batch_size": True}, "batch_size must be an int >= 1, got True"),
+        ({"seed": True}, "seed must be an int, got True"),
+        ({"seed": 1.0}, "seed must be an int, got 1.0"),
     ],
 )
 def test_load_classifier_names_a_malformed_train_config(tmp_path, train_config, says):

@@ -87,6 +87,11 @@ def workdir(tmp_path_factory) -> Path:
     return root
 
 
+def _manifest(root: Path, clusters):
+    """The manifest in ``root``, with its pairs and triplets derived for ``clusters``."""
+    return load(root / "manifest.json", lambda payload: manifest_from_json(payload, clusters), "manifest file")
+
+
 def _pipeline_flags(root: Path) -> list[str]:
     return [
         "--corpus", str(root / "corpus.jsonl"),
@@ -166,7 +171,7 @@ def test_train_classifier_cleans_only_the_reports_it_reads(workdir, tmp_path, ca
     )
     corpus = ingest(workdir / "corpus.jsonl")
     clusters = load(workdir / "clusters.json", clusters_from_json, "clusters file")
-    manifest = load(workdir / "manifest.json", manifest_from_json, "manifest file")
+    manifest = _manifest(workdir, clusters)
     read = set(manifest.bugs_in(clusters, "train"))
     read.update(b for split in ("train", "dev") for p in manifest.pairs[split] for b in (p.bug_a, p.bug_b))
     assert len(read) < len(corpus)
@@ -219,7 +224,7 @@ def interleaved(tmp_path_factory) -> Path:
 def test_eval_retrieval_equals_a_search_in_group_order(interleaved, tmp_path, capsys):
     corpus = ingest(interleaved / "corpus.jsonl")
     clusters = load(interleaved / "clusters.json", clusters_from_json, "clusters file")
-    manifest = load(interleaved / "manifest.json", manifest_from_json, "manifest file")
+    manifest = _manifest(interleaved, clusters)
     queries = [m for c in manifest.clusters_in(clusters, "train") for m in c.members]
     assert queries != sorted(queries)
     out = tmp_path / "retrieval.csv"
@@ -272,7 +277,7 @@ def test_eval_classification_equals_rows_built_from_the_backend(workdir, tmp_pat
     )
     corpus = ingest(workdir / "corpus.jsonl")
     clusters = load(workdir / "clusters.json", clusters_from_json, "clusters file")
-    manifest = load(workdir / "manifest.json", manifest_from_json, "manifest file")
+    manifest = _manifest(workdir, clusters)
     featurizer = PairFeaturizer(fit_train_embedder(corpus, clusters, manifest, dim=128))
     if backend == "logistic":
         model = load(workdir / "classifier.json", classifier_from_json, "classifier file")
@@ -346,7 +351,7 @@ def test_run_cascade_exclude_independents_equals_the_library_run(workdir, tmp_pa
     )
     corpus = ingest(workdir / "corpus.jsonl")
     clusters = load(workdir / "clusters.json", clusters_from_json, "clusters file")
-    manifest = load(workdir / "manifest.json", manifest_from_json, "manifest file")
+    manifest = _manifest(workdir, clusters)
     embedder = fit_train_embedder(corpus, clusters, manifest, dim=128)
     model = load(workdir / "classifier.json", classifier_from_json, "classifier file")
     scorer = LogisticClassifier(model, PairFeaturizer(embedder))
@@ -458,9 +463,9 @@ def _corrupt(workdir):
     return {**payload, "weights_sha256": "0" * 64}
 
 
-def _with_train_config(path):
+def _with_train_config(path, **values):
     payload = json.loads(path.read_text())
-    return {**payload, "train_config": {**payload["train_config"], "bogus": 1}}
+    return {**payload, "train_config": {**payload["train_config"], **(values or {"bogus": 1})}}
 
 
 def _with(path, key, value):
@@ -485,6 +490,11 @@ def _with(path, key, value):
         ("--model", lambda w: _with(w / "classifier.json", "weights", "abc"), "malformed 'weights'"),
         ("--projection", lambda w: _with(w / "projection.json", "dim_in", 5), "do not fill 'dim_in'"),
         ("--projection", lambda w: _with(w / "projection.json", "margin", "x"), "malformed 'margin'"),
+        # A count or a seed in a train_config is a JSON integer.
+        ("--model", lambda w: _with_train_config(w / "classifier.json", epochs=2.5, batch_size=True, seed=True),
+         "epochs must be an int >= 0, got 2.5"),
+        ("--projection", lambda w: _with_train_config(w / "projection.json", seed=True),
+         "seed must be an int, got True"),
     ],
 )
 def test_a_malformed_model_file_is_named_with_its_flag(
@@ -689,6 +699,7 @@ def test_bad_ratios_exit_2(workdir, tmp_path, capsys):
     [
         ("--ratios", "0.8,x,0.1"),
         ("--ratios", "0.5,0.2,0.2"),
+        ("--ratios", "nan,0.1,0.1"),
         ("--caps", "train=abc"),
         ("--caps", "train=-1"),
         ("--csv-columns", "bug_id,summary"),
@@ -811,50 +822,36 @@ def test_runtime_split_failure_exits_1(tmp_path, capsys):
     assert err["error"] == "SplitError"
 
 
-def _short_train_pair(workdir):
-    payload = json.loads((workdir / "manifest.json").read_text())
-    payload["pairs"]["train"][0] = payload["pairs"]["train"][0][:2]
-    return payload
-
-
-def _with_train_pair_0_labelled_no(workdir):
-    payload = json.loads((workdir / "manifest.json").read_text())
-    payload["pairs"]["train"][0][2] = "no"
-    return payload
-
-
 def _with_cluster_0_in_holdout(workdir):
     payload = json.loads((workdir / "manifest.json").read_text())
     payload["cluster_assignment"]["0"] = "holdout"
     return payload
 
 
-def _with_holdout_pairs(workdir):
+def _without_dev_clusters(workdir):
     payload = json.loads((workdir / "manifest.json").read_text())
-    payload["pairs"]["holdout"] = payload["pairs"]["train"][:3]
+    payload["cluster_assignment"] = {
+        cluster: "train" if split == "dev" else split for cluster, split in payload["cluster_assignment"].items()
+    }
     return payload
 
 
 def _set_in_manifest(*keys, value):
-    """The workdir's manifest with its entry at ``keys`` set to ``value``, or
-    to ``value(manifest)`` if that is callable."""
+    """The workdir's manifest with its entry at ``keys`` set to ``value``."""
 
     def payload(workdir):
         payload = json.loads((workdir / "manifest.json").read_text())
         entry = payload
         for key in keys[:-1]:
             entry = entry[key]
-        entry[keys[-1]] = value(payload) if callable(value) else value
+        entry[keys[-1]] = value
         return payload
 
     return payload
 
 
-def _a_test_bug(payload) -> str:
-    return payload["pairs"]["test"][0][0]
-
-
 _SCORE_TRAIN_PAIRS = ["eval-classification", "--split", "train", "--dim", "128", "--backend", "similarity"]
+_RUN_RETRIEVAL = ["run-cascade", "--mode", "one-vs-all", "--method", "retrieval", "--seed", "1"]
 
 
 @pytest.mark.parametrize(
@@ -864,39 +861,52 @@ _SCORE_TRAIN_PAIRS = ["eval-classification", "--split", "train", "--dim", "128",
         (["eval-retrieval"], "--clusters", lambda _: [1, 2], "'clusters'"),
         (["eval-retrieval"], "--clusters", lambda _: {"clusters": [["a", "b"]]}, "'independents'"),
         (["eval-retrieval"], "--manifest", lambda _: {"seed": 1}, "'ratios'"),
-        (["train-classifier", "--seed", "1"], "--manifest", _short_train_pair, "'pairs'"),
+        (["eval-retrieval"], "--manifest", _set_in_manifest("ratios", value="abc"), "malformed 'ratios'"),
+        (["eval-retrieval"], "--manifest", _set_in_manifest("ratios", value=[0.5, 0.5, 0.5]),
+         "malformed 'ratios' (SplitError: ratios must sum to 1"),
         (["eval-retrieval"], "--clusters", lambda _: {"clusters": ["ab"], "independents": []},
          "malformed 'clusters'"),
         (["eval-retrieval"], "--clusters", lambda w: _with(w / "clusters.json", "independents", "ab"),
          "malformed 'independents'"),
-        # A label is the JSON integer 0 or 1 and a split is train, dev or
-        # test; neither is coerced, so "no" is not read as a duplicate.
-        (_SCORE_TRAIN_PAIRS, "--manifest", _with_train_pair_0_labelled_no, "malformed 'pairs'"),
+        # A split is train, dev or test, and is not coerced.
         (_SCORE_TRAIN_PAIRS, "--manifest", _with_cluster_0_in_holdout,
          "malformed 'cluster_assignment'"),
-        (_SCORE_TRAIN_PAIRS, "--manifest", _with_holdout_pairs, "malformed 'pairs'"),
-        # A pair or triplet names string ids of bugs in its own split, and
-        # triplets are train bugs: no test bug is trained on.
-        (_SCORE_TRAIN_PAIRS, "--manifest", _set_in_manifest("pairs", "test", 0, 1, value={}),
-         "malformed 'pairs'"),
-        (_SCORE_TRAIN_PAIRS, "--manifest", _set_in_manifest("triplets", 0, 2, value=7),
-         "malformed 'triplets'"),
-        (_SCORE_TRAIN_PAIRS, "--manifest", _set_in_manifest("pairs", "test", 0, 1, value="zz9"),
-         "pairs['test'] names bug 'zz9'"),
-        (["train-classifier", "--seed", "1"], "--manifest",
-         _set_in_manifest("pairs", "train", 0, 0, value=_a_test_bug), "pairs['train'] names bug"),
-        (["train-projection", "--seed", "1"], "--manifest",
-         _set_in_manifest("triplets", 0, 2, value=_a_test_bug), "triplets names bug"),
         (_SCORE_TRAIN_PAIRS, "--manifest", _set_in_manifest("independent_assignment", "zz9", value="train"),
          "bug 'zz9', which is not an independent"),
+        # Every command that reads a manifest derives its pairs and triplets,
+        # so the fields they are derived from are checked as split checks
+        # them: a cap is a JSON integer >= 0 of a known split, and the dup
+        # ratio a JSON number in (0, 1].
+        (["train-classifier", "--seed", "1"], "--manifest", _set_in_manifest("caps", "train", value="5"),
+         "malformed 'caps' (TypeError: '5' is not an integer)"),
+        (["train-projection", "--seed", "1"], "--manifest", _set_in_manifest("caps", "train", value=2.5),
+         "malformed 'caps' (TypeError: 2.5 is not an integer)"),
+        (["eval-retrieval"], "--manifest", _set_in_manifest("caps", "test", value=True),
+         "malformed 'caps' (TypeError: True is not an integer)"),
+        (_SCORE_TRAIN_PAIRS, "--manifest", _set_in_manifest("caps", "dev", value=-1),
+         "malformed 'caps' (SplitError: caps: dev must be >= 0, got -1)"),
+        (_RUN_RETRIEVAL, "--manifest", _set_in_manifest("caps", "holdout", value=5),
+         "malformed 'caps' (SplitError: caps: split must be one of"),
+        (["train-classifier", "--seed", "1"], "--manifest", _set_in_manifest("target_dup_ratio", value=0),
+         "malformed 'target_dup_ratio' (SplitError: target_dup_ratio must lie in (0, 1], got 0)"),
+        (_RUN_RETRIEVAL, "--manifest", _set_in_manifest("target_dup_ratio", value=1.5),
+         "malformed 'target_dup_ratio' (SplitError: target_dup_ratio must lie in (0, 1], got 1.5)"),
+        (["eval-retrieval"], "--manifest", _set_in_manifest("target_dup_ratio", value="0.2"),
+         "malformed 'target_dup_ratio' (TypeError: '0.2' is not a number)"),
+        (["train-projection", "--seed", "1"], "--manifest", _without_dev_clusters,
+         "split 'dev' has no clusters of size >= 2; cannot generate pairs"),
+        (_SCORE_TRAIN_PAIRS, "--manifest", _set_in_manifest("target_dup_ratio", value=1e-320),
+         "split 'dev' needs more non-duplicate pairs than a float counts"),
     ],
     ids=["split-clusters-list", "clusters-list", "clusters-without-independents",
-         "manifest-without-ratios", "manifest-with-a-short-pair", "clusters-with-a-string-cluster",
-         "clusters-with-string-independents", "manifest-with-a-word-label",
-         "manifest-with-an-unknown-split", "manifest-with-an-unknown-pairs-split",
-         "manifest-with-an-object-id", "manifest-with-a-number-in-a-triplet",
-         "manifest-with-an-unknown-bug", "manifest-with-a-test-bug-in-a-train-pair",
-         "manifest-with-a-test-bug-in-a-triplet", "manifest-with-an-unknown-independent"],
+         "manifest-without-ratios", "manifest-with-string-ratios",
+         "manifest-with-ratios-that-do-not-sum-to-1", "clusters-with-a-string-cluster",
+         "clusters-with-string-independents", "manifest-with-an-unknown-split",
+         "manifest-with-an-unknown-independent", "manifest-with-a-string-cap",
+         "manifest-with-a-fractional-cap", "manifest-with-a-boolean-cap", "manifest-with-a-negative-cap",
+         "manifest-with-a-cap-of-an-unknown-split", "manifest-with-a-zero-dup-ratio",
+         "manifest-with-a-dup-ratio-above-1", "manifest-with-a-string-dup-ratio",
+         "manifest-without-a-dev-cluster", "manifest-with-a-dup-ratio-too-small-to-count"],
 )
 def test_a_clusters_or_manifest_file_of_the_wrong_shape_exits_1(
     workdir, tmp_path, capsys, argv, flag, payload, key
@@ -913,6 +923,56 @@ def test_a_clusters_or_manifest_file_of_the_wrong_shape_exits_1(
     assert err["error"] == "ValueError"
     assert err["message"].startswith(f"{flag} {bad}: ") and key in err["message"]
     assert not out.exists()
+
+
+def test_a_manifest_that_carries_pairs_and_triplets_trains_as_the_slim_one(
+    workdir, tmp_path, capsys, monkeypatch
+):
+    # Manifests once stored their pairs and triplets. Such lists are ignored,
+    # malformed or not: one that puts a test bug in a train pair and in a
+    # triplet trains exactly the models that the split alone trains.
+    clusters = load(workdir / "clusters.json", clusters_from_json, "clusters file")
+    manifest = _manifest(workdir, clusters)
+    test_bug = manifest.bugs_in(clusters, "test")[0]
+    pairs = {
+        split: [[p.bug_a, p.bug_b, int(p.duplicate)] for p in listed] for split, listed in manifest.pairs.items()
+    }
+    triplets = [[t.anchor, t.positive, t.negative] for t in manifest.triplets]
+    pairs["train"][0][0], triplets[0][2] = test_bug, test_bug
+    pairs["train"][1], pairs["train"][2][2] = pairs["train"][1][:2], "no"
+    pairs["test"][0][1], pairs["test"][1][0], triplets[1][2] = {}, "zz9", 7
+    pairs["holdout"] = pairs["dev"][:3]
+    slim = json.loads((workdir / "manifest.json").read_text())
+    assert not {"pairs", "triplets"} & slim.keys()
+    models = {}
+    for name, payload in (("slim", slim), ("old", {**slim, "pairs": pairs, "triplets": triplets})):
+        # Each run in its own directory with the same relative paths, so that
+        # the config echoes agree.
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        for artifact in ("corpus.jsonl", "clusters.json"):
+            Path(artifact).write_bytes((workdir / artifact).read_bytes())
+        Path("manifest.json").write_text(json.dumps(payload))
+        data = ["--corpus", "corpus.jsonl", "--clusters", "clusters.json", "--manifest", "manifest.json"]
+        _run(capsys, "train-classifier", *data, "--seed", "5", "--dim", "128", "--epochs", "5",
+             "--out", "classifier.json")
+        _run(capsys, "train-projection", *data, "--seed", "5", "--dim", "128", "--dim-out", "16",
+             "--epochs", "1", "--out", "projection.json")
+        models[name] = [Path(out).read_bytes() for out in ("classifier.json", "projection.json")]
+    assert models["old"] == models["slim"]
+
+
+def test_a_train_cap_of_0_leaves_nothing_to_train_on(workdir, tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    _run(capsys, "split", "--clusters", str(workdir / "clusters.json"), "--seed", "3", "--caps", "train=0",
+         "--out", str(manifest))
+    data = ["--corpus", str(workdir / "corpus.jsonl"), "--clusters", str(workdir / "clusters.json"),
+            "--manifest", str(manifest)]
+    for command, lists in (("train-classifier", "train pairs"), ("train-projection", "triplets")):
+        out = tmp_path / f"{command}.json"
+        err = _run_fail(capsys, 2, command, *data, "--seed", "1", "--out", str(out))
+        assert err == {"error": "UsageError", "message": f"--manifest derives no {lists}: its train cap is 0"}
+        assert not out.exists()
 
 
 def _without_cluster_0(workdir):

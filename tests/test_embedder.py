@@ -496,7 +496,12 @@ def test_train_config_json_roundtrip(tmp_path):
     [
         ({"epochs": 3, "bogus": 1}, "unexpected keyword argument 'bogus'"),
         ("epochs=3", "must be a mapping"),
-        ({"dim_out": 0}, "dim_out must be >= 1"),
+        ({"dim_out": 0}, "dim_out must be an int >= 1"),
+        # A count or a seed is a JSON integer: neither 2.5 nor true passes.
+        ({"epochs": 2.5}, "epochs must be an int >= 0, got 2.5"),
+        ({"batch_size": True}, "batch_size must be an int >= 1, got True"),
+        ({"seed": False}, "seed must be an int, got False"),
+        ({"seed": "3"}, "seed must be an int, got '3'"),
     ],
 )
 def test_load_projection_names_a_malformed_train_config(tmp_path, train_config, says):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from collections import Counter
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bugdedup import splitter as splitter_mod
 from bugdedup.artifacts import load, save
 from bugdedup.dup_graph import Cluster, ClusterSet, build_clusters
 from bugdedup.seeding import substream_rng
@@ -113,6 +115,12 @@ def test_split_rejects_a_dup_ratio_outside_the_unit_interval(ratio):
     cs = _uniform_clusters(5, 2)
     with pytest.raises(SplitError, match=r"target_dup_ratio must lie in \(0, 1\]"):
         split_clusters(cs, target_dup_ratio=ratio)
+
+
+@pytest.mark.parametrize("seed", [True, 1.0, "1"])
+def test_split_rejects_a_seed_that_is_not_an_int(seed):
+    with pytest.raises(SplitError, match=f"^seed must be an int, got {seed!r}$"):
+        build_manifest(_uniform_clusters(5, 2), seed=seed)
 
 
 def test_split_rejects_bad_caps():
@@ -261,31 +269,49 @@ def test_pairs_and_triplets_equal_the_one_call_per_draw_references():
     assert {"dense", "sparse, 1 blocks", "sparse, 2 blocks"} <= paths
 
 
+def test_triplet_negatives_are_drawn_in_one_call(clusters, manifest, monkeypatch):
+    rngs = []
+
+    def counting(seed, label):
+        rngs.append((label, _CountingRng(substream_rng(seed, label))))
+        return rngs[-1][1]
+
+    monkeypatch.setattr(splitter_mod, "substream_rng", counting)
+    assert generate_triplets(dataclasses.replace(manifest), clusters) == manifest.triplets
+    assert [(label, rng.calls) for label, rng in rngs] == [("triplets", Counter(integers=1))]
+
+
 def test_triplets_require_pairs_first(clusters):
     manifest = split_clusters(clusters, seed=3)
     with pytest.raises(SplitError, match="generate_pairs must run"):
         generate_triplets(manifest, clusters)
 
 
-def test_manifest_json_roundtrip(manifest):
-    again = manifest_from_json(manifest_to_json(manifest))
+def test_manifest_json_roundtrip(clusters, manifest):
+    # The file holds the split only; the reader derives the same lists.
+    payload = manifest_to_json(manifest)
+    assert not {"pairs", "triplets"} & payload.keys()
+    again = manifest_from_json(payload, clusters)
+    assert (again.pairs, again.triplets) == (manifest.pairs, manifest.triplets)
     assert again == manifest
 
 
-def test_manifest_save_load(tmp_path, manifest):
+def test_manifest_save_load(tmp_path, clusters, manifest):
     path = tmp_path / "manifest.json"
     save(path, manifest_to_json(manifest) | {"note": "x"}, 1)
-    assert load(path, manifest_from_json, "manifest file") == manifest
+    again = load(path, lambda payload: manifest_from_json(payload, clusters), "manifest file")
+    assert (again.pairs, again.triplets) == (manifest.pairs, manifest.triplets)
+    assert again == manifest
 
 
-def test_manifest_load_ignores_the_groups_of_older_files(tmp_path, manifest):
+def test_manifest_load_ignores_the_groups_of_older_files(tmp_path, clusters, manifest):
     # Manifests once carried one retrieval group per clustered bug.
     payload = manifest_to_json(manifest)
     assert "groups" not in payload
     payload["groups"] = {"test": [["b1", ["b2"]]]}
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
-    assert load(path, manifest_from_json, "manifest file") == manifest
+    assert load(path, lambda payload: manifest_from_json(payload, clusters), "manifest file") == manifest
 
 
 def test_same_seed_reproduces_manifest(clusters):

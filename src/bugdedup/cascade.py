@@ -57,13 +57,14 @@ class ScenarioConfig:
     max_k: int = DEFAULT_K_CAP
 
     def __post_init__(self):
-        counts(self, {"seed": None})
+        try:
+            counts(self, {"k": 1, "max_k": 1, "seed": None})
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from None
         if self.mode not in MODES:
             raise ScenarioError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.method not in METHODS:
             raise ScenarioError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.k < 1:
-            raise ScenarioError("k must be >= 1")
         if self.k > self.max_k:
             raise ScenarioError(f"k {self.k} exceeds the cap of {self.max_k}")
         if self.mode == "one_vs_all" and not 0.0 < self.query_fraction < 1.0:

@@ -31,7 +31,8 @@ Both searches end alike (``_top_k``): a score is -inf where either norm is
 below ``ZERO_NORM`` and for the query's own row; each query keeps the rows
 at or above its k-th score (``np.partition``), and ``_ranked`` orders them
 by (-score, row). A chunk's score block holds at most ``_CHUNK`` scores,
-unless one query alone needs more.
+unless one query alone needs more; so do the two chunks in flight of a
+sparse search on two threads (see below).
 
 Sparse rows
 -----------
@@ -50,6 +51,17 @@ whole-text cosine (``classifier._compare``), and they depend on no BLAS,
 thread count, batch or chunk. A chunk's products, like its scores, number
 at most ``_CHUNK``, unless one query alone needs more.
 
+A search of more than one such chunk runs on two threads. The calling
+thread ranks the queries that hold about the first half of the call's
+products and scores, and one worker, started for the call and stopped
+before it returns, ranks the rest; each thread's chunks hold at most
+``_CHUNK // 2`` products and scores, so the two in flight stay within the
+bound. numpy releases the GIL for part of a chunk's work (the partition
+and the sorts, not ``np.repeat`` or the weighted ``np.bincount``), so on
+two CPUs the halves partly overlap. The two lists of parts join in query
+order, and since no score depends on its chunk, the bits do not depend on
+the split either. A one-chunk search starts no thread.
+
 The lists are built by one sort and one count (*ibid.*, ch. 4). The sort
 orders the database's entries by the key ``bucket * m + row``; no key
 repeats, so any sort algorithm gives the same permutation. The count is
@@ -63,6 +75,7 @@ queries: 8 KiB at an embedder's default dim of 1024, 8 MiB at 2**20.
 from __future__ import annotations
 
 from bisect import bisect_left
+from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 import numpy as np
@@ -80,10 +93,13 @@ from .embedder import ZERO_NORM, _csr_row_norms, row_norms
 _BLOCK_ELEMENTS = 1 << 16
 _BLOCK_ALIGN = 64
 # A search's chunk holds at most this many scores, and a sparse search's as
-# many products. Its arrays (1 MiB at 8 bytes an element) then stay in a
-# core's cache: on a 638-report all-vs-all sparse search, chunks of 2**20
-# took 12.4-13.4 ms against 9.3-10.4 ms (best of 15 calls, one thread, a
-# 2-vCPU Xeon VM with 2 MiB of L2 a core).
+# many products; on two threads, each thread's chunks hold half as many.
+# A chunk's arrays (1 MiB at 8 bytes an element, 512 KiB on two threads)
+# then stay in a core's cache: on a 638-report all-vs-all sparse search on
+# two threads, per-thread chunks of 2**16 took 8.2-8.7 ms, against
+# 10.7-10.8 ms at 2**15, 9.9-10.2 ms at 2**17 and 11.2-11.3 ms at 2**18
+# (the median of eight rounds' best of 15 calls, in each of two processes,
+# one BLAS thread, a 2-vCPU Xeon VM with 2 MiB of L2 a core).
 _CHUNK = 1 << 17
 
 
@@ -195,7 +211,7 @@ def _top_k(
     else:
         keep = np.ones(dots.shape, dtype=bool)
     keep[skipping, skipped] = False
-    who, cols = np.nonzero(keep)
+    who, cols = np.divmod(np.flatnonzero(keep), m)
     del keep
     return _ranked(who, cols, dots[who, cols], c, k)
 
@@ -268,28 +284,45 @@ def search_rows(
     products = np.concatenate(([0], np.cumsum(spans)))[entry_ptr]
     del db_rows, postings, entries, q_buckets, counts
 
-    parts = []
-    first = 0
-    while first < n:
-        fits = int(np.searchsorted(products, products[first] + _CHUNK, "right")) - 1
-        last = max(first + 1, min(n, first + _CHUNK // m, fits))
-        c = last - first
-        e0, e1 = entry_ptr[first], entry_ptr[last]
-        span = spans[e0:e1]
-        # Product j of an entry reads posting lo + j; each product's key is
-        # its (query, row) cell of the chunk's score block.
-        post = np.repeat(lo[e0:e1] - (np.cumsum(span) - span), span)
-        post += np.arange(len(post))
-        key = np.repeat(np.repeat(np.arange(c) * m, lengths[first:last]), span)
-        key += post_rows[post]
-        product = np.repeat(q_weights[e0:e1], span)
-        product *= post_weights[post]
-        del post
-        # One bincount sums each cell from 0.0 in the order its products
-        # come, ascending bucket. With no product at all it counts integers.
-        scores = np.bincount(key, product, c * m).astype(np.float64, copy=False).reshape(c, m)
-        del key, product
-        parts.append(_top_k(scores, q_norms[first:last], db_norms, skips[first:last], k))
-        first = last
-    return _csr(parts)
+    def rank(first: int, last: int, bound: int) -> list:
+        """The ``_top_k`` parts of queries ``first`` to ``last``, a chunk of
+        at most ``bound`` products and scores at a time."""
+        parts = []
+        while first < last:
+            fits = int(np.searchsorted(products, products[first] + bound, "right")) - 1
+            end = max(first + 1, min(last, first + bound // m, fits))
+            c = end - first
+            e0, e1 = entry_ptr[first], entry_ptr[end]
+            span = spans[e0:e1]
+            # Product j of an entry reads posting lo + j; each product's key
+            # is its (query, row) cell of the chunk's score block.
+            post = np.repeat(lo[e0:e1] - (np.cumsum(span) - span), span)
+            post += np.arange(len(post))
+            key = np.repeat(np.repeat(np.arange(c) * m, lengths[first:end]), span)
+            key += post_rows[post]
+            product = np.repeat(q_weights[e0:e1], span)
+            product *= post_weights[post]
+            del post
+            # One bincount sums each cell from 0.0 in the order its products
+            # come, ascending bucket. With no product at all it counts
+            # integers.
+            scores = np.bincount(key, product, c * m).astype(np.float64, copy=False).reshape(c, m)
+            del key, product
+            parts.append(_top_k(scores, q_norms[first:end], db_norms, skips[first:end], k))
+            first = end
+        return parts
+
+    # A search that fits one chunk ranks it here, with no thread.
+    if n < 2 or n * m <= _CHUNK and products[-1] <= _CHUNK:
+        return _csr(rank(0, n, _CHUNK))
+    # Otherwise the calling thread ranks the queries up to about half the
+    # products and scores, and one worker the rest, each in chunks of half
+    # the bound. Leaving the ``with`` joins the worker, also when the
+    # calling thread's half raises.
+    work = products + np.arange(n + 1) * m
+    half = min(max(1, int(np.searchsorted(work, work[-1] // 2))), n - 1)
+    with ThreadPoolExecutor(1) as worker:
+        rest = worker.submit(rank, half, n, _CHUNK // 2)
+        parts = rank(0, half, _CHUNK // 2)
+    return _csr(parts + rest.result())
 

@@ -362,9 +362,9 @@ def manifest_to_json(manifest: SplitManifest) -> dict:
         "seed": manifest.seed,
         "ratios": list(manifest.ratios),
         "target_dup_ratio": manifest.target_dup_ratio,
-        "caps": manifest.caps,
+        "caps": dict(manifest.caps),
         "cluster_assignment": {str(k): v for k, v in manifest.cluster_assignment.items()},
-        "independent_assignment": manifest.independent_assignment,
+        "independent_assignment": dict(manifest.independent_assignment),
         "stats": split_stats(manifest),
     }
 

@@ -84,6 +84,11 @@ def test_scenario_config_validation():
         ScenarioConfig(mode="one_vs_all", method="psychic")
     with pytest.raises(ScenarioError, match="k must be"):
         ScenarioConfig(mode="one_vs_all", method="cascade", k=0)
+    # A count is an int: neither a fraction nor a bool, which would pass as 1.
+    for field in ("k", "max_k"):
+        for value in (2.5, True):
+            with pytest.raises(ScenarioError, match=rf"^{field} must be an int >= 1, got {value!r}$"):
+                ScenarioConfig(mode="one_vs_all", method="cascade", **{field: value})
     with pytest.raises(ScenarioError, match="exceeds the cap"):
         ScenarioConfig(mode="one_vs_all", method="cascade", k=500)
     with pytest.raises(ScenarioError, match="query_fraction"):

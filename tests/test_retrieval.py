@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -640,6 +641,85 @@ def test_search_rows_memory_stays_near_its_chunk_bound_when_k_covers_the_databas
         names = [r.bug_id for r in reports[:n]]
         peak = _transient_bytes(lambda: retrieval.search_rows(rows, ids, range(n), m + 5, names))
         assert peak <= 8 * 8 * bound, (n, peak / (8 * bound))
+
+
+def _started_threads(monkeypatch) -> list:
+    """The threads started from now on, recorded as they start."""
+    started = []
+    start = threading.Thread.start
+
+    def record(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
+    return started
+
+
+def _two_thread_case():
+    """A database of 24 rows, two empty (rows 10 and 23) and two equal
+    (rows 0 and 5), and its queries: every database row, each leaving itself
+    out, then 8 outside rows."""
+    rng = np.random.default_rng(3)
+    texts = [" ".join(rng.choice(_WORDS, size=rng.integers(0, 6))) for _ in range(32)]
+    texts[5] = texts[0]
+    rows, ids = _sparse_case(texts[:24], texts[24:], dim=16)
+    return rows, ids, list(range(32)), ids + [f"q{i}" for i in range(8)]
+
+
+@pytest.mark.parametrize("k", [1, 3, 23, 24, 40])
+def test_search_rows_on_two_threads_equals_one_chunk_and_the_reference_bit_for_bit(monkeypatch, k):
+    # A bound of 60 products and scores gives each thread chunks of at most
+    # 30, so one query of 24 rows a chunk: each thread ranks about 16, and
+    # the parts join in query order. k runs from below m to past it, and
+    # every database row also queries, the two empty ones as zero queries.
+    rows, ids, query_rows, queries = _two_thread_case()
+    one_chunk = retrieval.search_rows(rows, ids, query_rows, k, queries)
+    started = _started_threads(monkeypatch)
+    monkeypatch.setattr(retrieval, "_CHUNK", 60)
+    split = retrieval.search_rows(rows, ids, query_rows, k, queries)
+    assert len(started) == 1
+    for got, want in zip(split, one_chunk):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    want = _reference_search_rows(rows, ids, query_rows, k, queries)
+    assert _bits(rankings(ids, split)) == _bits(want)
+    # No query at all: an empty ranking, and no thread.
+    ptr, found, scores = retrieval.search_rows(rows, ids, [], k, [])
+    assert ptr.tolist() == [0] and len(found) == len(scores) == 0
+    assert len(started) == 1
+
+
+def test_a_one_chunk_search_starts_no_thread(monkeypatch):
+    rows, ids, query_rows, queries = _two_thread_case()
+    started = _started_threads(monkeypatch)
+    retrieval.search_rows(rows, ids, query_rows, 5, queries)
+    # One query is one chunk, whatever it needs.
+    monkeypatch.setattr(retrieval, "_CHUNK", 1)
+    retrieval.search_rows(rows, ids, query_rows[:1], 5, queries[:1])
+    assert started == []
+
+
+@pytest.mark.parametrize("failing", ["caller", "worker"])
+def test_no_thread_outlives_a_search(monkeypatch, failing):
+    # A search returns, or raises what either half raised, only once its
+    # worker has stopped.
+    rows, ids, query_rows, queries = _two_thread_case()
+    monkeypatch.setattr(retrieval, "_CHUNK", 60)
+    before = threading.enumerate()
+    retrieval.search_rows(rows, ids, query_rows, 5, queries)
+    assert threading.enumerate() == before
+    caller = threading.current_thread()
+    top_k = retrieval._top_k
+
+    def injected(*args):
+        if (threading.current_thread() is caller) == (failing == "caller"):
+            raise RuntimeError(f"injected into the {failing}'s half")
+        return top_k(*args)
+
+    monkeypatch.setattr(retrieval, "_top_k", injected)
+    with pytest.raises(RuntimeError, match=f"the {failing}'s half"):
+        retrieval.search_rows(rows, ids, query_rows, 5, queries)
+    assert threading.enumerate() == before
 
 
 def test_search_rows_edge_inputs():

@@ -304,6 +304,17 @@ def test_manifest_save_load(tmp_path, clusters, manifest):
     assert again == manifest
 
 
+def test_manifest_payload_is_a_copy(clusters):
+    # Editing what manifest_to_json returns leaves the manifest as built.
+    caps = {"train": None, "dev": 5, "test": None}
+    manifest = build_manifest(clusters, seed=21, caps=caps)
+    payload = manifest_to_json(manifest)
+    payload["caps"]["dev"] = 0
+    payload["independent_assignment"]["extra"] = "test"
+    payload["cluster_assignment"].clear()
+    assert manifest == build_manifest(clusters, seed=21, caps=caps)
+
+
 def test_manifest_load_ignores_the_groups_of_older_files(tmp_path, clusters, manifest):
     # Manifests once carried one retrieval group per clustered bug.
     payload = manifest_to_json(manifest)

@@ -6,10 +6,21 @@ the exact invocation that made it. JSON artifacts embed the echo; JSONL
 and CSV artifacts get a ``<name>.config.json`` sidecar. Every stderr line
 of a command is a JSON object: its error, and each warning the package
 logs (a retried request, a dropped ``dup_of`` link). A bad flag value
-(``--dim`` and ``--k-list`` included), a malformed model file or a
-``report --in`` that is not a scenario artifact exits 2, naming the flag;
-a corpus, clusters or manifest file that cannot be read, or any other
-runtime failure, exits 1.
+(``--dim`` and ``--k-list`` included), a malformed model file, a model
+file trained on other input files or a ``report --in`` that is not a
+scenario artifact exits 2, naming the flag; a corpus, clusters or
+manifest file that cannot be read, or any other runtime failure, exits 1.
+
+The two trainers fit the TF-IDF vocabulary on the train split and write it
+into their model file (``vocabulary``), beside the sha256 of the bytes of
+``--corpus``, ``--clusters`` and ``--manifest`` (``inputs``). A command that
+reads a model file (``--model`` of ``run-cascade`` and
+``eval-classification``, ``--projection`` of ``run-cascade`` and
+``eval-retrieval``) refuses other inputs than those, and loads that
+vocabulary rather than fitting it again: the vocabulary is a function of
+the train texts, which the three files fix. Only a backend that reads no
+model fits one (``eval-retrieval --backend tfidf``, and the TF-IDF and
+similarity backends of ``run-cascade`` and ``eval-classification``).
 
 ``main`` builds the parser of the invoked command only, with the top-level
 parser around it; with no command, ``-h`` or an unknown command it builds
@@ -174,6 +185,53 @@ def _fit_train_embedder(corpus, clusters, manifest, dim: int):
     return embedder_mod.TfidfHashEmbedder.fit(train_texts, dim=dim)
 
 
+_INPUT_FLAGS = ("--corpus", "--clusters", "--manifest")
+
+
+def _input_hashes(args) -> dict[str, str]:
+    """The sha256 of the bytes of each input file, keyed by its flag."""
+    return {
+        flag: hashlib.sha256(Path(getattr(args, flag[2:])).read_bytes()).hexdigest() for flag in _INPUT_FLAGS
+    }
+
+
+def _save_model(args, payload: dict, base) -> None:
+    """A model file: ``payload``, the vocabulary of ``base``, the embedder
+    the model was fitted with, and the hashes of the inputs it was fitted on."""
+    _save(args, payload | {"vocabulary": base.to_json(), "inputs": _input_hashes(args)}, None)
+
+
+def _digest(value) -> str:
+    if type(value) is not str:
+        raise TypeError(f"{value!r} is not a string")
+    return value
+
+
+def _load_model(args, flag: str, kind: str, parse) -> tuple:
+    """The model that ``parse`` reads from the ``kind`` file of ``flag``, and
+    the TF-IDF embedder that the file carries. The file must record the
+    hashes of this run's input files: another input is a usage error naming
+    ``flag``, the input's flag and both files."""
+    path = _require_file(getattr(args, flag[2:]), flag)
+
+    def read(payload) -> tuple:
+        model = parse(payload)
+        vocabulary = artifacts.field(payload, "vocabulary", embedder_mod.TfidfHashEmbedder.from_json)
+        inputs = artifacts.field(
+            payload, "inputs", lambda inputs: {f: artifacts.field(inputs, f, _digest) for f in _INPUT_FLAGS}
+        )
+        return model, vocabulary, inputs
+
+    with _flag(flag):
+        model, vocabulary, inputs = artifacts.load(path, read, kind)
+    for input_flag, digest in _input_hashes(args).items():
+        if inputs[input_flag] != digest:
+            raise UsageError(
+                f"{flag} {path} was trained on another {input_flag} than {getattr(args, input_flag[2:])}"
+            )
+    return model, vocabulary
+
+
 def _service_config(endpoint: str | None, flag: str, env: str) -> remote_mod.RemoteConfig:
     """A service client's config from ``flag``, else from ``env``."""
     endpoint = endpoint or os.environ.get(env)
@@ -183,15 +241,19 @@ def _service_config(endpoint: str | None, flag: str, env: str) -> remote_mod.Rem
         return remote_mod.RemoteConfig(endpoint=endpoint)
 
 
-def _make_embedder(args, corpus, clusters, manifest, backends: contextlib.ExitStack):
-    """The embedding backend; a service client is closed when ``backends`` exits."""
+def _make_embedder(args, corpus, clusters, manifest, backends: contextlib.ExitStack, tfidf=None):
+    """The embedding backend; ``tfidf``, a TF-IDF embedder loaded at
+    ``args.dim``, is the TF-IDF backend when given. A service client is
+    closed when ``backends`` exits."""
     if args.embed_backend == "tfidf":
-        return _fit_train_embedder(corpus, clusters, manifest, args.dim)
+        return _fit_train_embedder(corpus, clusters, manifest, args.dim) if tfidf is None else tfidf
     if args.embed_backend == "projection":
-        path = _require_file(args.projection, "--projection")
-        with _flag("--projection"):
-            model = artifacts.load(path, embedder_mod.projection_from_json, "projection file")
-        base = _fit_train_embedder(corpus, clusters, manifest, model.dim_in)
+        model, base = _load_model(args, "--projection", "projection file", embedder_mod.projection_from_json)
+        if base.dim != model.dim_in:
+            raise UsageError(
+                f"--projection: projection file {args.projection}: "
+                f"its 'vocabulary' has dim {base.dim}, not 'dim_in' {model.dim_in}"
+            )
         return embedder_mod.ProjectedEmbedder(base=base, model=model)
     client = remote_mod.RemoteEmbedder(_service_config(args.endpoint, "--endpoint", EMBED_ENDPOINT_ENV))
     backends.callback(client.close)
@@ -201,8 +263,8 @@ def _make_embedder(args, corpus, clusters, manifest, backends: contextlib.ExitSt
 def _classifier_input(args):
     """What the classifier backend reads besides the corpus, checked before
     anything is fitted: the service config, the similarity threshold, the
-    logistic model (whose ``--dim`` echo must match ``--dim``), or None for
-    the oracle."""
+    logistic model with the TF-IDF embedder its file carries (whose ``dim``
+    must be ``--dim``), or None for the oracle."""
     if args.classifier_backend == "service":
         return _service_config(args.classify_endpoint, "--classify-endpoint", CLASSIFY_ENDPOINT_ENV)
     if args.classifier_backend == "similarity":
@@ -210,43 +272,35 @@ def _classifier_input(args):
             return classifier_mod.check_similarity_threshold(args.sim_threshold)
     if args.classifier_backend != "logistic":
         return None
-    path = _require_file(args.model, "--model")
-    with _flag("--model"):
-        model, trained_dim = artifacts.load(path, _model_and_dim, "classifier file")
-    if trained_dim is not None and trained_dim != args.dim:
+    model, tfidf = _load_model(args, "--model", "classifier file", classifier_mod.classifier_from_json)
+    if tfidf.dim != args.dim:
         raise UsageError(
-            f"--model was trained on features at --dim {trained_dim}, "
+            f"--model was trained on features at --dim {tfidf.dim}, "
             f"but this run embeds them at --dim {args.dim}"
         )
-    return model
-
-
-def _model_and_dim(payload) -> tuple:
-    """A classifier file's model, and the ``--dim`` that its echo holds, if any."""
-    model = classifier_mod.classifier_from_json(payload)
-    return model, artifacts.field({"cli": {}, **payload}, "cli", lambda echo: echo.get("dim"))
+    return model, tfidf
 
 
 def _make_classifier(
     args, checked, corpus, clusters, manifest, backends: contextlib.ExitStack, tfidf=None
 ):
     """The pair classifier from ``checked``, what ``_classifier_input`` gave;
-    ``tfidf`` is an already fitted train-split embedder at ``args.dim`` for
-    the featurizer to share. A service client is closed when ``backends``
-    exits."""
+    a logistic model's featurizer takes the embedder its file carries, and
+    the similarity backend's takes ``tfidf``, an already fitted train-split
+    embedder at ``args.dim``, if given. A service client is closed when
+    ``backends`` exits."""
     if args.classifier_backend == "oracle":
         return classifier_mod.OracleClassifier(clusters)
     if args.classifier_backend == "service":
         client = remote_mod.RemoteClassifier(checked)
         backends.callback(client.close)
         return client
-    base = tfidf
-    if base is None:
-        base = _fit_train_embedder(corpus, clusters, manifest, args.dim)
-    featurizer = classifier_mod.PairFeaturizer(base)
-    if args.classifier_backend == "similarity":
-        return classifier_mod.SimilarityClassifier(featurizer, checked)
-    return classifier_mod.LogisticClassifier(checked, featurizer)
+    if args.classifier_backend == "logistic":
+        model, base = checked
+        return classifier_mod.LogisticClassifier(model, classifier_mod.PairFeaturizer(base))
+    if tfidf is None:
+        tfidf = _fit_train_embedder(corpus, clusters, manifest, args.dim)
+    return classifier_mod.SimilarityClassifier(classifier_mod.PairFeaturizer(tfidf), checked)
 
 
 def _resolve_pairs(corpus, pairs):
@@ -326,7 +380,7 @@ def cmd_train_projection(args) -> int:
         for t in manifest.triplets
     ]
     model = embedder_mod.train_projection(triplet_texts, base, cfg)
-    _save(args, embedder_mod.projection_to_json(model), None)
+    _save_model(args, embedder_mod.projection_to_json(model), base)
     _emit(
         {
             "out": args.out,
@@ -350,7 +404,7 @@ def cmd_train_classifier(args) -> int:
         raise UsageError("--manifest derives no train pairs: its train cap is 0")
     base = _fit_train_embedder(corpus, clusters, manifest, args.dim)
     model = classifier_mod.train_classifier(train_pairs, base, cfg, dev_pairs=dev_pairs or None)
-    _save(args, classifier_mod.classifier_to_json(model), None)
+    _save_model(args, classifier_mod.classifier_to_json(model), base)
     _emit(
         {
             "out": args.out,
@@ -435,8 +489,11 @@ def cmd_run_cascade(args) -> int:
         cascade_mod.run_one_vs_all if config.mode == "one_vs_all" else cascade_mod.run_all_vs_all
     )
     checked = _classifier_input(args)
+    # A logistic model's embedder is also the TF-IDF backend's, one object,
+    # so that the runner hands its token pass over to the featurizer.
+    loaded = checked[1] if args.classifier_backend == "logistic" else None
     with contextlib.ExitStack() as backends:
-        emb = _make_embedder(args, corpus, clusters, manifest, backends)
+        emb = _make_embedder(args, corpus, clusters, manifest, backends, loaded)
         tfidf = emb if args.embed_backend == "tfidf" else None
         clf = _make_classifier(args, checked, corpus, clusters, manifest, backends, tfidf)
         # How many queries a fraction leaves depends on the test pool's size.

@@ -244,11 +244,36 @@ class TfidfHashEmbedder:
 
     @classmethod
     def from_json(cls, payload: dict) -> "TfidfHashEmbedder":
-        return cls(
-            dim=payload["dim"],
-            doc_count=payload["doc_count"],
-            df=MappingProxyType(dict(payload["df"])),
+        """The embedder that ``to_json`` wrote, each key read through
+        ``artifacts.field``: ``dim`` an int >= 1, ``doc_count`` an int >= 0,
+        and ``df`` an object whose counts are ints in [1, ``doc_count``]."""
+        dim = artifacts.field(payload, "dim", lambda value: _at_least(value, 1))
+        doc_count = artifacts.field(payload, "doc_count", lambda value: _at_least(value, 0))
+        return cls(dim=dim, doc_count=doc_count, df=artifacts.field(payload, "df", lambda df: _df(df, doc_count)))
+
+
+def _at_least(value, low: int) -> int:
+    if artifacts.integer(value) < low:
+        raise ValueError(f"{value} is below {low}")
+    return value
+
+
+def _df(df, doc_count: int) -> MappingProxyType:
+    """A copy of ``df`` if it maps strings to document counts, ints in
+    [1, ``doc_count``]; the whole map is tested at C speed first, and only a
+    map that fails is searched for the entry to name."""
+    if type(df) is not dict:
+        raise TypeError(f"{type(df).__name__} is not an object")
+    counts = df.values()
+    if not (
+        {*map(type, df)} <= {str} and {*map(type, counts)} <= {int}
+        and 1 <= min(counts, default=1) and max(counts, default=1) <= doc_count
+    ):
+        token, n = next(
+            (t, n) for t, n in df.items() if type(t) is not str or type(n) is not int or not 1 <= n <= doc_count
         )
+        raise ValueError(f"the count of {token!r}, {n!r}, is not an int in [1, {doc_count}]")
+    return MappingProxyType(dict(df))
 
 
 @dataclass(frozen=True)

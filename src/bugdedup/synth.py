@@ -16,8 +16,9 @@ every bounded integer below 2**32 from one 32-bit word (Lemire's method)
 whatever the call's shape or bounds, so a block reads the same stream as
 single draws in the same order, and a corpus does not depend on the
 blocking. The blocks stay per cluster because ``poisson`` reads the
-stream between them. The texts are then joined from one vocabulary array
-indexed by the drawn ids, a few hundred reports at a time.
+stream between them; each is copied into one id matrix as it is drawn.
+The texts are then joined from one vocabulary array indexed by the drawn
+ids, a few hundred reports at a time.
 """
 
 from __future__ import annotations
@@ -78,21 +79,38 @@ def _draws(config: SynthConfig) -> tuple[np.ndarray, list[int]]:
     # One report's draws: its title's topic word, its description's topic
     # words, then its three noise words.
     row = np.array([words] * picks + [config.noise_vocab] * 3)
-    blocks, sizes = [], []
+    # Each block is copied into one id matrix as soon as it is drawn, so only
+    # one is alive at a time. The matrix doubles its rows when a cluster
+    # does not fit, which its starting size makes rare.
+    drawn = np.empty((_room(config), len(row)), dtype=np.int64)
+    sizes: list[int] = []
+    filled = 0
     for _ in range(config.n_clusters):
         size = 2 + int(rng.poisson(max(config.mean_size - 2.0, 0.0)))
-        blocks.append(rng.integers(row, size=(size, len(row))))
+        if filled + size + config.independents > len(drawn):
+            grown = np.empty((2 * (filled + size + config.independents), len(row)), dtype=np.int64)
+            grown[:filled] = drawn[:filled]
+            drawn = grown
+        drawn[filled : filled + size] = rng.integers(row, size=(size, len(row)))
+        filled += size
         sizes.append(size)
     independents = rng.integers(np.append(topics, row), size=(config.independents, len(row) + 1))
-    blocks.append(independents[:, 1:])
+    drawn = drawn[: filled + config.independents]
+    drawn[filled:] = independents[:, 1:]
 
     # Draws are offsets into a report's topic or into the noise words;
     # shift them to vocabulary ids.
-    drawn = np.concatenate(blocks)
     topic_of = np.concatenate([np.repeat(np.arange(config.n_clusters) % topics, sizes), independents[:, 0]])
     drawn[:, :picks] += topic_of[:, None] * words
     drawn[:, picks:] += topics * words
     return drawn, sizes
+
+
+def _room(config: SynthConfig) -> int:
+    """Rows for the expected number of reports, plus four standard
+    deviations of the sum of the clusters' Poisson draws."""
+    extra = max(config.mean_size - 2.0, 0.0) * config.n_clusters
+    return 2 * config.n_clusters + math.ceil(extra + 4.0 * math.sqrt(extra)) + config.independents
 
 
 def _reports(config: SynthConfig, drawn: np.ndarray, sizes: list[int]) -> list[BugReport]:

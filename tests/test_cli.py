@@ -368,27 +368,106 @@ def test_run_cascade_exclude_independents_equals_the_library_run(workdir, tmp_pa
     )
 
 
-@pytest.mark.parametrize("embed_backend, fits", [("tfidf", 1), ("projection", 2)])
-def test_run_cascade_shares_the_tfidf_embedder(
-    workdir, tmp_path, capsys, monkeypatch, embed_backend, fits
-):
-    fit = embedder_mod.TfidfHashEmbedder.fit.__func__
+def _count_calls(monkeypatch, name: str) -> list:
+    """A list that grows by one for each call of ``TfidfHashEmbedder.<name>``,
+    which still runs."""
     calls = []
+    wrapped = getattr(embedder_mod.TfidfHashEmbedder, name)
 
-    def counting_fit(cls, *args, **kwargs):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return fit(cls, *args, **kwargs)
+        return wrapped(*args, **kwargs)
 
-    monkeypatch.setattr(embedder_mod.TfidfHashEmbedder, "fit", classmethod(counting_fit))
+    # ``fit``, a classmethod, comes bound to the class; a method takes its instance.
+    monkeypatch.setattr(
+        embedder_mod.TfidfHashEmbedder, name, staticmethod(counting) if name == "fit" else counting
+    )
+    return calls
+
+
+@pytest.mark.parametrize("embed_backend", ["tfidf", "projection"])
+@pytest.mark.parametrize("mode", ["one-vs-all", "all-vs-all"])
+@pytest.mark.parametrize("method", ["retrieval", "classification", "cascade"])
+def test_run_cascade_with_model_files_fits_nothing_and_shares_the_tfidf_embedder(
+    workdir, tmp_path, capsys, monkeypatch, embed_backend, mode, method
+):
+    fits, token_passes = _count_calls(monkeypatch, "fit"), _count_calls(monkeypatch, "token_ids")
+    out = tmp_path / "scenario.json"
     _run(
         capsys, "run-cascade", *_pipeline_flags(workdir),
-        "--mode", "one-vs-all", "--method", "cascade", "--k", "5", "--seed", "1",
+        "--mode", mode, "--method", method, "--k", "5", "--seed", "1",
         "--dim", "128", "--embed-backend", embed_backend,
         "--projection", str(workdir / "projection.json"),
         "--classifier-backend", "logistic", "--model", str(workdir / "classifier.json"),
-        "--out", str(tmp_path / "scenario.json"),
+        "--out", str(out),
     )
-    assert len(calls) == fits
+    assert fits == []
+    if embed_backend == "tfidf":
+        # The model's embedder is the runner's and the featurizer's: the
+        # partition's reports are tokenised once.
+        assert len(token_passes) == 1
+    # The loaded embedder gives the scenario that a refit one gives.
+    monkeypatch.undo()
+    corpus = ingest(workdir / "corpus.jsonl")
+    clusters = load(workdir / "clusters.json", clusters_from_json, "clusters file")
+    manifest = _manifest(workdir, clusters)
+    base = embedder = fit_train_embedder(corpus, clusters, manifest, dim=128)
+    if embed_backend == "projection":
+        projection = load(workdir / "projection.json", embedder_mod.projection_from_json, "projection file")
+        embedder = embedder_mod.ProjectedEmbedder(base=base, model=projection)
+    model = load(workdir / "classifier.json", classifier_from_json, "classifier file")
+    config = cascade_mod.ScenarioConfig(mode=cli._MODE_NAMES[mode], method=cli._METHOD_NAMES[method], k=5, seed=1)
+    runner = cascade_mod.run_one_vs_all if mode == "one-vs-all" else cascade_mod.run_all_vs_all
+    result = runner(config, manifest, clusters, corpus, embedder,
+                    LogisticClassifier(model, PairFeaturizer(base)))
+    keys = ("n_queries", "db_size", "per_query", "metrics")
+    got, want = json.loads(out.read_text()), cascade_mod.scenario_to_json(result)
+    assert cascade_mod.canonical_scenario_bytes({k: got[k] for k in keys}) == (
+        cascade_mod.canonical_scenario_bytes({k: want[k] for k in keys})
+    )
+
+
+def test_eval_classification_with_a_model_file_fits_nothing(workdir, tmp_path, capsys, monkeypatch):
+    fits, token_passes = _count_calls(monkeypatch, "fit"), _count_calls(monkeypatch, "token_ids")
+    _run(
+        capsys, "eval-classification", *_pipeline_flags(workdir), "--dim", "128",
+        "--backend", "logistic", "--model", str(workdir / "classifier.json"),
+        "--out", str(tmp_path / "clf.csv"),
+    )
+    assert fits == [] and len(token_passes) == 1
+
+
+def test_a_model_files_vocabulary_equals_a_refit_one(workdir):
+    corpus = ingest(workdir / "corpus.jsonl")
+    clusters = load(workdir / "clusters.json", clusters_from_json, "clusters file")
+    refit = fit_train_embedder(corpus, clusters, _manifest(workdir, clusters), dim=128)
+    for name in ("classifier.json", "projection.json"):
+        loaded = embedder_mod.TfidfHashEmbedder.from_json(json.loads((workdir / name).read_text())["vocabulary"])
+        assert loaded == refit and loaded.to_json() == refit.to_json(), name
+
+
+@pytest.mark.parametrize("seed", ["1", "7"])
+def test_the_benchmark_chains_model_files_carry_a_refit_vocabulary(tmp_path, capsys, monkeypatch, seed):
+    # The chain of the pipeline-cli benchmark workload, up to its trainers.
+    monkeypatch.chdir(tmp_path)
+    data = ["--corpus", "corpus.jsonl", "--clusters", "clusters.json", "--manifest", "manifest.json"]
+    _run(capsys, "synth", "--clusters", "280", "--mean-size", "2.0", "--seed", seed, "--out", "corpus.jsonl")
+    _run(capsys, "cluster", "--corpus", "corpus.jsonl", "--out", "clusters.json")
+    _run(capsys, "split", "--clusters", "clusters.json", "--seed", seed, "--ratios", "0.6,0.05,0.35",
+         "--caps", "dev=0", "--out", "manifest.json")
+    _run(capsys, "train-projection", *data, "--seed", seed, "--dim-out", "32", "--epochs", "1",
+         "--out", "projection.json")
+    _run(capsys, "train-classifier", *data, "--seed", seed, "--epochs", "1", "--out", "classifier.json")
+    corpus = ingest(tmp_path / "corpus.jsonl")
+    clusters = load(tmp_path / "clusters.json", clusters_from_json, "clusters file")
+    refit = fit_train_embedder(corpus, clusters, _manifest(tmp_path, clusters), dim=embedder_mod.DEFAULT_DIM)
+    for name in ("classifier.json", "projection.json"):
+        payload = json.loads((tmp_path / name).read_text())
+        loaded = embedder_mod.TfidfHashEmbedder.from_json(payload["vocabulary"])
+        assert loaded == refit and loaded.to_json() == refit.to_json(), name
+        assert payload["inputs"] == {
+            flag: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest() for flag, file in zip(data[::2], data[1::2])
+        }, name
 
 
 def test_run_cascade_refuses_a_model_trained_at_another_dim(workdir, tmp_path, capsys):
@@ -402,12 +481,13 @@ def test_run_cascade_refuses_a_model_trained_at_another_dim(workdir, tmp_path, c
     assert err["error"] == "UsageError"
     assert "--dim 128" in err["message"] and f"--dim {embedder_mod.DEFAULT_DIM}" in err["message"]
     assert not (tmp_path / "scenario.json").exists()
-    # a model file without the echo carries no dim to check, and loads as before
+    # the dim is the vocabulary's, so a model file without the echo is refused alike
     payload = json.loads((workdir / "classifier.json").read_text())
     del payload["cli"]
     bare = tmp_path / "bare.json"
     bare.write_text(json.dumps(payload))
-    _run(capsys, *run, "--model", str(bare))
+    assert _run_fail(capsys, 2, *run, "--model", str(bare)) == err
+    assert not (tmp_path / "scenario.json").exists()
 
 
 def test_report_rejects_conflicting_scenarios(workdir, tmp_path, capsys):
@@ -472,6 +552,26 @@ def _with(path, key, value):
     return {**json.loads(path.read_text()), key: value}
 
 
+def _without(path, key):
+    payload = json.loads(path.read_text())
+    del payload[key]
+    return payload
+
+
+def _with_in(path, key, **values):
+    """The model file at ``path`` with ``values`` set in its object ``key``,
+    and a value of None deleting its entry."""
+    payload = json.loads(path.read_text())
+    inner = {**payload[key], **values}
+    return {**payload, key: {k: v for k, v in inner.items() if v is not None}}
+
+
+def _with_df_count(path, count):
+    payload = json.loads(path.read_text())
+    token = min(payload["vocabulary"]["df"])
+    return _with_in(path, "vocabulary", df={**payload["vocabulary"]["df"], token: count})
+
+
 @pytest.mark.parametrize(
     "flag, payload, says",
     [
@@ -495,6 +595,32 @@ def _with(path, key, value):
          "epochs must be an int >= 0, got 2.5"),
         ("--projection", lambda w: _with_train_config(w / "projection.json", seed=True),
          "seed must be an int, got True"),
+        # A model file carries its vocabulary and the hashes of its inputs;
+        # one written before it did is refused.
+        ("--model", lambda w: _without(w / "classifier.json", "vocabulary"), "lacks 'vocabulary'"),
+        ("--projection", lambda w: _without(w / "projection.json", "vocabulary"), "lacks 'vocabulary'"),
+        ("--model", lambda w: _without(w / "classifier.json", "inputs"), "lacks 'inputs'"),
+        ("--projection", lambda w: _without(w / "projection.json", "inputs"), "lacks 'inputs'"),
+        ("--model", lambda w: _with_in(w / "classifier.json", "inputs", **{"--manifest": None}),
+         "malformed 'inputs' (ArtifactError: lacks '--manifest')"),
+        ("--projection", lambda w: _with_in(w / "projection.json", "inputs", **{"--corpus": 5}),
+         "malformed 'inputs' (ArtifactError: malformed '--corpus' (TypeError: 5 is not a string))"),
+        # The vocabulary's fields are checked as its reader reads them.
+        ("--model", lambda w: _with_in(w / "classifier.json", "vocabulary", dim=0),
+         "malformed 'vocabulary' (ArtifactError: malformed 'dim' (ValueError: 0 is below 1))"),
+        ("--projection", lambda w: _with_in(w / "projection.json", "vocabulary", dim="8"),
+         "malformed 'vocabulary' (ArtifactError: malformed 'dim' (TypeError: '8' is not an integer))"),
+        ("--model", lambda w: _with_in(w / "classifier.json", "vocabulary", doc_count=True),
+         "malformed 'doc_count' (TypeError: True is not an integer)"),
+        ("--model", lambda w: _with_in(w / "classifier.json", "vocabulary", doc_count=-1),
+         "malformed 'doc_count' (ValueError: -1 is below 0)"),
+        ("--model", lambda w: _with_df_count(w / "classifier.json", -5), "malformed 'df' (ValueError: the count of"),
+        ("--projection", lambda w: _with_df_count(w / "projection.json", 10**6), "is not an int in [1, "),
+        ("--model", lambda w: _with_df_count(w / "classifier.json", 1.0), ", 1.0, is not an int"),
+        ("--projection", lambda w: _with_in(w / "projection.json", "vocabulary", df=[["a", 1]]),
+         "malformed 'df' (TypeError: list is not an object)"),
+        ("--projection", lambda w: _with_in(w / "projection.json", "vocabulary", dim=64),
+         "its 'vocabulary' has dim 64, not 'dim_in' 128"),
     ],
 )
 def test_a_malformed_model_file_is_named_with_its_flag(
@@ -514,6 +640,70 @@ def test_a_malformed_model_file_is_named_with_its_flag(
     assert err["error"] == "UsageError"
     assert err["message"].startswith(f"{flag}: ")
     assert str(bad) in err["message"] and says in err["message"]
+
+
+def _restyled(path: Path, out: Path) -> Path:
+    """``path``'s JSON, or each line's for JSONL, written compact at ``out``:
+    the same content in other bytes."""
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines() if path.suffix == ".jsonl" else [text]
+    out.write_text(
+        "".join(json.dumps(json.loads(line), separators=(",", ":")) + "\n" for line in lines), encoding="utf-8"
+    )
+    return out
+
+
+_MODEL_READERS = {
+    "run-cascade-model": ["run-cascade", "--mode", "one-vs-all", "--method", "cascade", "--seed", "1",
+                          "--dim", "128", "--classifier-backend", "logistic", "--model", "{w}/classifier.json"],
+    "eval-classification-model": ["eval-classification", "--dim", "128", "--backend", "logistic",
+                                  "--model", "{w}/classifier.json"],
+    "eval-retrieval-projection": ["eval-retrieval", "--backend", "projection",
+                                  "--projection", "{w}/projection.json"],
+    "run-cascade-projection": ["run-cascade", "--mode", "all-vs-all", "--method", "cascade", "--seed", "1",
+                               "--dim", "128", "--embed-backend", "projection",
+                               "--projection", "{w}/projection.json"],
+}
+
+
+@pytest.mark.parametrize("input_flag", ["--corpus", "--clusters", "--manifest"])
+@pytest.mark.parametrize("reader", list(_MODEL_READERS))
+def test_a_model_file_refuses_inputs_other_than_its_training_inputs(
+    workdir, tmp_path, capsys, monkeypatch, reader, input_flag
+):
+    argv = [arg.format(w=workdir) for arg in _MODEL_READERS[reader]]
+    model_flag = "--model" if "--model" in argv else "--projection"
+    model = argv[argv.index(model_flag) + 1]
+    files = dict(zip(["--corpus", "--clusters", "--manifest"], _pipeline_flags(workdir)[1::2]))
+    name = Path(files[input_flag]).name
+    files[input_flag] = str(_restyled(workdir / name, tmp_path / name))
+    fits = _count_calls(monkeypatch, "fit")
+    out = tmp_path / "out"
+    err = _run_fail(capsys, 2, *argv, *(x for item in files.items() for x in item), "--out", str(out))
+    assert err == {
+        "error": "UsageError",
+        "message": f"{model_flag} {model} was trained on another {input_flag} than {files[input_flag]}",
+    }
+    assert fits == [] and not out.exists()
+
+
+def test_a_classifier_trained_under_one_split_is_refused_under_another(workdir, tmp_path, capsys):
+    # classifier.json was trained under split --seed 3, and test clusters of
+    # split --seed 4 were train clusters of that manifest: a run would leak.
+    other = tmp_path / "manifest4.json"
+    _run(capsys, "split", "--clusters", str(workdir / "clusters.json"), "--seed", "4", "--out", str(other))
+    clusters = load(workdir / "clusters.json", clusters_from_json, "clusters file")
+    trained = _manifest(workdir, clusters)
+    tested = load(other, lambda payload: manifest_from_json(payload, clusters), "manifest file")
+    assert set(tested.bugs_in(clusters, "test")) & set(trained.bugs_in(clusters, "train"))
+    out = tmp_path / "scenario.json"
+    err = _run_fail(
+        capsys, 2, "run-cascade", *_pipeline_flags(workdir)[:4], "--manifest", str(other),
+        "--mode", "one-vs-all", "--method", "cascade", "--seed", "1", "--dim", "128",
+        "--classifier-backend", "logistic", "--model", str(workdir / "classifier.json"), "--out", str(out),
+    )
+    assert err["message"] == f"--model {workdir / 'classifier.json'} was trained on another --manifest than {other}"
+    assert not out.exists()
 
 
 def test_service_backends_drive_scenario(workdir, tmp_path, capsys, stub_service, monkeypatch):
@@ -958,8 +1148,13 @@ def test_a_manifest_that_carries_pairs_and_triplets_trains_as_the_slim_one(
              "--out", "classifier.json")
         _run(capsys, "train-projection", *data, "--seed", "5", "--dim", "128", "--dim-out", "16",
              "--epochs", "1", "--out", "projection.json")
-        models[name] = [Path(out).read_bytes() for out in ("classifier.json", "projection.json")]
-    assert models["old"] == models["slim"]
+        models[name] = [json.loads(Path(out).read_text()) for out in ("classifier.json", "projection.json")]
+    # The two manifests differ in their bytes, so the models record
+    # another --manifest hash, and nothing else differs.
+    for old, slim in zip(models["old"], models["slim"]):
+        old_inputs, slim_inputs = old.pop("inputs"), slim.pop("inputs")
+        assert [f for f in old_inputs if old_inputs[f] != slim_inputs[f]] == ["--manifest"]
+        assert old == slim
 
 
 def test_a_train_cap_of_0_leaves_nothing_to_train_on(workdir, tmp_path, capsys):
@@ -994,15 +1189,14 @@ def _with_unknown_ids(workdir, cluster_0=None, independent=None):
         (["eval-retrieval"], "--clusters", lambda _: {"clusters": [[[1], [2]]], "independents": []},
          1, "bug id [1] is not a string"),
         (["eval-classification", "--dim", "128", "--backend", "logistic"], "--model",
-         lambda w: {**json.loads((w / "classifier.json").read_text()), "cli": 5}, 2,
-         "malformed 'cli'"),
+         lambda w: _with(w / "classifier.json", "inputs", 5), 2, "malformed 'inputs'"),
         (["eval-retrieval"], "--manifest", _without_cluster_0, 1, "assigns no split to cluster 0"),
         (["eval-retrieval"], "--clusters", lambda w: _with_unknown_ids(w, cluster_0=["zz1", "zz2"]),
          1, "bug 'zz1' is not in --corpus"),
         (["eval-retrieval"], "--clusters", lambda w: _with_unknown_ids(w, independent="zz3"),
          1, "bug 'zz3' is not in --corpus"),
     ],
-    ids=["clusters-with-list-ids", "model-with-a-non-object-echo", "manifest-without-a-cluster",
+    ids=["clusters-with-list-ids", "model-with-non-object-inputs", "manifest-without-a-cluster",
          "clusters-with-an-unknown-member", "clusters-with-an-unknown-independent"],
 )
 def test_an_input_file_that_does_not_fit_names_its_flag(

@@ -112,6 +112,51 @@ def test_tfidf_json_roundtrip():
     )
 
 
+_VOCABULARY = {"dim": 8, "doc_count": 2, "df": {"a": 1, "b": 2}}
+
+
+@pytest.mark.parametrize(
+    "change, says",
+    [
+        ({"dim": 0}, "malformed 'dim' (ValueError: 0 is below 1)"),
+        ({"dim": "8"}, "malformed 'dim' (TypeError: '8' is not an integer)"),
+        ({"dim": True}, "malformed 'dim' (TypeError: True is not an integer)"),
+        ({"doc_count": -1}, "malformed 'doc_count' (ValueError: -1 is below 0)"),
+        ({"doc_count": 2.0}, "malformed 'doc_count' (TypeError: 2.0 is not an integer)"),
+        ({"df": {"a": -5}}, "malformed 'df' (ValueError: the count of 'a', -5, is not an int in [1, 2])"),
+        ({"df": {"a": 0}}, "the count of 'a', 0, is not an int in [1, 2]"),
+        ({"df": {"a": 3}}, "the count of 'a', 3, is not an int in [1, 2]"),
+        ({"df": {"a": True}}, "the count of 'a', True, is not an int in [1, 2]"),
+        ({"df": {1: 1}}, "the count of 1, 1, is not an int in [1, 2]"),
+        ({"df": [["a", 1]]}, "malformed 'df' (TypeError: list is not an object)"),
+        ({"df": None}, "malformed 'df' (TypeError: NoneType is not an object)"),
+        ({"dim": None}, "malformed 'dim'"),
+    ],
+)
+def test_tfidf_from_json_names_a_malformed_key(change, says):
+    # Each of these loaded once and failed only later, if at all: a dim of 0
+    # at the first embed, a string dim or a negative count in the IDF.
+    with pytest.raises(ArtifactError) as caught:
+        TfidfHashEmbedder.from_json({**_VOCABULARY, **change})
+    assert says in str(caught.value)
+
+
+@pytest.mark.parametrize("key", ["dim", "doc_count", "df"])
+def test_tfidf_from_json_names_a_missing_key(key):
+    payload = dict(_VOCABULARY)
+    del payload[key]
+    with pytest.raises(ArtifactError, match=f"lacks '{key}'"):
+        TfidfHashEmbedder.from_json(payload)
+
+
+def test_tfidf_from_json_copies_its_df():
+    payload = json.loads(json.dumps(_VOCABULARY))
+    embedder = TfidfHashEmbedder.from_json(payload)
+    payload["df"]["c"] = 1
+    assert dict(embedder.df) == _VOCABULARY["df"]
+    assert TfidfHashEmbedder.from_json({**_VOCABULARY, "df": {}}).df == {}
+
+
 def _unmemoised_embed(embedder: TfidfHashEmbedder, texts: list[str]) -> np.ndarray:
     """The hashing loop without a memo: hash and IDF per token and text."""
     out = np.zeros((len(texts), embedder.dim))

@@ -9,6 +9,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from bugdedup import synth
 from bugdedup.corpus import write_jsonl
 from bugdedup.synth import SynthConfig, synth_corpus
 
@@ -36,6 +37,21 @@ from helpers import reference_synth_corpus
 )
 def test_synth_corpus_equals_the_one_call_per_word_reference(fields):
     config = SynthConfig(**fields)
+    assert synth_corpus(config) == reference_synth_corpus(config)
+
+
+@pytest.mark.parametrize("room", [1, 5, 40])
+@pytest.mark.parametrize(
+    "fields", [{"n_clusters": 40, "mean_size": 4.5, "seed": 3}, {"n_clusters": 12, "mean_size": 2, "seed": 1}],
+    ids=str,
+)
+def test_the_draws_do_not_depend_on_the_id_matrixs_starting_rows(monkeypatch, fields, room):
+    # Too few rows to start with makes the matrix double, once or many times.
+    config = SynthConfig(**fields)
+    want = synth._draws(config)
+    monkeypatch.setattr(synth, "_room", lambda _: room)
+    got = synth._draws(config)
+    assert got[1] == want[1] and np.array_equal(got[0], want[0]) and got[0].dtype == want[0].dtype
     assert synth_corpus(config) == reference_synth_corpus(config)
 
 

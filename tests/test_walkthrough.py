@@ -9,6 +9,9 @@ compares: a CSV as its rows without ``wall_clock_ms``, a scenario through
 
 A change that moves an artifact on purpose rewrites the record with
 ``PYTHONPATH=src python tests/test_walkthrough.py`` and declares the move.
+Before it rewrites the record, that command prints one line per artifact
+whose digest moved, appeared or disappeared, such as ``moved:
+classifier.json``: the list to declare.
 """
 
 from __future__ import annotations
@@ -121,11 +124,27 @@ def walk(directory: Path) -> dict[str, str]:
     return {p.name: hashlib.sha256(_form(p)).hexdigest() for p in sorted(directory.iterdir())}
 
 
+def moves(got: dict[str, str], want: dict[str, str]) -> dict[str, list[str]]:
+    """The names whose digest differs between ``want``, the record, and
+    ``got``: ``moved`` in both with other digests, ``appeared`` only in
+    ``got``, ``disappeared`` only in ``want``."""
+    return {
+        "moved": sorted(name for name in got.keys() & want.keys() if got[name] != want[name]),
+        "appeared": sorted(got.keys() - want.keys()),
+        "disappeared": sorted(want.keys() - got.keys()),
+    }
+
+
 def test_the_walkthrough_artifacts_equal_the_record(tmp_path):
-    got = walk(tmp_path)
-    want = json.loads(RECORD.read_text(encoding="utf-8"))
-    moved = sorted(name for name in got.keys() | want.keys() if got.get(name) != want.get(name))
-    assert not moved, f"walkthrough artifacts differ from {RECORD.name}: {moved}"
+    differ = moves(walk(tmp_path), json.loads(RECORD.read_text(encoding="utf-8")))
+    assert not any(differ.values()), f"walkthrough artifacts differ from {RECORD.name}: {differ}"
+
+
+def test_moves_names_each_kind_of_change():
+    want = {"a": "1", "b": "2", "c": "3"}
+    got = {"a": "1", "b": "9", "d": "4"}
+    assert moves(got, want) == {"moved": ["b"], "appeared": ["d"], "disappeared": ["c"]}
+    assert moves(want, want) == {"moved": [], "appeared": [], "disappeared": []}
 
 
 if __name__ == "__main__":
@@ -133,5 +152,9 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as directory:
         digests = walk(Path(directory))
+    old = json.loads(RECORD.read_text(encoding="utf-8")) if RECORD.exists() else {}
+    for kind, names in moves(digests, old).items():
+        for name in names:
+            print(f"{kind}: {name}")
     RECORD.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"{RECORD}: {len(digests)} artifacts", file=sys.stderr)

@@ -5,9 +5,9 @@ and the CLI's ``.config.json`` sidecars) is written by ``save`` and read by
 ``load``; each kind of artifact keeps only its pure ``*_to_json`` and
 ``*_from_json``. A ``*_from_json`` reads each key through ``field``, whose
 parsers check JSON types rather than convert them (``number``, ``integer``,
-``numbers``), so a malformed file raises ``ArtifactError`` naming the file
-and the key. ``counts`` holds the count fields of a config to the same
-integer test.
+``numbers``, ``string``), so a malformed file raises ``ArtifactError``
+naming the file and the key. ``counts`` holds the count fields of a config
+to the same integer test.
 """
 
 from __future__ import annotations
@@ -49,10 +49,12 @@ def load(path: str | Path, parse, kind: str):
 
 
 def field(payload, key: str, parse=lambda value: value):
-    """``parse`` of ``payload[key]``. A payload that is not an object or
-    lacks ``key`` raises ``ArtifactError`` saying so, and a value that
-    ``parse`` rejects raises one that calls it malformed."""
-    if not isinstance(payload, dict) or key not in payload:
+    """``parse`` of ``payload[key]``. A payload that is not an object, or
+    one that lacks ``key``, raises ``ArtifactError`` saying which, and a
+    value that ``parse`` rejects raises one that calls it malformed."""
+    if not isinstance(payload, dict):
+        raise ArtifactError(f"{type(payload).__name__} is not an object to read {key!r} from")
+    if key not in payload:
         raise ArtifactError(f"lacks {key!r}")
     try:
         return parse(payload[key])
@@ -71,6 +73,13 @@ def number(value, types: tuple[type, ...] = (int, float)):
 def integer(value) -> int:
     """``value`` if it is a JSON integer (see ``number``)."""
     return number(value, (int,))
+
+
+def string(value) -> str:
+    """``value`` if it is a JSON string; anything else raises ``TypeError``."""
+    if type(value) is not str:
+        raise TypeError(f"{value!r} is not a string")
+    return value
 
 
 def counts(config, minimums: dict[str, int | None]) -> None:

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .artifacts import counts
+from . import artifacts
 from .corpus import BugReport, Corpus
 from .dup_graph import ClusterSet
 from .embedder import has_sparse_rows, report_tokens
@@ -58,7 +58,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         try:
-            counts(self, {"k": 1, "max_k": 1, "seed": None})
+            artifacts.counts(self, {"k": 1, "max_k": 1, "seed": None})
         except ValueError as exc:
             raise ScenarioError(str(exc)) from None
         if self.mode not in MODES:
@@ -493,6 +493,36 @@ def scenario_to_json(result: ScenarioResult) -> dict:
             for query, candidates, relevant, db_size in result.outcome._per_query()
         ],
     }
+
+
+_CONFIG_FIELDS = {
+    "mode": lambda mode: artifacts.one_of(mode, MODES),
+    "method": lambda method: artifacts.one_of(method, METHODS),
+    **dict.fromkeys(("k", "seed", "max_k"), artifacts.integer),
+    "query_fraction": artifacts.number,
+    **dict.fromkeys(("include_independents", "dedup_pairs"), lambda on: artifacts.one_of(on, (True, False))),
+}
+
+
+def _metric_rows(rows) -> list[dict]:
+    if type(rows) is not list:
+        raise TypeError(f"{type(rows).__name__} is not a list of rows")
+    for row in rows:
+        artifacts.field(row, "k", artifacts.integer)
+        artifacts.field(row, "method", artifacts.string)
+    return rows
+
+
+def scenario_from_json(payload: dict) -> tuple[ScenarioConfig, list[dict]]:
+    """The config and the metric rows of the artifact that ``scenario_to_json``
+    wrote, each key read through ``artifacts.field``. Every field of the
+    config is read with its JSON type and then checked by ``ScenarioConfig``,
+    and ``metrics`` is a list of objects, each with an integer ``k`` and a
+    string ``method``. The rest of the artifact is not read."""
+    config = artifacts.field(payload, "config", lambda config: ScenarioConfig(
+        **{key: artifacts.field(config, key, read) for key, read in _CONFIG_FIELDS.items()}
+    ))
+    return config, artifacts.field(payload, "metrics", _metric_rows)
 
 
 _TIMING_KEYS = {"wall_clock_ms", "timing_ms", "avg_query_ms", "total", "total_ms"}

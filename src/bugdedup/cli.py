@@ -160,6 +160,16 @@ def _read_json(path: str, flag: str, parse):
         raise ValueError(str(exc)) from exc
 
 
+def _ingest(path: str, flag: str, **options) -> corpus_mod.Corpus:
+    """``corpus.ingest`` of ``flag``'s file; its errors, which name the file,
+    name ``flag`` too."""
+    source = _require_file(path, flag)
+    try:
+        return corpus_mod.ingest(source, **options)
+    except corpus_mod.IngestError as exc:
+        raise corpus_mod.IngestError(f"{flag} {exc}") from exc
+
+
 def _clusters(args) -> dup_graph.ClusterSet:
     return _read_json(args.clusters, "--clusters", dup_graph.clusters_from_json)
 
@@ -167,17 +177,21 @@ def _clusters(args) -> dup_graph.ClusterSet:
 def _load_pipeline(args) -> tuple:
     if args.dim < 1:
         raise UsageError(f"--dim must be >= 1, got {args.dim}")
-    corpus = corpus_mod.ingest(_require_file(args.corpus, "--corpus"))
+    corpus = _ingest(args.corpus, "--corpus")
     clusters = _clusters(args)
     for bug_id in chain((m for c in clusters.clusters for m in c.members), clusters.independents):
         if bug_id not in corpus.by_id:
             raise ValueError(
                 f"--clusters {args.clusters}: bug {bug_id!r} is not in --corpus {args.corpus}"
             )
-    manifest = _read_json(
-        args.manifest, "--manifest", lambda payload: splitter_mod.manifest_from_json(payload, clusters)
-    )
-    return corpus, clusters, manifest
+
+    def manifest(payload) -> splitter_mod.SplitManifest:
+        try:
+            return splitter_mod.manifest_from_json(payload, clusters)
+        except splitter_mod.SplitError as exc:  # a split that does not fit the clusters names them too
+            raise splitter_mod.SplitError(f"{exc} (read against --clusters {args.clusters})") from exc
+
+    return corpus, clusters, _read_json(args.manifest, "--manifest", manifest)
 
 
 def _fit_train_embedder(corpus, clusters, manifest, dim: int):
@@ -201,12 +215,6 @@ def _save_model(args, payload: dict, base) -> None:
     _save(args, payload | {"vocabulary": base.to_json(), "inputs": _input_hashes(args)}, None)
 
 
-def _digest(value) -> str:
-    if type(value) is not str:
-        raise TypeError(f"{value!r} is not a string")
-    return value
-
-
 def _load_model(args, flag: str, kind: str, parse) -> tuple:
     """The model that ``parse`` reads from the ``kind`` file of ``flag``, and
     the TF-IDF embedder that the file carries. The file must record the
@@ -217,9 +225,9 @@ def _load_model(args, flag: str, kind: str, parse) -> tuple:
     def read(payload) -> tuple:
         model = parse(payload)
         vocabulary = artifacts.field(payload, "vocabulary", embedder_mod.TfidfHashEmbedder.from_json)
-        inputs = artifacts.field(
-            payload, "inputs", lambda inputs: {f: artifacts.field(inputs, f, _digest) for f in _INPUT_FLAGS}
-        )
+        inputs = artifacts.field(payload, "inputs", lambda found: {
+            flag: artifacts.field(found, flag, artifacts.string) for flag in _INPUT_FLAGS
+        })
         return model, vocabulary, inputs
 
     with _flag(flag):
@@ -275,7 +283,7 @@ def _classifier_input(args):
     model, tfidf = _load_model(args, "--model", "classifier file", classifier_mod.classifier_from_json)
     if tfidf.dim != args.dim:
         raise UsageError(
-            f"--model was trained on features at --dim {tfidf.dim}, "
+            f"--model {args.model} was trained on features at --dim {tfidf.dim}, "
             f"but this run embeds them at --dim {args.dim}"
         )
     return model, tfidf
@@ -326,9 +334,7 @@ def cmd_ingest(args) -> int:
     columns = corpus_mod.DEFAULT_CSV_COLUMNS
     if args.csv_columns:
         columns = tuple(_split_flag(args.csv_columns, "--csv-columns", count=4))
-    corpus = corpus_mod.ingest(
-        _require_file(args.infile, "--in"), format=args.format, csv_columns=columns
-    )
+    corpus = _ingest(args.infile, "--in", format=args.format, csv_columns=columns)
     corpus_mod.write_jsonl(corpus, args.out)
     _save(args, {}, 1, ".config.json")
     stats = corpus_mod.corpus_stats(corpus)
@@ -337,7 +343,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    corpus = corpus_mod.ingest(_require_file(args.corpus, "--corpus"))
+    corpus = _ingest(args.corpus, "--corpus")
     clusters = dup_graph.build_clusters(corpus)
     _save(args, dup_graph.clusters_to_json(clusters), 1)
     stats = dup_graph.cluster_stats(clusters)
@@ -513,40 +519,21 @@ def cmd_run_cascade(args) -> int:
 
 def cmd_report(args) -> int:
     shared_keys = ("mode", "seed", "query_fraction", "include_independents", "dedup_pairs")
-    payloads = []
+    scenarios = []
     for path in args.inputs:
         source = _require_file(path, "--in")
         with _flag(f"--in: {path} is not a scenario artifact"):
-            payload = artifacts.load(source, lambda payload: payload, "scenario file")
-        if not isinstance(payload, dict) or not {"config", "metrics"} <= payload.keys():
-            raise UsageError(f"--in: {path} is not a scenario artifact (needs config and metrics)")
-        config = payload["config"]
-        for key in (*shared_keys, "k"):
-            if not isinstance(config, dict) or key not in config:
-                raise UsageError(f"--in: {path} is not a scenario artifact (its config lacks {key!r})")
-        metrics = payload["metrics"]
-        if not isinstance(metrics, list) or not all(
-            isinstance(row, dict) and type(row.get("k")) is int and isinstance(row.get("method"), str)
-            for row in metrics
-        ):
-            raise UsageError(
-                f"--in: {path} is not a scenario artifact "
-                "(its metrics are not a list of rows, each with an integer k and a string method)"
-            )
-        payloads.append(payload)
-    baseline = {k: payloads[0]["config"][k] for k in shared_keys}
-    for path, payload in zip(args.inputs, payloads):
-        got = {k: payload["config"][k] for k in shared_keys}
-        if got != baseline:
-            raise UsageError(
-                f"conflicting scenario configs: {path} has {got}, expected {baseline}"
-            )
+            scenarios.append(artifacts.load(source, cascade_mod.scenario_from_json, "scenario file"))
+    shared = [{k: getattr(config, k) for k in shared_keys} for config, _ in scenarios]
+    for path, got in zip(args.inputs, shared):
+        if got != shared[0]:
+            raise UsageError(f"conflicting scenario configs: {path} has {got}, expected {shared[0]}")
     # Each artifact reports at its own k; a classification row carries it too.
-    rows = [row for p in payloads for row in p["metrics"] if row["k"] == p["config"]["k"]]
+    rows = [row for config, metrics in scenarios for row in metrics if row["k"] == config.k]
     rows.sort(key=lambda r: (r["method"], r["k"]))
     metrics_mod.write_metrics_csv(args.out, rows)
     _save(args, {}, 1, ".config.json")
-    _emit({"out": args.out, "rows": len(rows), "inputs": len(payloads)})
+    _emit({"out": args.out, "rows": len(rows), "inputs": len(scenarios)})
     return 0
 
 
@@ -724,7 +711,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, FileNotFoundError) as exc:
         _fail_json(exc)
         return 2
-    except (remote_mod.RemoteError, embedder_mod.TrainingError, ValueError, KeyError) as exc:
+    except (remote_mod.RemoteError, embedder_mod.TrainingError, ValueError) as exc:
         _fail_json(exc)
         return 1
     finally:

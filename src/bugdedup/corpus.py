@@ -187,19 +187,23 @@ def ingest(
 
     Record-level problems (missing bug_id, malformed JSON) raise
     IngestError naming the line; a repeated bug_id is fatal for the whole
-    ingestion. Unknown dup_of targets are dropped with a warning count,
-    available as ``Corpus.dropped_relations``.
+    ingestion, and bytes that are not UTF-8 too. Each names the file.
+    Unknown dup_of targets are dropped with a warning count, available as
+    ``Corpus.dropped_relations``.
     """
     path = Path(path)
     if not path.exists():
         raise IngestError(f"corpus file not found: {path}")
-    if format == "jsonl":
-        records = _read_jsonl(path)
-    elif format == "csv":
-        records = _read_csv(path, csv_columns)
-    else:
+    if format not in ("jsonl", "csv"):
         raise IngestError(f"unknown corpus format {format!r} (expected jsonl or csv)")
-    return build_corpus(records)
+    try:
+        records = _read_jsonl(path) if format == "jsonl" else _read_csv(path, csv_columns)
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: this file is not UTF-8 ({exc.reason})") from exc
+    try:
+        return build_corpus(records)
+    except IngestError as exc:
+        raise IngestError(f"{path}: {exc}") from exc
 
 
 def _read_jsonl(path: Path) -> list[BugReport]:

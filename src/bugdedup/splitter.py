@@ -374,12 +374,22 @@ def _caps(given: dict) -> dict[str, int | None]:
     return _validate_caps(caps)
 
 
+def _cluster_id(key: str) -> int:
+    """The cluster id that ``key`` spells as ``manifest_to_json`` writes ids.
+    A key that ``int`` reads in another spelling (``"01"``, ``"+2"``,
+    ``" 3"``, ``"1_0"``, ``"٣"``) is not one and raises ``ValueError``."""
+    cluster_id = int(key)
+    if str(cluster_id) != key:
+        raise ValueError(f"key {key!r} is not cluster id {cluster_id} as written")
+    return cluster_id
+
+
 _MANIFEST_FIELDS = {
     "seed": artifacts.integer,
     "ratios": lambda ratios: _validate_ratios(tuple(artifacts.numbers(ratios))),
     "target_dup_ratio": lambda ratio: _validate_dup_ratio(artifacts.number(ratio)),
     "caps": _caps,
-    "cluster_assignment": lambda given: {int(k): artifacts.one_of(v, SPLITS) for k, v in given.items()},
+    "cluster_assignment": lambda given: {_cluster_id(k): artifacts.one_of(v, SPLITS) for k, v in given.items()},
     "independent_assignment": lambda given: {k: artifacts.one_of(v, SPLITS) for k, v in given.items()},
 }
 
@@ -389,18 +399,21 @@ def manifest_from_json(payload: dict, cluster_set: ClusterSet) -> SplitManifest:
     key read through ``artifacts.field``, with its pairs and triplets
     derived by ``generate_pairs`` and ``generate_triplets``.
 
-    Every cluster of ``cluster_set`` must have a split, and every bug the
-    file assigns a split to must be one of its independents. A file's own
-    ``pairs`` or ``triplets``, which older manifests carried, are ignored
-    like any other unknown key, so no pair or triplet can name a bug that
-    its split does not hold.
+    The file's cluster ids must be those of ``cluster_set``, and every bug it
+    assigns a split to must be one of its independents; the first id or bug
+    that differs is named. A file's own ``pairs`` or ``triplets``, which
+    older manifests carried, are ignored like any other unknown key, so no
+    pair or triplet can name a bug that its split does not hold.
     """
     manifest = SplitManifest(
         **{key: artifacts.field(payload, key, read) for key, read in _MANIFEST_FIELDS.items()}
     )
-    for cluster in cluster_set.clusters:
-        if cluster.cluster_id not in manifest.cluster_assignment:
-            raise SplitError(f"assigns no split to cluster {cluster.cluster_id}")
+    ids = {cluster.cluster_id for cluster in cluster_set.clusters}
+    stray = min(ids ^ manifest.cluster_assignment.keys(), default=None)
+    if stray in ids:
+        raise SplitError(f"assigns no split to cluster {stray}")
+    if stray is not None:
+        raise SplitError(f"assigns a split to cluster {stray}, which is not in its cluster set")
     independents = set(cluster_set.independents)
     for bug_id in manifest.independent_assignment:
         if bug_id not in independents:

@@ -1,4 +1,5 @@
-"""Shared fixtures: one standard planted pipeline plus an HTTP stub."""
+"""Shared fixtures: one standard planted pipeline, the README walkthrough's
+artifacts and an HTTP stub."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import pytest
 
 from bugdedup import corpus as corpus_mod
 from helpers import StubService, fit_train_embedder, planted_pipeline
+from test_walkthrough import walk
 
 
 @pytest.fixture(scope="session")
@@ -32,6 +34,15 @@ def manifest(pipeline):
 @pytest.fixture(scope="session")
 def train_embedder(pipeline):
     return fit_train_embedder(*pipeline, dim=256)
+
+
+@pytest.fixture(scope="session")
+def walkthrough(tmp_path_factory):
+    """The directory of one run of the README walkthrough, and the digests
+    of its artifacts as the walk left them (see ``test_walkthrough.walk``).
+    Tests read these artifacts and write nothing beside them."""
+    directory = tmp_path_factory.mktemp("walkthrough")
+    return directory, walk(directory)
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from bugdedup.artifacts import ArtifactError, field, integer, load, number, numbers, one_of, save
+from bugdedup.artifacts import ArtifactError, field, integer, load, number, numbers, one_of, save, string
 from bugdedup.cascade import ScenarioConfig
 from bugdedup.classifier import ClassifierTrainConfig
 from bugdedup.embedder import TrainConfig
@@ -33,7 +33,7 @@ def test_save_sorts_keys_and_ends_with_a_newline(tmp_path, indent, text):
         (b'{"a": "\xff"}', ArtifactError, "this file is not UTF-8"),
         (b'{"a": 1}', ArtifactError, "lacks 'b'"),
         (b'{"b": "x"}', ArtifactError, "malformed 'b' (TypeError: 'x' is not a number)"),
-        (b"[]", ArtifactError, "lacks 'b'"),
+        (b"[]", ArtifactError, "list is not an object to read 'b' from"),
     ],
 )
 def test_every_load_error_names_the_file(tmp_path, content, error, says):
@@ -60,6 +60,22 @@ def test_number_and_numbers_return_what_they_check():
     for values in ("12", (1, 2), [1, "2"], [False]):
         with pytest.raises(TypeError):
             numbers(values)
+
+
+def test_field_names_a_payload_that_is_not_an_object_by_its_type():
+    for payload, name in ((5, "int"), ([], "list"), ("x", "str"), (None, "NoneType")):
+        with pytest.raises(ArtifactError, match=f"^{name} is not an object to read 'x' from$"):
+            field(payload, "x")
+    with pytest.raises(ArtifactError, match="^lacks 'x'$"):
+        field({"y": 1}, "x")
+    assert field({"x": 2}, "x", integer) == 2
+
+
+def test_string_takes_json_strings_only():
+    assert string("a") == "a"
+    for value in (1, None, ["a"], b"a"):
+        with pytest.raises(TypeError, match="is not a string"):
+            string(value)
 
 
 def test_one_of_takes_a_choice_of_the_same_type_only():

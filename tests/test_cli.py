@@ -477,16 +477,19 @@ def test_run_cascade_refuses_a_model_trained_at_another_dim(workdir, tmp_path, c
         "--mode", "one-vs-all", "--method", "cascade", "--k", "5", "--seed", "1",
         "--classifier-backend", "logistic", "--out", str(tmp_path / "scenario.json"),
     ]
-    err = _run_fail(capsys, 2, *run, "--model", str(workdir / "classifier.json"))
+    model = str(workdir / "classifier.json")
+    err = _run_fail(capsys, 2, *run, "--model", model)
     assert err["error"] == "UsageError"
     assert "--dim 128" in err["message"] and f"--dim {embedder_mod.DEFAULT_DIM}" in err["message"]
+    assert err["message"].startswith(f"--model {model} ")
     assert not (tmp_path / "scenario.json").exists()
     # the dim is the vocabulary's, so a model file without the echo is refused alike
     payload = json.loads((workdir / "classifier.json").read_text())
     del payload["cli"]
     bare = tmp_path / "bare.json"
     bare.write_text(json.dumps(payload))
-    assert _run_fail(capsys, 2, *run, "--model", str(bare)) == err
+    refused = _run_fail(capsys, 2, *run, "--model", str(bare))
+    assert refused == {**err, "message": err["message"].replace(model, str(bare))}
     assert not (tmp_path / "scenario.json").exists()
 
 
@@ -525,17 +528,103 @@ def test_report_names_an_input_that_is_not_a_scenario(workdir, tmp_path, capsys)
 
 
 @pytest.mark.parametrize(
-    "metrics", [[{"method": "retrieval_only"}], {}], ids=["row-without-k", "not-a-list"]
+    "metrics, says",
+    [([{"method": "retrieval_only"}], "malformed 'metrics' (ArtifactError: lacks 'k')"),
+     ({}, "malformed 'metrics' (TypeError: dict is not a list of rows)")],
+    ids=["row-without-k", "not-a-list"],
 )
-def test_report_names_an_input_whose_metrics_are_not_rows(tmp_path, capsys, metrics):
-    config = {"mode": "one_vs_all", "seed": 1, "query_fraction": 0.2,
-              "include_independents": True, "dedup_pairs": False, "k": 5}
+def test_report_names_an_input_whose_metrics_are_not_rows(tmp_path, capsys, metrics, says):
+    config = {"mode": "one_vs_all", "method": "cascade", "seed": 1, "query_fraction": 0.2,
+              "include_independents": True, "dedup_pairs": False, "k": 5, "max_k": 100}
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({"config": config, "metrics": metrics}))
     err = _run_fail(capsys, 2, "report", "--in", str(path), "--out", str(tmp_path / "r.csv"))
     assert err["error"] == "UsageError"
-    assert str(path) in err["message"] and "integer k" in err["message"]
+    assert str(path) in err["message"] and says in err["message"]
     assert not (tmp_path / "r.csv").exists()
+
+
+_DROP = object()
+# A value of each JSON type, by type; each config field is swapped for the
+# values of the other types.
+_JSON_VALUES = {"string": "1", "number": 1, "list": [1], "null": None, "bool": True}
+# Each config field's JSON type, and values of that type that ScenarioConfig
+# takes for the walkthrough's one-vs-all cascade at k 10.
+_CONFIG_VALUES = {
+    "mode": ("string", ["all_vs_all"]),
+    "method": ("string", ["retrieval_only"]),
+    "k": ("number", [5]),
+    "query_fraction": ("number", [0.5]),
+    "seed": ("number", [0, -3]),
+    "include_independents": ("bool", [False]),
+    "dedup_pairs": ("bool", [True]),
+    "max_k": ("number", [10]),
+}
+
+
+def _config_cases():
+    """(field, value, accepted) for each ScenarioConfig field: dropped, of
+    each other JSON type, a fraction for an integer field, and of its own
+    type with a value that the config takes."""
+    for name in (f.name for f in dataclasses.fields(cascade_mod.ScenarioConfig)):
+        own, accepted = _CONFIG_VALUES[name]
+        yield pytest.param(name, _DROP, False, id=f"{name}-dropped")
+        for kind, value in _JSON_VALUES.items():
+            if kind != own:
+                yield pytest.param(name, value, False, id=f"{name}-{kind}")
+        if name in ("k", "seed", "max_k"):
+            yield pytest.param(name, 2.5, False, id=f"{name}-fraction")
+        for value in accepted:
+            yield pytest.param(name, value, True, id=f"{name}-{value}")
+
+
+def _scenario_with(walkthrough, tmp_path, keys, value) -> Path:
+    """The walkthrough's one-vs-all cascade scenario with its entry at
+    ``keys`` set to ``value``, or deleted for ``_DROP``."""
+    payload = json.loads((walkthrough[0] / "scen_one-vs-all_cascade.json").read_text())
+    entry = payload
+    for key in keys[:-1]:
+        entry = entry[key]
+    if value is _DROP:
+        del entry[keys[-1]]
+    else:
+        entry[keys[-1]] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.parametrize("field, value, accepted", list(_config_cases()))
+def test_report_reads_each_config_field_with_its_json_type(
+    walkthrough, tmp_path, capsys, field, value, accepted
+):
+    path = _scenario_with(walkthrough, tmp_path, ("config", field), value)
+    out = tmp_path / "r.csv"
+    if accepted:
+        assert _run(capsys, "report", "--in", str(path), "--out", str(out))["rows"] == 1
+        return
+    err = _run_fail(capsys, 2, "report", "--in", str(path), "--out", str(out))
+    assert err["error"] == "UsageError"
+    assert err["message"].startswith(f"--in: {path} is not a scenario artifact")
+    assert f"'{field}'" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("k", value) for value in (_DROP, "5", 5.0, True, None, [5])]
+    + [("method", value) for value in (_DROP, 5, True, None, ["cascade"])],
+)
+def test_report_names_a_metric_row_whose_k_or_method_has_the_wrong_type(
+    walkthrough, tmp_path, capsys, field, value
+):
+    path = _scenario_with(walkthrough, tmp_path, ("metrics", 3, field), value)
+    out = tmp_path / "r.csv"
+    err = _run_fail(capsys, 2, "report", "--in", str(path), "--out", str(out))
+    assert err["error"] == "UsageError"
+    assert err["message"].startswith(f"--in: {path} is not a scenario artifact")
+    assert "malformed 'metrics'" in err["message"] and f"'{field}'" in err["message"]
+    assert not out.exists()
 
 
 def _corrupt(workdir):
@@ -576,7 +665,7 @@ def _with_df_count(path, count):
     "flag, payload, says",
     [
         ("--model", lambda _: {"threshold": 0.5}, "lacks 'weights'"),
-        ("--model", lambda _: [], "lacks 'weights'"),
+        ("--model", lambda _: [], "list is not an object to read 'weights' from"),
         ("--projection", lambda _: {"dim_in": 3}, "lacks 'dim_out'"),
         ("--projection", _corrupt, "checksum mismatch"),
         ("--model", lambda w: _with_train_config(w / "classifier.json"), "unexpected keyword argument 'bogus'"),
@@ -841,7 +930,7 @@ _RUN = ["run-cascade", "--mode", "one-vs-all", "--method", "cascade", "--seed", 
         ),
         (
             [*_RUN, "--classifier-backend", "logistic", "--model", "{workdir}/classifier.json"],
-            f"--model was trained on features at --dim 128, "
+            "--model {workdir}/classifier.json was trained on features at --dim 128, "
             f"but this run embeds them at --dim {embedder_mod.DEFAULT_DIM}",
         ),
         (
@@ -863,7 +952,7 @@ def test_a_bad_classifier_input_is_usage_error_before_any_fit(
     argv = [arg.format(workdir=workdir) for arg in argv]
     out = tmp_path / "out"
     err = _run_fail(capsys, 2, *argv, *_pipeline_flags(workdir), "--out", str(out))
-    assert err == {"error": "UsageError", "message": message}
+    assert err == {"error": "UsageError", "message": message.format(workdir=workdir)}
     assert fits == [] and not out.exists()
 
 
@@ -1176,6 +1265,19 @@ def _without_cluster_0(workdir):
     return payload
 
 
+def _with_cluster_key(key, split=None, replaces=None):
+    """The workdir's manifest with ``key`` assigned ``split``, or the split of
+    the key ``replaces``, which it then takes the place of."""
+
+    def payload(workdir):
+        payload = json.loads((workdir / "manifest.json").read_text())
+        assignment = payload["cluster_assignment"]
+        assignment[key] = split or assignment.pop(replaces)
+        return payload
+
+    return payload
+
+
 def _with_unknown_ids(workdir, cluster_0=None, independent=None):
     payload = json.loads((workdir / "clusters.json").read_text())
     payload["clusters"][0] = cluster_0 or payload["clusters"][0]
@@ -1191,12 +1293,29 @@ def _with_unknown_ids(workdir, cluster_0=None, independent=None):
         (["eval-classification", "--dim", "128", "--backend", "logistic"], "--model",
          lambda w: _with(w / "classifier.json", "inputs", 5), 2, "malformed 'inputs'"),
         (["eval-retrieval"], "--manifest", _without_cluster_0, 1, "assigns no split to cluster 0"),
+        # A cluster key is the id as str writes it: another spelling that int
+        # reads would move or drop a cluster's split unseen.
+        (_SCORE_TRAIN_PAIRS, "--manifest", _with_cluster_key("01", "test"), 1,
+         "malformed 'cluster_assignment' (ValueError: key '01' is not cluster id 1 as written)"),
+        (["eval-retrieval"], "--manifest", _with_cluster_key("999", "train"), 1,
+         "assigns a split to cluster 999, which is not in its cluster set"),
+        (["eval-retrieval"], "--manifest", _with_cluster_key("+2", replaces="2"), 1,
+         "key '+2' is not cluster id 2"),
+        (["eval-retrieval"], "--manifest", _with_cluster_key("1_0", replaces="10"), 1,
+         "key '1_0' is not cluster id 10"),
+        (["eval-retrieval"], "--manifest", _with_cluster_key(" 3", replaces="3"), 1,
+         "key ' 3' is not cluster id 3"),
+        (["eval-retrieval"], "--manifest", _with_cluster_key("\u0663", replaces="3"), 1,
+         "key '\u0663' is not cluster id 3"),
         (["eval-retrieval"], "--clusters", lambda w: _with_unknown_ids(w, cluster_0=["zz1", "zz2"]),
          1, "bug 'zz1' is not in --corpus"),
         (["eval-retrieval"], "--clusters", lambda w: _with_unknown_ids(w, independent="zz3"),
          1, "bug 'zz3' is not in --corpus"),
     ],
     ids=["clusters-with-list-ids", "model-with-non-object-inputs", "manifest-without-a-cluster",
+         "manifest-with-a-zero-padded-cluster-key", "manifest-with-an-unknown-cluster",
+         "manifest-with-a-signed-cluster-key", "manifest-with-an-underscored-cluster-key",
+         "manifest-with-a-spaced-cluster-key", "manifest-with-an-arabic-indic-cluster-key",
          "clusters-with-an-unknown-member", "clusters-with-an-unknown-independent"],
 )
 def test_an_input_file_that_does_not_fit_names_its_flag(

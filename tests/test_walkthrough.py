@@ -7,6 +7,10 @@ changes from run to run. An artifact is digested in the form that step
 compares: a CSV as its rows without ``wall_clock_ms``, a scenario through
 ``canonical_scenario_bytes`` and any other file byte for byte.
 
+The ``walkthrough`` fixture of ``conftest.py`` runs the walk once per test
+session; the record test here, the report tests of ``test_cli.py`` and the
+fuzz of ``test_artifact_fuzz.py`` read its artifacts.
+
 A change that moves an artifact on purpose rewrites the record with
 ``PYTHONPATH=src python tests/test_walkthrough.py`` and declares the move.
 Before it rewrites the record, that command prints one line per artifact
@@ -135,8 +139,8 @@ def moves(got: dict[str, str], want: dict[str, str]) -> dict[str, list[str]]:
     }
 
 
-def test_the_walkthrough_artifacts_equal_the_record(tmp_path):
-    differ = moves(walk(tmp_path), json.loads(RECORD.read_text(encoding="utf-8")))
+def test_the_walkthrough_artifacts_equal_the_record(walkthrough):
+    differ = moves(walkthrough[1], json.loads(RECORD.read_text(encoding="utf-8")))
     assert not any(differ.values()), f"walkthrough artifacts differ from {RECORD.name}: {differ}"
 
 

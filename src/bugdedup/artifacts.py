@@ -6,12 +6,14 @@ and the CLI's ``.config.json`` sidecars) is written by ``save`` and read by
 ``*_from_json``. A ``*_from_json`` reads each key through ``field``, whose
 parsers check JSON types rather than convert them (``number``, ``integer``,
 ``numbers``, ``string``), so a malformed file raises ``ArtifactError``
-naming the file and the key. ``counts`` holds the count fields of a config
-to the same integer test.
+naming the file and the key. ``config`` reads a config dataclass field by
+field, and ``counts`` holds the count fields of a config to the same
+integer test.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -101,6 +103,21 @@ def one_of(value, choices: tuple):
     if type(value) is not type(choices[0]) or value not in choices:
         raise ValueError(f"{value!r} is not one of {choices}")
     return value
+
+
+_JSON_TYPES = {
+    "int": integer, "float": number, "str": string, "bool": lambda on: one_of(on, (True, False)),
+}
+
+
+def config(cls, payload):
+    """A ``cls``, a config dataclass, from the object ``payload``: each field
+    read through ``field`` with the JSON type that its annotation names
+    (``int``, ``float``, ``str`` or ``bool``), so a missing key raises
+    ``ArtifactError`` rather than taking its default. A key that is no field
+    is passed on, and the constructor refuses it."""
+    values = {f.name: field(payload, f.name, _JSON_TYPES[f.type]) for f in dataclasses.fields(cls)}
+    return cls(**payload | values)
 
 
 def numbers(values) -> list:

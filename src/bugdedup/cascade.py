@@ -495,15 +495,6 @@ def scenario_to_json(result: ScenarioResult) -> dict:
     }
 
 
-_CONFIG_FIELDS = {
-    "mode": lambda mode: artifacts.one_of(mode, MODES),
-    "method": lambda method: artifacts.one_of(method, METHODS),
-    **dict.fromkeys(("k", "seed", "max_k"), artifacts.integer),
-    "query_fraction": artifacts.number,
-    **dict.fromkeys(("include_independents", "dedup_pairs"), lambda on: artifacts.one_of(on, (True, False))),
-}
-
-
 def _metric_rows(rows) -> list[dict]:
     if type(rows) is not list:
         raise TypeError(f"{type(rows).__name__} is not a list of rows")
@@ -516,12 +507,11 @@ def _metric_rows(rows) -> list[dict]:
 def scenario_from_json(payload: dict) -> tuple[ScenarioConfig, list[dict]]:
     """The config and the metric rows of the artifact that ``scenario_to_json``
     wrote, each key read through ``artifacts.field``. Every field of the
-    config is read with its JSON type and then checked by ``ScenarioConfig``,
-    and ``metrics`` is a list of objects, each with an integer ``k`` and a
-    string ``method``. The rest of the artifact is not read."""
-    config = artifacts.field(payload, "config", lambda config: ScenarioConfig(
-        **{key: artifacts.field(config, key, read) for key, read in _CONFIG_FIELDS.items()}
-    ))
+    config is read with its JSON type (``artifacts.config``) and then checked
+    by ``ScenarioConfig``, and ``metrics`` is a list of objects, each with an
+    integer ``k`` and a string ``method``. The rest of the artifact is not
+    read."""
+    config = artifacts.field(payload, "config", lambda config: artifacts.config(ScenarioConfig, config))
     return config, artifacts.field(payload, "metrics", _metric_rows)
 
 

@@ -515,12 +515,13 @@ def classifier_to_json(model: LogisticPairModel) -> dict:
 
 def classifier_from_json(payload: dict) -> LogisticPairModel:
     """The model that ``classifier_to_json`` wrote, each key read through
-    ``artifacts.field``."""
+    ``artifacts.field`` and its ``train_config`` field by field through
+    ``artifacts.config``."""
     return LogisticPairModel(
         weights=np.array(artifacts.field(payload, "weights", artifacts.numbers), dtype=np.float64),
         threshold=artifacts.field(payload, "threshold", artifacts.number),
         train_config=artifacts.field(
-            payload, "train_config", lambda config: ClassifierTrainConfig(**config)
+            payload, "train_config", lambda config: artifacts.config(ClassifierTrainConfig, config)
         ),
         loss_curve=tuple(artifacts.field(payload, "loss_curve", artifacts.numbers)),
     )

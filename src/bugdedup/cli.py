@@ -355,14 +355,17 @@ def cmd_split(args) -> int:
     clusters = _clusters(args)
     caps = dict(_split_flag(args.caps, "--caps", _cap)) if args.caps else {}
     ratios = tuple(_split_flag(args.ratios, "--ratios", float, count=3))
-    with _flags_for_fields(ratios="--ratios", target_dup_ratio="--dup-ratio"):
-        manifest = splitter_mod.build_manifest(
-            clusters,
-            ratios=ratios,
-            seed=args.seed,
-            target_dup_ratio=args.dup_ratio,
-            caps=dict.fromkeys(splitter_mod.SPLITS) | caps,
-        )
+    try:
+        with _flags_for_fields(ratios="--ratios", target_dup_ratio="--dup-ratio"):
+            manifest = splitter_mod.build_manifest(
+                clusters,
+                ratios=ratios,
+                seed=args.seed,
+                target_dup_ratio=args.dup_ratio,
+                caps=dict.fromkeys(splitter_mod.SPLITS) | caps,
+            )
+    except splitter_mod.SplitError as exc:  # one that no flag claims: the clusters do not split
+        raise splitter_mod.SplitError(f"--clusters {args.clusters}: {exc}") from exc
     _save(args, splitter_mod.manifest_to_json(manifest), 1)
     _emit({"out": args.out, "stats": splitter_mod.split_stats(manifest)})
     return 0

@@ -3,11 +3,11 @@
 Two built-in backends share one interface (``embed_texts``): a hashed
 TF-IDF bag-of-tokens baseline, and that baseline composed with a linear
 projection fine-tuned by triplet loss. Both are deterministic; the
-remote HTTP backend lives in ``remote``. The TF-IDF baseline sums each
-row's buckets in one rows pass after a token pass (``token_ids``):
-``embed_texts`` scatters the sums into dense rows, and ``sparse_rows``
-divides them by their row's norm, so the pair featurizer can read each
-report's tokens once and cut them into its title's and description's rows.
+remote HTTP backend lives in ``remote``. The TF-IDF baseline builds its
+rows in one rows pass (``sparse_rows``) after a token pass (``token_ids``),
+so the pair featurizer can read each report's tokens once and cut them into
+its title's and description's rows; a dense TF-IDF row (``embed_texts``) is
+its sparse row, scattered.
 """
 
 from __future__ import annotations
@@ -130,8 +130,9 @@ class TfidfHashEmbedder:
     sorted by first occurrence, and one ``np.bincount`` adds each ``count *
     idf`` to its (row, bucket) in that order. So every bucket holds the
     float64 sum, from 0.0, of its tokens in the order they first appear in
-    the text: a row's bits depend neither on its batch nor on which tokens
-    were seen before. The dense and the sparse rows hold the same sums.
+    the text, and the row is divided by the norm of its sums: a row's bits
+    depend neither on its batch nor on which tokens were seen before. A
+    dense row is the sparse row scattered into ``dim`` entries.
 
     Fitted instances are immutable and safe to share across threads. The
     token tables are a pure function of the fitted fields, so they take no
@@ -184,14 +185,9 @@ class TfidfHashEmbedder:
             return self._ids(tokens)
 
     def embed_texts(self, texts: Sequence[str]) -> np.ndarray:
-        indptr, buckets, sums = self._sums(*self.token_ids(texts))
+        indptr, buckets, weights = self.sparse_rows(*self.token_ids(texts))
         out = np.zeros((len(texts), self.dim))
-        out[np.repeat(np.arange(len(texts)), np.diff(indptr)), buckets] = sums
-        # ``l2_normalize_rows`` in place, with its bits: the rows are this
-        # call's own, and a normalised copy would add a dense array to the
-        # peak memory of every call.
-        norms = row_norms(out)[:, None]
-        out /= np.where(norms < ZERO_NORM, 1.0, norms)
+        out[np.repeat(np.arange(len(texts)), np.diff(indptr)), buckets] = weights
         return out
 
     def token_ids(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -208,20 +204,10 @@ class TfidfHashEmbedder:
         """The rows pass: row i of the ids of ``token_ids`` is the span
         ``ids[indptr[i]:indptr[i + 1]]`` (spans may cut a text into parts),
         returned in CSR form ``(indptr, buckets, weights)``. A row holds each
-        bucket once, in ascending order. A weight is its bucket's sum, the
-        one ``embed_texts`` scatters into its dense row, over the norm of
-        its own row's sums; a row whose norm is below ``ZERO_NORM`` is left
-        as it is."""
-        indptr, buckets, sums = self._sums(indptr, ids)
-        norms = _csr_row_norms(indptr, sums)
-        return indptr, buckets, sums / np.where(norms < ZERO_NORM, 1.0, norms).repeat(np.diff(indptr))
-
-    def _sums(
-        self, indptr: np.ndarray, ids: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rows of ``sparse_rows`` before normalisation: each bucket once,
-        ascending, with the float64 sum from 0.0 of ``count * idf`` over the
-        row's distinct tokens, in the order they first occur in the row."""
+        bucket once, in ascending order. A weight is its bucket's float64
+        sum from 0.0 of ``count * idf`` over the row's distinct tokens, in
+        the order they first occur in the row, over the norm of its own
+        row's sums; a row whose norm is below ``ZERO_NORM`` is left as it is."""
         # Taken after the ids, so the arrays cover every one of them.
         bucket_of, idf = self._tokens.arrays
         n = len(indptr) - 1
@@ -237,7 +223,9 @@ class TfidfHashEmbedder:
         # bincount sums each (row, bucket) from 0.0 in the order its terms come.
         keys, entry = np.unique(row_of[first] * self.dim + bucket_of[token], return_inverse=True)
         sums = np.bincount(entry, counts * idf[token], len(keys))
-        return np.searchsorted(keys, np.arange(n + 1) * self.dim), keys % self.dim, sums
+        row_ptr = np.searchsorted(keys, np.arange(n + 1) * self.dim)
+        norms = _csr_row_norms(row_ptr, sums)
+        return row_ptr, keys % self.dim, sums / np.where(norms < ZERO_NORM, 1.0, norms).repeat(np.diff(row_ptr))
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "doc_count": self.doc_count, "df": dict(self.df)}
@@ -452,11 +440,12 @@ def projection_to_json(model: ProjectionModel) -> dict:
 
 def projection_from_json(payload: dict) -> ProjectionModel:
     """The projection that ``projection_to_json`` wrote, each key read
-    through ``artifacts.field``. Weights that fail their checksum, or that
+    through ``artifacts.field`` and its ``train_config`` field by field
+    through ``artifacts.config``. Weights that fail their checksum, or that
     do not fill ``dim_in`` by ``dim_out``, raise ``ArtifactError``."""
     shape = tuple(artifacts.field(payload, k, artifacts.integer) for k in ("dim_in", "dim_out"))
     margin = artifacts.field(payload, "margin", artifacts.number)
-    train_config = artifacts.field(payload, "train_config", lambda config: TrainConfig(**config))
+    train_config = artifacts.field(payload, "train_config", lambda config: artifacts.config(TrainConfig, config))
     loss_curve = tuple(artifacts.field(payload, "loss_curve", artifacts.numbers))
     raw = artifacts.field(payload, "weights_b64", base64.b64decode)
     if hashlib.sha256(raw).hexdigest() != artifacts.field(payload, "weights_sha256"):

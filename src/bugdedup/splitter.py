@@ -399,25 +399,25 @@ def manifest_from_json(payload: dict, cluster_set: ClusterSet) -> SplitManifest:
     key read through ``artifacts.field``, with its pairs and triplets
     derived by ``generate_pairs`` and ``generate_triplets``.
 
-    The file's cluster ids must be those of ``cluster_set``, and every bug it
-    assigns a split to must be one of its independents; the first id or bug
-    that differs is named. A file's own ``pairs`` or ``triplets``, which
+    The file's cluster ids must be those of ``cluster_set``, and the bugs it
+    assigns a split to its independents; the smallest id or bug that one
+    side lacks is named. A file's own ``pairs`` or ``triplets``, which
     older manifests carried, are ignored like any other unknown key, so no
     pair or triplet can name a bug that its split does not hold.
     """
     manifest = SplitManifest(
         **{key: artifacts.field(payload, key, read) for key, read in _MANIFEST_FIELDS.items()}
     )
-    ids = {cluster.cluster_id for cluster in cluster_set.clusters}
-    stray = min(ids ^ manifest.cluster_assignment.keys(), default=None)
-    if stray in ids:
-        raise SplitError(f"assigns no split to cluster {stray}")
-    if stray is not None:
-        raise SplitError(f"assigns a split to cluster {stray}, which is not in its cluster set")
-    independents = set(cluster_set.independents)
-    for bug_id in manifest.independent_assignment:
-        if bug_id not in independents:
-            raise SplitError(f"assigns a split to bug {bug_id!r}, which is not an independent")
+    for kind, known, assigned, outside in (
+        ("cluster", {c.cluster_id for c in cluster_set.clusters}, manifest.cluster_assignment,
+         "not in its cluster set"),
+        ("bug", set(cluster_set.independents), manifest.independent_assignment, "not an independent"),
+    ):
+        stray = min(known ^ assigned.keys(), default=None)
+        if stray in known:
+            raise SplitError(f"assigns no split to {kind} {stray!r}")
+        if stray is not None:
+            raise SplitError(f"assigns a split to {kind} {stray!r}, which is {outside}")
     generate_pairs(manifest, cluster_set)
     generate_triplets(manifest, cluster_set)
     return manifest

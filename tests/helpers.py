@@ -25,7 +25,6 @@ from bugdedup.embedder import (
     TfidfHashEmbedder,
     fnv1a64,
     initial_weights,
-    l2_normalize_rows,
 )
 from bugdedup.ledger import CostLedger
 from bugdedup.metrics import (
@@ -137,28 +136,32 @@ def _reference_tfidf_rows(embedder, texts) -> list[dict[int, float]]:
     return rows
 
 
-def reference_tfidf_embed(embedder, texts) -> np.ndarray:
-    """``TfidfHashEmbedder.embed_texts`` as the loop over texts and tokens it
-    replaced, with each token's bucket and IDF computed where it is used.
-    A bucket sums ``count * idf`` from 0.0 in the order its tokens first
-    occur in the text; the vectorised embed must equal this bit for bit."""
-    out = np.zeros((len(texts), embedder.dim))
-    for i, row in enumerate(_reference_tfidf_rows(embedder, texts)):
-        out[i, list(row)] = list(row.values())
-    return l2_normalize_rows(out)
-
-
 def reference_tfidf_sparse(embedder, texts) -> list[tuple[list[int], list[float]]]:
-    """``sparse_rows(*token_ids(texts))`` of a ``TfidfHashEmbedder`` as a
-    loop: each text's buckets in ascending order with the sums
-    ``reference_tfidf_embed`` gives them, over the row's norm summed in that
-    order. The rows pass must equal this bit for bit."""
+    """``sparse_rows(*token_ids(texts))`` of a ``TfidfHashEmbedder`` as the
+    loop over texts and tokens it replaced, with each token's bucket and IDF
+    computed where it is used: each text's buckets in ascending order, each
+    with its sum over the row's norm. The norm's squares are added from 0.0
+    in that order in a plain loop, as the built-in ``sum`` compensates from
+    Python 3.12. The rows pass must equal this bit for bit."""
     out = []
     for row in _reference_tfidf_rows(embedder, texts):
         buckets = sorted(row)
-        norm = math.sqrt(sum(row[b] * row[b] for b in buckets))
+        squares = 0.0
+        for b in buckets:
+            squares += row[b] * row[b]
+        norm = math.sqrt(squares)
         scale = norm if norm >= ZERO_NORM else 1.0
         out.append((buckets, [row[b] / scale for b in buckets]))
+    return out
+
+
+def reference_tfidf_embed(embedder, texts) -> np.ndarray:
+    """``TfidfHashEmbedder.embed_texts`` as a loop: each row of
+    ``reference_tfidf_sparse`` scattered into ``dim`` zeros. The vectorised
+    embed must equal this bit for bit."""
+    out = np.zeros((len(texts), embedder.dim))
+    for i, (buckets, weights) in enumerate(reference_tfidf_sparse(embedder, texts)):
+        out[i, buckets] = weights
     return out
 
 

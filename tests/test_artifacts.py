@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
-from bugdedup.artifacts import ArtifactError, field, integer, load, number, numbers, one_of, save, string
+from bugdedup.artifacts import (
+    ArtifactError, config, field, integer, load, number, numbers, one_of, save, string
+)
 from bugdedup.cascade import ScenarioConfig
 from bugdedup.classifier import ClassifierTrainConfig
 from bugdedup.embedder import TrainConfig
@@ -101,3 +104,24 @@ def test_every_config_with_a_seed_refuses_a_seed_that_is_not_an_int(make, seed):
     with pytest.raises(ValueError, match=f"^seed must be an int, got {re.escape(repr(seed))}$"):
         make(seed)
     assert make(-3).seed == -3
+
+
+_CONFIGS = [
+    TrainConfig(margin=0.5), ClassifierTrainConfig(epochs=3),
+    ScenarioConfig(mode="one_vs_all", method="cascade", dedup_pairs=True),
+]
+
+
+@pytest.mark.parametrize("made", _CONFIGS, ids=[type(c).__name__ for c in _CONFIGS])
+def test_config_reads_every_field_with_its_json_type(made):
+    cls, payload = type(made), asdict(made)
+    assert config(cls, payload) == made
+    for name in (f.name for f in fields(cls)):
+        with pytest.raises(ArtifactError, match=f"^lacks '{name}'$"):
+            config(cls, {k: v for k, v in payload.items() if k != name})
+        # A string in a number's field, and a number in a string's or a bool's.
+        wrong = 1 if isinstance(payload[name], (str, bool)) else "1"
+        with pytest.raises(ArtifactError, match=f"^malformed '{name}'"):
+            config(cls, {**payload, name: wrong})
+    with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+        config(cls, {**payload, "bogus": 1})

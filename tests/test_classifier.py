@@ -5,7 +5,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import fields
+import re
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -786,24 +787,30 @@ def test_classifier_config_json_roundtrip(tmp_path):
     assert load(path, classifier_from_json, "classifier file").train_config == cfg
 
 
+_TRAIN_CONFIG = asdict(ClassifierTrainConfig())
+
+
 @pytest.mark.parametrize(
     "train_config, says",
     [
-        ({"epochs": 3, "bogus": 1}, "unexpected keyword argument 'bogus'"),
-        ([3], "must be a mapping"),
-        ({"epochs": -1}, "epochs must be an int >= 0"),
+        ({**_TRAIN_CONFIG, "bogus": 1}, "unexpected keyword argument 'bogus'"),
+        ([3], "list is not an object to read 'learning_rate' from"),
+        # Every field is read: a dropped one does not take its default.
+        ({k: v for k, v in _TRAIN_CONFIG.items() if k != "epochs"}, "lacks 'epochs'"),
+        ({**_TRAIN_CONFIG, "epochs": -1}, "epochs must be an int >= 0"),
         # A count or a seed is a JSON integer: neither 2.5 nor true passes.
-        ({"epochs": 2.5, "batch_size": True, "seed": True}, "epochs must be an int >= 0, got 2.5"),
-        ({"batch_size": True}, "batch_size must be an int >= 1, got True"),
-        ({"seed": True}, "seed must be an int, got True"),
-        ({"seed": 1.0}, "seed must be an int, got 1.0"),
+        ({**_TRAIN_CONFIG, "epochs": 2.5, "batch_size": True, "seed": True},
+         "malformed 'epochs' (TypeError: 2.5 is not an integer)"),
+        ({**_TRAIN_CONFIG, "batch_size": True}, "malformed 'batch_size' (TypeError: True is not an integer)"),
+        ({**_TRAIN_CONFIG, "seed": True}, "malformed 'seed' (TypeError: True is not an integer)"),
+        ({**_TRAIN_CONFIG, "seed": 1.0}, "malformed 'seed' (TypeError: 1.0 is not an integer)"),
     ],
 )
 def test_load_classifier_names_a_malformed_train_config(tmp_path, train_config, says):
     path = tmp_path / "classifier.json"
     payload = classifier_to_json(LogisticPairModel(weights=np.zeros(FEATURE_COUNT + 1)))
     path.write_text(json.dumps({**payload, "train_config": train_config}))
-    with pytest.raises(ArtifactError, match=says) as caught:
+    with pytest.raises(ArtifactError, match=re.escape(says)) as caught:
         load(path, classifier_from_json, "classifier file")
     assert str(path) in str(caught.value)
 

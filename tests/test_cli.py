@@ -681,9 +681,14 @@ def _with_df_count(path, count):
         ("--projection", lambda w: _with(w / "projection.json", "margin", "x"), "malformed 'margin'"),
         # A count or a seed in a train_config is a JSON integer.
         ("--model", lambda w: _with_train_config(w / "classifier.json", epochs=2.5, batch_size=True, seed=True),
-         "epochs must be an int >= 0, got 2.5"),
+         "malformed 'epochs' (TypeError: 2.5 is not an integer)"),
         ("--projection", lambda w: _with_train_config(w / "projection.json", seed=True),
-         "seed must be an int, got True"),
+         "malformed 'seed' (TypeError: True is not an integer)"),
+        # Every field of a train_config is read: a dropped one takes no default.
+        ("--model", lambda w: _with_in(w / "classifier.json", "train_config", epochs=None),
+         "malformed 'train_config' (ArtifactError: lacks 'epochs')"),
+        ("--projection", lambda w: _with_in(w / "projection.json", "train_config", margin=None),
+         "malformed 'train_config' (ArtifactError: lacks 'margin')"),
         # A model file carries its vocabulary and the hashes of its inputs;
         # one written before it did is refused.
         ("--model", lambda w: _without(w / "classifier.json", "vocabulary"), "lacks 'vocabulary'"),
@@ -1101,6 +1106,17 @@ def test_runtime_split_failure_exits_1(tmp_path, capsys):
     assert err["error"] == "SplitError"
 
 
+def test_a_split_that_the_clusters_cannot_fill_names_them(workdir, tmp_path, capsys):
+    payload = json.loads((workdir / "clusters.json").read_text())
+    clusters = tmp_path / "clusters.json"
+    clusters.write_text(json.dumps({**payload, "clusters": payload["clusters"][:2]}))
+    out = tmp_path / "m.json"
+    err = _run_fail(capsys, 1, "split", "--clusters", str(clusters), "--seed", "0", "--out", str(out))
+    assert err["error"] == "SplitError"
+    assert err["message"] == f"--clusters {clusters}: need at least 3 clusters to populate all splits, got 2"
+    assert not out.exists()
+
+
 def _with_cluster_0_in_holdout(workdir):
     payload = json.loads((workdir / "manifest.json").read_text())
     payload["cluster_assignment"]["0"] = "holdout"
@@ -1265,6 +1281,12 @@ def _without_cluster_0(workdir):
     return payload
 
 
+def _without_independent(workdir):
+    payload = json.loads((workdir / "manifest.json").read_text())
+    del payload["independent_assignment"]["b000294"]
+    return payload
+
+
 def _with_cluster_key(key, split=None, replaces=None):
     """The workdir's manifest with ``key`` assigned ``split``, or the split of
     the key ``replaces``, which it then takes the place of."""
@@ -1299,6 +1321,7 @@ def _with_unknown_ids(workdir, cluster_0=None, independent=None):
          "malformed 'cluster_assignment' (ValueError: key '01' is not cluster id 1 as written)"),
         (["eval-retrieval"], "--manifest", _with_cluster_key("999", "train"), 1,
          "assigns a split to cluster 999, which is not in its cluster set"),
+        (["eval-retrieval"], "--manifest", _without_independent, 1, "assigns no split to bug 'b000294'"),
         (["eval-retrieval"], "--manifest", _with_cluster_key("+2", replaces="2"), 1,
          "key '+2' is not cluster id 2"),
         (["eval-retrieval"], "--manifest", _with_cluster_key("1_0", replaces="10"), 1,
@@ -1314,6 +1337,7 @@ def _with_unknown_ids(workdir, cluster_0=None, independent=None):
     ],
     ids=["clusters-with-list-ids", "model-with-non-object-inputs", "manifest-without-a-cluster",
          "manifest-with-a-zero-padded-cluster-key", "manifest-with-an-unknown-cluster",
+         "manifest-without-an-independent",
          "manifest-with-a-signed-cluster-key", "manifest-with-an-underscored-cluster-key",
          "manifest-with-a-spaced-cluster-key", "manifest-with-an-arabic-indic-cluster-key",
          "clusters-with-an-unknown-member", "clusters-with-an-unknown-independent"],

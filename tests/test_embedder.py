@@ -5,9 +5,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 import sys
 import threading
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -157,18 +158,6 @@ def test_tfidf_from_json_copies_its_df():
     assert TfidfHashEmbedder.from_json({**_VOCABULARY, "df": {}}).df == {}
 
 
-def _unmemoised_embed(embedder: TfidfHashEmbedder, texts: list[str]) -> np.ndarray:
-    """The hashing loop without a memo: hash and IDF per token and text."""
-    out = np.zeros((len(texts), embedder.dim))
-    for i, text in enumerate(texts):
-        tf: dict[str, int] = {}
-        for token in text.split():
-            tf[token] = tf.get(token, 0) + 1
-        for token, count in tf.items():
-            out[i, fnv1a64(token) % embedder.dim] += count * embedder.idf(token)
-    return l2_normalize_rows(out)
-
-
 def test_tfidf_memo_does_not_change_bits():
     words = [f"w{i}" for i in range(40)]
     # Document frequencies 0-3 and term counts 1-4, so tokens that share
@@ -189,7 +178,7 @@ def test_tfidf_memo_does_not_change_bits():
         embedder.embed_texts(list(reversed(texts)) + ["more unseen tokens alpha"])
         return embedder
 
-    want = _unmemoised_embed(fit(), texts).tobytes()
+    want = reference_tfidf_embed(fit(), texts).tobytes()
     for fresh_first in (True, False):
         fresh, warm = fit(), warmed()
         first, second = (fresh, warm) if fresh_first else (warm, fresh)
@@ -283,9 +272,10 @@ def test_tfidf_sparse_rows_equal_the_reference_loop_bit_for_bit(dim, others, tex
 
 
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 129])
-def test_tfidf_embed_normalises_in_blocks_with_the_bits_of_the_whole_array(n):
-    # Batch sizes around the normalisation's block of rows; every fifth text
-    # holds no token, so its row is all zero.
+def test_tfidf_embed_is_its_sparse_rows_scattered_bit_for_bit(n):
+    # Batch sizes around a block of 64 rows; every fifth text holds no
+    # token, so its row is all zero. At dim 8 a dense norm over all the
+    # entries sums in another order than the sparse row's norm.
     rng = np.random.default_rng(n)
     words = _FIT_WORDS + ["unseen", "other"]
     texts = [" ".join(rng.choice(words, size=rng.integers(1, 9))) for _ in range(n)]
@@ -294,8 +284,17 @@ def test_tfidf_embed_normalises_in_blocks_with_the_bits_of_the_whole_array(n):
     embedder = TfidfHashEmbedder.fit(_FIT_TEXTS, dim=8)
     got = embedder.embed_texts(texts)
     assert got.shape == (n, 8) and not got[::5].any()
-    assert got.tobytes() == reference_tfidf_embed(embedder, texts).tobytes()
-    matrix = rng.normal(size=(n, 300))
+    indptr, buckets, weights = embedder.sparse_rows(*embedder.token_ids(texts))
+    want = np.zeros((n, 8))
+    for i, (start, end) in enumerate(zip(indptr[:-1], indptr[1:])):
+        want[i, buckets[start:end]] = weights[start:end]
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 129])
+def test_row_norms_have_the_bits_of_the_whole_array(n):
+    # Dense search's database norms, over batch sizes around the block of rows.
+    matrix = np.random.default_rng(n).normal(size=(n, 300))
     assert row_norms(matrix).tobytes() == np.linalg.norm(matrix, axis=1).tobytes()
 
 
@@ -536,24 +535,29 @@ def test_train_config_json_roundtrip(tmp_path):
     assert load(path, projection_from_json, "projection file").train_config == cfg
 
 
+_TRAIN_CONFIG = asdict(TrainConfig())
+
+
 @pytest.mark.parametrize(
     "train_config, says",
     [
-        ({"epochs": 3, "bogus": 1}, "unexpected keyword argument 'bogus'"),
-        ("epochs=3", "must be a mapping"),
-        ({"dim_out": 0}, "dim_out must be an int >= 1"),
+        ({**_TRAIN_CONFIG, "bogus": 1}, "unexpected keyword argument 'bogus'"),
+        ("epochs=3", "str is not an object to read 'learning_rate' from"),
+        # Every field is read: a dropped one does not take its default.
+        ({k: v for k, v in _TRAIN_CONFIG.items() if k != "margin"}, "lacks 'margin'"),
+        ({**_TRAIN_CONFIG, "dim_out": 0}, "dim_out must be an int >= 1"),
         # A count or a seed is a JSON integer: neither 2.5 nor true passes.
-        ({"epochs": 2.5}, "epochs must be an int >= 0, got 2.5"),
-        ({"batch_size": True}, "batch_size must be an int >= 1, got True"),
-        ({"seed": False}, "seed must be an int, got False"),
-        ({"seed": "3"}, "seed must be an int, got '3'"),
+        ({**_TRAIN_CONFIG, "epochs": 2.5}, "malformed 'epochs' (TypeError: 2.5 is not an integer)"),
+        ({**_TRAIN_CONFIG, "batch_size": True}, "malformed 'batch_size' (TypeError: True is not an integer)"),
+        ({**_TRAIN_CONFIG, "seed": False}, "malformed 'seed' (TypeError: False is not an integer)"),
+        ({**_TRAIN_CONFIG, "seed": "3"}, "malformed 'seed' (TypeError: '3' is not an integer)"),
     ],
 )
 def test_load_projection_names_a_malformed_train_config(tmp_path, train_config, says):
     path = tmp_path / "projection.json"
     payload = projection_to_json(ProjectionModel(weights=np.ones((3, 4)), margin=0.2, train_config=TrainConfig()))
     path.write_text(json.dumps({**payload, "train_config": train_config}))
-    with pytest.raises(ArtifactError, match=says) as caught:
+    with pytest.raises(ArtifactError, match=re.escape(says)) as caught:
         load(path, projection_from_json, "projection file")
     assert str(path) in str(caught.value)
 
